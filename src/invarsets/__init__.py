@@ -22,7 +22,7 @@ from .core import (
     stack_quantities,
     zero_quantity,
 )
-from .differentiate import PartialTensor, gradient, jacobian, partial_tensor
+from .differentiate import PartialTensor, gradient, jacobian, jacobians, partial_tensor
 from .errors import IntegrationError, InvarsetsError, NumericError, UsageError
 from .integrate import (
     DriftReport,
@@ -41,11 +41,13 @@ from .invariance import (
 )
 from .rank_sets import (
     RankDecision,
+    RankDecisions,
     SetMembership,
     in_critical_set,
     in_vanishing_set,
     numerical_rank,
     rank_level,
+    rank_levels,
 )
 from .coincidence import (
     CoincidenceReport,
@@ -73,6 +75,7 @@ __all__ = [
     "PartialTensor",
     "gradient",
     "jacobian",
+    "jacobians",
     "partial_tensor",
     "InvarsetsError",
     "UsageError",
@@ -85,9 +88,11 @@ __all__ = [
     "flow_fixed",
     "monitor_drift",
     "RankDecision",
+    "RankDecisions",
     "SetMembership",
     "numerical_rank",
     "rank_level",
+    "rank_levels",
     "in_vanishing_set",
     "in_critical_set",
     "InvarianceReport",

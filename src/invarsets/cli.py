@@ -29,24 +29,35 @@ EXIT_FAIL = 1
 EXIT_CONFIG = 2
 
 
+def _set(config: dict, section: str, key: str, value) -> None:
+    target = config.setdefault(section, {})
+    if not isinstance(target, dict):
+        raise UsageError(f'"{section}" must be an object, got {type(target).__name__}')
+    target[key] = value
+
+
 def _apply_overrides(config: dict, args: argparse.Namespace) -> dict:
     if getattr(args, "t_end", None) is not None:
         config["t_end"] = args.t_end
     if getattr(args, "rank_tol", None) is not None:
         config["rank_tol"] = args.rank_tol
     if getattr(args, "abs_tol", None) is not None:
-        config.setdefault("integ", {})["abs_tol"] = args.abs_tol
+        _set(config, "integ", "abs_tol", args.abs_tol)
     if getattr(args, "rel_tol", None) is not None:
-        config.setdefault("integ", {})["rel_tol"] = args.rel_tol
+        _set(config, "integ", "rel_tol", args.rel_tol)
     if getattr(args, "sample_count", None) is not None:
-        config.setdefault("integ", {})["sample_count"] = args.sample_count
+        _set(config, "integ", "sample_count", args.sample_count)
     if getattr(args, "seed", None) is not None:
         config["seed"] = args.seed
     for item in getattr(args, "tolerance", None) or []:
         key, _, value = item.partition("=")
         if not _:
             raise UsageError(f"--tolerance expects KEY=VALUE, got '{item}'")
-        config.setdefault("tolerances", {})[key] = float(value)
+        try:
+            number = float(value)
+        except ValueError:
+            raise UsageError(f"--tolerance {key} must be a number, got '{value}'") from None
+        _set(config, "tolerances", key, number)
     return config
 
 

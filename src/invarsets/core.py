@@ -1,9 +1,11 @@
 """Core types: states, vector fields, and conserved quantities.
 
-States are plain 1-D numpy float arrays.  A :class:`SystemDefinition` wraps
-an autonomous right-hand side ``f`` of ``x' = f(x)`` together with its
-dimension, and a :class:`ConservedQuantitySet` bundles a vector of scalar
-first integrals with optional analytic derivative providers.
+States are plain 1-D numpy float arrays, and a trajectory's samples are an
+``(m, dim)`` stack of them.  A :class:`SystemDefinition` wraps an autonomous
+right-hand side ``f`` of ``x' = f(x)`` together with its dimension, and a
+:class:`ConservedQuantitySet` bundles a vector of scalar first integrals
+with optional analytic derivative providers.  Quantities are evaluated on
+whole stacks; a single state is a stack of one.
 
 Everything here is immutable after construction and free of hidden state,
 so all operations can be called concurrently without synchronization.
@@ -26,12 +28,58 @@ def as_state(x, dim: int | None = None) -> Array:
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise UsageError(f"state must be a non-empty 1-D vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         bad = int(np.flatnonzero(~np.isfinite(arr))[0])
         raise UsageError(f"state has a non-finite entry at component {bad}")
     if dim is not None and arr.size != dim:
         raise UsageError(f"state has dimension {arr.size}, expected {dim}")
     return arr
+
+
+def as_states(xs, dim: int) -> Array:
+    """Coerce ``xs`` to a finite ``(m, dim)`` float stack of states, m >= 1."""
+    arr = np.asarray(xs, dtype=float)
+    if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] != dim:
+        raise UsageError(f"state stack must have shape (m, {dim}) with m >= 1, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        row, col = (int(i) for i in np.argwhere(~np.isfinite(arr))[0])
+        raise UsageError(f"state {row} of the stack has a non-finite entry at component {col}")
+    return arr
+
+
+def map_states(
+    quantity: "ConservedQuantitySet",
+    fn: Callable[[Array], Array],
+    xs: Array,
+    row_shape: tuple[int, ...],
+    role: str,
+) -> Array:
+    """Apply one of ``quantity``'s callables to every row of an ``(m, dim)`` stack.
+
+    A ``batched`` quantity's callable gets the whole stack in one call; any
+    other is called once per row, where a scalar counts as shape ``(1,)``.
+    A result not of shape ``(m, *row_shape)`` is a :class:`UsageError`
+    naming ``role`` and the quantity.  Finiteness is left to the caller.
+    """
+    m = len(xs)
+    if quantity.batched:
+        out = np.asarray(fn(xs), dtype=float)
+        if out.shape == (m,) + row_shape:
+            return out
+        got, expected = out.shape, (m,) + row_shape
+    else:
+        out = np.empty((m,) + row_shape)
+        for i, x in enumerate(xs):
+            row = np.asarray(fn(x), dtype=float)
+            if row.shape != row_shape and not (row.ndim == 0 and row_shape == (1,)):
+                got, expected = row.shape, row_shape
+                break
+            out[i] = row
+        else:
+            return out
+    raise UsageError(
+        f"{role} '{'/'.join(quantity.labels)}' returned shape {got}, expected {expected}"
+    )
 
 
 def format_float(value: float) -> str:
@@ -80,7 +128,7 @@ def evaluate_field(system: SystemDefinition, x) -> Array:
             f"field of '{system.label}' returned shape {out.shape}, "
             f"expected ({system.dim},)"
         )
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         bad = int(np.flatnonzero(~np.isfinite(out))[0])
         raise NumericError(
             f"field of '{system.label}' produced a non-finite derivative "
@@ -101,6 +149,13 @@ class ConservedQuantitySet:
     coordinate indices (order = len(alpha)); it unlocks derivative orders
     beyond the finite-difference depth cap.  ``smoothness_order`` bounds
     the derivative order that may be queried meaningfully.
+
+    ``batched`` declares that ``value`` and ``analytic_gradient`` also
+    accept a stack of states of shape ``(..., dim)`` and return
+    ``(..., k)`` and ``(..., k, dim)``, each row equal bit for bit to the
+    single-state result.  It cannot be inferred: a point formula such as
+    ``x[0]**2 + x[1]**2`` returns wrong rows on a stack without raising.
+    Undeclared callables are called once per state.
     """
 
     dim: int
@@ -110,6 +165,7 @@ class ConservedQuantitySet:
     analytic_gradient: Callable[[Array], Array] | None = None
     analytic_partial: Callable[[Array, tuple[int, ...]], Array] | None = None
     smoothness_order: int = 8
+    batched: bool = False
 
     def __post_init__(self):
         if self.dim < 1 or self.k < 1:
@@ -119,17 +175,21 @@ class ConservedQuantitySet:
         if len(self.labels) != self.k:
             raise UsageError(f"{len(self.labels)} labels for k={self.k} components")
 
+    def values_many(self, states) -> Array:
+        """Evaluate all components on an ``(m, dim)`` stack: shape ``(m, k)``."""
+        return self._values(as_states(states, self.dim))
+
     def values_at(self, x) -> Array:
-        """Evaluate all components at ``x`` with validation."""
-        xv = as_state(x, self.dim)
-        out = np.atleast_1d(np.asarray(self.value(xv), dtype=float))
-        if out.shape != (self.k,):
-            raise UsageError(
-                f"quantity '{'/'.join(self.labels)}' returned shape {out.shape}, "
-                f"expected ({self.k},)"
+        """Evaluate all components at ``x``: a batch of one."""
+        return self._values(as_state(x, self.dim)[None, :])[0]
+
+    def _values(self, xs: Array) -> Array:
+        out = map_states(self, self.value, xs, (self.k,), "quantity")
+        if not np.isfinite(out).all():
+            row = int(np.flatnonzero(~np.isfinite(out).all(axis=1))[0])
+            raise NumericError(
+                f"quantity '{'/'.join(self.labels)}' is non-finite at state {row} of {len(xs)}"
             )
-        if not np.all(np.isfinite(out)):
-            raise NumericError(f"quantity '{'/'.join(self.labels)}' is non-finite at x")
         return out
 
     def component(self, index: int) -> "ConservedQuantitySet":
@@ -193,7 +253,7 @@ def stack_quantities(quantities: Sequence[ConservedQuantitySet]) -> ConservedQua
 
     Analytic providers survive the stacking only if every member supplies
     them; otherwise consumers fall back to finite differences for the
-    whole stack.
+    whole stack.  The stack is ``batched`` only if every member is.
     """
     qs = list(quantities)
     if not qs:
@@ -207,13 +267,17 @@ def stack_quantities(quantities: Sequence[ConservedQuantitySet]) -> ConservedQua
     labels = tuple(lbl for q in qs for lbl in q.labels)
 
     def value(x, _qs=tuple(qs)):
-        return np.concatenate([np.atleast_1d(np.asarray(q.value(x), float)) for q in _qs])
+        return np.concatenate(
+            [np.atleast_1d(np.asarray(q.value(x), float)) for q in _qs], axis=-1
+        )
 
     grad = None
     if all(q.analytic_gradient is not None for q in qs):
 
         def grad(x, _qs=tuple(qs)):
-            return np.vstack([np.asarray(q.analytic_gradient(x), float) for q in _qs])
+            return np.concatenate(
+                [np.atleast_2d(np.asarray(q.analytic_gradient(x), float)) for q in _qs], axis=-2
+            )
 
     part = None
     if all(q.analytic_partial is not None for q in qs):
@@ -231,6 +295,7 @@ def stack_quantities(quantities: Sequence[ConservedQuantitySet]) -> ConservedQua
         analytic_gradient=grad,
         analytic_partial=part,
         smoothness_order=min(q.smoothness_order for q in qs),
+        batched=all(q.batched for q in qs),
     )
 
 

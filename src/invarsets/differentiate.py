@@ -56,37 +56,54 @@ def gradient(fn: Callable, x, step_scale: float | None = None) -> np.ndarray:
     return g
 
 
+def jacobians(
+    quantity: "ConservedQuantitySet", states, step_scale: float | None = None
+) -> np.ndarray:
+    """(m, k, n) Jacobians of a quantity on an (m, n) stack of states.
+
+    An analytic provider bypasses differencing.  A ``batched`` quantity is
+    called once for the whole stack (once per coordinate and side when
+    differencing); any other once per state.
+    """
+    from .core import as_states
+
+    return _jacobian_stack(quantity, as_states(states, quantity.dim), step_scale)
+
+
 def jacobian(quantity: "ConservedQuantitySet", x, step_scale: float | None = None) -> np.ndarray:
-    """k-by-n Jacobian of a quantity; analytic provider bypasses differencing."""
+    """k-by-n Jacobian of a quantity at one state: a batch of one."""
     from .core import as_state
 
-    xv = as_state(x, quantity.dim)
+    return _jacobian_stack(quantity, as_state(x, quantity.dim)[None, :], step_scale)[0]
+
+
+def _jacobian_stack(quantity: "ConservedQuantitySet", xs: np.ndarray, step_scale) -> np.ndarray:
+    from .core import map_states
+
+    shape = (quantity.k, quantity.dim)
     if quantity.analytic_gradient is not None:
-        J = np.asarray(quantity.analytic_gradient(xv), dtype=float)
-        if J.shape != (quantity.k, quantity.dim):
-            raise UsageError(
-                f"analytic gradient of '{'/'.join(quantity.labels)}' has shape "
-                f"{J.shape}, expected ({quantity.k}, {quantity.dim})"
-            )
-        if not np.all(np.isfinite(J)):
+        J = map_states(quantity, quantity.analytic_gradient, xs, shape, "analytic gradient of")
+        if not np.isfinite(J).all():
+            row = int(np.flatnonzero(~np.isfinite(J).all(axis=(1, 2)))[0])
             raise NumericError(
-                f"analytic gradient of '{'/'.join(quantity.labels)}' is non-finite at x"
+                f"analytic gradient of '{'/'.join(quantity.labels)}' is non-finite "
+                f"at state {row} of {len(xs)}"
             )
         return J
 
-    h = _coordinate_steps(xv, DEFAULT_STEP_SCALE if step_scale is None else float(step_scale))
-    J = np.empty((quantity.k, quantity.dim))
+    h = _coordinate_steps(xs, DEFAULT_STEP_SCALE if step_scale is None else float(step_scale))
+    J = np.empty((len(xs),) + shape)
     for j in range(quantity.dim):
-        xp = xv.copy()
-        xm = xv.copy()
-        xp[j] += h[j]
-        xm[j] -= h[j]
-        vp = np.atleast_1d(np.asarray(quantity.value(xp), dtype=float))
-        vm = np.atleast_1d(np.asarray(quantity.value(xm), dtype=float))
-        col = (vp - vm) / (2.0 * h[j])
-        if not np.all(np.isfinite(col)):
+        xp = xs.copy()
+        xm = xs.copy()
+        xp[:, j] += h[:, j]
+        xm[:, j] -= h[:, j]
+        vp = map_states(quantity, quantity.value, xp, (quantity.k,), "quantity")
+        vm = map_states(quantity, quantity.value, xm, (quantity.k,), "quantity")
+        col = (vp - vm) / (2.0 * h[:, j, None])
+        if not np.isfinite(col).all():
             raise NumericError(f"quantity is non-finite near x along coordinate {j}")
-        J[:, j] = col
+        J[:, :, j] = col
     return J
 
 

@@ -75,6 +75,12 @@ class DriftReport:
         return float(np.max(self.max_drift))
 
 
+def _check_horizon(name: str, value: float) -> None:
+    # NaN and inf pass a plain "<= 0" test and then never finish integrating
+    if not (np.isfinite(value) and value > 0):
+        raise UsageError(f"{name} must be a positive finite number, got {value}")
+
+
 def _check_tolerances(abs_tol: float, rel_tol: float) -> None:
     for name, tol in (("abs_tol", abs_tol), ("rel_tol", rel_tol)):
         if not 0.0 < tol <= 1e-2:
@@ -96,8 +102,7 @@ def flow_adaptive(
     field singularity) raises :class:`IntegrationError` carrying the last
     good time.
     """
-    if t_end <= 0:
-        raise UsageError(f"t_end must be positive, got {t_end}")
+    _check_horizon("t_end", t_end)
     _check_tolerances(abs_tol, rel_tol)
     if sample_count < 2:
         raise UsageError(f"sample_count must be >= 2, got {sample_count}")
@@ -151,10 +156,8 @@ def flow_fixed(system: SystemDefinition, x0, t_end: float, dt: float) -> Traject
     A ``dt`` larger than ``t_end`` is clamped to a single step.  Every
     accepted state is recorded.
     """
-    if t_end <= 0:
-        raise UsageError(f"t_end must be positive, got {t_end}")
-    if dt <= 0:
-        raise UsageError(f"dt must be positive, got {dt}")
+    _check_horizon("t_end", t_end)
+    _check_horizon("dt", dt)
     if t_end / dt > MAX_FIXED_STEPS:
         raise UsageError(f"t_end/dt = {t_end / dt:.3g} exceeds {MAX_FIXED_STEPS:g} steps")
     x0v = as_state(x0, system.dim)
@@ -199,12 +202,13 @@ def flow_fixed(system: SystemDefinition, x0, t_end: float, dt: float) -> Traject
 
 
 def monitor_drift(traj: Trajectory, quantity: ConservedQuantitySet) -> DriftReport:
-    """Exact maximum of |F_i(x(t)) - F_i(x(0))| over the trajectory samples."""
+    """Exact maximum of |F_i(x(t)) - F_i(x(0))| over the trajectory samples,
+    from one evaluation of the quantity on the whole stack of samples."""
     if quantity.dim != traj.dim:
         raise UsageError(
             f"quantity dimension {quantity.dim} != trajectory dimension {traj.dim}"
         )
-    values = np.array([quantity.values_at(s) for s in traj.states])
+    values = quantity.values_many(traj.states)
     drift = np.abs(values - values[0])
     idx = np.argmax(drift, axis=0)
     return DriftReport(

@@ -9,7 +9,8 @@ they fail.  Verdicts:
     borderline  some sample sits within a factor 10 of a threshold
     fail        classification changed with a robust margin
 
-Invariance is checked at the trajectory samples, not continuously; a
+Invariance is checked at the trajectory samples, not continuously (the
+rank and critical checks classify all samples in one stacked call); a
 start whose field norm is numerically zero is flagged as an equilibrium
 (trivially invariant).
 """
@@ -32,7 +33,14 @@ from .integrate import (
     flow_adaptive,
     monitor_drift,
 )
-from .rank_sets import BORDERLINE_MARGIN, DEFAULT_RANK_TOL, in_vanishing_set, rank_level
+from .rank_sets import (
+    BORDERLINE_MARGIN,
+    DEFAULT_RANK_TOL,
+    DEFAULT_VANISH_TOL,
+    in_vanishing_set,
+    rank_level,
+    rank_levels,
+)
 
 PASS = "pass"
 FAIL = "fail"
@@ -110,9 +118,9 @@ def verify_rank_invariance(
             initial_rank=initial.rank,
         )
     traj = flow_adaptive(system, x0v, t_end, abs_tol, rel_tol, sample_count)
-    decisions = [rank_level(quantity, s, rank_tol) for s in traj.states]
-    ranks = np.array([d.rank for d in decisions], dtype=int)
-    margins = np.array([d.margin for d in decisions])
+    decisions = rank_levels(quantity, traj.states, rank_tol)
+    ranks = decisions.ranks
+    margins = decisions.margins
     min_margin = float(np.min(margins))
     worst_idx = int(np.argmin(margins))
     matches = bool(np.all(ranks == initial.rank))
@@ -144,7 +152,7 @@ def verify_vanishing_invariance(
     x0,
     order: int,
     t_end: float,
-    abs_tol: float = 1e-8,
+    abs_tol: float = DEFAULT_VANISH_TOL,
     conservation_tol: float = DEFAULT_CONSERVATION_TOL,
     integ_abs_tol: float = DEFAULT_ABS_TOL,
     integ_rel_tol: float = DEFAULT_REL_TOL,
@@ -293,9 +301,9 @@ def verify_critical_invariance(
             initial_rank=initial.rank,
         )
     traj = flow_adaptive(system, x0v, t_end, abs_tol, rel_tol, sample_count)
-    decisions = [rank_level(quantity, s, rank_tol) for s in traj.states]
-    ranks = np.array([d.rank for d in decisions], dtype=int)
-    margins = np.array([d.margin for d in decisions])
+    decisions = rank_levels(quantity, traj.states, rank_tol)
+    ranks = decisions.ranks
+    margins = decisions.margins
     min_margin = float(np.min(margins))
     worst_idx = int(np.argmin(margins))
     critical = bool(np.all(ranks < quantity.k))

@@ -26,15 +26,29 @@ from .core import (
     format_float,
     stack_quantities,
 )
-from .differentiate import jacobian
+from .differentiate import jacobian, jacobians
 from .errors import UsageError
-from .integrate import Trajectory, flow_adaptive, monitor_drift
+from .integrate import (
+    DEFAULT_ABS_TOL,
+    DEFAULT_REL_TOL,
+    DEFAULT_SAMPLE_COUNT,
+    Trajectory,
+    flow_adaptive,
+    monitor_drift,
+)
 from .invariance import (
+    DEFAULT_CONSERVATION_TOL,
     verify_rank_invariance,
     verify_set_persistence,
     verify_vanishing_invariance,
 )
-from .coincidence import canonical_symplectic_matrix, verify_coincidence
+from .coincidence import (
+    DEFAULT_DEVIATION_TOL,
+    DEFAULT_HYPOTHESIS_TOL,
+    canonical_symplectic_matrix,
+    verify_coincidence,
+)
+from .rank_sets import DEFAULT_RANK_TOL, DEFAULT_VANISH_TOL, singular_values
 from . import kepler as kepler_model
 from . import toda
 
@@ -47,6 +61,7 @@ VALID_CHECKS = (
     "oracle-equality",
     "drift",
 )
+DEFAULT_T_END = 10.0
 
 
 @dataclass
@@ -87,18 +102,41 @@ def load_scenario(path) -> dict[str, Any]:
     return config
 
 
+def _section(config, key: str) -> dict[str, Any]:
+    """An optional sub-object of a scenario, such as "tolerances" or "integ"."""
+    section = config.get(key, {})
+    if not isinstance(section, dict):
+        raise UsageError(f'"{key}" must be an object, got {type(section).__name__}')
+    return section
+
+
+def _number(section, key: str, default, kind=float, where: str = ""):
+    """``section[key]`` (or ``default``) converted by ``kind``; a value that
+    does not convert, or an integer setting with a fractional part, is a
+    configuration error naming the key."""
+    raw = section.get(key, default)
+    try:
+        value = kind(raw)
+        if kind is int and isinstance(raw, float) and not raw.is_integer():
+            raise ValueError  # int() would truncate 4.7 to 4
+        return value
+    except (TypeError, ValueError):
+        expected = "an integer" if kind is int else "a number"
+        raise UsageError(f'"{where}{key}" must be {expected}, got {raw!r}') from None
+
+
 def _model_of(config) -> tuple[str, SystemDefinition, dict[str, Any]]:
     model = config.get("model")
     if not isinstance(model, dict) or "kind" not in model:
         raise UsageError('scenario needs a "model" object with a "kind" field')
     kind = model["kind"]
     if kind == "kepler":
-        return kind, kepler_model.kepler_field(), {"a": float(model.get("a", 1.0))}
+        return kind, kepler_model.kepler_field(), {"a": _number(model, "a", 1.0, where="model.")}
     if kind == "toda-periodic":
-        n = int(model.get("n", 4))
+        n = _number(model, "n", 4, int, "model.")
         return kind, toda.periodic_field(n), {"n": n}
     if kind == "toda-nonperiodic":
-        n = int(model.get("n", 4))
+        n = _number(model, "n", 4, int, "model.")
         return kind, toda.nonperiodic_field(n), {"n": n}
     raise UsageError(f"unknown model '{kind}'; valid models: {', '.join(VALID_MODELS)}")
 
@@ -149,16 +187,19 @@ def _initial_state(config, kind: str, params: dict[str, Any], dim: int) -> np.nd
     if "set_id" in entry:
         if kind == "kepler":
             raise UsageError("explicit set samples apply to the lattice models")
-        return toda.explicit_set_sample(entry["set_id"], params["n"], entry.get("params", {}))
+        return toda.explicit_set_sample(entry["set_id"], params["n"], _section(entry, "params"))
     if "circular" in entry:
         if kind != "kepler":
             raise UsageError("circular samples apply to the kepler model")
-        c = entry["circular"]
-        return kepler_model.circular_sample(float(c.get("a", params["a"])), float(c.get("theta", 0.0)))
+        c = _section(entry, "circular")
+        where = "initial_state.circular."
+        return kepler_model.circular_sample(
+            _number(c, "a", params["a"], where=where), _number(c, "theta", 0.0, where=where)
+        )
     if "random" in entry:
-        r = entry["random"]
-        rng = np.random.default_rng(int(r.get("seed", 0)))
-        return float(r.get("scale", 1.0)) * rng.standard_normal(dim)
+        r = _section(entry, "random")
+        rng = np.random.default_rng(_number(r, "seed", 0, int, "initial_state.random."))
+        return _number(r, "scale", 1.0, where="initial_state.random.") * rng.standard_normal(dim)
     raise UsageError('"initial_state" object needs one of: set_id, circular, random')
 
 
@@ -173,15 +214,15 @@ def _drift_evidence(drift) -> dict[str, Any]:
 
 
 def _tol(config, key: str, default: float) -> float:
-    return float(config.get("tolerances", {}).get(key, default))
+    return _number(_section(config, "tolerances"), key, default, where="tolerances.")
 
 
 def _common_kwargs(config) -> dict[str, float | int]:
-    integ = config.get("integ", {})
+    integ = _section(config, "integ")
     return {
-        "abs_tol": float(integ.get("abs_tol", 1e-10)),
-        "rel_tol": float(integ.get("rel_tol", 1e-10)),
-        "sample_count": int(integ.get("sample_count", 401)),
+        "abs_tol": _number(integ, "abs_tol", DEFAULT_ABS_TOL, where="integ."),
+        "rel_tol": _number(integ, "rel_tol", DEFAULT_REL_TOL, where="integ."),
+        "sample_count": _number(integ, "sample_count", DEFAULT_SAMPLE_COUNT, int, "integ."),
     }
 
 
@@ -189,13 +230,13 @@ def _run_invariance_check(config, kind, system, params) -> tuple[str, dict[str, 
     check = config["check"]
     quantity = _quantity_of(config, kind, params)
     x0 = _initial_state(config, kind, params, system.dim)
-    t_end = float(config.get("t_end", 10.0))
+    t_end = _number(config, "t_end", DEFAULT_T_END)
     kw = _common_kwargs(config)
     if check == "rank-invariance":
         rep = verify_rank_invariance(
             system, quantity, x0, t_end,
-            rank_tol=float(config.get("rank_tol", 1e-8)),
-            conservation_tol=_tol(config, "conservation", 1e-8),
+            rank_tol=_number(config, "rank_tol", DEFAULT_RANK_TOL),
+            conservation_tol=_tol(config, "conservation", DEFAULT_CONSERVATION_TOL),
             **kw,
         )
         ranks = [] if rep.sample_values is None else sorted({int(v) for v in rep.sample_values})
@@ -211,10 +252,10 @@ def _run_invariance_check(config, kind, system, params) -> tuple[str, dict[str, 
     if check == "n-invariance":
         rep = verify_vanishing_invariance(
             system, quantity, x0,
-            order=int(config.get("order", 1)),
+            order=_number(config, "order", 1, int),
             t_end=t_end,
-            abs_tol=_tol(config, "vanishing", 1e-8),
-            conservation_tol=_tol(config, "conservation", 1e-8),
+            abs_tol=_tol(config, "vanishing", DEFAULT_VANISH_TOL),
+            conservation_tol=_tol(config, "conservation", DEFAULT_CONSERVATION_TOL),
             integ_abs_tol=kw["abs_tol"],
             integ_rel_tol=kw["rel_tol"],
             sample_count=kw["sample_count"],
@@ -263,7 +304,7 @@ def _run_coincidence(config, kind, system, params) -> tuple[str, dict[str, Any]]
         raise UsageError("the coincidence check is wired for the kepler model")
     a = params["a"]
     x0 = _initial_state(config, kind, params, 4)
-    t_end = float(config.get("t_end", 2.0 * np.pi * a**3))
+    t_end = _number(config, "t_end", 2.0 * np.pi * a**3)
     kw = _common_kwargs(config)
     block = canonical_symplectic_matrix(2)
     rep = verify_coincidence(
@@ -272,8 +313,8 @@ def _run_coincidence(config, kind, system, params) -> tuple[str, dict[str, Any]]
         kepler_model.linear_pair_hamiltonian(a),
         x0,
         t_end,
-        deviation_tol=_tol(config, "deviation", 1e-6),
-        hypothesis_tol=_tol(config, "hypothesis", 1e-8),
+        deviation_tol=_tol(config, "deviation", DEFAULT_DEVIATION_TOL),
+        hypothesis_tol=_tol(config, "hypothesis", DEFAULT_HYPOTHESIS_TOL),
         **kw,
     )
     evidence = {
@@ -290,8 +331,8 @@ def _run_oracle_equality(config, kind, system, params) -> tuple[str, dict[str, A
     n = params.get("n")
     if n is None:
         raise UsageError("oracle-equality applies to the lattice models")
-    seed = int(config.get("seed", 0))
-    samples = int(config.get("samples", 100))
+    seed = _number(config, "seed", 0, int)
+    samples = _number(config, "samples", 100, int)
     value_tol = _tol(config, "value", 1e-12)
     gradient_tol = _tol(config, "gradient", 1e-6)
     rng = np.random.default_rng(seed)
@@ -341,7 +382,7 @@ def _run_oracle_equality(config, kind, system, params) -> tuple[str, dict[str, A
 def _run_drift(config, kind, system, params) -> tuple[str, dict[str, Any]]:
     quantity = _quantity_of(config, kind, params)
     x0 = _initial_state(config, kind, params, system.dim)
-    t_end = float(config.get("t_end", 10.0))
+    t_end = _number(config, "t_end", DEFAULT_T_END)
     kw = _common_kwargs(config)
     traj = flow_adaptive(system, x0, t_end, **kw)
     drift = monitor_drift(traj, quantity)
@@ -388,7 +429,7 @@ def scenario_trajectory(config: dict[str, Any]) -> tuple[Trajectory, ConservedQu
     kind, system, params = _model_of(config)
     quantity = _quantity_of(config, kind, params)
     x0 = _initial_state(config, kind, params, system.dim)
-    t_end = float(config.get("t_end", 10.0))
+    t_end = _number(config, "t_end", DEFAULT_T_END)
     kw = _common_kwargs(config)
     traj = flow_adaptive(system, x0, t_end, **kw)
     return traj, quantity, system
@@ -401,7 +442,8 @@ def export_trajectory(
     component_names: tuple[str, ...] | None = None,
 ) -> None:
     """Write a trajectory as CSV: time, state components, quantity values,
-    and the singular values of the quantity's Jacobian at each sample.
+    and the singular values of the quantity's Jacobian at each sample
+    (one value call, one Jacobian call and one SVD on the whole stack).
 
     Numbers carry 17 significant digits, so reimporting reproduces the
     doubles bit-exactly.
@@ -417,14 +459,14 @@ def export_trajectory(
         + [f"sigma{i + 1}" for i in range(n_sigma)]
     )
     lines = [",".join(header)]
-    for t, s in zip(traj.times, traj.states):
-        values = quantity.values_at(s)
-        sv = np.linalg.svd(jacobian(quantity, s), compute_uv=False)
+    values = quantity.values_many(traj.states)
+    sigmas = singular_values(jacobians(quantity, traj.states))
+    for t, s, v, sv in zip(traj.times, traj.states, values, sigmas):
         row = (
             [format_float(t)]
             + [format_float(v) for v in s]
-            + [format_float(v) for v in values]
-            + [format_float(v) for v in sv]
+            + [format_float(x) for x in v]
+            + [format_float(x) for x in sv]
         )
         lines.append(",".join(row))
     Path(path).write_text("\n".join(lines) + "\n")

@@ -27,8 +27,16 @@ with its lift/restrict maps.
 Physical note: all X_i are strictly positive for a mechanical lattice;
 families with negative X_i are still valid solution sets of the equations
 and are supported everywhere (boundedness of their orbits is not
-guaranteed).  The mod-n index aliasing is centralized in np.roll calls so
-value, gradient, and field code cannot drift apart.
+guaranteed).  The mod-n index aliasing is centralized in per-n neighbour
+index arrays, built once by ``_ring``, so value, gradient, and field code
+cannot drift apart; gathering through them is bit-identical to np.roll.
+
+The closed forms of I_1..I_3 and F_1..F_3 act on the last axis: they take
+one state or an ``(m, dim)`` stack and return ``(..., 1)`` values and
+``(..., 1, dim)`` gradients, each row equal bit for bit to the
+single-state result (they are declared ``batched``).  Reductions keep
+their axis so that every power is an array power, and row dot products
+use ``np.vecdot`` on operands of the same memory layout.
 """
 
 from __future__ import annotations
@@ -52,21 +60,41 @@ MAX_ENUMERATION_N = 8
 
 
 def split_periodic(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    return x[:n], x[n:]
+    return x[..., :n], x[..., n:]
 
 
 def split_nonperiodic(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    return x[: n - 1], x[n - 1 :]
+    return x[..., : n - 1], x[..., n - 1 :]
+
+
+@lru_cache(maxsize=None)
+def _ring(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Right and left neighbour indices on the ring of n sites.
+
+    ``np.take(v, nxt, axis=-1)`` equals ``np.roll(v, -1, axis=-1)`` and
+    ``np.take(v, prv, axis=-1)`` equals ``np.roll(v, 1, axis=-1)``.
+    """
+    sites = np.arange(n)
+    nxt, prv = (sites + 1) % n, (sites - 1) % n
+    nxt.flags.writeable = False
+    prv.flags.writeable = False
+    return nxt, prv
 
 
 def periodic_field(n: int) -> SystemDefinition:
     """Periodic lattice of n particles; 2n-dimensional state (X, u)."""
     if n < 2:
         raise UsageError(f"periodic lattice needs n >= 2, got {n}")
+    nxt, prv = _ring(n)
+    sites = np.arange(n)
+    # (u_i - u_{i+1}, X_{i-1} - X_i) as one gathered difference
+    minuend = np.concatenate([n + sites, prv])
+    subtrahend = np.concatenate([n + nxt, sites])
 
-    def field(z, _n=n):
-        X, u = z[:_n], z[_n:]
-        return np.concatenate([X * (u - np.roll(u, -1)), np.roll(X, 1) - X])
+    def field(z, _n=n, _a=minuend, _b=subtrahend):
+        out = z[_a] - z[_b]
+        out[:_n] *= z[:_n]
+        return out
 
     names = tuple(f"X{i}" for i in range(1, n + 1)) + tuple(f"u{i}" for i in range(1, n + 1))
     return SystemDefinition(dim=2 * n, field=field, label=f"toda-periodic(n={n})", component_names=names)
@@ -150,13 +178,22 @@ def henon_invariant_oracle(n: int, m: int) -> ConservedQuantitySet:
     )
 
 
+def _sum(v):
+    return v.sum(axis=-1, keepdims=True)
+
+
+def _row(parts):
+    """Concatenate gradient blocks along the last axis into (..., 1, dim)."""
+    return np.concatenate(parts, axis=-1)[..., None, :]
+
+
 def _i1_value(z, n):
-    return np.array([z[n:].sum()])
+    return _sum(z[..., n:])
 
 
 def _i1_gradient(z, n):
-    g = np.zeros((1, 2 * n))
-    g[0, n:] = 1.0
+    g = np.zeros(z.shape[:-1] + (1, 2 * n))
+    g[..., 0, n:] = 1.0
     return g
 
 
@@ -167,15 +204,15 @@ def _i1_partial(z, alpha, n):
 
 
 def _i2_value(z, n):
-    X, u = z[:n], z[n:]
-    U = u.sum()
-    V = 0.5 * (U * U - (u * u).sum())
-    return np.array([V - X.sum()])
+    X, u = split_periodic(z, n)
+    U = _sum(u)
+    V = 0.5 * (U * U - _sum(u * u))
+    return V - _sum(X)
 
 
 def _i2_gradient(z, n):
-    X, u = z[:n], z[n:]
-    return np.concatenate([-np.ones(n), u.sum() - u]).reshape(1, 2 * n)
+    X, u = split_periodic(z, n)
+    return _row([np.full_like(X, -1.0), _sum(u) - u])
 
 
 def _i2_partial(z, alpha, n):
@@ -191,60 +228,59 @@ def _i2_partial(z, alpha, n):
 
 
 def _i3_value(z, n):
-    X, u = z[:n], z[n:]
-    U = u.sum()
+    X, u = split_periodic(z, n)
+    _, prv = _ring(n)
+    U = _sum(u)
     # sum over i1<i2<i3 of u u u via power sums
-    p1, p2, p3 = U, (u * u).sum(), (u**3).sum()
-    triples = (p1**3 - 3.0 * p1 * p2 + 2.0 * p3) / 6.0
-    # mixed terms u_i X_j over j != i, j != i-1 (mod n)
-    mixed = U * X.sum() - float(np.dot(u, X)) - float(np.dot(u, np.roll(X, 1)))
-    return np.array([triples - mixed])
+    p2, p3 = _sum(u * u), _sum(u**3)
+    triples = (U**3 - 3.0 * U * p2 + 2.0 * p3) / 6.0
+    # mixed terms u_i X_j over j != i, j != i-1 (mod n); np.take keeps the
+    # gathered rows unit-strided like u, so each row sums as the 1-D dot does
+    uX = np.vecdot(u, X)[..., None]
+    uXprev = np.vecdot(u, np.take(X, prv, axis=-1))[..., None]
+    return triples - (U * _sum(X) - uX - uXprev)
 
 
 def _i3_gradient(z, n):
-    X, u = z[:n], z[n:]
-    U = u.sum()
-    V = 0.5 * (U * U - (u * u).sum())
-    Y = X.sum()
-    gX = -(U - u - np.roll(u, -1))
-    gu = V - u * (U - u) - (Y - np.roll(X, 1) - X)
-    return np.concatenate([gX, gu]).reshape(1, 2 * n)
+    X, u = split_periodic(z, n)
+    nxt, prv = _ring(n)
+    U = _sum(u)
+    V = 0.5 * (U * U - _sum(u * u))
+    Y = _sum(X)
+    gX = -(U - u - np.take(u, nxt, axis=-1))
+    gu = V - u * (U - u) - (Y - np.take(X, prv, axis=-1) - X)
+    return _row([gX, gu])
+
+
+# degree -> (value, gradient, partial or None); each takes (z, n)
+_HENON_FORMS = {
+    1: (_i1_value, _i1_gradient, _i1_partial),
+    2: (_i2_value, _i2_gradient, _i2_partial),
+    3: (_i3_value, _i3_gradient, None),
+}
+
+
+def _closed_form(dim, n, label, forms) -> ConservedQuantitySet:
+    value, gradient, partial = forms
+    return ConservedQuantitySet(
+        dim=dim,
+        k=1,
+        value=lambda z: value(z, n),
+        labels=(label,),
+        analytic_gradient=lambda z: gradient(z, n),
+        analytic_partial=None if partial is None else (lambda z, alpha: partial(z, alpha, n)),
+        smoothness_order=64,
+        batched=True,
+    )
 
 
 def henon_closed_form(n: int, m: int) -> ConservedQuantitySet:
     """Closed-form periodic invariant with analytic gradient, m in {1, 2, 3}."""
     if n < 2:
         raise UsageError(f"periodic lattice needs n >= 2, got {n}")
-    if m == 1:
-        return ConservedQuantitySet(
-            dim=2 * n,
-            k=1,
-            value=lambda z: _i1_value(z, n),
-            labels=("I1",),
-            analytic_gradient=lambda z: _i1_gradient(z, n),
-            analytic_partial=lambda z, alpha: _i1_partial(z, alpha, n),
-            smoothness_order=64,
-        )
-    if m == 2:
-        return ConservedQuantitySet(
-            dim=2 * n,
-            k=1,
-            value=lambda z: _i2_value(z, n),
-            labels=("I2",),
-            analytic_gradient=lambda z: _i2_gradient(z, n),
-            analytic_partial=lambda z, alpha: _i2_partial(z, alpha, n),
-            smoothness_order=64,
-        )
-    if m == 3:
-        return ConservedQuantitySet(
-            dim=2 * n,
-            k=1,
-            value=lambda z: _i3_value(z, n),
-            labels=("I3",),
-            analytic_gradient=lambda z: _i3_gradient(z, n),
-            smoothness_order=64,
-        )
-    raise UsageError(f"closed forms cover m in {{1, 2, 3}}, got m={m}; use the enumeration")
+    if m not in _HENON_FORMS:
+        raise UsageError(f"closed forms cover m in {{1, 2, 3}}, got m={m}; use the enumeration")
+    return _closed_form(2 * n, n, f"I{m}", _HENON_FORMS[m])
 
 
 def periodic_invariants(n: int, degrees: tuple[int, ...] = (1, 2, 3)) -> ConservedQuantitySet:
@@ -301,12 +337,12 @@ def trace_invariant_value(n: int, k: int, x) -> float:
 
 
 def _f1_value(z, n):
-    return np.array([z[n - 1 :].sum()])
+    return _sum(z[..., n - 1 :])
 
 
 def _f1_gradient(z, n):
-    g = np.zeros((1, 2 * n - 1))
-    g[0, n - 1 :] = 1.0
+    g = np.zeros(z.shape[:-1] + (1, 2 * n - 1))
+    g[..., 0, n - 1 :] = 1.0
     return g
 
 
@@ -318,12 +354,12 @@ def _f1_partial(z, alpha, n):
 
 def _f2_value(z, n):
     X, u = split_nonperiodic(z, n)
-    return np.array([X.sum() + 0.5 * (u * u).sum()])
+    return _sum(X) + 0.5 * _sum(u * u)
 
 
 def _f2_gradient(z, n):
     X, u = split_nonperiodic(z, n)
-    return np.concatenate([np.ones(n - 1), u]).reshape(1, 2 * n - 1)
+    return _row([np.ones_like(X), u])
 
 
 def _f2_partial(z, alpha, n):
@@ -340,15 +376,24 @@ def _f2_partial(z, alpha, n):
 
 def _f3_value(z, n):
     X, u = split_nonperiodic(z, n)
-    return np.array([(X * (u[:-1] + u[1:])).sum() + (u**3).sum() / 3.0])
+    return _sum(X * (u[..., :-1] + u[..., 1:])) + _sum(u**3) / 3.0
 
 
 def _f3_gradient(z, n):
     X, u = split_nonperiodic(z, n)
-    Xe = np.concatenate([[0.0], X, [0.0]])
-    gX = u[:-1] + u[1:]
-    gu = Xe[:-1] + Xe[1:] + u * u
-    return np.concatenate([gX, gu]).reshape(1, 2 * n - 1)
+    end = np.zeros(z.shape[:-1] + (1,))
+    Xe = np.concatenate([end, X, end], axis=-1)  # X_0 .. X_n with zero ends
+    gX = u[..., :-1] + u[..., 1:]
+    gu = Xe[..., :-1] + Xe[..., 1:] + u * u
+    return _row([gX, gu])
+
+
+# index -> (value, gradient, partial or None); each takes (z, n)
+_FLASCHKA_FORMS = {
+    1: (_f1_value, _f1_gradient, _f1_partial),
+    2: (_f2_value, _f2_gradient, _f2_partial),
+    3: (_f3_value, _f3_gradient, None),
+}
 
 
 def flaschka_invariant(n: int, k: int) -> ConservedQuantitySet:
@@ -362,38 +407,10 @@ def flaschka_invariant(n: int, k: int) -> ConservedQuantitySet:
         raise UsageError(f"non-periodic lattice needs n >= 2, got {n}")
     if not 1 <= k <= n:
         raise UsageError(f"invariant index must satisfy 1 <= k <= n, got k={k}")
-    dim = 2 * n - 1
-    if k == 1:
-        return ConservedQuantitySet(
-            dim=dim,
-            k=1,
-            value=lambda z: _f1_value(z, n),
-            labels=("F1",),
-            analytic_gradient=lambda z: _f1_gradient(z, n),
-            analytic_partial=lambda z, alpha: _f1_partial(z, alpha, n),
-            smoothness_order=64,
-        )
-    if k == 2:
-        return ConservedQuantitySet(
-            dim=dim,
-            k=1,
-            value=lambda z: _f2_value(z, n),
-            labels=("F2",),
-            analytic_gradient=lambda z: _f2_gradient(z, n),
-            analytic_partial=lambda z, alpha: _f2_partial(z, alpha, n),
-            smoothness_order=64,
-        )
-    if k == 3:
-        return ConservedQuantitySet(
-            dim=dim,
-            k=1,
-            value=lambda z: _f3_value(z, n),
-            labels=("F3",),
-            analytic_gradient=lambda z: _f3_gradient(z, n),
-            smoothness_order=64,
-        )
+    if k in _FLASCHKA_FORMS:
+        return _closed_form(2 * n - 1, n, f"F{k}", _FLASCHKA_FORMS[k])
     return ConservedQuantitySet(
-        dim=dim,
+        dim=2 * n - 1,
         k=1,
         value=lambda z, _k=k: np.array([trace_invariant_value(n, _k, z)]),
         labels=(f"F{k}",),
@@ -835,7 +852,8 @@ def physical_to_lattice(
         raise UsageError("displacements and velocities must be equal-length vectors, n >= 2")
     front = np.exp(-float(spacing)) / float(mass)
     if periodic:
-        X = front * np.exp(-(np.roll(y, -1) - y))
+        nxt, _ = _ring(y.size)
+        X = front * np.exp(-(y[nxt] - y))
     else:
         X = front * np.exp(-(y[1:] - y[:-1]))
     return np.concatenate([X, u])

@@ -1,0 +1,273 @@
+"""The batch contract: a stack of states gives, row by row and bit for bit,
+what the single-state calls give, and keeps every check they make."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from invarsets import (
+    ConservedQuantitySet,
+    NumericError,
+    UsageError,
+    flow_adaptive,
+    jacobian,
+    monitor_drift,
+    numerical_rank,
+    rank_level,
+    stack_quantities,
+    zero_quantity,
+)
+from invarsets.core import as_states
+from invarsets.differentiate import jacobians
+from invarsets.rank_sets import DEFAULT_RANK_TOL, rank_levels
+from invarsets import toda
+
+FINITE = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+SETTINGS = settings(max_examples=30, deadline=None)
+
+
+def _stack(dim):
+    return arrays(np.float64, st.tuples(st.integers(1, 12), st.just(dim)), elements=FINITE)
+
+
+def _point_floor_rank(quantity, x, rel_tol):
+    """The single-state rank rule written out with np.linalg.norm."""
+    floor = rel_tol * max(1.0, float(np.linalg.norm(x)))
+    return numerical_rank(jacobian(quantity, x), rel_tol, zero_floor=floor)
+
+
+def assert_rows_match_points(quantity, xs, rel_tol=DEFAULT_RANK_TOL):
+    values = quantity.values_many(xs)
+    J = jacobians(quantity, xs)
+    decisions = rank_levels(quantity, xs, rel_tol)
+    assert values.shape == (len(xs), quantity.k)
+    assert J.shape == (len(xs), quantity.k, quantity.dim)
+    assert len(decisions) == len(xs)
+    for i, x in enumerate(xs):
+        point = np.array(x)  # a fresh 1-D state, not a view of the stack
+        assert np.array_equal(values[i], quantity.values_at(point))
+        assert np.array_equal(values[i], np.asarray(quantity.value(point)).ravel())
+        assert np.array_equal(J[i], jacobian(quantity, point))
+        if quantity.analytic_gradient is not None:
+            assert np.array_equal(J[i], quantity.analytic_gradient(point))
+        assert decisions[i] == rank_level(quantity, point, rel_tol)
+        assert decisions[i] == _point_floor_rank(quantity, point, rel_tol)
+
+
+@SETTINGS
+@given(n=st.integers(2, 8), data=st.data())
+def test_periodic_stack_equals_points(n, data):
+    xs = data.draw(_stack(2 * n))
+    for degrees in ((1, 2, 3), (3,), (1, 3), (2, 3)):
+        assert_rows_match_points(toda.periodic_invariants(n, degrees), xs)
+
+
+@SETTINGS
+@given(n=st.integers(2, 6), data=st.data())
+def test_nonperiodic_stack_equals_points(n, data):
+    xs = data.draw(_stack(2 * n - 1))
+    for degrees in ((1, 2, 3), (3,), (2, 3)):
+        if max(degrees) <= n:
+            assert_rows_match_points(toda.nonperiodic_invariants(n, degrees), xs)
+
+
+@SETTINGS
+@given(
+    n=st.integers(2, 8),
+    params=st.lists(st.tuples(FINITE, FINITE, FINITE, FINITE), min_size=1, max_size=8),
+)
+def test_rank2_family_stack_equals_points(n, params):
+    if n % 2:
+        rows = [{"X": a, "u": b} for a, b, _, _ in params]
+    else:
+        rows = [{"X1": a, "X2": b, "u1": c, "u2": d} for a, b, c, d in params]
+    xs = np.array([toda.explicit_set_sample("M2_I123", n, p) for p in rows])
+    q = toda.periodic_invariants(n)
+    assert_rows_match_points(q, xs)
+
+
+def test_rank2_family_samples_classify_rank_two_in_one_call():
+    rng = np.random.default_rng(3)
+    for n in (4, 6, 8):
+        xs = np.array([
+            toda.explicit_set_sample(
+                "M2_I123", n, dict(zip(("X1", "X2", "u1", "u2"), rng.uniform(0.2, 1.0, 4)))
+            )
+            for _ in range(20)
+        ])
+        assert np.all(rank_levels(toda.periodic_invariants(n), xs).ranks == 2)
+
+
+@SETTINGS
+@given(xs=_stack(2))
+def test_point_only_quantity_runs_through_the_row_loop(xs):
+    calls = []
+
+    def value(x):
+        calls.append(x.shape)
+        return np.array([x[0] ** 2 + x[1] ** 2])
+
+    q = ConservedQuantitySet(
+        dim=2, k=1, value=value, labels=("r2",),
+        analytic_gradient=lambda x: np.array([[2.0 * x[0], 2.0 * x[1]]]),
+    )
+    assert not q.batched
+    assert_rows_match_points(q, xs)
+    calls.clear()
+    q.values_many(xs)
+    assert calls == [(2,)] * len(xs)  # one call per state, each a 1-D point
+
+
+@SETTINGS
+@given(xs=_stack(3))
+def test_finite_difference_stack_equals_points(xs):
+    fd_only = ConservedQuantitySet(
+        dim=3, k=2, value=lambda x: np.array([x[0] * x[1], np.sin(x[2])]), labels=("a", "b")
+    )
+    J = jacobians(fd_only, xs)
+    for i, x in enumerate(xs):
+        assert np.array_equal(J[i], jacobian(fd_only, np.array(x)))
+
+
+def test_declared_support_and_stacking():
+    assert toda.henon_closed_form(4, 3).batched
+    assert toda.flaschka_invariant(5, 2).batched
+    assert not toda.flaschka_invariant(5, 4).batched  # trace route
+    assert not toda.henon_invariant_oracle(4, 2).batched
+    assert not zero_quantity(3).batched
+    assert toda.periodic_invariants(4).batched
+    mixed = stack_quantities([toda.henon_closed_form(3, 1), toda.henon_invariant_oracle(3, 2)])
+    assert not mixed.batched
+    xs = np.random.default_rng(4).standard_normal((5, 6))
+    assert_rows_match_points(mixed, xs)
+
+
+def _linear(gradient, batched=False):
+    G = np.asarray(gradient, dtype=float)
+    k, dim = G.shape
+    return ConservedQuantitySet(
+        dim=dim, k=k, value=lambda x: x @ G.T, labels=tuple(f"L{i}" for i in range(k)),
+        analytic_gradient=lambda x: np.broadcast_to(G, np.shape(x)[:-1] + G.shape).copy(),
+        batched=batched,
+    )
+
+
+STATES = np.array([[0.1, 0.2], [0.6, -0.7], [3.0, 4.0], [0.0, 0.0]])
+
+
+@pytest.mark.parametrize("batched", [False, True])
+@pytest.mark.parametrize(
+    "gradient,rank",
+    [
+        (np.zeros((2, 2)), 0),  # zero guard: rank 0, margin inf
+        (np.diag([1.0, 1e-8]), 1),  # sigma_2 exactly at the threshold for |x| <= 1: dropped
+        (np.diag([1e-12, 1e-13]), 0),  # floor-dominated: rel_tol * max(1, |x|) decides
+        (np.diag([2.0, 0.5]), 2),
+    ],
+    ids=["zero", "at-threshold", "floor", "generic"],
+)
+def test_rank_rule_edge_cases_match_numerical_rank(gradient, rank, batched):
+    decisions = rank_levels(_linear(gradient, batched), STATES, 1e-8)
+    for i, x in enumerate(STATES):
+        floor = 1e-8 * max(1.0, float(np.linalg.norm(x)))
+        assert decisions[i] == numerical_rank(gradient, 1e-8, zero_floor=floor)
+    assert np.all(decisions.ranks == rank)
+    if not gradient.any():
+        assert np.all(decisions.margins == np.inf)
+    if gradient[1, 1] == 1e-8:
+        assert decisions.thresholds[0] == 1e-8
+
+
+def test_rank_levels_rejects_bad_tolerance_and_states():
+    q = toda.periodic_invariants(3)
+    xs = np.random.default_rng(1).standard_normal((4, 6))
+    for tol in (0.0, 1.0, -1e-8):
+        with pytest.raises(UsageError, match="rel_tol"):
+            rank_levels(q, xs, tol)
+    bad = xs.copy()
+    bad[2, 4] = np.nan
+    with pytest.raises(UsageError, match="state 2 .* component 4"):
+        rank_levels(q, bad)
+    with pytest.raises(UsageError, match="shape"):
+        q.values_many(xs[0])  # a 1-D point is not a stack
+    with pytest.raises(UsageError, match="shape"):
+        jacobians(q, xs[:, :5])
+    with pytest.raises(UsageError):
+        as_states(np.empty((0, 6)), 6)
+
+
+def test_svd_non_convergence_is_a_numeric_error(monkeypatch):
+    def broken(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", broken)
+    q = toda.periodic_invariants(3)
+    with pytest.raises(NumericError, match="converge"):
+        rank_levels(q, np.ones((3, 6)))
+    with pytest.raises(NumericError, match="converge"):
+        numerical_rank(np.eye(2))
+
+
+def _batched_gradient_quantity(gradient):
+    return ConservedQuantitySet(
+        dim=2, k=1, value=lambda x: x[..., :1], labels=("g",),
+        analytic_gradient=gradient, batched=True,
+    )
+
+
+def test_wrong_shape_batched_gradient_is_a_usage_error():
+    q = _batched_gradient_quantity(lambda x: np.zeros(np.shape(x)[:-1] + (2,)))  # k axis missing
+    with pytest.raises(UsageError, match="analytic gradient of 'g' returned shape"):
+        jacobians(q, np.ones((3, 2)))
+    with pytest.raises(UsageError, match="analytic gradient of 'g' returned shape"):
+        jacobian(q, np.ones(2))
+    with pytest.raises(UsageError, match="analytic gradient"):
+        rank_levels(q, np.ones((3, 2)))
+
+
+def test_non_finite_batched_gradient_is_a_numeric_error():
+    def gradient(x):
+        g = np.ones(np.shape(x)[:-1] + (1, 2))
+        g[..., 0, 1] = np.where(x[..., 0] > 1.0, np.inf, 1.0)
+        return g
+
+    q = _batched_gradient_quantity(gradient)
+    xs = np.array([[0.0, 0.0], [0.5, 0.0], [2.0, 0.0]])
+    with pytest.raises(NumericError, match="non-finite at state 2 of 3"):
+        jacobians(q, xs)
+    with pytest.raises(NumericError, match="non-finite"):
+        jacobian(q, xs[2])
+    assert np.array_equal(jacobians(q, xs[:2]), np.ones((2, 1, 2)))
+
+
+def test_non_finite_and_wrong_shape_values_keep_their_errors():
+    q = ConservedQuantitySet(dim=2, k=1, value=lambda x: np.log(x[..., :1]), labels=("log",),
+                             batched=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match="non-finite at state 1 of 2"):
+            q.values_many(np.array([[1.0, 0.0], [0.0, 0.0]]))
+    wrong = ConservedQuantitySet(dim=2, k=1, value=lambda x: x, labels=("w",), batched=True)
+    with pytest.raises(UsageError, match="quantity 'w' returned shape"):
+        wrong.values_many(np.ones((3, 2)))
+    with pytest.raises(UsageError, match="quantity 'w' returned shape"):
+        wrong.values_at(np.ones(2))
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(2, 64), data=st.data())
+def test_periodic_field_equals_roll_formula(n, data):
+    z = data.draw(arrays(np.float64, 2 * n, elements=FINITE))
+    X, u = z[:n], z[n:]
+    rolled = np.concatenate([X * (u - np.roll(u, -1)), np.roll(X, 1) - X])
+    assert np.array_equal(toda.periodic_field(n).field(z), rolled)
+
+
+def test_monitor_drift_equals_per_sample_values():
+    q = toda.periodic_invariants(4)
+    x0 = toda.explicit_set_sample("M2_I123", 4, {"X1": 0.6, "X2": 0.9, "u1": 0.3, "u2": -0.2})
+    traj = flow_adaptive(toda.periodic_field(4), x0, 2.0, sample_count=41)
+    drift = monitor_drift(traj, q)
+    values = np.array([q.values_at(s) for s in traj.states])
+    expected = np.abs(values - values[0]).max(axis=0)
+    assert np.array_equal(drift.max_drift, expected)

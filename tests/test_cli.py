@@ -1,12 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from invarsets.cli import main
-from invarsets.report import export_trajectory, load_scenario, run_scenario
-from invarsets import flow_adaptive, toda
+from invarsets.report import export_trajectory, load_scenario, run_scenario, scenario_trajectory
+from invarsets import flow_adaptive, jacobian, toda
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -181,3 +184,64 @@ def test_export_trajectory_rejects_bad_names(tmp_path):
                          sample_count=3)
     with pytest.raises(Exception, match="component names"):
         export_trajectory(traj, toda.periodic_invariants(4), tmp_path / "x.csv", ("a", "b"))
+
+
+@pytest.mark.parametrize("t_end", ["nan", "inf"])
+def test_non_finite_t_end_exits_2_instead_of_hanging(tmp_path, t_end):
+    config = load_scenario(SCENARIO_DIR / "toda-periodic-rank-pattern.json")
+    config["t_end"] = t_end
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "invarsets.cli", "run", _write(tmp_path, config)],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert done.returncode == 2
+    assert f"t_end must be a positive finite number, got {t_end}" in done.stderr
+
+
+@pytest.mark.parametrize(
+    "change,named",
+    [
+        ({"model": {"kind": "toda-periodic", "n": "abc"}}, '"model.n" must be an integer'),
+        ({"model": {"kind": "toda-periodic", "n": 4.7}}, '"model.n" must be an integer, got 4.7'),
+        ({"tolerances": "x"}, '"tolerances" must be an object'),
+        ({"integ": "x"}, '"integ" must be an object'),
+        ({"integ": {"sample_count": "many"}}, '"integ.sample_count" must be an integer'),
+        ({"tolerances": {"conservation": "tight"}}, '"tolerances.conservation" must be a number'),
+        ({"t_end": [1.0]}, '"t_end" must be a number'),
+        ({"rank_tol": None}, '"rank_tol" must be a number'),
+    ],
+    ids=["model-n", "model-n-fraction", "tolerances", "integ", "sample-count", "tolerance-value", "t-end", "rank-tol"],
+)
+def test_malformed_config_types_are_config_errors(tmp_path, capsys, change, named):
+    config = load_scenario(SCENARIO_DIR / "toda-periodic-rank-pattern.json")
+    config.update(change)
+    code = main(["run", _write(tmp_path, config)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert named in err
+
+
+def test_malformed_tolerance_override_is_a_config_error(tmp_path, capsys):
+    path = SCENARIO_DIR / "kepler-circular-coincidence.json"
+    assert main(["run", str(path), "--tolerance", "deviation=abc"]) == 2
+    assert "deviation" in capsys.readouterr().err
+    config = load_scenario(path)
+    config["tolerances"] = "x"
+    assert main(["run", _write(tmp_path, config), "--tolerance", "deviation=1e-6"]) == 2
+    assert '"tolerances" must be an object' in capsys.readouterr().err
+
+
+def test_csv_sigma_columns_are_the_per_sample_singular_values(tmp_path, capsys):
+    config = load_scenario(SCENARIO_DIR / "toda-periodic-rank-generic.json")
+    config["integ"] = {"sample_count": 9}
+    csv_path = tmp_path / "traj.csv"
+    assert main(["run", _write(tmp_path, config), "--csv", str(csv_path)]) == 0
+    capsys.readouterr()
+    traj, quantity, _ = scenario_trajectory(config)
+    for line, state in zip(csv_path.read_text().splitlines()[1:], traj.states):
+        cells = [float(c) for c in line.split(",")]
+        sigma = np.linalg.svd(jacobian(quantity, state), compute_uv=False)
+        assert np.array_equal(cells[-quantity.k :], sigma)
+        assert np.array_equal(cells[-2 * quantity.k : -quantity.k], quantity.values_at(state))

@@ -153,3 +153,14 @@ def test_drift_dimension_check():
     traj = flow_adaptive(oscillator.harmonic_oscillator(), [1.0, 0.0], 1.0)
     with pytest.raises(UsageError):
         monitor_drift(traj, toda.periodic_invariants(4))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 0.0])
+def test_non_finite_or_non_positive_times_are_rejected(bad):
+    osc = oscillator.harmonic_oscillator()
+    with pytest.raises(UsageError, match="t_end must be a positive finite number"):
+        flow_adaptive(osc, [1.0, 0.0], bad)
+    with pytest.raises(UsageError, match="t_end must be a positive finite number"):
+        flow_fixed(osc, [1.0, 0.0], bad, 0.1)
+    with pytest.raises(UsageError, match=f"dt must be a positive finite number, got {bad}"):
+        flow_fixed(osc, [1.0, 0.0], 1.0, bad)
