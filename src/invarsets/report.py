@@ -53,14 +53,19 @@ from . import kepler as kepler_model
 from . import toda
 
 VALID_MODELS = ("kepler", "toda-periodic", "toda-nonperiodic")
-VALID_CHECKS = (
-    "rank-invariance",
-    "n-invariance",
-    "set-persistence",
-    "coincidence",
-    "oracle-equality",
-    "drift",
-)
+# Each check with the "tolerances" keys it reads; "integ" keys apply to every
+# check that integrates a flow.  Any other key is a configuration error, since
+# a misspelt tolerance would otherwise fall back to its default unnoticed.
+TOLERANCE_KEYS = {
+    "rank-invariance": ("conservation",),
+    "n-invariance": ("vanishing", "conservation"),
+    "set-persistence": ("residual",),
+    "coincidence": ("deviation", "hypothesis"),
+    "oracle-equality": ("value", "gradient"),
+    "drift": ("drift",),
+}
+INTEG_KEYS = ("abs_tol", "rel_tol", "sample_count")
+VALID_CHECKS = tuple(TOLERANCE_KEYS)
 DEFAULT_T_END = 10.0
 
 
@@ -108,6 +113,16 @@ def _section(config, key: str) -> dict[str, Any]:
     if not isinstance(section, dict):
         raise UsageError(f'"{key}" must be an object, got {type(section).__name__}')
     return section
+
+
+def _check_keys(config, section: str, valid: tuple[str, ...], user: str) -> None:
+    """Reject a key of ``config[section]`` that ``user`` does not read."""
+    unknown = [key for key in _section(config, section) if key not in valid]
+    if unknown:
+        raise UsageError(
+            f'unknown key "{section}.{unknown[0]}" for {user}; '
+            f"valid {section} keys: {', '.join(valid) or 'none'}"
+        )
 
 
 def _number(section, key: str, default, kind=float, where: str = ""):
@@ -403,6 +418,9 @@ def run_scenario(config: dict[str, Any]) -> RunReport:
     check = config.get("check")
     if check not in VALID_CHECKS:
         raise UsageError(f"unknown check '{check}'; valid checks: {', '.join(VALID_CHECKS)}")
+    _check_keys(config, "tolerances", TOLERANCE_KEYS[check], f"the {check} check")
+    integ_keys = () if check == "oracle-equality" else INTEG_KEYS  # it integrates nothing
+    _check_keys(config, "integ", integ_keys, f"the {check} check")
     kind, system, params = _model_of(config)
 
     if check in ("rank-invariance", "n-invariance", "set-persistence"):
@@ -426,6 +444,7 @@ def run_scenario(config: dict[str, Any]) -> RunReport:
 
 def scenario_trajectory(config: dict[str, Any]) -> tuple[Trajectory, ConservedQuantitySet, SystemDefinition]:
     """Integrate the scenario's model from its initial state (for exports)."""
+    _check_keys(config, "integ", INTEG_KEYS, "the trajectory export")
     kind, system, params = _model_of(config)
     quantity = _quantity_of(config, kind, params)
     x0 = _initial_state(config, kind, params, system.dim)

@@ -245,3 +245,44 @@ def test_csv_sigma_columns_are_the_per_sample_singular_values(tmp_path, capsys):
         sigma = np.linalg.svd(jacobian(quantity, state), compute_uv=False)
         assert np.array_equal(cells[-quantity.k :], sigma)
         assert np.array_equal(cells[-2 * quantity.k : -quantity.k], quantity.values_at(state))
+
+
+@pytest.mark.parametrize(
+    "scenario,section,key,valid",
+    [
+        ("toda-periodic-drift.json", "tolerances", "drfit", "drift"),
+        ("kepler-circular-coincidence.json", "tolerances", "devation", "deviation, hypothesis"),
+        ("toda-periodic-vanishing-M0I3.json", "tolerances", "residual", "vanishing, conservation"),
+        ("toda-periodic-henon-oracle.json", "tolerances", "drift", "value, gradient"),
+        ("toda-periodic-rank-generic.json", "integ", "abs_tl", "abs_tol, rel_tol, sample_count"),
+        ("toda-periodic-henon-oracle.json", "integ", "abs_tol", "none"),
+    ],
+    ids=["drift", "coincidence", "n-invariance", "oracle", "integ", "oracle-integ"],
+)
+def test_unknown_config_key_is_a_config_error(tmp_path, capsys, scenario, section, key, valid):
+    # a misspelt key used to fall back to its default silently
+    config = load_scenario(SCENARIO_DIR / scenario)
+    config.setdefault(section, {})[key] = 1e-30
+    assert main(["run", _write(tmp_path, config)]) == 2
+    err = capsys.readouterr().err
+    assert f'unknown key "{section}.{key}"' in err
+    assert f"valid {section} keys: {valid}" in err
+
+
+def test_unknown_tolerance_override_is_a_config_error(capsys):
+    path = SCENARIO_DIR / "toda-periodic-drift.json"
+    assert main(["run", str(path), "--tolerance", "drfit=1e-30"]) == 2
+    err = capsys.readouterr().err
+    assert 'unknown key "tolerances.drfit" for the drift check' in err
+    assert "valid tolerances keys: drift" in err
+    assert main(["run", str(path), "--tolerance", "drift=1e-30"]) == 1  # the real key still bites
+    capsys.readouterr()
+
+
+def test_unknown_integ_key_in_export_is_a_config_error(tmp_path, capsys):
+    config = load_scenario(SCENARIO_DIR / "toda-periodic-drift.json")
+    config["integ"]["samples"] = 11
+    code = main(["export", _write(tmp_path, config), "--csv", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert 'unknown key "integ.samples"' in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from invarsets import (
     ConservedQuantitySet,
+    NumericError,
     UsageError,
     agreement_residual,
     assemble_system,
@@ -13,11 +15,14 @@ from invarsets import (
     derivative_stack,
     evaluate_field,
     jacobian,
+    partial_tensor,
     perturbed_pair_coincidence,
+    stack_quantities,
     verify_coincidence,
     zero_quantity,
 )
-from invarsets import kepler, oscillator
+from invarsets import kepler, oscillator, toda
+from invarsets.coincidence import _difference_quantity
 
 from conftest import random_kepler_states
 
@@ -312,3 +317,184 @@ def test_zero_quantity_stack_is_zero():
 def test_assembled_system_label():
     driven = assemble_system(_symplectic_base(), kepler.hamiltonian())
     assert "H" in driven.system.label
+
+
+# ---------------------------------------------------------------------------
+# stacked driven field and conservation scan: each equals the point path
+# ---------------------------------------------------------------------------
+
+STACK_SETTINGS = settings(max_examples=15, deadline=None)
+
+
+def _order1_cases():
+    """(label, quantity) for each way partial_tensor can produce order 1."""
+    H, A = kepler.hamiltonian(), kepler.angular_momentum()
+    return [
+        ("analytic-gradient", H),
+        ("gradient-and-partial", kepler.linear_pair_hamiltonian(1.2)),
+        ("fd-only", ConservedQuantitySet(dim=4, k=1, value=H.value, labels=("H-fd",))),
+        (
+            "partial-only",
+            ConservedQuantitySet(
+                dim=4, k=1, value=A.value, labels=("A-partial",), analytic_partial=A.analytic_partial
+            ),
+        ),
+        ("stacked", stack_quantities([H, A, kepler.combined_invariant(1.1)])),
+        (
+            "stacked-fd",
+            stack_quantities([H, ConservedQuantitySet(dim=4, k=1, value=A.value, labels=("A-fd",))]),
+        ),
+    ]
+
+
+@STACK_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 9))
+def test_order1_block_equals_partial_tensor_flatten(seed, count):
+    xs = random_kepler_states(count, seed)
+    for label, q in _order1_cases():
+        seen = []
+
+        def base(x, g, _seen=seen):
+            _seen.append(g.copy())
+            return np.zeros(4)
+
+        assemble_system(base, q).fields(xs)
+        assert len(seen) == count, label
+        for x, g in zip(xs, seen):
+            expected = partial_tensor(q, x, 1).flatten(1)
+            assert np.array_equal(g, expected), label
+            assert np.array_equal(derivative_stack(q, x, 1).blocks[0], expected), label
+
+
+@STACK_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 9))
+def test_stacked_driven_field_rows_equal_point_field(seed, count):
+    kepler_states = random_kepler_states(count, seed)
+    plane_states = np.random.default_rng(seed).uniform(-2.0, 2.0, (count, 2))
+    pair = stack_quantities([kepler.hamiltonian(), kepler.angular_momentum()])
+    cases = [
+        (assemble_system(_symplectic_base(), kepler.hamiltonian()), kepler_states),
+        (assemble_system(_symplectic_base(), kepler.linear_pair_hamiltonian(0.9)), kepler_states),
+        (assemble_system(lambda x, s: s[:4] - s[4:], pair), kepler_states),
+        (assemble_system(_laplacian_coupled_base(0.1), oscillator.unit_circle_power(3), 2), plane_states),
+    ]
+    for driven, xs in cases:
+        rows = driven.fields(xs)
+        assert rows.shape == xs.shape
+        for x, row in zip(xs, rows):
+            assert np.array_equal(row, driven.system.field(np.array(x)))
+
+
+def _loop_drift(base, f_quantity, g_quantity, order, states):
+    """The per-sample conservation scan the stacked one replaced."""
+    diff = _difference_quantity(f_quantity, g_quantity)
+    sys_f = assemble_system(base, f_quantity, order, label="driven-F").system
+    drift = 0.0
+    for s in states:
+        res = float(np.max(np.abs(conservation_residual(diff, sys_f, s))))
+        drift = max(drift, res / max(1.0, float(np.linalg.norm(s))))
+    return drift
+
+
+def _assert_scan_matches_loop(base, f_quantity, g_quantity, x0, t_end, order=1, **kwargs):
+    report = verify_coincidence(base, f_quantity, g_quantity, x0, t_end, order=order, **kwargs)
+    states = report.trajectory_f.states
+    assert report.difference_drift == _loop_drift(base, f_quantity, g_quantity, order, states)
+    return report
+
+
+@settings(max_examples=6, deadline=None)
+@given(
+    a=st.floats(0.7, 1.4),
+    theta=st.floats(0.0, 2 * np.pi),
+    push=st.sampled_from([0.0, 0.0, 0.08, -0.15]),
+)
+def test_stacked_scan_drift_equals_point_loop_kepler(a, theta, push):
+    x0 = kepler.circular_sample(a, theta)
+    x0[2:] *= 1.0 + push  # push != 0 moves the start off the agreement set
+    report = _assert_scan_matches_loop(
+        _symplectic_base(),
+        kepler.hamiltonian(),
+        kepler.linear_pair_hamiltonian(a),
+        x0,
+        np.pi * a**3,
+        sample_count=101,
+    )
+    assert report.verdict == ("pass" if push == 0.0 else "hypothesis-error")
+
+
+@pytest.mark.parametrize("start", [[1.0, 0.0], [1.3, 0.0], [0.6, 0.8]])
+def test_stacked_scan_drift_equals_point_loop_second_order(start):
+    _assert_scan_matches_loop(
+        _laplacian_coupled_base(0.1),
+        zero_quantity(2),
+        oscillator.unit_circle_power(3),
+        np.array(start),
+        1.0,
+        order=2,
+        hypothesis_tol=1e-5,
+        sample_count=41,
+    )
+
+
+@pytest.mark.parametrize("start", [[1.0, 0.0], [1.5, 0.0]])
+def test_stacked_scan_drift_equals_point_loop_perturbed_pair(start):
+    # the inward-pushing perturbation keeps the off-circle start integrable
+    system, G = oscillator.harmonic_oscillator(), oscillator.unit_circle_power(2)
+
+    def base(x, g):
+        return evaluate_field(system, x) - g
+
+    report = _assert_scan_matches_loop(base, zero_quantity(2), G, np.array(start), 1.0, sample_count=41)
+    direct = perturbed_pair_coincidence(system, lambda g: -g, G, start, 1.0, sample_count=41)
+    assert report.difference_drift == direct.difference_drift
+
+
+def test_stacked_scan_on_batched_quantities_calls_them_on_stacks():
+    F = toda.periodic_invariants(3, (2,))
+    calls = []
+
+    def grad(x):
+        calls.append(np.ndim(x))
+        return 0.5 * F.analytic_gradient(x)
+
+    G = ConservedQuantitySet(
+        dim=6,
+        k=1,
+        value=lambda x: 0.5 * F.value(x),
+        labels=("I2/2",),
+        analytic_gradient=grad,
+        batched=True,
+    )
+    block = canonical_symplectic_matrix(3)
+    x0 = np.array([0.9, 0.7, 1.1, 0.3, -0.2, 0.1])
+    _assert_scan_matches_loop(lambda x, g: block @ g, F, G, x0, 0.5, sample_count=21)
+    assert 2 in calls  # the difference quantity was evaluated on the stack
+
+
+def test_non_finite_driven_field_at_one_sample_is_a_numeric_error():
+    # the integrator never evaluates the field at a dense-output sample, so
+    # only the conservation scan meets the NaN
+    F, G = kepler.hamiltonian(), kepler.linear_pair_hamiltonian(1.0)
+    x0 = kepler.circular_sample(1.0, 0.3)
+    clean = verify_coincidence(_symplectic_base(), F, G, x0, 2.0, sample_count=41)
+    bad = clean.trajectory_f.states[20].copy()
+    block = canonical_symplectic_matrix(2)
+
+    def base(x, g):
+        out = block @ g
+        return np.full(4, np.nan) if np.array_equal(x, bad) else out
+
+    with pytest.raises(NumericError, match="state 20 of 41"):
+        verify_coincidence(base, F, G, x0, 2.0, sample_count=41)
+
+
+def test_wrong_shape_driven_field_row_is_a_usage_error():
+    driven = assemble_system(lambda x, g: g[:3] if x[0] > 0 else g, kepler.hamiltonian())
+    xs = np.array([[-1.0, 0.5, 0.0, 1.0], [1.0, 0.5, 0.0, 1.0]])
+    with pytest.raises(UsageError, match=r"returned shape \(3,\) at state 1 of 2"):
+        driven.fields(xs)
+    with pytest.raises(UsageError, match="shape"):
+        evaluate_field(driven.system, xs[1])
+    with pytest.raises(UsageError):
+        driven.fields(xs[:, :3])
