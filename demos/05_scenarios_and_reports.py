@@ -21,7 +21,7 @@ from invarsets.report import (
 
 scenario_dir = Path(__file__).resolve().parents[1] / "scenarios"
 
-reports = run_directory(scenario_dir)
+reports = [report for _, report in run_directory(scenario_dir)]
 width = max(len(r.label) for r in reports)
 for report in reports:
     expected = report.config.get("expected_verdict", "pass")

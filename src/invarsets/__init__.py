@@ -22,7 +22,7 @@ from .core import (
     stack_quantities,
     zero_quantity,
 )
-from .differentiate import PartialTensor, gradient, jacobian, jacobians, partial_tensor
+from .differentiate import PartialTensor, jacobian, jacobians, partial_tensor
 from .errors import IntegrationError, InvarsetsError, NumericError, UsageError
 from .integrate import (
     DriftReport,
@@ -73,7 +73,6 @@ __all__ = [
     "stack_quantities",
     "zero_quantity",
     "PartialTensor",
-    "gradient",
     "jacobian",
     "jacobians",
     "partial_tensor",

@@ -17,9 +17,11 @@ import sys
 from pathlib import Path
 
 from .errors import InvarsetsError, UsageError
+from .invariance import PASS
 from .report import (
     export_trajectory,
     load_scenario,
+    run_directory,
     run_scenario,
     scenario_trajectory,
 )
@@ -79,37 +81,29 @@ def _add_override_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _verdict_exit(verdict: str) -> int:
-    return EXIT_PASS if verdict == "pass" else EXIT_FAIL
+    return EXIT_PASS if verdict == PASS else EXIT_FAIL
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _apply_overrides(load_scenario(args.config), args)
+    if args.csv and config.get("check") == "oracle-equality":
+        raise UsageError("the oracle-equality check integrates no trajectory to export as CSV")
     report = run_scenario(config)
     print(report.to_json())
     if args.report:
         Path(args.report).write_text(report.to_json() + "\n")
     if args.csv:
-        traj, quantity, system = scenario_trajectory(config)
+        # the check's own trajectory; a start that failed a premise integrated none
+        traj, quantity, system = report.flow or scenario_trajectory(config)
         export_trajectory(traj, quantity, args.csv, system.component_names)
     return _verdict_exit(report.verdict)
 
 
 def _cmd_run_all(args: argparse.Namespace) -> int:
-    directory = Path(args.directory)
-    if not directory.is_dir():
-        raise UsageError(f"not a directory: {directory}")
-    paths = sorted(directory.glob("*.json"))
-    if not paths:
-        raise UsageError(f"no scenario files (*.json) in {directory}")
     rows = []
-    all_expected = True
-    for path in paths:
-        config = load_scenario(path)
-        expected = str(config.get("expected_verdict", "pass"))
-        report = run_scenario(config)
-        ok = report.verdict == expected
-        all_expected = all_expected and ok
-        rows.append((path.name, report.check, report.verdict, expected, ok))
+    for path, report in run_directory(args.directory):
+        expected = str(report.config.get("expected_verdict", PASS))
+        rows.append((path.name, report.check, report.verdict, expected, report.verdict == expected))
         if args.report_dir:
             out = Path(args.report_dir)
             out.mkdir(parents=True, exist_ok=True)
@@ -120,7 +114,7 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
     for name, check, verdict, expected, ok in rows:
         print(f"{name:<{name_w}}  {check:<{check_w}}  {verdict:<16}  {expected:<8}  {'yes' if ok else 'NO'}")
     print(f"{sum(1 for r in rows if r[4])}/{len(rows)} scenarios matched their expected verdict")
-    return EXIT_PASS if all_expected else EXIT_FAIL
+    return EXIT_PASS if all(r[4] for r in rows) else EXIT_FAIL
 
 
 def _cmd_export(args: argparse.Namespace) -> int:

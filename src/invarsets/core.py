@@ -87,11 +87,6 @@ def format_float(value: float) -> str:
     return f"{float(value):.17g}"
 
 
-def state_to_strings(x) -> list[str]:
-    """Flat decimal serialization of a state vector."""
-    return [format_float(v) for v in np.asarray(x, dtype=float).ravel()]
-
-
 @dataclass(frozen=True)
 class SystemDefinition:
     """An autonomous first-order ODE ``x' = field(x)`` on R^dim.
@@ -191,33 +186,6 @@ class ConservedQuantitySet:
                 f"quantity '{'/'.join(self.labels)}' is non-finite at state {row} of {len(xs)}"
             )
         return out
-
-    def component(self, index: int) -> "ConservedQuantitySet":
-        """Extract a single component as a scalar quantity."""
-        if not 0 <= index < self.k:
-            raise UsageError(f"component index {index} out of range 0..{self.k - 1}")
-        value = self.value
-        grad = self.analytic_gradient
-        part = self.analytic_partial
-        return ConservedQuantitySet(
-            dim=self.dim,
-            k=1,
-            value=lambda x, _v=value, _i=index: np.atleast_1d(
-                np.asarray(_v(x), dtype=float)
-            )[_i : _i + 1],
-            labels=(self.labels[index],),
-            analytic_gradient=None
-            if grad is None
-            else lambda x, _g=grad, _i=index: np.asarray(_g(x), dtype=float)[
-                _i : _i + 1, :
-            ],
-            analytic_partial=None
-            if part is None
-            else lambda x, alpha, _p=part, _i=index: np.atleast_1d(
-                np.asarray(_p(x, alpha), dtype=float)
-            )[_i : _i + 1],
-            smoothness_order=self.smoothness_order,
-        )
 
     @staticmethod
     def scalar(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
@@ -29,31 +29,6 @@ MAX_FD_ORDER = 4
 
 def _coordinate_steps(x: np.ndarray, scale: float) -> np.ndarray:
     return scale * np.maximum(1.0, np.abs(x))
-
-
-def gradient(fn: Callable, x, step_scale: float | None = None) -> np.ndarray:
-    """Central-difference gradient of a scalar function at ``x``.
-
-    ``step_scale`` is the per-coordinate relative step; it defaults to
-    ``eps**(1/3)``.  Non-finite evaluations raise :class:`NumericError`
-    naming the offending coordinate.
-    """
-    xv = np.asarray(x, dtype=float)
-    if xv.ndim != 1:
-        raise UsageError(f"gradient expects a 1-D point, got shape {xv.shape}")
-    h = _coordinate_steps(xv, DEFAULT_STEP_SCALE if step_scale is None else float(step_scale))
-    g = np.empty_like(xv)
-    for j in range(xv.size):
-        xp = xv.copy()
-        xm = xv.copy()
-        xp[j] += h[j]
-        xm[j] -= h[j]
-        fp = float(fn(xp))
-        fm = float(fn(xm))
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise NumericError(f"function is non-finite near x along coordinate {j}")
-        g[j] = (fp - fm) / (2.0 * h[j])
-    return g
 
 
 def jacobians(

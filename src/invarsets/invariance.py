@@ -9,10 +9,12 @@ they fail.  Verdicts:
     borderline  some sample sits within a factor 10 of a threshold
     fail        classification changed with a robust margin
 
-Invariance is checked at the trajectory samples, not continuously (the
-rank and critical checks classify all samples in one stacked call); a
-start whose field norm is numerically zero is flagged as an equilibrium
-(trivially invariant).
+Every verifier is its premise checks plus a classifier of the samples;
+one skeleton integrates from the accepted start, classifies and applies
+the verdict rule.  Invariance is checked at the trajectory samples, not
+continuously (the rank and critical checks classify all samples in one
+stacked call); a start whose field norm is numerically zero is flagged as
+an equilibrium (trivially invariant).
 """
 
 from __future__ import annotations
@@ -80,15 +82,81 @@ def _is_equilibrium(system: SystemDefinition, x0: np.ndarray) -> bool:
     return float(np.linalg.norm(evaluate_field(system, x0))) <= EQUILIBRIUM_TOL * scale
 
 
-def _conservation_hypothesis(
-    system: SystemDefinition,
-    quantity: ConservedQuantitySet,
-    x0: np.ndarray,
-    tol: float,
-) -> tuple[bool, float]:
+def _conservation_premise(
+    system: SystemDefinition, quantity: ConservedQuantitySet, x0: np.ndarray, tol: float
+) -> str | None:
+    """Why ``quantity`` is not conserved at ``x0``, or None when it is."""
     residual = float(np.max(np.abs(conservation_residual(quantity, system, x0))))
-    scale = max(1.0, float(np.linalg.norm(x0)))
-    return residual <= tol * scale, residual
+    if residual <= tol * max(1.0, float(np.linalg.norm(x0))):
+        return None
+    return (
+        f"quantity '{'/'.join(quantity.labels)}' is not conserved at the start: "
+        f"max |grad F_i . f| = {residual:.3e} exceeds {tol:.1e} * scale"
+    )
+
+
+def _certify(kind, system, x0, t_end, integ, classify, quantity, **fields) -> InvarianceReport:
+    """Integrate from an accepted start, classify every sample and apply
+    the verdict rule.
+
+    ``integ`` is (abs_tol, rel_tol, sample_count).  ``classify(traj)``
+    returns the per-sample values (rank or residual), the per-sample
+    inside flags and margins, the index of the worst sample and the
+    message.  ``quantity``, when given, has its drift monitored.
+    """
+    traj = flow_adaptive(system, x0, t_end, *integ)
+    values, inside, margins, worst, message = classify(traj)
+    min_margin = float(np.min(margins))
+    if np.all(inside) and min_margin >= BORDERLINE_MARGIN:
+        verdict = PASS
+    elif min_margin < BORDERLINE_MARGIN:
+        verdict = BORDERLINE
+    else:
+        verdict = FAIL
+    return InvarianceReport(
+        kind=kind,
+        verdict=verdict,
+        message=message,
+        trajectory=traj,
+        drift=None if quantity is None else monitor_drift(traj, quantity),
+        sample_values=values,
+        worst_time=float(traj.times[worst]),
+        worst_value=float(values[worst]),
+        min_margin=min_margin,
+        equilibrium=_is_equilibrium(system, x0),
+        **fields,
+    )
+
+
+def _verify_rank(kind, system, quantity, x0, t_end, rank_tol, conservation_tol, integ):
+    """Rank-level and critical checks: one rank classifier, whose predicate
+    is ``rank == initial`` for the rank level and ``rank < k`` for the
+    critical set."""
+    x0v = as_state(x0, system.dim)
+    broken = _conservation_premise(system, quantity, x0v, conservation_tol)
+    initial = rank_level(quantity, x0v, rank_tol).rank
+    critical = kind == "critical"
+    if broken is None and critical and initial >= quantity.k:
+        broken = (
+            f"start is not a critical point: rank {initial} equals the maximum rank k={quantity.k}"
+        )
+    if broken is not None:
+        return InvarianceReport(kind, HYPOTHESIS_ERROR, broken, initial_rank=initial)
+
+    def classify(traj):
+        decisions = rank_levels(quantity, traj.states, rank_tol)
+        ranks = decisions.ranks
+        if critical:
+            inside = ranks < quantity.k
+            held = f"{int(np.sum(inside))}/{len(ranks)}"
+            message = f"rank stayed below k={quantity.k} at {held} samples"
+        else:
+            inside = ranks == initial
+            counts = {int(r): int(c) for r, c in zip(*np.unique(ranks, return_counts=True))}
+            message = f"rank counts along flow: {counts}; initial rank {initial}"
+        return ranks, inside, decisions.margins, int(np.argmin(decisions.margins)), message
+
+    return _certify(kind, system, x0v, t_end, integ, classify, quantity, initial_rank=initial)
 
 
 def verify_rank_invariance(
@@ -104,45 +172,27 @@ def verify_rank_invariance(
 ) -> InvarianceReport:
     """Certify that the Jacobian rank of a conserved quantity is constant
     along the flow from ``x0``."""
-    x0v = as_state(x0, system.dim)
-    ok, residual = _conservation_hypothesis(system, quantity, x0v, conservation_tol)
-    initial = rank_level(quantity, x0v, rank_tol)
-    if not ok:
-        return InvarianceReport(
-            kind="rank-level",
-            verdict=HYPOTHESIS_ERROR,
-            message=(
-                f"quantity '{'/'.join(quantity.labels)}' is not conserved at the start: "
-                f"max |grad F_i . f| = {residual:.3e} exceeds {conservation_tol:.1e} * scale"
-            ),
-            initial_rank=initial.rank,
-        )
-    traj = flow_adaptive(system, x0v, t_end, abs_tol, rel_tol, sample_count)
-    decisions = rank_levels(quantity, traj.states, rank_tol)
-    ranks = decisions.ranks
-    margins = decisions.margins
-    min_margin = float(np.min(margins))
-    worst_idx = int(np.argmin(margins))
-    matches = bool(np.all(ranks == initial.rank))
-    if matches and min_margin >= BORDERLINE_MARGIN:
-        verdict = PASS
-    elif min_margin < BORDERLINE_MARGIN:
-        verdict = BORDERLINE
-    else:
-        verdict = FAIL
-    counts = {int(r): int(c) for r, c in zip(*np.unique(ranks, return_counts=True))}
-    return InvarianceReport(
-        kind="rank-level",
-        verdict=verdict,
-        message=f"rank counts along flow: {counts}; initial rank {initial.rank}",
-        trajectory=traj,
-        drift=monitor_drift(traj, quantity),
-        initial_rank=initial.rank,
-        sample_values=ranks,
-        worst_time=float(traj.times[worst_idx]),
-        worst_value=float(ranks[worst_idx]),
-        min_margin=min_margin,
-        equilibrium=_is_equilibrium(system, x0v),
+    return _verify_rank(
+        "rank-level", system, quantity, x0, t_end, rank_tol, conservation_tol,
+        (abs_tol, rel_tol, sample_count),
+    )
+
+
+def verify_critical_invariance(
+    system: SystemDefinition,
+    quantity: ConservedQuantitySet,
+    x0,
+    t_end: float,
+    rank_tol: float = DEFAULT_RANK_TOL,
+    conservation_tol: float = DEFAULT_CONSERVATION_TOL,
+    abs_tol: float = DEFAULT_ABS_TOL,
+    rel_tol: float = DEFAULT_REL_TOL,
+    sample_count: int = DEFAULT_SAMPLE_COUNT,
+) -> InvarianceReport:
+    """Certify that criticality (rank below k) persists along the flow."""
+    return _verify_rank(
+        "critical", system, quantity, x0, t_end, rank_tol, conservation_tol,
+        (abs_tol, rel_tol, sample_count),
     )
 
 
@@ -161,16 +211,9 @@ def verify_vanishing_invariance(
     """Certify that membership in the order-``order`` derivative-vanishing
     set persists along the flow from ``x0``."""
     x0v = as_state(x0, system.dim)
-    ok, residual = _conservation_hypothesis(system, quantity, x0v, conservation_tol)
-    if not ok:
-        return InvarianceReport(
-            kind="vanishing",
-            verdict=HYPOTHESIS_ERROR,
-            message=(
-                f"quantity '{'/'.join(quantity.labels)}' is not conserved at the start "
-                f"(residual {residual:.3e})"
-            ),
-        )
+    broken = _conservation_premise(system, quantity, x0v, conservation_tol)
+    if broken is not None:
+        return InvarianceReport(kind="vanishing", verdict=HYPOTHESIS_ERROR, message=broken)
     start = in_vanishing_set(quantity, x0v, order, abs_tol)
     if not start.verdict:
         return InvarianceReport(
@@ -182,32 +225,19 @@ def verify_vanishing_invariance(
             ),
             threshold=start.threshold,
         )
-    traj = flow_adaptive(system, x0v, t_end, integ_abs_tol, integ_rel_tol, sample_count)
-    members = [in_vanishing_set(quantity, s, order, abs_tol) for s in traj.states]
-    residuals = np.array([m.residual for m in members])
-    margins = np.array([m.margin for m in members])
-    worst_idx = int(np.argmax(residuals))
-    min_margin = float(np.min(margins))
-    all_inside = all(m.verdict for m in members)
-    if all_inside and min_margin >= BORDERLINE_MARGIN:
-        verdict = PASS
-    elif min_margin < BORDERLINE_MARGIN:
-        verdict = BORDERLINE
-    else:
-        verdict = FAIL
-    return InvarianceReport(
-        kind="vanishing",
-        verdict=verdict,
-        message=f"order-{order} vanishing membership held at {sum(m.verdict for m in members)}"
-        f"/{len(members)} samples",
-        trajectory=traj,
-        drift=monitor_drift(traj, quantity),
-        sample_values=residuals,
-        worst_time=float(traj.times[worst_idx]),
-        worst_value=float(residuals[worst_idx]),
-        min_margin=min_margin,
-        threshold=members[0].threshold,
-        equilibrium=_is_equilibrium(system, x0v),
+
+    def classify(traj):
+        members = [in_vanishing_set(quantity, s, order, abs_tol) for s in traj.states]
+        residuals = np.array([m.residual for m in members])
+        inside = np.array([m.verdict for m in members])
+        margins = np.array([m.margin for m in members])
+        held = f"{int(np.sum(inside))}/{len(members)}"
+        message = f"order-{order} vanishing membership held at {held} samples"
+        return residuals, inside, margins, int(np.argmax(residuals)), message
+
+    integ = (integ_abs_tol, integ_rel_tol, sample_count)
+    return _certify(
+        "vanishing", system, x0v, t_end, integ, classify, quantity, threshold=start.threshold
     )
 
 
@@ -226,8 +256,9 @@ def verify_set_persistence(
     ``tol`` along the flow from ``x0``.
 
     ``residual_fn`` measures distance from the set (zero means exact
-    membership).  When ``quantity`` is supplied its drift is monitored as
-    corroborating evidence.
+    membership).  Each sample's margin is ``tol / r`` inside the set and
+    ``r / tol`` outside, as for :class:`SetMembership`.  When ``quantity``
+    is supplied its drift is monitored as corroborating evidence.
     """
     if tol <= 0:
         raise UsageError(f"tol must be positive, got {tol}")
@@ -241,89 +272,18 @@ def verify_set_persistence(
             worst_value=r0,
             threshold=tol,
         )
-    traj = flow_adaptive(system, x0v, t_end, abs_tol, rel_tol, sample_count)
-    residuals = np.array([float(residual_fn(s)) for s in traj.states])
-    worst_idx = int(np.argmax(residuals))
-    worst = float(residuals[worst_idx])
-    margin = tol / worst if worst > 0.0 else float("inf")
-    inside = bool(np.all(residuals <= tol))
-    if inside and margin >= BORDERLINE_MARGIN:
-        verdict = PASS
-    elif margin < BORDERLINE_MARGIN:
-        verdict = BORDERLINE
-    else:
-        verdict = FAIL
-    return InvarianceReport(
-        kind="explicit-set",
-        verdict=verdict,
-        message=f"max set residual {worst:.3e} at t={traj.times[worst_idx]:.4g} (tol {tol:.1e})",
-        trajectory=traj,
-        drift=None if quantity is None else monitor_drift(traj, quantity),
-        sample_values=residuals,
-        worst_time=float(traj.times[worst_idx]),
-        worst_value=worst,
-        min_margin=float(margin),
-        threshold=tol,
-        equilibrium=_is_equilibrium(system, x0v),
-    )
 
+    def classify(traj):
+        residuals = np.array([float(residual_fn(s)) for s in traj.states])
+        inside = residuals <= tol
+        with np.errstate(divide="ignore"):
+            inside_margins = np.where(residuals > 0.0, tol / residuals, np.inf)
+        margins = np.where(inside, inside_margins, residuals / tol)
+        worst = int(np.argmax(residuals))
+        message = (
+            f"max set residual {residuals[worst]:.3e} at t={traj.times[worst]:.4g} (tol {tol:.1e})"
+        )
+        return residuals, inside, margins, worst, message
 
-def verify_critical_invariance(
-    system: SystemDefinition,
-    quantity: ConservedQuantitySet,
-    x0,
-    t_end: float,
-    rank_tol: float = DEFAULT_RANK_TOL,
-    conservation_tol: float = DEFAULT_CONSERVATION_TOL,
-    abs_tol: float = DEFAULT_ABS_TOL,
-    rel_tol: float = DEFAULT_REL_TOL,
-    sample_count: int = DEFAULT_SAMPLE_COUNT,
-) -> InvarianceReport:
-    """Certify that criticality (rank below k) persists along the flow."""
-    x0v = as_state(x0, system.dim)
-    ok, residual = _conservation_hypothesis(system, quantity, x0v, conservation_tol)
-    initial = rank_level(quantity, x0v, rank_tol)
-    if not ok:
-        return InvarianceReport(
-            kind="critical",
-            verdict=HYPOTHESIS_ERROR,
-            message=f"quantity is not conserved at the start (residual {residual:.3e})",
-            initial_rank=initial.rank,
-        )
-    if initial.rank >= quantity.k:
-        return InvarianceReport(
-            kind="critical",
-            verdict=HYPOTHESIS_ERROR,
-            message=(
-                f"start is not a critical point: rank {initial.rank} equals the "
-                f"maximum rank k={quantity.k}"
-            ),
-            initial_rank=initial.rank,
-        )
-    traj = flow_adaptive(system, x0v, t_end, abs_tol, rel_tol, sample_count)
-    decisions = rank_levels(quantity, traj.states, rank_tol)
-    ranks = decisions.ranks
-    margins = decisions.margins
-    min_margin = float(np.min(margins))
-    worst_idx = int(np.argmin(margins))
-    critical = bool(np.all(ranks < quantity.k))
-    if critical and min_margin >= BORDERLINE_MARGIN:
-        verdict = PASS
-    elif min_margin < BORDERLINE_MARGIN:
-        verdict = BORDERLINE
-    else:
-        verdict = FAIL
-    return InvarianceReport(
-        kind="critical",
-        verdict=verdict,
-        message=f"rank stayed below k={quantity.k} at {int(np.sum(ranks < quantity.k))}"
-        f"/{len(ranks)} samples",
-        trajectory=traj,
-        drift=monitor_drift(traj, quantity),
-        initial_rank=initial.rank,
-        sample_values=ranks,
-        worst_time=float(traj.times[worst_idx]),
-        worst_value=float(ranks[worst_idx]),
-        min_margin=min_margin,
-        equilibrium=_is_equilibrium(system, x0v),
-    )
+    integ = (abs_tol, rel_tol, sample_count)
+    return _certify("explicit-set", system, x0v, t_end, integ, classify, quantity, threshold=tol)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
@@ -38,6 +38,8 @@ from .integrate import (
 )
 from .invariance import (
     DEFAULT_CONSERVATION_TOL,
+    FAIL,
+    PASS,
     verify_rank_invariance,
     verify_set_persistence,
     verify_vanishing_invariance,
@@ -66,7 +68,24 @@ TOLERANCE_KEYS = {
 }
 INTEG_KEYS = ("abs_tol", "rel_tol", "sample_count")
 VALID_CHECKS = tuple(TOLERANCE_KEYS)
+# The top-level keys every check accepts, then each check with the ones it
+# reads on top of them; any other key (a misspelt "t_end", or a --rank-tol
+# override on a check without a rank) is a configuration error.
+COMMON_KEYS = ("label", "check", "model", "claim", "expected_verdict", "tolerances", "integ")
+_FLOW_KEYS = ("quantity", "initial_state", "t_end")
+TOP_LEVEL_KEYS = {
+    "rank-invariance": _FLOW_KEYS + ("rank_tol",),
+    "n-invariance": _FLOW_KEYS + ("order",),
+    "set-persistence": _FLOW_KEYS + ("set_id",),
+    "coincidence": _FLOW_KEYS,
+    "oracle-equality": ("seed", "samples"),
+    "drift": _FLOW_KEYS,
+}
 DEFAULT_T_END = 10.0
+
+# What a check returns: verdict, evidence, and the trajectory it integrated
+# with the quantity the CSV export tabulates (None, None when it integrated none)
+_Outcome = tuple[str, dict[str, Any], Trajectory | None, ConservedQuantitySet | None]
 
 
 @dataclass
@@ -78,6 +97,11 @@ class RunReport:
     config: dict[str, Any]
     elapsed_seconds: float
     tool_version: str = __version__
+    # the trajectory the check integrated, with its quantity and system, for
+    # the CSV export; not serialized, and None when no flow was integrated
+    flow: tuple[Trajectory, ConservedQuantitySet, SystemDefinition] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -115,13 +139,16 @@ def _section(config, key: str) -> dict[str, Any]:
     return section
 
 
-def _check_keys(config, section: str, valid: tuple[str, ...], user: str) -> None:
-    """Reject a key of ``config[section]`` that ``user`` does not read."""
-    unknown = [key for key in _section(config, section) if key not in valid]
+def _check_keys(config, section: str | None, valid: tuple[str, ...], user: str) -> None:
+    """Reject a key of ``config[section]`` (of ``config`` itself when
+    ``section`` is None) that ``user`` does not read."""
+    keys = config if section is None else _section(config, section)
+    unknown = [key for key in keys if key not in valid]
     if unknown:
+        name = unknown[0] if section is None else f"{section}.{unknown[0]}"
         raise UsageError(
-            f'unknown key "{section}.{unknown[0]}" for {user}; '
-            f"valid {section} keys: {', '.join(valid) or 'none'}"
+            f'unknown key "{name}" for {user}; '
+            f"valid {section or 'top-level'} keys: {', '.join(valid) or 'none'}"
         )
 
 
@@ -241,12 +268,17 @@ def _common_kwargs(config) -> dict[str, float | int]:
     }
 
 
-def _run_invariance_check(config, kind, system, params) -> tuple[str, dict[str, Any]]:
-    check = config["check"]
+def _flow_inputs(config, kind, system, params, t_end_default: float = DEFAULT_T_END):
+    """The quantity, start, end time and integrator settings of a scenario
+    that integrates a flow."""
     quantity = _quantity_of(config, kind, params)
     x0 = _initial_state(config, kind, params, system.dim)
-    t_end = _number(config, "t_end", DEFAULT_T_END)
-    kw = _common_kwargs(config)
+    return quantity, x0, _number(config, "t_end", t_end_default), _common_kwargs(config)
+
+
+def _run_invariance_check(config, kind, system, params) -> _Outcome:
+    check = config["check"]
+    quantity, x0, t_end, kw = _flow_inputs(config, kind, system, params)
     if check == "rank-invariance":
         rep = verify_rank_invariance(
             system, quantity, x0, t_end,
@@ -262,9 +294,7 @@ def _run_invariance_check(config, kind, system, params) -> tuple[str, dict[str, 
             "message": rep.message,
             "equilibrium": rep.equilibrium,
         }
-        evidence.update(_drift_evidence(rep.drift))
-        return rep.verdict, evidence
-    if check == "n-invariance":
+    elif check == "n-invariance":
         rep = verify_vanishing_invariance(
             system, quantity, x0,
             order=_number(config, "order", 1, int),
@@ -281,9 +311,7 @@ def _run_invariance_check(config, kind, system, params) -> tuple[str, dict[str, 
             "threshold": rep.threshold,
             "message": rep.message,
         }
-        evidence.update(_drift_evidence(rep.drift))
-        return rep.verdict, evidence
-    if check == "set-persistence":
+    else:  # set-persistence
         set_id = config.get("set_id")
         if set_id is None:
             state_entry = config.get("initial_state")
@@ -309,18 +337,18 @@ def _run_invariance_check(config, kind, system, params) -> tuple[str, dict[str, 
             "message": rep.message,
             "equilibrium": rep.equilibrium,
         }
-        evidence.update(_drift_evidence(rep.drift))
-        return rep.verdict, evidence
-    raise UsageError(f"unhandled invariance check '{check}'")
+    evidence.update(_drift_evidence(rep.drift))
+    return rep.verdict, evidence, rep.trajectory, quantity
 
 
-def _run_coincidence(config, kind, system, params) -> tuple[str, dict[str, Any]]:
+def _run_coincidence(config, kind, system, params) -> _Outcome:
     if kind != "kepler":
         raise UsageError("the coincidence check is wired for the kepler model")
+    token = config.get("quantity")
+    if token != "H":  # F is the Kepler energy, whose driven field is the model's
+        raise UsageError(f'the coincidence check needs "quantity": "H", got {token!r}')
     a = params["a"]
-    x0 = _initial_state(config, kind, params, 4)
-    t_end = _number(config, "t_end", 2.0 * np.pi * a**3)
-    kw = _common_kwargs(config)
+    quantity, x0, t_end, kw = _flow_inputs(config, kind, system, params, 2.0 * np.pi * a**3)
     block = canonical_symplectic_matrix(2)
     rep = verify_coincidence(
         lambda x, g, _b=block: _b @ g,
@@ -339,10 +367,11 @@ def _run_coincidence(config, kind, system, params) -> tuple[str, dict[str, Any]]
         "max_deviation_time": float(rep.max_deviation_time),
         "message": rep.message,
     }
-    return rep.verdict, evidence
+    # the F-driven field J grad H is the Kepler field, so its flow is the model's
+    return rep.verdict, evidence, rep.trajectory_f, quantity
 
 
-def _run_oracle_equality(config, kind, system, params) -> tuple[str, dict[str, Any]]:
+def _run_oracle_equality(config, kind, system, params) -> _Outcome:
     n = params.get("n")
     if n is None:
         raise UsageError("oracle-equality applies to the lattice models")
@@ -352,35 +381,34 @@ def _run_oracle_equality(config, kind, system, params) -> tuple[str, dict[str, A
     gradient_tol = _tol(config, "gradient", 1e-6)
     rng = np.random.default_rng(seed)
 
-    worst_value = 0.0
-    worst_gradient = 0.0
-    worst_lax = 0.0
+    # per invariant: the closed form, an independent value and a quantity
+    # whose finite-difference Jacobian checks the closed-form gradient
+    references = []
     if kind == "toda-periodic":
-        pairs = [(toda.henon_closed_form(n, m), toda.henon_invariant_oracle(n, m)) for m in (1, 2, 3)]
-        for _ in range(samples):
-            z = rng.standard_normal(2 * n)
-            for closed, enum in pairs:
-                a = float(closed.values_at(z)[0])
-                b = float(enum.values_at(z)[0])
-                worst_value = max(worst_value, abs(a - b) / max(1.0, abs(a)))
-                g = jacobian(closed, z)
-                fd = jacobian(enum, z)
-                scale = max(1.0, float(np.max(np.abs(g))))
-                worst_gradient = max(worst_gradient, float(np.max(np.abs(g - fd))) / scale)
+        dim, lax = 2 * n, None
+        for m in (1, 2, 3):
+            enum = toda.henon_invariant_oracle(n, m)
+            value = lambda z, _e=enum: _e.values_at(z)[0]
+            references.append((toda.henon_closed_form(n, m), value, enum))
     else:
-        quantities = [toda.flaschka_invariant(n, k) for k in (1, 2, 3)]
-        for _ in range(samples):
-            z = rng.standard_normal(2 * n - 1)
-            for k, q in zip((1, 2, 3), quantities):
-                a = float(q.values_at(z)[0])
-                b = toda.trace_invariant_value(n, k, z)
-                worst_value = max(worst_value, abs(a - b) / max(1.0, abs(a)))
-                g = jacobian(q, z)
-                fd_q = ConservedQuantitySet(dim=2 * n - 1, k=1, value=q.value, labels=q.labels)
-                fd = jacobian(fd_q, z)
-                scale = max(1.0, float(np.max(np.abs(g))))
-                worst_gradient = max(worst_gradient, float(np.max(np.abs(g - fd))) / scale)
-            worst_lax = max(worst_lax, toda.lax_commutator_residual(n, z))
+        dim, lax = 2 * n - 1, toda.lax_commutator_residual
+        for k in (1, 2, 3):
+            q = toda.flaschka_invariant(n, k)
+            value = lambda z, _k=k: toda.trace_invariant_value(n, _k, z)
+            references.append((q, value, ConservedQuantitySet(dim, 1, q.value, q.labels)))
+
+    worst_value = worst_gradient = worst_lax = 0.0
+    for _ in range(samples):
+        z = rng.standard_normal(dim)
+        for closed, value, fd_quantity in references:
+            a = float(closed.values_at(z)[0])
+            worst_value = max(worst_value, abs(a - float(value(z))) / max(1.0, abs(a)))
+            g = jacobian(closed, z)
+            fd = jacobian(fd_quantity, z)
+            scale = max(1.0, float(np.max(np.abs(g))))
+            worst_gradient = max(worst_gradient, float(np.max(np.abs(g - fd))) / scale)
+        if lax is not None:
+            worst_lax = max(worst_lax, lax(n, z))
     ok = worst_value <= value_tol and worst_gradient <= gradient_tol and worst_lax <= value_tol
     evidence = {
         "samples": samples,
@@ -391,21 +419,17 @@ def _run_oracle_equality(config, kind, system, params) -> tuple[str, dict[str, A
         "value_tol": value_tol,
         "gradient_tol": gradient_tol,
     }
-    return ("pass" if ok else "fail"), evidence
+    return (PASS if ok else FAIL), evidence, None, None
 
 
-def _run_drift(config, kind, system, params) -> tuple[str, dict[str, Any]]:
-    quantity = _quantity_of(config, kind, params)
-    x0 = _initial_state(config, kind, params, system.dim)
-    t_end = _number(config, "t_end", DEFAULT_T_END)
-    kw = _common_kwargs(config)
+def _run_drift(config, kind, system, params) -> _Outcome:
+    quantity, x0, t_end, kw = _flow_inputs(config, kind, system, params)
     traj = flow_adaptive(system, x0, t_end, **kw)
     drift = monitor_drift(traj, quantity)
     tol = _tol(config, "drift", 1e-8)
-    verdict = "pass" if drift.worst <= tol else "fail"
     evidence = {"worst_drift": drift.worst, "tol": tol}
     evidence.update(_drift_evidence(drift))
-    return verdict, evidence
+    return (PASS if drift.worst <= tol else FAIL), evidence, traj, quantity
 
 
 def run_scenario(config: dict[str, Any]) -> RunReport:
@@ -418,19 +442,21 @@ def run_scenario(config: dict[str, Any]) -> RunReport:
     check = config.get("check")
     if check not in VALID_CHECKS:
         raise UsageError(f"unknown check '{check}'; valid checks: {', '.join(VALID_CHECKS)}")
+    _check_keys(config, None, COMMON_KEYS + TOP_LEVEL_KEYS[check], f"the {check} check")
     _check_keys(config, "tolerances", TOLERANCE_KEYS[check], f"the {check} check")
     integ_keys = () if check == "oracle-equality" else INTEG_KEYS  # it integrates nothing
     _check_keys(config, "integ", integ_keys, f"the {check} check")
     kind, system, params = _model_of(config)
 
     if check in ("rank-invariance", "n-invariance", "set-persistence"):
-        verdict, evidence = _run_invariance_check(config, kind, system, params)
+        run = _run_invariance_check
     elif check == "coincidence":
-        verdict, evidence = _run_coincidence(config, kind, system, params)
+        run = _run_coincidence
     elif check == "oracle-equality":
-        verdict, evidence = _run_oracle_equality(config, kind, system, params)
+        run = _run_oracle_equality
     else:
-        verdict, evidence = _run_drift(config, kind, system, params)
+        run = _run_drift
+    verdict, evidence, traj, quantity = run(config, kind, system, params)
 
     return RunReport(
         label=str(config.get("label", "unnamed")),
@@ -439,19 +465,18 @@ def run_scenario(config: dict[str, Any]) -> RunReport:
         evidence=evidence,
         config=config,
         elapsed_seconds=time.perf_counter() - started,
+        flow=None if traj is None else (traj, quantity, system),
     )
 
 
 def scenario_trajectory(config: dict[str, Any]) -> tuple[Trajectory, ConservedQuantitySet, SystemDefinition]:
     """Integrate the scenario's model from its initial state (for exports)."""
+    top_level = COMMON_KEYS + TOP_LEVEL_KEYS.get(config.get("check"), _FLOW_KEYS)
+    _check_keys(config, None, top_level, "the trajectory export")
     _check_keys(config, "integ", INTEG_KEYS, "the trajectory export")
     kind, system, params = _model_of(config)
-    quantity = _quantity_of(config, kind, params)
-    x0 = _initial_state(config, kind, params, system.dim)
-    t_end = _number(config, "t_end", DEFAULT_T_END)
-    kw = _common_kwargs(config)
-    traj = flow_adaptive(system, x0, t_end, **kw)
-    return traj, quantity, system
+    quantity, x0, t_end, kw = _flow_inputs(config, kind, system, params)
+    return flow_adaptive(system, x0, t_end, **kw), quantity, system
 
 
 def export_trajectory(
@@ -491,12 +516,13 @@ def export_trajectory(
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def run_directory(directory) -> list[RunReport]:
-    """Run every *.json scenario in a directory (sorted by name)."""
+def run_directory(directory) -> list[tuple[Path, RunReport]]:
+    """Run every *.json scenario in a directory (sorted by name), as
+    (path, report) pairs."""
     d = Path(directory)
     if not d.is_dir():
         raise UsageError(f"not a directory: {d}")
     paths = sorted(d.glob("*.json"))
     if not paths:
         raise UsageError(f"no scenario files (*.json) in {d}")
-    return [run_scenario(load_scenario(p)) for p in paths]
+    return [(p, run_scenario(load_scenario(p))) for p in paths]

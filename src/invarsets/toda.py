@@ -288,29 +288,6 @@ def periodic_invariants(n: int, degrees: tuple[int, ...] = (1, 2, 3)) -> Conserv
     return stack_quantities([henon_closed_form(n, m) for m in degrees])
 
 
-@dataclass(frozen=True)
-class TodaAggregates:
-    """Velocity sum, pairwise velocity sum, and coupling sum of a periodic state."""
-
-    velocity_sum: float
-    velocity_pair_sum: float
-    coupling_sum: float
-
-
-def aggregates(n: int, x) -> TodaAggregates:
-    z = np.asarray(x, dtype=float)
-    X, u = z[:n], z[n:]
-    pair = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            pair += u[i] * u[j]
-    return TodaAggregates(
-        velocity_sum=float(u.sum()),
-        velocity_pair_sum=float(pair),
-        coupling_sum=float(X.sum()),
-    )
-
-
 # ---------------------------------------------------------------------------
 # non-periodic invariants: Lax matrix traces and closed forms
 # ---------------------------------------------------------------------------
@@ -514,14 +491,6 @@ EXPLICIT_SETS: dict[str, ExplicitSetDescriptor] = {
         ExplicitSetDescriptor("M1_F123", "nonperiodic", 1, (1, 2, 3), True, _NONPERIODIC_INDEPENDENCE),
     ]
 }
-
-
-def explicit_set_ids(lattice: str | None = None, include_empty: bool = False) -> tuple[str, ...]:
-    return tuple(
-        d.set_id
-        for d in EXPLICIT_SETS.values()
-        if (lattice is None or d.lattice == lattice) and (include_empty or not d.empty)
-    )
 
 
 def _descriptor(set_id: str) -> ExplicitSetDescriptor:

@@ -9,7 +9,7 @@ import pytest
 
 from invarsets.cli import main
 from invarsets.report import export_trajectory, load_scenario, run_scenario, scenario_trajectory
-from invarsets import flow_adaptive, jacobian, toda
+from invarsets import coincidence, flow_adaptive, invariance, jacobian, report, toda
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -286,3 +286,82 @@ def test_unknown_integ_key_in_export_is_a_config_error(tmp_path, capsys):
     assert code == 2
     assert 'unknown key "integ.samples"' in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+
+
+def _count_flows(monkeypatch):
+    calls = []
+    for module in (invariance, coincidence, report):
+        original = module.flow_adaptive
+
+        def counted(*args, _flow=original, **kwargs):
+            calls.append(1)
+            return _flow(*args, **kwargs)
+
+        monkeypatch.setattr(module, "flow_adaptive", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "scenario,change,code,flows",
+    [
+        ("toda-periodic-rank-pattern.json", {}, 0, 1),
+        ("kepler-circular-coincidence.json", {}, 0, 2),
+        # a start off the family stops at the premise: only the export integrates
+        ("toda-periodic-persist-M1I13.json", {"initial_state": [1.0] * 8, "set_id": "M1_I13"}, 1, 1),
+    ],
+    ids=["rank", "coincidence", "premise-failed"],
+)
+def test_run_csv_exports_the_checks_own_trajectory(
+    tmp_path, capsys, monkeypatch, scenario, change, code, flows
+):
+    # the coincidence check integrates the F- and G-driven flows; --csv adds none
+    config = load_scenario(SCENARIO_DIR / scenario)
+    config.update(change)
+    path = _write(tmp_path, config)
+    calls = _count_flows(monkeypatch)
+    assert main(["run", path, "--sample-count", "21", "--csv", str(tmp_path / "run.csv")]) == code
+    assert len(calls) == flows
+    assert main(["export", path, "--sample-count", "21", "--csv", str(tmp_path / "export.csv")]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "export.csv").read_bytes()
+
+
+def test_run_csv_on_oracle_check_exits_2_before_any_report(tmp_path, capsys):
+    path = SCENARIO_DIR / "toda-periodic-henon-oracle.json"
+    argv = ["run", str(path), "--report", str(tmp_path / "r.json"), "--csv", str(tmp_path / "x.csv")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "integrates no trajectory" in captured.err
+    assert not (tmp_path / "r.json").exists() and not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "scenario,change,flags,key",
+    [
+        ("toda-periodic-drift.json", {"t_ned": 1.0}, [], "t_ned"),
+        ("toda-periodic-drift.json", {}, ["--rank-tol", "5"], "rank_tol"),
+        ("toda-periodic-rank-pattern.json", {}, ["--seed", "3"], "seed"),
+        ("toda-periodic-henon-oracle.json", {}, ["--t-end", "2"], "t_end"),
+        ("kepler-circular-coincidence.json", {"order": 2}, [], "order"),
+    ],
+    ids=["misspelt-t-end", "rank-tol-on-drift", "seed-on-rank", "t-end-on-oracle", "order-on-coincidence"],
+)
+def test_unknown_top_level_key_is_a_config_error(tmp_path, capsys, scenario, change, flags, key):
+    # a key the check does not read used to be ignored: "t_ned" ran with t_end 10
+    config = load_scenario(SCENARIO_DIR / scenario)
+    config.update(change)
+    assert main(["run", _write(tmp_path, config)] + flags) == 2
+    err = capsys.readouterr().err
+    assert f'unknown key "{key}" for the {config["check"]} check' in err
+    assert "valid top-level keys: label, check, model" in err
+
+
+@pytest.mark.parametrize("quantity", ["A", None], ids=["other", "missing"])
+def test_coincidence_reads_only_the_energy_quantity(tmp_path, capsys, quantity):
+    config = load_scenario(SCENARIO_DIR / "kepler-circular-coincidence.json")
+    config["quantity"] = quantity
+    if quantity is None:
+        del config["quantity"]
+    assert main(["run", _write(tmp_path, config)]) == 2
+    assert 'the coincidence check needs "quantity": "H"' in capsys.readouterr().err

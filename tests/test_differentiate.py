@@ -5,7 +5,6 @@ from invarsets import (
     ConservedQuantitySet,
     NumericError,
     UsageError,
-    gradient,
     jacobian,
     partial_tensor,
     stack_quantities,
@@ -16,8 +15,9 @@ from conftest import builtin_gradient_cases
 
 
 def test_gradient_of_squared_norm():
-    g = gradient(lambda z: z @ z, np.array([1.0, 2.0]))
-    assert np.allclose(g, [2.0, 4.0], atol=1e-9)
+    squared_norm = ConservedQuantitySet.scalar(2, lambda z: z @ z, "|z|^2")
+    g = jacobian(squared_norm, np.array([1.0, 2.0]))
+    assert np.allclose(g, [[2.0, 4.0]], atol=1e-9)
 
 
 def test_gradient_of_i1_via_finite_differences():
@@ -110,9 +110,11 @@ def test_partial_tensor_order_caps():
 
 
 def test_gradient_non_finite_names_coordinate():
-    blows_below_one = lambda z: np.inf if z[0] < 0.999999 else 1.0
+    blows_below_one = ConservedQuantitySet.scalar(
+        2, lambda z: np.inf if z[0] < 0.999999 else 1.0, "blows"
+    )
     with pytest.raises(NumericError, match="coordinate 0"):
-        gradient(blows_below_one, np.array([1.0, 1.0]))
+        jacobian(blows_below_one, np.array([1.0, 1.0]))
 
 
 @pytest.mark.parametrize("label,quantity,sampler", builtin_gradient_cases())
@@ -128,13 +130,13 @@ def test_analytic_gradients_match_finite_differences(label, quantity, sampler):
 
 
 def test_richardson_halving_step_obeys_truncation_bound():
-    fn = lambda z: float(np.exp(z[0]) * np.sin(z[1]))
+    fn = ConservedQuantitySet.scalar(2, lambda z: float(np.exp(z[0]) * np.sin(z[1])), "f")
     x = np.array([0.3, 0.7])
     # use a step where the O(h^2) truncation term dominates round-off;
     # halving then changes entries by (1 - 1/4) * (h^2/6) f''' at most
     h = 1e-4
-    g1 = gradient(fn, x, step_scale=h)
-    g2 = gradient(fn, x, step_scale=h / 2.0)
+    g1 = jacobian(fn, x, step_scale=h)
+    g2 = jacobian(fn, x, step_scale=h / 2.0)
     bound = (h**2 / 6.0) * np.e * 2.0
     assert np.max(np.abs(g1 - g2)) < bound
     assert np.max(np.abs(g1 - g2)) > 0.0  # the step change is visible, not noise

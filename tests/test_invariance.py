@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from invarsets import (
     ConservedQuantitySet,
@@ -256,3 +257,53 @@ def test_equilibrium_is_flagged_and_trivially_invariant():
     )
     assert report.verdict == "pass"
     assert report.equilibrium is True
+
+
+def _quarter_turn_probe():
+    # gradient (0, x2): zero at the start (1, 0), unit at the quarter turn,
+    # and the residual x2 * -x1 vanishes at (1, 0), so the premise holds
+    return ConservedQuantitySet.scalar(
+        2, lambda z: 0.5 * z[1] ** 2, "x2^2/2", gradient=lambda z: np.array([0.0, z[1]])
+    )
+
+
+def test_vanishing_membership_lost_along_flow_is_fail():
+    report = verify_vanishing_invariance(
+        oscillator.harmonic_oscillator(), _quarter_turn_probe(), [1.0, 0.0], 1, np.pi,
+        sample_count=3,
+    )
+    assert report.verdict == "fail"
+    assert report.min_margin >= 10
+
+
+def test_criticality_lost_along_flow_is_fail():
+    report = verify_critical_invariance(
+        oscillator.harmonic_oscillator(), _quarter_turn_probe(), [1.0, 0.0], np.pi,
+        sample_count=3,
+    )
+    assert report.verdict == "fail"
+    assert report.initial_rank == 0
+    assert list(report.sample_values) == [0, 1, 0]
+
+
+def test_set_left_decisively_along_flow_is_fail():
+    # |x2| reaches 1 at the quarter turn, 10^6 times the tolerance: each
+    # sample's margin is tol/r inside and r/tol outside, so this is a fail
+    report = verify_set_persistence(
+        oscillator.harmonic_oscillator(), lambda s: abs(s[1]), [1.0, 0.0], np.pi,
+        tol=1e-6, sample_count=3,
+    )
+    assert report.verdict == "fail"
+    assert report.worst_value == pytest.approx(1.0)
+    assert report.min_margin >= 10
+
+
+@pytest.mark.parametrize("tol", [2.0, 0.5], ids=["inside", "outside"])
+def test_set_residual_near_tolerance_is_borderline(tol):
+    # the quarter-turn residual 1 sits within a factor 10 of tol, on either side
+    report = verify_set_persistence(
+        oscillator.harmonic_oscillator(), lambda s: abs(s[1]), [1.0, 0.0], np.pi,
+        tol=tol, sample_count=3,
+    )
+    assert report.verdict == "borderline"
+    assert report.min_margin == pytest.approx(2.0)

@@ -94,17 +94,6 @@ def test_gradient_i2_at_uniform_state():
     assert np.array_equal(g, [[-1, -1, -1, 2, 2, 2]])
 
 
-def test_aggregates_identity():
-    for n in (3, 4, 5):
-        for x in random_states(2 * n, 20, 51 + n):
-            agg = toda.aggregates(n, x)
-            u = x[n:]
-            direct = 0.5 * (agg.velocity_sum**2 - float(np.dot(u, u)))
-            assert abs(2 * agg.velocity_pair_sum - 2 * direct) <= 1e-12 * max(
-                1.0, abs(agg.velocity_pair_sum)
-            )
-
-
 # ---------------------------------------------------------------------------
 # non-periodic invariants and the commutator form
 # ---------------------------------------------------------------------------
