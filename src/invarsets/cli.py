@@ -31,27 +31,30 @@ EXIT_FAIL = 1
 EXIT_CONFIG = 2
 
 
+# Each override flag: the scenario section it writes ("" for the top level),
+# its key and its type.  --tolerance KEY=VALUE writes "tolerances".
+_OVERRIDES = {
+    "--t-end": ("", "t_end", float),
+    "--rank-tol": ("", "rank_tol", float),
+    "--abs-tol": ("integ", "abs_tol", float),
+    "--rel-tol": ("integ", "rel_tol", float),
+    "--sample-count": ("integ", "sample_count", int),
+    "--seed": ("", "seed", int),
+}
+
+
 def _set(config: dict, section: str, key: str, value) -> None:
-    target = config.setdefault(section, {})
+    target = config.setdefault(section, {}) if section else config
     if not isinstance(target, dict):
         raise UsageError(f'"{section}" must be an object, got {type(target).__name__}')
     target[key] = value
 
 
 def _apply_overrides(config: dict, args: argparse.Namespace) -> dict:
-    if getattr(args, "t_end", None) is not None:
-        config["t_end"] = args.t_end
-    if getattr(args, "rank_tol", None) is not None:
-        config["rank_tol"] = args.rank_tol
-    if getattr(args, "abs_tol", None) is not None:
-        _set(config, "integ", "abs_tol", args.abs_tol)
-    if getattr(args, "rel_tol", None) is not None:
-        _set(config, "integ", "rel_tol", args.rel_tol)
-    if getattr(args, "sample_count", None) is not None:
-        _set(config, "integ", "sample_count", args.sample_count)
-    if getattr(args, "seed", None) is not None:
-        config["seed"] = args.seed
-    for item in getattr(args, "tolerance", None) or []:
+    for section, key, _ in _OVERRIDES.values():
+        if getattr(args, key) is not None:
+            _set(config, section, key, getattr(args, key))
+    for item in args.tolerance or []:
         key, _, value = item.partition("=")
         if not _:
             raise UsageError(f"--tolerance expects KEY=VALUE, got '{item}'")
@@ -64,14 +67,9 @@ def _apply_overrides(config: dict, args: argparse.Namespace) -> dict:
 
 
 def _add_override_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--t-end", type=float, dest="t_end", help="override t_end")
-    parser.add_argument("--rank-tol", type=float, dest="rank_tol", help="override rank tolerance")
-    parser.add_argument("--abs-tol", type=float, dest="abs_tol", help="override integrator abs_tol")
-    parser.add_argument("--rel-tol", type=float, dest="rel_tol", help="override integrator rel_tol")
-    parser.add_argument(
-        "--sample-count", type=int, dest="sample_count", help="override sample count"
-    )
-    parser.add_argument("--seed", type=int, help="override the random seed")
+    for flag, (section, key, kind) in _OVERRIDES.items():
+        name = f"{section}.{key}" if section else key
+        parser.add_argument(flag, type=kind, dest=key, help=f"override {name}")
     parser.add_argument(
         "--tolerance",
         action="append",
@@ -80,23 +78,20 @@ def _add_override_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _verdict_exit(verdict: str) -> int:
-    return EXIT_PASS if verdict == PASS else EXIT_FAIL
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _apply_overrides(load_scenario(args.config), args)
-    if args.csv and config.get("check") == "oracle-equality":
-        raise UsageError("the oracle-equality check integrates no trajectory to export as CSV")
     report = run_scenario(config)
+    # the check's own trajectory; a start that failed a premise integrated
+    # none, and a check that integrates none is a configuration error here,
+    # before any output
+    flow = args.csv and (report.flow or scenario_trajectory(config))
     print(report.to_json())
     if args.report:
         Path(args.report).write_text(report.to_json() + "\n")
-    if args.csv:
-        # the check's own trajectory; a start that failed a premise integrated none
-        traj, quantity, system = report.flow or scenario_trajectory(config)
+    if flow:
+        traj, quantity, system = flow
         export_trajectory(traj, quantity, args.csv, system.component_names)
-    return _verdict_exit(report.verdict)
+    return EXIT_PASS if report.verdict == PASS else EXIT_FAIL
 
 
 def _cmd_run_all(args: argparse.Namespace) -> int:

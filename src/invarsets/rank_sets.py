@@ -123,7 +123,7 @@ def _decide(matrices: np.ndarray, rel_tol: float, zero_floor: np.ndarray) -> Ran
     thresholds = np.maximum(rel_tol * top, zero_floor)
     cut = thresholds[:, None]
     kept = sv > cut
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratios = np.where(kept, sv / cut, np.where(sv > 0.0, cut / sv, np.inf))
     margins = ratios.min(axis=1, initial=np.inf)
     ranks = kept.sum(axis=1)

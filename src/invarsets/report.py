@@ -2,10 +2,12 @@
 assembly, and CSV trajectory export.
 
 A scenario is one JSON object describing a model, a check, a quantity
-selection, an initial state, and tolerances.  Reports echo the
-configuration and carry the numerical evidence behind the verdict, so a
-directory of scenario files doubles as executable documentation of the
-claims being certified.
+selection, an initial state, and tolerances.  Every key a scenario may
+hold, with its default, is declared once: per model in ``_MODELS`` and per
+check in ``_CHECKS``.  ``_read`` checks a scenario against them before any
+numerics run.  Reports echo the configuration and carry the numerical
+evidence behind the verdict, so a directory of scenario files doubles as
+executable documentation of the claims being certified.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -54,38 +56,9 @@ from .rank_sets import DEFAULT_RANK_TOL, DEFAULT_VANISH_TOL, singular_values
 from . import kepler as kepler_model
 from . import toda
 
-VALID_MODELS = ("kepler", "toda-periodic", "toda-nonperiodic")
-# Each check with the "tolerances" keys it reads; "integ" keys apply to every
-# check that integrates a flow.  Any other key is a configuration error, since
-# a misspelt tolerance would otherwise fall back to its default unnoticed.
-TOLERANCE_KEYS = {
-    "rank-invariance": ("conservation",),
-    "n-invariance": ("vanishing", "conservation"),
-    "set-persistence": ("residual",),
-    "coincidence": ("deviation", "hypothesis"),
-    "oracle-equality": ("value", "gradient"),
-    "drift": ("drift",),
-}
-INTEG_KEYS = ("abs_tol", "rel_tol", "sample_count")
-VALID_CHECKS = tuple(TOLERANCE_KEYS)
-# The top-level keys every check accepts, then each check with the ones it
-# reads on top of them; any other key (a misspelt "t_end", or a --rank-tol
-# override on a check without a rank) is a configuration error.
-COMMON_KEYS = ("label", "check", "model", "claim", "expected_verdict", "tolerances", "integ")
-_FLOW_KEYS = ("quantity", "initial_state", "t_end")
-TOP_LEVEL_KEYS = {
-    "rank-invariance": _FLOW_KEYS + ("rank_tol",),
-    "n-invariance": _FLOW_KEYS + ("order",),
-    "set-persistence": _FLOW_KEYS + ("set_id",),
-    "coincidence": _FLOW_KEYS,
-    "oracle-equality": ("seed", "samples"),
-    "drift": _FLOW_KEYS,
-}
-DEFAULT_T_END = 10.0
-
 # What a check returns: verdict, evidence, and the trajectory it integrated
-# with the quantity the CSV export tabulates (None, None when it integrated none)
-_Outcome = tuple[str, dict[str, Any], Trajectory | None, ConservedQuantitySet | None]
+# (None when it integrated none)
+_Outcome = tuple[str, dict[str, Any], Trajectory | None]
 
 
 @dataclass
@@ -139,110 +112,79 @@ def _section(config, key: str) -> dict[str, Any]:
     return section
 
 
-def _check_keys(config, section: str | None, valid: tuple[str, ...], user: str) -> None:
-    """Reject a key of ``config[section]`` (of ``config`` itself when
-    ``section`` is None) that ``user`` does not read."""
-    keys = config if section is None else _section(config, section)
-    unknown = [key for key in keys if key not in valid]
+def _fields(section, defaults: dict[str, Any], where: str, check: str, other=()) -> dict[str, Any]:
+    """The values of ``section`` (found at prefix ``where``, "" for the top
+    level) for the keys of ``defaults``, each converted by ``_value``.  A key
+    in neither ``other`` nor ``defaults`` is a configuration error."""
+    valid = (*other, *defaults)
+    unknown = [key for key in section if key not in valid]
     if unknown:
-        name = unknown[0] if section is None else f"{section}.{unknown[0]}"
         raise UsageError(
-            f'unknown key "{name}" for {user}; '
-            f"valid {section or 'top-level'} keys: {', '.join(valid) or 'none'}"
+            f'unknown key "{where}{unknown[0]}" for the {check} check; '
+            f"valid {where[:-1] or 'top-level'} keys: {', '.join(valid) or 'none'}"
         )
+    return {key: _value(section, key, default, where) for key, default in defaults.items()}
 
 
-def _number(section, key: str, default, kind=float, where: str = ""):
-    """``section[key]`` (or ``default``) converted by ``kind``; a value that
-    does not convert, or an integer setting with a fractional part, is a
-    configuration error naming the key."""
+_KINDS = {int: "an integer", float: "a number", str: "a string"}
+_AT_LEAST = {"seed": 0, "samples": 1}  # integer settings no library call range-checks
+
+
+def _value(section, key: str, default, where: str = ""):
+    """``section[key]`` (or ``default``) as the type of ``default``.  A value
+    that does not convert, an integer setting with a fractional part, or a
+    setting below its floor in ``_AT_LEAST`` is a configuration error naming
+    the key."""
     raw = section.get(key, default)
+    kind = type(default)
     try:
-        value = kind(raw)
+        if kind is str and not isinstance(raw, str):
+            raise TypeError  # str() would accept anything
         if kind is int and isinstance(raw, float) and not raw.is_integer():
             raise ValueError  # int() would truncate 4.7 to 4
-        return value
-    except (TypeError, ValueError):
-        expected = "an integer" if kind is int else "a number"
-        raise UsageError(f'"{where}{key}" must be {expected}, got {raw!r}') from None
+        value = kind(raw)
+    except (TypeError, ValueError, OverflowError):
+        raise UsageError(f'"{where}{key}" must be {_KINDS[kind]}, got {raw!r}') from None
+    if key in _AT_LEAST and value < _AT_LEAST[key]:
+        raise UsageError(f'"{where}{key}" must be at least {_AT_LEAST[key]}, got {value}')
+    return value
 
 
-def _model_of(config) -> tuple[str, SystemDefinition, dict[str, Any]]:
-    model = config.get("model")
-    if not isinstance(model, dict) or "kind" not in model:
-        raise UsageError('scenario needs a "model" object with a "kind" field')
-    kind = model["kind"]
-    if kind == "kepler":
-        return kind, kepler_model.kepler_field(), {"a": _number(model, "a", 1.0, where="model.")}
-    if kind == "toda-periodic":
-        n = _number(model, "n", 4, int, "model.")
-        return kind, toda.periodic_field(n), {"n": n}
-    if kind == "toda-nonperiodic":
-        n = _number(model, "n", 4, int, "model.")
-        return kind, toda.nonperiodic_field(n), {"n": n}
-    raise UsageError(f"unknown model '{kind}'; valid models: {', '.join(VALID_MODELS)}")
+_KEPLER_PARTS = {
+    "H": lambda a: kepler_model.hamiltonian(),
+    "A": lambda a: kepler_model.angular_momentum(),
+    "K": lambda a: kepler_model.combined_invariant(a),
+}
 
 
-def _quantity_from_token(token: str, kind: str, params: dict[str, Any]) -> ConservedQuantitySet:
-    if kind == "toda-periodic" and token.startswith("I") and token[1:].isdigit():
-        degrees = tuple(int(c) for c in token[1:])
-        if any(d not in (1, 2, 3) for d in degrees):
-            raise UsageError(f"quantity '{token}': closed forms cover degrees 1..3")
-        return toda.periodic_invariants(params["n"], degrees)
-    if kind == "toda-nonperiodic" and token.startswith("F") and token[1:].isdigit():
-        degrees = tuple(int(c) for c in token[1:])
-        if any(d not in (1, 2, 3) for d in degrees):
-            raise UsageError(f"quantity '{token}': closed forms cover degrees 1..3")
-        return toda.nonperiodic_invariants(params["n"], degrees)
-    if kind == "kepler":
-        parts = {
-            "H": kepler_model.hamiltonian,
-            "A": kepler_model.angular_momentum,
-            "K": lambda: kepler_model.combined_invariant(params["a"]),
-        }
-        if all(c in parts for c in token):
-            return stack_quantities([parts[c]() for c in token])
-    raise UsageError(
-        f"quantity '{token}' is not available for model '{kind}' "
-        "(toda-periodic: I1..I123; toda-nonperiodic: F1..F123; kepler: H, A, K "
-        "and concatenations like HA)"
-    )
+@dataclass(frozen=True)
+class _Model:
+    keys: dict[str, Any]  # the "model" keys besides "kind", with their defaults
+    field: Callable[..., SystemDefinition]  # the vector field, from the keys
+    # a quantity token is the prefix and one or more of the parts, which
+    # ``quantity(parts, **keys)`` turns into one stacked quantity
+    prefix: str
+    parts: str
+    quantity: Callable[..., ConservedQuantitySet]
 
 
-def _quantity_of(config, kind: str, params: dict[str, Any]) -> ConservedQuantitySet:
-    token = config.get("quantity")
-    if token is None:
-        raise UsageError('scenario needs a "quantity" field')
-    if isinstance(token, list):
-        return stack_quantities([_quantity_from_token(t, kind, params) for t in token])
-    return _quantity_from_token(str(token), kind, params)
-
-
-def _initial_state(config, kind: str, params: dict[str, Any], dim: int) -> np.ndarray:
-    entry = config.get("initial_state")
-    if entry is None:
-        raise UsageError('scenario needs an "initial_state" field')
-    if isinstance(entry, list):
-        return as_state(entry, dim)
-    if not isinstance(entry, dict):
-        raise UsageError('"initial_state" must be a vector or an object')
-    if "set_id" in entry:
-        if kind == "kepler":
-            raise UsageError("explicit set samples apply to the lattice models")
-        return toda.explicit_set_sample(entry["set_id"], params["n"], _section(entry, "params"))
-    if "circular" in entry:
-        if kind != "kepler":
-            raise UsageError("circular samples apply to the kepler model")
-        c = _section(entry, "circular")
-        where = "initial_state.circular."
-        return kepler_model.circular_sample(
-            _number(c, "a", params["a"], where=where), _number(c, "theta", 0.0, where=where)
-        )
-    if "random" in entry:
-        r = _section(entry, "random")
-        rng = np.random.default_rng(_number(r, "seed", 0, int, "initial_state.random."))
-        return _number(r, "scale", 1.0, where="initial_state.random.") * rng.standard_normal(dim)
-    raise UsageError('"initial_state" object needs one of: set_id, circular, random')
+# The lambdas look each library function up when called, so a wrapper set on
+# its module (bench/tracing.py wraps the field factories) sees every call.
+_MODELS = {
+    "kepler": _Model(
+        {"a": 1.0}, lambda a: kepler_model.kepler_field(), "", "HAK",
+        lambda parts, a: stack_quantities([_KEPLER_PARTS[c](a) for c in parts]),
+    ),
+    "toda-periodic": _Model(
+        {"n": 4}, lambda n: toda.periodic_field(n), "I", "123",
+        lambda parts, n: toda.periodic_invariants(n, tuple(map(int, parts))),
+    ),
+    "toda-nonperiodic": _Model(
+        {"n": 4}, lambda n: toda.nonperiodic_field(n), "F", "123",
+        lambda parts, n: toda.nonperiodic_invariants(n, tuple(map(int, parts))),
+    ),
+}
+_LATTICES = ("toda-periodic", "toda-nonperiodic")
 
 
 def _drift_evidence(drift) -> dict[str, Any]:
@@ -255,110 +197,64 @@ def _drift_evidence(drift) -> dict[str, Any]:
     }
 
 
-def _tol(config, key: str, default: float) -> float:
-    return _number(_section(config, "tolerances"), key, default, where="tolerances.")
+def _invariance_outcome(rep, **evidence) -> _Outcome:
+    return rep.verdict, {**evidence, **_drift_evidence(rep.drift)}, rep.trajectory
 
 
-def _common_kwargs(config) -> dict[str, float | int]:
-    integ = _section(config, "integ")
-    return {
-        "abs_tol": _number(integ, "abs_tol", DEFAULT_ABS_TOL, where="integ."),
-        "rel_tol": _number(integ, "rel_tol", DEFAULT_REL_TOL, where="integ."),
-        "sample_count": _number(integ, "sample_count", DEFAULT_SAMPLE_COUNT, int, "integ."),
-    }
+def _run_rank(s: _Scenario) -> _Outcome:
+    rep = verify_rank_invariance(
+        s.system, s.quantity, s.x0, s.t_end,
+        rank_tol=s.keys["rank_tol"], conservation_tol=s.tol["conservation"], **s.integ,
+    )
+    ranks = [] if rep.sample_values is None else sorted({int(v) for v in rep.sample_values})
+    return _invariance_outcome(
+        rep, initial_rank=rep.initial_rank, ranks_seen=ranks, min_margin=float(rep.min_margin),
+        message=rep.message, equilibrium=rep.equilibrium,
+    )
 
 
-def _flow_inputs(config, kind, system, params, t_end_default: float = DEFAULT_T_END):
-    """The quantity, start, end time and integrator settings of a scenario
-    that integrates a flow."""
-    quantity = _quantity_of(config, kind, params)
-    x0 = _initial_state(config, kind, params, system.dim)
-    return quantity, x0, _number(config, "t_end", t_end_default), _common_kwargs(config)
+def _run_vanishing(s: _Scenario) -> _Outcome:
+    rep = verify_vanishing_invariance(
+        s.system, s.quantity, s.x0, s.keys["order"], s.t_end,
+        abs_tol=s.tol["vanishing"], conservation_tol=s.tol["conservation"],
+        integ_abs_tol=s.integ["abs_tol"], integ_rel_tol=s.integ["rel_tol"],
+        sample_count=s.integ["sample_count"],
+    )
+    return _invariance_outcome(
+        rep, worst_residual=float(rep.worst_value), worst_time=float(rep.worst_time),
+        threshold=rep.threshold, message=rep.message,
+    )
 
 
-def _run_invariance_check(config, kind, system, params) -> _Outcome:
-    check = config["check"]
-    quantity, x0, t_end, kw = _flow_inputs(config, kind, system, params)
-    if check == "rank-invariance":
-        rep = verify_rank_invariance(
-            system, quantity, x0, t_end,
-            rank_tol=_number(config, "rank_tol", DEFAULT_RANK_TOL),
-            conservation_tol=_tol(config, "conservation", DEFAULT_CONSERVATION_TOL),
-            **kw,
+def _run_set_persistence(s: _Scenario) -> _Outcome:
+    start = s.config["initial_state"]
+    set_id = s.keys["set_id"] or (start.get("set_id") if isinstance(start, dict) else None)
+    if not set_id:
+        raise UsageError('set-persistence needs a "set_id" (top level or in initial_state)')
+    n = s.params["n"]
+    own = toda.explicit_set_quantity(set_id, n).labels
+    if s.quantity.labels != own:
+        raise UsageError(
+            f"set {set_id} is a level set of {', '.join(own)}, "
+            f"but \"quantity\" selects {', '.join(s.quantity.labels)}"
         )
-        ranks = [] if rep.sample_values is None else sorted({int(v) for v in rep.sample_values})
-        evidence = {
-            "initial_rank": rep.initial_rank,
-            "ranks_seen": ranks,
-            "min_margin": float(rep.min_margin),
-            "message": rep.message,
-            "equilibrium": rep.equilibrium,
-        }
-    elif check == "n-invariance":
-        rep = verify_vanishing_invariance(
-            system, quantity, x0,
-            order=_number(config, "order", 1, int),
-            t_end=t_end,
-            abs_tol=_tol(config, "vanishing", DEFAULT_VANISH_TOL),
-            conservation_tol=_tol(config, "conservation", DEFAULT_CONSERVATION_TOL),
-            integ_abs_tol=kw["abs_tol"],
-            integ_rel_tol=kw["rel_tol"],
-            sample_count=kw["sample_count"],
-        )
-        evidence = {
-            "worst_residual": float(rep.worst_value),
-            "worst_time": float(rep.worst_time),
-            "threshold": rep.threshold,
-            "message": rep.message,
-        }
-    else:  # set-persistence
-        set_id = config.get("set_id")
-        if set_id is None:
-            state_entry = config.get("initial_state")
-            set_id = state_entry.get("set_id") if isinstance(state_entry, dict) else None
-        if set_id is None:
-            raise UsageError('set-persistence needs a "set_id" (top level or in initial_state)')
-        n = params["n"]
-        desc_quantity = toda.explicit_set_quantity(set_id, n)
-        rep = verify_set_persistence(
-            system,
-            lambda s: toda.explicit_set_residual(set_id, n, s),
-            x0,
-            t_end,
-            tol=_tol(config, "residual", 1e-7),
-            quantity=desc_quantity,
-            **kw,
-        )
-        evidence = {
-            "set_id": set_id,
-            "max_residual": float(rep.worst_value),
-            "worst_time": float(rep.worst_time),
-            "tol": rep.threshold,
-            "message": rep.message,
-            "equilibrium": rep.equilibrium,
-        }
-    evidence.update(_drift_evidence(rep.drift))
-    return rep.verdict, evidence, rep.trajectory, quantity
+    rep = verify_set_persistence(
+        s.system, lambda x: toda.explicit_set_residual(set_id, n, x), s.x0, s.t_end,
+        tol=s.tol["residual"], quantity=s.quantity, **s.integ,
+    )
+    return _invariance_outcome(
+        rep, set_id=set_id, max_residual=float(rep.worst_value), worst_time=float(rep.worst_time),
+        tol=rep.threshold, message=rep.message, equilibrium=rep.equilibrium,
+    )
 
 
-def _run_coincidence(config, kind, system, params) -> _Outcome:
-    if kind != "kepler":
-        raise UsageError("the coincidence check is wired for the kepler model")
-    token = config.get("quantity")
-    if token != "H":  # F is the Kepler energy, whose driven field is the model's
-        raise UsageError(f'the coincidence check needs "quantity": "H", got {token!r}')
-    a = params["a"]
-    quantity, x0, t_end, kw = _flow_inputs(config, kind, system, params, 2.0 * np.pi * a**3)
+def _run_coincidence(s: _Scenario) -> _Outcome:
     block = canonical_symplectic_matrix(2)
     rep = verify_coincidence(
         lambda x, g, _b=block: _b @ g,
-        kepler_model.hamiltonian(),
-        kepler_model.linear_pair_hamiltonian(a),
-        x0,
-        t_end,
-        deviation_tol=_tol(config, "deviation", DEFAULT_DEVIATION_TOL),
-        hypothesis_tol=_tol(config, "hypothesis", DEFAULT_HYPOTHESIS_TOL),
-        **kw,
+        kepler_model.hamiltonian(), kepler_model.linear_pair_hamiltonian(s.params["a"]),
+        s.x0, s.t_end,
+        deviation_tol=s.tol["deviation"], hypothesis_tol=s.tol["hypothesis"], **s.integ,
     )
     evidence = {
         "agreement_residual": float(rep.e_residual),
@@ -368,23 +264,18 @@ def _run_coincidence(config, kind, system, params) -> _Outcome:
         "message": rep.message,
     }
     # the F-driven field J grad H is the Kepler field, so its flow is the model's
-    return rep.verdict, evidence, rep.trajectory_f, quantity
+    return rep.verdict, evidence, rep.trajectory_f
 
 
-def _run_oracle_equality(config, kind, system, params) -> _Outcome:
-    n = params.get("n")
-    if n is None:
-        raise UsageError("oracle-equality applies to the lattice models")
-    seed = _number(config, "seed", 0, int)
-    samples = _number(config, "samples", 100, int)
-    value_tol = _tol(config, "value", 1e-12)
-    gradient_tol = _tol(config, "gradient", 1e-6)
+def _run_oracle_equality(s: _Scenario) -> _Outcome:
+    n, seed, samples = s.params["n"], s.keys["seed"], s.keys["samples"]
+    value_tol, gradient_tol = s.tol["value"], s.tol["gradient"]
     rng = np.random.default_rng(seed)
 
     # per invariant: the closed form, an independent value and a quantity
     # whose finite-difference Jacobian checks the closed-form gradient
     references = []
-    if kind == "toda-periodic":
+    if s.kind == "toda-periodic":
         dim, lax = 2 * n, None
         for m in (1, 2, 3):
             enum = toda.henon_invariant_oracle(n, m)
@@ -411,25 +302,154 @@ def _run_oracle_equality(config, kind, system, params) -> _Outcome:
             worst_lax = max(worst_lax, lax(n, z))
     ok = worst_value <= value_tol and worst_gradient <= gradient_tol and worst_lax <= value_tol
     evidence = {
-        "samples": samples,
-        "seed": seed,
-        "max_value_mismatch": worst_value,
-        "max_gradient_mismatch": worst_gradient,
-        "max_lax_residual": worst_lax,
-        "value_tol": value_tol,
-        "gradient_tol": gradient_tol,
+        "samples": samples, "seed": seed, "max_value_mismatch": worst_value,
+        "max_gradient_mismatch": worst_gradient, "max_lax_residual": worst_lax,
+        "value_tol": value_tol, "gradient_tol": gradient_tol,
     }
-    return (PASS if ok else FAIL), evidence, None, None
+    return (PASS if ok else FAIL), evidence, None
 
 
-def _run_drift(config, kind, system, params) -> _Outcome:
-    quantity, x0, t_end, kw = _flow_inputs(config, kind, system, params)
-    traj = flow_adaptive(system, x0, t_end, **kw)
-    drift = monitor_drift(traj, quantity)
-    tol = _tol(config, "drift", 1e-8)
-    evidence = {"worst_drift": drift.worst, "tol": tol}
-    evidence.update(_drift_evidence(drift))
-    return (PASS if drift.worst <= tol else FAIL), evidence, traj, quantity
+def _run_drift(s: _Scenario) -> _Outcome:
+    traj = flow_adaptive(s.system, s.x0, s.t_end, **s.integ)
+    drift = monitor_drift(traj, s.quantity)
+    tol = s.tol["drift"]
+    evidence = {"worst_drift": drift.worst, "tol": tol, **_drift_evidence(drift)}
+    return (PASS if drift.worst <= tol else FAIL), evidence, traj
+
+
+@dataclass(frozen=True)
+class _Check:
+    run: Callable[[_Scenario], _Outcome]
+    keys: dict[str, Any]  # its own top-level keys with their defaults
+    tolerances: dict[str, float]  # its "tolerances" keys with their defaults
+    integrates: bool = True  # reads quantity, initial_state, t_end and the "integ" keys
+    horizon: Callable[[dict[str, Any]], float] = lambda params: 10.0  # default t_end
+    models: tuple[str, ...] = ()  # the models it applies to; () for all
+    quantity: str = ""  # the one quantity token it reads; "" for any
+
+
+_CHECKS = {
+    "rank-invariance": _Check(
+        _run_rank, {"rank_tol": DEFAULT_RANK_TOL}, {"conservation": DEFAULT_CONSERVATION_TOL}
+    ),
+    "n-invariance": _Check(
+        _run_vanishing, {"order": 1},
+        {"vanishing": DEFAULT_VANISH_TOL, "conservation": DEFAULT_CONSERVATION_TOL},
+    ),
+    "set-persistence": _Check(_run_set_persistence, {"set_id": ""}, {"residual": 1e-7}, models=_LATTICES),
+    "coincidence": _Check(
+        _run_coincidence, {}, {"deviation": DEFAULT_DEVIATION_TOL, "hypothesis": DEFAULT_HYPOTHESIS_TOL},
+        # one period of the circular orbit of radius a^2; F is the Kepler
+        # energy, whose driven field is the model's
+        horizon=lambda params: 2.0 * np.pi * params["a"] ** 3, models=("kepler",), quantity="H",
+    ),
+    "oracle-equality": _Check(
+        _run_oracle_equality, {"seed": 0, "samples": 100}, {"value": 1e-12, "gradient": 1e-6},
+        integrates=False, models=_LATTICES,
+    ),
+    "drift": _Check(_run_drift, {}, {"drift": 1e-8}),
+}
+
+
+@dataclass
+class _Scenario:
+    """A scenario checked against its table entries, every value converted."""
+
+    config: dict[str, Any]
+    check: str
+    kind: str
+    system: SystemDefinition
+    params: dict[str, Any]  # the model keys
+    keys: dict[str, Any]  # the check's own top-level keys
+    tol: dict[str, float]
+    integ: dict[str, Any]
+    quantity: ConservedQuantitySet | None = None
+    x0: np.ndarray | None = None
+    t_end: float | None = None
+
+
+def _read(config) -> _Scenario:
+    """Check every section of a scenario against the table entries of its
+    check and model (unknown keys, types, ranges) and convert its values,
+    before any numerics run."""
+    name = config.get("check")
+    check = _CHECKS.get(name) if isinstance(name, str) else None
+    if check is None:
+        raise UsageError(f"unknown check '{name}'; valid checks: {', '.join(_CHECKS)}")
+    flow = ("quantity", "initial_state", "t_end") if check.integrates else ()
+    common = ("label", "check", "model", "claim", "expected_verdict", "tolerances", "integ")
+    keys = _fields(config, check.keys, "", name, common + flow)
+    tol = _fields(_section(config, "tolerances"), check.tolerances, "tolerances.", name)
+    integ = dict(abs_tol=DEFAULT_ABS_TOL, rel_tol=DEFAULT_REL_TOL, sample_count=DEFAULT_SAMPLE_COUNT)
+    integ = _fields(_section(config, "integ"), integ if check.integrates else {}, "integ.", name)
+    for key, value in tol.items():
+        if not 0.0 < value < np.inf:
+            raise UsageError(f'"tolerances.{key}" must be positive and finite, got {value!r}')
+    model = config.get("model")
+    if not isinstance(model, dict) or "kind" not in model:
+        raise UsageError('scenario needs a "model" object with a "kind" field')
+    kind = model["kind"]
+    spec = _MODELS.get(kind) if isinstance(kind, str) else None
+    if spec is None:
+        raise UsageError(f"unknown model '{kind}'; valid models: {', '.join(_MODELS)}")
+    if check.models and kind not in check.models:
+        raise UsageError(f"the {name} check applies to the models {', '.join(check.models)}, not {kind}")
+    params = _fields(model, spec.keys, "model.", name, ("kind",))
+    s = _Scenario(config, name, kind, spec.field(**params), params, keys, tol, integ)
+    if check.integrates:
+        s.quantity = _quantity_of(config, check, name, kind, params)
+        s.x0 = _initial_state(config.get("initial_state"), params, s.system.dim, name)
+        s.t_end = _value(config, "t_end", check.horizon(params))
+    return s
+
+
+def _quantity_of(config, check: _Check, name: str, kind: str, params) -> ConservedQuantitySet:
+    token = config.get("quantity")
+    if check.quantity and token != check.quantity:
+        raise UsageError(f'the {name} check needs "quantity": "{check.quantity}", got {token!r}')
+    if token is None:
+        raise UsageError('scenario needs a "quantity" field')
+    spec, quantities = _MODELS[kind], []
+    for t in map(str, token if isinstance(token, list) else [token]):
+        parts = t[len(spec.prefix) :]
+        if not (t.startswith(spec.prefix) and parts and set(parts) <= set(spec.parts)):
+            raise UsageError(
+                f"quantity '{t}' is not available for model '{kind}' "
+                f"(its tokens match {spec.prefix}[{spec.parts}]+, such as {spec.prefix}{spec.parts})"
+            )
+        quantities.append(spec.quantity(parts, **params))
+    return stack_quantities(quantities) if isinstance(token, list) else quantities[0]
+
+
+# The object forms of "initial_state" besides {"set_id": ..., "params": ...},
+# with their keys and defaults; a key the model also has defaults to the model's.
+_STARTS = {"circular": {"a": 1.0, "theta": 0.0}, "random": {"seed": 0, "scale": 1.0}}
+
+
+def _initial_state(entry, params, dim: int, check: str) -> np.ndarray:
+    if entry is None:
+        raise UsageError('scenario needs an "initial_state" field')
+    if isinstance(entry, list):
+        return as_state(entry, dim)
+    if not isinstance(entry, dict):
+        raise UsageError('"initial_state" must be a vector or an object')
+    form = next((key for key in ("set_id", *_STARTS) if key in entry), None)
+    if form is None:
+        raise UsageError(f'"initial_state" object needs one of: set_id, {", ".join(_STARTS)}')
+    _fields(entry, {}, "initial_state.", check, ("set_id", "params") if form == "set_id" else (form,))
+    if form == "set_id":
+        if "n" not in params:
+            raise UsageError("explicit set samples apply to the lattice models")
+        p = _section(entry, "params")
+        family = _fields(p, dict.fromkeys(p, 0.0), "initial_state.params.", check)
+        return toda.explicit_set_sample(_value(entry, "set_id", "", "initial_state."), params["n"], family)
+    if form == "circular" and "a" not in params:
+        raise UsageError("circular samples apply to the kepler model")
+    defaults = {key: params.get(key, default) for key, default in _STARTS[form].items()}
+    v = _fields(_section(entry, form), defaults, f"initial_state.{form}.", check)
+    if form == "circular":
+        return kepler_model.circular_sample(v["a"], v["theta"])
+    return v["scale"] * np.random.default_rng(v["seed"]).standard_normal(dim)
 
 
 def run_scenario(config: dict[str, Any]) -> RunReport:
@@ -439,44 +459,26 @@ def run_scenario(config: dict[str, Any]) -> RunReport:
     (including hypothesis errors) are reported, not raised.
     """
     started = time.perf_counter()
-    check = config.get("check")
-    if check not in VALID_CHECKS:
-        raise UsageError(f"unknown check '{check}'; valid checks: {', '.join(VALID_CHECKS)}")
-    _check_keys(config, None, COMMON_KEYS + TOP_LEVEL_KEYS[check], f"the {check} check")
-    _check_keys(config, "tolerances", TOLERANCE_KEYS[check], f"the {check} check")
-    integ_keys = () if check == "oracle-equality" else INTEG_KEYS  # it integrates nothing
-    _check_keys(config, "integ", integ_keys, f"the {check} check")
-    kind, system, params = _model_of(config)
-
-    if check in ("rank-invariance", "n-invariance", "set-persistence"):
-        run = _run_invariance_check
-    elif check == "coincidence":
-        run = _run_coincidence
-    elif check == "oracle-equality":
-        run = _run_oracle_equality
-    else:
-        run = _run_drift
-    verdict, evidence, traj, quantity = run(config, kind, system, params)
-
+    s = _read(config)
+    verdict, evidence, traj = _CHECKS[s.check].run(s)
     return RunReport(
         label=str(config.get("label", "unnamed")),
-        check=check,
+        check=s.check,
         verdict=verdict,
         evidence=evidence,
         config=config,
         elapsed_seconds=time.perf_counter() - started,
-        flow=None if traj is None else (traj, quantity, system),
+        flow=None if traj is None else (traj, s.quantity, s.system),
     )
 
 
 def scenario_trajectory(config: dict[str, Any]) -> tuple[Trajectory, ConservedQuantitySet, SystemDefinition]:
-    """Integrate the scenario's model from its initial state (for exports)."""
-    top_level = COMMON_KEYS + TOP_LEVEL_KEYS.get(config.get("check"), _FLOW_KEYS)
-    _check_keys(config, None, top_level, "the trajectory export")
-    _check_keys(config, "integ", INTEG_KEYS, "the trajectory export")
-    kind, system, params = _model_of(config)
-    quantity, x0, t_end, kw = _flow_inputs(config, kind, system, params)
-    return flow_adaptive(system, x0, t_end, **kw), quantity, system
+    """Integrate the scenario's model from its initial state over the
+    check's horizon (for exports)."""
+    s = _read(config)
+    if not _CHECKS[s.check].integrates:
+        raise UsageError(f"the {s.check} check integrates no trajectory to export as CSV")
+    return flow_adaptive(s.system, s.x0, s.t_end, **s.integ), s.quantity, s.system
 
 
 def export_trajectory(

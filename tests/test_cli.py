@@ -200,24 +200,47 @@ def test_non_finite_t_end_exits_2_instead_of_hanging(tmp_path, t_end):
     assert f"t_end must be a positive finite number, got {t_end}" in done.stderr
 
 
+RANK = "toda-periodic-rank-pattern.json"
+ORACLE = "toda-periodic-henon-oracle.json"
+DRIFT = "toda-periodic-drift.json"
+KEPLER = "kepler-circular-coincidence.json"
+
+
 @pytest.mark.parametrize(
-    "change,named",
+    "scenario,change,flags,named",
     [
-        ({"model": {"kind": "toda-periodic", "n": "abc"}}, '"model.n" must be an integer'),
-        ({"model": {"kind": "toda-periodic", "n": 4.7}}, '"model.n" must be an integer, got 4.7'),
-        ({"tolerances": "x"}, '"tolerances" must be an object'),
-        ({"integ": "x"}, '"integ" must be an object'),
-        ({"integ": {"sample_count": "many"}}, '"integ.sample_count" must be an integer'),
-        ({"tolerances": {"conservation": "tight"}}, '"tolerances.conservation" must be a number'),
-        ({"t_end": [1.0]}, '"t_end" must be a number'),
-        ({"rank_tol": None}, '"rank_tol" must be a number'),
+        (RANK, {"model": {"kind": "toda-periodic", "n": "abc"}}, [], '"model.n" must be an integer'),
+        (RANK, {"model": {"kind": "toda-periodic", "n": 4.7}}, [], '"model.n" must be an integer, got 4.7'),
+        (RANK, {"tolerances": "x"}, [], '"tolerances" must be an object'),
+        (RANK, {"integ": "x"}, [], '"integ" must be an object'),
+        (RANK, {"integ": {"sample_count": "many"}}, [], '"integ.sample_count" must be an integer'),
+        (RANK, {"tolerances": {"conservation": "tight"}}, [], '"tolerances.conservation" must be a number'),
+        (RANK, {"t_end": [1.0]}, [], '"t_end" must be a number'),
+        (RANK, {"rank_tol": None}, [], '"rank_tol" must be a number'),
+        (RANK, {"check": ["drift"]}, [], "unknown check '['drift']'; valid checks: rank-invariance"),
+        (RANK, {"model": {"kind": {}}}, [], "unknown model '{}'; valid models: kepler"),
+        # these passed with no sample checked, failed, or raised a traceback
+        (ORACLE, {"samples": 0}, [], '"samples" must be at least 1, got 0'),
+        (ORACLE, {"samples": -5}, [], '"samples" must be at least 1, got -5'),
+        (ORACLE, {"seed": -1}, [], '"seed" must be at least 0, got -1'),
+        (DRIFT, {"tolerances": {"drift": -1}}, [], '"tolerances.drift" must be positive and finite, got -1.0'),
+        (KEPLER, {"tolerances": {"deviation": float("nan")}}, [], '"tolerances.deviation" must be positive and finite, got nan'),
+        (DRIFT, {}, ["--tolerance", "drift=-1"], '"tolerances.drift" must be positive and finite, got -1.0'),
+        (KEPLER, {}, ["--tolerance", "deviation=nan"], '"tolerances.deviation" must be positive and finite, got nan'),
+        (RANK, {"model": {"kind": "toda-periodic", "n": float("inf")}}, [], '"model.n" must be an integer, got inf'),
+        (RANK, {"initial_state": {"set_id": ["M2_I123"]}}, [], '"initial_state.set_id" must be a string'),
     ],
-    ids=["model-n", "model-n-fraction", "tolerances", "integ", "sample-count", "tolerance-value", "t-end", "rank-tol"],
+    ids=[
+        "model-n", "model-n-fraction", "tolerances", "integ", "sample-count", "tolerance-value", "t-end",
+        "rank-tol", "check-list", "model-kind-object", "samples-zero", "samples-negative",
+        "seed-negative", "tolerance-negative", "tolerance-nan", "tolerance-flag-negative",
+        "tolerance-flag-nan", "model-n-inf", "set-id-list",
+    ],
 )
-def test_malformed_config_types_are_config_errors(tmp_path, capsys, change, named):
-    config = load_scenario(SCENARIO_DIR / "toda-periodic-rank-pattern.json")
+def test_malformed_config_types_are_config_errors(tmp_path, capsys, scenario, change, flags, named):
+    config = load_scenario(SCENARIO_DIR / scenario)
     config.update(change)
-    code = main(["run", _write(tmp_path, config)])
+    code = main(["run", _write(tmp_path, config)] + flags)
     err = capsys.readouterr().err
     assert code == 2
     assert named in err
@@ -256,13 +279,26 @@ def test_csv_sigma_columns_are_the_per_sample_singular_values(tmp_path, capsys):
         ("toda-periodic-henon-oracle.json", "tolerances", "drift", "value, gradient"),
         ("toda-periodic-rank-generic.json", "integ", "abs_tl", "abs_tol, rel_tol, sample_count"),
         ("toda-periodic-henon-oracle.json", "integ", "abs_tol", "none"),
+        ("toda-periodic-rank-pattern.json", "model", "N", "kind, n"),
+        ("kepler-circular-coincidence.json", "initial_state.circular", "radius", "a, theta"),
+        ("toda-periodic-drift.json", "initial_state.random", "sed", "seed, scale"),
+        # a second start form used to lose silently to the first
+        ("toda-periodic-rank-pattern.json", "initial_state", "circular", "set_id, params"),
     ],
-    ids=["drift", "coincidence", "n-invariance", "oracle", "integ", "oracle-integ"],
+    ids=[
+        "drift", "coincidence", "n-invariance", "oracle", "integ", "oracle-integ", "model",
+        "circular", "random", "two-start-forms",
+    ],
 )
 def test_unknown_config_key_is_a_config_error(tmp_path, capsys, scenario, section, key, valid):
     # a misspelt key used to fall back to its default silently
     config = load_scenario(SCENARIO_DIR / scenario)
-    config.setdefault(section, {})[key] = 1e-30
+    target = config
+    for part in section.split("."):  # a vector start becomes an empty object
+        if not isinstance(target.get(part), dict):
+            target[part] = {}
+        target = target[part]
+    target[key] = 1e-30
     assert main(["run", _write(tmp_path, config)]) == 2
     err = capsys.readouterr().err
     assert f'unknown key "{section}.{key}"' in err
@@ -308,8 +344,10 @@ def _count_flows(monkeypatch):
         ("kepler-circular-coincidence.json", {}, 0, 2),
         # a start off the family stops at the premise: only the export integrates
         ("toda-periodic-persist-M1I13.json", {"initial_state": [1.0] * 8, "set_id": "M1_I13"}, 1, 1),
+        # without t_end both run to the check's own horizon, one period 2*pi*a^3
+        ("kepler-circular-coincidence-a15.json", {"t_end": None}, 0, 2),
     ],
-    ids=["rank", "coincidence", "premise-failed"],
+    ids=["rank", "coincidence", "premise-failed", "coincidence-default-horizon"],
 )
 def test_run_csv_exports_the_checks_own_trajectory(
     tmp_path, capsys, monkeypatch, scenario, change, code, flows
@@ -317,6 +355,7 @@ def test_run_csv_exports_the_checks_own_trajectory(
     # the coincidence check integrates the F- and G-driven flows; --csv adds none
     config = load_scenario(SCENARIO_DIR / scenario)
     config.update(change)
+    config = {key: value for key, value in config.items() if value is not None}
     path = _write(tmp_path, config)
     calls = _count_flows(monkeypatch)
     assert main(["run", path, "--sample-count", "21", "--csv", str(tmp_path / "run.csv")]) == code
@@ -365,3 +404,11 @@ def test_coincidence_reads_only_the_energy_quantity(tmp_path, capsys, quantity):
         del config["quantity"]
     assert main(["run", _write(tmp_path, config)]) == 2
     assert 'the coincidence check needs "quantity": "H"' in capsys.readouterr().err
+
+
+def test_set_persistence_quantity_must_be_the_sets_own_stack(tmp_path, capsys):
+    # the check certifies set M1_I13 for the stack I1, I3; "I2" used to pass unnoticed
+    config = load_scenario(SCENARIO_DIR / "toda-periodic-persist-M1I13.json")
+    config["quantity"] = "I2"
+    assert main(["run", _write(tmp_path, config)]) == 2
+    assert 'set M1_I13 is a level set of I1, I3, but "quantity" selects I2' in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,16 @@ def test_rank_threshold_is_strictly_greater():
     # a singular value exactly at the threshold is dropped (deterministic tie-break)
     decision = numerical_rank(np.diag([1.0, 1e-8]), rel_tol=1e-8)
     assert decision.rank == 1
+
+
+def test_dropped_subnormal_singular_value_raises_no_overflow_warning():
+    # threshold / sigma overflows to inf, the intended ratio of a dropped
+    # value, so the margin is the kept value's 1e10 / (1e-8 * 1e10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        decision = numerical_rank(np.diag([1e10, 1e-307]))
+    assert decision.rank == 1
+    assert decision.margin == pytest.approx(1e8, rel=1e-12)
 
 
 def test_rank_tolerance_validation():
