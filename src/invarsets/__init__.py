@@ -43,7 +43,6 @@ from .rank_sets import (
     RankDecision,
     RankDecisions,
     SetMembership,
-    in_critical_set,
     in_vanishing_set,
     numerical_rank,
     rank_level,
@@ -51,15 +50,10 @@ from .rank_sets import (
 )
 from .coincidence import (
     CoincidenceReport,
-    DerivativeStack,
     GradientDrivenSystem,
     agreement_residual,
     assemble_system,
-    build_perturbed_pair,
-    build_poisson_system,
     canonical_symplectic_matrix,
-    derivative_stack,
-    perturbed_pair_coincidence,
     verify_coincidence,
 )
 
@@ -93,21 +87,15 @@ __all__ = [
     "rank_level",
     "rank_levels",
     "in_vanishing_set",
-    "in_critical_set",
     "InvarianceReport",
     "verify_rank_invariance",
     "verify_vanishing_invariance",
     "verify_set_persistence",
     "verify_critical_invariance",
     "CoincidenceReport",
-    "DerivativeStack",
     "GradientDrivenSystem",
-    "derivative_stack",
     "agreement_residual",
     "assemble_system",
     "verify_coincidence",
-    "build_poisson_system",
-    "build_perturbed_pair",
-    "perturbed_pair_coincidence",
     "canonical_symplectic_matrix",
 ]

@@ -20,10 +20,8 @@ from .core import (
     SystemDefinition,
     as_state,
     as_states,
-    evaluate_field,
-    zero_quantity,
 )
-from .differentiate import _jacobian_stack, jacobian, jacobians, partial_tensor
+from .differentiate import _jacobian_stack, jacobians, partial_tensor
 from .errors import IntegrationError, NumericError, UsageError
 from .integrate import (
     DEFAULT_ABS_TOL,
@@ -36,35 +34,6 @@ from .invariance import FAIL, HYPOTHESIS_ERROR, PASS
 
 DEFAULT_HYPOTHESIS_TOL = 1e-8
 DEFAULT_DEVIATION_TOL = 1e-6
-ANTISYMMETRY_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class DerivativeStack:
-    """Derivatives of a k-vector quantity flattened order by order.
-
-    ``blocks[l-1]`` holds all order-l partials in lexicographic
-    (component, multi-index) order, with the multi-index running over the
-    full product {0..n-1}^l (symmetric repeats included), so block l has
-    length k * n^l.  Order 1 is the row-major flattening of the Jacobian.
-    """
-
-    k: int
-    dim: int
-    order: int
-    blocks: tuple[np.ndarray, ...]
-
-    @property
-    def flat(self) -> np.ndarray:
-        return np.concatenate(self.blocks)
-
-
-def derivative_stack(quantity: ConservedQuantitySet, x, order: int = 1) -> DerivativeStack:
-    """Evaluate the derivative stack of ``quantity`` at ``x`` up to ``order``
-    (a batch of one)."""
-    xv = as_state(x, quantity.dim)
-    blocks = tuple(b[0] for b in _derivative_blocks(quantity, xv[None, :], order))
-    return DerivativeStack(k=quantity.k, dim=quantity.dim, order=order, blocks=blocks)
 
 
 def _derivative_blocks(
@@ -72,6 +41,11 @@ def _derivative_blocks(
 ) -> list[np.ndarray]:
     """Blocks of orders 1..``order`` on a validated ``(m, dim)`` stack,
     block l of shape ``(m, k * dim**l)``.
+
+    A row of block l holds all order-l partials of the k components in
+    lexicographic (component, multi-index) order, the multi-index running
+    over the full product {0..dim-1}^l (symmetric repeats included); the
+    flat stack ``base`` receives is the blocks concatenated in order.
 
     Where :func:`partial_tensor` would take the order-1 partials from the
     Jacobian rule (an analytic gradient, or no ``analytic_partial`` at
@@ -318,98 +292,3 @@ def canonical_symplectic_matrix(dof: int) -> np.ndarray:
     J[:dof, dof:] = np.eye(dof)
     J[dof:, :dof] = -np.eye(dof)
     return J
-
-
-def build_poisson_system(
-    structure,
-    quantity: ConservedQuantitySet,
-    probes=None,
-) -> GradientDrivenSystem:
-    """Assemble x' = Pi(x) grad F(x) for an antisymmetric matrix map Pi.
-
-    ``structure`` is either a constant (n, n) array or a callable state ->
-    (n, n).  Antisymmetry is verified at the probe states (default: the
-    origin plus eight seeded standard-normal states); a violation is a
-    construction error.  By antisymmetry the driving quantity is conserved
-    along the assembled field.
-    """
-    if quantity.k != 1:
-        raise UsageError("Poisson assembly drives a scalar quantity (k = 1)")
-    n = quantity.dim
-    if callable(structure):
-        pi_fn = structure
-    else:
-        const = np.asarray(structure, dtype=float)
-        pi_fn = lambda x, _c=const: _c
-
-    if probes is None:
-        rng = np.random.default_rng(181181)
-        probes = [np.zeros(n)] + [rng.standard_normal(n) for _ in range(8)]
-    for p in probes:
-        pi = np.asarray(pi_fn(np.asarray(p, dtype=float)), dtype=float)
-        if pi.shape != (n, n):
-            raise UsageError(f"structure matrix has shape {pi.shape}, expected ({n}, {n})")
-        asym = float(np.max(np.abs(pi + pi.T)))
-        if asym > ANTISYMMETRY_TOL:
-            raise UsageError(
-                f"structure matrix is not antisymmetric at a probe state: "
-                f"max |Pi + Pi^T| = {asym:.3e}"
-            )
-
-    def base(x, g, _pi=pi_fn):
-        return np.asarray(_pi(x), dtype=float) @ g
-
-    return assemble_system(base, quantity, order=1, label=f"poisson[{quantity.labels[0]}]")
-
-
-def build_perturbed_pair(
-    base_system: SystemDefinition,
-    perturbation: Callable[[np.ndarray], np.ndarray],
-    quantity: ConservedQuantitySet,
-) -> tuple[SystemDefinition, SystemDefinition]:
-    """The pair x' = h(x) and x' = h(x) + g(grad G(x)).
-
-    Requires ``g(0) = 0`` so the perturbation vanishes wherever the
-    gradient of G does; flows from such points then coincide (checked via
-    :func:`perturbed_pair_coincidence`).
-    """
-    if quantity.k != 1:
-        raise UsageError("perturbed pair drives a scalar quantity (k = 1)")
-    if quantity.dim != base_system.dim:
-        raise UsageError("quantity and base system dimensions differ")
-    g0 = np.asarray(perturbation(np.zeros(base_system.dim)), dtype=float)
-    if float(np.max(np.abs(g0))) > ANTISYMMETRY_TOL:
-        raise UsageError(
-            f"perturbation must vanish at zero gradient: |g(0)| = {np.max(np.abs(g0)):.3e}"
-        )
-
-    def pert_field(x, _h=base_system, _g=perturbation, _q=quantity):
-        return evaluate_field(_h, x) + np.asarray(_g(jacobian(_q, x)[0]), dtype=float)
-
-    perturbed = SystemDefinition(
-        dim=base_system.dim,
-        field=pert_field,
-        label=f"{base_system.label}+perturbation",
-        component_names=base_system.component_names,
-    )
-    return base_system, perturbed
-
-
-def perturbed_pair_coincidence(
-    base_system: SystemDefinition,
-    perturbation: Callable[[np.ndarray], np.ndarray],
-    quantity: ConservedQuantitySet,
-    x0,
-    t_end: float,
-    **kwargs,
-) -> CoincidenceReport:
-    """Coincidence of the unperturbed and perturbed flows from a point
-    where grad G vanishes, via the zero quantity as the first driver."""
-    build_perturbed_pair(base_system, perturbation, quantity)  # construction-time checks
-
-    def base(x, g):
-        return evaluate_field(base_system, x) + np.asarray(perturbation(g), dtype=float)
-
-    return verify_coincidence(
-        base, zero_quantity(base_system.dim), quantity, x0, t_end, order=1, **kwargs
-    )

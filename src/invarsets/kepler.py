@@ -16,6 +16,21 @@ from .core import ConservedQuantitySet, SystemDefinition, stack_quantities
 from .errors import NumericError, UsageError
 
 
+def valid_radius(a: float) -> bool:
+    """Is ``a`` a usable radius parameter: positive, with a^3 and 1/a^3
+    finite and non-zero?"""
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        cube = np.float64(a) ** 3
+        return bool(a > 0 and 0.0 < cube < np.inf and 0.0 < 1.0 / cube < np.inf)
+
+
+def _radius(a: float) -> None:
+    if not valid_radius(a):
+        raise UsageError(
+            f"radius parameter a must be positive, with a^3 and 1/a^3 finite and non-zero, got {a}"
+        )
+
+
 def kepler_field() -> SystemDefinition:
     """(x1', x2', y1', y2') = (y1, y2, -x1/|x|^3, -x2/|x|^3)."""
 
@@ -82,8 +97,7 @@ def angular_momentum() -> ConservedQuantitySet:
 def combined_invariant(a: float) -> ConservedQuantitySet:
     """K = H + A/a^3; its gradient vanishes exactly on the radius-a^2
     clockwise circular orbits."""
-    if a <= 0:
-        raise UsageError(f"radius parameter a must be positive, got {a}")
+    _radius(a)
     H, A = hamiltonian(), angular_momentum()
     inv_a3 = 1.0 / a**3
 
@@ -101,8 +115,7 @@ def combined_invariant(a: float) -> ConservedQuantitySet:
 def linear_pair_hamiltonian(a: float) -> ConservedQuantitySet:
     """-A/a^3: the quadratic generator whose canonical flow is
     :func:`linear_pair_field`.  Satisfies H - (-A/a^3) = K."""
-    if a <= 0:
-        raise UsageError(f"radius parameter a must be positive, got {a}")
+    _radius(a)
     A = angular_momentum()
     c = -1.0 / a**3
 
@@ -132,8 +145,7 @@ def circular_sample(a: float, theta: float) -> np.ndarray:
     round-off; the flow through it is the circle itself with period
     2*pi*a^3.
     """
-    if a <= 0:
-        raise UsageError(f"radius parameter a must be positive, got {a}")
+    _radius(a)
     s, c = np.sin(theta), np.cos(theta)
     return np.array([a * a * s, a * a * c, c / a, -s / a])
 
@@ -144,8 +156,7 @@ def linear_pair_field(a: float) -> SystemDefinition:
     This is the canonical flow of -A/a^3; it matches the Kepler field at
     every point of the radius-a^2 circular family and nowhere else.
     """
-    if a <= 0:
-        raise UsageError(f"radius parameter a must be positive, got {a}")
+    _radius(a)
     inv_a3 = 1.0 / a**3
 
     def field(z):

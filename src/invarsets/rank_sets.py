@@ -1,5 +1,6 @@
-"""Tolerance-based classification into rank-level, derivative-vanishing,
-and critical sets of a conserved quantity.
+"""Tolerance-based classification into rank-level and derivative-vanishing
+sets of a conserved quantity; the critical set is the union of the rank
+levels below the maximum rank k.
 
 Rank decisions come from singular values: with threshold tau relative to
 the largest singular value, the numerical rank is the count of singular
@@ -203,19 +204,3 @@ def in_vanishing_set(
         threshold=threshold,
     )
 
-
-def in_critical_set(
-    quantity: ConservedQuantitySet, x, rel_tol: float = DEFAULT_RANK_TOL
-) -> SetMembership:
-    """Is the Jacobian rank at ``x`` below the maximum rank k?"""
-    decision = rank_level(quantity, x, rel_tol)
-    sigma_k = decision.singular_values[quantity.k - 1] if decision.singular_values else 0.0
-    verdict = decision.rank < quantity.k
-    return SetMembership(
-        set_kind="critical",
-        parameter=quantity.k,
-        verdict=verdict,
-        residual=sigma_k - decision.threshold,
-        margin=decision.margin,
-        threshold=decision.threshold,
-    )

@@ -28,7 +28,7 @@ from .core import (
     format_float,
     stack_quantities,
 )
-from .differentiate import jacobian, jacobians
+from .differentiate import jacobians
 from .errors import UsageError
 from .integrate import (
     DEFAULT_ABS_TOL,
@@ -42,6 +42,7 @@ from .invariance import (
     DEFAULT_CONSERVATION_TOL,
     FAIL,
     PASS,
+    verify_critical_invariance,
     verify_rank_invariance,
     verify_set_persistence,
     verify_vanishing_invariance,
@@ -128,13 +129,19 @@ def _fields(section, defaults: dict[str, Any], where: str, check: str, other=())
 
 _KINDS = {int: "an integer", float: "a number", str: "a string"}
 _AT_LEAST = {"seed": 0, "samples": 1}  # integer settings no library call range-checks
+_AT_MOST = {"n": 256, "samples": 10_000, "sample_count": 10_001}  # sizes that keep arrays small
+# settings with a domain of their own: the test and what it asks for
+_DOMAINS = {
+    "rank_tol": (lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
+    "a": (kepler_model.valid_radius, "be positive, with a^3 and 1/a^3 finite and non-zero"),
+}
 
 
 def _value(section, key: str, default, where: str = ""):
     """``section[key]`` (or ``default``) as the type of ``default``.  A value
     that does not convert, an integer setting with a fractional part, or a
-    setting below its floor in ``_AT_LEAST`` is a configuration error naming
-    the key."""
+    setting outside its bounds in ``_AT_LEAST``, ``_AT_MOST`` or ``_DOMAINS``
+    is a configuration error naming the key."""
     raw = section.get(key, default)
     kind = type(default)
     try:
@@ -147,6 +154,10 @@ def _value(section, key: str, default, where: str = ""):
         raise UsageError(f'"{where}{key}" must be {_KINDS[kind]}, got {raw!r}') from None
     if key in _AT_LEAST and value < _AT_LEAST[key]:
         raise UsageError(f'"{where}{key}" must be at least {_AT_LEAST[key]}, got {value}')
+    if key in _AT_MOST and value > _AT_MOST[key]:
+        raise UsageError(f'"{where}{key}" must be at most {_AT_MOST[key]}, got {value}')
+    if key in _DOMAINS and not _DOMAINS[key][0](value):
+        raise UsageError(f'"{where}{key}" must {_DOMAINS[key][1]}, got {value!r}')
     return value
 
 
@@ -202,7 +213,9 @@ def _invariance_outcome(rep, **evidence) -> _Outcome:
 
 
 def _run_rank(s: _Scenario) -> _Outcome:
-    rep = verify_rank_invariance(
+    """The rank-invariance and critical-invariance checks."""
+    verify = verify_critical_invariance if s.check == "critical-invariance" else verify_rank_invariance
+    rep = verify(
         s.system, s.quantity, s.x0, s.t_end,
         rank_tol=s.keys["rank_tol"], conservation_tol=s.tol["conservation"], **s.integ,
     )
@@ -272,34 +285,34 @@ def _run_oracle_equality(s: _Scenario) -> _Outcome:
     value_tol, gradient_tol = s.tol["value"], s.tol["gradient"]
     rng = np.random.default_rng(seed)
 
-    # per invariant: the closed form, an independent value and a quantity
-    # whose finite-difference Jacobian checks the closed-form gradient
+    # per invariant: the closed form, independent values on a stack of
+    # states and a quantity whose finite-difference Jacobian checks the
+    # closed-form gradient
     references = []
     if s.kind == "toda-periodic":
         dim, lax = 2 * n, None
         for m in (1, 2, 3):
             enum = toda.henon_invariant_oracle(n, m)
-            value = lambda z, _e=enum: _e.values_at(z)[0]
-            references.append((toda.henon_closed_form(n, m), value, enum))
+            values = lambda zs, _e=enum: _e.values_many(zs)[:, 0]
+            references.append((toda.henon_closed_form(n, m), values, enum))
     else:
         dim, lax = 2 * n - 1, toda.lax_commutator_residual
         for k in (1, 2, 3):
             q = toda.flaschka_invariant(n, k)
-            value = lambda z, _k=k: toda.trace_invariant_value(n, _k, z)
-            references.append((q, value, ConservedQuantitySet(dim, 1, q.value, q.labels)))
+            values = lambda zs, _k=k: np.array([toda.trace_invariant_value(n, _k, z) for z in zs])
+            references.append((q, values, ConservedQuantitySet(dim, 1, q.value, q.labels)))
 
-    worst_value = worst_gradient = worst_lax = 0.0
-    for _ in range(samples):
-        z = rng.standard_normal(dim)
-        for closed, value, fd_quantity in references:
-            a = float(closed.values_at(z)[0])
-            worst_value = max(worst_value, abs(a - float(value(z))) / max(1.0, abs(a)))
-            g = jacobian(closed, z)
-            fd = jacobian(fd_quantity, z)
-            scale = max(1.0, float(np.max(np.abs(g))))
-            worst_gradient = max(worst_gradient, float(np.max(np.abs(g - fd))) / scale)
-        if lax is not None:
-            worst_lax = max(worst_lax, lax(n, z))
+    # one draw of the (samples, dim) block is the same stream as one draw
+    # per sample; only the point oracles walk its rows
+    zs = rng.standard_normal((samples, dim))
+    worst_value = worst_gradient = 0.0
+    for closed, values, fd_quantity in references:
+        a = closed.values_many(zs)[:, 0]
+        worst_value = max(worst_value, float(np.max(np.abs(a - values(zs)) / np.maximum(1.0, np.abs(a)))))
+        g, fd = jacobians(closed, zs), jacobians(fd_quantity, zs)
+        scales = np.maximum(1.0, np.abs(g).max(axis=(1, 2)))
+        worst_gradient = max(worst_gradient, float(np.max(np.abs(g - fd).max(axis=(1, 2)) / scales)))
+    worst_lax = max([0.0] + [lax(n, z) for z in zs]) if lax is not None else 0.0
     ok = worst_value <= value_tol and worst_gradient <= gradient_tol and worst_lax <= value_tol
     evidence = {
         "samples": samples, "seed": seed, "max_value_mismatch": worst_value,
@@ -328,10 +341,10 @@ class _Check:
     quantity: str = ""  # the one quantity token it reads; "" for any
 
 
+_RANK = _Check(_run_rank, {"rank_tol": DEFAULT_RANK_TOL}, {"conservation": DEFAULT_CONSERVATION_TOL})
 _CHECKS = {
-    "rank-invariance": _Check(
-        _run_rank, {"rank_tol": DEFAULT_RANK_TOL}, {"conservation": DEFAULT_CONSERVATION_TOL}
-    ),
+    "rank-invariance": _RANK,
+    "critical-invariance": _RANK,
     "n-invariance": _Check(
         _run_vanishing, {"order": 1},
         {"vanishing": DEFAULT_VANISH_TOL, "conservation": DEFAULT_CONSERVATION_TOL},

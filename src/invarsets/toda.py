@@ -792,37 +792,3 @@ def reduced_dynamics(set_id: str) -> ReducedDynamics:
         )
     raise UsageError(f"no reduced dynamics for set '{set_id}' (supported: M2_I123, M2_F123)")
 
-
-# ---------------------------------------------------------------------------
-# physical coordinates
-# ---------------------------------------------------------------------------
-
-
-def physical_to_lattice(
-    displacements,
-    velocities,
-    mass: float,
-    spacing: float,
-    periodic: bool = True,
-) -> np.ndarray:
-    """Convert displacement/velocity coordinates into lattice variables.
-
-    ``X_i = (exp(-spacing)/mass) * exp(-(y_{i+1} - y_i))`` with the wrap
-    ``y_{n+1} = y_1`` for the periodic lattice and free ends otherwise.
-    The outputs are strictly positive, i.e. in the physical regime.
-    (The equilibrium spacing is nonzero for a genuine mechanical chain;
-    the conversion itself is defined for any real value.)
-    """
-    if mass <= 0:
-        raise UsageError(f"mass must be positive, got {mass}")
-    y = np.asarray(displacements, dtype=float)
-    u = np.asarray(velocities, dtype=float)
-    if y.ndim != 1 or y.shape != u.shape or y.size < 2:
-        raise UsageError("displacements and velocities must be equal-length vectors, n >= 2")
-    front = np.exp(-float(spacing)) / float(mass)
-    if periodic:
-        nxt, _ = _ring(y.size)
-        X = front * np.exp(-(y[nxt] - y))
-    else:
-        X = front * np.exp(-(y[1:] - y[:-1]))
-    return np.concatenate([X, u])

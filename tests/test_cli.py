@@ -9,14 +9,10 @@ import pytest
 
 from invarsets.cli import main
 from invarsets.report import export_trajectory, load_scenario, run_scenario, scenario_trajectory
-from invarsets import coincidence, flow_adaptive, invariance, jacobian, report, toda
+from invarsets import ConservedQuantitySet, coincidence, flow_adaptive, invariance, jacobian, report, toda
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
-
-EXPECTED_EXIT = {
-    # exit 0 iff the verdict is pass; the negative control exits 1 by contract
-    "kepler-offset-control.json": 1,
-}
+SHIPPED = sorted(SCENARIO_DIR.glob("*.json"))
 
 
 def _write(tmp_path, config):
@@ -26,21 +22,28 @@ def _write(tmp_path, config):
 
 
 def test_shipped_scenarios_exist():
-    assert len(sorted(SCENARIO_DIR.glob("*.json"))) >= 10
+    assert len(SHIPPED) >= 10
 
 
-@pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.json")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.name)
 def test_exit_code_contract_over_shipped_scenarios(path, capsys):
+    # exit 0 iff the verdict is pass, so a negative control exits 1
+    expected = 0 if load_scenario(path).get("expected_verdict", "pass") == "pass" else 1
     code = main(["run", str(path)])
     capsys.readouterr()
-    assert code == EXPECTED_EXIT.get(path.name, 0)
+    assert code == expected
 
 
 def test_run_all_shipped_scenarios(capsys):
     code = main(["run-all", str(SCENARIO_DIR)])
     out = capsys.readouterr().out
     assert code == 0
-    assert "12/12" in out or "matched their expected verdict" in out
+    assert f"{len(SHIPPED)}/{len(SHIPPED)} scenarios matched their expected verdict" in out
+
+
+def test_every_check_has_a_shipped_scenario():
+    shipped = {load_scenario(path)["check"] for path in SHIPPED}
+    assert shipped == set(report._CHECKS)
 
 
 def test_empty_set_config_is_a_config_error(tmp_path, capsys):
@@ -204,6 +207,8 @@ RANK = "toda-periodic-rank-pattern.json"
 ORACLE = "toda-periodic-henon-oracle.json"
 DRIFT = "toda-periodic-drift.json"
 KEPLER = "kepler-circular-coincidence.json"
+GENERIC = "toda-periodic-rank-generic.json"
+CRITICAL = "toda-periodic-critical-pattern.json"
 
 
 @pytest.mark.parametrize(
@@ -229,12 +234,27 @@ KEPLER = "kepler-circular-coincidence.json"
         (KEPLER, {}, ["--tolerance", "deviation=nan"], '"tolerances.deviation" must be positive and finite, got nan'),
         (RANK, {"model": {"kind": "toda-periodic", "n": float("inf")}}, [], '"model.n" must be an integer, got inf'),
         (RANK, {"initial_state": {"set_id": ["M2_I123"]}}, [], '"initial_state.set_id" must be a string'),
+        # these were reported as the library's rel_tol, which reads as integ.rel_tol
+        (GENERIC, {"rank_tol": 0}, [], '"rank_tol" must lie in (0, 1), got 0.0'),
+        (GENERIC, {"rank_tol": 1.5}, [], '"rank_tol" must lie in (0, 1), got 1.5'),
+        (GENERIC, {"rank_tol": float("nan")}, [], '"rank_tol" must lie in (0, 1), got nan'),
+        (GENERIC, {}, ["--rank-tol", "0"], '"rank_tol" must lie in (0, 1), got 0.0'),
+        (CRITICAL, {"rank_tol": 1.0}, [], '"rank_tol" must lie in (0, 1), got 1.0'),
+        # these ended in a traceback
+        (RANK, {"model": {"kind": "toda-periodic", "n": 10**30}}, [], '"model.n" must be at most 256'),
+        (RANK, {"integ": {"sample_count": 1e30}}, [], '"integ.sample_count" must be at most 10001'),
+        (ORACLE, {"samples": 10**12}, [], '"samples" must be at most 10000'),
+        (KEPLER, {"model": {"kind": "kepler", "a": 1e200}}, [], '"model.a" must be positive, with a^3'),
+        (KEPLER, {"model": {"kind": "kepler", "a": 1e-200}}, [], '"model.a" must be positive, with a^3'),
+        (KEPLER, {"initial_state": {"circular": {"a": 1e-200}}}, [], '"initial_state.circular.a" must be'),
     ],
     ids=[
         "model-n", "model-n-fraction", "tolerances", "integ", "sample-count", "tolerance-value", "t-end",
         "rank-tol", "check-list", "model-kind-object", "samples-zero", "samples-negative",
         "seed-negative", "tolerance-negative", "tolerance-nan", "tolerance-flag-negative",
-        "tolerance-flag-nan", "model-n-inf", "set-id-list",
+        "tolerance-flag-nan", "model-n-inf", "set-id-list", "rank-tol-zero", "rank-tol-above-one",
+        "rank-tol-nan", "rank-tol-flag-zero", "critical-rank-tol-one", "model-n-huge", "sample-count-huge",
+        "samples-huge", "model-a-huge", "model-a-tiny", "circular-a-tiny",
     ],
 )
 def test_malformed_config_types_are_config_errors(tmp_path, capsys, scenario, change, flags, named):
@@ -412,3 +432,51 @@ def test_set_persistence_quantity_must_be_the_sets_own_stack(tmp_path, capsys):
     config["quantity"] = "I2"
     assert main(["run", _write(tmp_path, config)]) == 2
     assert 'set M1_I13 is a level set of I1, I3, but "quantity" selects I2' in capsys.readouterr().err
+
+
+def _oracle_loop(kind, n, seed, samples):
+    """The per-sample oracle scan the stacked one replaced: one state drawn
+    and every reference evaluated at it, sample after sample."""
+    rng = np.random.default_rng(seed)
+    refs = []
+    if kind == "toda-periodic":
+        dim, lax = 2 * n, None
+        for m in (1, 2, 3):
+            enum = toda.henon_invariant_oracle(n, m)
+            refs.append((toda.henon_closed_form(n, m), lambda z, _e=enum: _e.values_at(z)[0], enum))
+    else:
+        dim, lax = 2 * n - 1, toda.lax_commutator_residual
+        for k in (1, 2, 3):
+            q = toda.flaschka_invariant(n, k)
+            fd = ConservedQuantitySet(dim, 1, q.value, q.labels)
+            refs.append((q, lambda z, _k=k: toda.trace_invariant_value(n, _k, z), fd))
+    worst_value = worst_gradient = worst_lax = 0.0
+    for _ in range(samples):
+        z = rng.standard_normal(dim)
+        for closed, value, fd_quantity in refs:
+            a = float(closed.values_at(z)[0])
+            worst_value = max(worst_value, abs(a - float(value(z))) / max(1.0, abs(a)))
+            g, fd = jacobian(closed, z), jacobian(fd_quantity, z)
+            scale = max(1.0, float(np.max(np.abs(g))))
+            worst_gradient = max(worst_gradient, float(np.max(np.abs(g - fd))) / scale)
+        if lax is not None:
+            worst_lax = max(worst_lax, lax(n, z))
+    return worst_value, worst_gradient, worst_lax
+
+
+@pytest.mark.parametrize(
+    "scenario,n,seed,samples",
+    [
+        ("toda-periodic-henon-oracle.json", 5, 20240901, 100),
+        ("toda-periodic-henon-oracle.json", 4, 7, 13),
+        ("toda-nonperiodic-flaschka-oracle.json", 4, 20240901, 100),
+        ("toda-nonperiodic-flaschka-oracle.json", 5, 7, 13),
+    ],
+)
+def test_stacked_oracle_evidence_equals_the_per_sample_loop(scenario, n, seed, samples):
+    config = load_scenario(SCENARIO_DIR / scenario)
+    config.update(seed=seed, samples=samples)
+    config["model"]["n"] = n
+    evidence = run_scenario(config).evidence
+    found = (evidence["max_value_mismatch"], evidence["max_gradient_mismatch"], evidence["max_lax_residual"])
+    assert found == _oracle_loop(config["model"]["kind"], n, seed, samples)

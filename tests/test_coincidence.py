@@ -8,21 +8,17 @@ from invarsets import (
     UsageError,
     agreement_residual,
     assemble_system,
-    build_perturbed_pair,
-    build_poisson_system,
     canonical_symplectic_matrix,
     conservation_residual,
-    derivative_stack,
     evaluate_field,
     jacobian,
     partial_tensor,
-    perturbed_pair_coincidence,
     stack_quantities,
     verify_coincidence,
     zero_quantity,
 )
 from invarsets import kepler, oscillator, toda
-from invarsets.coincidence import _difference_quantity
+from invarsets.coincidence import _derivative_blocks, _difference_quantity
 
 from conftest import random_kepler_states
 
@@ -30,6 +26,16 @@ from conftest import random_kepler_states
 def _symplectic_base():
     block = canonical_symplectic_matrix(2)
     return lambda x, g: block @ g
+
+
+def _poisson_system(structure, quantity):
+    """x' = Pi grad F(x) for a constant matrix Pi, as a driven system."""
+    return assemble_system(lambda x, g: structure @ g, quantity).system
+
+
+def _stack(quantity, x, order):
+    """The blocks of orders 1..order at one state, each a flat vector."""
+    return [b[0] for b in _derivative_blocks(quantity, np.array([x], dtype=float), order)]
 
 
 # ---------------------------------------------------------------------------
@@ -41,8 +47,7 @@ def test_stack_scalar_first_order_is_gradient():
     q = ConservedQuantitySet.scalar(
         2, lambda z: z[0] * z[1], "xy", gradient=lambda z: np.array([z[1], z[0]])
     )
-    stack = derivative_stack(q, np.array([2.0, 3.0]), 1)
-    assert np.array_equal(stack.flat, [3.0, 2.0])
+    assert np.array_equal(np.concatenate(_stack(q, [2.0, 3.0], 1)), [3.0, 2.0])
 
 
 def test_stack_vector_first_order_lexicographic():
@@ -53,16 +58,15 @@ def test_stack_vector_first_order_lexicographic():
         labels=("a", "b"),
         analytic_gradient=lambda z: np.array([[1.0, 0.0], [0.0, 2.0 * z[1]]]),
     )
-    stack = derivative_stack(q, np.array([0.0, 1.0]), 1)
-    assert np.array_equal(stack.flat, [1.0, 0.0, 0.0, 2.0])
+    assert np.array_equal(np.concatenate(_stack(q, [0.0, 1.0], 1)), [1.0, 0.0, 0.0, 2.0])
 
 
 def test_stack_second_order_block():
     q = ConservedQuantitySet.scalar(2, lambda z: z[0] * z[1], "xy")
-    stack = derivative_stack(q, np.array([2.0, 3.0]), 2)
-    assert np.allclose(stack.blocks[0], [3.0, 2.0], atol=1e-9)
-    assert np.allclose(stack.blocks[1], [0.0, 1.0, 1.0, 0.0], atol=1e-5)
-    assert stack.flat.size == 2 + 4
+    blocks = _stack(q, [2.0, 3.0], 2)
+    assert np.allclose(blocks[0], [3.0, 2.0], atol=1e-9)
+    assert np.allclose(blocks[1], [0.0, 1.0, 1.0, 0.0], atol=1e-5)
+    assert np.concatenate(blocks).size == 2 + 4
 
 
 # ---------------------------------------------------------------------------
@@ -188,26 +192,21 @@ def test_vector_valued_coincidence_smoke():
 
 
 def test_poisson_system_reproduces_kepler_field():
-    driven = build_poisson_system(canonical_symplectic_matrix(2), kepler.hamiltonian())
-    out = evaluate_field(driven.system, np.array([0.0, 1.0, 1.0, 0.0]))
+    system = _poisson_system(canonical_symplectic_matrix(2), kepler.hamiltonian())
+    out = evaluate_field(system, np.array([0.0, 1.0, 1.0, 0.0]))
     assert np.allclose(out, [1.0, 0.0, 0.0, -1.0], atol=0)
 
 
 def test_poisson_zero_structure_gives_equilibria():
-    driven = build_poisson_system(np.zeros((4, 4)), kepler.hamiltonian())
-    out = evaluate_field(driven.system, random_kepler_states(1, 7)[0])
+    system = _poisson_system(np.zeros((4, 4)), kepler.hamiltonian())
+    out = evaluate_field(system, random_kepler_states(1, 7)[0])
     assert np.array_equal(out, np.zeros(4))
 
 
-def test_poisson_rejects_symmetric_structure():
-    with pytest.raises(UsageError, match="antisymmetric"):
-        build_poisson_system(np.eye(4), kepler.hamiltonian())
-
-
 def test_poisson_conserves_its_driver():
-    driven = build_poisson_system(canonical_symplectic_matrix(2), kepler.hamiltonian())
+    system = _poisson_system(canonical_symplectic_matrix(2), kepler.hamiltonian())
     for x in random_kepler_states(20, 9):
-        res = conservation_residual(kepler.hamiltonian(), driven.system, x)
+        res = conservation_residual(kepler.hamiltonian(), system, x)
         assert abs(res[0]) < 1e-12 * max(1.0, np.linalg.norm(x))
 
 
@@ -216,8 +215,8 @@ def test_mutual_conservation_symmetry_under_fixed_structure():
     # G conserved along the F-flow; the two residuals are exact negatives
     block = canonical_symplectic_matrix(2)
     F, G = kepler.hamiltonian(), kepler.linear_pair_hamiltonian(1.0)
-    sys_f = build_poisson_system(block, F).system
-    sys_g = build_poisson_system(block, G).system
+    sys_f = _poisson_system(block, F)
+    sys_g = _poisson_system(block, G)
     for x in random_kepler_states(50, 21):
         r1 = conservation_residual(F, sys_g, x)[0]
         r2 = conservation_residual(G, sys_f, x)[0]
@@ -226,8 +225,8 @@ def test_mutual_conservation_symmetry_under_fixed_structure():
 
 
 def test_quadratic_driver_yields_linear_system():
-    driven = build_poisson_system(canonical_symplectic_matrix(2), kepler.linear_pair_hamiltonian(1.4))
-    f = lambda s: evaluate_field(driven.system, s)
+    system = _poisson_system(canonical_symplectic_matrix(2), kepler.linear_pair_hamiltonian(1.4))
+    f = lambda s: evaluate_field(system, s)
     z = random_kepler_states(1, 23)[0]
     w = random_kepler_states(1, 29)[0]
     assert np.allclose(f(2.5 * z), 2.5 * f(z), rtol=1e-13)
@@ -235,23 +234,28 @@ def test_quadratic_driver_yields_linear_system():
 
 
 # ---------------------------------------------------------------------------
-# perturbed pairs
+# perturbed pairs: x' = h(x) is driven by the zero quantity and
+# x' = h(x) + g(grad G(x)) by G, so with g(0) = 0 their flows coincide from
+# wherever grad G vanishes
 # ---------------------------------------------------------------------------
+
+
+def _perturbed_base(system, perturbation):
+    return lambda x, g: evaluate_field(system, x) + np.asarray(perturbation(g), dtype=float)
+
+
+def _perturbed_pair_coincidence(perturbation, x0, t_end, **kwargs):
+    system, G = oscillator.harmonic_oscillator(), oscillator.unit_circle_power(2)
+    base = _perturbed_base(system, perturbation)
+    return verify_coincidence(base, zero_quantity(2), G, x0, t_end, **kwargs)
 
 
 def test_perturbed_pair_flows_coincide_on_circle_short_horizon():
     # the outward-pushing perturbation makes the circle repelling for the
     # perturbed flow (radial error grows like e^{8t}), so round-off limits
     # the certifiable horizon; t = 1 keeps the amplification ~3e3
-    report = perturbed_pair_coincidence(
-        oscillator.harmonic_oscillator(),
-        lambda g: g,
-        oscillator.unit_circle_power(2),
-        [1.0, 0.0],
-        1.0,
-        deviation_tol=1e-8,
-        abs_tol=1e-12,
-        rel_tol=1e-12,
+    report = _perturbed_pair_coincidence(
+        lambda g: g, [1.0, 0.0], 1.0, deviation_tol=1e-8, abs_tol=1e-12, rel_tol=1e-12
     )
     assert report.verdict == "pass"
     assert report.max_deviation < 1e-8
@@ -260,58 +264,37 @@ def test_perturbed_pair_flows_coincide_on_circle_short_horizon():
 def test_perturbed_pair_stable_orientation_full_period():
     # the inward-pushing orientation makes the circle attracting, so the
     # coincidence is certifiable over a full period
-    report = perturbed_pair_coincidence(
-        oscillator.harmonic_oscillator(),
-        lambda g: -g,
-        oscillator.unit_circle_power(2),
-        [1.0, 0.0],
-        2 * np.pi,
-        deviation_tol=1e-8,
-    )
+    report = _perturbed_pair_coincidence(lambda g: -g, [1.0, 0.0], 2 * np.pi, deviation_tol=1e-8)
     assert report.verdict == "pass"
     assert report.max_deviation < 1e-8
 
 
 def test_perturbed_pair_off_circle_is_hypothesis_error():
-    report = perturbed_pair_coincidence(
-        oscillator.harmonic_oscillator(),
-        lambda g: g,
-        oscillator.unit_circle_power(2),
-        [2.0, 0.0],
-        2 * np.pi,
-    )
+    report = _perturbed_pair_coincidence(lambda g: g, [2.0, 0.0], 2 * np.pi)
     assert report.verdict == "hypothesis-error"
 
 
 def test_perturbed_pair_zero_perturbation_identical_systems():
-    base, perturbed = build_perturbed_pair(
-        oscillator.harmonic_oscillator(), lambda g: np.zeros(2), oscillator.unit_circle_power(2)
-    )
+    system, G = oscillator.harmonic_oscillator(), oscillator.unit_circle_power(2)
+    perturbed = assemble_system(_perturbed_base(system, lambda g: np.zeros(2)), G).system
     x = np.array([0.3, 0.4])
-    assert np.array_equal(evaluate_field(base, x), evaluate_field(perturbed, x))
-
-
-def test_perturbed_pair_requires_vanishing_at_zero():
-    with pytest.raises(UsageError, match="vanish"):
-        build_perturbed_pair(
-            oscillator.harmonic_oscillator(),
-            lambda g: g + 1.0,
-            oscillator.unit_circle_power(2),
-        )
+    assert np.array_equal(evaluate_field(system, x), evaluate_field(perturbed, x))
 
 
 def test_perturbed_pair_fields():
-    base, perturbed = build_perturbed_pair(
-        oscillator.harmonic_oscillator(), lambda g: g, oscillator.unit_circle_power(2)
-    )
+    system, G = oscillator.harmonic_oscillator(), oscillator.unit_circle_power(2)
+    base = _perturbed_base(system, lambda g: g)
+    unperturbed = assemble_system(base, zero_quantity(2)).system
+    perturbed = assemble_system(base, G).system
     x = np.array([2.0, 0.0])
-    g = jacobian(oscillator.unit_circle_power(2), x)[0]
-    assert np.allclose(evaluate_field(perturbed, x), evaluate_field(base, x) + g, atol=0)
+    g = jacobian(G, x)[0]
+    assert np.array_equal(evaluate_field(unperturbed, x), evaluate_field(system, x))
+    assert np.allclose(evaluate_field(perturbed, x), evaluate_field(system, x) + g, atol=0)
 
 
 def test_zero_quantity_stack_is_zero():
-    stack = derivative_stack(zero_quantity(3), np.array([1.0, 2.0, 3.0]), 2)
-    assert np.array_equal(stack.flat, np.zeros(3 + 9))
+    blocks = _stack(zero_quantity(3), [1.0, 2.0, 3.0], 2)
+    assert np.array_equal(np.concatenate(blocks), np.zeros(3 + 9))
 
 
 def test_assembled_system_label():
@@ -363,7 +346,6 @@ def test_order1_block_equals_partial_tensor_flatten(seed, count):
         for x, g in zip(xs, seen):
             expected = partial_tensor(q, x, 1).flatten(1)
             assert np.array_equal(g, expected), label
-            assert np.array_equal(derivative_stack(q, x, 1).blocks[0], expected), label
 
 
 @STACK_SETTINGS
@@ -441,13 +423,8 @@ def test_stacked_scan_drift_equals_point_loop_second_order(start):
 def test_stacked_scan_drift_equals_point_loop_perturbed_pair(start):
     # the inward-pushing perturbation keeps the off-circle start integrable
     system, G = oscillator.harmonic_oscillator(), oscillator.unit_circle_power(2)
-
-    def base(x, g):
-        return evaluate_field(system, x) - g
-
-    report = _assert_scan_matches_loop(base, zero_quantity(2), G, np.array(start), 1.0, sample_count=41)
-    direct = perturbed_pair_coincidence(system, lambda g: -g, G, start, 1.0, sample_count=41)
-    assert report.difference_drift == direct.difference_drift
+    base = _perturbed_base(system, lambda g: -g)
+    _assert_scan_matches_loop(base, zero_quantity(2), G, np.array(start), 1.0, sample_count=41)
 
 
 def test_stacked_scan_on_batched_quantities_calls_them_on_stacks():

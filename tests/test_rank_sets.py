@@ -6,7 +6,6 @@ import pytest
 from invarsets import (
     ConservedQuantitySet,
     UsageError,
-    in_critical_set,
     in_vanishing_set,
     jacobian,
     numerical_rank,
@@ -129,20 +128,29 @@ def test_vanishing_residual_sign_convention():
     assert outside.residual > 0 and not outside.verdict
 
 
+def _critical(q, x):
+    """Is x a critical point of q: Jacobian rank below the maximum k?"""
+    return rank_level(q, x).rank < q.k
+
+
 def test_critical_set_membership():
     q = toda.periodic_invariants(4)
     pattern = np.array([0.3, 0.7, 0.3, 0.7, 0.5, -0.2, 0.5, -0.2])
-    assert in_critical_set(q, pattern).verdict is True
-    assert in_critical_set(q, random_states(8, 1, 13)[0]).verdict is False
+    assert _critical(q, pattern)
+    assert not _critical(q, random_states(8, 1, 13)[0])
     # a constant full-rank row is never critical
-    assert in_critical_set(toda.henon_closed_form(4, 1), random_states(8, 1, 15)[0]).verdict is False
+    assert not _critical(toda.henon_closed_form(4, 1), random_states(8, 1, 15)[0])
 
 
 def test_critical_residual_sign_convention():
+    # the k-th singular value sits below the rank threshold exactly at
+    # critical points
     q = toda.periodic_invariants(4)
     pattern = np.array([0.3, 0.7, 0.3, 0.7, 0.5, -0.2, 0.5, -0.2])
-    assert in_critical_set(q, pattern).residual < 0
-    assert in_critical_set(q, random_states(8, 1, 17)[0]).residual > 0
+    for x, critical in [(pattern, True), (random_states(8, 1, 17)[0], False)]:
+        decision = rank_level(q, x)
+        assert (decision.singular_values[q.k - 1] < decision.threshold) is critical
+        assert _critical(q, x) is critical
 
 
 def test_classification_is_a_partition():

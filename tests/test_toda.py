@@ -304,34 +304,3 @@ def test_reduced_dynamics_unknown_family():
     with pytest.raises(UsageError):
         toda.reduced_dynamics("M1_I13")
 
-
-# ---------------------------------------------------------------------------
-# physical coordinates
-# ---------------------------------------------------------------------------
-
-
-def test_physical_to_lattice_identity_case():
-    state = toda.physical_to_lattice(np.zeros(3), np.zeros(3), mass=1.0, spacing=0.0)
-    assert np.array_equal(state[:3], np.ones(3))
-
-
-def test_physical_to_lattice_spacing_scaling():
-    state = toda.physical_to_lattice(np.zeros(3), np.zeros(3), mass=1.0, spacing=np.log(2.0))
-    assert np.allclose(state[:3], 0.5)
-
-
-def test_physical_to_lattice_displacement():
-    state = toda.physical_to_lattice(
-        np.array([0.0, np.log(2.0)]), np.zeros(2), mass=2.0, spacing=0.0, periodic=False
-    )
-    assert state[0] == pytest.approx(0.25)
-    assert state.shape == (3,)
-
-
-def test_physical_to_lattice_positive_and_guarded():
-    rng = np.random.default_rng(97)
-    y, v = rng.standard_normal(5), rng.standard_normal(5)
-    state = toda.physical_to_lattice(y, v, mass=1.3, spacing=0.4)
-    assert np.all(state[:5] > 0)
-    with pytest.raises(UsageError):
-        toda.physical_to_lattice(y, v, mass=0.0, spacing=0.4)
