@@ -1,8 +1,17 @@
 """Trajectory generation and conserved-quantity drift monitoring.
 
-The adaptive path wraps scipy's Dormand-Prince 5(4) pair with dense
-sampling on a uniform grid; the fixed path is a hand-rolled classic RK4
-that serves as an independent cross-check of the adaptive integrator.
+The adaptive path is an own Dormand-Prince 5(4) stepper (Dormand and
+Prince 1980; Hairer, Norsett and Wanner, *Solving ODEs I*, II.4-II.6) with
+Shampine's quartic dense output, sampled on a uniform grid.  Its step
+controller is the standard one: safety factor 0.9, step changes clamped to
+[0.2, 10], exponent -1/5, the RMS error norm weighted by
+``abs_tol + max(|y|, |y_new|) * rel_tol``, the Hairer-Norsett-Wanner
+initial-step heuristic, and a failure once a step would fall below ten
+spacings of the floats at the current time.  Every constant and every
+floating-point operation is the one scipy's ``RK45`` uses, so the two
+produce the same trajectories bit for bit.  The fixed path is a
+hand-rolled classic RK4 that serves as an independent cross-check of the
+adaptive integrator.
 Default tolerances are 1e-10 so that downstream theorem checks comparing
 residuals at ~1e-7 sit comfortably above the integration error.
 
@@ -12,10 +21,10 @@ integration is sequential, and trajectories are immutable once returned.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .core import ConservedQuantitySet, SystemDefinition, as_state, evaluate_field
 from .errors import IntegrationError, NumericError, UsageError
@@ -24,6 +33,36 @@ DEFAULT_ABS_TOL = 1e-10
 DEFAULT_REL_TOL = 1e-10
 DEFAULT_SAMPLE_COUNT = 401
 MAX_FIXED_STEPS = 10**7
+
+# Dormand-Prince 5(4): stage matrix, 5th-order weights, error weights (5th
+# minus 4th order, with the FSAL stage last) and Shampine's dense-output
+# matrix, written with the fractions of scipy's RK45 so that every
+# coefficient rounds the same way.  The fields are autonomous, so the stage
+# times are not needed.
+_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
+])
+_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875/199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
+])
+_SAFETY = 0.9  # step factor applied to the asymptotic estimate
+_MIN_FACTOR = 0.2  # largest decrease of the step in one attempt
+_MAX_FACTOR = 10  # largest increase of the step after an accepted one
+_ERROR_EXPONENT = -1 / 5  # -1 / (error estimator order + 1)
+_MIN_REL_TOL = 100 * np.finfo(float).eps  # smaller rel_tol is raised to this
 
 
 @dataclass(frozen=True)
@@ -99,55 +138,138 @@ def flow_adaptive(
 
     States are reported at ``sample_count`` uniformly spaced times via the
     integrator's dense interpolant.  Step-size underflow (stiffness or a
-    field singularity) raises :class:`IntegrationError` carrying the last
-    good time.
+    field singularity) and a :class:`NumericError` from the field raise
+    :class:`IntegrationError` carrying the last sample time reached.
     """
     _check_horizon("t_end", t_end)
     _check_tolerances(abs_tol, rel_tol)
     if sample_count < 2:
         raise UsageError(f"sample_count must be >= 2, got {sample_count}")
     x0v = as_state(x0, system.dim)
-    evaluate_field(system, x0v)  # validate before handing to the stepper
+    f0 = evaluate_field(system, x0v)  # validated, and the stepper's first stage
 
     t_eval = np.linspace(0.0, float(t_end), int(sample_count))
-    try:
-        sol = solve_ivp(
-            lambda t, y: system.field(y),
-            (0.0, float(t_end)),
-            x0v,
-            method="RK45",
-            rtol=rel_tol,
-            atol=abs_tol,
-            t_eval=t_eval,
-            dense_output=True,
-        )
-    except NumericError as exc:
-        raise IntegrationError(f"field evaluation failed during integration: {exc}") from exc
-    if sol.status != 0:
-        last = float(sol.t[-1]) if sol.t.size else 0.0
-        raise IntegrationError(
-            f"adaptive integration of '{system.label}' stopped at t={last:.6g}: "
-            f"{sol.message}",
-            last_good_time=last,
-        )
-
-    states = np.ascontiguousarray(sol.y.T)
+    states, accepted, rejected = _dormand_prince(system, x0v, f0, t_eval, abs_tol, rel_tol)
     states[0] = x0v
     if not np.all(np.isfinite(states)):
         raise IntegrationError("adaptive integration produced non-finite states")
 
-    # DP45 spends 6 field evaluations per attempted step plus 2 at startup.
-    accepted = len(sol.sol.ts) - 1
-    attempts = max(accepted, int(round((sol.nfev - 2) / 6)))
     stats = IntegratorStats(
         method="dormand-prince-5(4)",
         steps_accepted=accepted,
-        steps_rejected=attempts - accepted,
-        field_evaluations=int(sol.nfev),
+        steps_rejected=rejected,
+        # one evaluation at the start, one for the initial step, six per attempt
+        field_evaluations=2 + 6 * (accepted + rejected),
         abs_tol=abs_tol,
         rel_tol=rel_tol,
     )
     return Trajectory(times=t_eval, states=states, stats=stats)
+
+
+def _rms(x: np.ndarray) -> float:
+    return math.sqrt(x.dot(x)) / x.size ** 0.5
+
+
+def _initial_step(field, y0, f0, t_end: float, atol: float, rtol: float) -> float:
+    """Hairer-Norsett-Wanner starting step (Solving ODEs I, II.4) for an
+    error estimator of order 4; one field evaluation."""
+    scale = atol + np.abs(y0) * rtol
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, t_end)
+    f1 = np.asarray(field(y0 + h0 * f0), dtype=float)
+    d2 = _rms((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, t_end)
+
+
+def _dormand_prince(system: SystemDefinition, y, f0, t_eval, abs_tol, rel_tol):
+    """Advance ``x' = field(x)`` from ``y`` at time 0 to ``t_eval[-1]`` and
+    return the states at ``t_eval`` with the accepted and rejected step
+    counts.
+
+    Each step is one Dormand-Prince 5(4) attempt per trial step size, with
+    ``f0 = field(y)`` as the first stage and the last stage of every
+    accepted step reused as the first of the next.  The samples that fall
+    in an accepted step come from its quartic interpolant.
+    """
+    field = system.field
+    t_end = float(t_eval[-1])
+    atol, rtol = abs_tol, max(rel_tol, _MIN_REL_TOL)
+    states = np.empty((t_eval.size, y.size))
+    K = np.empty((7, y.size))
+    K[0] = f0
+    # stage s sums the earlier stages with row s of A: the same matrix-vector
+    # product on the same transposed views as scipy, so the sums are
+    # bit-identical
+    stages = [(s, K[:s].T, _A[s, :s]) for s in range(1, 6)]
+    KB, KE = K[:6].T, K.T
+
+    t = 0.0
+    h_abs = _initial_step(field, y, f0, t_end, atol, rtol)
+    abs_y = np.abs(y)
+    accepted = rejected = filled = 0
+    next_sample = float(t_eval[0])
+
+    def last_sample() -> float:
+        return float(t_eval[filled - 1]) if filled else 0.0
+
+    try:
+        while t < t_end:
+            min_step = 10 * (math.nextafter(t, math.inf) - t)
+            h_abs = max(h_abs, min_step)
+            step_rejected = False
+            while True:
+                if h_abs < min_step:
+                    raise IntegrationError(
+                        f"adaptive integration of '{system.label}' stopped at "
+                        f"t={last_sample():.6g}: Required step size is less than spacing "
+                        "between numbers.",
+                        last_good_time=last_sample(),
+                    )
+                t_new = min(t + h_abs, t_end)
+                h = h_abs = t_new - t
+                for s, KT, a in stages:
+                    K[s] = field(y + KT.dot(a) * h)
+                y_new = y + h * KB.dot(_B)
+                K[6] = field(y_new)
+                abs_y_new = np.abs(y_new)
+                scale = atol + np.maximum(abs_y, abs_y_new) * rtol
+                error_norm = _rms(KE.dot(_E) * h / scale)
+                if error_norm < 1:
+                    break
+                h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+                rejected += 1
+                step_rejected = True
+
+            if error_norm == 0:
+                factor = _MAX_FACTOR
+            else:
+                factor = min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            if step_rejected:
+                factor = min(1, factor)
+            h_abs *= factor
+            accepted += 1
+
+            if next_sample <= t_new:
+                stop = int(np.searchsorted(t_eval, t_new, side="right"))
+                x = (t_eval[filled:stop] - t) / h
+                Q = KE.dot(_P)
+                p = np.cumprod(np.tile(x, (4, 1)), axis=0)
+                states[filled:stop] = (h * np.dot(Q, p) + y[:, None]).T
+                filled = stop
+                next_sample = float(t_eval[stop]) if stop < t_eval.size else math.inf
+            t, y, abs_y = t_new, y_new, abs_y_new
+            K[0] = K[6]
+    except NumericError as exc:
+        raise IntegrationError(
+            f"field evaluation failed during integration: {exc}", last_good_time=last_sample()
+        ) from exc
+    return states, accepted, rejected
 
 
 def flow_fixed(system: SystemDefinition, x0, t_end: float, dt: float) -> Trajectory:

@@ -13,6 +13,7 @@ executable documentation of the claims being certified.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -78,18 +79,31 @@ class RunReport:
     )
 
     def to_dict(self) -> dict[str, Any]:
+        """The report as JSON data; a non-finite float (a margin no sample
+        set, a drift never measured) is ``None``, so the JSON is strict."""
         return {
             "label": self.label,
             "check": self.check,
             "verdict": self.verdict,
-            "evidence": self.evidence,
-            "config": self.config,
+            "evidence": _finite_or_null(self.evidence),
+            "config": _finite_or_null(self.config),
             "elapsed_seconds": self.elapsed_seconds,
             "tool_version": self.tool_version,
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False)
+
+
+def _finite_or_null(value):
+    """``value`` with every non-finite float, however deeply nested, as None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return value
 
 
 def load_scenario(path) -> dict[str, Any]:

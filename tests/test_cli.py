@@ -25,13 +25,37 @@ def test_shipped_scenarios_exist():
     assert len(SHIPPED) >= 10
 
 
+def _strict_json(text):
+    """json.loads that, like RFC 8259 parsers, rejects NaN and Infinity."""
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.name)
 def test_exit_code_contract_over_shipped_scenarios(path, capsys):
-    # exit 0 iff the verdict is pass, so a negative control exits 1
+    # exit 0 iff the verdict is pass, so a negative control exits 1; the
+    # printed report is strict JSON, whatever the verdict
     expected = 0 if load_scenario(path).get("expected_verdict", "pass") == "pass" else 1
     code = main(["run", str(path)])
-    capsys.readouterr()
+    _strict_json(capsys.readouterr().out)
     assert code == expected
+
+
+def test_failed_off_set_coincidence_report_is_strict_json(tmp_path, capsys):
+    # radial free fall off the agreement set: the F-driven flow hits the
+    # Kepler singularity, so deviation and drift are never measured
+    config = {
+        "label": "kepler-radial-fall", "model": {"kind": "kepler", "a": 1.0},
+        "check": "coincidence", "quantity": "H",
+        "initial_state": [1.0, 0.0, -1.0, 0.0], "t_end": 3.0,
+    }
+    code = main(["run", _write(tmp_path, config)])
+    report = _strict_json(capsys.readouterr().out)
+    assert code == 1 and report["verdict"] == "hypothesis-error"
+    assert "integration additionally failed" in report["evidence"]["message"]
+    for key in ("difference_drift", "max_deviation", "max_deviation_time"):
+        assert report["evidence"][key] is None
 
 
 def test_run_all_shipped_scenarios(capsys):

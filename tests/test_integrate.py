@@ -1,17 +1,47 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
+from scipy.integrate._ivp.rk import RK45
 
 from invarsets import (
     ConservedQuantitySet,
     IntegrationError,
+    NumericError,
     UsageError,
     flow_adaptive,
     flow_fixed,
     monitor_drift,
 )
-from invarsets import kepler, oscillator, toda
+from invarsets import SystemDefinition, integrate, kepler, oscillator, toda
 
 from conftest import random_toda_physical
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# one start per model, shared by the tolerance and scipy cross-checks
+FLOWS = [
+    (oscillator.harmonic_oscillator(), [1.0, 0.3], 5.0),
+    (kepler.kepler_field(), [0.0, 1.1, 0.9, 0.1], 5.0),
+    (toda.periodic_field(4), [0.5, 0.8, 0.3, 0.9, 0.2, -0.4, 0.1, 0.3], 5.0),
+    (toda.nonperiodic_field(4), [0.5, 0.8, 0.3, 0.2, -0.4, 0.1, 0.3], 5.0),
+]
+FLOW_IDS = ["oscillator", "kepler", "toda-periodic", "toda-nonperiodic"]
+# an eccentric Kepler orbit at a loose tolerance rejects many steps
+ECCENTRIC = (kepler.kepler_field(), [1.0, 0.0, 0.0, 0.35], 20.0)
+
+
+def _run_python(code: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
 
 
 def test_harmonic_quarter_turn():
@@ -102,15 +132,7 @@ def test_trajectory_determinism_bit_for_bit():
     assert np.array_equal(a.times, b.times)
 
 
-@pytest.mark.parametrize(
-    "system,x0,t_end",
-    [
-        (oscillator.harmonic_oscillator(), [1.0, 0.3], 5.0),
-        (kepler.kepler_field(), [0.0, 1.1, 0.9, 0.1], 5.0),
-        (toda.periodic_field(4), [0.5, 0.8, 0.3, 0.9, 0.2, -0.4, 0.1, 0.3], 5.0),
-        (toda.nonperiodic_field(4), [0.5, 0.8, 0.3, 0.2, -0.4, 0.1, 0.3], 5.0),
-    ],
-)
+@pytest.mark.parametrize("system,x0,t_end", FLOWS)
 def test_tolerance_monotonicity(system, x0, t_end):
     reference = flow_adaptive(system, x0, t_end, 1e-12, 1e-12, sample_count=2)
     loose = flow_adaptive(system, x0, t_end, 1e-5, 1e-5, sample_count=2)
@@ -118,6 +140,104 @@ def test_tolerance_monotonicity(system, x0, t_end):
     err_loose = np.linalg.norm(loose.final_state - reference.final_state)
     err_tight = np.linalg.norm(tight.final_state - reference.final_state)
     assert err_tight < err_loose
+
+
+def test_tableau_equals_scipy_rk45():
+    assert np.array_equal(integrate._A, RK45.A)
+    assert np.array_equal(integrate._B, RK45.B)
+    assert np.array_equal(integrate._E, RK45.E)
+    assert np.array_equal(integrate._P, RK45.P)
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-6])
+@pytest.mark.parametrize("system,x0,t_end", [*FLOWS, ECCENTRIC], ids=[*FLOW_IDS, "kepler-eccentric"])
+def test_adaptive_flow_equals_solve_ivp_bit_for_bit(system, x0, t_end, tol):
+    traj = flow_adaptive(system, x0, t_end, tol, tol, sample_count=51)
+    ref = solve_ivp(
+        lambda t, y: system.field(y), (0.0, t_end), np.array(x0, dtype=float),
+        method="RK45", rtol=tol, atol=tol, t_eval=np.linspace(0.0, t_end, 51),
+    )
+    assert ref.status == 0
+    assert np.array_equal(traj.times, ref.t)
+    assert np.array_equal(traj.states, ref.y.T)
+    assert traj.stats.field_evaluations == ref.nfev
+
+
+def _scipy_step_counts(system, x0, t_end, tol):
+    """Accepted and rejected steps of scipy's RK45, counted one step at a
+    time: a step that took r rejections cost 6 * (r + 1) evaluations."""
+    solver = RK45(lambda t, y: system.field(y), 0.0, np.array(x0, dtype=float), t_end,
+                  rtol=tol, atol=tol)
+    accepted = rejected = 0
+    while solver.status == "running":
+        before = solver.nfev
+        solver.step()
+        accepted += 1
+        rejected += (solver.nfev - before) // 6 - 1
+    assert solver.status == "finished"
+    return accepted, rejected
+
+
+def test_rejected_steps_are_counted_exactly():
+    system, x0, t_end = ECCENTRIC
+    traj = flow_adaptive(system, x0, t_end, 1e-6, 1e-6, sample_count=51)
+    accepted, rejected = _scipy_step_counts(system, x0, t_end, 1e-6)
+    assert rejected > 0
+    assert (traj.stats.steps_accepted, traj.stats.steps_rejected) == (accepted, rejected)
+
+
+def test_field_turning_nan_mid_flow_is_an_integration_error():
+    # the first coordinate is a clock; past t = 1 the field is NaN, which
+    # every step rejects until the step underflows (no hang)
+    done = _run_python("""
+        import numpy as np
+        from invarsets import IntegrationError, SystemDefinition, flow_adaptive
+
+        def field(y):
+            return np.array([1.0, -y[1]]) if y[0] < 1.0 else np.full(2, np.nan)
+
+        try:
+            flow_adaptive(SystemDefinition(2, field, "clock"), [0.0, 1.0], 3.0, sample_count=31)
+        except IntegrationError as exc:
+            print(exc.last_good_time)
+            print(exc)
+    """)
+    assert done.returncode == 0, done.stderr
+    last, message = done.stdout.splitlines()
+    assert 0.0 < float(last) < 3.0
+    assert float(last) <= 1.0
+    assert "stopped at" in message
+
+
+def test_failure_before_the_first_step_reports_time_zero():
+    # finite only at the start, so not one step is accepted
+    def field(y):
+        return np.array([1.0, 0.0]) if y[0] == 0.0 else np.full(2, np.nan)
+
+    with pytest.raises(IntegrationError, match="stopped at t=0:") as err:
+        flow_adaptive(SystemDefinition(2, field, "start-only"), [0.0, 1.0], 1.0)
+    assert err.value.last_good_time == 0.0
+
+
+def test_numeric_error_from_the_field_keeps_the_last_sample_time():
+    def field(y):
+        if y[0] >= 1.0:
+            raise NumericError("singular")
+        return np.array([1.0, -y[1]])
+
+    with pytest.raises(IntegrationError, match="field evaluation failed") as err:
+        flow_adaptive(SystemDefinition(2, field, "clock"), [0.0, 1.0], 3.0, sample_count=31)
+    assert 0.0 < err.value.last_good_time <= 1.0
+
+
+def test_importing_the_cli_does_not_import_scipy():
+    done = _run_python("""
+        import sys
+        import invarsets.cli
+        print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+    """)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_drift_of_constant_quantity_is_zero():
