@@ -85,9 +85,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # none, and a check that integrates none is a configuration error here,
     # before any output
     flow = args.csv and (report.flow or scenario_trajectory(config))
-    print(report.to_json())
+    text = report.to_json()
+    print(text)
     if args.report:
-        Path(args.report).write_text(report.to_json() + "\n")
+        Path(args.report).write_text(text + "\n")
     if flow:
         traj, quantity, system = flow
         export_trajectory(traj, quantity, args.csv, system.component_names)

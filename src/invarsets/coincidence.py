@@ -86,18 +86,23 @@ def _driven_fields(base, quantity, order, label, xs) -> np.ndarray:
     blocks = _derivative_blocks(quantity, xs, order)
     flat = blocks[0] if order == 1 else np.concatenate(blocks, axis=1)
     rows = [np.asarray(base(x, g), dtype=float) for x, g in zip(xs, flat)]
+    return _checked_rows(label, quantity.dim, rows)
+
+
+def _checked_rows(label, dim, rows) -> np.ndarray:
+    """``base``'s rows stacked to ``(m, dim)``, checked as :func:`evaluate_field` does."""
     for row, r in enumerate(rows):
-        if r.shape != (quantity.dim,):
+        if r.shape != (dim,):
             raise UsageError(
                 f"field of '{label}' returned shape {r.shape} at state {row} "
-                f"of {len(xs)}, expected ({quantity.dim},)"
+                f"of {len(rows)}, expected ({dim},)"
             )
     out = np.array(rows)
     if not np.isfinite(out).all():
         row, col = (int(i) for i in np.argwhere(~np.isfinite(out))[0])
         raise NumericError(
             f"field of '{label}' produced a non-finite derivative in component {col} "
-            f"at state {row} of {len(xs)}"
+            f"at state {row} of {len(rows)}"
         )
     return out
 
@@ -111,16 +116,33 @@ def assemble_system(
     """Close a base map over the derivative stack of a driving quantity.
 
     ``base(x, stack)`` receives the flat stack (for a scalar quantity at
-    order 1 this is just the gradient).  The point field is a batch of one
-    through :meth:`GradientDrivenSystem.fields`.
+    order 1 this is just the gradient).  At order 1 the point field calls
+    an analytic gradient and ``base`` once each; every other rule is a
+    batch of one through :meth:`GradientDrivenSystem.fields`, whose rows
+    equal the point field's bit for bit.
     """
     if order < 1:
         raise UsageError(f"driving order must be >= 1, got {order}")
     label = label or f"driven[{'/'.join(quantity.labels)}]"
 
-    def field(x, _base=base, _q=quantity, _r=order, _label=label):
-        xs = as_state(x, _q.dim)[None, :]
-        return _driven_fields(_base, _q, _r, _label, xs)[0]
+    if order == 1 and quantity.analytic_gradient is not None and quantity.smoothness_order >= 1:
+        grad, dim, shape = quantity.analytic_gradient, quantity.dim, (quantity.k, quantity.dim)
+        name = "/".join(quantity.labels)
+
+        def field(x):
+            xv = as_state(x, dim)
+            g = np.asarray(grad(xv), dtype=float)
+            if g.shape != shape:
+                raise UsageError(
+                    f"analytic gradient of '{name}' returned shape {g.shape}, expected {shape}"
+                )
+            if not np.isfinite(g).all():
+                raise NumericError(f"analytic gradient of '{name}' is non-finite at state 0 of 1")
+            return _checked_rows(label, dim, [np.asarray(base(xv, g.reshape(-1)), dtype=float)])[0]
+
+    else:
+        def field(x):
+            return _driven_fields(base, quantity, order, label, as_state(x, quantity.dim)[None, :])[0]
 
     system = SystemDefinition(dim=quantity.dim, field=field, label=label)
     return GradientDrivenSystem(base=base, quantity=quantity, order=order, system=system)

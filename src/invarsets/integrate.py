@@ -172,19 +172,23 @@ def _rms(x: np.ndarray) -> float:
 
 def _initial_step(field, y0, f0, t_end: float, atol: float, rtol: float) -> float:
     """Hairer-Norsett-Wanner starting step (Solving ODEs I, II.4) for an
-    error estimator of order 4; one field evaluation."""
-    scale = atol + np.abs(y0) * rtol
-    d0 = _rms(y0 / scale)
-    d1 = _rms(f0 / scale)
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, t_end)
+    error estimator of order 4; one field evaluation.  In numpy scalars, as
+    in scipy: an overflowing norm gives step 0, which the stepper raises to
+    its floor."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        scale = atol + np.abs(y0) * rtol
+        d0 = _rms(y0 / scale)
+        d1 = np.float64(_rms(f0 / scale))
+        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+        h0 = min(h0, t_end)
     f1 = np.asarray(field(y0 + h0 * f0), dtype=float)
-    d2 = _rms((f1 - f0) / scale) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
-    return min(100 * h0, h1, t_end)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        d2 = np.float64(_rms((f1 - f0) / scale)) / h0
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+        return float(min(100 * h0, h1, t_end))
 
 
 def _dormand_prince(system: SystemDefinition, y, f0, t_eval, abs_tol, rel_tol):
@@ -210,7 +214,6 @@ def _dormand_prince(system: SystemDefinition, y, f0, t_eval, abs_tol, rel_tol):
     KB, KE = K[:6].T, K.T
 
     t = 0.0
-    h_abs = _initial_step(field, y, f0, t_end, atol, rtol)
     abs_y = np.abs(y)
     accepted = rejected = filled = 0
     next_sample = float(t_eval[0])
@@ -219,6 +222,7 @@ def _dormand_prince(system: SystemDefinition, y, f0, t_eval, abs_tol, rel_tol):
         return float(t_eval[filled - 1]) if filled else 0.0
 
     try:
+        h_abs = _initial_step(field, y, f0, t_end, atol, rtol)
         while t < t_end:
             min_step = 10 * (math.nextafter(t, math.inf) - t)
             h_abs = max(h_abs, min_step)
@@ -259,7 +263,10 @@ def _dormand_prince(system: SystemDefinition, y, f0, t_eval, abs_tol, rel_tol):
                 stop = int(np.searchsorted(t_eval, t_new, side="right"))
                 x = (t_eval[filled:stop] - t) / h
                 Q = KE.dot(_P)
-                p = np.cumprod(np.tile(x, (4, 1)), axis=0)
+                # x, x^2, x^3, x^4 by the products np.cumprod forms, in its order
+                x2 = x * x
+                x3 = x2 * x
+                p = np.array((x, x2, x3, x3 * x))
                 states[filled:stop] = (h * np.dot(Q, p) + y[:, None]).T
                 filled = stop
                 next_sample = float(t_eval[stop]) if stop < t_eval.size else math.inf

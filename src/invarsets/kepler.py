@@ -126,7 +126,7 @@ def linear_pair_hamiltonian(a: float) -> ConservedQuantitySet:
         4,
         lambda z: c * float(A.value(z)[0]),
         f"-A/a^3(a={a:g})",
-        gradient=lambda z: c * A.analytic_gradient(z)[0],
+        gradient=lambda z: c * np.array([z[3], -z[2], -z[1], z[0]]),
         partial=partial,
         smoothness_order=64,
     )

@@ -227,6 +227,38 @@ def test_non_finite_t_end_exits_2_instead_of_hanging(tmp_path, t_end):
     assert f"t_end must be a positive finite number, got {t_end}" in done.stderr
 
 
+def test_overflowing_initial_step_norm_ends_without_a_traceback(tmp_path):
+    # |f0 / scale| overflows in the initial-step heuristic's norm
+    config = {
+        "model": {"kind": "kepler"}, "check": "drift", "quantity": "HA",
+        "initial_state": [1e100, 0, 0, 1e150], "t_end": 1,
+    }
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "invarsets.cli", "run", _write(tmp_path, config)],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert done.returncode in (0, 1), done.stderr
+    assert "Traceback" not in done.stderr
+    assert _strict_json(done.stdout)["verdict"] in ("pass", "fail")
+
+
+def test_printed_report_and_report_file_hold_the_same_bytes(tmp_path, capsys, monkeypatch):
+    serialized = []
+    to_json = report.RunReport.to_json
+
+    def counted(self):
+        serialized.append(self)
+        return to_json(self)
+
+    monkeypatch.setattr(report.RunReport, "to_json", counted)
+    out = tmp_path / "report.json"
+    main(["run", str(SCENARIO_DIR / "kepler-circular-coincidence.json"), "--report", str(out)])
+    assert capsys.readouterr().out.encode() == out.read_bytes()
+    assert len(serialized) == 1
+
+
 RANK = "toda-periodic-rank-pattern.json"
 ORACLE = "toda-periodic-henon-oracle.json"
 DRIFT = "toda-periodic-drift.json"

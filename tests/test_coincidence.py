@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from invarsets import (
     ConservedQuantitySet,
+    IntegrationError,
     NumericError,
     UsageError,
     agreement_residual,
@@ -11,6 +12,7 @@ from invarsets import (
     canonical_symplectic_matrix,
     conservation_residual,
     evaluate_field,
+    flow_adaptive,
     jacobian,
     partial_tensor,
     stack_quantities,
@@ -20,7 +22,7 @@ from invarsets import (
 from invarsets import kepler, oscillator, toda
 from invarsets.coincidence import _derivative_blocks, _difference_quantity
 
-from conftest import random_kepler_states
+from conftest import random_kepler_states, random_toda_physical
 
 
 def _symplectic_base():
@@ -348,23 +350,115 @@ def test_order1_block_equals_partial_tensor_flatten(seed, count):
             assert np.array_equal(g, expected), label
 
 
+def _summed_symplectic_base(dof):
+    """J applied to the sum of the k gradient blocks of the flat stack."""
+    block = canonical_symplectic_matrix(dof)
+    return lambda x, s: block @ s.reshape(-1, 2 * dof).sum(axis=0)
+
+
 @STACK_SETTINGS
 @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 9))
 def test_stacked_driven_field_rows_equal_point_field(seed, count):
+    # one case per derivative rule: the point field of an analytic gradient
+    # at order 1 skips the batch of one, every other rule is such a batch
     kepler_states = random_kepler_states(count, seed)
     plane_states = np.random.default_rng(seed).uniform(-2.0, 2.0, (count, 2))
+    toda_states = random_toda_physical(3, count, seed)
     pair = stack_quantities([kepler.hamiltonian(), kepler.angular_momentum()])
     cases = [
         (assemble_system(_symplectic_base(), kepler.hamiltonian()), kepler_states),
         (assemble_system(_symplectic_base(), kepler.linear_pair_hamiltonian(0.9)), kepler_states),
         (assemble_system(lambda x, s: s[:4] - s[4:], pair), kepler_states),
+        (assemble_system(_summed_symplectic_base(3), toda.periodic_invariants(3)), toda_states),
         (assemble_system(_laplacian_coupled_base(0.1), oscillator.unit_circle_power(3), 2), plane_states),
     ]
+    cases += [(assemble_system(_summed_symplectic_base(2), q), kepler_states) for _, q in _order1_cases()]
+    assert cases[3][0].quantity.batched
     for driven, xs in cases:
         rows = driven.fields(xs)
         assert rows.shape == xs.shape
         for x, row in zip(xs, rows):
-            assert np.array_equal(row, driven.system.field(np.array(x)))
+            point = driven.system.field(np.array(x))
+            assert np.array_equal(point, row)
+            assert np.array_equal(point, driven.fields(x[None])[0])
+
+
+def _faulty_gradient_quantity(fault, where=lambda x: True):
+    """Kepler H whose analytic gradient is NaN or of the wrong shape where
+    ``where(x)`` holds."""
+    H = kepler.hamiltonian()
+
+    def grad(x):
+        g = H.analytic_gradient(x)
+        if not where(x):
+            return g
+        return np.full_like(g, np.nan) if fault == "nan" else g[:, :3]
+
+    return ConservedQuantitySet(
+        dim=4, k=1, value=H.value, labels=("H-faulty",), analytic_gradient=grad, smoothness_order=64
+    )
+
+
+def _faulty_base(fault, where=lambda x: True):
+    block = canonical_symplectic_matrix(2)
+
+    def base(x, g):
+        out = block @ g
+        if not where(x):
+            return out
+        return np.full(4, np.nan) if fault == "nan" else out[:3]
+
+    return base
+
+
+FAULTS = [
+    ("gradient", "nan", NumericError, "analytic gradient of 'H-faulty' is non-finite"),
+    ("gradient", "shape", UsageError, r"analytic gradient of 'H-faulty' returned shape \(1, 3\)"),
+    ("base", "nan", NumericError, "produced a non-finite derivative in component 0 at state 0 of 1"),
+    ("base", "shape", UsageError, r"returned shape \(3,\) at state 0 of 1"),
+]
+FAULT_IDS = [f"{part}-{fault}" for part, fault, _, _ in FAULTS]
+
+
+def _faulty_system(part, fault, where=lambda x: True):
+    if part == "gradient":
+        return assemble_system(_symplectic_base(), _faulty_gradient_quantity(fault, where))
+    return assemble_system(_faulty_base(fault, where), kepler.hamiltonian())
+
+
+@pytest.mark.parametrize("part,fault,error,message", FAULTS, ids=FAULT_IDS)
+def test_point_field_errors_equal_the_stacked_ones(part, fault, error, message):
+    driven = _faulty_system(part, fault)
+    x = kepler.circular_sample(1.0, 0.4)
+    with pytest.raises(error, match=message) as point:
+        driven.system.field(x)
+    with pytest.raises(error) as stacked:
+        driven.fields(x[None])
+    assert str(point.value) == str(stacked.value)
+
+
+@pytest.mark.parametrize("part,fault,error,message", FAULTS, ids=FAULT_IDS)
+def test_point_field_errors_away_from_the_start_inside_flow_adaptive(part, fault, error, message):
+    # sound at the start only: the first evaluation away from it is the
+    # initial-step trial, inside the stepper; a non-finite value is an
+    # integration failure at t=0, a wrong shape stays a usage error
+    x0 = kepler.circular_sample(1.0, 0.4)
+    driven = _faulty_system(part, fault, where=lambda x: not np.array_equal(x, x0))
+    expected = IntegrationError if error is NumericError else UsageError
+    with pytest.raises(expected, match=message) as err:
+        flow_adaptive(driven.system, x0, 1.0)
+    if expected is IntegrationError:
+        assert err.value.last_good_time == 0.0
+
+
+def test_off_set_start_failing_at_the_initial_step_is_a_hypothesis_error():
+    x0 = kepler.circular_sample(1.0, 0.4)
+    x0[2:] *= 1.1
+    base = _faulty_base("nan", where=lambda x: not np.array_equal(x, x0))
+    report = verify_coincidence(base, kepler.hamiltonian(), kepler.linear_pair_hamiltonian(1.0), x0, 1.0)
+    assert report.verdict == "hypothesis-error"
+    assert "integration additionally failed" in report.message
+    assert "field evaluation failed" in report.message
 
 
 def _loop_drift(base, f_quantity, g_quantity, order, states):

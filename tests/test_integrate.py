@@ -149,13 +149,31 @@ def test_tableau_equals_scipy_rk45():
     assert np.array_equal(integrate._P, RK45.P)
 
 
+# |f0 / scale| overflows in the initial-step norm, so the first step is the
+# stepper's floor; the Kepler field and scipy warn of their own overflows
+OVERFLOWING_NORM = pytest.param(
+    kepler.kepler_field(), [1e100, 0.0, 0.0, 1e150], 1.0, 51,
+    marks=pytest.mark.filterwarnings(
+        "ignore::RuntimeWarning:invarsets.kepler",
+        "ignore::RuntimeWarning:scipy",
+        "ignore::RuntimeWarning:numpy",
+    ),
+)
+# a short horizon with many samples in every step of the dense output
+DENSE_SAMPLES = (kepler.kepler_field(), [0.0, 1.1, 0.9, 0.1], 0.5, 2001)
+
+
 @pytest.mark.parametrize("tol", [1e-10, 1e-6])
-@pytest.mark.parametrize("system,x0,t_end", [*FLOWS, ECCENTRIC], ids=[*FLOW_IDS, "kepler-eccentric"])
-def test_adaptive_flow_equals_solve_ivp_bit_for_bit(system, x0, t_end, tol):
-    traj = flow_adaptive(system, x0, t_end, tol, tol, sample_count=51)
+@pytest.mark.parametrize(
+    "system,x0,t_end,samples",
+    [*(case + (51,) for case in FLOWS), ECCENTRIC + (51,), OVERFLOWING_NORM, DENSE_SAMPLES],
+    ids=[*FLOW_IDS, "kepler-eccentric", "kepler-overflowing-norm", "kepler-dense-samples"],
+)
+def test_adaptive_flow_equals_solve_ivp_bit_for_bit(system, x0, t_end, samples, tol):
+    traj = flow_adaptive(system, x0, t_end, tol, tol, sample_count=samples)
     ref = solve_ivp(
         lambda t, y: system.field(y), (0.0, t_end), np.array(x0, dtype=float),
-        method="RK45", rtol=tol, atol=tol, t_eval=np.linspace(0.0, t_end, 51),
+        method="RK45", rtol=tol, atol=tol, t_eval=np.linspace(0.0, t_end, samples),
     )
     assert ref.status == 0
     assert np.array_equal(traj.times, ref.t)
@@ -215,6 +233,19 @@ def test_failure_before_the_first_step_reports_time_zero():
         return np.array([1.0, 0.0]) if y[0] == 0.0 else np.full(2, np.nan)
 
     with pytest.raises(IntegrationError, match="stopped at t=0:") as err:
+        flow_adaptive(SystemDefinition(2, field, "start-only"), [0.0, 1.0], 1.0)
+    assert err.value.last_good_time == 0.0
+
+
+def test_numeric_error_in_the_initial_step_trial_is_an_integration_error():
+    # sound at the start only, so the initial-step heuristic's trial
+    # evaluation is the first to fail
+    def field(y):
+        if y[0] != 0.0:
+            raise NumericError("singular away from the start")
+        return np.array([1.0, 0.0])
+
+    with pytest.raises(IntegrationError, match="field evaluation failed") as err:
         flow_adaptive(SystemDefinition(2, field, "start-only"), [0.0, 1.0], 1.0)
     assert err.value.last_good_time == 0.0
 
