@@ -18,6 +18,7 @@ import numpy as np
 from .core import (
     ConservedQuantitySet,
     SystemDefinition,
+    _all_finite,
     as_state,
     as_states,
 )
@@ -98,7 +99,7 @@ def _checked_rows(label, dim, rows) -> np.ndarray:
                 f"of {len(rows)}, expected ({dim},)"
             )
     out = np.array(rows)
-    if not np.isfinite(out).all():
+    if not _all_finite(out):
         row, col = (int(i) for i in np.argwhere(~np.isfinite(out))[0])
         raise NumericError(
             f"field of '{label}' produced a non-finite derivative in component {col} "
@@ -119,30 +120,46 @@ def assemble_system(
     order 1 this is just the gradient).  At order 1 the point field calls
     an analytic gradient and ``base`` once each; every other rule is a
     batch of one through :meth:`GradientDrivenSystem.fields`, whose rows
-    equal the point field's bit for bit.
+    equal the point field's bit for bit.  The point field takes a
+    non-finite state as a :class:`NumericError` and a wrong shape as a
+    :class:`UsageError`.
     """
     if order < 1:
         raise UsageError(f"driving order must be >= 1, got {order}")
     label = label or f"driven[{'/'.join(quantity.labels)}]"
+    dim = quantity.dim
+
+    def point(x):
+        # the stepper's trial stages overflow on far-out starts: a non-finite
+        # state is a numeric failure, not a bad argument
+        xv = np.asarray(x, dtype=float)
+        if xv.shape != (dim,):
+            as_state(xv, dim)  # raises the shape's UsageError
+        if not _all_finite(xv):
+            raise NumericError(f"field of '{label}' evaluated at a non-finite state")
+        return xv
 
     if order == 1 and quantity.analytic_gradient is not None and quantity.smoothness_order >= 1:
-        grad, dim, shape = quantity.analytic_gradient, quantity.dim, (quantity.k, quantity.dim)
+        grad, shape = quantity.analytic_gradient, (quantity.k, dim)
         name = "/".join(quantity.labels)
 
         def field(x):
-            xv = as_state(x, dim)
+            xv = point(x)
             g = np.asarray(grad(xv), dtype=float)
             if g.shape != shape:
                 raise UsageError(
                     f"analytic gradient of '{name}' returned shape {g.shape}, expected {shape}"
                 )
-            if not np.isfinite(g).all():
+            if not _all_finite(g):
                 raise NumericError(f"analytic gradient of '{name}' is non-finite at state 0 of 1")
-            return _checked_rows(label, dim, [np.asarray(base(xv, g.reshape(-1)), dtype=float)])[0]
+            row = np.asarray(base(xv, g.reshape(-1)), dtype=float)
+            if row.shape == (dim,) and _all_finite(row):
+                return row
+            return _checked_rows(label, dim, [row])[0]  # raises with the stack path's message
 
     else:
         def field(x):
-            return _driven_fields(base, quantity, order, label, as_state(x, quantity.dim)[None, :])[0]
+            return _driven_fields(base, quantity, order, label, point(x)[None, :])[0]
 
     system = SystemDefinition(dim=quantity.dim, field=field, label=label)
     return GradientDrivenSystem(base=base, quantity=quantity, order=order, system=system)
@@ -239,8 +256,10 @@ def verify_coincidence(
     """
     x0v = as_state(x0, f_quantity.dim)
     e_res = agreement_residual(f_quantity, g_quantity, x0v, order)
-    scale = max(1.0, float(np.linalg.norm(x0v)))
-    on_set = e_res <= hypothesis_tol * scale
+    with np.errstate(over="ignore"):
+        scale = max(1.0, float(np.linalg.norm(x0v)))
+    # an overflowing norm gives no finite tolerance, so the premise fails
+    on_set = e_res <= hypothesis_tol * scale < np.inf
 
     sys_f = assemble_system(base, f_quantity, order, label="driven-F")
     sys_g = assemble_system(base, g_quantity, order, label="driven-G")
@@ -272,12 +291,14 @@ def verify_coincidence(
     states = traj_f.states
     diff = _difference_quantity(f_quantity, g_quantity)
     rates = (jacobians(diff, states) * sys_f.fields(states)[:, None, :]).sum(axis=2)
-    # sqrt of the row dot product is bit-identical to np.linalg.norm of a row
-    scales = np.maximum(1.0, np.sqrt(np.vecdot(states, states)))
-    drift = float(np.max(np.abs(rates).max(axis=1) / scales))
+    with np.errstate(over="ignore"):
+        # sqrt of the row dot product is bit-identical to np.linalg.norm of a row
+        scales = np.maximum(1.0, np.sqrt(np.vecdot(states, states)))
+        deviations = np.linalg.norm(traj_f.states - traj_g.states, axis=1)
+    # as at the start, a state whose norm overflows fails the premise
+    drift = float(np.max(np.abs(rates).max(axis=1) / scales)) if _all_finite(scales) else np.inf
     conserved = drift <= hypothesis_tol
 
-    deviations = np.linalg.norm(traj_f.states - traj_g.states, axis=1)
     worst_idx = int(np.argmax(deviations))
     max_dev = float(deviations[worst_idx])
 

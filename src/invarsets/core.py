@@ -23,12 +23,18 @@ from .errors import NumericError, UsageError
 Array = np.ndarray
 
 
+def _all_finite(a: Array) -> bool:
+    """``np.isfinite(a).all()``, at about half the cost on small arrays: the
+    count skips the Python wrapper of ``ndarray.all``."""
+    return np.count_nonzero(np.isfinite(a)) == a.size
+
+
 def as_state(x, dim: int | None = None) -> Array:
     """Coerce ``x`` to a finite 1-D float vector, optionally of length ``dim``."""
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise UsageError(f"state must be a non-empty 1-D vector, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    if not _all_finite(arr):
         bad = int(np.flatnonzero(~np.isfinite(arr))[0])
         raise UsageError(f"state has a non-finite entry at component {bad}")
     if dim is not None and arr.size != dim:
@@ -41,7 +47,7 @@ def as_states(xs, dim: int) -> Array:
     arr = np.asarray(xs, dtype=float)
     if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] != dim:
         raise UsageError(f"state stack must have shape (m, {dim}) with m >= 1, got {arr.shape}")
-    if not np.isfinite(arr).all():
+    if not _all_finite(arr):
         row, col = (int(i) for i in np.argwhere(~np.isfinite(arr))[0])
         raise UsageError(f"state {row} of the stack has a non-finite entry at component {col}")
     return arr
@@ -123,7 +129,7 @@ def evaluate_field(system: SystemDefinition, x) -> Array:
             f"field of '{system.label}' returned shape {out.shape}, "
             f"expected ({system.dim},)"
         )
-    if not np.isfinite(out).all():
+    if not _all_finite(out):
         bad = int(np.flatnonzero(~np.isfinite(out))[0])
         raise NumericError(
             f"field of '{system.label}' produced a non-finite derivative "
@@ -180,7 +186,7 @@ class ConservedQuantitySet:
 
     def _values(self, xs: Array) -> Array:
         out = map_states(self, self.value, xs, (self.k,), "quantity")
-        if not np.isfinite(out).all():
+        if not _all_finite(out):
             row = int(np.flatnonzero(~np.isfinite(out).all(axis=1))[0])
             raise NumericError(
                 f"quantity '{'/'.join(self.labels)}' is non-finite at state {row} of {len(xs)}"

@@ -53,12 +53,12 @@ def jacobian(quantity: "ConservedQuantitySet", x, step_scale: float | None = Non
 
 
 def _jacobian_stack(quantity: "ConservedQuantitySet", xs: np.ndarray, step_scale) -> np.ndarray:
-    from .core import map_states
+    from .core import _all_finite, map_states
 
     shape = (quantity.k, quantity.dim)
     if quantity.analytic_gradient is not None:
         J = map_states(quantity, quantity.analytic_gradient, xs, shape, "analytic gradient of")
-        if not np.isfinite(J).all():
+        if not _all_finite(J):
             row = int(np.flatnonzero(~np.isfinite(J).all(axis=(1, 2)))[0])
             raise NumericError(
                 f"analytic gradient of '{'/'.join(quantity.labels)}' is non-finite "
@@ -76,7 +76,7 @@ def _jacobian_stack(quantity: "ConservedQuantitySet", xs: np.ndarray, step_scale
         vp = map_states(quantity, quantity.value, xp, (quantity.k,), "quantity")
         vm = map_states(quantity, quantity.value, xm, (quantity.k,), "quantity")
         col = (vp - vm) / (2.0 * h[:, j, None])
-        if not np.isfinite(col).all():
+        if not _all_finite(col):
             raise NumericError(f"quantity is non-finite near x along coordinate {j}")
         J[:, :, j] = col
     return J
@@ -151,7 +151,7 @@ def partial_tensor(
     to machine epsilon.  Orders above :data:`MAX_FD_ORDER` require an
     ``analytic_partial`` provider.
     """
-    from .core import as_state
+    from .core import _all_finite, as_state
 
     xv = as_state(x, quantity.dim)
     if order < 1:
@@ -188,7 +188,7 @@ def partial_tensor(
         steps = _coordinate_steps(xv, eps ** (1.0 / (level + 2)))
         for alpha in combinations_with_replacement(range(quantity.dim), level):
             val = _nested_central(quantity.value, xv, alpha, steps)
-            if not np.all(np.isfinite(val)):
+            if not _all_finite(val):
                 raise NumericError(f"non-finite partial derivative for alpha={alpha}")
             entries[alpha] = val
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConservedQuantitySet, SystemDefinition, as_state, evaluate_field
+from .core import ConservedQuantitySet, SystemDefinition, _all_finite, as_state, evaluate_field
 from .errors import IntegrationError, NumericError, UsageError
 
 DEFAULT_ABS_TOL = 1e-10
@@ -146,12 +146,11 @@ def flow_adaptive(
     if sample_count < 2:
         raise UsageError(f"sample_count must be >= 2, got {sample_count}")
     x0v = as_state(x0, system.dim)
-    f0 = evaluate_field(system, x0v)  # validated, and the stepper's first stage
 
     t_eval = np.linspace(0.0, float(t_end), int(sample_count))
-    states, accepted, rejected = _dormand_prince(system, x0v, f0, t_eval, abs_tol, rel_tol)
+    states, accepted, rejected = _dormand_prince(system, x0v, t_eval, abs_tol, rel_tol)
     states[0] = x0v
-    if not np.all(np.isfinite(states)):
+    if not _all_finite(states):
         raise IntegrationError("adaptive integration produced non-finite states")
 
     stats = IntegratorStats(
@@ -191,22 +190,22 @@ def _initial_step(field, y0, f0, t_end: float, atol: float, rtol: float) -> floa
         return float(min(100 * h0, h1, t_end))
 
 
-def _dormand_prince(system: SystemDefinition, y, f0, t_eval, abs_tol, rel_tol):
+def _dormand_prince(system: SystemDefinition, y, t_eval, abs_tol, rel_tol):
     """Advance ``x' = field(x)`` from ``y`` at time 0 to ``t_eval[-1]`` and
     return the states at ``t_eval`` with the accepted and rejected step
     counts.
 
     Each step is one Dormand-Prince 5(4) attempt per trial step size, with
-    ``f0 = field(y)`` as the first stage and the last stage of every
-    accepted step reused as the first of the next.  The samples that fall
-    in an accepted step come from its quartic interpolant.
+    the validated ``evaluate_field(y)`` as the first stage and the last
+    stage of every accepted step reused as the first of the next.  The
+    samples that fall in an accepted step come from its quartic
+    interpolant.
     """
     field = system.field
     t_end = float(t_eval[-1])
     atol, rtol = abs_tol, max(rel_tol, _MIN_REL_TOL)
     states = np.empty((t_eval.size, y.size))
     K = np.empty((7, y.size))
-    K[0] = f0
     # stage s sums the earlier stages with row s of A: the same matrix-vector
     # product on the same transposed views as scipy, so the sums are
     # bit-identical
@@ -222,6 +221,7 @@ def _dormand_prince(system: SystemDefinition, y, f0, t_eval, abs_tol, rel_tol):
         return float(t_eval[filled - 1]) if filled else 0.0
 
     try:
+        K[0] = f0 = evaluate_field(system, y)
         h_abs = _initial_step(field, y, f0, t_end, atol, rtol)
         while t < t_end:
             min_step = 10 * (math.nextafter(t, math.inf) - t)
@@ -313,7 +313,7 @@ def flow_fixed(system: SystemDefinition, x0, t_end: float, dt: float) -> Traject
         k3 = np.asarray(f(y + 0.5 * h * k2), dtype=float)
         k4 = np.asarray(f(y + h * k3), dtype=float)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y)):
+        if not _all_finite(y):
             raise IntegrationError(
                 f"fixed-step integration hit a non-finite state at t={times[i + 1]:.6g}",
                 last_good_time=float(times[i]),

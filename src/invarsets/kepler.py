@@ -10,6 +10,8 @@ by -A/a^3, which is the companion system used in flow-coincidence checks.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import ConservedQuantitySet, SystemDefinition, stack_quantities
@@ -31,15 +33,21 @@ def _radius(a: float) -> None:
         )
 
 
+def _cubed_radius(x1: float, x2: float, what: str) -> float:
+    """|x|^3 = r2 * sqrt(r2); zero (at the origin, or underflowing) is singular."""
+    r2 = x1 * x1 + x2 * x2
+    r3 = r2 * math.sqrt(r2)
+    if r3 == 0.0:
+        raise NumericError(f"{what} is singular at the origin (|x|^3 is zero or underflows)")
+    return r3
+
+
 def kepler_field() -> SystemDefinition:
     """(x1', x2', y1', y2') = (y1, y2, -x1/|x|^3, -x2/|x|^3)."""
 
     def field(z):
-        x1, x2, y1, y2 = z
-        r2 = x1 * x1 + x2 * x2
-        if r2 == 0.0:
-            raise NumericError("Kepler field is singular at the origin")
-        r3 = r2 * np.sqrt(r2)
+        x1, x2, y1, y2 = z.tolist()
+        r3 = _cubed_radius(x1, x2, "Kepler field")
         return np.array([y1, y2, -x1 / r3, -x2 / r3])
 
     return SystemDefinition(
@@ -51,18 +59,15 @@ def hamiltonian() -> ConservedQuantitySet:
     """Total energy H = |y|^2/2 - 1/|x|."""
 
     def value(z):
-        x1, x2, y1, y2 = z
-        r = np.sqrt(x1 * x1 + x2 * x2)
+        x1, x2, y1, y2 = z.tolist()
+        r = math.sqrt(x1 * x1 + x2 * x2)
         if r == 0.0:
             raise NumericError("energy is singular at the origin")
         return 0.5 * (y1 * y1 + y2 * y2) - 1.0 / r
 
     def grad(z):
-        x1, x2, y1, y2 = z
-        r2 = x1 * x1 + x2 * x2
-        if r2 == 0.0:
-            raise NumericError("energy gradient is singular at the origin")
-        r3 = r2 * np.sqrt(r2)
+        x1, x2, y1, y2 = z.tolist()
+        r3 = _cubed_radius(x1, x2, "energy gradient")
         return np.array([x1 / r3, x2 / r3, y1, y2])
 
     return ConservedQuantitySet.scalar(4, value, "H", gradient=grad, smoothness_order=64)
@@ -84,13 +89,16 @@ def angular_momentum() -> ConservedQuantitySet:
             return np.zeros(1)
         return np.zeros(1)
 
+    def value(z):
+        x1, x2, y1, y2 = z.tolist()
+        return x1 * y2 - x2 * y1
+
+    def grad(z):
+        x1, x2, y1, y2 = z.tolist()
+        return np.array([y2, -y1, -x2, x1])
+
     return ConservedQuantitySet.scalar(
-        4,
-        lambda z: z[0] * z[3] - z[1] * z[2],
-        "A",
-        gradient=lambda z: np.array([z[3], -z[2], -z[1], z[0]]),
-        partial=partial,
-        smoothness_order=64,
+        4, value, "A", gradient=grad, partial=partial, smoothness_order=64
     )
 
 
@@ -119,16 +127,19 @@ def linear_pair_hamiltonian(a: float) -> ConservedQuantitySet:
     A = angular_momentum()
     c = -1.0 / a**3
 
+    def value(z):
+        x1, x2, y1, y2 = z.tolist()
+        return c * (x1 * y2 - x2 * y1)
+
+    def grad(z):
+        x1, x2, y1, y2 = z.tolist()
+        return np.array([c * y2, c * -y1, c * -x2, c * x1])
+
     def partial(z, alpha):
         return c * A.analytic_partial(z, alpha)
 
     return ConservedQuantitySet.scalar(
-        4,
-        lambda z: c * float(A.value(z)[0]),
-        f"-A/a^3(a={a:g})",
-        gradient=lambda z: c * np.array([z[3], -z[2], -z[1], z[0]]),
-        partial=partial,
-        smoothness_order=64,
+        4, value, f"-A/a^3(a={a:g})", gradient=grad, partial=partial, smoothness_order=64
     )
 
 
@@ -160,7 +171,7 @@ def linear_pair_field(a: float) -> SystemDefinition:
     inv_a3 = 1.0 / a**3
 
     def field(z):
-        x1, x2, y1, y2 = z
+        x1, x2, y1, y2 = z.tolist()
         return np.array([x2 * inv_a3, -x1 * inv_a3, y2 * inv_a3, -y1 * inv_a3])
 
     return SystemDefinition(

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConservedQuantitySet, as_state, as_states
+from .core import ConservedQuantitySet, _all_finite, as_state, as_states
 from .differentiate import jacobians, partial_tensor
 from .errors import NumericError, UsageError
 
@@ -143,7 +143,7 @@ def numerical_rank(matrix, rel_tol: float = DEFAULT_RANK_TOL, zero_floor: float 
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2:
         raise UsageError(f"expected a 2-D matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not _all_finite(m):
         raise UsageError("matrix has non-finite entries")
     _check_rel_tol(rel_tol)
     return _decide(m[None], rel_tol, np.array([float(zero_floor)]))[0]

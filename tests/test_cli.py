@@ -213,35 +213,69 @@ def test_export_trajectory_rejects_bad_names(tmp_path):
         export_trajectory(traj, toda.periodic_invariants(4), tmp_path / "x.csv", ("a", "b"))
 
 
+def _run_cli(tmp_path, config, *python_flags):
+    """``invarsets run`` on ``config`` in a fresh interpreter."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, *python_flags, "-m", "invarsets.cli", "run", _write(tmp_path, config)],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+
+
 @pytest.mark.parametrize("t_end", ["nan", "inf"])
 def test_non_finite_t_end_exits_2_instead_of_hanging(tmp_path, t_end):
     config = load_scenario(SCENARIO_DIR / "toda-periodic-rank-pattern.json")
     config["t_end"] = t_end
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run(
-        [sys.executable, "-m", "invarsets.cli", "run", _write(tmp_path, config)],
-        env=env, capture_output=True, text=True, timeout=30,
-    )
+    done = _run_cli(tmp_path, config)
     assert done.returncode == 2
     assert f"t_end must be a positive finite number, got {t_end}" in done.stderr
 
 
-def test_overflowing_initial_step_norm_ends_without_a_traceback(tmp_path):
-    # |f0 / scale| overflows in the initial-step heuristic's norm
-    config = {
+def _kepler_drift(start):
+    return {
         "model": {"kind": "kepler"}, "check": "drift", "quantity": "HA",
-        "initial_state": [1e100, 0, 0, 1e150], "t_end": 1,
+        "initial_state": start, "t_end": 1,
     }
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run(
-        [sys.executable, "-m", "invarsets.cli", "run", _write(tmp_path, config)],
-        env=env, capture_output=True, text=True, timeout=30,
-    )
-    assert done.returncode in (0, 1), done.stderr
+
+
+def test_overflowing_initial_step_norm_ends_without_a_traceback(tmp_path):
+    # |f0 / scale| overflows in the initial-step heuristic's norm, and |x|^3
+    # in the Kepler field: a pass, even with every RuntimeWarning an error
+    done = _run_cli(tmp_path, _kepler_drift([1e100, 0, 0, 1e150]), "-W", "error::RuntimeWarning")
+    assert done.returncode == 0, done.stderr
+    assert _strict_json(done.stdout)["verdict"] == "pass"
+
+
+def test_underflowing_kepler_radius_is_a_numeric_error_without_a_traceback(tmp_path):
+    # |x|^3 underflows to zero: the field is singular there, not divided by zero
+    done = _run_cli(tmp_path, _kepler_drift([1e-110, 0, 0, 1]), "-W", "error::RuntimeWarning")
+    assert done.returncode == 1
     assert "Traceback" not in done.stderr
-    assert _strict_json(done.stdout)["verdict"] in ("pass", "fail")
+    assert "Kepler field is singular at the origin (|x|^3 is zero or underflows)" in done.stderr
+
+
+@pytest.mark.parametrize(
+    "start",
+    [
+        [1e160, 0, 0, 1e-80],  # the norms that scale the premise tolerances overflow
+        pytest.param(
+            # the stepper's trial stages overflow, and numpy warns of it
+            [1.5e308, 0, 1.5e308, 0],
+            marks=pytest.mark.filterwarnings("ignore::RuntimeWarning:invarsets.integrate"),
+        ),
+    ],
+    ids=["norm-overflows", "stage-overflows"],
+)
+def test_far_out_coincidence_start_is_a_hypothesis_error(tmp_path, capsys, start):
+    config = {
+        "model": {"kind": "kepler", "a": 1.0}, "check": "coincidence", "quantity": "H",
+        "initial_state": start, "t_end": 1,
+    }
+    code = main(["run", _write(tmp_path, config)])
+    report = _strict_json(capsys.readouterr().out)
+    assert code == 1 and report["verdict"] == "hypothesis-error"
+    assert "start is off the agreement set" in report["evidence"]["message"]
 
 
 def test_printed_report_and_report_file_hold_the_same_bytes(tmp_path, capsys, monkeypatch):

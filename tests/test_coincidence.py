@@ -451,6 +451,20 @@ def test_point_field_errors_away_from_the_start_inside_flow_adaptive(part, fault
         assert err.value.last_good_time == 0.0
 
 
+def test_point_field_takes_a_non_finite_state_as_a_numeric_error():
+    # both derivative rules: an analytic gradient at order 1, and a batch of one
+    for driven, dim in (
+        (assemble_system(_symplectic_base(), kepler.hamiltonian()), 4),
+        (assemble_system(_laplacian_coupled_base(0.1), oscillator.unit_circle_power(3), 2), 2),
+    ):
+        x = np.ones(dim)
+        x[0] = np.inf
+        with pytest.raises(NumericError, match="evaluated at a non-finite state"):
+            driven.system.field(x)
+        with pytest.raises(UsageError, match=f"state has dimension {dim + 1}, expected {dim}"):
+            driven.system.field(np.ones(dim + 1))
+
+
 def test_off_set_start_failing_at_the_initial_step_is_a_hypothesis_error():
     x0 = kepler.circular_sample(1.0, 0.4)
     x0[2:] *= 1.1

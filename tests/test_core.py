@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from invarsets import (
     ConservedQuantitySet,
@@ -12,7 +16,7 @@ from invarsets import (
     stack_quantities,
     zero_quantity,
 )
-from invarsets.core import format_float
+from invarsets.core import _all_finite, format_float
 from invarsets import kepler, oscillator, toda
 
 from conftest import random_kepler_states, random_states
@@ -48,6 +52,24 @@ def test_non_finite_field_output_is_numeric_error():
     bad = SystemDefinition(dim=2, field=lambda z: np.array([np.inf, 0.0]), label="bad")
     with pytest.raises(NumericError, match="component 0"):
         evaluate_field(bad, [1.0, 0.0])
+
+
+# non-finite entries, subnormals and values near the top of the range
+EDGE_FLOATS = [np.inf, -np.inf, np.nan, 5e-324, -2.2e-308, 1e300, -1.7e308, 0.0]
+
+
+@given(
+    arrays(
+        float,
+        array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=6),
+        elements=st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=True, allow_infinity=True),
+    )
+)
+def test_all_finite_equals_isfinite_all_and_never_warns(a):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _all_finite(a)
+    assert got == np.isfinite(a).all()
 
 
 def test_non_finite_state_rejected():

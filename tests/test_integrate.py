@@ -150,11 +150,10 @@ def test_tableau_equals_scipy_rk45():
 
 
 # |f0 / scale| overflows in the initial-step norm, so the first step is the
-# stepper's floor; the Kepler field and scipy warn of their own overflows
+# stepper's floor; scipy warns of its own overflows
 OVERFLOWING_NORM = pytest.param(
     kepler.kepler_field(), [1e100, 0.0, 0.0, 1e150], 1.0, 51,
     marks=pytest.mark.filterwarnings(
-        "ignore::RuntimeWarning:invarsets.kepler",
         "ignore::RuntimeWarning:scipy",
         "ignore::RuntimeWarning:numpy",
     ),
@@ -234,6 +233,15 @@ def test_failure_before_the_first_step_reports_time_zero():
 
     with pytest.raises(IntegrationError, match="stopped at t=0:") as err:
         flow_adaptive(SystemDefinition(2, field, "start-only"), [0.0, 1.0], 1.0)
+    assert err.value.last_good_time == 0.0
+
+
+def test_numeric_error_at_the_start_is_an_integration_error_at_time_zero():
+    def field(y):
+        raise NumericError("singular everywhere")
+
+    with pytest.raises(IntegrationError, match="field evaluation failed.*singular everywhere") as err:
+        flow_adaptive(SystemDefinition(2, field, "nowhere"), [0.0, 1.0], 1.0)
     assert err.value.last_good_time == 0.0
 
 

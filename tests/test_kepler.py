@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from invarsets import (
     NumericError,
@@ -24,6 +25,78 @@ def test_field_values():
 def test_field_singular_at_origin():
     with pytest.raises(NumericError):
         evaluate_field(kepler.kepler_field(), [0.0, 0.0, 1.0, 0.0])
+
+
+def _numpy_scalar_forms(a):
+    """Each Kepler closed form beside its formula on numpy scalars; a
+    formula returns the radius power its singularity test reads (None
+    where there is none) and its value."""
+    c, inv_a3 = -1.0 / a**3, 1.0 / a**3
+
+    def field(z):
+        x1, x2, y1, y2 = z
+        r2 = x1 * x1 + x2 * x2
+        r3 = r2 * np.sqrt(r2)
+        return r3, np.array([y1, y2, -x1 / r3, -x2 / r3])
+
+    def h_value(z):
+        x1, x2, y1, y2 = z
+        r = np.sqrt(x1 * x1 + x2 * x2)
+        return r, 0.5 * (y1 * y1 + y2 * y2) - 1.0 / r
+
+    def h_grad(z):
+        x1, x2, y1, y2 = z
+        r2 = x1 * x1 + x2 * x2
+        r3 = r2 * np.sqrt(r2)
+        return r3, np.array([x1 / r3, x2 / r3, y1, y2])
+
+    return {
+        "field": (kepler.kepler_field().field, field),
+        "H-value": (kepler.hamiltonian().value, h_value),
+        "H-gradient": (kepler.hamiltonian().analytic_gradient, h_grad),
+        "A-value": (kepler.angular_momentum().value, lambda z: (None, z[0] * z[3] - z[1] * z[2])),
+        "A-gradient": (
+            kepler.angular_momentum().analytic_gradient,
+            lambda z: (None, np.array([z[3], -z[2], -z[1], z[0]])),
+        ),
+        "pair-value": (
+            kepler.linear_pair_hamiltonian(a).value,
+            lambda z: (None, c * (z[0] * z[3] - z[1] * z[2])),
+        ),
+        "pair-gradient": (
+            kepler.linear_pair_hamiltonian(a).analytic_gradient,
+            lambda z: (None, c * np.array([z[3], -z[2], -z[1], z[0]])),
+        ),
+        "pair-field": (
+            kepler.linear_pair_field(a).field,
+            lambda z: (None, np.array([z[1] * inv_a3, -z[0] * inv_a3, z[3] * inv_a3, -z[2] * inv_a3])),
+        ),
+    }
+
+
+# zero, or a magnitude from 1e-150 to 1e200 with either sign
+MAGNITUDES = st.just(0.0) | st.builds(
+    lambda sign, exponent, mantissa: sign * mantissa * 10.0**exponent,
+    st.sampled_from([-1.0, 1.0]),
+    st.integers(-150, 199),
+    st.floats(1.0, 10.0, exclude_max=True),
+)
+
+
+@given(z=st.lists(MAGNITUDES, min_size=4, max_size=4), a=st.sampled_from([0.5, 1.0, 1.3, 2.0]))
+@example(z=[1e-110, 0.0, 0.0, 1.0], a=1.0)  # |x|^3 underflows
+@example(z=[1e100, 0.0, 0.0, 1e150], a=1.0)  # |x|^2 overflows
+def test_closed_forms_equal_numpy_scalar_formulas_bit_for_bit(z, a):
+    x = np.array(z)
+    for name, (form, reference) in _numpy_scalar_forms(a).items():
+        with np.errstate(all="ignore"):
+            radius, expected = reference(x)
+        if radius == 0.0:  # at the origin, or |x|^3 underflows
+            with pytest.raises(NumericError, match="singular at the origin"):
+                form(x)
+            continue
+        got = np.asarray(form(x), dtype=float).ravel()
+        assert got.tobytes() == np.asarray(expected, dtype=float).ravel().tobytes(), name
 
 
 def test_invariant_values_at_reference_state():
