@@ -43,10 +43,12 @@ from .rank_sets import (
     RankDecision,
     RankDecisions,
     SetMembership,
+    SetMemberships,
     in_vanishing_set,
     numerical_rank,
     rank_level,
     rank_levels,
+    vanishing_memberships,
 )
 from .coincidence import (
     CoincidenceReport,
@@ -83,10 +85,12 @@ __all__ = [
     "RankDecision",
     "RankDecisions",
     "SetMembership",
+    "SetMemberships",
     "numerical_rank",
     "rank_level",
     "rank_levels",
     "in_vanishing_set",
+    "vanishing_memberships",
     "InvarianceReport",
     "verify_rank_invariance",
     "verify_vanishing_invariance",

@@ -22,7 +22,7 @@ from .core import (
     as_state,
     as_states,
 )
-from .differentiate import _jacobian_stack, jacobians, partial_tensor
+from .differentiate import _flat_block, _partial_stack, jacobians, partial_tensor
 from .errors import IntegrationError, NumericError, UsageError
 from .integrate import (
     DEFAULT_ABS_TOL,
@@ -41,24 +41,16 @@ def _derivative_blocks(
     quantity: ConservedQuantitySet, xs: np.ndarray, order: int
 ) -> list[np.ndarray]:
     """Blocks of orders 1..``order`` on a validated ``(m, dim)`` stack,
-    block l of shape ``(m, k * dim**l)``.
+    block l of shape ``(m, k * dim**l)``, from one stacked partial builder.
 
     A row of block l holds all order-l partials of the k components in
     lexicographic (component, multi-index) order, the multi-index running
-    over the full product {0..dim-1}^l (symmetric repeats included); the
-    flat stack ``base`` receives is the blocks concatenated in order.
-
-    Where :func:`partial_tensor` would take the order-1 partials from the
-    Jacobian rule (an analytic gradient, or no ``analytic_partial`` at
-    all), an order-1 stack is the stacked Jacobian itself: its row-major
-    flattening is ``flatten(1)``'s (component, alpha) order, bit for bit.
-    Everything else goes through one partial tensor per state.
+    over the full product {0..dim-1}^l (symmetric repeats included), as
+    :meth:`PartialTensor.flatten` lays them out; the flat stack ``base``
+    receives is the blocks concatenated in order.
     """
-    jacobian_rule = quantity.analytic_gradient is not None or quantity.analytic_partial is None
-    if order == 1 and jacobian_rule and quantity.smoothness_order >= 1:
-        return [_jacobian_stack(quantity, xs, None).reshape(len(xs), -1)]
-    tensors = [partial_tensor(quantity, x, order) for x in xs]
-    return [np.array([t.flatten(l) for t in tensors]) for l in range(1, order + 1)]
+    entries = _partial_stack(quantity, xs, order)
+    return [_flat_block(entries, quantity.k, quantity.dim, l) for l in range(1, order + 1)]
 
 
 @dataclass(frozen=True)

@@ -13,14 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
 import numpy as np
 
+from .core import ConservedQuantitySet, _all_finite, as_state, as_states, map_states
 from .errors import NumericError, UsageError
-
-if TYPE_CHECKING:
-    from .core import ConservedQuantitySet
 
 EPS = float(np.finfo(float).eps)
 DEFAULT_STEP_SCALE = EPS ** (1.0 / 3.0)
@@ -32,7 +30,7 @@ def _coordinate_steps(x: np.ndarray, scale: float) -> np.ndarray:
 
 
 def jacobians(
-    quantity: "ConservedQuantitySet", states, step_scale: float | None = None
+    quantity: ConservedQuantitySet, states, step_scale: float | None = None
 ) -> np.ndarray:
     """(m, k, n) Jacobians of a quantity on an (m, n) stack of states.
 
@@ -40,21 +38,15 @@ def jacobians(
     called once for the whole stack (once per coordinate and side when
     differencing); any other once per state.
     """
-    from .core import as_states
-
     return _jacobian_stack(quantity, as_states(states, quantity.dim), step_scale)
 
 
-def jacobian(quantity: "ConservedQuantitySet", x, step_scale: float | None = None) -> np.ndarray:
+def jacobian(quantity: ConservedQuantitySet, x, step_scale: float | None = None) -> np.ndarray:
     """k-by-n Jacobian of a quantity at one state: a batch of one."""
-    from .core import as_state
-
     return _jacobian_stack(quantity, as_state(x, quantity.dim)[None, :], step_scale)[0]
 
 
-def _jacobian_stack(quantity: "ConservedQuantitySet", xs: np.ndarray, step_scale) -> np.ndarray:
-    from .core import _all_finite, map_states
-
+def _jacobian_stack(quantity: ConservedQuantitySet, xs: np.ndarray, step_scale) -> np.ndarray:
     shape = (quantity.k, quantity.dim)
     if quantity.analytic_gradient is not None:
         J = map_states(quantity, quantity.analytic_gradient, xs, shape, "analytic gradient of")
@@ -111,49 +103,43 @@ class PartialTensor:
             raise UsageError(f"multi-index {key} has entries outside 0..{self.dim - 1}")
         return key
 
-    def max_abs(self) -> float:
-        return max(float(np.max(np.abs(v))) for v in self.entries.values())
-
     def flatten(self, order: int) -> np.ndarray:
         """Full order-``order`` block in lexicographic (component, alpha)
         order over alpha in {0..n-1}^order, symmetry filling the repeats."""
         if not 1 <= order <= self.order:
             raise UsageError(f"order {order} out of range 1..{self.order}")
-        out = np.empty(self.k * self.dim**order)
-        pos = 0
-        for i in range(self.k):
-            for alpha in product(range(self.dim), repeat=order):
-                out[pos] = self.entries[tuple(sorted(alpha))][i]
-                pos += 1
-        return out
+        return _flat_block(self.entries, self.k, self.dim, order)
 
 
-def _nested_central(value_fn, x, alpha, steps):
+def _flat_block(entries, k: int, dim: int, order: int) -> np.ndarray:
+    """The order-``order`` block of partials with ``(..., k)`` entries as
+    ``(..., k * dim**order)``, in :meth:`PartialTensor.flatten`'s order."""
+    columns = product(range(k), product(range(dim), repeat=order))
+    return np.stack([entries[tuple(sorted(alpha))][..., i] for i, alpha in columns], axis=-1)
+
+
+def _nested_central(quantity, xs, alpha, steps):
     if not alpha:
-        return np.atleast_1d(np.asarray(value_fn(x), dtype=float))
+        return map_states(quantity, quantity.value, xs, (quantity.k,), "quantity")
     j = alpha[0]
-    xp = x.copy()
-    xm = x.copy()
-    xp[j] += steps[j]
-    xm[j] -= steps[j]
-    fp = _nested_central(value_fn, xp, alpha[1:], steps)
-    fm = _nested_central(value_fn, xm, alpha[1:], steps)
-    return (fp - fm) / (2.0 * steps[j])
+    xp, xm = xs.copy(), xs.copy()
+    xp[:, j] += steps[:, j]
+    xm[:, j] -= steps[:, j]
+    fp, fm = (_nested_central(quantity, y, alpha[1:], steps) for y in (xp, xm))
+    return (fp - fm) / (2.0 * steps[:, j, None])
 
 
-def partial_tensor(
-    quantity: "ConservedQuantitySet", x, order: int, base_eps: float | None = None
-) -> PartialTensor:
-    """All partials of order 1..``order`` of every component at ``x``.
+def _partial_stack(
+    quantity: ConservedQuantitySet, xs: np.ndarray, order: int, base_eps: float | None = None
+) -> dict[tuple[int, ...], np.ndarray]:
+    """All partials of orders 1..``order`` of every component on a validated
+    ``(m, dim)`` stack, one ``(m, k)`` array per sorted multi-index.
 
-    Finite-difference entries of order ``l`` use the per-coordinate step
-    ``base_eps**(1/(l+2)) * max(1, |x_j|)`` with ``base_eps`` defaulting
-    to machine epsilon.  Orders above :data:`MAX_FD_ORDER` require an
-    ``analytic_partial`` provider.
+    Order 1 is the stacked Jacobian unless ``analytic_partial`` is the only
+    provider, which is called once per row.  Nested central differences run
+    on the whole stack, their values through ``map_states`` (one call for a
+    ``batched`` quantity, one per row otherwise).
     """
-    from .core import _all_finite, as_state
-
-    xv = as_state(x, quantity.dim)
     if order < 1:
         raise UsageError(f"derivative order must be >= 1, got {order}")
     if order > quantity.smoothness_order:
@@ -171,25 +157,40 @@ def partial_tensor(
 
     entries: dict[tuple[int, ...], np.ndarray] = {}
     for level in range(1, order + 1):
-        if level == 1 and quantity.analytic_gradient is not None:
-            J = jacobian(quantity, xv)
-            for j in range(quantity.dim):
-                entries[(j,)] = J[:, j].copy()
-            continue
-        if has_provider:
-            for alpha in combinations_with_replacement(range(quantity.dim), level):
-                val = np.atleast_1d(np.asarray(quantity.analytic_partial(xv, alpha), float))
-                if val.shape != (quantity.k,):
-                    raise UsageError(
-                        f"analytic_partial returned shape {val.shape} for alpha={alpha}"
-                    )
+        alphas = combinations_with_replacement(range(quantity.dim), level)
+        if level == 1 and (quantity.analytic_gradient is not None or not has_provider):
+            J = _jacobian_stack(quantity, xs, eps ** (1.0 / 3.0))
+            entries.update(((j,), J[:, :, j]) for j in range(quantity.dim))
+        elif has_provider:
+            for alpha in alphas:
+                rows = [np.atleast_1d(np.asarray(quantity.analytic_partial(x, alpha), float)) for x in xs]
+                for val in rows:
+                    if val.shape != (quantity.k,):
+                        raise UsageError(
+                            f"analytic_partial returned shape {val.shape} for alpha={alpha}"
+                        )
+                entries[alpha] = np.array(rows)
+        else:
+            steps = _coordinate_steps(xs, eps ** (1.0 / (level + 2)))
+            for alpha in alphas:
+                val = _nested_central(quantity, xs, alpha, steps)
+                if not _all_finite(val):
+                    raise NumericError(f"non-finite partial derivative for alpha={alpha}")
                 entries[alpha] = val
-            continue
-        steps = _coordinate_steps(xv, eps ** (1.0 / (level + 2)))
-        for alpha in combinations_with_replacement(range(quantity.dim), level):
-            val = _nested_central(quantity.value, xv, alpha, steps)
-            if not _all_finite(val):
-                raise NumericError(f"non-finite partial derivative for alpha={alpha}")
-            entries[alpha] = val
+    return entries
 
+
+def partial_tensor(
+    quantity: ConservedQuantitySet, x, order: int, base_eps: float | None = None
+) -> PartialTensor:
+    """All partials of order 1..``order`` of every component at ``x``: a
+    batch of one through the stacked builder.
+
+    Finite-difference entries of order ``l`` use the per-coordinate step
+    ``base_eps**(1/(l+2)) * max(1, |x_j|)`` with ``base_eps`` defaulting
+    to machine epsilon.  Orders above :data:`MAX_FD_ORDER` require an
+    ``analytic_partial`` provider.
+    """
+    xs = as_state(x, quantity.dim)[None, :]
+    entries = {alpha: v[0] for alpha, v in _partial_stack(quantity, xs, order, base_eps).items()}
     return PartialTensor(dim=quantity.dim, k=quantity.k, order=order, entries=entries)

@@ -138,8 +138,9 @@ def flow_adaptive(
 
     States are reported at ``sample_count`` uniformly spaced times via the
     integrator's dense interpolant.  Step-size underflow (stiffness or a
-    field singularity) and a :class:`NumericError` from the field raise
-    :class:`IntegrationError` carrying the last sample time reached.
+    field singularity), a :class:`NumericError` from the field and a
+    non-finite sample raise :class:`IntegrationError` carrying the last
+    sample time reached; overflow and invalid-value warnings are silenced.
     """
     _check_horizon("t_end", t_end)
     _check_tolerances(abs_tol, rel_tol)
@@ -148,10 +149,14 @@ def flow_adaptive(
     x0v = as_state(x0, system.dim)
 
     t_eval = np.linspace(0.0, float(t_end), int(sample_count))
-    states, accepted, rejected = _dormand_prince(system, x0v, t_eval, abs_tol, rel_tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        states, accepted, rejected = _dormand_prince(system, x0v, t_eval, abs_tol, rel_tol)
     states[0] = x0v
     if not _all_finite(states):
-        raise IntegrationError("adaptive integration produced non-finite states")
+        bad = int(np.flatnonzero(~np.isfinite(states).all(axis=1))[0])
+        raise IntegrationError(
+            "adaptive integration produced non-finite states", last_good_time=float(t_eval[bad - 1])
+        )
 
     stats = IntegratorStats(
         method="dormand-prince-5(4)",

@@ -12,9 +12,12 @@ they fail.  Verdicts:
 Every verifier is its premise checks plus a classifier of the samples;
 one skeleton integrates from the accepted start, classifies and applies
 the verdict rule.  Invariance is checked at the trajectory samples, not
-continuously (the rank and critical checks classify all samples in one
-stacked call); a start whose field norm is numerically zero is flagged as
-an equilibrium (trivially invariant).
+continuously, and every check classifies all samples of the ``(m, dim)``
+stack in one stacked call: one stacked SVD for the rank and critical
+checks, one stacked partial builder for the vanishing check, and one call
+of the set residual on the stack for set persistence.  A start whose field
+norm is numerically zero is flagged as an equilibrium (trivially
+invariant).
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .rank_sets import (
     in_vanishing_set,
     rank_level,
     rank_levels,
+    vanishing_memberships,
 )
 
 PASS = "pass"
@@ -227,13 +231,11 @@ def verify_vanishing_invariance(
         )
 
     def classify(traj):
-        members = [in_vanishing_set(quantity, s, order, abs_tol) for s in traj.states]
-        residuals = np.array([m.residual for m in members])
-        inside = np.array([m.verdict for m in members])
-        margins = np.array([m.margin for m in members])
-        held = f"{int(np.sum(inside))}/{len(members)}"
+        members = vanishing_memberships(quantity, traj.states, order, abs_tol)
+        residuals, inside = members.residuals, members.verdicts
+        held = f"{int(np.sum(inside))}/{len(inside)}"
         message = f"order-{order} vanishing membership held at {held} samples"
-        return residuals, inside, margins, int(np.argmax(residuals)), message
+        return residuals, inside, members.margins, int(np.argmax(residuals)), message
 
     integ = (integ_abs_tol, integ_rel_tol, sample_count)
     return _certify(
@@ -241,9 +243,19 @@ def verify_vanishing_invariance(
     )
 
 
+def _set_residuals(residual_fn, xs: np.ndarray) -> np.ndarray:
+    r = np.asarray(residual_fn(xs), dtype=float)
+    if r.shape != (len(xs),):
+        raise UsageError(
+            f"set residual {getattr(residual_fn, '__name__', residual_fn)} returned shape "
+            f"{r.shape} on {len(xs)} states, expected ({len(xs)},)"
+        )
+    return r
+
+
 def verify_set_persistence(
     system: SystemDefinition,
-    residual_fn: Callable[[np.ndarray], float],
+    residual_fn: Callable[[np.ndarray], np.ndarray],
     x0,
     t_end: float,
     tol: float,
@@ -255,15 +267,16 @@ def verify_set_persistence(
     """Certify that a nonnegative set-membership residual stays below
     ``tol`` along the flow from ``x0``.
 
-    ``residual_fn`` measures distance from the set (zero means exact
-    membership).  Each sample's margin is ``tol / r`` inside the set and
-    ``r / tol`` outside, as for :class:`SetMembership`.  When ``quantity``
+    ``residual_fn`` maps an ``(m, dim)`` stack to the ``(m,)`` distances
+    from the set (zero means exact membership); any other result shape is
+    a :class:`UsageError`.  Each sample's margin is ``tol / r`` inside the
+    set and ``r / tol`` outside, as for :class:`SetMembership`.  When ``quantity``
     is supplied its drift is monitored as corroborating evidence.
     """
     if tol <= 0:
         raise UsageError(f"tol must be positive, got {tol}")
     x0v = as_state(x0, system.dim)
-    r0 = float(residual_fn(x0v))
+    r0 = float(_set_residuals(residual_fn, x0v[None, :])[0])
     if r0 > tol:
         return InvarianceReport(
             kind="explicit-set",
@@ -274,9 +287,9 @@ def verify_set_persistence(
         )
 
     def classify(traj):
-        residuals = np.array([float(residual_fn(s)) for s in traj.states])
+        residuals = _set_residuals(residual_fn, traj.states)
         inside = residuals <= tol
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             inside_margins = np.where(residuals > 0.0, tol / residuals, np.inf)
         margins = np.where(inside, inside_margins, residuals / tol)
         worst = int(np.argmax(residuals))

@@ -11,7 +11,8 @@ calls are visible instead of silently classified.
 
 Decisions are made for whole stacks: :func:`rank_levels` takes every
 sample of a trajectory through one stacked Jacobian and one stacked SVD,
-and the single-matrix and single-state calls are batches of one.
+:func:`vanishing_memberships` through one stacked partial builder, and the
+single-matrix and single-state calls are batches of one.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConservedQuantitySet, _all_finite, as_state, as_states
-from .differentiate import jacobians, partial_tensor
+from .differentiate import _partial_stack, jacobians
 from .errors import NumericError, UsageError
 
 DEFAULT_RANK_TOL = 1e-8
@@ -65,6 +66,23 @@ class SetMembership:
     residual: float
     margin: float
     threshold: float
+
+
+@dataclass(frozen=True)
+class SetMemberships:
+    """Memberships of a stack of m states: the fields of
+    :class:`SetMembership` as arrays of shape (m,); indexing yields one."""
+
+    set_kind: str
+    parameter: int
+    verdicts: np.ndarray
+    residuals: np.ndarray
+    margins: np.ndarray
+    thresholds: np.ndarray
+
+    def __getitem__(self, i: int) -> SetMembership:
+        rows = (self.verdicts, self.residuals, self.margins, self.thresholds)
+        return SetMembership(self.set_kind, self.parameter, *(a[i].item() for a in rows))
 
 
 @dataclass(frozen=True)
@@ -176,31 +194,32 @@ def rank_level(quantity: ConservedQuantitySet, x, rel_tol: float = DEFAULT_RANK_
     return rank_levels(quantity, as_state(x, quantity.dim)[None, :], rel_tol)[0]
 
 
-def in_vanishing_set(
-    quantity: ConservedQuantitySet,
-    x,
-    order: int,
-    abs_tol: float = DEFAULT_VANISH_TOL,
-) -> SetMembership:
-    """Do all partials of all components up to ``order`` vanish at ``x``?
+def vanishing_memberships(
+    quantity: ConservedQuantitySet, states, order: int, abs_tol: float = DEFAULT_VANISH_TOL
+) -> SetMemberships:
+    """Do all partials of all components up to ``order`` vanish at each
+    state of an (m, dim) stack?  One stacked partial builder for the stack.
 
-    The verdict is true iff every entry of the partial tensor is at most
-    ``abs_tol * max(1, |x|)`` in magnitude.
+    The verdict is true iff every partial is at most ``abs_tol * max(1, |x|)``
+    in magnitude.
     """
     if abs_tol <= 0:
         raise UsageError(f"abs_tol must be positive, got {abs_tol}")
-    xv = as_state(x, quantity.dim)
-    tensor = partial_tensor(quantity, xv, order)
-    worst = tensor.max_abs()
-    threshold = abs_tol * max(1.0, float(np.linalg.norm(xv)))
-    verdict = worst <= threshold
-    margin = (threshold / worst if worst > 0.0 else np.inf) if verdict else worst / threshold
-    return SetMembership(
-        set_kind="vanishing",
-        parameter=order,
-        verdict=verdict,
-        residual=worst - threshold,
-        margin=float(margin),
-        threshold=threshold,
-    )
+    xs = as_states(states, quantity.dim)
+    partials = np.concatenate(list(_partial_stack(quantity, xs, order).values()), axis=1)
+    worst = np.abs(partials).max(axis=1)
+    # sqrt of the row dot product is bit-identical to np.linalg.norm of a row
+    thresholds = abs_tol * np.maximum(1.0, np.sqrt(np.vecdot(xs, xs)))
+    verdicts = worst <= thresholds
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        inside = np.where(worst > 0.0, thresholds / worst, np.inf)
+        margins = np.where(verdicts, inside, worst / thresholds)
+    return SetMemberships("vanishing", order, verdicts, worst - thresholds, margins, thresholds)
 
+
+def in_vanishing_set(
+    quantity: ConservedQuantitySet, x, order: int, abs_tol: float = DEFAULT_VANISH_TOL
+) -> SetMembership:
+    """Do all partials of all components up to ``order`` vanish at ``x``?
+    A batch of one through :func:`vanishing_memberships`."""
+    return vanishing_memberships(quantity, as_state(x, quantity.dim)[None, :], order, abs_tol)[0]

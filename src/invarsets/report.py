@@ -30,7 +30,7 @@ from .core import (
     stack_quantities,
 )
 from .differentiate import jacobians
-from .errors import UsageError
+from .errors import IntegrationError, UsageError
 from .integrate import (
     DEFAULT_ABS_TOL,
     DEFAULT_REL_TOL,
@@ -42,6 +42,7 @@ from .integrate import (
 from .invariance import (
     DEFAULT_CONSERVATION_TOL,
     FAIL,
+    HYPOTHESIS_ERROR,
     PASS,
     verify_critical_invariance,
     verify_rank_invariance,
@@ -266,7 +267,7 @@ def _run_set_persistence(s: _Scenario) -> _Outcome:
             f"but \"quantity\" selects {', '.join(s.quantity.labels)}"
         )
     rep = verify_set_persistence(
-        s.system, lambda x: toda.explicit_set_residual(set_id, n, x), s.x0, s.t_end,
+        s.system, lambda zs: toda.explicit_set_residual(set_id, n, zs), s.x0, s.t_end,
         tol=s.tol["residual"], quantity=s.quantity, **s.integ,
     )
     return _invariance_outcome(
@@ -300,8 +301,8 @@ def _run_oracle_equality(s: _Scenario) -> _Outcome:
     rng = np.random.default_rng(seed)
 
     # per invariant: the closed form, independent values on a stack of
-    # states and a quantity whose finite-difference Jacobian checks the
-    # closed-form gradient
+    # states and a batched quantity whose finite-difference Jacobian checks
+    # the closed-form gradient; every reference takes the whole stack
     references = []
     if s.kind == "toda-periodic":
         dim, lax = 2 * n, None
@@ -313,11 +314,10 @@ def _run_oracle_equality(s: _Scenario) -> _Outcome:
         dim, lax = 2 * n - 1, toda.lax_commutator_residual
         for k in (1, 2, 3):
             q = toda.flaschka_invariant(n, k)
-            values = lambda zs, _k=k: np.array([toda.trace_invariant_value(n, _k, z) for z in zs])
-            references.append((q, values, ConservedQuantitySet(dim, 1, q.value, q.labels)))
+            values = lambda zs, _k=k: toda.trace_invariant_value(n, _k, zs)
+            references.append((q, values, ConservedQuantitySet(dim, 1, q.value, q.labels, batched=True)))
 
-    # one draw of the (samples, dim) block is the same stream as one draw
-    # per sample; only the point oracles walk its rows
+    # one draw of the (samples, dim) block is the same stream as one draw per sample
     zs = rng.standard_normal((samples, dim))
     worst_value = worst_gradient = 0.0
     for closed, values, fd_quantity in references:
@@ -326,7 +326,7 @@ def _run_oracle_equality(s: _Scenario) -> _Outcome:
         g, fd = jacobians(closed, zs), jacobians(fd_quantity, zs)
         scales = np.maximum(1.0, np.abs(g).max(axis=(1, 2)))
         worst_gradient = max(worst_gradient, float(np.max(np.abs(g - fd).max(axis=(1, 2)) / scales)))
-    worst_lax = max([0.0] + [lax(n, z) for z in zs]) if lax is not None else 0.0
+    worst_lax = max(0.0, float(np.max(lax(n, zs)))) if lax is not None else 0.0
     ok = worst_value <= value_tol and worst_gradient <= gradient_tol and worst_lax <= value_tol
     evidence = {
         "samples": samples, "seed": seed, "max_value_mismatch": worst_value,
@@ -483,11 +483,17 @@ def run_scenario(config: dict[str, Any]) -> RunReport:
     """Execute one scenario and return its report.
 
     Configuration problems raise :class:`UsageError`; numerical verdicts
-    (including hypothesis errors) are reported, not raised.
+    (including hypothesis errors) are reported, not raised.  A failed
+    integration is a hypothesis error: the flow does not exist on [0, t_end].
     """
     started = time.perf_counter()
     s = _read(config)
-    verdict, evidence, traj = _CHECKS[s.check].run(s)
+    try:
+        verdict, evidence, traj = _CHECKS[s.check].run(s)
+    except IntegrationError as exc:
+        t = exc.last_good_time
+        message = f"the flow does not exist on [0, {s.t_end:.6g}]: last sample time reached {t:.6g}; {exc}"
+        verdict, evidence, traj = HYPOTHESIS_ERROR, {"message": message, "last_sample_time": t}, None
     return RunReport(
         label=str(config.get("label", "unnamed")),
         check=s.check,

@@ -154,6 +154,8 @@ def henon_invariant_oracle(n: int, m: int) -> ConservedQuantitySet:
 
     Combinatorial guard: n <= 8.  Gradients of the result come from finite
     differences; the closed forms below are the analytic route for m <= 3.
+    The value forms the same products in the same order on the last axis,
+    so it is declared ``batched``.
     """
     if n > MAX_ENUMERATION_N:
         raise UsageError(f"enumeration is guarded to n <= {MAX_ENUMERATION_N}, got n={n}")
@@ -162,19 +164,18 @@ def henon_invariant_oracle(n: int, m: int) -> ConservedQuantitySet:
     families = _index_families(n, m)
 
     def value(z, _n=n, _fams=families):
-        X, u = z[:_n], z[_n:]
         total = 0.0
         for I, J in _fams:
             term = 1.0
             for i in I:
-                term *= u[i]
+                term *= z[..., _n + i]
             for j in J:
-                term *= -X[j]
+                term *= -z[..., j]
             total += term
-        return np.array([total])
+        return np.asarray(total)[..., None]
 
     return ConservedQuantitySet(
-        dim=2 * n, k=1, value=value, labels=(f"I{m}[enum]",), smoothness_order=64
+        dim=2 * n, k=1, value=value, labels=(f"I{m}[enum]",), smoothness_order=64, batched=True
     )
 
 
@@ -293,24 +294,44 @@ def periodic_invariants(n: int, degrees: tuple[int, ...] = (1, 2, 3)) -> Conserv
 # ---------------------------------------------------------------------------
 
 
+def _tridiagonal(diag, upper, lower=0.0) -> np.ndarray:
+    """``(..., n, n)`` matrices from last-axis diagonals, each diagonal and
+    super-diagonal entry plus 0.0 as in a sum of ``np.diag`` matrices."""
+    n = diag.shape[-1]
+    d, i = np.arange(n), np.arange(n - 1)
+    out = np.zeros(diag.shape + (n,))
+    out[..., d, d] = diag + 0.0
+    out[..., i, i + 1] = upper + 0.0
+    out[..., i + 1, i] = lower
+    return out
+
+
 def lax_matrices(n: int, x) -> tuple[np.ndarray, np.ndarray]:
     """Tridiagonal Lax matrix L (diag u, super-diag X, sub-diag 1) and its
-    strictly upper companion B (super-diag -X) for a non-periodic state."""
+    strictly upper companion B (super-diag -X) for a non-periodic state, or
+    ``(m, n, n)`` stacks of both for an ``(m, dim)`` stack of states."""
     z = np.asarray(x, dtype=float)
-    if z.size != 2 * n - 1:
+    if z.shape[-1:] != (2 * n - 1,):
         raise UsageError(f"non-periodic state for n={n} has dimension {2 * n - 1}")
     X, u = split_nonperiodic(z, n)
-    L = np.diag(u) + np.diag(X, 1) + np.diag(np.ones(n - 1), -1)
-    B = np.diag(-X, 1)
+    L = _tridiagonal(u, X, 1.0)
+    B = np.zeros_like(L)
+    B[..., np.arange(n - 1), np.arange(1, n)] = -X
     return L, B
 
 
-def trace_invariant_value(n: int, k: int, x) -> float:
-    """tr(L^k)/k, the oracle route for the non-periodic invariants."""
+def _per_state(v):
+    return float(v) if np.ndim(v) == 0 else v  # a float for one state
+
+
+def trace_invariant_value(n: int, k: int, x):
+    """tr(L^k)/k, the oracle route for the non-periodic invariants: a float
+    for one state, shape ``(m,)`` for a stack (stacked ``matrix_power`` and
+    trace give each row's bits)."""
     if not 1 <= k <= n:
         raise UsageError(f"trace invariant needs 1 <= k <= n, got k={k}")
     L, _ = lax_matrices(n, x)
-    return float(np.trace(np.linalg.matrix_power(L, k)) / k)
+    return _per_state(np.trace(np.linalg.matrix_power(L, k), axis1=-2, axis2=-1) / k)
 
 
 def _f1_value(z, n):
@@ -400,17 +421,19 @@ def nonperiodic_invariants(n: int, degrees: tuple[int, ...] = (1, 2, 3)) -> Cons
     return stack_quantities([flaschka_invariant(n, k) for k in degrees])
 
 
-def lax_commutator_residual(n: int, x) -> float:
-    """max |dL/dt - (BL - LB)| with dL/dt assembled from the vector field.
+def lax_commutator_residual(n: int, x):
+    """max |dL/dt - (BL - LB)| with dL/dt assembled from the vector field:
+    a float for one state, shape ``(m,)`` for a stack.
 
     Near zero certifies that the free-end lattice has the commutator form.
+    The field takes one state, so it is evaluated row by row; the matrix
+    products run on the stack.
     """
     z = np.asarray(x, dtype=float)
-    zdot = nonperiodic_field(n).field(z)
-    Xdot, udot = split_nonperiodic(zdot, n)
-    Ldot = np.diag(udot) + np.diag(Xdot, 1)
     L, B = lax_matrices(n, z)
-    return float(np.max(np.abs(Ldot - (B @ L - L @ B))))
+    Xdot, udot = split_nonperiodic(np.apply_along_axis(nonperiodic_field(n).field, -1, z), n)
+    residual = np.abs(_tridiagonal(udot, Xdot) - (B @ L - L @ B))
+    return _per_state(residual.max(axis=(-2, -1)))
 
 
 # ---------------------------------------------------------------------------
@@ -516,82 +539,54 @@ def explicit_set_quantity(set_id: str, n: int) -> ConservedQuantitySet:
     return nonperiodic_invariants(n, desc.degrees)
 
 
-def _alternating_deviation(v: np.ndarray) -> float:
-    """Deviation from the two-periodic pattern (v1, v2, v1, v2, ...)."""
-    if v.size <= 2:
-        return 0.0
-    return float(max(np.max(np.abs(v[2::2] - v[0])), np.max(np.abs(v[3::2] - v[1])) if v.size > 3 else 0.0))
+# The residuals act on the last axis: each family lists terms of shape (..., j)
+# that vanish on it, and its residual is their largest magnitude.  Squares go
+# through np.float_power, C pow as for one float's `**`; an array's `**` multiplies.
 
 
-def _constant_deviation(v: np.ndarray) -> float:
-    return float(np.max(np.abs(v - v[0]))) if v.size else 0.0
+def _largest(terms) -> np.ndarray:
+    return np.abs(np.concatenate(terms, axis=-1)).max(axis=-1, initial=0.0)
 
 
-def _periodic_residual(set_id: str, n: int, X: np.ndarray, u: np.ndarray) -> float:
-    even = n % 2 == 0
-    if even:
-        pattern = max(_alternating_deviation(X), _alternating_deviation(u))
-        X1, X2, u1, u2 = X[0], X[1], u[0], u[1]
-        if set_id == "M2_I123":
-            return pattern
-        if set_id == "M1_I13":
-            return max(pattern, abs(u1 + u2))
-        if set_id == "M1_I23":
-            return max(pattern, abs(X1 + X2 + (n / 4.0) * (u1 + u2) ** 2 - u1 * u2))
-        if set_id == "M0_I3":
-            return max(pattern, abs(u1 + u2), abs(X1 + X2 - u1 * u2))
-    else:
-        if set_id == "M2_I123":
-            return max(_constant_deviation(X), _constant_deviation(u))
-        if set_id == "M1_I13":
-            return max(_constant_deviation(X), float(np.max(np.abs(u))))
-        if set_id == "M1_I23":
-            return max(
-                _constant_deviation(X),
-                _constant_deviation(u),
-                abs(X[0] + 0.5 * (n - 1) * u[0] ** 2),
-            )
-        if set_id == "M0_I3":
-            return float(max(np.max(np.abs(X)), np.max(np.abs(u))))
-    raise UsageError(f"set {set_id} is not a periodic family")
+def _alternating(v: np.ndarray) -> list[np.ndarray]:
+    """Deviations from the two-periodic pattern (v1, v2, v1, v2, ...)."""
+    return [v[..., 2::2] - v[..., :1], v[..., 3::2] - v[..., 1:2]]
 
 
-def _zero_interleaved_deviation(X: np.ndarray) -> float:
-    """Deviation from (X, 0, X, 0, ..., X) for the odd-length X block."""
-    dev = np.max(np.abs(X[2::2] - X[0])) if X.size > 2 else 0.0
-    if X.size > 1:
-        dev = max(dev, np.max(np.abs(X[1::2])))
-    return float(dev)
+def _periodic_terms(n: int, X: np.ndarray, u: np.ndarray) -> dict[str, list]:
+    if n % 2:
+        flat_X, flat_u = X - X[..., :1], u - u[..., :1]
+        parabola = X[..., :1] + 0.5 * (n - 1) * np.float_power(u[..., :1], 2)
+        return {"M2_I123": [flat_X, flat_u], "M1_I13": [flat_X, u], "M1_I23": [flat_X, flat_u, parabola], "M0_I3": [X, u]}
+    X1, X2, u1, u2 = X[..., :1], X[..., 1:2], u[..., :1], u[..., 1:2]
+    pattern = _alternating(X) + _alternating(u)
+    return {
+        "M2_I123": pattern,
+        "M1_I13": pattern + [u1 + u2],
+        "M1_I23": pattern + [X1 + X2 + (n / 4.0) * np.float_power(u1 + u2, 2) - u1 * u2],
+        "M0_I3": pattern + [u1 + u2, X1 + X2 - u1 * u2],
+    }
 
 
-def _nonperiodic_residual(set_id: str, n: int, X: np.ndarray, u: np.ndarray) -> float:
-    even = n % 2 == 0
-    if even:
-        pattern = max(_zero_interleaved_deviation(X), _alternating_deviation(u))
-        Xv, u1, u2 = X[0], u[0], u[1]
-        if set_id == "M2_F123":
-            return pattern
-        if set_id == "M1_F13":
-            return max(pattern, abs(u1 + u2))
-        if set_id == "M1_F23":
-            return max(pattern, abs(Xv - u1 * u2))
-        if set_id == "M0_F3":
-            return max(pattern, abs(u1 + u2), abs(Xv - u1 * u2))
-    else:
-        zero_X = float(np.max(np.abs(X))) if X.size else 0.0
-        if set_id == "M2_F123":
-            return max(zero_X, _alternating_deviation(u))
-        if set_id == "M1_F23":
-            branch1 = max(zero_X, float(np.max(np.abs(u[1::2]))), _constant_deviation(u[0::2]))
-            branch2 = max(zero_X, float(np.max(np.abs(u[0::2]))), _constant_deviation(u[1::2]))
-            return min(branch1, branch2)
-        if set_id in ("M1_F13", "M0_F3"):
-            return float(max(zero_X, np.max(np.abs(u))))
-    raise UsageError(f"set {set_id} is not a non-periodic family")
+def _nonperiodic_terms(n: int, X: np.ndarray, u: np.ndarray) -> dict[str, list]:
+    if n % 2:
+        # odd-n M1_F23 is the union of two branches: the nearer one counts
+        branches = [_largest([X, u[..., 1 - b :: 2], u[..., b::2] - u[..., b : b + 1]]) for b in (0, 1)]
+        nearer = np.minimum(*branches)[..., None]
+        return {"M2_F123": [X] + _alternating(u), "M1_F23": [nearer], "M1_F13": [X, u], "M0_F3": [X, u]}
+    Xv, u1, u2 = X[..., :1], u[..., :1], u[..., 1:2]
+    pattern = [X[..., 2::2] - Xv, X[..., 1::2]] + _alternating(u)  # X is (Xv, 0, Xv, 0, ..., Xv)
+    return {
+        "M2_F123": pattern,
+        "M1_F13": pattern + [u1 + u2],
+        "M1_F23": pattern + [Xv - u1 * u2],
+        "M0_F3": pattern + [u1 + u2, Xv - u1 * u2],
+    }
 
 
-def explicit_set_residual(set_id: str, n: int, x) -> float:
-    """Maximum absolute violation of the family's defining equalities.
+def explicit_set_residual(set_id: str, n: int, x):
+    """Maximum absolute violation of the family's defining equalities: a
+    float for one state, shape ``(m,)`` for an ``(m, dim)`` stack.
 
     Zero (to round-off) certifies exact membership; the pattern part
     measures deviation from the repeating template and the rest measures
@@ -600,15 +595,15 @@ def explicit_set_residual(set_id: str, n: int, x) -> float:
     desc = _descriptor(set_id)
     _reject_empty(desc)
     z = np.asarray(x, dtype=float)
-    if desc.lattice == "periodic":
-        if z.size != 2 * n:
-            raise UsageError(f"periodic state for n={n} has dimension {2 * n}")
-        X, u = split_periodic(z, n)
-        return _periodic_residual(set_id, n, X, u)
-    if z.size != 2 * n - 1:
-        raise UsageError(f"non-periodic state for n={n} has dimension {2 * n - 1}")
-    X, u = split_nonperiodic(z, n)
-    return _nonperiodic_residual(set_id, n, X, u)
+    periodic = desc.lattice == "periodic"
+    dim = 2 * n if periodic else 2 * n - 1
+    if z.shape[-1:] != (dim,):
+        raise UsageError(f"{'' if periodic else 'non-'}periodic state for n={n} has dimension {dim}")
+    if periodic:
+        terms = _periodic_terms(n, *split_periodic(z, n))
+    else:
+        terms = _nonperiodic_terms(n, *split_nonperiodic(z, n))
+    return _per_state(_largest(terms[set_id]))
 
 
 _SAMPLE_PARAMS: dict[tuple[str, bool], tuple[str, ...]] = {

@@ -13,13 +13,13 @@ from invarsets import (
     canonical_symplectic_matrix,
     evaluate_field,
     flow_adaptive,
-    in_vanishing_set,
     jacobian,
-    rank_level,
+    rank_levels,
     verify_coincidence,
     verify_rank_invariance,
     verify_set_persistence,
     verify_vanishing_invariance,
+    vanishing_memberships,
 )
 from invarsets import kepler, oscillator, toda
 
@@ -131,7 +131,7 @@ def test_criterion_3_explicit_set_persistence():
             x0 = toda.explicit_set_sample(set_id, n, params)
             rep = verify_set_persistence(
                 system,
-                lambda s, _id=set_id, _n=n: toda.explicit_set_residual(_id, _n, s),
+                lambda zs, _id=set_id, _n=n: toda.explicit_set_residual(_id, _n, zs),
                 x0,
                 10.0,
                 tol=1e-7,
@@ -224,9 +224,8 @@ def test_criterion_7_emptiness_probes():
                 if not desc.empty or desc.lattice != lattice:
                     continue
                 quantity = toda.explicit_set_quantity(desc.set_id, n)
-                for x in probes:
-                    if rank_level(quantity, x, 1e-8).rank == desc.rank:
-                        ok = False
+                if np.any(rank_levels(quantity, np.array(probes), 1e-8).ranks == desc.rank):
+                    ok = False
                 checked += 1
     _report(7, "provably empty families are never hit", ok, f"{checked} (set, n) combinations")
 
@@ -244,12 +243,11 @@ def test_criterion_8_vanishing_set_machinery():
     probes = np.vstack(
         [[np.array([np.cos(t), np.sin(t)]) for t in thetas], random_states(2, 100, 800)]
     )
-    for x in probes:
-        if in_vanishing_set(circle3, x, 2).verdict:
-            ok = ok and in_vanishing_set(circle3, x, 1).verdict
-        rank0 = rank_level(circle3, x, 1e-8).rank == 0
-        vanish1 = in_vanishing_set(circle3, x, 1, abs_tol=1e-8).verdict
-        ok = ok and (rank0 == vanish1)
+    inside2 = vanishing_memberships(circle3, probes, 2).verdicts
+    ok = ok and bool(np.all(vanishing_memberships(circle3, probes, 1).verdicts[inside2]))
+    rank0 = rank_levels(circle3, probes, 1e-8).ranks == 0
+    vanish1 = vanishing_memberships(circle3, probes, 1, abs_tol=1e-8).verdicts
+    ok = ok and bool(np.array_equal(rank0, vanish1))
     _report(8, "vanishing-order machinery on the circle probe", ok)
 
 

@@ -134,10 +134,11 @@ def test_declared_support_and_stacking():
     assert toda.henon_closed_form(4, 3).batched
     assert toda.flaschka_invariant(5, 2).batched
     assert not toda.flaschka_invariant(5, 4).batched  # trace route
-    assert not toda.henon_invariant_oracle(4, 2).batched
+    assert toda.henon_invariant_oracle(4, 2).batched  # same products on the last axis
     assert not zero_quantity(3).batched
     assert toda.periodic_invariants(4).batched
-    mixed = stack_quantities([toda.henon_closed_form(3, 1), toda.henon_invariant_oracle(3, 2)])
+    point_only = ConservedQuantitySet.scalar(6, lambda z: z[0] * z[3] - z[5], "x1x4-x6")
+    mixed = stack_quantities([toda.henon_closed_form(3, 1), point_only])
     assert not mixed.batched
     xs = np.random.default_rng(4).standard_normal((5, 6))
     assert_rows_match_points(mixed, xs)

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -248,22 +249,58 @@ def test_overflowing_initial_step_norm_ends_without_a_traceback(tmp_path):
 
 
 def test_underflowing_kepler_radius_is_a_numeric_error_without_a_traceback(tmp_path):
-    # |x|^3 underflows to zero: the field is singular there, not divided by zero
+    # |x|^3 underflows to zero: the field is singular there, not divided by
+    # zero, and the failed integration is reported as a broken premise
     done = _run_cli(tmp_path, _kepler_drift([1e-110, 0, 0, 1]), "-W", "error::RuntimeWarning")
     assert done.returncode == 1
     assert "Traceback" not in done.stderr
-    assert "Kepler field is singular at the origin (|x|^3 is zero or underflows)" in done.stderr
+    report = _strict_json(done.stdout)
+    assert report["verdict"] == "hypothesis-error"
+    assert "Kepler field is singular at the origin (|x|^3 is zero or underflows)" in report["evidence"]["message"]
+
+
+def test_failed_integration_is_a_hypothesis_error_report(tmp_path, capsys):
+    code = main(["run", _write(tmp_path, _kepler_drift([1e-110, 0, 0, 1]))])
+    out, err = capsys.readouterr()
+    report = _strict_json(out)
+    assert code == 1 and err == ""
+    assert report["verdict"] == "hypothesis-error"
+    assert report["evidence"]["last_sample_time"] == 0.0
+    message = report["evidence"]["message"]
+    assert message.startswith("the flow does not exist on [0, 1]: last sample time reached 0; ")
+    assert "field evaluation failed during integration: Kepler field is singular" in message
+
+
+def test_failed_integration_does_not_abort_run_all(tmp_path, capsys):
+    (tmp_path / "a-singular.json").write_text(json.dumps(_kepler_drift([1e-110, 0, 0, 1])))
+    shutil.copy(SCENARIO_DIR / "toda-periodic-drift.json", tmp_path / "b-drift.json")
+    assert main(["run-all", str(tmp_path), "--report-dir", str(tmp_path / "out")]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].split()[:5] == ["a-singular.json", "drift", "hypothesis-error", "pass", "NO"]
+    assert lines[2].split()[2:] == ["pass", "pass", "yes"]
+    assert lines[-1] == "1/2 scenarios matched their expected verdict"
+    report = _strict_json((tmp_path / "out" / "a-singular.report.json").read_text())
+    assert report["verdict"] == "hypothesis-error"
+
+
+def test_stage_overflow_under_strict_warnings_is_a_report_not_a_traceback(tmp_path):
+    # the stepper's stage sums overflow for this start; numpy's warning of it
+    # must not end the run when every RuntimeWarning is an error
+    config = {
+        "model": {"kind": "kepler", "a": 1.0}, "check": "coincidence", "quantity": "H",
+        "initial_state": [1.5e308, 0, 1.5e308, 0], "t_end": 1,
+    }
+    done = _run_cli(tmp_path, config, "-W", "error::RuntimeWarning")
+    assert done.returncode == 1, done.stderr
+    assert "Traceback" not in done.stderr
+    assert _strict_json(done.stdout)["verdict"] == "hypothesis-error"
 
 
 @pytest.mark.parametrize(
     "start",
     [
         [1e160, 0, 0, 1e-80],  # the norms that scale the premise tolerances overflow
-        pytest.param(
-            # the stepper's trial stages overflow, and numpy warns of it
-            [1.5e308, 0, 1.5e308, 0],
-            marks=pytest.mark.filterwarnings("ignore::RuntimeWarning:invarsets.integrate"),
-        ),
+        [1.5e308, 0, 1.5e308, 0],  # the stepper's trial stages overflow
     ],
     ids=["norm-overflows", "stage-overflows"],
 )

@@ -109,7 +109,7 @@ def test_vanishing_invariance_constant_quantity_trivially_passes():
 def test_set_persistence_even_pattern_families():
     report = verify_set_persistence(
         toda.periodic_field(4),
-        lambda s: toda.explicit_set_residual("M1_I13", 4, s),
+        lambda zs: toda.explicit_set_residual("M1_I13", 4, zs),
         toda.explicit_set_sample("M1_I13", 4, {"X1": 0.4, "X2": 0.9, "u": 0.6}),
         10.0,
         tol=1e-7,
@@ -123,7 +123,7 @@ def test_set_persistence_even_pattern_families():
 def test_set_persistence_nonperiodic_pattern():
     report = verify_set_persistence(
         toda.nonperiodic_field(4),
-        lambda s: toda.explicit_set_residual("M2_F123", 4, s),
+        lambda zs: toda.explicit_set_residual("M2_F123", 4, zs),
         np.array([0.5, 0.0, 0.5, 0.2, -0.1, 0.2, -0.1]),
         10.0,
         tol=1e-7,
@@ -133,7 +133,7 @@ def test_set_persistence_nonperiodic_pattern():
 
 def test_set_persistence_trivial_residual():
     report = verify_set_persistence(
-        oscillator.harmonic_oscillator(), lambda s: 0.0, [1.0, 0.0], 5.0, tol=1e-9
+        oscillator.harmonic_oscillator(), lambda zs: np.zeros(len(zs)), [1.0, 0.0], 5.0, tol=1e-9
     )
     assert report.verdict == "pass"
     assert report.min_margin == np.inf
@@ -142,7 +142,7 @@ def test_set_persistence_trivial_residual():
 def test_set_persistence_off_family_start_is_hypothesis_error():
     report = verify_set_persistence(
         toda.periodic_field(4),
-        lambda s: toda.explicit_set_residual("M2_I123", 4, s),
+        lambda zs: toda.explicit_set_residual("M2_I123", 4, zs),
         random_toda_physical(4, 1, 11)[0],
         5.0,
         tol=1e-7,
@@ -152,7 +152,7 @@ def test_set_persistence_off_family_start_is_hypothesis_error():
 
 def test_set_persistence_residual_shrinks_with_tolerance():
     x0 = toda.explicit_set_sample("M0_I3", 4, {"X1": 0.0, "u": 0.8})
-    resid = lambda s: toda.explicit_set_residual("M0_I3", 4, s)
+    resid = lambda zs: toda.explicit_set_residual("M0_I3", 4, zs)
     loose = verify_set_persistence(
         toda.periodic_field(4), resid, x0, 10.0, tol=1e-4, abs_tol=1e-6, rel_tol=1e-6
     )
@@ -290,7 +290,7 @@ def test_set_left_decisively_along_flow_is_fail():
     # |x2| reaches 1 at the quarter turn, 10^6 times the tolerance: each
     # sample's margin is tol/r inside and r/tol outside, so this is a fail
     report = verify_set_persistence(
-        oscillator.harmonic_oscillator(), lambda s: abs(s[1]), [1.0, 0.0], np.pi,
+        oscillator.harmonic_oscillator(), lambda zs: np.abs(zs[:, 1]), [1.0, 0.0], np.pi,
         tol=1e-6, sample_count=3,
     )
     assert report.verdict == "fail"
@@ -302,7 +302,7 @@ def test_set_left_decisively_along_flow_is_fail():
 def test_set_residual_near_tolerance_is_borderline(tol):
     # the quarter-turn residual 1 sits within a factor 10 of tol, on either side
     report = verify_set_persistence(
-        oscillator.harmonic_oscillator(), lambda s: abs(s[1]), [1.0, 0.0], np.pi,
+        oscillator.harmonic_oscillator(), lambda zs: np.abs(zs[:, 1]), [1.0, 0.0], np.pi,
         tol=tol, sample_count=3,
     )
     assert report.verdict == "borderline"

@@ -10,6 +10,8 @@ from invarsets import (
     jacobian,
     numerical_rank,
     rank_level,
+    rank_levels,
+    vanishing_memberships,
 )
 from invarsets import kepler, oscillator, toda
 
@@ -179,20 +181,18 @@ def _vanishing_probes():
 def test_vanishing_nesting_property():
     # membership at order r implies membership at order r - 1
     for quantity, states in _vanishing_probes():
-        for x in states:
-            for r in (2, 3):
-                if in_vanishing_set(quantity, x, r).verdict:
-                    assert in_vanishing_set(quantity, x, r - 1).verdict
+        for r in (2, 3):
+            inside = vanishing_memberships(quantity, states, r).verdicts
+            assert np.all(vanishing_memberships(quantity, states, r - 1).verdicts[inside])
 
 
 def test_rank_zero_iff_first_order_vanishing():
     # matched tolerances: rank floor tau * max(1, |x|) vs abs_tol = tau
     tau = 1e-8
     for quantity, states in _vanishing_probes():
-        for x in states:
-            rank0 = rank_level(quantity, x, tau).rank == 0
-            vanish1 = in_vanishing_set(quantity, x, 1, abs_tol=tau).verdict
-            assert rank0 == vanish1
+        rank0 = rank_levels(quantity, states, tau).ranks == 0
+        vanish1 = vanishing_memberships(quantity, states, 1, abs_tol=tau).verdicts
+        assert np.array_equal(rank0, vanish1)
 
 
 def test_vanishing_order_cap_usage_error():
