@@ -20,7 +20,6 @@ from .core import (
     conservation_residual,
     evaluate_field,
     stack_quantities,
-    zero_quantity,
 )
 from .differentiate import PartialTensor, jacobian, jacobians, partial_tensor
 from .errors import IntegrationError, InvarsetsError, NumericError, UsageError
@@ -29,7 +28,6 @@ from .integrate import (
     IntegratorStats,
     Trajectory,
     flow_adaptive,
-    flow_fixed,
     monitor_drift,
 )
 from .invariance import (
@@ -67,7 +65,6 @@ __all__ = [
     "conservation_residual",
     "evaluate_field",
     "stack_quantities",
-    "zero_quantity",
     "PartialTensor",
     "jacobian",
     "jacobians",
@@ -80,7 +77,6 @@ __all__ = [
     "DriftReport",
     "IntegratorStats",
     "flow_adaptive",
-    "flow_fixed",
     "monitor_drift",
     "RankDecision",
     "RankDecisions",

@@ -21,6 +21,7 @@ from .invariance import PASS
 from .report import (
     export_trajectory,
     load_scenario,
+    require_trajectory,
     run_directory,
     run_scenario,
     scenario_trajectory,
@@ -81,17 +82,17 @@ def _add_override_flags(parser: argparse.ArgumentParser) -> None:
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _apply_overrides(load_scenario(args.config), args)
     report = run_scenario(config)
-    # the check's own trajectory; a start that failed a premise integrated
-    # none, and a check that integrates none is a configuration error here,
-    # before any output
-    flow = args.csv and (report.flow or scenario_trajectory(config))
+    if args.csv:  # a check that integrates none is a configuration error, before any output
+        require_trajectory(report.check)
     text = report.to_json()
     print(text)
     if args.report:
         Path(args.report).write_text(text + "\n")
-    if flow:
-        traj, quantity, system = flow
+    if args.csv and report.flow:
+        traj, quantity, system = report.flow
         export_trajectory(traj, quantity, args.csv, system.component_names)
+    elif args.csv:  # a failed premise left no flow; integrating again would repeat the failure
+        print(f"no CSV written: the check integrated no trajectory ({report.verdict})", file=sys.stderr)
     return EXIT_PASS if report.verdict == PASS else EXIT_FAIL
 
 

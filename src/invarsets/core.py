@@ -273,19 +273,6 @@ def stack_quantities(quantities: Sequence[ConservedQuantitySet]) -> ConservedQua
     )
 
 
-def zero_quantity(dim: int) -> ConservedQuantitySet:
-    """The identically zero scalar quantity (conserved by any flow)."""
-    return ConservedQuantitySet(
-        dim=dim,
-        k=1,
-        value=lambda x: np.zeros(1),
-        labels=("0",),
-        analytic_gradient=lambda x: np.zeros((1, dim)),
-        analytic_partial=lambda x, alpha: np.zeros(1),
-        smoothness_order=64,
-    )
-
-
 def conservation_residual(
     quantity: ConservedQuantitySet, system: SystemDefinition, x
 ) -> Array:

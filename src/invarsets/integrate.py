@@ -1,17 +1,15 @@
 """Trajectory generation and conserved-quantity drift monitoring.
 
-The adaptive path is an own Dormand-Prince 5(4) stepper (Dormand and
-Prince 1980; Hairer, Norsett and Wanner, *Solving ODEs I*, II.4-II.6) with
-Shampine's quartic dense output, sampled on a uniform grid.  Its step
-controller is the standard one: safety factor 0.9, step changes clamped to
-[0.2, 10], exponent -1/5, the RMS error norm weighted by
-``abs_tol + max(|y|, |y_new|) * rel_tol``, the Hairer-Norsett-Wanner
-initial-step heuristic, and a failure once a step would fall below ten
-spacings of the floats at the current time.  Every constant and every
-floating-point operation is the one scipy's ``RK45`` uses, so the two
-produce the same trajectories bit for bit.  The fixed path is a
-hand-rolled classic RK4 that serves as an independent cross-check of the
-adaptive integrator.
+The adaptive path is an own Dormand-Prince 8(5,3) stepper (Dormand and
+Prince 1981; Hairer, Norsett and Wanner, *Solving ODEs I*, II.10, the
+DOP853 code) with its 7th-degree dense output, sampled on a uniform grid.
+Its step controller is the standard one: safety factor 0.9, step changes
+clamped to [0.2, 10], exponent -1/8, the blended 5th/3rd-order error norm
+weighted by ``abs_tol + max(|y|, |y_new|) * rel_tol``, the
+Hairer-Norsett-Wanner initial-step heuristic, and a failure once a step
+would fall below ten spacings of the floats at the current time.  Every
+constant and every floating-point operation is the one scipy's ``DOP853``
+uses, so the two produce the same trajectories bit for bit.
 Default tolerances are 1e-10 so that downstream theorem checks comparing
 residuals at ~1e-7 sit comfortably above the integration error.
 
@@ -32,36 +30,92 @@ from .errors import IntegrationError, NumericError, UsageError
 DEFAULT_ABS_TOL = 1e-10
 DEFAULT_REL_TOL = 1e-10
 DEFAULT_SAMPLE_COUNT = 401
-MAX_FIXED_STEPS = 10**7
 
-# Dormand-Prince 5(4): stage matrix, 5th-order weights, error weights (5th
-# minus 4th order, with the FSAL stage last) and Shampine's dense-output
-# matrix, written with the fractions of scipy's RK45 so that every
-# coefficient rounds the same way.  The fields are autonomous, so the stage
-# times are not needed.
-_A = np.array([
-    [0, 0, 0, 0, 0],
-    [1/5, 0, 0, 0, 0],
-    [3/40, 9/40, 0, 0, 0],
-    [44/45, -56/15, 32/9, 0, 0],
-    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
-    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
-])
-_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
-_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
-_P = np.array([
-    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
-    [0, 0, 0, 0],
-    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
-    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
-    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875/199316789632],
-    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
-    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
-])
+# Dormand-Prince 8(5,3), as in Hairer's DOP853: rows 1-11 of the stage
+# matrix A give the twelve stages of a step and row 12 is the 8th-order
+# weights B, whose stage is the first of the next step; rows 13-15 are the
+# three extra stages of the dense output and D the last four rows of its
+# 7th-degree interpolant.  E5 and E3 weigh the thirteen stages into the
+# 5th- and 3rd-order error estimates.  Every double is the one scipy's
+# DOP853 uses.  The fields are autonomous, so the stage times are not
+# needed.
+_A = np.zeros((16, 16))
+_A[1, [0]] = 0.05260015195876773
+_A[2, [0, 1]] = 0.0197250569845379, 0.0591751709536137
+_A[3, [0, 2]] = 0.02958758547680685, 0.08876275643042054
+_A[4, [0, 2, 3]] = 0.2413651341592667, -0.8845494793282861, 0.924834003261792
+_A[5, [0, 3, 4]] = 0.037037037037037035, 0.17082860872947386, 0.12546768756682242
+_A[6, [0, 3, 4, 5]] = 0.037109375, 0.17025221101954405, 0.06021653898045596, -0.017578125
+_A[7, [0, 3, 4, 5, 6]] = (
+    0.03709200011850479, 0.17038392571223998, 0.10726203044637328, -0.015319437748624402,
+    0.008273789163814023,
+)
+_A[8, [0, 3, 4, 5, 6, 7]] = (
+    0.6241109587160757, -3.3608926294469414, -0.868219346841726, 27.59209969944671,
+    20.154067550477894, -43.48988418106996,
+)
+_A[9, [0, 3, 4, 5, 6, 7, 8]] = (
+    0.47766253643826434, -2.4881146199716677, -0.590290826836843, 21.230051448181193,
+    15.279233632882423, -33.28821096898486, -0.020331201708508627,
+)
+_A[10, [0, 3, 4, 5, 6, 7, 8, 9]] = (
+    -0.9371424300859873, 5.186372428844064, 1.0914373489967295, -8.149787010746927,
+    -18.52006565999696, 22.739487099350505, 2.4936055526796523, -3.0467644718982196,
+)
+_A[11, [0, 3, 4, 5, 6, 7, 8, 9, 10]] = (
+    2.273310147516538, -10.53449546673725, -2.0008720582248625, -17.9589318631188,
+    27.94888452941996, -2.8589982771350235, -8.87285693353063, 12.360567175794303,
+    0.6433927460157636,
+)
+_A[12, [0, 5, 6, 7, 8, 9, 10, 11]] = (
+    0.054293734116568765, 4.450312892752409, 1.8915178993145003, -5.801203960010585,
+    0.3111643669578199, -0.1521609496625161, 0.20136540080403034, 0.04471061572777259,
+)
+_A[13, [0, 6, 7, 8, 9, 10, 11, 12]] = (
+    0.056167502283047954, 0.25350021021662483, -0.2462390374708025, -0.12419142326381637,
+    0.15329179827876568, 0.00820105229563469, 0.007567897660545699, -0.008298,
+)
+_A[14, [0, 5, 6, 7, 10, 11, 12, 13]] = (
+    0.03183464816350214, 0.028300909672366776, 0.053541988307438566, -0.05492374857139099,
+    -0.00010834732869724932, 0.0003825710908356584, -0.00034046500868740456, 0.1413124436746325,
+)
+_A[15, [0, 5, 6, 7, 8, 12, 13, 14]] = (
+    -0.42889630158379194, -4.697621415361164, 7.683421196062599, 4.06898981839711,
+    0.3567271874552811, -0.0013990241651590145, 2.9475147891527724, -9.15095847217987,
+)
+_B = _A[12, :12]  # the stage-13 row: the 8th-order solution is FSAL
+_E3 = np.append(_B, 0.0)
+_E3[[0, 8, 11]] -= 0.2440944881889764, 0.7338466882816118, 0.022058823529411766
+_E5 = np.zeros(13)
+_E5[[0, 5, 6, 7, 8, 9, 10, 11]] = (
+    0.01312004499419488, -1.2251564463762044, -0.4957589496572502, 1.6643771824549864,
+    -0.35032884874997366, 0.3341791187130175, 0.08192320648511571, -0.022355307863886294,
+)
+_D = np.zeros((4, 16))
+_D[0, [0, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]] = (
+    -8.428938276109013, 0.5667149535193777, -3.0689499459498917, 2.38466765651207,
+    2.117034582445028, -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
+    -0.08899033645133331, 18.148505520854727, -9.194632392478356, -4.436036387594894,
+)
+_D[1, [0, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]] = (
+    10.427508642579134, 242.28349177525817, 165.20045171727028, -374.5467547226902,
+    -22.113666853125306, 7.733432668472264, -30.674084731089398, -9.332130526430229,
+    15.697238121770845, -31.139403219565178, -9.35292435884448, 35.81684148639408,
+)
+_D[2, [0, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]] = (
+    19.985053242002433, -387.0373087493518, -189.17813819516758, 527.8081592054236,
+    -11.57390253995963, 6.8812326946963, -1.0006050966910838, 0.7777137798053443,
+    -2.778205752353508, -60.19669523126412, 84.32040550667716, 11.99229113618279,
+)
+_D[3, [0, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]] = (
+    -25.69393346270375, -154.18974869023643, -231.5293791760455, 357.6391179106141,
+    93.40532418362432, -37.45832313645163, 104.0996495089623, 29.8402934266605, -43.53345659001114,
+    96.32455395918828, -39.17726167561544, -149.72683625798564,
+)
 _SAFETY = 0.9  # step factor applied to the asymptotic estimate
 _MIN_FACTOR = 0.2  # largest decrease of the step in one attempt
 _MAX_FACTOR = 10  # largest increase of the step after an accepted one
-_ERROR_EXPONENT = -1 / 5  # -1 / (error estimator order + 1)
+_ERROR_EXPONENT = -1 / 8  # -1 / (error estimator order + 1)
 _MIN_REL_TOL = 100 * np.finfo(float).eps  # smaller rel_tol is raised to this
 
 
@@ -73,7 +127,6 @@ class IntegratorStats:
     field_evaluations: int
     abs_tol: float | None = None
     rel_tol: float | None = None
-    dt: float | None = None
 
 
 @dataclass(frozen=True)
@@ -134,7 +187,7 @@ def flow_adaptive(
     rel_tol: float = DEFAULT_REL_TOL,
     sample_count: int = DEFAULT_SAMPLE_COUNT,
 ) -> Trajectory:
-    """Integrate with the adaptive Dormand-Prince 5(4) pair.
+    """Integrate with the adaptive Dormand-Prince 8(5,3) pair.
 
     States are reported at ``sample_count`` uniformly spaced times via the
     integrator's dense interpolant.  Step-size underflow (stiffness or a
@@ -150,7 +203,7 @@ def flow_adaptive(
 
     t_eval = np.linspace(0.0, float(t_end), int(sample_count))
     with np.errstate(over="ignore", invalid="ignore"):
-        states, accepted, rejected = _dormand_prince(system, x0v, t_eval, abs_tol, rel_tol)
+        states, accepted, rejected, dense = _dop853(system, x0v, t_eval, abs_tol, rel_tol)
     states[0] = x0v
     if not _all_finite(states):
         bad = int(np.flatnonzero(~np.isfinite(states).all(axis=1))[0])
@@ -159,11 +212,12 @@ def flow_adaptive(
         )
 
     stats = IntegratorStats(
-        method="dormand-prince-5(4)",
+        method="dormand-prince-8(5,3)",
         steps_accepted=accepted,
         steps_rejected=rejected,
-        # one evaluation at the start, one for the initial step, six per attempt
-        field_evaluations=2 + 6 * (accepted + rejected),
+        # one evaluation at the start, one for the initial step, twelve per
+        # attempt and three per dense output
+        field_evaluations=2 + 12 * (accepted + rejected) + 3 * dense,
         abs_tol=abs_tol,
         rel_tol=rel_tol,
     )
@@ -174,9 +228,14 @@ def _rms(x: np.ndarray) -> float:
     return math.sqrt(x.dot(x)) / x.size ** 0.5
 
 
+def _norm_squared(x: np.ndarray) -> np.float64:
+    """``np.linalg.norm(x) ** 2`` (the rounded root squared) as a numpy scalar."""
+    return np.float64(math.sqrt(x.dot(x))) ** 2
+
+
 def _initial_step(field, y0, f0, t_end: float, atol: float, rtol: float) -> float:
     """Hairer-Norsett-Wanner starting step (Solving ODEs I, II.4) for an
-    error estimator of order 4; one field evaluation.  In numpy scalars, as
+    error estimator of order 7; one field evaluation.  In numpy scalars, as
     in scipy: an overflowing norm gives step 0, which the stepper raises to
     its floor."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -191,35 +250,37 @@ def _initial_step(field, y0, f0, t_end: float, atol: float, rtol: float) -> floa
         if d1 <= 1e-15 and d2 <= 1e-15:
             h1 = max(1e-6, h0 * 1e-3)
         else:
-            h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+            h1 = (0.01 / max(d1, d2)) ** (1 / 8)
         return float(min(100 * h0, h1, t_end))
 
 
-def _dormand_prince(system: SystemDefinition, y, t_eval, abs_tol, rel_tol):
+def _dop853(system: SystemDefinition, y, t_eval, abs_tol, rel_tol):
     """Advance ``x' = field(x)`` from ``y`` at time 0 to ``t_eval[-1]`` and
-    return the states at ``t_eval`` with the accepted and rejected step
-    counts.
+    return the states at ``t_eval``, the accepted and rejected step counts
+    and the number of steps that built a dense output.
 
-    Each step is one Dormand-Prince 5(4) attempt per trial step size, with
-    the validated ``evaluate_field(y)`` as the first stage and the last
-    stage of every accepted step reused as the first of the next.  The
-    samples that fall in an accepted step come from its quartic
-    interpolant.
+    Each step is one twelve-stage DOP853 attempt per trial step size, with
+    the validated ``evaluate_field(y)`` as the first stage and the
+    8th-order solution's stage of every accepted step reused as the first
+    of the next.  An accepted step that holds samples evaluates three more
+    stages and reads them off its 7th-degree interpolant.
     """
     field = system.field
     t_end = float(t_eval[-1])
     atol, rtol = abs_tol, max(rel_tol, _MIN_REL_TOL)
-    states = np.empty((t_eval.size, y.size))
-    K = np.empty((7, y.size))
+    n = y.size
+    states = np.empty((t_eval.size, n))
+    K = np.empty((16, n))  # the twelve stages, the new solution's, the three extra
+    F = np.empty((7, n))  # the dense-output rows
     # stage s sums the earlier stages with row s of A: the same matrix-vector
-    # product on the same transposed views as scipy, so the sums are
-    # bit-identical
-    stages = [(s, K[:s].T, _A[s, :s]) for s in range(1, 6)]
-    KB, KE = K[:6].T, K.T
+    # product on the same transposed views as scipy, so bit-identical sums
+    stages = [(s, K[:s].T, _A[s, :s]) for s in range(1, 12)]
+    extra = [(s, K[:s].T, _A[s, :s]) for s in range(13, 16)]
+    KB, KE = K[:12].T, K[:13].T
 
     t = 0.0
     abs_y = np.abs(y)
-    accepted = rejected = filled = 0
+    accepted = rejected = dense = filled = 0
     next_sample = float(t_eval[0])
 
     def last_sample() -> float:
@@ -245,10 +306,12 @@ def _dormand_prince(system: SystemDefinition, y, t_eval, abs_tol, rel_tol):
                 for s, KT, a in stages:
                     K[s] = field(y + KT.dot(a) * h)
                 y_new = y + h * KB.dot(_B)
-                K[6] = field(y_new)
+                K[12] = field(y_new)
                 abs_y_new = np.abs(y_new)
                 scale = atol + np.maximum(abs_y, abs_y_new) * rtol
-                error_norm = _rms(KE.dot(_E) * h / scale)
+                e5 = _norm_squared(KE.dot(_E5) / scale)
+                e3 = _norm_squared(KE.dot(_E3) / scale)
+                error_norm = h * e5 / math.sqrt((e5 + 0.01 * e3) * n) if e5 or e3 else 0.0
                 if error_norm < 1:
                     break
                 h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
@@ -265,74 +328,29 @@ def _dormand_prince(system: SystemDefinition, y, t_eval, abs_tol, rel_tol):
             accepted += 1
 
             if next_sample <= t_new:
+                for s, KT, a in extra:
+                    K[s] = field(y + KT.dot(a) * h)
+                dy = y_new - y
+                F[:3] = dy, h * K[0] - dy, 2 * dy - h * (K[12] + K[0])
+                F[3:] = h * np.dot(_D, K)
                 stop = int(np.searchsorted(t_eval, t_new, side="right"))
-                x = (t_eval[filled:stop] - t) / h
-                Q = KE.dot(_P)
-                # x, x^2, x^3, x^4 by the products np.cumprod forms, in its order
-                x2 = x * x
-                x3 = x2 * x
-                p = np.array((x, x2, x3, x3 * x))
-                states[filled:stop] = (h * np.dot(Q, p) + y[:, None]).T
+                x = ((t_eval[filled:stop] - t) / h)[:, None]
+                factors = (x, 1 - x)  # by turns from the top row, as Dop853DenseOutput
+                Y = np.zeros((x.size, n))
+                for i, f in enumerate(F[::-1]):
+                    Y += f
+                    Y *= factors[i % 2]
+                states[filled:stop] = Y + y
+                dense += 1
                 filled = stop
                 next_sample = float(t_eval[stop]) if stop < t_eval.size else math.inf
             t, y, abs_y = t_new, y_new, abs_y_new
-            K[0] = K[6]
+            K[0] = K[12]
     except NumericError as exc:
         raise IntegrationError(
             f"field evaluation failed during integration: {exc}", last_good_time=last_sample()
         ) from exc
-    return states, accepted, rejected
-
-
-def flow_fixed(system: SystemDefinition, x0, t_end: float, dt: float) -> Trajectory:
-    """Integrate with fixed-step classic RK4 (global error O(dt^4)).
-
-    A ``dt`` larger than ``t_end`` is clamped to a single step.  Every
-    accepted state is recorded.
-    """
-    _check_horizon("t_end", t_end)
-    _check_horizon("dt", dt)
-    if t_end / dt > MAX_FIXED_STEPS:
-        raise UsageError(f"t_end/dt = {t_end / dt:.3g} exceeds {MAX_FIXED_STEPS:g} steps")
-    x0v = as_state(x0, system.dim)
-    evaluate_field(system, x0v)
-
-    dt = min(float(dt), float(t_end))
-    n_steps = int(np.ceil(t_end / dt))
-    times = np.empty(n_steps + 1)
-    times[: n_steps + 1] = np.arange(n_steps + 1) * dt
-    times[n_steps] = float(t_end)
-    if times[n_steps] <= times[n_steps - 1]:  # rounding collapsed the last step
-        n_steps -= 1
-        times = times[: n_steps + 1]
-        times[n_steps] = float(t_end)
-
-    f = system.field
-    states = np.empty((n_steps + 1, system.dim))
-    states[0] = x0v
-    y = x0v.copy()
-    for i in range(n_steps):
-        h = times[i + 1] - times[i]
-        k1 = np.asarray(f(y), dtype=float)
-        k2 = np.asarray(f(y + 0.5 * h * k1), dtype=float)
-        k3 = np.asarray(f(y + 0.5 * h * k2), dtype=float)
-        k4 = np.asarray(f(y + h * k3), dtype=float)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not _all_finite(y):
-            raise IntegrationError(
-                f"fixed-step integration hit a non-finite state at t={times[i + 1]:.6g}",
-                last_good_time=float(times[i]),
-            )
-        states[i + 1] = y
-
-    stats = IntegratorStats(
-        method="rk4",
-        steps_accepted=n_steps,
-        steps_rejected=0,
-        field_evaluations=4 * n_steps,
-        dt=dt,
-    )
-    return Trajectory(times=times, states=states, stats=stats)
+    return states, accepted, rejected, dense
 
 
 def monitor_drift(traj: Trajectory, quantity: ConservedQuantitySet) -> DriftReport:

@@ -509,9 +509,14 @@ def scenario_trajectory(config: dict[str, Any]) -> tuple[Trajectory, ConservedQu
     """Integrate the scenario's model from its initial state over the
     check's horizon (for exports)."""
     s = _read(config)
-    if not _CHECKS[s.check].integrates:
-        raise UsageError(f"the {s.check} check integrates no trajectory to export as CSV")
+    require_trajectory(s.check)
     return flow_adaptive(s.system, s.x0, s.t_end, **s.integ), s.quantity, s.system
+
+
+def require_trajectory(check: str) -> None:
+    """Raise :class:`UsageError` unless the check integrates a trajectory."""
+    if not _CHECKS[check].integrates:
+        raise UsageError(f"the {check} check integrates no trajectory to export as CSV")
 
 
 def export_trajectory(

@@ -1,7 +1,72 @@
 import numpy as np
 import pytest
 
+from invarsets import ConservedQuantitySet, IntegrationError, SystemDefinition, UsageError
 from invarsets import kepler, oscillator, toda
+from invarsets.core import _all_finite, as_state, evaluate_field
+from invarsets.integrate import IntegratorStats, Trajectory, _check_horizon
+
+MAX_FIXED_STEPS = 10**7
+
+
+def flow_fixed(system: SystemDefinition, x0, t_end: float, dt: float) -> Trajectory:
+    """Integrate with fixed-step classic RK4 (global error O(dt^4)), the
+    independent cross-check of the adaptive stepper.
+
+    A ``dt`` larger than ``t_end`` is clamped to a single step.  Every
+    accepted state is recorded.
+    """
+    _check_horizon("t_end", t_end)
+    _check_horizon("dt", dt)
+    if t_end / dt > MAX_FIXED_STEPS:
+        raise UsageError(f"t_end/dt = {t_end / dt:.3g} exceeds {MAX_FIXED_STEPS:g} steps")
+    x0v = as_state(x0, system.dim)
+    evaluate_field(system, x0v)
+
+    dt = min(float(dt), float(t_end))
+    n_steps = int(np.ceil(t_end / dt))
+    times = np.arange(n_steps + 1) * dt
+    times[n_steps] = float(t_end)
+    if times[n_steps] <= times[n_steps - 1]:  # rounding collapsed the last step
+        n_steps -= 1
+        times = times[: n_steps + 1]
+        times[n_steps] = float(t_end)
+
+    f = system.field
+    states = np.empty((n_steps + 1, system.dim))
+    states[0] = x0v
+    y = x0v.copy()
+    for i in range(n_steps):
+        h = times[i + 1] - times[i]
+        k1 = np.asarray(f(y), dtype=float)
+        k2 = np.asarray(f(y + 0.5 * h * k1), dtype=float)
+        k3 = np.asarray(f(y + 0.5 * h * k2), dtype=float)
+        k4 = np.asarray(f(y + h * k3), dtype=float)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not _all_finite(y):
+            raise IntegrationError(
+                f"fixed-step integration hit a non-finite state at t={times[i + 1]:.6g}",
+                last_good_time=float(times[i]),
+            )
+        states[i + 1] = y
+
+    stats = IntegratorStats(
+        method="rk4", steps_accepted=n_steps, steps_rejected=0, field_evaluations=4 * n_steps
+    )
+    return Trajectory(times=times, states=states, stats=stats)
+
+
+def zero_quantity(dim: int) -> ConservedQuantitySet:
+    """The identically zero scalar quantity (conserved by any flow)."""
+    return ConservedQuantitySet(
+        dim=dim,
+        k=1,
+        value=lambda x: np.zeros(1),
+        labels=("0",),
+        analytic_gradient=lambda x: np.zeros((1, dim)),
+        analytic_partial=lambda x, alpha: np.zeros(1),
+        smoothness_order=64,
+    )
 
 
 def random_states(dim, count, seed, scale=1.0):

@@ -16,12 +16,13 @@ from invarsets import (
     numerical_rank,
     rank_level,
     stack_quantities,
-    zero_quantity,
 )
 from invarsets.core import as_states
 from invarsets.differentiate import jacobians
 from invarsets.rank_sets import DEFAULT_RANK_TOL, rank_levels
 from invarsets import toda
+
+from conftest import zero_quantity
 
 FINITE = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
 SETTINGS = settings(max_examples=30, deadline=None)

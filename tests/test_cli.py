@@ -271,6 +271,21 @@ def test_failed_integration_is_a_hypothesis_error_report(tmp_path, capsys):
     assert "field evaluation failed during integration: Kepler field is singular" in message
 
 
+def test_failed_integration_with_csv_prints_the_report_and_writes_no_csv(tmp_path, capsys, monkeypatch):
+    csv_path, report_path = tmp_path / "x.csv", tmp_path / "r.json"
+    calls = _count_flows(monkeypatch)
+    argv = ["run", _write(tmp_path, _kepler_drift([1e-110, 0, 0, 1])), "--csv", str(csv_path),
+            "--report", str(report_path)]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    report = _strict_json(out)
+    assert report["verdict"] == "hypothesis-error"
+    assert _strict_json(report_path.read_text()) == report
+    assert len(calls) == 1  # the check's own, failed integration; --csv repeats none
+    assert not csv_path.exists()
+    assert "no CSV written: the check integrated no trajectory (hypothesis-error)" in err
+
+
 def test_failed_integration_does_not_abort_run_all(tmp_path, capsys):
     (tmp_path / "a-singular.json").write_text(json.dumps(_kepler_drift([1e-110, 0, 0, 1])))
     shutil.copy(SCENARIO_DIR / "toda-periodic-drift.json", tmp_path / "b-drift.json")
@@ -489,8 +504,8 @@ def _count_flows(monkeypatch):
     [
         ("toda-periodic-rank-pattern.json", {}, 0, 1),
         ("kepler-circular-coincidence.json", {}, 0, 2),
-        # a start off the family stops at the premise: only the export integrates
-        ("toda-periodic-persist-M1I13.json", {"initial_state": [1.0] * 8, "set_id": "M1_I13"}, 1, 1),
+        # a start off the family stops at the premise: no flow, so no CSV
+        ("toda-periodic-persist-M1I13.json", {"initial_state": [1.0] * 8, "set_id": "M1_I13"}, 1, 0),
         # without t_end both run to the check's own horizon, one period 2*pi*a^3
         ("kepler-circular-coincidence-a15.json", {"t_end": None}, 0, 2),
     ],
@@ -507,6 +522,10 @@ def test_run_csv_exports_the_checks_own_trajectory(
     calls = _count_flows(monkeypatch)
     assert main(["run", path, "--sample-count", "21", "--csv", str(tmp_path / "run.csv")]) == code
     assert len(calls) == flows
+    if not flows:
+        assert "no CSV written" in capsys.readouterr().err
+        assert not (tmp_path / "run.csv").exists()
+        return
     assert main(["export", path, "--sample-count", "21", "--csv", str(tmp_path / "export.csv")]) == 0
     capsys.readouterr()
     assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "export.csv").read_bytes()

@@ -17,12 +17,11 @@ from invarsets import (
     partial_tensor,
     stack_quantities,
     verify_coincidence,
-    zero_quantity,
 )
 from invarsets import kepler, oscillator, toda
 from invarsets.coincidence import _derivative_blocks, _difference_quantity
 
-from conftest import random_kepler_states, random_toda_physical
+from conftest import random_kepler_states, random_toda_physical, zero_quantity
 
 
 def _symplectic_base():

@@ -14,12 +14,11 @@ from invarsets import (
     conservation_residual,
     evaluate_field,
     stack_quantities,
-    zero_quantity,
 )
 from invarsets.core import _all_finite, format_float
 from invarsets import kepler, oscillator, toda
 
-from conftest import random_kepler_states, random_states
+from conftest import random_kepler_states, random_states, zero_quantity
 
 
 def test_harmonic_field_value():

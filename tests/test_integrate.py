@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
-from scipy.integrate._ivp.rk import RK45
+from scipy.integrate._ivp import dop853_coefficients
+from scipy.integrate._ivp.rk import DOP853
 
 from invarsets import (
     ConservedQuantitySet,
@@ -15,12 +16,11 @@ from invarsets import (
     NumericError,
     UsageError,
     flow_adaptive,
-    flow_fixed,
     monitor_drift,
 )
 from invarsets import SystemDefinition, integrate, kepler, oscillator, toda
 
-from conftest import random_toda_physical
+from conftest import flow_fixed, random_toda_physical
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -142,11 +142,13 @@ def test_tolerance_monotonicity(system, x0, t_end):
     assert err_tight < err_loose
 
 
-def test_tableau_equals_scipy_rk45():
-    assert np.array_equal(integrate._A, RK45.A)
-    assert np.array_equal(integrate._B, RK45.B)
-    assert np.array_equal(integrate._E, RK45.E)
-    assert np.array_equal(integrate._P, RK45.P)
+def test_tableau_equals_scipy_dop853():
+    # A with the rows of the three dense-output stages
+    assert np.array_equal(integrate._A, dop853_coefficients.A)
+    assert np.array_equal(integrate._B, dop853_coefficients.B)
+    assert np.array_equal(integrate._E3, dop853_coefficients.E3)
+    assert np.array_equal(integrate._E5, dop853_coefficients.E5)
+    assert np.array_equal(integrate._D, dop853_coefficients.D)
 
 
 # |f0 / scale| overflows in the initial-step norm, so the first step is the
@@ -172,7 +174,7 @@ def test_adaptive_flow_equals_solve_ivp_bit_for_bit(system, x0, t_end, samples, 
     traj = flow_adaptive(system, x0, t_end, tol, tol, sample_count=samples)
     ref = solve_ivp(
         lambda t, y: system.field(y), (0.0, t_end), np.array(x0, dtype=float),
-        method="RK45", rtol=tol, atol=tol, t_eval=np.linspace(0.0, t_end, samples),
+        method="DOP853", rtol=tol, atol=tol, t_eval=np.linspace(0.0, t_end, samples),
     )
     assert ref.status == 0
     assert np.array_equal(traj.times, ref.t)
@@ -181,16 +183,16 @@ def test_adaptive_flow_equals_solve_ivp_bit_for_bit(system, x0, t_end, samples, 
 
 
 def _scipy_step_counts(system, x0, t_end, tol):
-    """Accepted and rejected steps of scipy's RK45, counted one step at a
-    time: a step that took r rejections cost 6 * (r + 1) evaluations."""
-    solver = RK45(lambda t, y: system.field(y), 0.0, np.array(x0, dtype=float), t_end,
+    """Accepted and rejected steps of scipy's DOP853, counted one step at a
+    time: a step that took r rejections cost 12 * (r + 1) evaluations."""
+    solver = DOP853(lambda t, y: system.field(y), 0.0, np.array(x0, dtype=float), t_end,
                   rtol=tol, atol=tol)
     accepted = rejected = 0
     while solver.status == "running":
         before = solver.nfev
         solver.step()
         accepted += 1
-        rejected += (solver.nfev - before) // 6 - 1
+        rejected += (solver.nfev - before) // 12 - 1
     assert solver.status == "finished"
     return accepted, rejected
 
