@@ -109,34 +109,40 @@ def assemble_system(
     """Close a base map over the derivative stack of a driving quantity.
 
     ``base(x, stack)`` receives the flat stack (for a scalar quantity at
-    order 1 this is just the gradient).  At order 1 the point field calls
+    order 1 this is just the gradient).  The field is ``batched``: a stack
+    runs through :meth:`GradientDrivenSystem.fields`'s path, whose rows
+    equal the point field's bit for bit.  At order 1 the point field calls
     an analytic gradient and ``base`` once each; every other rule is a
-    batch of one through :meth:`GradientDrivenSystem.fields`, whose rows
-    equal the point field's bit for bit.  The point field takes a
-    non-finite state as a :class:`NumericError` and a wrong shape as a
-    :class:`UsageError`.
+    batch of one.  The field takes a non-finite state as a
+    :class:`NumericError` and a wrong shape as a :class:`UsageError`.
     """
     if order < 1:
         raise UsageError(f"driving order must be >= 1, got {order}")
     label = label or f"driven[{'/'.join(quantity.labels)}]"
     dim = quantity.dim
 
-    def point(x):
+    def checked(x):
         # the stepper's trial stages overflow on far-out starts: a non-finite
         # state is a numeric failure, not a bad argument
         xv = np.asarray(x, dtype=float)
-        if xv.shape != (dim,):
+        if xv.shape != (dim,) and xv.shape[-1:] != (dim,):
             as_state(xv, dim)  # raises the shape's UsageError
         if not _all_finite(xv):
             raise NumericError(f"field of '{label}' evaluated at a non-finite state")
         return xv
+
+    def stacked(x):
+        xv = checked(x)
+        return _driven_fields(base, quantity, order, label, xv.reshape(-1, dim)).reshape(xv.shape)
 
     if order == 1 and quantity.analytic_gradient is not None and quantity.smoothness_order >= 1:
         grad, shape = quantity.analytic_gradient, (quantity.k, dim)
         name = "/".join(quantity.labels)
 
         def field(x):
-            xv = point(x)
+            xv = checked(x)
+            if xv.ndim > 1:
+                return stacked(xv)
             g = np.asarray(grad(xv), dtype=float)
             if g.shape != shape:
                 raise UsageError(
@@ -150,10 +156,9 @@ def assemble_system(
             return _checked_rows(label, dim, [row])[0]  # raises with the stack path's message
 
     else:
-        def field(x):
-            return _driven_fields(base, quantity, order, label, point(x)[None, :])[0]
+        field = stacked
 
-    system = SystemDefinition(dim=quantity.dim, field=field, label=label)
+    system = SystemDefinition(dim=quantity.dim, field=field, label=label, batched=True)
     return GradientDrivenSystem(base=base, quantity=quantity, order=order, system=system)
 
 

@@ -54,21 +54,18 @@ def as_states(xs, dim: int) -> Array:
 
 
 def map_states(
-    quantity: "ConservedQuantitySet",
-    fn: Callable[[Array], Array],
-    xs: Array,
-    row_shape: tuple[int, ...],
-    role: str,
+    fn: Callable[[Array], Array], xs: Array, row_shape: tuple[int, ...], batched: bool, what: str
 ) -> Array:
-    """Apply one of ``quantity``'s callables to every row of an ``(m, dim)`` stack.
+    """Apply ``fn`` (a quantity's callable or a field) to every row of an
+    ``(m, dim)`` stack.
 
-    A ``batched`` quantity's callable gets the whole stack in one call; any
-    other is called once per row, where a scalar counts as shape ``(1,)``.
-    A result not of shape ``(m, *row_shape)`` is a :class:`UsageError`
-    naming ``role`` and the quantity.  Finiteness is left to the caller.
+    A ``batched`` callable gets the whole stack in one call; any other is
+    called once per row, where a scalar counts as shape ``(1,)``.  A result
+    not of shape ``(m, *row_shape)`` is a :class:`UsageError` naming
+    ``what``.  Finiteness is left to the caller.
     """
     m = len(xs)
-    if quantity.batched:
+    if batched:
         out = np.asarray(fn(xs), dtype=float)
         if out.shape == (m,) + row_shape:
             return out
@@ -83,9 +80,7 @@ def map_states(
             out[i] = row
         else:
             return out
-    raise UsageError(
-        f"{role} '{'/'.join(quantity.labels)}' returned shape {got}, expected {expected}"
-    )
+    raise UsageError(f"{what} returned shape {got}, expected {expected}")
 
 
 def format_float(value: float) -> str:
@@ -99,12 +94,16 @@ class SystemDefinition:
 
     ``field`` must be deterministic and dimension-preserving.
     ``component_names`` optionally names the state components for exports.
+    ``batched`` declares, as for :class:`ConservedQuantitySet`, that
+    ``field`` also maps a stack ``(..., dim)`` to ``(..., dim)``, each row
+    equal bit for bit to the single-state result.
     """
 
     dim: int
     field: Callable[[Array], Array]
     label: str = ""
     component_names: tuple[str, ...] | None = None
+    batched: bool = False
 
     def __post_init__(self):
         if self.dim < 1:
@@ -114,6 +113,11 @@ class SystemDefinition:
                 f"component_names has {len(self.component_names)} entries "
                 f"for dimension {self.dim}"
             )
+
+    def fields(self, xs: Array) -> Array:
+        """The field on an ``(m, dim)`` stack: one call if ``batched``,
+        else one per row.  Finiteness is left to the caller."""
+        return map_states(self.field, xs, (self.dim,), self.batched, f"field of '{self.label}'")
 
 
 def evaluate_field(system: SystemDefinition, x) -> Array:
@@ -185,7 +189,7 @@ class ConservedQuantitySet:
         return self._values(as_state(x, self.dim)[None, :])[0]
 
     def _values(self, xs: Array) -> Array:
-        out = map_states(self, self.value, xs, (self.k,), "quantity")
+        out = map_states(self.value, xs, (self.k,), self.batched, f"quantity '{'/'.join(self.labels)}'")
         if not _all_finite(out):
             row = int(np.flatnonzero(~np.isfinite(out).all(axis=1))[0])
             raise NumericError(
@@ -201,11 +205,18 @@ class ConservedQuantitySet:
         gradient: Callable[[Array], Array] | None = None,
         partial: Callable[[Array, tuple[int, ...]], Array] | None = None,
         smoothness_order: int = 8,
+        batched: bool = False,
     ) -> "ConservedQuantitySet":
-        """Wrap a scalar function (and optional derivative providers) as k=1."""
-        grad = None
-        if gradient is not None:
-            grad = lambda x, _g=gradient: np.asarray(_g(x), dtype=float).reshape(1, dim)
+        """Wrap a scalar function (and optional derivative providers) as k=1.
+
+        ``batched`` declares that ``fn`` and ``gradient`` map a stack
+        ``(..., dim)`` to ``(...)`` and ``(..., dim)``."""
+        if batched:
+            value = lambda x, _f=fn: np.asarray(_f(x), dtype=float)[..., None]
+            grad = gradient and (lambda x, _g=gradient: np.asarray(_g(x), dtype=float)[..., None, :])
+        else:
+            value = lambda x, _f=fn: np.array([float(_f(x))])
+            grad = gradient and (lambda x, _g=gradient: np.asarray(_g(x), dtype=float).reshape(1, dim))
         part = None
         if partial is not None:
             part = lambda x, alpha, _p=partial: np.atleast_1d(
@@ -214,11 +225,12 @@ class ConservedQuantitySet:
         return ConservedQuantitySet(
             dim=dim,
             k=1,
-            value=lambda x, _f=fn: np.array([float(_f(x))]),
+            value=value,
             labels=(label,),
             analytic_gradient=grad,
             analytic_partial=part,
             smoothness_order=smoothness_order,
+            batched=batched,
         )
 
 

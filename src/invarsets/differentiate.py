@@ -25,6 +25,11 @@ DEFAULT_STEP_SCALE = EPS ** (1.0 / 3.0)
 MAX_FD_ORDER = 4
 
 
+def _values(quantity: ConservedQuantitySet, xs: np.ndarray) -> np.ndarray:
+    what = f"quantity '{'/'.join(quantity.labels)}'"
+    return map_states(quantity.value, xs, (quantity.k,), quantity.batched, what)
+
+
 def _coordinate_steps(x: np.ndarray, scale: float) -> np.ndarray:
     return scale * np.maximum(1.0, np.abs(x))
 
@@ -49,13 +54,11 @@ def jacobian(quantity: ConservedQuantitySet, x, step_scale: float | None = None)
 def _jacobian_stack(quantity: ConservedQuantitySet, xs: np.ndarray, step_scale) -> np.ndarray:
     shape = (quantity.k, quantity.dim)
     if quantity.analytic_gradient is not None:
-        J = map_states(quantity, quantity.analytic_gradient, xs, shape, "analytic gradient of")
+        what = f"analytic gradient of '{'/'.join(quantity.labels)}'"
+        J = map_states(quantity.analytic_gradient, xs, shape, quantity.batched, what)
         if not _all_finite(J):
             row = int(np.flatnonzero(~np.isfinite(J).all(axis=(1, 2)))[0])
-            raise NumericError(
-                f"analytic gradient of '{'/'.join(quantity.labels)}' is non-finite "
-                f"at state {row} of {len(xs)}"
-            )
+            raise NumericError(f"{what} is non-finite at state {row} of {len(xs)}")
         return J
 
     h = _coordinate_steps(xs, DEFAULT_STEP_SCALE if step_scale is None else float(step_scale))
@@ -65,8 +68,7 @@ def _jacobian_stack(quantity: ConservedQuantitySet, xs: np.ndarray, step_scale) 
         xm = xs.copy()
         xp[:, j] += h[:, j]
         xm[:, j] -= h[:, j]
-        vp = map_states(quantity, quantity.value, xp, (quantity.k,), "quantity")
-        vm = map_states(quantity, quantity.value, xm, (quantity.k,), "quantity")
+        vp, vm = (_values(quantity, x) for x in (xp, xm))
         col = (vp - vm) / (2.0 * h[:, j, None])
         if not _all_finite(col):
             raise NumericError(f"quantity is non-finite near x along coordinate {j}")
@@ -120,7 +122,7 @@ def _flat_block(entries, k: int, dim: int, order: int) -> np.ndarray:
 
 def _nested_central(quantity, xs, alpha, steps):
     if not alpha:
-        return map_states(quantity, quantity.value, xs, (quantity.k,), "quantity")
+        return _values(quantity, xs)
     j = alpha[0]
     xp, xm = xs.copy(), xs.copy()
     xp[:, j] += steps[:, j]

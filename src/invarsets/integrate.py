@@ -3,6 +3,10 @@
 The adaptive path is an own Dormand-Prince 8(5,3) stepper (Dormand and
 Prince 1981; Hairer, Norsett and Wanner, *Solving ODEs I*, II.10, the
 DOP853 code) with its 7th-degree dense output, sampled on a uniform grid.
+Dense output is finished per block of held steps, the accepted steps that
+hold samples: their three extra stages are one field call each on the
+block's stack (one per row for a field not declared ``batched``), and
+their interpolants are evaluated in one pass.
 Its step controller is the standard one: safety factor 0.9, step changes
 clamped to [0.2, 10], exponent -1/8, the blended 5th/3rd-order error norm
 weighted by ``abs_tol + max(|y|, |y_new|) * rel_tol``, the
@@ -19,6 +23,7 @@ integration is sequential, and trajectories are immutable once returned.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -117,6 +122,8 @@ _MIN_FACTOR = 0.2  # largest decrease of the step in one attempt
 _MAX_FACTOR = 10  # largest increase of the step after an accepted one
 _ERROR_EXPONENT = -1 / 8  # -1 / (error estimator order + 1)
 _MIN_REL_TOL = 100 * np.finfo(float).eps  # smaller rel_tol is raised to this
+_BLOCK = 32  # held steps finished together: bounds the stacked buffers
+_ROWS = 16 * _BLOCK  # samples interpolated per pass: a gather no larger than the stage stack
 
 
 @dataclass(frozen=True)
@@ -197,8 +204,8 @@ def flow_adaptive(
     """
     _check_horizon("t_end", t_end)
     _check_tolerances(abs_tol, rel_tol)
-    if sample_count < 2:
-        raise UsageError(f"sample_count must be >= 2, got {sample_count}")
+    if not (sample_count >= 2 and float(sample_count).is_integer()):
+        raise UsageError(f"sample_count must be an integer >= 2, got {sample_count}")
     x0v = as_state(x0, system.dim)
 
     t_eval = np.linspace(0.0, float(t_end), int(sample_count))
@@ -262,29 +269,33 @@ def _dop853(system: SystemDefinition, y, t_eval, abs_tol, rel_tol):
     Each step is one twelve-stage DOP853 attempt per trial step size, with
     the validated ``evaluate_field(y)`` as the first stage and the
     8th-order solution's stage of every accepted step reused as the first
-    of the next.  An accepted step that holds samples evaluates three more
-    stages and reads them off its 7th-degree interpolant.
+    of the next.  An accepted step that holds samples is held: its stages,
+    ends, time, size and sample range are recorded, and :func:`_finish`
+    reads its samples off its interpolant with up to ``_BLOCK - 1`` other
+    held steps.  Held steps are finished before any error leaves, so an
+    earlier step's failure comes first, as in a step-by-step dense output.
     """
     field = system.field
-    t_end = float(t_eval[-1])
+    times = t_eval.tolist()
+    t_end = times[-1]
     atol, rtol = abs_tol, max(rel_tol, _MIN_REL_TOL)
     n = y.size
     states = np.empty((t_eval.size, n))
-    K = np.empty((16, n))  # the twelve stages, the new solution's, the three extra
-    F = np.empty((7, n))  # the dense-output rows
+    K = np.empty((13, n))  # the twelve stages and the new solution's
     # stage s sums the earlier stages with row s of A: the same matrix-vector
     # product on the same transposed views as scipy, so bit-identical sums
     stages = [(s, K[:s].T, _A[s, :s]) for s in range(1, 12)]
-    extra = [(s, K[:s].T, _A[s, :s]) for s in range(13, 16)]
-    KB, KE = K[:12].T, K[:13].T
+    KB, KE = K[:12].T, K.T
+    block = np.empty((_BLOCK, 16, n))  # the held steps' stages and three extra
+    held = []  # (t, h, y, y_new, first sample, stop) per held step
 
     t = 0.0
     abs_y = np.abs(y)
     accepted = rejected = dense = filled = 0
-    next_sample = float(t_eval[0])
+    next_sample = times[0]
 
     def last_sample() -> float:
-        return float(t_eval[filled - 1]) if filled else 0.0
+        return times[filled - 1] if filled else 0.0
 
     try:
         K[0] = f0 = evaluate_field(system, y)
@@ -328,29 +339,66 @@ def _dop853(system: SystemDefinition, y, t_eval, abs_tol, rel_tol):
             accepted += 1
 
             if next_sample <= t_new:
-                for s, KT, a in extra:
-                    K[s] = field(y + KT.dot(a) * h)
-                dy = y_new - y
-                F[:3] = dy, h * K[0] - dy, 2 * dy - h * (K[12] + K[0])
-                F[3:] = h * np.dot(_D, K)
-                stop = int(np.searchsorted(t_eval, t_new, side="right"))
-                x = ((t_eval[filled:stop] - t) / h)[:, None]
-                factors = (x, 1 - x)  # by turns from the top row, as Dop853DenseOutput
-                Y = np.zeros((x.size, n))
-                for i, f in enumerate(F[::-1]):
-                    Y += f
-                    Y *= factors[i % 2]
-                states[filled:stop] = Y + y
+                stop = bisect.bisect_right(times, t_new)
+                block[len(held), :13] = K
+                held.append((t, h, y, y_new, filled, stop))
                 dense += 1
                 filled = stop
-                next_sample = float(t_eval[stop]) if stop < t_eval.size else math.inf
+                next_sample = times[stop] if stop < len(times) else math.inf
+                if len(held) == _BLOCK:
+                    full, held = held, []
+                    _finish(system, block, full, t_eval, states)
             t, y, abs_y = t_new, y_new, abs_y_new
             K[0] = K[12]
     except NumericError as exc:
-        raise IntegrationError(
-            f"field evaluation failed during integration: {exc}", last_good_time=last_sample()
-        ) from exc
+        raise _field_failure(exc, last_sample()) from exc
+    finally:  # a failure of a held step replaces a later one
+        _finish(system, block, held, t_eval, states)
     return states, accepted, rejected, dense
+
+
+def _field_failure(exc: NumericError, time: float) -> IntegrationError:
+    return IntegrationError(f"field evaluation failed during integration: {exc}", last_good_time=time)
+
+
+def _finish(system: SystemDefinition, block, held, t_eval, states) -> None:
+    """Write the samples of the ``held`` steps, whose first thirteen stages
+    are rows 0-12 of ``block``, as ``Dop853DenseOutput`` computes them: the
+    three extra stages as one field call each on the stack of held steps,
+    then Horner's rule in place in ``states``, ``_ROWS`` samples at a time.
+    A :class:`NumericError` in an extra stage sends the steps through one at
+    a time, so it is the :class:`IntegrationError` of the first that fails.
+    """
+    m = len(held)
+    if not m:
+        return
+    t, h, y, y_new, first, stop = (np.array(column) for column in zip(*held))
+    K, hc = block[:m], h[:, None]
+    for s in range(13, 16):
+        try:
+            K[:, s] = system.fields(y + np.matmul(_A[s, :s], K[:, :s]) * hc)
+        except NumericError as exc:
+            if m == 1:
+                raise _field_failure(exc, float(t_eval[first[0] - 1]) if first[0] else 0.0) from exc
+            for j in range(m):
+                _finish(system, block[j:], held[j : j + 1], t_eval, states)
+            return
+    dy = y_new - y
+    D = np.matmul(_D, K)
+    D *= h[:, None, None]
+    # from the top row down, as Dop853DenseOutput
+    rows = (D[:, 3], D[:, 2], D[:, 1], D[:, 0], 2 * dy - hc * (K[:, 12] + K[:, 0]), hc * K[:, 0] - dy, dy)
+    step = np.repeat(np.arange(m), stop - first)  # the held step of each sample
+    x = ((t_eval[first[0] : stop[-1]] - t[step]) / h[step])[:, None]
+    samples = states[first[0] : stop[-1]]
+    for a in range(0, step.size, _ROWS):
+        i, out, xa = step[a : a + _ROWS], samples[a : a + _ROWS], x[a : a + _ROWS]
+        factors = (xa, 1 - xa)
+        out.fill(0.0)
+        for r, f in enumerate(rows):
+            out += f[i]
+            out *= factors[r % 2]
+        out += y[i]
 
 
 def monitor_drift(traj: Trajectory, quantity: ConservedQuantitySet) -> DriftReport:

@@ -33,11 +33,28 @@ def _radius(a: float) -> None:
         )
 
 
-def _cubed_radius(x1: float, x2: float, what: str) -> float:
-    """|x|^3 = r2 * sqrt(r2); zero (at the origin, or underflowing) is singular."""
+def _componentwise(formula):
+    """``formula`` on the components (x1, x2, y1, y2) of one state, as
+    Python floats, whose arithmetic is the cheapest, or of a stack
+    ``(..., 4)``, transposed and with overflow as silent as a float's.  A
+    vector result is built with ``np.array`` on the components."""
+
+    def fn(z):
+        if z.ndim == 1:
+            return formula(*z.tolist())
+        with np.errstate(over="ignore", invalid="ignore"):
+            return formula(*z.T).T
+
+    return fn
+
+
+def _cubed_radius(x1, x2, what: str):
+    """|x|^3 = r2 * sqrt(r2) of floats or arrays; zero (at the origin, or
+    underflowing) is singular."""
     r2 = x1 * x1 + x2 * x2
-    r3 = r2 * math.sqrt(r2)
-    if r3 == 0.0:
+    point = type(r2) is float
+    r3 = r2 * (math.sqrt(r2) if point else np.sqrt(r2))
+    if r3 == 0.0 if point else not r3.all():
         raise NumericError(f"{what} is singular at the origin (|x|^3 is zero or underflows)")
     return r3
 
@@ -45,32 +62,43 @@ def _cubed_radius(x1: float, x2: float, what: str) -> float:
 def kepler_field() -> SystemDefinition:
     """(x1', x2', y1', y2') = (y1, y2, -x1/|x|^3, -x2/|x|^3)."""
 
-    def field(z):
-        x1, x2, y1, y2 = z.tolist()
+    @_componentwise
+    def field(x1, x2, y1, y2):
         r3 = _cubed_radius(x1, x2, "Kepler field")
         return np.array([y1, y2, -x1 / r3, -x2 / r3])
 
     return SystemDefinition(
-        dim=4, field=field, label="kepler", component_names=("x1", "x2", "y1", "y2")
+        dim=4, field=field, label="kepler", component_names=("x1", "x2", "y1", "y2"), batched=True
     )
+
+
+def _energy(x1, x2, y1, y2):
+    r2 = x1 * x1 + x2 * x2
+    r = math.sqrt(r2) if type(r2) is float else np.sqrt(r2)
+    if not np.all(r):
+        raise NumericError("energy is singular at the origin")
+    return 0.5 * (y1 * y1 + y2 * y2) - 1.0 / r
+
+
+def _energy_gradient(x1, x2, y1, y2):
+    r3 = _cubed_radius(x1, x2, "energy gradient")
+    return np.array([x1 / r3, x2 / r3, y1, y2])
+
+
+def _momentum(x1, x2, y1, y2):
+    return x1 * y2 - x2 * y1
+
+
+def _momentum_gradient(x1, x2, y1, y2):
+    return np.array([y2, -y1, -x2, x1])
 
 
 def hamiltonian() -> ConservedQuantitySet:
     """Total energy H = |y|^2/2 - 1/|x|."""
-
-    def value(z):
-        x1, x2, y1, y2 = z.tolist()
-        r = math.sqrt(x1 * x1 + x2 * x2)
-        if r == 0.0:
-            raise NumericError("energy is singular at the origin")
-        return 0.5 * (y1 * y1 + y2 * y2) - 1.0 / r
-
-    def grad(z):
-        x1, x2, y1, y2 = z.tolist()
-        r3 = _cubed_radius(x1, x2, "energy gradient")
-        return np.array([x1 / r3, x2 / r3, y1, y2])
-
-    return ConservedQuantitySet.scalar(4, value, "H", gradient=grad, smoothness_order=64)
+    return ConservedQuantitySet.scalar(
+        4, _componentwise(_energy), "H", gradient=_componentwise(_energy_gradient),
+        smoothness_order=64, batched=True,
+    )
 
 
 def angular_momentum() -> ConservedQuantitySet:
@@ -89,16 +117,9 @@ def angular_momentum() -> ConservedQuantitySet:
             return np.zeros(1)
         return np.zeros(1)
 
-    def value(z):
-        x1, x2, y1, y2 = z.tolist()
-        return x1 * y2 - x2 * y1
-
-    def grad(z):
-        x1, x2, y1, y2 = z.tolist()
-        return np.array([y2, -y1, -x2, x1])
-
     return ConservedQuantitySet.scalar(
-        4, value, "A", gradient=grad, partial=partial, smoothness_order=64
+        4, _componentwise(_momentum), "A", gradient=_componentwise(_momentum_gradient),
+        partial=partial, smoothness_order=64, batched=True,
     )
 
 
@@ -106,17 +127,18 @@ def combined_invariant(a: float) -> ConservedQuantitySet:
     """K = H + A/a^3; its gradient vanishes exactly on the radius-a^2
     clockwise circular orbits."""
     _radius(a)
-    H, A = hamiltonian(), angular_momentum()
     inv_a3 = 1.0 / a**3
 
-    def value(z):
-        return float(H.value(z)[0]) + inv_a3 * float(A.value(z)[0])
+    @_componentwise
+    def value(*z):
+        return _energy(*z) + inv_a3 * _momentum(*z)
 
-    def grad(z):
-        return H.analytic_gradient(z) + inv_a3 * A.analytic_gradient(z)
+    @_componentwise
+    def grad(*z):
+        return _energy_gradient(*z) + inv_a3 * _momentum_gradient(*z)
 
     return ConservedQuantitySet.scalar(
-        4, value, f"K(a={a:g})", gradient=lambda z: grad(z)[0], smoothness_order=64
+        4, value, f"K(a={a:g})", gradient=grad, smoothness_order=64, batched=True
     )
 
 
@@ -127,19 +149,19 @@ def linear_pair_hamiltonian(a: float) -> ConservedQuantitySet:
     A = angular_momentum()
     c = -1.0 / a**3
 
-    def value(z):
-        x1, x2, y1, y2 = z.tolist()
+    @_componentwise
+    def value(x1, x2, y1, y2):
         return c * (x1 * y2 - x2 * y1)
 
-    def grad(z):
-        x1, x2, y1, y2 = z.tolist()
+    @_componentwise
+    def grad(x1, x2, y1, y2):
         return np.array([c * y2, c * -y1, c * -x2, c * x1])
 
     def partial(z, alpha):
         return c * A.analytic_partial(z, alpha)
 
     return ConservedQuantitySet.scalar(
-        4, value, f"-A/a^3(a={a:g})", gradient=grad, partial=partial, smoothness_order=64
+        4, value, f"-A/a^3(a={a:g})", gradient=grad, partial=partial, smoothness_order=64, batched=True
     )
 
 
@@ -170,8 +192,8 @@ def linear_pair_field(a: float) -> SystemDefinition:
     _radius(a)
     inv_a3 = 1.0 / a**3
 
-    def field(z):
-        x1, x2, y1, y2 = z.tolist()
+    @_componentwise
+    def field(x1, x2, y1, y2):
         return np.array([x2 * inv_a3, -x1 * inv_a3, y2 * inv_a3, -y1 * inv_a3])
 
     return SystemDefinition(
@@ -179,4 +201,5 @@ def linear_pair_field(a: float) -> SystemDefinition:
         field=field,
         label=f"kepler-linear-pair(a={a:g})",
         component_names=("x1", "x2", "y1", "y2"),
+        batched=True,
     )

@@ -11,11 +11,13 @@ from .errors import UsageError
 
 def harmonic_oscillator() -> SystemDefinition:
     """(x1', x2') = (x2, -x1): uniform rotation of the plane."""
+
+    def field(z):
+        zt = z.T  # components first, for a point or a stack
+        return np.array([zt[1], -zt[0]]).T
+
     return SystemDefinition(
-        dim=2,
-        field=lambda z: np.array([z[1], -z[0]]),
-        label="harmonic-oscillator",
-        component_names=("x1", "x2"),
+        dim=2, field=field, label="harmonic-oscillator", component_names=("x1", "x2"), batched=True
     )
 
 

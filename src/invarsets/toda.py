@@ -92,12 +92,14 @@ def periodic_field(n: int) -> SystemDefinition:
     subtrahend = np.concatenate([n + nxt, sites])
 
     def field(z, _n=n, _a=minuend, _b=subtrahend):
-        out = z[_a] - z[_b]
-        out[:_n] *= z[:_n]
-        return out
+        point = z.ndim == 1
+        zt = z if point else z.T  # components first
+        out = zt[_a] - zt[_b]
+        out[:_n] *= zt[:_n]
+        return out if point else out.T
 
     names = tuple(f"X{i}" for i in range(1, n + 1)) + tuple(f"u{i}" for i in range(1, n + 1))
-    return SystemDefinition(dim=2 * n, field=field, label=f"toda-periodic(n={n})", component_names=names)
+    return SystemDefinition(2 * n, field, f"toda-periodic(n={n})", names, batched=True)
 
 
 def nonperiodic_field(n: int) -> SystemDefinition:
@@ -106,12 +108,14 @@ def nonperiodic_field(n: int) -> SystemDefinition:
         raise UsageError(f"non-periodic lattice needs n >= 2, got {n}")
 
     def field(z, _n=n):
-        X, u = z[: _n - 1], z[_n - 1 :]
-        Xe = np.concatenate([[0.0], X, [0.0]])  # X_0 .. X_n with zero ends
-        return np.concatenate([X * (u[:-1] - u[1:]), Xe[:-1] - Xe[1:]])
+        zt = z.T  # components first, for a point or a stack
+        X, u = zt[: _n - 1], zt[_n - 1 :]
+        end = np.zeros((1,) + X.shape[1:])
+        Xe = np.concatenate([end, X, end])  # X_0 .. X_n with zero ends
+        return np.concatenate([X * (u[:-1] - u[1:]), Xe[:-1] - Xe[1:]]).T
 
     names = tuple(f"X{i}" for i in range(1, n)) + tuple(f"u{i}" for i in range(1, n + 1))
-    return SystemDefinition(dim=2 * n - 1, field=field, label=f"toda-nonperiodic(n={n})", component_names=names)
+    return SystemDefinition(2 * n - 1, field, f"toda-nonperiodic(n={n})", names, batched=True)
 
 
 # ---------------------------------------------------------------------------
@@ -426,12 +430,11 @@ def lax_commutator_residual(n: int, x):
     a float for one state, shape ``(m,)`` for a stack.
 
     Near zero certifies that the free-end lattice has the commutator form.
-    The field takes one state, so it is evaluated row by row; the matrix
-    products run on the stack.
+    The field and the matrix products run on the stack.
     """
     z = np.asarray(x, dtype=float)
     L, B = lax_matrices(n, z)
-    Xdot, udot = split_nonperiodic(np.apply_along_axis(nonperiodic_field(n).field, -1, z), n)
+    Xdot, udot = split_nonperiodic(nonperiodic_field(n).field(z), n)
     residual = np.abs(_tridiagonal(udot, Xdot) - (B @ L - L @ B))
     return _per_state(residual.max(axis=(-2, -1)))
 
@@ -732,8 +735,8 @@ def reduced_dynamics(set_id: str) -> ReducedDynamics:
     if set_id == "M2_I123":
 
         def red_field(z):
-            X1, X2, u1, u2 = z
-            return np.array([X1 * (u1 - u2), X2 * (u2 - u1), X2 - X1, X1 - X2])
+            X1, X2, u1, u2 = z.T  # components first, for a point or a stack
+            return np.array([X1 * (u1 - u2), X2 * (u2 - u1), X2 - X1, X1 - X2]).T
 
         def lift(z, n):
             if n % 2 or n < 2:
@@ -752,6 +755,7 @@ def reduced_dynamics(set_id: str) -> ReducedDynamics:
                 field=red_field,
                 label="toda-periodic-reduced",
                 component_names=("X1", "X2", "u1", "u2"),
+                batched=True,
             ),
             lift=lift,
             restrict=restrict,
@@ -759,8 +763,8 @@ def reduced_dynamics(set_id: str) -> ReducedDynamics:
     if set_id == "M2_F123":
 
         def red_field(z):
-            X, u1, u2 = z
-            return np.array([X * (u1 - u2), -X, X])
+            X, u1, u2 = z.T  # components first, for a point or a stack
+            return np.array([X * (u1 - u2), -X, X]).T
 
         def lift(z, n):
             if n % 2 or n < 2:
@@ -781,6 +785,7 @@ def reduced_dynamics(set_id: str) -> ReducedDynamics:
                 field=red_field,
                 label="toda-nonperiodic-reduced",
                 component_names=("X", "u1", "u2"),
+                batched=True,
             ),
             lift=lift,
             restrict=restrict,

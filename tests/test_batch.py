@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from invarsets import (
     ConservedQuantitySet,
     NumericError,
+    SystemDefinition,
     UsageError,
     flow_adaptive,
     jacobian,
@@ -20,9 +21,10 @@ from invarsets import (
 from invarsets.core import as_states
 from invarsets.differentiate import jacobians
 from invarsets.rank_sets import DEFAULT_RANK_TOL, rank_levels
-from invarsets import toda
+from invarsets import kepler, oscillator, toda
+from invarsets.coincidence import assemble_system, canonical_symplectic_matrix
 
-from conftest import zero_quantity
+from conftest import random_kepler_states, random_toda_physical, zero_quantity
 
 FINITE = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
 SETTINGS = settings(max_examples=30, deadline=None)
@@ -273,3 +275,52 @@ def test_monitor_drift_equals_per_sample_values():
     values = np.array([q.values_at(s) for s in traj.states])
     expected = np.abs(values - values[0]).max(axis=0)
     assert np.array_equal(drift.max_drift, expected)
+
+
+def _systems():
+    """Every system built in src, each with a seeded stack of states."""
+    rng = np.random.default_rng(8)
+    block = canonical_symplectic_matrix(2)
+    pair = stack_quantities([kepler.hamiltonian(), kepler.angular_momentum()])
+    kepler_states = random_kepler_states(5, 8)
+    systems = [(toda.periodic_field(n), random_toda_physical(n, 5, n)) for n in (2, 3, 8)]
+    systems += [(toda.nonperiodic_field(n), rng.standard_normal((5, 2 * n - 1))) for n in (2, 3, 6)]
+    systems += [
+        (kepler.kepler_field(), kepler_states),
+        (kepler.linear_pair_field(0.9), kepler_states),
+        (oscillator.harmonic_oscillator(), rng.standard_normal((5, 2))),
+        (toda.reduced_dynamics("M2_I123").system, rng.standard_normal((5, 4))),
+        (toda.reduced_dynamics("M2_F123").system, rng.standard_normal((5, 3))),
+    ]
+    driven = [
+        assemble_system(lambda x, g: block @ g, kepler.hamiltonian()),  # the analytic point path
+        assemble_system(lambda x, g: block @ g, kepler.linear_pair_hamiltonian(1.3)),
+        assemble_system(lambda x, s: s[:4] - s[4:], pair),
+        assemble_system(lambda x, s: block @ s[:4], kepler.hamiltonian(), 2),  # a batch of one
+    ]
+    return systems + [(d.system, kepler_states) for d in driven]
+
+
+@pytest.mark.parametrize("system,xs", _systems(), ids=lambda v: getattr(v, "label", ""))
+def test_every_system_is_batched_and_its_stacked_rows_equal_point_rows(system, xs):
+    assert system.batched
+    points = np.array([system.field(np.array(x)) for x in xs])
+    for stack in (xs[:1], xs):
+        rows = system.fields(stack)
+        assert rows.shape == stack.shape
+        assert rows.tobytes() == points[: len(stack)].tobytes()
+    stacked = np.asarray(system.field(xs.reshape(1, len(xs), -1)))  # more than one leading axis
+    assert stacked.shape == (1,) + xs.shape
+    assert stacked.tobytes() == points.tobytes()
+
+
+def test_undeclared_field_is_called_once_per_row():
+    calls = []
+
+    def field(z):
+        calls.append(z.shape)
+        return np.array([z[1], -z[0]])
+
+    rows = SystemDefinition(2, field, "rotation").fields(np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 4.0]]))
+    assert calls == [(2,)] * 3
+    assert np.array_equal(rows, [[0.0, -1.0], [2.0, -0.0], [4.0, -3.0]])

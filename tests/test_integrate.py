@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from invarsets import (
     monitor_drift,
 )
 from invarsets import SystemDefinition, integrate, kepler, oscillator, toda
+from invarsets.coincidence import assemble_system, canonical_symplectic_matrix
 
 from conftest import flow_fixed, random_toda_physical
 
@@ -111,6 +113,8 @@ def test_tolerance_validation():
         flow_adaptive(sys2, [1.0, 0.0], 1.0, rel_tol=0.1)
     with pytest.raises(UsageError):
         flow_adaptive(sys2, [1.0, 0.0], 1.0, sample_count=1)
+    with pytest.raises(UsageError, match="sample_count must be an integer >= 2, got 2.7"):
+        flow_adaptive(sys2, [1.0, 0.0], 1.0, sample_count=2.7)
     with pytest.raises(UsageError):
         flow_adaptive(sys2, [1.0, 0.0], -1.0)
 
@@ -162,15 +166,39 @@ OVERFLOWING_NORM = pytest.param(
 )
 # a short horizon with many samples in every step of the dense output
 DENSE_SAMPLES = (kepler.kepler_field(), [0.0, 1.1, 0.9, 0.1], 0.5, 2001)
-
-
-@pytest.mark.parametrize("tol", [1e-10, 1e-6])
-@pytest.mark.parametrize(
-    "system,x0,t_end,samples",
-    [*(case + (51,) for case in FLOWS), ECCENTRIC + (51,), OVERFLOWING_NORM, DENSE_SAMPLES],
-    ids=[*FLOW_IDS, "kepler-eccentric", "kepler-overflowing-norm", "kepler-dense-samples"],
+# about one sample per step, and held steps that fill several blocks
+TODA_LONG = [
+    (toda.periodic_field(n), random_toda_physical(n, 1, 12)[0], 15.0, 101) for n in (16, 64)
+]
+FREE_END_LONG = (toda.nonperiodic_field(4), [0.5, 0.8, 0.3, 0.2, -0.4, 0.1, 0.3], 15.0, 101)
+# a point formula that is wrong on a stack, so not declared batched
+UNDECLARED = (
+    SystemDefinition(2, lambda y: np.array([y[1], -y[0] - y[0] ** 3]), "duffing"), [1.0, 0.0], 30.0, 101
 )
-def test_adaptive_flow_equals_solve_ivp_bit_for_bit(system, x0, t_end, samples, tol):
+_J = canonical_symplectic_matrix(2)
+DRIVEN = [
+    (assemble_system(lambda x, g: _J @ g, q).system, kepler.circular_sample(1.0, 0.3), 2 * np.pi, 101)
+    for q in (kepler.hamiltonian(), kepler.linear_pair_hamiltonian(1.0))
+]
+
+
+def _scipy_steps(system, x0, t_end, tol):
+    """The step ends and the rejected attempts of scipy's DOP853, stepped one
+    step at a time: a step that took r rejections cost 12 * (r + 1)
+    evaluations."""
+    solver = DOP853(lambda t, y: system.field(y), 0.0, np.array(x0, dtype=float), t_end,
+                    rtol=tol, atol=tol)
+    ends, rejected = [], 0
+    while solver.status == "running":
+        before = solver.nfev
+        solver.step()
+        ends.append(solver.t)
+        rejected += (solver.nfev - before) // 12 - 1
+    assert solver.status == "finished"
+    return np.array(ends), rejected
+
+
+def _assert_equals_solve_ivp(system, x0, t_end, samples, tol):
     traj = flow_adaptive(system, x0, t_end, tol, tol, sample_count=samples)
     ref = solve_ivp(
         lambda t, y: system.field(y), (0.0, t_end), np.array(x0, dtype=float),
@@ -182,27 +210,47 @@ def test_adaptive_flow_equals_solve_ivp_bit_for_bit(system, x0, t_end, samples, 
     assert traj.stats.field_evaluations == ref.nfev
 
 
-def _scipy_step_counts(system, x0, t_end, tol):
-    """Accepted and rejected steps of scipy's DOP853, counted one step at a
-    time: a step that took r rejections cost 12 * (r + 1) evaluations."""
-    solver = DOP853(lambda t, y: system.field(y), 0.0, np.array(x0, dtype=float), t_end,
-                  rtol=tol, atol=tol)
-    accepted = rejected = 0
-    while solver.status == "running":
-        before = solver.nfev
-        solver.step()
-        accepted += 1
-        rejected += (solver.nfev - before) // 12 - 1
-    assert solver.status == "finished"
-    return accepted, rejected
+@pytest.mark.parametrize("tol", [1e-10, 1e-6])
+@pytest.mark.parametrize(
+    "system,x0,t_end,samples",
+    [
+        *(case + (51,) for case in FLOWS), ECCENTRIC + (51,), OVERFLOWING_NORM, DENSE_SAMPLES,
+        *TODA_LONG, FREE_END_LONG, UNDECLARED, *DRIVEN,
+    ],
+    ids=[
+        *FLOW_IDS, "kepler-eccentric", "kepler-overflowing-norm", "kepler-dense-samples",
+        "toda-16-long", "toda-64-long", "toda-nonperiodic-long", "undeclared-field",
+        "driven-H", "driven-linear-pair",
+    ],
+)
+def test_adaptive_flow_equals_solve_ivp_bit_for_bit(system, x0, t_end, samples, tol):
+    _assert_equals_solve_ivp(system, x0, t_end, samples, tol)
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-6])
+def test_sample_on_the_step_end_that_fills_a_block_equals_solve_ivp(tol):
+    # 2j + 1 samples over [0, 2 tau] with j a power of two put sample j
+    # exactly on tau; choose tau as the end of the step that completes the
+    # first block of held steps (steps before t_end do not depend on it)
+    system, x0, _ = FLOWS[2]
+    ends, j = _scipy_steps(system, x0, 30.0, tol)[0], 64
+    for tau in ends:
+        grid = np.linspace(0.0, 2 * tau, 2 * j + 1)
+        held = np.unique(np.searchsorted(ends, grid[: j + 1], side="left"))
+        if held.size == integrate._BLOCK:
+            break
+    else:
+        pytest.fail("no step end completes a block")
+    assert grid[j] == tau and tau in _scipy_steps(system, x0, 2 * tau, tol)[0]
+    _assert_equals_solve_ivp(system, x0, 2 * tau, 2 * j + 1, tol)
 
 
 def test_rejected_steps_are_counted_exactly():
     system, x0, t_end = ECCENTRIC
     traj = flow_adaptive(system, x0, t_end, 1e-6, 1e-6, sample_count=51)
-    accepted, rejected = _scipy_step_counts(system, x0, t_end, 1e-6)
+    ends, rejected = _scipy_steps(system, x0, t_end, 1e-6)
     assert rejected > 0
-    assert (traj.stats.steps_accepted, traj.stats.steps_rejected) == (accepted, rejected)
+    assert (traj.stats.steps_accepted, traj.stats.steps_rejected) == (len(ends), rejected)
 
 
 def test_field_turning_nan_mid_flow_is_an_integration_error():
@@ -269,6 +317,82 @@ def test_numeric_error_from_the_field_keeps_the_last_sample_time():
     with pytest.raises(IntegrationError, match="field evaluation failed") as err:
         flow_adaptive(SystemDefinition(2, field, "clock"), [0.0, 1.0], 3.0, sample_count=31)
     assert 0.0 < err.value.last_good_time <= 1.0
+
+
+def _scipy_last_sample_before_failure(field, x0, t_end, samples):
+    """The last sample time a step-by-step dense output reaches before the
+    field raises, with scipy's DOP853 as the stepper."""
+    solver = DOP853(lambda t, y: field(y), 0.0, np.array(x0, dtype=float), t_end, rtol=1e-10, atol=1e-10)
+    t_eval, done = np.linspace(0.0, t_end, samples), 0
+    with pytest.raises(NumericError):
+        while solver.status == "running":
+            solver.step()
+            stop = int(np.searchsorted(t_eval, solver.t, side="right"))
+            if stop > done:
+                solver.dense_output()(t_eval[done:stop])
+                done = stop
+    return float(t_eval[done - 1]) if done else 0.0
+
+
+@pytest.mark.parametrize("main_fails", [True, False], ids=["main-stage-fails-later", "block-fills"])
+@pytest.mark.parametrize("batched", [True, False])
+def test_numeric_error_in_a_held_extra_stage_is_the_earliest_failing_steps(batched, main_fails):
+    # plant failures at a stage-14 state of the sixth held step, at the
+    # stage-13 state of the tenth, which a stacked pass meets first, and, if
+    # main_fails, at the last main-stage state before the first block is
+    # finished: the earliest step's failure is reported, as in a step-by-step
+    # dense output
+    system, x0, _ = FLOWS[2]
+    calls = []
+
+    def recording(z):
+        calls.append(z.copy())
+        return system.field(z)
+
+    flow_adaptive(SystemDefinition(8, recording, "recording", batched=True), x0, 15.0, sample_count=101)
+    first_block = next(i for i, z in enumerate(calls) if z.ndim == 2)
+    assert len(calls[first_block]) == integrate._BLOCK
+    extra, later_extra, late_main = calls[first_block + 1][5], calls[first_block][9], calls[first_block - 1]
+
+    def planted(z):
+        for row in np.reshape(z, (-1, 8)):
+            if np.array_equal(row, extra):
+                raise NumericError("planted in an extra stage")
+            if np.array_equal(row, later_extra):
+                raise NumericError("planted in a later step's extra stage")
+            if main_fails and np.array_equal(row, late_main):
+                raise NumericError("planted in a main stage")
+        return system.field(z)
+
+    expected = _scipy_last_sample_before_failure(planted, x0, 15.0, 101)
+    with pytest.raises(IntegrationError) as err:
+        flow_adaptive(SystemDefinition(8, planted, "planted", batched=batched), x0, 15.0, sample_count=101)
+    assert str(err.value) == "field evaluation failed during integration: planted in an extra stage"
+    assert 0.0 < err.value.last_good_time == expected
+
+
+def test_batched_field_of_the_wrong_shape_on_a_stack_is_a_usage_error():
+    # a point formula declared batched: on a stack of three or more rows its
+    # result has the shape of two rows
+    liar = SystemDefinition(2, lambda z: np.array([z[1], -z[0]]), "liar", batched=True)
+    with pytest.raises(UsageError, match=r"field of 'liar' returned shape \(2, 2\), expected \(32, 2\)"):
+        flow_adaptive(liar, [1.0, 0.0], 20.0, sample_count=101)
+
+
+def test_dense_output_memory_is_bounded_by_one_block_whatever_the_sample_count():
+    # Toda n = 256: one state is 4 KiB, so 10,001 samples are 41 MB.  Above
+    # its states a flow holds one block: its stage stack, its interpolant
+    # rows and one pass's gather, each at most a stage stack.
+    system, x0 = toda.periodic_field(256), random_toda_physical(256, 1, 5)[0]
+    block = integrate._BLOCK * 16 * system.dim * 8
+    for samples in (1001, 10001):
+        tracemalloc.start()
+        try:
+            traj = flow_adaptive(system, x0, 1.0, sample_count=samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - traj.states.nbytes <= 3 * block, samples
 
 
 def test_importing_the_cli_does_not_import_scipy():

@@ -167,3 +167,32 @@ def test_parameter_guards():
         kepler.circular_sample(-1.0, 0.0)
     with pytest.raises(UsageError):
         kepler.linear_pair_field(0.0)
+
+
+@given(
+    rows=st.lists(st.lists(MAGNITUDES, min_size=4, max_size=4), min_size=1, max_size=6),
+    a=st.sampled_from([0.5, 1.0, 1.3, 2.0]),
+)
+@example(rows=[[1.0, 0.5, 0.0, 1.0], [1e-110, 0.0, 0.0, 1.0]], a=1.0)  # one singular row
+@example(rows=[[1e200, 0.0, 0.0, 1.0], [1e100, 0.0, 0.0, 1e150]], a=1.0)  # overflows, silently
+def test_stacked_closed_forms_equal_point_forms_bit_for_bit(rows, a):
+    xs = np.array(rows)
+    K = kepler.combined_invariant(a)
+    forms = {name: form for name, (form, _) in _numpy_scalar_forms(a).items()}
+    forms.update({"K-value": K.value, "K-gradient": K.analytic_gradient})
+    for name, form in forms.items():
+        try:
+            points = [np.asarray(form(x), dtype=float) for x in xs]
+        except NumericError:  # a singular row makes the whole stack singular
+            with pytest.raises(NumericError, match="singular at the origin"):
+                form(xs)
+            continue
+        stacked = np.asarray(form(xs), dtype=float)
+        assert stacked.shape == (len(xs),) + points[0].shape, name
+        assert stacked.tobytes() == np.array(points).tobytes(), name
+
+
+def test_closed_forms_are_declared_batched():
+    for q in (kepler.hamiltonian(), kepler.angular_momentum(), kepler.combined_invariant(1.0),
+              kepler.linear_pair_hamiltonian(1.0), kepler.kepler_quantities(1.0)):
+        assert q.batched, q.labels
