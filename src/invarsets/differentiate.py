@@ -132,7 +132,7 @@ def _nested_central(quantity, xs, alpha, steps):
 
 
 def _partial_stack(
-    quantity: ConservedQuantitySet, xs: np.ndarray, order: int, base_eps: float | None = None
+    quantity: ConservedQuantitySet, xs: np.ndarray, order: int
 ) -> dict[tuple[int, ...], np.ndarray]:
     """All partials of orders 1..``order`` of every component on a validated
     ``(m, dim)`` stack, one ``(m, k)`` array per sorted multi-index.
@@ -155,13 +155,12 @@ def _partial_stack(
             f"order {order} exceeds the finite-difference cap {MAX_FD_ORDER}; "
             "supply an analytic_partial provider"
         )
-    eps = EPS if base_eps is None else float(base_eps)
 
     entries: dict[tuple[int, ...], np.ndarray] = {}
     for level in range(1, order + 1):
         alphas = combinations_with_replacement(range(quantity.dim), level)
         if level == 1 and (quantity.analytic_gradient is not None or not has_provider):
-            J = _jacobian_stack(quantity, xs, eps ** (1.0 / 3.0))
+            J = _jacobian_stack(quantity, xs, EPS ** (1.0 / 3.0))
             entries.update(((j,), J[:, :, j]) for j in range(quantity.dim))
         elif has_provider:
             for alpha in alphas:
@@ -173,7 +172,7 @@ def _partial_stack(
                         )
                 entries[alpha] = np.array(rows)
         else:
-            steps = _coordinate_steps(xs, eps ** (1.0 / (level + 2)))
+            steps = _coordinate_steps(xs, EPS ** (1.0 / (level + 2)))
             for alpha in alphas:
                 val = _nested_central(quantity, xs, alpha, steps)
                 if not _all_finite(val):
@@ -182,17 +181,15 @@ def _partial_stack(
     return entries
 
 
-def partial_tensor(
-    quantity: ConservedQuantitySet, x, order: int, base_eps: float | None = None
-) -> PartialTensor:
+def partial_tensor(quantity: ConservedQuantitySet, x, order: int) -> PartialTensor:
     """All partials of order 1..``order`` of every component at ``x``: a
     batch of one through the stacked builder.
 
     Finite-difference entries of order ``l`` use the per-coordinate step
-    ``base_eps**(1/(l+2)) * max(1, |x_j|)`` with ``base_eps`` defaulting
-    to machine epsilon.  Orders above :data:`MAX_FD_ORDER` require an
-    ``analytic_partial`` provider.
+    ``EPS**(1/(l+2)) * max(1, |x_j|)``, ``EPS`` the machine epsilon.
+    Orders above :data:`MAX_FD_ORDER` require an ``analytic_partial``
+    provider.
     """
     xs = as_state(x, quantity.dim)[None, :]
-    entries = {alpha: v[0] for alpha, v in _partial_stack(quantity, xs, order, base_eps).items()}
+    entries = {alpha: v[0] for alpha, v in _partial_stack(quantity, xs, order).items()}
     return PartialTensor(dim=quantity.dim, k=quantity.k, order=order, entries=entries)

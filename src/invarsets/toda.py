@@ -454,6 +454,48 @@ class ExplicitSetDescriptor:
     empty_reason: str = ""
 
 
+# Exact samples of the non-empty families: id -> (alternatives for even n,
+# alternatives for odd n).  An alternative is its parameter names and a
+# builder (n, *params) -> (X, u) of templates that repeat along the lattice:
+# X over the n (periodic) or n - 1 (free-end) springs, u over the n particles.
+# Odd-n M1_F23 is the union of two branches, one alternative each.
+_SAMPLERS = {
+    "M0_I3": (
+        [(("X1", "u"), lambda n, X1, u: ([X1, u * (-u) - X1], [u, -u]))],
+        [((), lambda n: ([0.0], [0.0]))],
+    ),
+    "M1_I13": (
+        [(("X1", "X2", "u"), lambda n, X1, X2, u: ([X1, X2], [u, -u]))],
+        [(("X",), lambda n, X: ([X], [0.0]))],
+    ),
+    "M1_I23": (
+        [(("X1", "u1", "u2"),
+          lambda n, X1, u1, u2: ([X1, -(n / 4.0) * (u1 + u2) ** 2 + u1 * u2 - X1], [u1, u2]))],
+        [(("u",), lambda n, u: ([-0.5 * (n - 1) * u * u], [u]))],
+    ),
+    "M2_I123": (
+        [(("X1", "X2", "u1", "u2"), lambda n, X1, X2, u1, u2: ([X1, X2], [u1, u2]))],
+        [(("X", "u"), lambda n, X, u: ([X], [u]))],
+    ),
+    "M0_F3": (
+        [(("u",), lambda n, u: ([u * (-u), 0.0], [u, -u]))],
+        [((), lambda n: ([0.0], [0.0]))],
+    ),
+    "M1_F13": (
+        [(("X", "u"), lambda n, X, u: ([X, 0.0], [u, -u]))],
+        [((), lambda n: ([0.0], [0.0]))],
+    ),
+    "M1_F23": (
+        [(("u1", "u2"), lambda n, u1, u2: ([u1 * u2, 0.0], [u1, u2]))],
+        [(("u1",), lambda n, u1: ([0.0], [u1, 0.0])), (("u2",), lambda n, u2: ([0.0], [0.0, u2]))],
+    ),
+    "M2_F123": (
+        [(("X", "u1", "u2"), lambda n, X, u1, u2: ([X, 0.0], [u1, u2]))],
+        [(("u1", "u2"), lambda n, u1, u2: ([0.0], [u1, u2]))],
+    ),
+}
+
+
 _PERIODIC_INDEPENDENCE = (
     "the gradients of I1 and I2 are linearly independent at every state "
     "(the X-block rows are 0 and -1), so the stack has rank >= 2 everywhere"
@@ -463,59 +505,37 @@ _NONPERIODIC_INDEPENDENCE = (
     "(the X-block rows are 0 and 1), so the stack has rank >= 2 everywhere"
 )
 
+# The provably empty rank-level sets, with the reason each is empty.
+_EMPTY_SETS = {
+    "M0_I1": "the gradient of I1 is the constant vector (0,...,0,1,...,1), which never vanishes",
+    "M0_I2": "the gradient of I2 has X-block identically -1, so it never vanishes",
+    "M0_I12": _PERIODIC_INDEPENDENCE,
+    "M1_I12": _PERIODIC_INDEPENDENCE,
+    "M0_I13": "the gradient of I1 never vanishes, so the stack cannot have rank 0",
+    "M0_I23": "the gradient of I2 never vanishes, so the stack cannot have rank 0",
+    "M0_I123": _PERIODIC_INDEPENDENCE,
+    "M1_I123": _PERIODIC_INDEPENDENCE,
+    "M0_F1": "the gradient of F1 is the constant vector (0,...,0,1,...,1), which never vanishes",
+    "M0_F2": "the gradient of F2 has X-block identically 1, so it never vanishes",
+    "M0_F12": _NONPERIODIC_INDEPENDENCE,
+    "M1_F12": _NONPERIODIC_INDEPENDENCE,
+    "M0_F13": "the gradient of F1 never vanishes, so the stack cannot have rank 0",
+    "M0_F23": "the gradient of F2 never vanishes, so the stack cannot have rank 0",
+    "M0_F123": _NONPERIODIC_INDEPENDENCE,
+    "M1_F123": _NONPERIODIC_INDEPENDENCE,
+}
+
+
+def _parse(set_id: str, empty_reason: str) -> ExplicitSetDescriptor:
+    """The descriptor an id M<rank>_<I|F><degrees> spells."""
+    rank, family = set_id[1:].split("_")
+    lattice = "periodic" if family[0] == "I" else "nonperiodic"
+    degrees = tuple(map(int, family[1:]))
+    return ExplicitSetDescriptor(set_id, lattice, int(rank), degrees, bool(empty_reason), empty_reason)
+
+
 EXPLICIT_SETS: dict[str, ExplicitSetDescriptor] = {
-    d.set_id: d
-    for d in [
-        ExplicitSetDescriptor("M0_I3", "periodic", 0, (3,)),
-        ExplicitSetDescriptor("M1_I13", "periodic", 1, (1, 3)),
-        ExplicitSetDescriptor("M1_I23", "periodic", 1, (2, 3)),
-        ExplicitSetDescriptor("M2_I123", "periodic", 2, (1, 2, 3)),
-        ExplicitSetDescriptor("M0_F3", "nonperiodic", 0, (3,)),
-        ExplicitSetDescriptor("M1_F13", "nonperiodic", 1, (1, 3)),
-        ExplicitSetDescriptor("M1_F23", "nonperiodic", 1, (2, 3)),
-        ExplicitSetDescriptor("M2_F123", "nonperiodic", 2, (1, 2, 3)),
-        # provably empty rank-level sets
-        ExplicitSetDescriptor(
-            "M0_I1", "periodic", 0, (1,), True,
-            "the gradient of I1 is the constant vector (0,...,0,1,...,1), which never vanishes",
-        ),
-        ExplicitSetDescriptor(
-            "M0_I2", "periodic", 0, (2,), True,
-            "the gradient of I2 has X-block identically -1, so it never vanishes",
-        ),
-        ExplicitSetDescriptor("M0_I12", "periodic", 0, (1, 2), True, _PERIODIC_INDEPENDENCE),
-        ExplicitSetDescriptor("M1_I12", "periodic", 1, (1, 2), True, _PERIODIC_INDEPENDENCE),
-        ExplicitSetDescriptor(
-            "M0_I13", "periodic", 0, (1, 3), True,
-            "the gradient of I1 never vanishes, so the stack cannot have rank 0",
-        ),
-        ExplicitSetDescriptor(
-            "M0_I23", "periodic", 0, (2, 3), True,
-            "the gradient of I2 never vanishes, so the stack cannot have rank 0",
-        ),
-        ExplicitSetDescriptor("M0_I123", "periodic", 0, (1, 2, 3), True, _PERIODIC_INDEPENDENCE),
-        ExplicitSetDescriptor("M1_I123", "periodic", 1, (1, 2, 3), True, _PERIODIC_INDEPENDENCE),
-        ExplicitSetDescriptor(
-            "M0_F1", "nonperiodic", 0, (1,), True,
-            "the gradient of F1 is the constant vector (0,...,0,1,...,1), which never vanishes",
-        ),
-        ExplicitSetDescriptor(
-            "M0_F2", "nonperiodic", 0, (2,), True,
-            "the gradient of F2 has X-block identically 1, so it never vanishes",
-        ),
-        ExplicitSetDescriptor("M0_F12", "nonperiodic", 0, (1, 2), True, _NONPERIODIC_INDEPENDENCE),
-        ExplicitSetDescriptor("M1_F12", "nonperiodic", 1, (1, 2), True, _NONPERIODIC_INDEPENDENCE),
-        ExplicitSetDescriptor(
-            "M0_F13", "nonperiodic", 0, (1, 3), True,
-            "the gradient of F1 never vanishes, so the stack cannot have rank 0",
-        ),
-        ExplicitSetDescriptor(
-            "M0_F23", "nonperiodic", 0, (2, 3), True,
-            "the gradient of F2 never vanishes, so the stack cannot have rank 0",
-        ),
-        ExplicitSetDescriptor("M0_F123", "nonperiodic", 0, (1, 2, 3), True, _NONPERIODIC_INDEPENDENCE),
-        ExplicitSetDescriptor("M1_F123", "nonperiodic", 1, (1, 2, 3), True, _NONPERIODIC_INDEPENDENCE),
-    ]
+    set_id: _parse(set_id, _EMPTY_SETS.get(set_id, "")) for set_id in [*_SAMPLERS, *_EMPTY_SETS]
 }
 
 
@@ -529,9 +549,14 @@ def _descriptor(set_id: str) -> ExplicitSetDescriptor:
         ) from None
 
 
-def _reject_empty(desc: ExplicitSetDescriptor) -> None:
+def _family(set_id: str, n) -> ExplicitSetDescriptor:
+    """The descriptor of a non-empty family on a lattice of n >= 2 particles."""
+    desc = _descriptor(set_id)
     if desc.empty:
         raise UsageError(f"set {desc.set_id} is provably empty: {desc.empty_reason}")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
+        raise UsageError(f"explicit families need an integer lattice size n >= 2, got n={n!r}")
+    return desc
 
 
 def explicit_set_quantity(set_id: str, n: int) -> ConservedQuantitySet:
@@ -595,8 +620,7 @@ def explicit_set_residual(set_id: str, n: int, x):
     measures deviation from the repeating template and the rest measures
     the algebraic constraints among the template parameters.
     """
-    desc = _descriptor(set_id)
-    _reject_empty(desc)
+    desc = _family(set_id, n)
     z = np.asarray(x, dtype=float)
     periodic = desc.lattice == "periodic"
     dim = 2 * n if periodic else 2 * n - 1
@@ -609,24 +633,10 @@ def explicit_set_residual(set_id: str, n: int, x):
     return _per_state(_largest(terms[set_id]))
 
 
-_SAMPLE_PARAMS: dict[tuple[str, bool], tuple[str, ...]] = {
-    # (set_id, n_is_even) -> required parameter names
-    ("M0_I3", True): ("X1", "u"),
-    ("M1_I13", True): ("X1", "X2", "u"),
-    ("M1_I23", True): ("X1", "u1", "u2"),
-    ("M2_I123", True): ("X1", "X2", "u1", "u2"),
-    ("M0_I3", False): (),
-    ("M1_I13", False): ("X",),
-    ("M1_I23", False): ("u",),
-    ("M2_I123", False): ("X", "u"),
-    ("M0_F3", True): ("u",),
-    ("M1_F13", True): ("X", "u"),
-    ("M1_F23", True): ("u1", "u2"),
-    ("M2_F123", True): ("X", "u1", "u2"),
-    ("M0_F3", False): (),
-    ("M1_F13", False): (),
-    ("M2_F123", False): ("u1", "u2"),
-}
+def _pattern(lattice: str, n: int, X, u) -> np.ndarray:
+    """The lattice state repeating the X and u templates."""
+    springs = n if lattice == "periodic" else n - 1
+    return np.concatenate([np.resize(X, springs), np.resize(u, n)], dtype=float)
 
 
 def explicit_set_sample(set_id: str, n: int, params: Mapping[str, float] | None = None) -> np.ndarray:
@@ -636,79 +646,16 @@ def explicit_set_sample(set_id: str, n: int, params: Mapping[str, float] | None 
     coordinates are solved.  The odd-n M1_F23 family is a union of two
     branches selected by passing either ``u1`` or ``u2``.
     """
-    desc = _descriptor(set_id)
-    _reject_empty(desc)
+    desc = _family(set_id, n)
     params = dict(params or {})
-    even = n % 2 == 0
-
-    if set_id == "M1_F23" and not even:
-        if set(params) == {"u1"}:
-            u = np.zeros(n)
-            u[0::2] = params["u1"]
-        elif set(params) == {"u2"}:
-            u = np.zeros(n)
-            u[1::2] = params["u2"]
-        else:
-            raise UsageError("odd-n M1_F23 takes exactly one of the parameters u1 or u2")
-        return np.concatenate([np.zeros(n - 1), u])
-
-    try:
-        expected = _SAMPLE_PARAMS[(set_id, even)]
-    except KeyError:
-        raise UsageError(f"set {set_id} has no sampler") from None
-    if set(params) != set(expected):
-        raise UsageError(
-            f"sampler for {set_id} with {'even' if even else 'odd'} n expects "
-            f"parameters {expected}, got {tuple(sorted(params))}"
-        )
-
-    if desc.lattice == "periodic":
-        if set_id == "M0_I3" and even:
-            u1 = params["u"]
-            X1 = params["X1"]
-            X2 = u1 * (-u1) - X1
-            X, u = np.array([X1, X2]), np.array([u1, -u1])
-        elif set_id == "M1_I13" and even:
-            X, u = np.array([params["X1"], params["X2"]]), np.array([params["u"], -params["u"]])
-        elif set_id == "M1_I23" and even:
-            u1, u2, X1 = params["u1"], params["u2"], params["X1"]
-            X2 = -(n / 4.0) * (u1 + u2) ** 2 + u1 * u2 - X1
-            X, u = np.array([X1, X2]), np.array([u1, u2])
-        elif set_id == "M2_I123" and even:
-            X, u = np.array([params["X1"], params["X2"]]), np.array([params["u1"], params["u2"]])
-        elif set_id == "M0_I3":
-            return np.zeros(2 * n)
-        elif set_id == "M1_I13":
-            return np.concatenate([np.full(n, params["X"]), np.zeros(n)])
-        elif set_id == "M1_I23":
-            u1 = params["u"]
-            return np.concatenate([np.full(n, -0.5 * (n - 1) * u1 * u1), np.full(n, u1)])
-        else:  # M2_I123 odd
-            return np.concatenate([np.full(n, params["X"]), np.full(n, params["u"])])
-        return np.concatenate([np.tile(X, n // 2), np.tile(u, n // 2)])
-
-    # non-periodic
-    if even:
-        if set_id == "M0_F3":
-            u1 = params["u"]
-            Xv, u = u1 * (-u1), np.array([u1, -u1])
-        elif set_id == "M1_F13":
-            Xv, u = params["X"], np.array([params["u"], -params["u"]])
-        elif set_id == "M1_F23":
-            u1, u2 = params["u1"], params["u2"]
-            Xv, u = u1 * u2, np.array([u1, u2])
-        else:  # M2_F123
-            Xv, u = params["X"], np.array([params["u1"], params["u2"]])
-        X = np.zeros(n - 1)
-        X[0::2] = Xv
-        return np.concatenate([X, np.tile(u, n // 2)])
-    if set_id in ("M0_F3", "M1_F13"):
-        return np.zeros(2 * n - 1)
-    # M2_F123 odd
-    u = np.empty(n)
-    u[0::2] = params["u1"]
-    u[1::2] = params["u2"]
-    return np.concatenate([np.zeros(n - 1), u])
+    alternatives = _SAMPLERS[set_id][n % 2]
+    for names, build in alternatives:
+        if set(names) == set(params):
+            return _pattern(desc.lattice, n, *build(n, *(params[k] for k in names)))
+    raise UsageError(
+        f"sampler for {set_id} with {'odd' if n % 2 else 'even'} n expects parameters "
+        f"{' or '.join(str(names) for names, _ in alternatives)}, got {tuple(sorted(params))}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -731,64 +678,46 @@ class ReducedDynamics:
 
 
 def reduced_dynamics(set_id: str) -> ReducedDynamics:
-    """Two-particle dynamics on M2_I123 (periodic) or M2_F123 (non-periodic)."""
+    """Two-particle dynamics on M2_I123 (periodic) or M2_F123 (non-periodic).
+
+    The lift is the family's even-n sampler on the reduced coordinates,
+    whose names are the sampler's parameter names.
+    """
     if set_id == "M2_I123":
 
         def red_field(z):
             X1, X2, u1, u2 = z.T  # components first, for a point or a stack
             return np.array([X1 * (u1 - u2), X2 * (u2 - u1), X2 - X1, X1 - X2]).T
 
-        def lift(z, n):
-            if n % 2 or n < 2:
-                raise UsageError(f"periodic pattern lift needs even n >= 2, got {n}")
-            z = np.asarray(z, dtype=float)
-            return np.concatenate([np.tile(z[:2], n // 2), np.tile(z[2:], n // 2)])
-
         def restrict(x):
             x = np.asarray(x, dtype=float)
             n = x.size // 2
             return np.array([x[0], x[1], x[n], x[n + 1]])
 
-        return ReducedDynamics(
-            system=SystemDefinition(
-                dim=4,
-                field=red_field,
-                label="toda-periodic-reduced",
-                component_names=("X1", "X2", "u1", "u2"),
-                batched=True,
-            ),
-            lift=lift,
-            restrict=restrict,
-        )
-    if set_id == "M2_F123":
+    elif set_id == "M2_F123":
 
         def red_field(z):
             X, u1, u2 = z.T  # components first, for a point or a stack
             return np.array([X * (u1 - u2), -X, X]).T
-
-        def lift(z, n):
-            if n % 2 or n < 2:
-                raise UsageError(f"non-periodic pattern lift needs even n >= 2, got {n}")
-            z = np.asarray(z, dtype=float)
-            X = np.zeros(n - 1)
-            X[0::2] = z[0]
-            return np.concatenate([X, np.tile(z[1:], n // 2)])
 
         def restrict(x):
             x = np.asarray(x, dtype=float)
             n = (x.size + 1) // 2
             return np.array([x[0], x[n - 1], x[n]])
 
-        return ReducedDynamics(
-            system=SystemDefinition(
-                dim=3,
-                field=red_field,
-                label="toda-nonperiodic-reduced",
-                component_names=("X", "u1", "u2"),
-                batched=True,
-            ),
-            lift=lift,
-            restrict=restrict,
-        )
-    raise UsageError(f"no reduced dynamics for set '{set_id}' (supported: M2_I123, M2_F123)")
+    else:
+        raise UsageError(f"no reduced dynamics for set '{set_id}' (supported: M2_I123, M2_F123)")
+    lattice = EXPLICIT_SETS[set_id].lattice
+    [(names, build)] = _SAMPLERS[set_id][0]
 
+    def lift(z, n):
+        _family(set_id, n)  # an integer n >= 2
+        if n % 2:
+            raise UsageError(f"{set_id} pattern lift needs even n, got n={n}")
+        z = np.asarray(z, dtype=float)
+        if z.shape != (len(names),):
+            raise UsageError(f"{set_id} lift needs a reduced state of dimension {len(names)}, got {z.shape}")
+        return _pattern(lattice, n, *build(n, *z))
+
+    system = SystemDefinition(len(names), red_field, f"toda-{lattice}-reduced", names, batched=True)
+    return ReducedDynamics(system=system, lift=lift, restrict=restrict)

@@ -198,12 +198,13 @@ NON_EMPTY = sorted(d.set_id for d in toda.EXPLICIT_SETS.values() if not d.empty)
 
 
 def _family_samples(set_id, n, rng):
-    """Exact samples of the family from random parameters, one per branch
-    of odd-n M1_F23."""
-    if set_id == "M1_F23" and n % 2:
-        return [toda.explicit_set_sample(set_id, n, {key: rng.standard_normal()}) for key in ("u1", "u2")]
-    keys = toda._SAMPLE_PARAMS[(set_id, n % 2 == 0)]
-    return [toda.explicit_set_sample(set_id, n, {k: rng.standard_normal() for k in keys}) for _ in range(3)]
+    """Exact samples of the family from random parameters, three for each
+    sampling alternative (each branch of odd-n M1_F23 is one)."""
+    return [
+        toda.explicit_set_sample(set_id, n, {k: rng.standard_normal() for k in names})
+        for names, _ in toda._SAMPLERS[set_id][n % 2]
+        for _ in range(3)
+    ]
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])

@@ -197,6 +197,77 @@ def test_sample_examples_match_stated_states():
     assert np.array_equal(x, [0, 0, 0, 0, 0.7, 0, 0.7, 0, 0.7])
 
 
+# every sampling alternative, even ones at n = 4 and odd ones at n = 5, with
+# dyadic parameters so that each state is exact
+SAMPLER_CASES = [
+    ("M0_I3", 4, {"X1": 0.25, "u": 0.5}, [0.25, -0.5, 0.25, -0.5, 0.5, -0.5, 0.5, -0.5]),
+    ("M1_I13", 4, {"X1": 0.25, "X2": 0.75, "u": 0.5}, [0.25, 0.75, 0.25, 0.75, 0.5, -0.5, 0.5, -0.5]),
+    ("M1_I23", 4, {"X1": 0.125, "u1": 0.5, "u2": 0.25}, [0.125, -0.5625] * 2 + [0.5, 0.25] * 2),
+    ("M2_I123", 4, {"X1": 0.25, "X2": 0.75, "u1": 0.5, "u2": -0.25}, [0.25, 0.75] * 2 + [0.5, -0.25] * 2),
+    ("M0_F3", 4, {"u": 0.5}, [-0.25, 0.0, -0.25, 0.5, -0.5, 0.5, -0.5]),
+    ("M1_F13", 4, {"X": 0.75, "u": 0.5}, [0.75, 0.0, 0.75, 0.5, -0.5, 0.5, -0.5]),
+    ("M1_F23", 4, {"u1": 0.5, "u2": 0.25}, [0.125, 0.0, 0.125, 0.5, 0.25, 0.5, 0.25]),
+    ("M2_F123", 4, {"X": 0.75, "u1": 0.5, "u2": -0.25}, [0.75, 0.0, 0.75, 0.5, -0.25, 0.5, -0.25]),
+    ("M0_I3", 5, {}, [0.0] * 10),
+    ("M1_I13", 5, {"X": 0.75}, [0.75] * 5 + [0.0] * 5),
+    ("M1_I23", 5, {"u": 0.5}, [-0.5] * 5 + [0.5] * 5),
+    ("M2_I123", 5, {"X": 0.75, "u": 0.5}, [0.75] * 5 + [0.5] * 5),
+    ("M0_F3", 5, {}, [0.0] * 9),
+    ("M1_F13", 5, {}, [0.0] * 9),
+    ("M1_F23", 5, {"u1": 0.5}, [0.0] * 4 + [0.5, 0.0, 0.5, 0.0, 0.5]),
+    ("M1_F23", 5, {"u2": 0.5}, [0.0] * 4 + [0.0, 0.5, 0.0, 0.5, 0.0]),
+    ("M2_F123", 5, {"u1": 0.5, "u2": -0.25}, [0.0] * 4 + [0.5, -0.25, 0.5, -0.25, 0.5]),
+]
+
+
+@pytest.mark.parametrize("set_id, n, params, expected", SAMPLER_CASES)
+def test_every_sampler_alternative_gives_its_literal_state(set_id, n, params, expected):
+    x = toda.explicit_set_sample(set_id, n, params)
+    assert x.dtype == np.float64
+    assert np.array_equal(x, expected)
+    assert np.array_equal(np.signbit(x), np.signbit(expected))
+    assert toda.explicit_set_residual(set_id, n, x) == 0.0
+
+
+def test_every_family_samples_both_parities_and_every_alternative_is_pinned():
+    non_empty = [d.set_id for d in toda.EXPLICIT_SETS.values() if not d.empty]
+    covered = {(set_id, n % 2) for set_id, n, _, _ in SAMPLER_CASES}
+    assert covered == {(set_id, parity) for set_id in non_empty for parity in (0, 1)}
+    alternatives = sum(len(toda._SAMPLERS[set_id][parity]) for set_id in non_empty for parity in (0, 1))
+    assert len(SAMPLER_CASES) == alternatives == 17
+
+
+def test_catalogue_rows_in_order():
+    rows = [(d.set_id, d.lattice, d.rank, d.degrees, d.empty) for d in toda.EXPLICIT_SETS.values()]
+    assert rows == [
+        ("M0_I3", "periodic", 0, (3,), False),
+        ("M1_I13", "periodic", 1, (1, 3), False),
+        ("M1_I23", "periodic", 1, (2, 3), False),
+        ("M2_I123", "periodic", 2, (1, 2, 3), False),
+        ("M0_F3", "nonperiodic", 0, (3,), False),
+        ("M1_F13", "nonperiodic", 1, (1, 3), False),
+        ("M1_F23", "nonperiodic", 1, (2, 3), False),
+        ("M2_F123", "nonperiodic", 2, (1, 2, 3), False),
+        ("M0_I1", "periodic", 0, (1,), True),
+        ("M0_I2", "periodic", 0, (2,), True),
+        ("M0_I12", "periodic", 0, (1, 2), True),
+        ("M1_I12", "periodic", 1, (1, 2), True),
+        ("M0_I13", "periodic", 0, (1, 3), True),
+        ("M0_I23", "periodic", 0, (2, 3), True),
+        ("M0_I123", "periodic", 0, (1, 2, 3), True),
+        ("M1_I123", "periodic", 1, (1, 2, 3), True),
+        ("M0_F1", "nonperiodic", 0, (1,), True),
+        ("M0_F2", "nonperiodic", 0, (2,), True),
+        ("M0_F12", "nonperiodic", 0, (1, 2), True),
+        ("M1_F12", "nonperiodic", 1, (1, 2), True),
+        ("M0_F13", "nonperiodic", 0, (1, 3), True),
+        ("M0_F23", "nonperiodic", 0, (2, 3), True),
+        ("M0_F123", "nonperiodic", 0, (1, 2, 3), True),
+        ("M1_F123", "nonperiodic", 1, (1, 2, 3), True),
+    ]
+    assert all(bool(d.empty_reason) == d.empty for d in toda.EXPLICIT_SETS.values())
+
+
 def test_membership_example_even_rank0_family():
     x = np.array([0.1, -0.74, 0.1, -0.74, 0.8, -0.8, 0.8, -0.8])
     assert toda.explicit_set_residual("M0_I3", 4, x) < 1e-15
@@ -231,6 +302,19 @@ def test_sampler_rejects_malformed_params():
         toda.explicit_set_sample("M2_I123", 4, {"X1": 0.1})
     with pytest.raises(UsageError, match="expects parameters"):
         toda.explicit_set_sample("M0_I3", 5, {"u": 0.4})
+    with pytest.raises(UsageError, match=r"expects parameters \('u1',\) or \('u2',\)"):
+        toda.explicit_set_sample("M1_F23", 5, {})
+    full = {"X1": 0.1, "X2": 0.2, "u1": 0.3, "u2": 0.4}
+    with pytest.raises(UsageError, match="n >= 2, got n=1"):
+        toda.explicit_set_sample("M2_I123", 1, full)
+    with pytest.raises(UsageError, match="n >= 2, got n=0"):
+        toda.explicit_set_sample("M2_F123", 0, {"X": 0.1, "u1": 0.2, "u2": 0.3})
+    with pytest.raises(UsageError, match="n >= 2, got n=4.0"):
+        toda.explicit_set_sample("M2_I123", 4.0, full)
+    with pytest.raises(UsageError, match="n >= 2, got n=1"):
+        toda.explicit_set_residual("M2_I123", 1, np.zeros(2))
+    with pytest.raises(UsageError, match="n >= 2, got n=4.0"):
+        toda.explicit_set_residual("M2_F123", 4.0, np.zeros(7))
 
 
 @pytest.mark.parametrize("set_id", sorted(EVEN_SAMPLE_PARAMS))
@@ -281,13 +365,22 @@ def test_nonperiodic_reduced_field_value():
 
 
 def test_lift_restrict_roundtrip_and_pattern():
-    red = toda.reduced_dynamics("M2_I123")
-    z = np.array([0.3, 0.7, 0.5, -0.2])
-    lifted = red.lift(z, 4)
-    assert np.array_equal(lifted, [0.3, 0.7, 0.3, 0.7, 0.5, -0.2, 0.5, -0.2])
-    assert np.array_equal(red.restrict(lifted), z)
-    with pytest.raises(UsageError):
-        red.lift(z, 5)
+    cases = [
+        ("M2_I123", [0.3, 0.7, 0.5, -0.2], [0.3, 0.7, 0.3, 0.7, 0.5, -0.2, 0.5, -0.2]),
+        ("M2_F123", [0.5, 0.2, -0.1], [0.5, 0.0, 0.5, 0.2, -0.1, 0.2, -0.1]),
+    ]
+    for set_id, z, expected in cases:
+        red = toda.reduced_dynamics(set_id)
+        z = np.array(z)
+        lifted = red.lift(z, 4)
+        assert np.array_equal(lifted, expected)
+        assert np.array_equal(red.restrict(lifted), z)
+        with pytest.raises(UsageError):
+            red.lift(z, 5)
+        with pytest.raises(UsageError, match=f"dimension {len(z)}"):
+            red.lift(np.append(z, 0.0), 4)
+        with pytest.raises(UsageError, match=f"dimension {len(z)}"):
+            red.lift(z[:-1], 4)
 
 
 def test_reduced_field_commutes_with_lift_exactly():
