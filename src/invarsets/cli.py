@@ -13,6 +13,7 @@ to "pass"; this lets shipped negative controls count as expected.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -150,9 +151,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on first use and shared by every later call: parsing leaves no state
+# in the parser (each call fills a new namespace)
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except UsageError as exc:

@@ -19,6 +19,7 @@ from .core import (
     ConservedQuantitySet,
     SystemDefinition,
     _all_finite,
+    _all_finite_vector,
     as_state,
     as_states,
 )
@@ -61,25 +62,33 @@ class GradientDrivenSystem:
     quantity: ConservedQuantitySet
     order: int
     system: SystemDefinition
+    batched: bool = False
 
     def fields(self, states) -> np.ndarray:
         """The driven field on an ``(m, dim)`` stack of states.
 
-        One stacked derivative evaluation, then ``base`` once per row.  A
-        row of the wrong shape is a :class:`UsageError` and a non-finite
-        entry a :class:`NumericError`, as in :func:`evaluate_field`, each
-        naming the system and the row.
+        One stacked derivative evaluation, then one ``base`` call on the
+        stack if ``batched``, else one per row.  A row of the wrong shape
+        is a :class:`UsageError` and a non-finite entry a
+        :class:`NumericError`, as in :func:`evaluate_field`, each naming
+        the system and the row.
         """
-        return _driven_fields(
-            self.base, self.quantity, self.order, self.system.label, as_states(states, self.quantity.dim)
-        )
+        xs = as_states(states, self.quantity.dim)
+        return _driven_fields(self.base, self.batched, self.quantity, self.order, self.system.label, xs)
 
 
-def _driven_fields(base, quantity, order, label, xs) -> np.ndarray:
+def _driven_fields(base, batched, quantity, order, label, xs) -> np.ndarray:
     blocks = _derivative_blocks(quantity, xs, order)
     flat = blocks[0] if order == 1 else np.concatenate(blocks, axis=1)
-    rows = [np.asarray(base(x, g), dtype=float) for x, g in zip(xs, flat)]
-    return _checked_rows(label, quantity.dim, rows)
+    if not batched:
+        rows = [np.asarray(base(x, g), dtype=float) for x, g in zip(xs, flat)]
+        return _checked_rows(label, quantity.dim, rows)
+    out = np.asarray(base(xs, flat), dtype=float)
+    if out.shape == xs.shape and _all_finite(out):
+        return out
+    if out.ndim < 2 or len(out) != len(xs):
+        raise UsageError(f"field of '{label}' returned shape {out.shape}, expected {xs.shape}")
+    return _checked_rows(label, quantity.dim, out)  # raises as the rows one by one would
 
 
 def _checked_rows(label, dim, rows) -> np.ndarray:
@@ -105,53 +114,59 @@ def assemble_system(
     quantity: ConservedQuantitySet,
     order: int = 1,
     label: str = "",
+    batched: bool = False,
 ) -> GradientDrivenSystem:
     """Close a base map over the derivative stack of a driving quantity.
 
     ``base(x, stack)`` receives the flat stack (for a scalar quantity at
-    order 1 this is just the gradient).  The field is ``batched``: a stack
-    runs through :meth:`GradientDrivenSystem.fields`'s path, whose rows
-    equal the point field's bit for bit.  At order 1 the point field calls
-    an analytic gradient and ``base`` once each; every other rule is a
-    batch of one.  The field takes a non-finite state as a
-    :class:`NumericError` and a wrong shape as a :class:`UsageError`.
+    order 1 this is just the gradient).  ``batched`` declares, as for
+    :class:`SystemDefinition`, that ``base`` also maps ``(m, dim)`` states
+    and their ``(m, width)`` flat stacks to ``(m, dim)``, row for row bit
+    for bit, so a stack makes one ``base`` call, not one per row.  The
+    field is ``batched``: a stack runs through
+    :meth:`GradientDrivenSystem.fields`'s path, whose rows equal the point
+    field's bit for bit.  At order 1 the point field calls an analytic
+    gradient and ``base`` once each; every other rule is a batch of one.
+    The field takes a non-finite state as a :class:`NumericError` and a
+    wrong shape as a :class:`UsageError`.
     """
     if order < 1:
         raise UsageError(f"driving order must be >= 1, got {order}")
     label = label or f"driven[{'/'.join(quantity.labels)}]"
     dim = quantity.dim
 
-    def checked(x):
-        # the stepper's trial stages overflow on far-out starts: a non-finite
-        # state is a numeric failure, not a bad argument
-        xv = np.asarray(x, dtype=float)
-        if xv.shape != (dim,) and xv.shape[-1:] != (dim,):
-            as_state(xv, dim)  # raises the shape's UsageError
-        if not _all_finite(xv):
-            raise NumericError(f"field of '{label}' evaluated at a non-finite state")
-        return xv
+    # the stepper's trial stages overflow on far-out starts: a non-finite
+    # state is a numeric failure, not a bad argument
+    non_finite = f"field of '{label}' evaluated at a non-finite state"
 
     def stacked(x):
-        xv = checked(x)
-        return _driven_fields(base, quantity, order, label, xv.reshape(-1, dim)).reshape(xv.shape)
+        xv = np.asarray(x, dtype=float)
+        if xv.shape[-1:] != (dim,):
+            as_state(xv, dim)  # raises the shape's UsageError
+        if not _all_finite(xv):
+            raise NumericError(non_finite)
+        return _driven_fields(base, batched, quantity, order, label, xv.reshape(-1, dim)).reshape(xv.shape)
 
     if order == 1 and quantity.analytic_gradient is not None and quantity.smoothness_order >= 1:
         grad, shape = quantity.analytic_gradient, (quantity.k, dim)
         name = "/".join(quantity.labels)
 
         def field(x):
-            xv = checked(x)
-            if xv.ndim > 1:
+            xv = np.asarray(x, dtype=float)
+            if xv.shape != (dim,):
                 return stacked(xv)
+            if not _all_finite_vector(xv):
+                raise NumericError(non_finite)
             g = np.asarray(grad(xv), dtype=float)
             if g.shape != shape:
                 raise UsageError(
                     f"analytic gradient of '{name}' returned shape {g.shape}, expected {shape}"
                 )
-            if not _all_finite(g):
+            flat = g.reshape(-1)
+            if not _all_finite_vector(flat):
                 raise NumericError(f"analytic gradient of '{name}' is non-finite at state 0 of 1")
-            row = np.asarray(base(xv, g.reshape(-1)), dtype=float)
-            if row.shape == (dim,) and _all_finite(row):
+            row = np.asarray(base(xv, flat), dtype=float)
+            if row.shape == (dim,) and _all_finite_vector(row):
                 return row
             return _checked_rows(label, dim, [row])[0]  # raises with the stack path's message
 
@@ -159,7 +174,7 @@ def assemble_system(
         field = stacked
 
     system = SystemDefinition(dim=quantity.dim, field=field, label=label, batched=True)
-    return GradientDrivenSystem(base=base, quantity=quantity, order=order, system=system)
+    return GradientDrivenSystem(base=base, quantity=quantity, order=order, system=system, batched=batched)
 
 
 def agreement_residual(
@@ -243,13 +258,15 @@ def verify_coincidence(
     abs_tol: float = DEFAULT_ABS_TOL,
     rel_tol: float = DEFAULT_REL_TOL,
     sample_count: int = DEFAULT_SAMPLE_COUNT,
+    batched: bool = False,
 ) -> CoincidenceReport:
     """Integrate both driven systems from ``x0`` and compare trajectories.
 
     Hypotheses checked first: the derivative stacks of F and G agree at
     ``x0`` up to ``order``, and F - G is conserved along the F-driven flow
     (sampled).  When they fail the verdict is a hypothesis error and the
-    measured deviation is recorded as a diagnostic.
+    measured deviation is recorded as a diagnostic.  ``batched`` is
+    ``base``'s declaration, as in :func:`assemble_system`.
     """
     x0v = as_state(x0, f_quantity.dim)
     e_res = agreement_residual(f_quantity, g_quantity, x0v, order)
@@ -258,8 +275,8 @@ def verify_coincidence(
     # an overflowing norm gives no finite tolerance, so the premise fails
     on_set = e_res <= hypothesis_tol * scale < np.inf
 
-    sys_f = assemble_system(base, f_quantity, order, label="driven-F")
-    sys_g = assemble_system(base, g_quantity, order, label="driven-G")
+    sys_f = assemble_system(base, f_quantity, order, label="driven-F", batched=batched)
+    sys_g = assemble_system(base, g_quantity, order, label="driven-G", batched=batched)
     try:
         traj_f = flow_adaptive(sys_f.system, x0v, t_end, abs_tol, rel_tol, sample_count)
         traj_g = flow_adaptive(sys_g.system, x0v, t_end, abs_tol, rel_tol, sample_count)

@@ -13,6 +13,7 @@ so all operations can be called concurrently without synchronization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -27,6 +28,13 @@ def _all_finite(a: Array) -> bool:
     """``np.isfinite(a).all()``, at about half the cost on small arrays: the
     count skips the Python wrapper of ``ndarray.all``."""
     return np.count_nonzero(np.isfinite(a)) == a.size
+
+
+def _all_finite_vector(v: Array) -> bool:
+    """:func:`_all_finite` for a 1-D vector, first on Python floats: a finite
+    sum means every entry is finite, and only a sum that is not (a
+    non-finite entry, or finite entries that overflow) asks numpy."""
+    return math.isfinite(sum(v.tolist())) or _all_finite(v)
 
 
 def as_state(x, dim: int | None = None) -> Array:

@@ -81,10 +81,15 @@ def _ring(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nxt, prv
 
 
+def _check_size(n, what: str) -> None:
+    """An integer lattice size n >= 2: a bool is not one, a numpy integer is."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
+        raise UsageError(f"{what} need an integer lattice size n >= 2, got n={n!r}")
+
+
 def periodic_field(n: int) -> SystemDefinition:
     """Periodic lattice of n particles; 2n-dimensional state (X, u)."""
-    if n < 2:
-        raise UsageError(f"periodic lattice needs n >= 2, got {n}")
+    _check_size(n, "periodic lattices")
     nxt, prv = _ring(n)
     sites = np.arange(n)
     # (u_i - u_{i+1}, X_{i-1} - X_i) as one gathered difference
@@ -104,8 +109,7 @@ def periodic_field(n: int) -> SystemDefinition:
 
 def nonperiodic_field(n: int) -> SystemDefinition:
     """Free-end lattice of n particles; (2n-1)-dimensional state (X, u)."""
-    if n < 2:
-        raise UsageError(f"non-periodic lattice needs n >= 2, got {n}")
+    _check_size(n, "non-periodic lattices")
 
     def field(z, _n=n):
         zt = z.T  # components first, for a point or a stack
@@ -161,6 +165,7 @@ def henon_invariant_oracle(n: int, m: int) -> ConservedQuantitySet:
     The value forms the same products in the same order on the last axis,
     so it is declared ``batched``.
     """
+    _check_size(n, "periodic lattices")
     if n > MAX_ENUMERATION_N:
         raise UsageError(f"enumeration is guarded to n <= {MAX_ENUMERATION_N}, got n={n}")
     if not 1 <= m <= n:
@@ -281,8 +286,7 @@ def _closed_form(dim, n, label, forms) -> ConservedQuantitySet:
 
 def henon_closed_form(n: int, m: int) -> ConservedQuantitySet:
     """Closed-form periodic invariant with analytic gradient, m in {1, 2, 3}."""
-    if n < 2:
-        raise UsageError(f"periodic lattice needs n >= 2, got {n}")
+    _check_size(n, "periodic lattices")
     if m not in _HENON_FORMS:
         raise UsageError(f"closed forms cover m in {{1, 2, 3}}, got m={m}; use the enumeration")
     return _closed_form(2 * n, n, f"I{m}", _HENON_FORMS[m])
@@ -405,8 +409,7 @@ def flaschka_invariant(n: int, k: int) -> ConservedQuantitySet:
     attached; for larger k the value falls back to tr(L^k)/k with
     finite-difference gradients.
     """
-    if n < 2:
-        raise UsageError(f"non-periodic lattice needs n >= 2, got {n}")
+    _check_size(n, "non-periodic lattices")
     if not 1 <= k <= n:
         raise UsageError(f"invariant index must satisfy 1 <= k <= n, got k={k}")
     if k in _FLASCHKA_FORMS:
@@ -554,8 +557,7 @@ def _family(set_id: str, n) -> ExplicitSetDescriptor:
     desc = _descriptor(set_id)
     if desc.empty:
         raise UsageError(f"set {desc.set_id} is provably empty: {desc.empty_reason}")
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
-        raise UsageError(f"explicit families need an integer lattice size n >= 2, got n={n!r}")
+    _check_size(n, "explicit families")
     return desc
 
 
@@ -689,10 +691,8 @@ def reduced_dynamics(set_id: str) -> ReducedDynamics:
             X1, X2, u1, u2 = z.T  # components first, for a point or a stack
             return np.array([X1 * (u1 - u2), X2 * (u2 - u1), X2 - X1, X1 - X2]).T
 
-        def restrict(x):
-            x = np.asarray(x, dtype=float)
-            n = x.size // 2
-            return np.array([x[0], x[1], x[n], x[n + 1]])
+        # the state of n particles has dimension 2n - free_end
+        free_end, picks = 0, lambda n: [0, 1, n, n + 1]
 
     elif set_id == "M2_F123":
 
@@ -700,15 +700,22 @@ def reduced_dynamics(set_id: str) -> ReducedDynamics:
             X, u1, u2 = z.T  # components first, for a point or a stack
             return np.array([X * (u1 - u2), -X, X]).T
 
-        def restrict(x):
-            x = np.asarray(x, dtype=float)
-            n = (x.size + 1) // 2
-            return np.array([x[0], x[n - 1], x[n]])
+        free_end, picks = 1, lambda n: [0, n - 1, n]
 
     else:
         raise UsageError(f"no reduced dynamics for set '{set_id}' (supported: M2_I123, M2_F123)")
     lattice = EXPLICIT_SETS[set_id].lattice
     [(names, build)] = _SAMPLERS[set_id][0]
+
+    def restrict(x):
+        x = np.asarray(x, dtype=float)
+        n = (x.size + 1) // 2
+        if n < 2 or x.shape != (2 * n - free_end,):
+            raise UsageError(
+                f"{set_id} restrict needs a {lattice} lattice state of dimension "
+                f"{'2n - 1' if free_end else '2n'} with n >= 2, got shape {x.shape}"
+            )
+        return x[picks(n)]
 
     def lift(z, n):
         _family(set_id, n)  # an integer n >= 2

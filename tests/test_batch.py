@@ -21,7 +21,7 @@ from invarsets import (
 from invarsets.core import as_states
 from invarsets.differentiate import jacobians
 from invarsets.rank_sets import DEFAULT_RANK_TOL, rank_levels
-from invarsets import kepler, oscillator, toda
+from invarsets import kepler, oscillator, report, toda
 from invarsets.coincidence import assemble_system, canonical_symplectic_matrix
 
 from conftest import random_kepler_states, random_toda_physical, zero_quantity
@@ -297,6 +297,11 @@ def _systems():
         assemble_system(lambda x, g: block @ g, kepler.linear_pair_hamiltonian(1.3)),
         assemble_system(lambda x, s: s[:4] - s[4:], pair),
         assemble_system(lambda x, s: block @ s[:4], kepler.hamiltonian(), 2),  # a batch of one
+    ]
+    # the coincidence check's bases, one base call per stack
+    driven += [
+        assemble_system(report._symplectic_base, q, label=f"batched-base[{q.labels[0]}]", batched=True)
+        for q in (kepler.hamiltonian(), kepler.linear_pair_hamiltonian(1.5))
     ]
     return systems + [(d.system, kepler_states) for d in driven]
 

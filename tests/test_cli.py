@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -626,3 +627,27 @@ def test_stacked_oracle_evidence_equals_the_per_sample_loop(scenario, n, seed, s
     evidence = run_scenario(config).evidence
     found = (evidence["max_value_mismatch"], evidence["max_gradient_mismatch"], evidence["max_lax_residual"])
     assert found == _oracle_loop(config["model"]["kind"], n, seed, samples)
+
+
+def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
+    # the parser is built once per process: an override, a rejected flag
+    # and a plain run in a row leave nothing behind for the next call
+    path = str(SCENARIO_DIR / "kepler-circular-coincidence.json")
+    reports = [tmp_path / "override.json", tmp_path / "plain.json", tmp_path / "fresh.json"]
+    assert main(["run", path, "--report", str(reports[0]), "--tolerance", "deviation=1e-7"]) == 0
+    with pytest.raises(SystemExit) as bad:
+        main(["run", path, "--no-such-flag"])
+    assert bad.value.code == 2
+    assert main(["run", path, "--report", str(reports[1])]) == 0
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "invarsets.cli", "run", path, "--report", str(reports[2])],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    override, plain, fresh = (p.read_text() for p in reports)
+    assert json.loads(override)["config"]["tolerances"]["deviation"] == 1e-7
+    assert json.loads(plain)["config"]["tolerances"] == {"deviation": 1e-6, "hypothesis": 1e-8}
+    elapsed = re.compile(r'"elapsed_seconds": [^,}\s]+')
+    assert elapsed.sub("", plain) == elapsed.sub("", fresh)

@@ -18,7 +18,7 @@ from invarsets import (
     stack_quantities,
     verify_coincidence,
 )
-from invarsets import kepler, oscillator, toda
+from invarsets import kepler, oscillator, report, toda
 from invarsets.coincidence import _derivative_blocks, _difference_quantity
 
 from conftest import random_kepler_states, random_toda_physical, zero_quantity
@@ -140,6 +140,12 @@ def _laplacian_coupled_base(c):
     # the perturbation -c (h11 + h22) x vanishes wherever the driver's
     # second derivatives do and pushes radially with a definite sign
     return lambda x, s: np.array([x[1], -x[0]]) - c * (s[2] + s[5]) * x
+
+
+def _batched_laplacian_base(c):
+    """:func:`_laplacian_coupled_base` on a point or a stack, the same
+    operations row by row."""
+    return lambda x, s: np.stack([x[..., 1], -x[..., 0]], axis=-1) - (c * (s[..., 2] + s[..., 5]))[..., None] * x
 
 
 def test_second_order_driven_coincidence_on_circle():
@@ -372,14 +378,22 @@ def test_stacked_driven_field_rows_equal_point_field(seed, count):
         (assemble_system(_laplacian_coupled_base(0.1), oscillator.unit_circle_power(3), 2), plane_states),
     ]
     cases += [(assemble_system(_summed_symplectic_base(2), q), kepler_states) for _, q in _order1_cases()]
+    # declared bases: the coincidence check's, and one at order 2
+    cases += [
+        (assemble_system(report._symplectic_base, q, batched=True), kepler_states)
+        for q in (kepler.hamiltonian(), kepler.linear_pair_hamiltonian(0.9))
+    ]
+    cases.append(
+        (assemble_system(_batched_laplacian_base(0.1), oscillator.unit_circle_power(3), 2, batched=True), plane_states)
+    )
     assert cases[3][0].quantity.batched
     for driven, xs in cases:
         rows = driven.fields(xs)
         assert rows.shape == xs.shape
         for x, row in zip(xs, rows):
             point = driven.system.field(np.array(x))
-            assert np.array_equal(point, row)
-            assert np.array_equal(point, driven.fields(x[None])[0])
+            assert point.tobytes() == row.tobytes()
+            assert point.tobytes() == driven.fields(x[None])[0].tobytes()
 
 
 def _faulty_gradient_quantity(fault, where=lambda x: True):
@@ -448,6 +462,100 @@ def test_point_field_errors_away_from_the_start_inside_flow_adaptive(part, fault
         flow_adaptive(driven.system, x0, 1.0)
     if expected is IntegrationError:
         assert err.value.last_good_time == 0.0
+
+
+def _counted(base, calls):
+    def counted(x, g):
+        calls.append((x.shape, g.shape))
+        return base(x, g)
+
+    return counted
+
+
+def test_batched_base_is_called_once_per_stack_and_an_undeclared_one_per_row():
+    xs, q, block = random_kepler_states(5, 3), kepler.hamiltonian(), canonical_symplectic_matrix(2)
+    for order, width in ((1, 4), (2, 4 + 16)):
+        calls = []
+        rows = assemble_system(_counted(lambda x, s: s[..., :4] @ block.T, calls), q, order, batched=True).fields(xs)
+        assert calls == [((5, 4), (5, width))]
+        calls = []
+        assert rows.tobytes() == assemble_system(_counted(lambda x, s: block @ s[:4], calls), q, order).fields(xs).tobytes()
+        assert calls == [((4,), (width,))] * 5
+
+
+def _faulty_batched_base(fault, where=lambda x: True):
+    """:func:`_faulty_base` on a stack: a wrong shape is wrong for every
+    row, NaN rows are those where ``where(x)`` holds."""
+    block_t = canonical_symplectic_matrix(2).T
+
+    def base(xs, g):
+        out = g @ block_t
+        if fault == "shape":
+            return out[:, :3]
+        out[[where(x) for x in xs]] = np.nan
+        return out
+
+    return base
+
+
+@pytest.mark.parametrize("part,fault,error,message", FAULTS, ids=FAULT_IDS)
+def test_batched_base_errors_equal_the_per_row_ones(part, fault, error, message):
+    # a batched base's shape is wrong on every row or on none
+    xs = random_kepler_states(5, 4)
+    where = lambda x: fault == "shape" or np.array_equal(x, xs[2]) or np.array_equal(x, xs[3])  # noqa: E731
+    if part == "gradient":
+        q = _faulty_gradient_quantity(fault, where)
+        per_row = assemble_system(_symplectic_base(), q)
+        batched = assemble_system(report._symplectic_base, q, batched=True)
+    else:
+        per_row = assemble_system(_faulty_base(fault, where), kepler.hamiltonian())
+        batched = assemble_system(_faulty_batched_base(fault, where), kepler.hamiltonian(), batched=True)
+    with pytest.raises(error) as one_by_one:
+        per_row.fields(xs)
+    with pytest.raises(error) as stacked:
+        batched.fields(xs)
+    assert str(stacked.value) == str(one_by_one.value)
+    if part == "base":
+        assert f"at state {0 if fault == 'shape' else 2} of 5" in str(stacked.value)
+
+
+def test_batched_base_with_a_result_not_stacked_is_a_usage_error():
+    xs = random_kepler_states(5, 4)
+    driven = assemble_system(lambda x, g: g[0], kepler.hamiltonian(), batched=True)
+    with pytest.raises(UsageError, match=r"field of 'driven\[H\]' returned shape \(4,\), expected \(5, 4\)"):
+        driven.fields(xs)
+
+
+_SIGNED = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(gs=st.lists(st.lists(_SIGNED, min_size=4, max_size=4), min_size=1, max_size=6))
+def test_report_base_equals_j_times_gradient_bit_for_bit(gs):
+    # J has entries 0 and +-1: every product is exact, so g @ J.T and J @ g
+    # agree in every bit, signed zeros included, on a point and on a stack
+    J = canonical_symplectic_matrix(2)
+    stack = np.array(gs)
+    expected = np.array([J @ g for g in stack])
+    assert (stack @ J.T).tobytes() == expected.tobytes()
+    assert report._symplectic_base(None, stack).tobytes() == expected.tobytes()
+    for g, row in zip(stack, expected):
+        assert (g @ J.T).tobytes() == row.tobytes()
+        assert report._symplectic_base(None, g).tobytes() == row.tobytes()
+
+
+@pytest.mark.parametrize("x", [[1e308, 1e308, 1e308, 1e308], [1e308, 1e308, -1e308, 1.0]])
+def test_point_field_at_a_state_whose_sum_overflows_returns_its_row(x):
+    # every entry is finite; the state's sum overflows in both cases, and the
+    # sums of the gradient (0, 0, p) and the row (p, 0, 0) in the first
+    x = np.array(x)
+    for driven in (
+        assemble_system(_symplectic_base(), kepler.hamiltonian()),
+        assemble_system(report._symplectic_base, kepler.hamiltonian(), batched=True),
+    ):
+        row = driven.system.field(x)
+        assert row.tobytes() == driven.fields(x[None])[0].tobytes()
+        assert row.tobytes() == np.array([x[2], x[3], 0.0, 0.0]).tobytes()
 
 
 def test_point_field_takes_a_non_finite_state_as_a_numeric_error():

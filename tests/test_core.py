@@ -15,7 +15,7 @@ from invarsets import (
     evaluate_field,
     stack_quantities,
 )
-from invarsets.core import _all_finite, format_float
+from invarsets.core import _all_finite, _all_finite_vector, format_float
 from invarsets import kepler, oscillator, toda
 
 from conftest import random_kepler_states, random_states, zero_quantity
@@ -69,6 +69,36 @@ def test_all_finite_equals_isfinite_all_and_never_warns(a):
         warnings.simplefilter("error")
         got = _all_finite(a)
     assert got == np.isfinite(a).all()
+
+
+@given(
+    arrays(
+        float,
+        array_shapes(min_dims=1, max_dims=1, min_side=0, max_side=8),
+        elements=st.sampled_from(EDGE_FLOATS + [1e308, -1e308]) | st.floats(allow_nan=True, allow_infinity=True),
+    )
+)
+def test_all_finite_vector_equals_isfinite_all_and_never_warns(v):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _all_finite_vector(v)
+    assert got == np.isfinite(v).all()
+
+
+@pytest.mark.parametrize(
+    "v,finite",
+    [
+        ([1.0, np.nan, 2.0], False),
+        ([np.inf, 1.0], False),
+        ([-np.inf], False),
+        ([np.inf, -np.inf, 1.0], False),  # the sum is NaN
+        ([1e308, 1e308, -1e308], True),  # the sum overflows, the entries are finite
+        ([-1.7e308, -1.7e308], True),
+        ([], True),
+    ],
+)
+def test_all_finite_vector_edge_cases(v, finite):
+    assert _all_finite_vector(np.array(v, dtype=float)) == finite
 
 
 def test_non_finite_state_rejected():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -317,6 +319,22 @@ def test_sampler_rejects_malformed_params():
         toda.explicit_set_residual("M2_F123", 4.0, np.zeros(7))
 
 
+@pytest.mark.parametrize("n", [4.0, True, "4", 1, np.float64(4.0)], ids=repr)
+def test_lattice_builders_reject_a_non_integer_n(n):
+    for build in (
+        toda.periodic_field,
+        toda.nonperiodic_field,
+        lambda n: toda.explicit_set_quantity("M2_I123", n),
+        lambda n: toda.explicit_set_quantity("M2_F123", n),
+        lambda n: toda.henon_invariant_oracle(n, 1),
+    ):
+        with pytest.raises(UsageError, match=f"need an integer lattice size n >= 2, got n={re.escape(repr(n))}"):
+            build(n)
+    # a numpy integer is an integer
+    assert toda.periodic_field(np.int64(4)).dim == 8
+    assert toda.explicit_set_quantity("M2_F123", np.int32(4)).dim == 7
+
+
 @pytest.mark.parametrize("set_id", sorted(EVEN_SAMPLE_PARAMS))
 @pytest.mark.parametrize("even", [True, False])
 def test_samples_classify_to_their_nominal_rank(set_id, even):
@@ -365,6 +383,8 @@ def test_nonperiodic_reduced_field_value():
 
 
 def test_lift_restrict_roundtrip_and_pattern():
+    # n = 5 on both lattices: (X0, X1, u0, u1) and (X0, u0, u1)
+    restricted = {"M2_I123": [0.0, 1.0, 5.0, 6.0], "M2_F123": [0.0, 4.0, 5.0]}
     cases = [
         ("M2_I123", [0.3, 0.7, 0.5, -0.2], [0.3, 0.7, 0.3, 0.7, 0.5, -0.2, 0.5, -0.2]),
         ("M2_F123", [0.5, 0.2, -0.1], [0.5, 0.0, 0.5, 0.2, -0.1, 0.2, -0.1]),
@@ -381,6 +401,17 @@ def test_lift_restrict_roundtrip_and_pattern():
             red.lift(np.append(z, 0.0), 4)
         with pytest.raises(UsageError, match=f"dimension {len(z)}"):
             red.lift(z[:-1], 4)
+        # restrict takes any lattice size n >= 2, odd n included
+        assert np.array_equal(red.restrict(np.arange(float(len(expected) + 2))), restricted[set_id])
+    # a state that is no lattice state of the family's kind
+    for set_id, size, dimension in (
+        ("M2_I123", 7, "2n"), ("M2_I123", 3, "2n"), ("M2_I123", 2, "2n"),
+        ("M2_F123", 8, "2n - 1"), ("M2_F123", 1, "2n - 1"),
+    ):
+        with pytest.raises(UsageError, match=rf"{set_id} restrict needs a \w+ lattice state of dimension {dimension} with n >= 2, got shape \({size},\)"):
+            toda.reduced_dynamics(set_id).restrict(np.arange(float(size)))
+    with pytest.raises(UsageError, match=r"got shape \(2, 4\)"):
+        toda.reduced_dynamics("M2_I123").restrict(np.zeros((2, 4)))
 
 
 def test_reduced_field_commutes_with_lift_exactly():
