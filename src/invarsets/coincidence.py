@@ -20,10 +20,12 @@ from .core import (
     SystemDefinition,
     _all_finite,
     _all_finite_vector,
+    _conservation_rates,
+    _state_scales,
     as_state,
     as_states,
 )
-from .differentiate import _flat_block, _partial_stack, jacobians, partial_tensor
+from .differentiate import _flat_block, _partial_stack
 from .errors import IntegrationError, NumericError, UsageError
 from .integrate import (
     DEFAULT_ABS_TOL,
@@ -65,30 +67,9 @@ class GradientDrivenSystem:
     batched: bool = False
 
     def fields(self, states) -> np.ndarray:
-        """The driven field on an ``(m, dim)`` stack of states.
-
-        One stacked derivative evaluation, then one ``base`` call on the
-        stack if ``batched``, else one per row.  A row of the wrong shape
-        is a :class:`UsageError` and a non-finite entry a
-        :class:`NumericError`, as in :func:`evaluate_field`, each naming
-        the system and the row.
-        """
-        xs = as_states(states, self.quantity.dim)
-        return _driven_fields(self.base, self.batched, self.quantity, self.order, self.system.label, xs)
-
-
-def _driven_fields(base, batched, quantity, order, label, xs) -> np.ndarray:
-    blocks = _derivative_blocks(quantity, xs, order)
-    flat = blocks[0] if order == 1 else np.concatenate(blocks, axis=1)
-    if not batched:
-        rows = [np.asarray(base(x, g), dtype=float) for x, g in zip(xs, flat)]
-        return _checked_rows(label, quantity.dim, rows)
-    out = np.asarray(base(xs, flat), dtype=float)
-    if out.shape == xs.shape and _all_finite(out):
-        return out
-    if out.ndim < 2 or len(out) != len(xs):
-        raise UsageError(f"field of '{label}' returned shape {out.shape}, expected {xs.shape}")
-    return _checked_rows(label, quantity.dim, out)  # raises as the rows one by one would
+        """The driven field on a validated ``(m, dim)`` stack of states,
+        through ``system``'s field (see :func:`assemble_system`)."""
+        return self.system.fields(as_states(states, self.quantity.dim))
 
 
 def _checked_rows(label, dim, rows) -> np.ndarray:
@@ -123,10 +104,10 @@ def assemble_system(
     :class:`SystemDefinition`, that ``base`` also maps ``(m, dim)`` states
     and their ``(m, width)`` flat stacks to ``(m, dim)``, row for row bit
     for bit, so a stack makes one ``base`` call, not one per row.  The
-    field is ``batched``: a stack runs through
-    :meth:`GradientDrivenSystem.fields`'s path, whose rows equal the point
-    field's bit for bit.  At order 1 the point field calls an analytic
-    gradient and ``base`` once each; every other rule is a batch of one.
+    field is ``batched``: a stack makes one stacked derivative evaluation,
+    and its rows equal the point field's bit for bit.  At order 1 the
+    point field calls an analytic gradient and ``base`` once each; every
+    other rule is a batch of one.
     The field takes a non-finite state as a :class:`NumericError` and a
     wrong shape as a :class:`UsageError`.
     """
@@ -145,7 +126,18 @@ def assemble_system(
             as_state(xv, dim)  # raises the shape's UsageError
         if not _all_finite(xv):
             raise NumericError(non_finite)
-        return _driven_fields(base, batched, quantity, order, label, xv.reshape(-1, dim)).reshape(xv.shape)
+        xs = xv.reshape(-1, dim)
+        blocks = _derivative_blocks(quantity, xs, order)
+        flat = blocks[0] if order == 1 else np.concatenate(blocks, axis=1)
+        if not batched:
+            rows = [np.asarray(base(x, g), dtype=float) for x, g in zip(xs, flat)]
+            return _checked_rows(label, dim, rows).reshape(xv.shape)
+        out = np.asarray(base(xs, flat), dtype=float)
+        if out.shape == xs.shape and _all_finite(out):
+            return out.reshape(xv.shape)
+        if out.ndim < 2 or len(out) != len(xs):
+            raise UsageError(f"field of '{label}' returned shape {out.shape}, expected {xs.shape}")
+        return _checked_rows(label, dim, out)  # raises as the rows one by one would
 
     if order == 1 and quantity.analytic_gradient is not None and quantity.smoothness_order >= 1:
         grad, shape = quantity.analytic_gradient, (quantity.k, dim)
@@ -193,13 +185,9 @@ def agreement_residual(
             f"quantities have mismatched shape: ({f_quantity.k}, {f_quantity.dim}) vs "
             f"({g_quantity.k}, {g_quantity.dim})"
         )
-    xv = as_state(x, f_quantity.dim)
-    tf = partial_tensor(f_quantity, xv, order)
-    tg = partial_tensor(g_quantity, xv, order)
-    worst = 0.0
-    for alpha, vals in tf.entries.items():
-        worst = max(worst, float(np.max(np.abs(vals - tg.entries[alpha]))))
-    return worst
+    xs = as_state(x, f_quantity.dim)[None, :]
+    pairs = zip(_derivative_blocks(f_quantity, xs, order), _derivative_blocks(g_quantity, xs, order))
+    return float(np.max([np.abs(f - g).max() for f, g in pairs]))
 
 
 def _difference_quantity(
@@ -270,10 +258,7 @@ def verify_coincidence(
     """
     x0v = as_state(x0, f_quantity.dim)
     e_res = agreement_residual(f_quantity, g_quantity, x0v, order)
-    with np.errstate(over="ignore"):
-        scale = max(1.0, float(np.linalg.norm(x0v)))
-    # an overflowing norm gives no finite tolerance, so the premise fails
-    on_set = e_res <= hypothesis_tol * scale < np.inf
+    on_set = e_res <= hypothesis_tol * float(_state_scales(x0v)) < np.inf
 
     sys_f = assemble_system(base, f_quantity, order, label="driven-F", batched=batched)
     sys_g = assemble_system(base, g_quantity, order, label="driven-G", batched=batched)
@@ -300,14 +285,11 @@ def verify_coincidence(
             )
         raise
 
-    # d/dt (F - G) along the first flow at every sample, as in
-    # core.conservation_residual: elementwise product, then a sum (no FMA)
+    # d/dt (F - G) along the first flow at every sample
     states = traj_f.states
-    diff = _difference_quantity(f_quantity, g_quantity)
-    rates = (jacobians(diff, states) * sys_f.fields(states)[:, None, :]).sum(axis=2)
+    rates = _conservation_rates(_difference_quantity(f_quantity, g_quantity), states, sys_f.fields(states))
+    scales = _state_scales(states)
     with np.errstate(over="ignore"):
-        # sqrt of the row dot product is bit-identical to np.linalg.norm of a row
-        scales = np.maximum(1.0, np.sqrt(np.vecdot(states, states)))
         deviations = np.linalg.norm(traj_f.states - traj_g.states, axis=1)
     # as at the start, a state whose norm overflows fails the premise
     drift = float(np.max(np.abs(rates).max(axis=1) / scales)) if _all_finite(scales) else np.inf

@@ -293,6 +293,23 @@ def stack_quantities(quantities: Sequence[ConservedQuantitySet]) -> ConservedQua
     )
 
 
+def _state_scales(xs: Array) -> Array:
+    """``max(1, |x|)`` per row of an ``(m, dim)`` stack, the scale of every
+    state-relative tolerance (bit for bit ``np.linalg.norm`` of the row), and
+    silently inf where the norm overflows: no tolerance is finite there."""
+    with np.errstate(over="ignore"):
+        return np.maximum(1.0, np.sqrt(np.vecdot(xs, xs)))
+
+
+def _conservation_rates(quantity: ConservedQuantitySet, xs: Array, fields: Array) -> Array:
+    """The ``(m, k)`` rates ``grad F_i(x) . f(x)`` on an ``(m, dim)`` stack
+    whose validated field rows are ``fields``."""
+    from .differentiate import jacobians
+
+    # elementwise product + pairwise sum (no FMA) so symmetric terms cancel exactly
+    return (jacobians(quantity, xs) * fields[:, None, :]).sum(axis=2)
+
+
 def conservation_residual(
     quantity: ConservedQuantitySet, system: SystemDefinition, x
 ) -> Array:
@@ -301,12 +318,7 @@ def conservation_residual(
     Returns the k values ``grad F_i(x) . f(x)``; values near zero certify
     pointwise conservation at ``x``.
     """
-    from .differentiate import jacobian
-
     if quantity.dim != system.dim:
-        raise UsageError(
-            f"quantity dimension {quantity.dim} != system dimension {system.dim}"
-        )
+        raise UsageError(f"quantity dimension {quantity.dim} != system dimension {system.dim}")
     xv = as_state(x, system.dim)
-    # elementwise product + pairwise sum (no FMA) so symmetric terms cancel exactly
-    return (jacobian(quantity, xv) * evaluate_field(system, xv)).sum(axis=1)
+    return _conservation_rates(quantity, xv[None, :], evaluate_field(system, xv)[None, :])[0]

@@ -11,7 +11,8 @@ Its step controller is the standard one: safety factor 0.9, step changes
 clamped to [0.2, 10], exponent -1/8, the blended 5th/3rd-order error norm
 weighted by ``abs_tol + max(|y|, |y_new|) * rel_tol``, the
 Hairer-Norsett-Wanner initial-step heuristic, and a failure once a step
-would fall below ten spacings of the floats at the current time.  Every
+would fall below ten spacings of the floats at the current time or after
+100,000 step attempts (a stiff flow would otherwise run on).  Every
 constant and every floating-point operation is the one scipy's ``DOP853``
 uses, so the two produce the same trajectories bit for bit.
 Default tolerances are 1e-10 so that downstream theorem checks comparing
@@ -124,6 +125,7 @@ _ERROR_EXPONENT = -1 / 8  # -1 / (error estimator order + 1)
 _MIN_REL_TOL = 100 * np.finfo(float).eps  # smaller rel_tol is raised to this
 _BLOCK = 32  # held steps finished together: bounds the stacked buffers
 _ROWS = 16 * _BLOCK  # samples interpolated per pass: a gather no larger than the stage stack
+_MAX_ATTEMPTS = 100_000  # step attempts per flow, accepted or rejected (NMAX of Hairer's DOP853)
 
 
 @dataclass(frozen=True)
@@ -198,9 +200,10 @@ def flow_adaptive(
 
     States are reported at ``sample_count`` uniformly spaced times via the
     integrator's dense interpolant.  Step-size underflow (stiffness or a
-    field singularity), a :class:`NumericError` from the field and a
-    non-finite sample raise :class:`IntegrationError` carrying the last
-    sample time reached; overflow and invalid-value warnings are silenced.
+    field singularity), a spent step budget, a :class:`NumericError` from
+    the field and a non-finite sample raise :class:`IntegrationError`
+    carrying the last sample time reached; overflow and invalid-value
+    warnings are silenced.
     """
     _check_horizon("t_end", t_end)
     _check_tolerances(abs_tol, rel_tol)
@@ -310,6 +313,12 @@ def _dop853(system: SystemDefinition, y, t_eval, abs_tol, rel_tol):
                         f"adaptive integration of '{system.label}' stopped at "
                         f"t={last_sample():.6g}: Required step size is less than spacing "
                         "between numbers.",
+                        last_good_time=last_sample(),
+                    )
+                if accepted + rejected == _MAX_ATTEMPTS:
+                    raise IntegrationError(
+                        f"adaptive integration of '{system.label}' stopped at t={last_sample():.6g}: "
+                        f"the step budget of {_MAX_ATTEMPTS} attempts is spent (a stiff flow?)",
                         last_good_time=last_sample(),
                     )
                 t_new = min(t + h_abs, t_end)

@@ -27,7 +27,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ConservedQuantitySet, SystemDefinition, as_state, conservation_residual, evaluate_field
+from .core import ConservedQuantitySet, SystemDefinition, _conservation_rates, _state_scales
+from .core import as_state, evaluate_field
 from .errors import UsageError
 from .integrate import (
     DEFAULT_ABS_TOL,
@@ -42,6 +43,7 @@ from .rank_sets import (
     BORDERLINE_MARGIN,
     DEFAULT_RANK_TOL,
     DEFAULT_VANISH_TOL,
+    _margins,
     in_vanishing_set,
     rank_level,
     rank_levels,
@@ -81,34 +83,39 @@ class InvarianceReport:
     equilibrium: bool = False
 
 
-def _is_equilibrium(system: SystemDefinition, x0: np.ndarray) -> bool:
-    scale = max(1.0, float(np.linalg.norm(x0)))
-    return float(np.linalg.norm(evaluate_field(system, x0))) <= EQUILIBRIUM_TOL * scale
-
-
-def _conservation_premise(
-    system: SystemDefinition, quantity: ConservedQuantitySet, x0: np.ndarray, tol: float
-) -> str | None:
-    """Why ``quantity`` is not conserved at ``x0``, or None when it is."""
-    residual = float(np.max(np.abs(conservation_residual(quantity, system, x0))))
-    if residual <= tol * max(1.0, float(np.linalg.norm(x0))):
-        return None
-    return (
-        f"quantity '{'/'.join(quantity.labels)}' is not conserved at the start: "
+def _conservation_premise(system: SystemDefinition, quantity: ConservedQuantitySet, x0, tol: float):
+    """The validated start, the field there, and why ``quantity`` is not
+    conserved there (None when it is)."""
+    x0v = as_state(x0, system.dim)
+    if quantity.dim != system.dim:
+        raise UsageError(f"quantity dimension {quantity.dim} != system dimension {system.dim}")
+    f0 = evaluate_field(system, x0v)
+    name, bound = "/".join(quantity.labels), tol * float(_state_scales(x0v))
+    if bound == np.inf:
+        return x0v, f0, f"quantity '{name}' has no finite tolerance at the start: {tol:.1e} * |x| overflows"
+    residual = float(np.max(np.abs(_conservation_rates(quantity, x0v[None, :], f0[None, :]))))
+    if residual <= bound:
+        return x0v, f0, None
+    return x0v, f0, (
+        f"quantity '{name}' is not conserved at the start: "
         f"max |grad F_i . f| = {residual:.3e} exceeds {tol:.1e} * scale"
     )
 
 
-def _certify(kind, system, x0, t_end, integ, classify, quantity, **fields) -> InvarianceReport:
+def _certify(kind, system, x0, t_end, integ, classify, quantity, f0=None, **fields) -> InvarianceReport:
     """Integrate from an accepted start, classify every sample and apply
     the verdict rule.
 
     ``integ`` is (abs_tol, rel_tol, sample_count).  ``classify(traj)``
     returns the per-sample values (rank or residual), the per-sample
     inside flags and margins, the index of the worst sample and the
-    message.  ``quantity``, when given, has its drift monitored.
+    message.  ``quantity``, when given, has its drift monitored.  ``f0``
+    is the field at ``x0`` when the premise evaluated it; a start where it
+    is numerically zero is an equilibrium.
     """
     traj = flow_adaptive(system, x0, t_end, *integ)
+    with np.errstate(over="ignore"):
+        speed = float(np.linalg.norm(evaluate_field(system, x0) if f0 is None else f0))
     values, inside, margins, worst, message = classify(traj)
     min_margin = float(np.min(margins))
     if np.all(inside) and min_margin >= BORDERLINE_MARGIN:
@@ -127,7 +134,7 @@ def _certify(kind, system, x0, t_end, integ, classify, quantity, **fields) -> In
         worst_time=float(traj.times[worst]),
         worst_value=float(values[worst]),
         min_margin=min_margin,
-        equilibrium=_is_equilibrium(system, x0),
+        equilibrium=speed <= EQUILIBRIUM_TOL * float(_state_scales(x0)) < np.inf,
         **fields,
     )
 
@@ -136,8 +143,7 @@ def _verify_rank(kind, system, quantity, x0, t_end, rank_tol, conservation_tol, 
     """Rank-level and critical checks: one rank classifier, whose predicate
     is ``rank == initial`` for the rank level and ``rank < k`` for the
     critical set."""
-    x0v = as_state(x0, system.dim)
-    broken = _conservation_premise(system, quantity, x0v, conservation_tol)
+    x0v, f0, broken = _conservation_premise(system, quantity, x0, conservation_tol)
     initial = rank_level(quantity, x0v, rank_tol).rank
     critical = kind == "critical"
     if broken is None and critical and initial >= quantity.k:
@@ -160,7 +166,7 @@ def _verify_rank(kind, system, quantity, x0, t_end, rank_tol, conservation_tol, 
             message = f"rank counts along flow: {counts}; initial rank {initial}"
         return ranks, inside, decisions.margins, int(np.argmin(decisions.margins)), message
 
-    return _certify(kind, system, x0v, t_end, integ, classify, quantity, initial_rank=initial)
+    return _certify(kind, system, x0v, t_end, integ, classify, quantity, f0, initial_rank=initial)
 
 
 def verify_rank_invariance(
@@ -214,8 +220,7 @@ def verify_vanishing_invariance(
 ) -> InvarianceReport:
     """Certify that membership in the order-``order`` derivative-vanishing
     set persists along the flow from ``x0``."""
-    x0v = as_state(x0, system.dim)
-    broken = _conservation_premise(system, quantity, x0v, conservation_tol)
+    x0v, f0, broken = _conservation_premise(system, quantity, x0, conservation_tol)
     if broken is not None:
         return InvarianceReport(kind="vanishing", verdict=HYPOTHESIS_ERROR, message=broken)
     start = in_vanishing_set(quantity, x0v, order, abs_tol)
@@ -239,7 +244,7 @@ def verify_vanishing_invariance(
 
     integ = (integ_abs_tol, integ_rel_tol, sample_count)
     return _certify(
-        "vanishing", system, x0v, t_end, integ, classify, quantity, threshold=start.threshold
+        "vanishing", system, x0v, t_end, integ, classify, quantity, f0, threshold=start.threshold
     )
 
 
@@ -288,10 +293,7 @@ def verify_set_persistence(
 
     def classify(traj):
         residuals = _set_residuals(residual_fn, traj.states)
-        inside = residuals <= tol
-        with np.errstate(divide="ignore", over="ignore"):
-            inside_margins = np.where(residuals > 0.0, tol / residuals, np.inf)
-        margins = np.where(inside, inside_margins, residuals / tol)
+        inside, margins = _margins(residuals, tol)
         worst = int(np.argmax(residuals))
         message = (
             f"max set residual {residuals[worst]:.3e} at t={traj.times[worst]:.4g} (tol {tol:.1e})"

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConservedQuantitySet, _all_finite, as_state, as_states
+from .core import ConservedQuantitySet, _all_finite, _state_scales, as_state, as_states
 from .differentiate import _partial_stack, jacobians
 from .errors import NumericError, UsageError
 
@@ -127,6 +127,16 @@ def singular_values(matrices) -> np.ndarray:
         raise NumericError(f"SVD failed to converge: {exc}") from exc
 
 
+def _margins(values: np.ndarray, thresholds) -> tuple[np.ndarray, np.ndarray]:
+    """The inside flags and margins of ``values`` against ``thresholds``: a
+    value is inside when at most its threshold, with margin threshold/value
+    (inf at zero) inside and value/threshold outside."""
+    inside = values <= thresholds
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        below = np.where(values > 0.0, thresholds / values, np.inf)
+        return inside, np.where(inside, below, values / thresholds)
+
+
 def _decide(matrices: np.ndarray, rel_tol: float, zero_floor: np.ndarray) -> RankDecisions:
     """The rank rule, applied to every matrix of an (m, r, c) stack.
 
@@ -140,12 +150,9 @@ def _decide(matrices: np.ndarray, rel_tol: float, zero_floor: np.ndarray) -> Ran
     sv = singular_values(matrices)
     top = sv[:, 0] if sv.shape[1] else np.zeros(len(sv))
     thresholds = np.maximum(rel_tol * top, zero_floor)
-    cut = thresholds[:, None]
-    kept = sv > cut
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ratios = np.where(kept, sv / cut, np.where(sv > 0.0, cut / sv, np.inf))
+    dropped, ratios = _margins(sv, thresholds[:, None])
     margins = ratios.min(axis=1, initial=np.inf)
-    ranks = kept.sum(axis=1)
+    ranks = (~dropped).sum(axis=1)
     zero = top < ZERO_SIGMA_GUARD
     ranks[zero] = 0
     margins[zero] = np.inf
@@ -183,9 +190,7 @@ def rank_levels(
     _check_rel_tol(rel_tol)
     xs = as_states(states, quantity.dim)
     J = jacobians(quantity, xs)
-    # sqrt of the row dot product is bit-identical to np.linalg.norm of a row
-    floors = rel_tol * np.maximum(1.0, np.sqrt(np.vecdot(xs, xs)))
-    return _decide(J, rel_tol, floors)
+    return _decide(J, rel_tol, rel_tol * _state_scales(xs))
 
 
 def rank_level(quantity: ConservedQuantitySet, x, rel_tol: float = DEFAULT_RANK_TOL) -> RankDecision:
@@ -208,12 +213,8 @@ def vanishing_memberships(
     xs = as_states(states, quantity.dim)
     partials = np.concatenate(list(_partial_stack(quantity, xs, order).values()), axis=1)
     worst = np.abs(partials).max(axis=1)
-    # sqrt of the row dot product is bit-identical to np.linalg.norm of a row
-    thresholds = abs_tol * np.maximum(1.0, np.sqrt(np.vecdot(xs, xs)))
-    verdicts = worst <= thresholds
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        inside = np.where(worst > 0.0, thresholds / worst, np.inf)
-        margins = np.where(verdicts, inside, worst / thresholds)
+    thresholds = abs_tol * _state_scales(xs)
+    verdicts, margins = _margins(worst, thresholds)
     return SetMemberships("vanishing", order, verdicts, worst - thresholds, margins, thresholds)
 
 

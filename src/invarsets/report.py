@@ -30,7 +30,7 @@ from .core import (
     stack_quantities,
 )
 from .differentiate import jacobians
-from .errors import IntegrationError, UsageError
+from .errors import IntegrationError, NumericError, UsageError
 from .integrate import (
     DEFAULT_ABS_TOL,
     DEFAULT_REL_TOL,
@@ -496,6 +496,8 @@ def run_scenario(config: dict[str, Any]) -> RunReport:
     Configuration problems raise :class:`UsageError`; numerical verdicts
     (including hypothesis errors) are reported, not raised.  A failed
     integration is a hypothesis error: the flow does not exist on [0, t_end].
+    So is any other numeric failure, such as a singular gradient at the
+    start, where the check's premises cannot be evaluated.
     """
     started = time.perf_counter()
     s = _read(config)
@@ -505,6 +507,9 @@ def run_scenario(config: dict[str, Any]) -> RunReport:
         t = exc.last_good_time
         message = f"the flow does not exist on [0, {s.t_end:.6g}]: last sample time reached {t:.6g}; {exc}"
         verdict, evidence, traj = HYPOTHESIS_ERROR, {"message": message, "last_sample_time": t}, None
+    except NumericError as exc:
+        message = f"a numeric failure stopped the check: {exc}"
+        verdict, evidence, traj = HYPOTHESIS_ERROR, {"message": message}, None
     return RunReport(
         label=str(config.get("label", "unnamed")),
         check=s.check,

@@ -318,6 +318,7 @@ def lax_matrices(n: int, x) -> tuple[np.ndarray, np.ndarray]:
     """Tridiagonal Lax matrix L (diag u, super-diag X, sub-diag 1) and its
     strictly upper companion B (super-diag -X) for a non-periodic state, or
     ``(m, n, n)`` stacks of both for an ``(m, dim)`` stack of states."""
+    _check_size(n, "Lax matrices")
     z = np.asarray(x, dtype=float)
     if z.shape[-1:] != (2 * n - 1,):
         raise UsageError(f"non-periodic state for n={n} has dimension {2 * n - 1}")
@@ -336,6 +337,7 @@ def trace_invariant_value(n: int, k: int, x):
     """tr(L^k)/k, the oracle route for the non-periodic invariants: a float
     for one state, shape ``(m,)`` for a stack (stacked ``matrix_power`` and
     trace give each row's bits)."""
+    _check_size(n, "Lax matrices")
     if not 1 <= k <= n:
         raise UsageError(f"trace invariant needs 1 <= k <= n, got k={k}")
     L, _ = lax_matrices(n, x)

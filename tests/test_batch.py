@@ -18,7 +18,7 @@ from invarsets import (
     rank_level,
     stack_quantities,
 )
-from invarsets.core import as_states
+from invarsets.core import _conservation_rates, as_states, conservation_residual, evaluate_field
 from invarsets.differentiate import jacobians
 from invarsets.rank_sets import DEFAULT_RANK_TOL, rank_levels
 from invarsets import kepler, oscillator, report, toda
@@ -131,6 +131,46 @@ def test_finite_difference_stack_equals_points(xs):
     J = jacobians(fd_only, xs)
     for i, x in enumerate(xs):
         assert np.array_equal(J[i], jacobian(fd_only, np.array(x)))
+
+
+def assert_rates_match_points(system, quantity, xs):
+    rates = _conservation_rates(quantity, xs, system.fields(xs))
+    assert rates.shape == (len(xs), quantity.k)
+    for i, x in enumerate(xs):
+        point = np.array(x)
+        assert rates[i].tobytes() == conservation_residual(quantity, system, point).tobytes()
+        # the pointwise formula the stacked rate replaced
+        expected = (jacobian(quantity, point) * evaluate_field(system, point)).sum(axis=1)
+        assert rates[i].tobytes() == expected.tobytes()
+
+
+@SETTINGS
+@given(n=st.integers(2, 8), data=st.data())
+def test_stacked_conservation_rates_equal_conservation_residual(n, data):
+    periodic = toda.periodic_field(n)
+    xs = data.draw(_stack(2 * n))
+    for degrees in ((1, 2, 3), (3,), (1, 3), (2, 3)):
+        assert_rates_match_points(periodic, toda.periodic_invariants(n, degrees), xs)
+    free_end = toda.nonperiodic_field(n)
+    xs = data.draw(_stack(2 * n - 1))
+    for degrees in ((1, 2, 3), (3,), (2, 3)):
+        if max(degrees) <= n:
+            assert_rates_match_points(free_end, toda.nonperiodic_invariants(n, degrees), xs)
+    point_only = ConservedQuantitySet(
+        dim=2, k=1, value=lambda x: np.array([x[0] ** 2 + x[1] ** 2]), labels=("r2",),
+        analytic_gradient=lambda x: np.array([[2.0 * x[0], 2.0 * x[1]]]),
+    )
+    assert_rates_match_points(oscillator.harmonic_oscillator(), point_only, data.draw(_stack(2)))
+    fd_only = ConservedQuantitySet(
+        dim=3, k=2, value=lambda x: np.array([x[0] * x[1], np.sin(x[2])]), labels=("a", "b")
+    )
+    spin = SystemDefinition(3, lambda x: np.array([-x[1], x[0], 0.5 * x[2]]), "spin")
+    assert_rates_match_points(spin, fd_only, data.draw(_stack(3)))
+
+
+def test_stacked_kepler_conservation_rates_equal_conservation_residual():
+    pair = stack_quantities([kepler.hamiltonian(), kepler.angular_momentum()])
+    assert_rates_match_points(kepler.kepler_field(), pair, random_kepler_states(8, 8))
 
 
 def test_declared_support_and_stacking():

@@ -11,7 +11,7 @@ import pytest
 
 from invarsets.cli import main
 from invarsets.report import export_trajectory, load_scenario, run_scenario, scenario_trajectory
-from invarsets import ConservedQuantitySet, coincidence, flow_adaptive, invariance, jacobian, report, toda
+from invarsets import ConservedQuantitySet, coincidence, flow_adaptive, integrate, invariance, jacobian, report, toda
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 SHIPPED = sorted(SCENARIO_DIR.glob("*.json"))
@@ -329,6 +329,64 @@ def test_far_out_coincidence_start_is_a_hypothesis_error(tmp_path, capsys, start
     report = _strict_json(capsys.readouterr().out)
     assert code == 1 and report["verdict"] == "hypothesis-error"
     assert "start is off the agreement set" in report["evidence"]["message"]
+
+
+STRICT = ("-W", "error::RuntimeWarning")
+TODA_FAR_OUT = [1e160, 0, 0, 0, 0, 0, 0, 0]  # X1 ** 2 overflows
+
+
+@pytest.mark.parametrize("flags", [(), STRICT], ids=["default-warnings", "strict-warnings"])
+@pytest.mark.parametrize(
+    "model,check,quantity,start",
+    [
+        ({"kind": "kepler"}, "rank-invariance", "H", [1e200, 0, 0, 1e-200]),
+        ({"kind": "toda-periodic", "n": 4}, "critical-invariance", "I123", TODA_FAR_OUT),
+        ({"kind": "toda-periodic", "n": 4}, "n-invariance", "I3", TODA_FAR_OUT),
+    ],
+    ids=["kepler-rank", "toda-critical", "toda-n"],
+)
+def test_start_whose_norm_overflows_fails_the_conservation_premise(tmp_path, flags, model, check, quantity, start):
+    # no tolerance scaled by |x| is finite, so the premise fails at once
+    config = {"model": model, "check": check, "quantity": quantity, "initial_state": start, "t_end": 1}
+    done = _run_cli(tmp_path, config, *flags)
+    assert done.returncode == 1 and "Traceback" not in done.stderr, done.stderr
+    report = _strict_json(done.stdout)
+    assert report["verdict"] == "hypothesis-error"
+    assert report["evidence"]["message"].endswith("has no finite tolerance at the start: 1.0e-08 * |x| overflows")
+
+
+@pytest.mark.parametrize("flags", [(), STRICT], ids=["default-warnings", "strict-warnings"])
+@pytest.mark.parametrize("check", ["rank-invariance", "critical-invariance", "n-invariance", "coincidence"])
+def test_numeric_failure_at_a_premise_is_a_hypothesis_error_report(tmp_path, flags, check):
+    # the Kepler field and the energy gradient are singular at q = 0
+    config = {"model": {"kind": "kepler"}, "check": check, "quantity": "H", "initial_state": [0, 0, 1, 0]}
+    done = _run_cli(tmp_path, config, *flags)
+    assert done.returncode == 1 and done.stderr == ""
+    report = _strict_json(done.stdout)
+    assert report["verdict"] == "hypothesis-error"
+    message = report["evidence"]["message"]
+    assert message.startswith("a numeric failure stopped the check: ")
+    assert "is singular at the origin (|x|^3 is zero or underflows)" in message
+
+
+def test_numeric_failure_with_csv_prints_the_report_and_writes_no_csv(tmp_path, capsys):
+    config = {"model": {"kind": "kepler"}, "check": "rank-invariance", "quantity": "H", "initial_state": [0, 0, 1, 0]}
+    csv_path = tmp_path / "x.csv"
+    assert main(["run", _write(tmp_path, config), "--csv", str(csv_path)]) == 1
+    out, err = capsys.readouterr()
+    assert _strict_json(out)["verdict"] == "hypothesis-error"
+    assert not csv_path.exists()
+    assert err == "no CSV written: the check integrated no trajectory (hypothesis-error)\n"
+
+
+def test_spent_step_budget_is_a_hypothesis_error_report(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(integrate, "_MAX_ATTEMPTS", 2)
+    assert main(["run", _write(tmp_path, _kepler_drift([0.0, 1.1, 0.9, 0.1]))]) == 1
+    report = _strict_json(capsys.readouterr().out)
+    assert report["verdict"] == "hypothesis-error"
+    message = report["evidence"]["message"]
+    assert message.startswith("the flow does not exist on [0, 1]: last sample time reached ")
+    assert message.endswith("the step budget of 2 attempts is spent (a stiff flow?)")
 
 
 def test_printed_report_and_report_file_hold_the_same_bytes(tmp_path, capsys, monkeypatch):

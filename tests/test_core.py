@@ -15,7 +15,7 @@ from invarsets import (
     evaluate_field,
     stack_quantities,
 )
-from invarsets.core import _all_finite, _all_finite_vector, format_float
+from invarsets.core import _all_finite, _all_finite_vector, _state_scales, format_float
 from invarsets import kepler, oscillator, toda
 
 from conftest import random_kepler_states, random_states, zero_quantity
@@ -83,6 +83,29 @@ def test_all_finite_vector_equals_isfinite_all_and_never_warns(v):
         warnings.simplefilter("error")
         got = _all_finite_vector(v)
     assert got == np.isfinite(v).all()
+
+
+@given(
+    arrays(
+        float,
+        st.tuples(st.integers(1, 6), st.integers(1, 64)),
+        elements=st.floats(-1e3, 1e3) | st.sampled_from([0.0, 5e-324, 1e154, -1.4e154, 1e200, 1.7e308]),
+    )
+)
+def test_state_scale_is_the_row_norm_floored_at_one_and_silent_on_overflow(xs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scales = _state_scales(xs)
+    assert scales.shape == (len(xs),)
+    with np.errstate(over="ignore"):
+        for scale, row in zip(scales, xs):
+            assert scale.tobytes() == np.float64(max(1.0, float(np.linalg.norm(row)))).tobytes()
+
+
+def test_state_scale_of_a_start_whose_norm_overflows_is_inf():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _state_scales(np.array([[1e200, 0.0, 0.0, 1e-200], [3.0, 4.0, 0.0, 0.0]])).tolist() == [np.inf, 5.0]
 
 
 @pytest.mark.parametrize(

@@ -127,6 +127,19 @@ def test_kepler_collision_raises_integration_error():
     assert 0.0 < err.value.last_good_time < 3.0
 
 
+def test_a_flow_past_the_step_budget_is_an_integration_error(monkeypatch):
+    system, x0, t_end = ECCENTRIC
+    stats = flow_adaptive(system, x0, t_end, 1e-6, 1e-6).stats
+    attempts = stats.steps_accepted + stats.steps_rejected
+    monkeypatch.setattr(integrate, "_MAX_ATTEMPTS", attempts)
+    exact = flow_adaptive(system, x0, t_end, 1e-6, 1e-6)  # the budget is spent, not exceeded
+    assert exact.stats == stats
+    monkeypatch.setattr(integrate, "_MAX_ATTEMPTS", attempts - 1)
+    with pytest.raises(IntegrationError, match=f"step budget of {attempts - 1} attempts is spent") as err:
+        flow_adaptive(system, x0, t_end, 1e-6, 1e-6)
+    assert 0.0 < err.value.last_good_time < t_end
+
+
 def test_trajectory_determinism_bit_for_bit():
     x0 = random_toda_physical(4, 1, 43)[0]
     sys4 = toda.periodic_field(4)

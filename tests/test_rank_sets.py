@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from invarsets import (
     ConservedQuantitySet,
@@ -14,6 +16,7 @@ from invarsets import (
     vanishing_memberships,
 )
 from invarsets import kepler, oscillator, toda
+from invarsets.rank_sets import _margins
 
 from conftest import random_states
 
@@ -199,3 +202,51 @@ def test_vanishing_order_cap_usage_error():
     q = ConservedQuantitySet.scalar(2, lambda z: z[0] ** 6, "x^6")
     with pytest.raises(UsageError):
         in_vanishing_set(q, np.zeros(2), 5)
+
+
+# -- the one margin rule, against the three formulas it replaced --------------
+
+
+def _rank_rule(sv, cut):
+    kept = sv > cut
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return kept, np.where(kept, sv / cut, np.where(sv > 0.0, cut / sv, np.inf))
+
+
+def _vanishing_rule(worst, thresholds):
+    verdicts = worst <= thresholds
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        inside = np.where(worst > 0.0, thresholds / worst, np.inf)
+        return verdicts, np.where(verdicts, inside, worst / thresholds)
+
+
+def _set_rule(residuals, tol):
+    inside = residuals <= tol
+    with np.errstate(divide="ignore", over="ignore"):
+        inside_margins = np.where(residuals > 0.0, tol / residuals, np.inf)
+    with np.errstate(over="ignore"):
+        return inside, np.where(inside, inside_margins, residuals / tol)
+
+
+NON_NEGATIVE = st.sampled_from([0.0, 5e-324, 1e-300, 1e-8, 1.0, 1e300, 1.7e308]) | st.floats(0.0, 1e308)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), m=st.integers(1, 5), r=st.integers(1, 4))
+def test_margin_rule_reproduces_each_formula_it_replaced(data, m, r):
+    cut = data.draw(arrays(float, (m, 1), elements=NON_NEGATIVE | st.just(np.inf)))
+    values = data.draw(arrays(float, (m, r), elements=NON_NEGATIVE))
+    at = data.draw(arrays(bool, (m, r)))
+    values = np.where(at & np.isfinite(cut), cut, values)  # values exactly at the threshold
+    tol = data.draw(st.floats(5e-324, 1e308) | st.just(np.inf))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inside, margins = _margins(values, cut)
+        rows_inside, row_margins = _margins(values[:, 0], cut[:, 0])
+        set_inside, set_margins = _margins(values, tol)
+    kept, ratios = _rank_rule(values, cut)
+    assert (~inside).tobytes() == kept.tobytes() and margins.tobytes() == ratios.tobytes()
+    verdicts, vanishing = _vanishing_rule(values[:, 0], cut[:, 0])
+    assert rows_inside.tobytes() == verdicts.tobytes() and row_margins.tobytes() == vanishing.tobytes()
+    old_inside, old_margins = _set_rule(values, tol)
+    assert set_inside.tobytes() == old_inside.tobytes() and set_margins.tobytes() == old_margins.tobytes()

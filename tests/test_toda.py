@@ -327,6 +327,9 @@ def test_lattice_builders_reject_a_non_integer_n(n):
         lambda n: toda.explicit_set_quantity("M2_I123", n),
         lambda n: toda.explicit_set_quantity("M2_F123", n),
         lambda n: toda.henon_invariant_oracle(n, 1),
+        lambda n: toda.lax_matrices(n, np.ones(7)),
+        lambda n: toda.trace_invariant_value(n, 1, np.ones(7)),
+        lambda n: toda.lax_commutator_residual(n, np.ones(7)),
     ):
         with pytest.raises(UsageError, match=f"need an integer lattice size n >= 2, got n={re.escape(repr(n))}"):
             build(n)
