@@ -14,7 +14,7 @@ import numpy as np
 from invarsets import (
     agreement_residual,
     canonical_symplectic_matrix,
-    rank_level,
+    rank_levels,
     verify_coincidence,
 )
 from invarsets import kepler
@@ -31,7 +31,7 @@ for a in (1.0, 1.5):
     print("gradient agreement residual at start:",
           agreement_residual(kepler.hamiltonian(), kepler.linear_pair_hamiltonian(a), x0))
     print("rank of the 1x4 Jacobian of K at start:",
-          rank_level(kepler.combined_invariant(a), x0).rank)
+          rank_levels(kepler.combined_invariant(a), x0[None]).ranks[0])
     report = verify_coincidence(
         base,
         kepler.hamiltonian(),

@@ -10,27 +10,20 @@ failure and the downward nesting of the sets.
 
 import numpy as np
 
-from invarsets import (
-    in_vanishing_set,
-    partial_tensor,
-    rank_level,
-    verify_vanishing_invariance,
-)
+from invarsets import rank_levels, vanishing_memberships, verify_vanishing_invariance
 from invarsets import oscillator
 
 system = oscillator.harmonic_oscillator()
 quantity = oscillator.unit_circle_power(3)
 x0 = np.array([1.0, 0.0])
 
-tensor = partial_tensor(quantity, x0, 3)
-print("largest |partial| up to order 2:",
-      max(abs(tensor.entry(0, a)) for a in tensor.entries if len(a) <= 2))
-print("third partial in x1 alone:", tensor.entry(0, (0, 0, 0)))
-
 for order in (1, 2, 3):
-    member = in_vanishing_set(quantity, x0, order, abs_tol=1e-4)
-    print(f"order-{order} vanishing membership at (1, 0): {member.verdict} "
-          f"(residual {member.residual:+.2e})")
+    # a single state is a stack of one; the residual is the largest
+    # |partial| up to this order minus the membership threshold
+    member = vanishing_memberships(quantity, x0[None], order, abs_tol=1e-4)
+    largest = member.residuals[0] + member.thresholds[0]
+    print(f"order-{order} vanishing membership at (1, 0): {member.verdicts[0]} "
+          f"(largest |partial| {largest:.2e}, residual {member.residuals[0]:+.2e})")
 
 print()
 report = verify_vanishing_invariance(
@@ -47,14 +40,14 @@ print("order-3 attempt:", report3.verdict, "-", report3.message)
 print()
 print("nesting and the rank-0 equivalence at mixed probe states:")
 rng = np.random.default_rng(3)
-probes = [np.array([np.cos(t), np.sin(t)]) for t in np.linspace(0, 2 * np.pi, 5)]
-probes += list(rng.standard_normal((5, 2)))
-for x in probes:
-    # order-2 entries come from nested differencing, so their membership
-    # threshold has to sit above the ~1e-6 differencing noise
-    v1 = in_vanishing_set(quantity, x, 1, abs_tol=1e-4).verdict
-    v2 = in_vanishing_set(quantity, x, 2, abs_tol=1e-4).verdict
-    r0 = rank_level(quantity, x).rank == 0
-    assert (not v2) or v1          # order-2 membership implies order-1
-    assert r0 == v1                # rank 0 iff first-order vanishing
-    print(f"  x = {np.round(x, 3)}: order-1 {v1}, order-2 {v2}, rank-0 {r0}")
+thetas = np.linspace(0, 2 * np.pi, 5)
+probes = np.vstack([np.column_stack([np.cos(thetas), np.sin(thetas)]), rng.standard_normal((5, 2))])
+# order-2 entries come from nested differencing, so their membership
+# threshold has to sit above the ~1e-6 differencing noise
+v1 = vanishing_memberships(quantity, probes, 1, abs_tol=1e-4).verdicts
+v2 = vanishing_memberships(quantity, probes, 2, abs_tol=1e-4).verdicts
+r0 = rank_levels(quantity, probes).ranks == 0
+assert np.all(v1[v2])                  # order-2 membership implies order-1
+assert np.array_equal(r0, v1)          # rank 0 iff first-order vanishing
+for x, a, b, c in zip(probes, v1, v2, r0):
+    print(f"  x = {np.round(x, 3)}: order-1 {a}, order-2 {b}, rank-0 {c}")

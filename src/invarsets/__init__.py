@@ -17,11 +17,11 @@ from .core import (
     ConservedQuantitySet,
     SystemDefinition,
     as_state,
-    conservation_residual,
+    conservation_rates,
     evaluate_field,
     stack_quantities,
 )
-from .differentiate import PartialTensor, jacobian, jacobians, partial_tensor
+from .differentiate import jacobians
 from .errors import IntegrationError, InvarsetsError, NumericError, UsageError
 from .integrate import (
     DriftReport,
@@ -37,17 +37,7 @@ from .invariance import (
     verify_set_persistence,
     verify_vanishing_invariance,
 )
-from .rank_sets import (
-    RankDecision,
-    RankDecisions,
-    SetMembership,
-    SetMemberships,
-    in_vanishing_set,
-    numerical_rank,
-    rank_level,
-    rank_levels,
-    vanishing_memberships,
-)
+from .rank_sets import RankDecisions, SetMemberships, rank_levels, vanishing_memberships
 from .coincidence import (
     CoincidenceReport,
     GradientDrivenSystem,
@@ -62,13 +52,10 @@ __all__ = [
     "ConservedQuantitySet",
     "SystemDefinition",
     "as_state",
-    "conservation_residual",
+    "conservation_rates",
     "evaluate_field",
     "stack_quantities",
-    "PartialTensor",
-    "jacobian",
     "jacobians",
-    "partial_tensor",
     "InvarsetsError",
     "UsageError",
     "NumericError",
@@ -78,14 +65,9 @@ __all__ = [
     "IntegratorStats",
     "flow_adaptive",
     "monitor_drift",
-    "RankDecision",
     "RankDecisions",
-    "SetMembership",
     "SetMemberships",
-    "numerical_rank",
-    "rank_level",
     "rank_levels",
-    "in_vanishing_set",
     "vanishing_memberships",
     "InvarianceReport",
     "verify_rank_invariance",

@@ -49,8 +49,8 @@ def _derivative_blocks(
     A row of block l holds all order-l partials of the k components in
     lexicographic (component, multi-index) order, the multi-index running
     over the full product {0..dim-1}^l (symmetric repeats included), as
-    :meth:`PartialTensor.flatten` lays them out; the flat stack ``base``
-    receives is the blocks concatenated in order.
+    ``_flat_block`` lays them out; the flat stack ``base`` receives is the
+    blocks concatenated in order.
     """
     entries = _partial_stack(quantity, xs, order)
     return [_flat_block(entries, quantity.k, quantity.dim, l) for l in range(1, order + 1)]

@@ -192,10 +192,6 @@ class ConservedQuantitySet:
         """Evaluate all components on an ``(m, dim)`` stack: shape ``(m, k)``."""
         return self._values(as_states(states, self.dim))
 
-    def values_at(self, x) -> Array:
-        """Evaluate all components at ``x``: a batch of one."""
-        return self._values(as_state(x, self.dim)[None, :])[0]
-
     def _values(self, xs: Array) -> Array:
         out = map_states(self.value, xs, (self.k,), self.batched, f"quantity '{'/'.join(self.labels)}'")
         if not _all_finite(out):
@@ -310,15 +306,23 @@ def _conservation_rates(quantity: ConservedQuantitySet, xs: Array, fields: Array
     return (jacobians(quantity, xs) * fields[:, None, :]).sum(axis=2)
 
 
-def conservation_residual(
-    quantity: ConservedQuantitySet, system: SystemDefinition, x
-) -> Array:
-    """Instantaneous rate of change of each component along the field.
+def conservation_rates(quantity: ConservedQuantitySet, system: SystemDefinition, states) -> Array:
+    """Instantaneous rate of change of each component along the field on an
+    ``(m, dim)`` stack of states.
 
-    Returns the k values ``grad F_i(x) . f(x)``; values near zero certify
-    pointwise conservation at ``x``.
+    Returns the ``(m, k)`` values ``grad F_i(x) . f(x)``; values near zero
+    certify pointwise conservation.  Raises :class:`UsageError` on a
+    dimension mismatch and :class:`NumericError` if the field is non-finite
+    at a state.
     """
     if quantity.dim != system.dim:
         raise UsageError(f"quantity dimension {quantity.dim} != system dimension {system.dim}")
-    xv = as_state(x, system.dim)
-    return _conservation_rates(quantity, xv[None, :], evaluate_field(system, xv)[None, :])[0]
+    xs = as_states(states, system.dim)
+    fields = system.fields(xs)
+    if not _all_finite(fields):
+        row, col = (int(i) for i in np.argwhere(~np.isfinite(fields))[0])
+        raise NumericError(
+            f"field of '{system.label}' produced a non-finite derivative in component {col} "
+            f"at state {row} of {len(xs)}"
+        )
+    return _conservation_rates(quantity, xs, fields)

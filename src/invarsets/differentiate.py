@@ -11,13 +11,11 @@ analytic provider is required.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
-from typing import Mapping
 
 import numpy as np
 
-from .core import ConservedQuantitySet, _all_finite, as_state, as_states, map_states
+from .core import ConservedQuantitySet, _all_finite, as_states, map_states
 from .errors import NumericError, UsageError
 
 EPS = float(np.finfo(float).eps)
@@ -46,11 +44,6 @@ def jacobians(
     return _jacobian_stack(quantity, as_states(states, quantity.dim), step_scale)
 
 
-def jacobian(quantity: ConservedQuantitySet, x, step_scale: float | None = None) -> np.ndarray:
-    """k-by-n Jacobian of a quantity at one state: a batch of one."""
-    return _jacobian_stack(quantity, as_state(x, quantity.dim)[None, :], step_scale)[0]
-
-
 def _jacobian_stack(quantity: ConservedQuantitySet, xs: np.ndarray, step_scale) -> np.ndarray:
     shape = (quantity.k, quantity.dim)
     if quantity.analytic_gradient is not None:
@@ -76,46 +69,10 @@ def _jacobian_stack(quantity: ConservedQuantitySet, xs: np.ndarray, step_scale) 
     return J
 
 
-@dataclass(frozen=True)
-class PartialTensor:
-    """All mixed partials of a k-vector quantity up to a given order.
-
-    Multi-indices are tuples of 0-based coordinate indices.  Since mixed
-    partials of smooth functions are symmetric under permutation, entries
-    are stored once per sorted multi-index; :meth:`entry` accepts any
-    ordering and looks up the canonical one.
-    """
-
-    dim: int
-    k: int
-    order: int
-    entries: Mapping[tuple[int, ...], np.ndarray]
-
-    def entry(self, component: int, alpha: tuple[int, ...]) -> float:
-        if not 0 <= component < self.k:
-            raise UsageError(f"component {component} out of range 0..{self.k - 1}")
-        key = self._canonical(alpha)
-        return float(self.entries[key][component])
-
-    def _canonical(self, alpha) -> tuple[int, ...]:
-        key = tuple(sorted(int(a) for a in alpha))
-        if not 1 <= len(key) <= self.order:
-            raise UsageError(f"multi-index order {len(key)} out of range 1..{self.order}")
-        if any(a < 0 or a >= self.dim for a in key):
-            raise UsageError(f"multi-index {key} has entries outside 0..{self.dim - 1}")
-        return key
-
-    def flatten(self, order: int) -> np.ndarray:
-        """Full order-``order`` block in lexicographic (component, alpha)
-        order over alpha in {0..n-1}^order, symmetry filling the repeats."""
-        if not 1 <= order <= self.order:
-            raise UsageError(f"order {order} out of range 1..{self.order}")
-        return _flat_block(self.entries, self.k, self.dim, order)
-
-
 def _flat_block(entries, k: int, dim: int, order: int) -> np.ndarray:
     """The order-``order`` block of partials with ``(..., k)`` entries as
-    ``(..., k * dim**order)``, in :meth:`PartialTensor.flatten`'s order."""
+    ``(..., k * dim**order)``: lexicographic (component, alpha) order over
+    alpha in {0..dim-1}^order, symmetry filling the repeats."""
     columns = product(range(k), product(range(dim), repeat=order))
     return np.stack([entries[tuple(sorted(alpha))][..., i] for i, alpha in columns], axis=-1)
 
@@ -179,17 +136,3 @@ def _partial_stack(
                     raise NumericError(f"non-finite partial derivative for alpha={alpha}")
                 entries[alpha] = val
     return entries
-
-
-def partial_tensor(quantity: ConservedQuantitySet, x, order: int) -> PartialTensor:
-    """All partials of order 1..``order`` of every component at ``x``: a
-    batch of one through the stacked builder.
-
-    Finite-difference entries of order ``l`` use the per-coordinate step
-    ``EPS**(1/(l+2)) * max(1, |x_j|)``, ``EPS`` the machine epsilon.
-    Orders above :data:`MAX_FD_ORDER` require an ``analytic_partial``
-    provider.
-    """
-    xs = as_state(x, quantity.dim)[None, :]
-    entries = {alpha: v[0] for alpha, v in _partial_stack(quantity, xs, order).items()}
-    return PartialTensor(dim=quantity.dim, k=quantity.k, order=order, entries=entries)

@@ -44,8 +44,6 @@ from .rank_sets import (
     DEFAULT_RANK_TOL,
     DEFAULT_VANISH_TOL,
     _margins,
-    in_vanishing_set,
-    rank_level,
     rank_levels,
     vanishing_memberships,
 )
@@ -144,7 +142,7 @@ def _verify_rank(kind, system, quantity, x0, t_end, rank_tol, conservation_tol, 
     is ``rank == initial`` for the rank level and ``rank < k`` for the
     critical set."""
     x0v, f0, broken = _conservation_premise(system, quantity, x0, conservation_tol)
-    initial = rank_level(quantity, x0v, rank_tol).rank
+    initial = int(rank_levels(quantity, x0v[None, :], rank_tol).ranks[0])
     critical = kind == "critical"
     if broken is None and critical and initial >= quantity.k:
         broken = (
@@ -223,16 +221,17 @@ def verify_vanishing_invariance(
     x0v, f0, broken = _conservation_premise(system, quantity, x0, conservation_tol)
     if broken is not None:
         return InvarianceReport(kind="vanishing", verdict=HYPOTHESIS_ERROR, message=broken)
-    start = in_vanishing_set(quantity, x0v, order, abs_tol)
-    if not start.verdict:
+    start = vanishing_memberships(quantity, x0v[None, :], order, abs_tol)
+    threshold = float(start.thresholds[0])
+    if not start.verdicts[0]:
         return InvarianceReport(
             kind="vanishing",
             verdict=HYPOTHESIS_ERROR,
             message=(
                 f"start is not in the order-{order} vanishing set: largest partial "
-                f"{start.residual + start.threshold:.3e} exceeds threshold {start.threshold:.3e}"
+                f"{float(start.residuals[0]) + threshold:.3e} exceeds threshold {threshold:.3e}"
             ),
-            threshold=start.threshold,
+            threshold=threshold,
         )
 
     def classify(traj):
@@ -244,7 +243,7 @@ def verify_vanishing_invariance(
 
     integ = (integ_abs_tol, integ_rel_tol, sample_count)
     return _certify(
-        "vanishing", system, x0v, t_end, integ, classify, quantity, f0, threshold=start.threshold
+        "vanishing", system, x0v, t_end, integ, classify, quantity, f0, threshold=threshold
     )
 
 
@@ -275,8 +274,8 @@ def verify_set_persistence(
     ``residual_fn`` maps an ``(m, dim)`` stack to the ``(m,)`` distances
     from the set (zero means exact membership); any other result shape is
     a :class:`UsageError`.  Each sample's margin is ``tol / r`` inside the
-    set and ``r / tol`` outside, as for :class:`SetMembership`.  When ``quantity``
-    is supplied its drift is monitored as corroborating evidence.
+    set and ``r / tol`` outside, as for :class:`SetMemberships`.  When
+    ``quantity`` is supplied its drift is monitored as corroborating evidence.
     """
     if tol <= 0:
         raise UsageError(f"tol must be positive, got {tol}")

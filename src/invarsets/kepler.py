@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .core import ConservedQuantitySet, SystemDefinition, stack_quantities
+from .core import ConservedQuantitySet, SystemDefinition
 from .errors import NumericError, UsageError
 
 
@@ -163,11 +163,6 @@ def linear_pair_hamiltonian(a: float) -> ConservedQuantitySet:
     return ConservedQuantitySet.scalar(
         4, value, f"-A/a^3(a={a:g})", gradient=grad, partial=partial, smoothness_order=64, batched=True
     )
-
-
-def kepler_quantities(a: float) -> ConservedQuantitySet:
-    """The stack (H, A, K(a)) with analytic gradients."""
-    return stack_quantities([hamiltonian(), angular_momentum(), combined_invariant(a)])
 
 
 def circular_sample(a: float, theta: float) -> np.ndarray:

@@ -11,8 +11,8 @@ calls are visible instead of silently classified.
 
 Decisions are made for whole stacks: :func:`rank_levels` takes every
 sample of a trajectory through one stacked Jacobian and one stacked SVD,
-:func:`vanishing_memberships` through one stacked partial builder, and the
-single-matrix and single-state calls are batches of one.
+and :func:`vanishing_memberships` through one stacked partial builder; a
+single state is a stack of one.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConservedQuantitySet, _all_finite, _state_scales, as_state, as_states
+from .core import ConservedQuantitySet, _state_scales, as_states
 from .differentiate import _partial_stack, jacobians
 from .errors import NumericError, UsageError
 
@@ -32,46 +32,14 @@ BORDERLINE_MARGIN = 10.0
 
 
 @dataclass(frozen=True)
-class RankDecision:
-    """Outcome of a numerical rank determination.
-
-    ``margin`` is the smallest ratio sigma/threshold over kept singular
-    values and threshold/sigma over dropped ones; values below
-    :data:`BORDERLINE_MARGIN` mean the decision is not robust.
-    """
-
-    rank: int
-    singular_values: tuple[float, ...]
-    rel_tol: float
-    threshold: float
-    margin: float
-
-    @property
-    def borderline(self) -> bool:
-        return self.margin < BORDERLINE_MARGIN
-
-
-@dataclass(frozen=True)
-class SetMembership:
-    """Verdict for membership in one of the derived sets.
-
-    ``residual`` is negative inside the set and positive outside (distance
-    of the decisive statistic from its threshold); ``margin`` mirrors the
-    rank-decision convention.
-    """
-
-    set_kind: str
-    parameter: int
-    verdict: bool
-    residual: float
-    margin: float
-    threshold: float
-
-
-@dataclass(frozen=True)
 class SetMemberships:
-    """Memberships of a stack of m states: the fields of
-    :class:`SetMembership` as arrays of shape (m,); indexing yields one."""
+    """Memberships of a stack of m states in one of the derived sets.
+
+    ``verdicts``, ``residuals``, ``margins`` and ``thresholds`` have shape
+    (m,).  A residual is negative inside the set and positive outside (the
+    distance of the decisive statistic from its threshold); margins follow
+    the rank-decision convention.
+    """
 
     set_kind: str
     parameter: int
@@ -80,10 +48,6 @@ class SetMemberships:
     margins: np.ndarray
     thresholds: np.ndarray
 
-    def __getitem__(self, i: int) -> SetMembership:
-        rows = (self.verdicts, self.residuals, self.margins, self.thresholds)
-        return SetMembership(self.set_kind, self.parameter, *(a[i].item() for a in rows))
-
 
 @dataclass(frozen=True)
 class RankDecisions:
@@ -91,7 +55,9 @@ class RankDecisions:
 
     ``ranks``, ``thresholds`` and ``margins`` have shape (m,) and
     ``singular_values`` has shape (m, min(rows, cols)), in descending
-    order per row.  Indexing yields the single :class:`RankDecision`.
+    order per row.  A margin is the smallest ratio sigma/threshold over
+    kept singular values and threshold/sigma over dropped ones; below
+    :data:`BORDERLINE_MARGIN` the decision is not robust.
     """
 
     ranks: np.ndarray
@@ -99,18 +65,6 @@ class RankDecisions:
     rel_tol: float
     thresholds: np.ndarray
     margins: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.ranks.size)
-
-    def __getitem__(self, i: int) -> RankDecision:
-        return RankDecision(
-            rank=int(self.ranks[i]),
-            singular_values=tuple(float(s) for s in self.singular_values[i]),
-            rel_tol=self.rel_tol,
-            threshold=float(self.thresholds[i]),
-            margin=float(self.margins[i]),
-        )
 
 
 def _check_rel_tol(rel_tol: float) -> None:
@@ -161,19 +115,6 @@ def _decide(matrices: np.ndarray, rel_tol: float, zero_floor: np.ndarray) -> Ran
     )
 
 
-def numerical_rank(matrix, rel_tol: float = DEFAULT_RANK_TOL, zero_floor: float = 0.0) -> RankDecision:
-    """SVD-based rank of one matrix: count of singular values strictly
-    above ``max(rel_tol * sigma_1, zero_floor)``, with the 1e-300 zero
-    guard of the stacked rule (a batch of one)."""
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2:
-        raise UsageError(f"expected a 2-D matrix, got shape {m.shape}")
-    if not _all_finite(m):
-        raise UsageError("matrix has non-finite entries")
-    _check_rel_tol(rel_tol)
-    return _decide(m[None], rel_tol, np.array([float(zero_floor)]))[0]
-
-
 def rank_levels(
     quantity: ConservedQuantitySet, states, rel_tol: float = DEFAULT_RANK_TOL
 ) -> RankDecisions:
@@ -193,12 +134,6 @@ def rank_levels(
     return _decide(J, rel_tol, rel_tol * _state_scales(xs))
 
 
-def rank_level(quantity: ConservedQuantitySet, x, rel_tol: float = DEFAULT_RANK_TOL) -> RankDecision:
-    """Numerical rank of the quantity's Jacobian at ``x`` (a batch of one
-    through :func:`rank_levels`, with the same absolute floor)."""
-    return rank_levels(quantity, as_state(x, quantity.dim)[None, :], rel_tol)[0]
-
-
 def vanishing_memberships(
     quantity: ConservedQuantitySet, states, order: int, abs_tol: float = DEFAULT_VANISH_TOL
 ) -> SetMemberships:
@@ -216,11 +151,3 @@ def vanishing_memberships(
     thresholds = abs_tol * _state_scales(xs)
     verdicts, margins = _margins(worst, thresholds)
     return SetMemberships("vanishing", order, verdicts, worst - thresholds, margins, thresholds)
-
-
-def in_vanishing_set(
-    quantity: ConservedQuantitySet, x, order: int, abs_tol: float = DEFAULT_VANISH_TOL
-) -> SetMembership:
-    """Do all partials of all components up to ``order`` vanish at ``x``?
-    A batch of one through :func:`vanishing_memberships`."""
-    return vanishing_memberships(quantity, as_state(x, quantity.dim)[None, :], order, abs_tol)[0]

@@ -162,6 +162,8 @@ def _value(section, key: str, default, where: str = ""):
     try:
         if kind is str and not isinstance(raw, str):
             raise TypeError  # str() would accept anything
+        if isinstance(raw, bool):
+            raise TypeError  # float(True) and int(True) would read a JSON true as 1
         if kind is int and isinstance(raw, float) and not raw.is_integer():
             raise ValueError  # int() would truncate 4.7 to 4
         value = kind(raw)
@@ -234,7 +236,7 @@ def _run_rank(s: _Scenario) -> _Outcome:
         s.system, s.quantity, s.x0, s.t_end,
         rank_tol=s.keys["rank_tol"], conservation_tol=s.tol["conservation"], **s.integ,
     )
-    ranks = [] if rep.sample_values is None else sorted({int(v) for v in rep.sample_values})
+    ranks = [] if rep.sample_values is None else np.unique(rep.sample_values).tolist()
     return _invariance_outcome(
         rep, initial_rank=rep.initial_rank, ranks_seen=ranks, min_margin=float(rep.min_margin),
         message=rep.message, equilibrium=rep.equilibrium,
@@ -468,6 +470,9 @@ def _initial_state(entry, params, dim: int, check: str) -> np.ndarray:
     if entry is None:
         raise UsageError('scenario needs an "initial_state" field')
     if isinstance(entry, list):
+        for i, v in enumerate(entry):
+            if isinstance(v, bool):  # as_state would read a JSON true as 1
+                raise UsageError(f'"initial_state" component {i} must be a number, got {v!r}')
         return as_state(entry, dim)
     if not isinstance(entry, dict):
         raise UsageError('"initial_state" must be a vector or an object')

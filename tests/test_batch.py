@@ -11,16 +11,14 @@ from invarsets import (
     NumericError,
     SystemDefinition,
     UsageError,
+    conservation_rates,
     flow_adaptive,
-    jacobian,
     monitor_drift,
-    numerical_rank,
-    rank_level,
     stack_quantities,
 )
-from invarsets.core import _conservation_rates, as_states, conservation_residual, evaluate_field
+from invarsets.core import _conservation_rates, as_states, evaluate_field
 from invarsets.differentiate import jacobians
-from invarsets.rank_sets import DEFAULT_RANK_TOL, rank_levels
+from invarsets.rank_sets import DEFAULT_RANK_TOL, _decide, rank_levels
 from invarsets import kepler, oscillator, report, toda
 from invarsets.coincidence import assemble_system, canonical_symplectic_matrix
 
@@ -37,7 +35,14 @@ def _stack(dim):
 def _point_floor_rank(quantity, x, rel_tol):
     """The single-state rank rule written out with np.linalg.norm."""
     floor = rel_tol * max(1.0, float(np.linalg.norm(x)))
-    return numerical_rank(jacobian(quantity, x), rel_tol, zero_floor=floor)
+    return _decide(jacobians(quantity, x[None]), rel_tol, np.array([floor]))
+
+
+def assert_same_decision(decisions, i, single):
+    """Row ``i`` of ``decisions`` is, bit for bit, the decision of a stack of one."""
+    assert decisions.rel_tol == single.rel_tol
+    for field in ("ranks", "singular_values", "thresholds", "margins"):
+        assert getattr(decisions, field)[i].tobytes() == getattr(single, field)[0].tobytes()
 
 
 def assert_rows_match_points(quantity, xs, rel_tol=DEFAULT_RANK_TOL):
@@ -46,16 +51,16 @@ def assert_rows_match_points(quantity, xs, rel_tol=DEFAULT_RANK_TOL):
     decisions = rank_levels(quantity, xs, rel_tol)
     assert values.shape == (len(xs), quantity.k)
     assert J.shape == (len(xs), quantity.k, quantity.dim)
-    assert len(decisions) == len(xs)
+    assert decisions.ranks.shape == (len(xs),)
     for i, x in enumerate(xs):
         point = np.array(x)  # a fresh 1-D state, not a view of the stack
-        assert np.array_equal(values[i], quantity.values_at(point))
+        assert np.array_equal(values[i], quantity.values_many(point[None])[0])
         assert np.array_equal(values[i], np.asarray(quantity.value(point)).ravel())
-        assert np.array_equal(J[i], jacobian(quantity, point))
+        assert np.array_equal(J[i], jacobians(quantity, point[None])[0])
         if quantity.analytic_gradient is not None:
             assert np.array_equal(J[i], quantity.analytic_gradient(point))
-        assert decisions[i] == rank_level(quantity, point, rel_tol)
-        assert decisions[i] == _point_floor_rank(quantity, point, rel_tol)
+        assert_same_decision(decisions, i, rank_levels(quantity, point[None], rel_tol))
+        assert_same_decision(decisions, i, _point_floor_rank(quantity, point, rel_tol))
 
 
 @SETTINGS
@@ -130,7 +135,7 @@ def test_finite_difference_stack_equals_points(xs):
     )
     J = jacobians(fd_only, xs)
     for i, x in enumerate(xs):
-        assert np.array_equal(J[i], jacobian(fd_only, np.array(x)))
+        assert np.array_equal(J[i], jacobians(fd_only, np.array(x)[None])[0])
 
 
 def assert_rates_match_points(system, quantity, xs):
@@ -138,9 +143,9 @@ def assert_rates_match_points(system, quantity, xs):
     assert rates.shape == (len(xs), quantity.k)
     for i, x in enumerate(xs):
         point = np.array(x)
-        assert rates[i].tobytes() == conservation_residual(quantity, system, point).tobytes()
+        assert rates[i].tobytes() == conservation_rates(quantity, system, point[None])[0].tobytes()
         # the pointwise formula the stacked rate replaced
-        expected = (jacobian(quantity, point) * evaluate_field(system, point)).sum(axis=1)
+        expected = (jacobians(quantity, point[None])[0] * evaluate_field(system, point)).sum(axis=1)
         assert rates[i].tobytes() == expected.tobytes()
 
 
@@ -215,7 +220,7 @@ def test_rank_rule_edge_cases_match_numerical_rank(gradient, rank, batched):
     decisions = rank_levels(_linear(gradient, batched), STATES, 1e-8)
     for i, x in enumerate(STATES):
         floor = 1e-8 * max(1.0, float(np.linalg.norm(x)))
-        assert decisions[i] == numerical_rank(gradient, 1e-8, zero_floor=floor)
+        assert_same_decision(decisions, i, _decide(gradient[None], 1e-8, np.array([floor])))
     assert np.all(decisions.ranks == rank)
     if not gradient.any():
         assert np.all(decisions.margins == np.inf)
@@ -250,7 +255,7 @@ def test_svd_non_convergence_is_a_numeric_error(monkeypatch):
     with pytest.raises(NumericError, match="converge"):
         rank_levels(q, np.ones((3, 6)))
     with pytest.raises(NumericError, match="converge"):
-        numerical_rank(np.eye(2))
+        _decide(np.eye(2)[None], DEFAULT_RANK_TOL, np.array([0.0]))
 
 
 def _batched_gradient_quantity(gradient):
@@ -265,7 +270,7 @@ def test_wrong_shape_batched_gradient_is_a_usage_error():
     with pytest.raises(UsageError, match="analytic gradient of 'g' returned shape"):
         jacobians(q, np.ones((3, 2)))
     with pytest.raises(UsageError, match="analytic gradient of 'g' returned shape"):
-        jacobian(q, np.ones(2))
+        jacobians(q, np.ones((1, 2)))
     with pytest.raises(UsageError, match="analytic gradient"):
         rank_levels(q, np.ones((3, 2)))
 
@@ -280,8 +285,8 @@ def test_non_finite_batched_gradient_is_a_numeric_error():
     xs = np.array([[0.0, 0.0], [0.5, 0.0], [2.0, 0.0]])
     with pytest.raises(NumericError, match="non-finite at state 2 of 3"):
         jacobians(q, xs)
-    with pytest.raises(NumericError, match="non-finite"):
-        jacobian(q, xs[2])
+    with pytest.raises(NumericError, match="non-finite at state 0 of 1"):
+        jacobians(q, xs[2:])
     assert np.array_equal(jacobians(q, xs[:2]), np.ones((2, 1, 2)))
 
 
@@ -295,7 +300,7 @@ def test_non_finite_and_wrong_shape_values_keep_their_errors():
     with pytest.raises(UsageError, match="quantity 'w' returned shape"):
         wrong.values_many(np.ones((3, 2)))
     with pytest.raises(UsageError, match="quantity 'w' returned shape"):
-        wrong.values_at(np.ones(2))
+        wrong.values_many(np.ones((1, 2)))
 
 
 @settings(max_examples=20, deadline=None)
@@ -312,7 +317,7 @@ def test_monitor_drift_equals_per_sample_values():
     x0 = toda.explicit_set_sample("M2_I123", 4, {"X1": 0.6, "X2": 0.9, "u1": 0.3, "u2": -0.2})
     traj = flow_adaptive(toda.periodic_field(4), x0, 2.0, sample_count=41)
     drift = monitor_drift(traj, q)
-    values = np.array([q.values_at(s) for s in traj.states])
+    values = np.array([q.values_many(s[None])[0] for s in traj.states])
     expected = np.abs(values - values[0]).max(axis=0)
     assert np.array_equal(drift.max_drift, expected)
 

@@ -11,7 +11,7 @@ import pytest
 
 from invarsets.cli import main
 from invarsets.report import export_trajectory, load_scenario, run_scenario, scenario_trajectory
-from invarsets import ConservedQuantitySet, coincidence, flow_adaptive, integrate, invariance, jacobian, report, toda
+from invarsets import ConservedQuantitySet, coincidence, flow_adaptive, integrate, invariance, jacobians, report, toda
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 SHIPPED = sorted(SCENARIO_DIR.glob("*.json"))
@@ -448,6 +448,19 @@ CRITICAL = "toda-periodic-critical-pattern.json"
         (KEPLER, {"model": {"kind": "kepler", "a": 1e200}}, [], '"model.a" must be positive, with a^3'),
         (KEPLER, {"model": {"kind": "kepler", "a": 1e-200}}, [], '"model.a" must be positive, with a^3'),
         (KEPLER, {"initial_state": {"circular": {"a": 1e-200}}}, [], '"initial_state.circular.a" must be'),
+        # a JSON true passed as 1: the drift gate loosened 10^8-fold, t_end 1, a = 1, one sample
+        (DRIFT, {"tolerances": {"drift": True}}, [], '"tolerances.drift" must be a number, got True'),
+        (DRIFT, {"t_end": True}, [], '"t_end" must be a number, got True'),
+        (KEPLER, {"model": {"kind": "kepler", "a": True}}, [], '"model.a" must be a number, got True'),
+        (ORACLE, {"samples": True}, [], '"samples" must be an integer, got True'),
+        (
+            RANK, {"initial_state": {"set_id": "M2_I123", "params": {"X1": True, "X2": 0.7, "u1": 0.5, "u2": -0.2}}},
+            [], '"initial_state.params.X1" must be a number, got True',
+        ),
+        (
+            DRIFT, {"initial_state": [True, 0.4, 0.7, 1.1, 0.3, -0.5, 0.2, 0.4]},
+            [], '"initial_state" component 0 must be a number, got True',
+        ),
     ],
     ids=[
         "model-n", "model-n-fraction", "tolerances", "integ", "sample-count", "tolerance-value", "t-end",
@@ -455,7 +468,8 @@ CRITICAL = "toda-periodic-critical-pattern.json"
         "seed-negative", "tolerance-negative", "tolerance-nan", "tolerance-flag-negative",
         "tolerance-flag-nan", "model-n-inf", "set-id-list", "rank-tol-zero", "rank-tol-above-one",
         "rank-tol-nan", "rank-tol-flag-zero", "critical-rank-tol-one", "model-n-huge", "sample-count-huge",
-        "samples-huge", "model-a-huge", "model-a-tiny", "circular-a-tiny",
+        "samples-huge", "model-a-huge", "model-a-tiny", "circular-a-tiny", "tolerance-true", "t-end-true",
+        "model-a-true", "samples-true", "family-param-true", "initial-state-true",
     ],
 )
 def test_malformed_config_types_are_config_errors(tmp_path, capsys, scenario, change, flags, named):
@@ -486,9 +500,9 @@ def test_csv_sigma_columns_are_the_per_sample_singular_values(tmp_path, capsys):
     traj, quantity, _ = scenario_trajectory(config)
     for line, state in zip(csv_path.read_text().splitlines()[1:], traj.states):
         cells = [float(c) for c in line.split(",")]
-        sigma = np.linalg.svd(jacobian(quantity, state), compute_uv=False)
+        sigma = np.linalg.svd(jacobians(quantity, state[None])[0], compute_uv=False)
         assert np.array_equal(cells[-quantity.k :], sigma)
-        assert np.array_equal(cells[-2 * quantity.k : -quantity.k], quantity.values_at(state))
+        assert np.array_equal(cells[-2 * quantity.k : -quantity.k], quantity.values_many(state[None])[0])
 
 
 @pytest.mark.parametrize(
@@ -648,7 +662,7 @@ def _oracle_loop(kind, n, seed, samples):
         dim, lax = 2 * n, None
         for m in (1, 2, 3):
             enum = toda.henon_invariant_oracle(n, m)
-            refs.append((toda.henon_closed_form(n, m), lambda z, _e=enum: _e.values_at(z)[0], enum))
+            refs.append((toda.henon_closed_form(n, m), lambda z, _e=enum: _e.values_many(z[None])[0, 0], enum))
     else:
         dim, lax = 2 * n - 1, toda.lax_commutator_residual
         for k in (1, 2, 3):
@@ -659,9 +673,9 @@ def _oracle_loop(kind, n, seed, samples):
     for _ in range(samples):
         z = rng.standard_normal(dim)
         for closed, value, fd_quantity in refs:
-            a = float(closed.values_at(z)[0])
+            a = float(closed.values_many(z[None])[0, 0])
             worst_value = max(worst_value, abs(a - float(value(z))) / max(1.0, abs(a)))
-            g, fd = jacobian(closed, z), jacobian(fd_quantity, z)
+            g, fd = jacobians(closed, z[None])[0], jacobians(fd_quantity, z[None])[0]
             scale = max(1.0, float(np.max(np.abs(g))))
             worst_gradient = max(worst_gradient, float(np.max(np.abs(g - fd))) / scale)
         if lax is not None:

@@ -10,16 +10,16 @@ from invarsets import (
     agreement_residual,
     assemble_system,
     canonical_symplectic_matrix,
-    conservation_residual,
+    conservation_rates,
     evaluate_field,
     flow_adaptive,
-    jacobian,
-    partial_tensor,
+    jacobians,
     stack_quantities,
     verify_coincidence,
 )
 from invarsets import kepler, oscillator, report, toda
 from invarsets.coincidence import _derivative_blocks, _difference_quantity
+from invarsets.differentiate import _flat_block, _partial_stack
 
 from conftest import random_kepler_states, random_toda_physical, zero_quantity
 
@@ -212,9 +212,9 @@ def test_poisson_zero_structure_gives_equilibria():
 
 def test_poisson_conserves_its_driver():
     system = _poisson_system(canonical_symplectic_matrix(2), kepler.hamiltonian())
-    for x in random_kepler_states(20, 9):
-        res = conservation_residual(kepler.hamiltonian(), system, x)
-        assert abs(res[0]) < 1e-12 * max(1.0, np.linalg.norm(x))
+    xs = random_kepler_states(20, 9)
+    res = conservation_rates(kepler.hamiltonian(), system, xs)
+    assert np.all(np.abs(res[:, 0]) < 1e-12 * np.maximum(1.0, np.linalg.norm(xs, axis=1)))
 
 
 def test_mutual_conservation_symmetry_under_fixed_structure():
@@ -224,9 +224,8 @@ def test_mutual_conservation_symmetry_under_fixed_structure():
     F, G = kepler.hamiltonian(), kepler.linear_pair_hamiltonian(1.0)
     sys_f = _poisson_system(block, F)
     sys_g = _poisson_system(block, G)
-    for x in random_kepler_states(50, 21):
-        r1 = conservation_residual(F, sys_g, x)[0]
-        r2 = conservation_residual(G, sys_f, x)[0]
+    xs = random_kepler_states(50, 21)
+    for x, r1, r2 in zip(xs, conservation_rates(F, sys_g, xs)[:, 0], conservation_rates(G, sys_f, xs)[:, 0]):
         assert abs(r1 + r2) < 1e-12 * max(1.0, abs(r1))
         assert abs(r1) < 1e-10 * max(1.0, np.linalg.norm(x))
 
@@ -294,7 +293,7 @@ def test_perturbed_pair_fields():
     unperturbed = assemble_system(base, zero_quantity(2)).system
     perturbed = assemble_system(base, G).system
     x = np.array([2.0, 0.0])
-    g = jacobian(G, x)[0]
+    g = jacobians(G, x[None])[0, 0]
     assert np.array_equal(evaluate_field(unperturbed, x), evaluate_field(system, x))
     assert np.allclose(evaluate_field(perturbed, x), evaluate_field(system, x) + g, atol=0)
 
@@ -317,7 +316,7 @@ STACK_SETTINGS = settings(max_examples=15, deadline=None)
 
 
 def _order1_cases():
-    """(label, quantity) for each way partial_tensor can produce order 1."""
+    """(label, quantity) for each way the partial builder can produce order 1."""
     H, A = kepler.hamiltonian(), kepler.angular_momentum()
     return [
         ("analytic-gradient", H),
@@ -351,7 +350,7 @@ def test_order1_block_equals_partial_tensor_flatten(seed, count):
         assemble_system(base, q).fields(xs)
         assert len(seen) == count, label
         for x, g in zip(xs, seen):
-            expected = partial_tensor(q, x, 1).flatten(1)
+            expected = _flat_block(_partial_stack(q, x[None], 1), q.k, q.dim, 1)[0]
             assert np.array_equal(g, expected), label
 
 
@@ -588,7 +587,7 @@ def _loop_drift(base, f_quantity, g_quantity, order, states):
     sys_f = assemble_system(base, f_quantity, order, label="driven-F").system
     drift = 0.0
     for s in states:
-        res = float(np.max(np.abs(conservation_residual(diff, sys_f, s))))
+        res = float(np.max(np.abs(conservation_rates(diff, sys_f, s[None]))))
         drift = max(drift, res / max(1.0, float(np.linalg.norm(s))))
     return drift
 

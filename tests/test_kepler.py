@@ -8,7 +8,8 @@ from invarsets import (
     agreement_residual,
     evaluate_field,
     flow_adaptive,
-    rank_level,
+    rank_levels,
+    stack_quantities,
 )
 from invarsets import kepler
 
@@ -100,11 +101,11 @@ def test_closed_forms_equal_numpy_scalar_formulas_bit_for_bit(z, a):
 
 
 def test_invariant_values_at_reference_state():
-    x = np.array([0.0, 1.0, 1.0, 0.0])
-    assert kepler.hamiltonian().values_at(x)[0] == pytest.approx(-0.5)
-    assert kepler.angular_momentum().values_at(x)[0] == pytest.approx(-1.0)
-    assert kepler.combined_invariant(1.0).values_at(x)[0] == pytest.approx(-1.5)
-    assert kepler.angular_momentum().values_at([1.0, 0.0, 0.0, 1.0])[0] == pytest.approx(1.0)
+    x = np.array([[0.0, 1.0, 1.0, 0.0]])
+    assert kepler.hamiltonian().values_many(x)[0, 0] == pytest.approx(-0.5)
+    assert kepler.angular_momentum().values_many(x)[0, 0] == pytest.approx(-1.0)
+    assert kepler.combined_invariant(1.0).values_many(x)[0, 0] == pytest.approx(-1.5)
+    assert kepler.angular_momentum().values_many([[1.0, 0.0, 0.0, 1.0]])[0, 0] == pytest.approx(1.0)
 
 
 def test_combined_invariant_gradient_vanishes_on_circle():
@@ -124,7 +125,7 @@ def test_circular_samples_and_rank():
             assert np.hypot(x[2], x[3]) == pytest.approx(1.0 / a, rel=1e-14)
             assert abs(x[0] * x[2] + x[1] * x[3]) < 1e-14 * max(1.0, a * a / a)
             assert agreement_residual(H, G, x, 1) < 1e-9
-            assert rank_level(q, x).rank == 0
+            assert rank_levels(q, x[None]).ranks[0] == 0
 
 
 def test_circular_sample_examples():
@@ -194,5 +195,6 @@ def test_stacked_closed_forms_equal_point_forms_bit_for_bit(rows, a):
 
 def test_closed_forms_are_declared_batched():
     for q in (kepler.hamiltonian(), kepler.angular_momentum(), kepler.combined_invariant(1.0),
-              kepler.linear_pair_hamiltonian(1.0), kepler.kepler_quantities(1.0)):
+              kepler.linear_pair_hamiltonian(1.0),
+              stack_quantities([kepler.hamiltonian(), kepler.angular_momentum(), kepler.combined_invariant(1.0)])):
         assert q.batched, q.labels

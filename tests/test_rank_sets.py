@@ -8,61 +8,58 @@ from hypothesis.extra.numpy import arrays
 from invarsets import (
     ConservedQuantitySet,
     UsageError,
-    in_vanishing_set,
-    jacobian,
-    numerical_rank,
-    rank_level,
+    jacobians,
     rank_levels,
     vanishing_memberships,
 )
 from invarsets import kepler, oscillator, toda
-from invarsets.rank_sets import _margins
+from invarsets.rank_sets import BORDERLINE_MARGIN, DEFAULT_RANK_TOL, _decide, _margins
 
 from conftest import random_states
 
 
 def test_zero_matrix_has_rank_zero():
-    decision = numerical_rank(np.zeros((2, 2)))
-    assert decision.rank == 0
-    assert decision.margin == np.inf
+    decision = _decide(np.zeros((1, 2, 2)), DEFAULT_RANK_TOL, np.array([0.0]))
+    assert decision.ranks[0] == 0
+    assert decision.margins[0] == np.inf
 
 
 def test_constant_gradient_row_has_rank_one():
-    J = jacobian(toda.henon_closed_form(4, 1), random_states(8, 1, 3)[0])
-    assert numerical_rank(J).rank == 1
+    J = jacobians(toda.henon_closed_form(4, 1), random_states(8, 1, 3))
+    assert _decide(J, DEFAULT_RANK_TOL, np.array([0.0])).ranks[0] == 1
 
 
 def test_generic_stack_has_full_rank():
     q = toda.periodic_invariants(4)
-    for x in random_states(8, 20, 5):
-        decision = rank_level(q, x)
-        assert decision.rank == 3
-        assert not decision.borderline
+    decisions = rank_levels(q, random_states(8, 20, 5))
+    assert np.all(decisions.ranks == 3)
+    assert np.all(decisions.margins >= BORDERLINE_MARGIN)
 
 
 def test_rank_is_scale_robust():
     q = toda.periodic_invariants(4)
-    J = jacobian(q, random_states(8, 1, 7)[0])
-    base = numerical_rank(J).rank
-    assert numerical_rank(J * 1e6).rank == base
-    assert numerical_rank(J * 1e-6).rank == base
+    J = jacobians(q, random_states(8, 1, 7))
+    base = _decide(J, DEFAULT_RANK_TOL, np.array([0.0])).ranks[0]
+    assert _decide(J * 1e6, DEFAULT_RANK_TOL, np.array([0.0])).ranks[0] == base
+    assert _decide(J * 1e-6, DEFAULT_RANK_TOL, np.array([0.0])).ranks[0] == base
 
 
 def test_rank_margin_reflects_distance_to_threshold():
     # crafted singular values 1, 1e-4, 1e-12 with tau = 1e-8: rank 2, and
     # the margin is min(1e-4/1e-8, 1e-8/1e-12) = 1e4
     m = np.diag([1.0, 1e-4, 1e-12])
-    decision = numerical_rank(m, rel_tol=1e-8)
-    assert decision.rank == 2
-    assert decision.margin == pytest.approx(1e4, rel=1e-10)
+    decision = _decide(m[None], 1e-8, np.array([0.0]))
+    assert decision.ranks[0] == 2
+    assert decision.margins[0] == pytest.approx(1e4, rel=1e-10)
     # a singular value within a factor 10 of the threshold is borderline
-    assert numerical_rank(np.diag([1.0, 5e-8]), rel_tol=1e-8).borderline
+    close = _decide(np.diag([1.0, 5e-8])[None], 1e-8, np.array([0.0]))
+    assert close.margins[0] < BORDERLINE_MARGIN
 
 
 def test_rank_threshold_is_strictly_greater():
     # a singular value exactly at the threshold is dropped (deterministic tie-break)
-    decision = numerical_rank(np.diag([1.0, 1e-8]), rel_tol=1e-8)
-    assert decision.rank == 1
+    decision = _decide(np.diag([1.0, 1e-8])[None], 1e-8, np.array([0.0]))
+    assert decision.ranks[0] == 1
 
 
 def test_dropped_subnormal_singular_value_raises_no_overflow_warning():
@@ -70,102 +67,99 @@ def test_dropped_subnormal_singular_value_raises_no_overflow_warning():
     # value, so the margin is the kept value's 1e10 / (1e-8 * 1e10)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        decision = numerical_rank(np.diag([1e10, 1e-307]))
-    assert decision.rank == 1
-    assert decision.margin == pytest.approx(1e8, rel=1e-12)
+        decision = _decide(np.diag([1e10, 1e-307])[None], DEFAULT_RANK_TOL, np.array([0.0]))
+    assert decision.ranks[0] == 1
+    assert decision.margins[0] == pytest.approx(1e8, rel=1e-12)
 
 
 def test_rank_tolerance_validation():
+    q = toda.periodic_invariants(4)
+    states = random_states(8, 1, 7)
     with pytest.raises(UsageError):
-        numerical_rank(np.eye(2), rel_tol=0.0)
+        rank_levels(q, states, rel_tol=0.0)
     with pytest.raises(UsageError):
-        numerical_rank(np.eye(2), rel_tol=1.0)
+        rank_levels(q, states, rel_tol=1.0)
     with pytest.raises(UsageError):
-        numerical_rank(np.array([1.0, 2.0]))
+        rank_levels(q, states[0])  # a single state is a stack of one, not a vector
     with pytest.raises(UsageError):
-        numerical_rank(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        rank_levels(q, np.full((1, 8), np.nan))
 
 
 def test_classification_examples_from_explicit_sets():
     # scalar I3 at the odd-n zero state: every gradient entry vanishes
-    assert rank_level(toda.henon_closed_form(3, 3), np.zeros(6)).rank == 0
+    assert rank_levels(toda.henon_closed_form(3, 3), np.zeros((1, 6))).ranks[0] == 0
     # the alternating two-parameter family drops the stack rank to 2
-    pattern = np.array([0.3, 0.7, 0.3, 0.7, 0.5, -0.2, 0.5, -0.2])
-    decision = rank_level(toda.periodic_invariants(4), pattern)
-    assert decision.rank == 2
-    assert decision.margin >= 10
+    pattern = np.array([[0.3, 0.7, 0.3, 0.7, 0.5, -0.2, 0.5, -0.2]])
+    decision = rank_levels(toda.periodic_invariants(4), pattern)
+    assert decision.ranks[0] == 2
+    assert decision.margins[0] >= 10
 
 
 def test_rank_level_kepler_circular_is_zero():
     q = kepler.combined_invariant(1.0)
-    decision = rank_level(q, kepler.circular_sample(1.0, 0.0))
-    assert decision.rank == 0
-    assert decision.margin >= 10
+    decision = rank_levels(q, kepler.circular_sample(1.0, 0.0)[None])
+    assert decision.ranks[0] == 0
+    assert decision.margins[0] >= 10
 
 
 def test_vanishing_membership_squared_norm():
     q = oscillator.squared_radius()
-    origin = np.zeros(2)
-    assert in_vanishing_set(q, origin, 1).verdict is True
-    assert in_vanishing_set(q, origin, 2).verdict is False  # second derivative is 2*I
+    origin = np.zeros((1, 2))
+    assert vanishing_memberships(q, origin, 1).verdicts[0]
+    assert not vanishing_memberships(q, origin, 2).verdicts[0]  # second derivative is 2*I
 
 
 def test_vanishing_membership_cubic():
     q = ConservedQuantitySet.scalar(2, lambda z: z[0] ** 3, "x1^3")
-    origin = np.zeros(2)
-    assert in_vanishing_set(q, origin, 2).verdict is True
-    assert in_vanishing_set(q, origin, 3).verdict is False
+    origin = np.zeros((1, 2))
+    assert vanishing_memberships(q, origin, 2).verdicts[0]
+    assert not vanishing_memberships(q, origin, 3).verdicts[0]
 
 
 def test_vanishing_membership_linear_never():
     q = toda.henon_closed_form(4, 1)
-    for x in random_states(8, 5, 11):
-        member = in_vanishing_set(q, x, 1)
-        assert member.verdict is False
-        assert member.residual > 0
+    members = vanishing_memberships(q, random_states(8, 5, 11), 1)
+    assert not np.any(members.verdicts)
+    assert np.all(members.residuals > 0)
 
 
 def test_vanishing_residual_sign_convention():
     q = oscillator.squared_radius()
-    inside = in_vanishing_set(q, np.zeros(2), 1)
-    outside = in_vanishing_set(q, np.array([1.0, 0.0]), 1)
-    assert inside.residual < 0 and inside.verdict
-    assert outside.residual > 0 and not outside.verdict
-
-
-def _critical(q, x):
-    """Is x a critical point of q: Jacobian rank below the maximum k?"""
-    return rank_level(q, x).rank < q.k
+    members = vanishing_memberships(q, np.array([[0.0, 0.0], [1.0, 0.0]]), 1)
+    assert members.residuals[0] < 0 and members.verdicts[0]
+    assert members.residuals[1] > 0 and not members.verdicts[1]
 
 
 def test_critical_set_membership():
+    # a critical point of q has Jacobian rank below the maximum k
     q = toda.periodic_invariants(4)
-    pattern = np.array([0.3, 0.7, 0.3, 0.7, 0.5, -0.2, 0.5, -0.2])
-    assert _critical(q, pattern)
-    assert not _critical(q, random_states(8, 1, 13)[0])
+    pattern = [0.3, 0.7, 0.3, 0.7, 0.5, -0.2, 0.5, -0.2]
+    ranks = rank_levels(q, np.vstack([pattern, random_states(8, 1, 13)])).ranks
+    assert list(ranks < q.k) == [True, False]
     # a constant full-rank row is never critical
-    assert not _critical(toda.henon_closed_form(4, 1), random_states(8, 1, 15)[0])
+    row = toda.henon_closed_form(4, 1)
+    assert rank_levels(row, random_states(8, 1, 15)).ranks[0] == row.k
 
 
 def test_critical_residual_sign_convention():
     # the k-th singular value sits below the rank threshold exactly at
     # critical points
     q = toda.periodic_invariants(4)
-    pattern = np.array([0.3, 0.7, 0.3, 0.7, 0.5, -0.2, 0.5, -0.2])
-    for x, critical in [(pattern, True), (random_states(8, 1, 17)[0], False)]:
-        decision = rank_level(q, x)
-        assert (decision.singular_values[q.k - 1] < decision.threshold) is critical
-        assert _critical(q, x) is critical
+    pattern = [0.3, 0.7, 0.3, 0.7, 0.5, -0.2, 0.5, -0.2]
+    decisions = rank_levels(q, np.vstack([pattern, random_states(8, 1, 17)]))
+    below = decisions.singular_values[:, q.k - 1] < decisions.thresholds
+    assert list(below) == [True, False]
+    assert list(decisions.ranks < q.k) == [True, False]
 
 
 def test_classification_is_a_partition():
     # one and only one rank comes back, and it is reproducible bit-for-bit
     q = toda.periodic_invariants(4)
-    x = random_states(8, 1, 19)[0]
-    a = rank_level(q, x)
-    b = rank_level(q, x)
-    assert a.rank == b.rank
-    assert a.singular_values == b.singular_values
+    xs = random_states(8, 1, 19)
+    a = rank_levels(q, xs)
+    b = rank_levels(q, xs)
+    assert a.ranks.shape == (1,) and a.ranks[0] == b.ranks[0]
+    assert a.singular_values.tobytes() == b.singular_values.tobytes()
 
 
 def _vanishing_probes():
@@ -201,7 +195,7 @@ def test_rank_zero_iff_first_order_vanishing():
 def test_vanishing_order_cap_usage_error():
     q = ConservedQuantitySet.scalar(2, lambda z: z[0] ** 6, "x^6")
     with pytest.raises(UsageError):
-        in_vanishing_set(q, np.zeros(2), 5)
+        vanishing_memberships(q, np.zeros((1, 2)), 5)
 
 
 # -- the one margin rule, against the three formulas it replaced --------------

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from invarsets import UsageError, conservation_residual, evaluate_field, jacobian, rank_level
+from invarsets import UsageError, conservation_rates, evaluate_field, jacobians, rank_levels
 from invarsets import toda
 
 from conftest import random_states
@@ -47,11 +47,11 @@ def test_nonperiodic_zero_couplings_freeze_velocities():
 
 
 def test_enumeration_matches_stated_values():
-    z3 = np.array([1.0, 1.0, 1.0, 1.0, 2.0, 3.0])
-    assert toda.henon_invariant_oracle(3, 1).values_at(z3)[0] == pytest.approx(6.0)
-    assert toda.henon_invariant_oracle(3, 2).values_at(z3)[0] == pytest.approx(8.0)
-    z4 = np.ones(8)
-    assert toda.henon_invariant_oracle(4, 3).values_at(z4)[0] == pytest.approx(-4.0)
+    z3 = np.array([[1.0, 1.0, 1.0, 1.0, 2.0, 3.0]])
+    assert toda.henon_invariant_oracle(3, 1).values_many(z3)[0, 0] == pytest.approx(6.0)
+    assert toda.henon_invariant_oracle(3, 2).values_many(z3)[0, 0] == pytest.approx(8.0)
+    z4 = np.ones((1, 8))
+    assert toda.henon_invariant_oracle(4, 3).values_many(z4)[0, 0] == pytest.approx(-4.0)
 
 
 def test_enumeration_guards():
@@ -70,9 +70,8 @@ def test_enumeration_guards():
 def test_closed_forms_equal_enumeration(n, m):
     closed = toda.henon_closed_form(n, m)
     enum = toda.henon_invariant_oracle(n, m)
-    for x in random_states(2 * n, 100, 100 * n + m):
-        a = closed.values_at(x)[0]
-        b = enum.values_at(x)[0]
+    xs = random_states(2 * n, 100, 100 * n + m)
+    for a, b in zip(closed.values_many(xs)[:, 0], enum.values_many(xs)[:, 0]):
         assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
 
@@ -81,18 +80,18 @@ def test_high_degree_enumerated_invariants_are_conserved():
     for n, m in ((4, 4), (5, 4), (5, 5)):
         sys_n = toda.periodic_field(n)
         q = toda.henon_invariant_oracle(n, m)
-        for x in random_states(2 * n, 5, 7 * n + m):
-            res = conservation_residual(q, sys_n, x)[0]
-            assert abs(res) < 1e-7 * max(1.0, np.linalg.norm(x))
+        xs = random_states(2 * n, 5, 7 * n + m)
+        res = conservation_rates(q, sys_n, xs)[:, 0]
+        assert np.all(np.abs(res) < 1e-7 * np.maximum(1.0, np.linalg.norm(xs, axis=1)))
 
 
 def test_i2_closed_form_value():
-    z = np.array([1.0, 1.0, 1.0, 1.0, 2.0, 3.0])
-    assert toda.henon_closed_form(3, 2).values_at(z)[0] == pytest.approx(8.0)
+    z = np.array([[1.0, 1.0, 1.0, 1.0, 2.0, 3.0]])
+    assert toda.henon_closed_form(3, 2).values_many(z)[0, 0] == pytest.approx(8.0)
 
 
 def test_gradient_i2_at_uniform_state():
-    g = jacobian(toda.henon_closed_form(3, 2), np.ones(6))
+    g = jacobians(toda.henon_closed_form(3, 2), np.ones((1, 6)))[0]
     assert np.array_equal(g, [[-1, -1, -1, 2, 2, 2]])
 
 
@@ -104,7 +103,7 @@ def test_gradient_i2_at_uniform_state():
 def test_flaschka_closed_form_equals_trace():
     z = np.array([1.0, 2.0, 1.0, 2.0, 3.0])
     q2 = toda.flaschka_invariant(3, 2)
-    assert q2.values_at(z)[0] == pytest.approx(10.0)
+    assert q2.values_many(z[None])[0, 0] == pytest.approx(10.0)
     assert toda.trace_invariant_value(3, 2, z) == pytest.approx(10.0)
 
 
@@ -112,18 +111,18 @@ def test_flaschka_closed_form_equals_trace():
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_trace_equality_at_random_states(n, k):
     q = toda.flaschka_invariant(n, k)
-    for x in random_states(2 * n - 1, 100, 200 * n + k):
-        a = q.values_at(x)[0]
+    xs = random_states(2 * n - 1, 100, 200 * n + k)
+    for a, x in zip(q.values_many(xs)[:, 0], xs):
         b = toda.trace_invariant_value(n, k, x)
         assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
 
 def test_flaschka_above_closed_forms_uses_trace():
     q4 = toda.flaschka_invariant(4, 4)
-    z = random_states(7, 1, 61)[0]
-    assert q4.values_at(z)[0] == pytest.approx(toda.trace_invariant_value(4, 4, z))
+    zs = random_states(7, 1, 61)
+    assert q4.values_many(zs)[0, 0] == pytest.approx(toda.trace_invariant_value(4, 4, zs[0]))
     sys4 = toda.nonperiodic_field(4)
-    assert abs(conservation_residual(q4, sys4, z)[0]) < 1e-7 * max(1.0, np.linalg.norm(z))
+    assert abs(conservation_rates(q4, sys4, zs)[0, 0]) < 1e-7 * max(1.0, np.linalg.norm(zs[0]))
 
 
 def test_flaschka_guards():
@@ -345,10 +344,10 @@ def test_samples_classify_to_their_nominal_rank(set_id, even):
     params = (EVEN_SAMPLE_PARAMS if even else ODD_SAMPLE_PARAMS)[set_id]
     x = toda.explicit_set_sample(set_id, n, params)
     quantity = toda.explicit_set_quantity(set_id, n)
-    decision = rank_level(quantity, x, 1e-8)
+    decision = rank_levels(quantity, x[None], 1e-8)
     desc = toda.EXPLICIT_SETS[set_id]
-    assert decision.rank == desc.rank
-    assert decision.margin >= 10
+    assert decision.ranks[0] == desc.rank
+    assert decision.margins[0] >= 10
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -364,8 +363,7 @@ def test_emptiness_probes_never_hit_forbidden_rank(n, lattice):
         if not desc.empty or desc.lattice != lattice:
             continue
         quantity = toda.explicit_set_quantity(desc.set_id, n)
-        for x in probes:
-            assert rank_level(quantity, x, 1e-8).rank != desc.rank, desc.set_id
+        assert np.all(rank_levels(quantity, np.array(probes), 1e-8).ranks != desc.rank), desc.set_id
 
 
 # ---------------------------------------------------------------------------
