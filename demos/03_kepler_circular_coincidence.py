@@ -42,8 +42,8 @@ for a in (1.0, 1.5):
         batched=True,
     )
     print(f"verdict: {report.verdict}")
-    print(f"max deviation between the two flows: {report.max_deviation:.3e}")
-    closure = np.linalg.norm(report.trajectory_f.final_state - x0)
+    print(f"max deviation between the two flows: {report.worst_value:.3e}")
+    closure = np.linalg.norm(report.trajectory.final_state - x0)
     print(f"orbit closure after one period: {closure:.3e}")
     print()
 
@@ -54,4 +54,4 @@ report = verify_coincidence(
 )
 print("verdict:", report.verdict)
 print("message:", report.message)
-print(f"recorded deviation (diagnostic): {report.max_deviation:.3e}")
+print(f"recorded deviation (diagnostic): {report.worst_value:.3e}")

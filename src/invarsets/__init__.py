@@ -39,7 +39,6 @@ from .invariance import (
 )
 from .rank_sets import RankDecisions, SetMemberships, rank_levels, vanishing_memberships
 from .coincidence import (
-    CoincidenceReport,
     GradientDrivenSystem,
     agreement_residual,
     assemble_system,
@@ -74,7 +73,6 @@ __all__ = [
     "verify_vanishing_invariance",
     "verify_set_persistence",
     "verify_critical_invariance",
-    "CoincidenceReport",
     "GradientDrivenSystem",
     "agreement_residual",
     "assemble_system",

@@ -31,10 +31,9 @@ from .integrate import (
     DEFAULT_ABS_TOL,
     DEFAULT_REL_TOL,
     DEFAULT_SAMPLE_COUNT,
-    Trajectory,
     flow_adaptive,
 )
-from .invariance import FAIL, HYPOTHESIS_ERROR, PASS
+from .invariance import FAIL, HYPOTHESIS_ERROR, PASS, InvarianceReport
 
 DEFAULT_HYPOTHESIS_TOL = 1e-8
 DEFAULT_DEVIATION_TOL = 1e-6
@@ -60,11 +59,8 @@ def _derivative_blocks(
 class GradientDrivenSystem:
     """A system assembled as x' = base(x, stack-of-derivatives-of-quantity)."""
 
-    base: Callable[[np.ndarray, np.ndarray], np.ndarray]
     quantity: ConservedQuantitySet
-    order: int
     system: SystemDefinition
-    batched: bool = False
 
     def fields(self, states) -> np.ndarray:
         """The driven field on a validated ``(m, dim)`` stack of states,
@@ -166,7 +162,7 @@ def assemble_system(
         field = stacked
 
     system = SystemDefinition(dim=quantity.dim, field=field, label=label, batched=True)
-    return GradientDrivenSystem(base=base, quantity=quantity, order=order, system=system, batched=batched)
+    return GradientDrivenSystem(quantity=quantity, system=system)
 
 
 def agreement_residual(
@@ -213,27 +209,6 @@ def _difference_quantity(
     )
 
 
-@dataclass(frozen=True)
-class CoincidenceReport:
-    """Evidence for one dual-flow coincidence check.
-
-    Hypothesis evidence (`stack agreement at the start`, `conservation of
-    F - G along the first flow`) is reported separately from the flow
-    deviation so a hypothesis violation is never confused with a genuine
-    counterexample.
-    """
-
-    verdict: str
-    message: str
-    e_residual: float
-    difference_drift: float
-    deviations: np.ndarray
-    max_deviation: float
-    max_deviation_time: float
-    trajectory_f: Trajectory | None
-    trajectory_g: Trajectory | None
-
-
 def verify_coincidence(
     base: Callable[[np.ndarray, np.ndarray], np.ndarray],
     f_quantity: ConservedQuantitySet,
@@ -247,14 +222,18 @@ def verify_coincidence(
     rel_tol: float = DEFAULT_REL_TOL,
     sample_count: int = DEFAULT_SAMPLE_COUNT,
     batched: bool = False,
-) -> CoincidenceReport:
+) -> InvarianceReport:
     """Integrate both driven systems from ``x0`` and compare trajectories.
 
     Hypotheses checked first: the derivative stacks of F and G agree at
     ``x0`` up to ``order``, and F - G is conserved along the F-driven flow
     (sampled).  When they fail the verdict is a hypothesis error and the
     measured deviation is recorded as a diagnostic.  ``batched`` is
-    ``base``'s declaration, as in :func:`assemble_system`.
+    ``base``'s declaration, as in :func:`assemble_system`.  The report's
+    ``trajectory`` is the F-driven flow, ``worst_value`` and ``worst_time``
+    the largest deviation of the G-driven flow from it (inf when an
+    off-set start's flow fails), beside ``agreement_residual`` and
+    ``difference_drift``.
     """
     x0v = as_state(x0, f_quantity.dim)
     e_res = agreement_residual(f_quantity, g_quantity, x0v, order)
@@ -269,19 +248,14 @@ def verify_coincidence(
         if not on_set:
             # the start violates the agreement hypothesis and one flow left
             # the integrable region; report the violation, not the blowup
-            return CoincidenceReport(
+            return InvarianceReport(
                 verdict=HYPOTHESIS_ERROR,
                 message=(
                     f"start is off the agreement set (residual {e_res:.3e}); "
                     f"integration additionally failed: {exc}"
                 ),
-                e_residual=e_res,
-                difference_drift=float("nan"),
-                deviations=np.array([]),
-                max_deviation=float("inf"),
-                max_deviation_time=float("nan"),
-                trajectory_f=None,
-                trajectory_g=None,
+                worst_value=float("inf"),
+                agreement_residual=e_res,
             )
         raise
 
@@ -310,16 +284,14 @@ def verify_coincidence(
     else:
         verdict, message = FAIL, f"flows deviate by {max_dev:.3e} > tol {deviation_tol:.1e}"
 
-    return CoincidenceReport(
+    return InvarianceReport(
         verdict=verdict,
         message=message,
-        e_residual=e_res,
+        trajectory=traj_f,
+        worst_time=float(traj_f.times[worst_idx]),
+        worst_value=max_dev,
+        agreement_residual=e_res,
         difference_drift=drift,
-        deviations=deviations,
-        max_deviation=max_dev,
-        max_deviation_time=float(traj_f.times[worst_idx]),
-        trajectory_f=traj_f,
-        trajectory_g=traj_g,
     )
 
 

@@ -6,11 +6,13 @@ finite differences are used.  The default first-order step is
 against round-off for second-order schemes.  Higher orders use the
 analogous ``eps**(1/(order+2))`` scaling.  Nested differencing is capped
 at order 4: beyond that the noise exceeds any useful tolerance and an
-analytic provider is required.
+analytic provider is required.  A stack of more than ``MAX_PARTIALS``
+distinct partials per component is refused before any evaluation.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import combinations_with_replacement, product
 
 import numpy as np
@@ -21,6 +23,9 @@ from .errors import NumericError, UsageError
 EPS = float(np.finfo(float).eps)
 DEFAULT_STEP_SCALE = EPS ** (1.0 / 3.0)
 MAX_FD_ORDER = 4
+# distinct partials of orders 1..order, C(dim + order, order) - 1: each costs calls
+# per state, so more stall a check before any verdict (n=32 Toda, order 3: 47,904)
+MAX_PARTIALS = 5_000
 
 
 def _values(quantity: ConservedQuantitySet, xs: np.ndarray) -> np.ndarray:
@@ -32,19 +37,17 @@ def _coordinate_steps(x: np.ndarray, scale: float) -> np.ndarray:
     return scale * np.maximum(1.0, np.abs(x))
 
 
-def jacobians(
-    quantity: ConservedQuantitySet, states, step_scale: float | None = None
-) -> np.ndarray:
+def jacobians(quantity: ConservedQuantitySet, states) -> np.ndarray:
     """(m, k, n) Jacobians of a quantity on an (m, n) stack of states.
 
     An analytic provider bypasses differencing.  A ``batched`` quantity is
     called once for the whole stack (once per coordinate and side when
     differencing); any other once per state.
     """
-    return _jacobian_stack(quantity, as_states(states, quantity.dim), step_scale)
+    return _jacobian_stack(quantity, as_states(states, quantity.dim))
 
 
-def _jacobian_stack(quantity: ConservedQuantitySet, xs: np.ndarray, step_scale) -> np.ndarray:
+def _jacobian_stack(quantity: ConservedQuantitySet, xs: np.ndarray) -> np.ndarray:
     shape = (quantity.k, quantity.dim)
     if quantity.analytic_gradient is not None:
         what = f"analytic gradient of '{'/'.join(quantity.labels)}'"
@@ -54,7 +57,7 @@ def _jacobian_stack(quantity: ConservedQuantitySet, xs: np.ndarray, step_scale) 
             raise NumericError(f"{what} is non-finite at state {row} of {len(xs)}")
         return J
 
-    h = _coordinate_steps(xs, DEFAULT_STEP_SCALE if step_scale is None else float(step_scale))
+    h = _coordinate_steps(xs, DEFAULT_STEP_SCALE)
     J = np.empty((len(xs),) + shape)
     for j in range(quantity.dim):
         xp = xs.copy()
@@ -112,12 +115,18 @@ def _partial_stack(
             f"order {order} exceeds the finite-difference cap {MAX_FD_ORDER}; "
             "supply an analytic_partial provider"
         )
+    count = math.comb(quantity.dim + order, order) - 1
+    if count > MAX_PARTIALS:
+        raise UsageError(
+            f"order {order} on dimension {quantity.dim} needs {count} partials per state, "
+            f"more than the {MAX_PARTIALS} a derivative stack may hold"
+        )
 
     entries: dict[tuple[int, ...], np.ndarray] = {}
     for level in range(1, order + 1):
         alphas = combinations_with_replacement(range(quantity.dim), level)
         if level == 1 and (quantity.analytic_gradient is not None or not has_provider):
-            J = _jacobian_stack(quantity, xs, EPS ** (1.0 / 3.0))
+            J = _jacobian_stack(quantity, xs)
             entries.update(((j,), J[:, :, j]) for j in range(quantity.dim))
         elif has_provider:
             for alpha in alphas:

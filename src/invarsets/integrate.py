@@ -134,8 +134,6 @@ class IntegratorStats:
     steps_accepted: int
     steps_rejected: int
     field_evaluations: int
-    abs_tol: float | None = None
-    rel_tol: float | None = None
 
 
 @dataclass(frozen=True)
@@ -228,8 +226,6 @@ def flow_adaptive(
         # one evaluation at the start, one for the initial step, twelve per
         # attempt and three per dense output
         field_evaluations=2 + 12 * (accepted + rejected) + 3 * dense,
-        abs_tol=abs_tol,
-        rel_tol=rel_tol,
     )
     return Trajectory(times=t_eval, states=states, stats=stats)
 

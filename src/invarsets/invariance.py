@@ -59,15 +59,16 @@ EQUILIBRIUM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class InvarianceReport:
-    """Evidence record for one invariance check.
+    """Evidence record for one check, whichever verifier made it.
 
     For rank-style checks ``sample_values`` holds the per-sample rank; for
     residual-style checks it holds the per-sample residual.  ``worst_time``
     and ``worst_value`` locate the sample closest to (or beyond) failure,
-    and ``min_margin`` is the weakest decision margin encountered.
+    and ``min_margin`` is the weakest decision margin encountered.  Beside
+    them sits the premises' evidence: ``initial_rank``, ``threshold``, and
+    for coincidence ``agreement_residual`` and ``difference_drift``.
     """
 
-    kind: str
     verdict: str
     message: str
     trajectory: Trajectory | None = None
@@ -79,6 +80,8 @@ class InvarianceReport:
     min_margin: float = float("inf")
     threshold: float | None = None
     equilibrium: bool = False
+    agreement_residual: float = float("nan")
+    difference_drift: float = float("nan")
 
 
 def _conservation_premise(system: SystemDefinition, quantity: ConservedQuantitySet, x0, tol: float):
@@ -100,7 +103,7 @@ def _conservation_premise(system: SystemDefinition, quantity: ConservedQuantityS
     )
 
 
-def _certify(kind, system, x0, t_end, integ, classify, quantity, f0=None, **fields) -> InvarianceReport:
+def _certify(system, x0, t_end, integ, classify, quantity, f0=None, **fields) -> InvarianceReport:
     """Integrate from an accepted start, classify every sample and apply
     the verdict rule.
 
@@ -123,7 +126,6 @@ def _certify(kind, system, x0, t_end, integ, classify, quantity, f0=None, **fiel
     else:
         verdict = FAIL
     return InvarianceReport(
-        kind=kind,
         verdict=verdict,
         message=message,
         trajectory=traj,
@@ -137,19 +139,18 @@ def _certify(kind, system, x0, t_end, integ, classify, quantity, f0=None, **fiel
     )
 
 
-def _verify_rank(kind, system, quantity, x0, t_end, rank_tol, conservation_tol, integ):
+def _verify_rank(critical: bool, system, quantity, x0, t_end, rank_tol, conservation_tol, integ):
     """Rank-level and critical checks: one rank classifier, whose predicate
-    is ``rank == initial`` for the rank level and ``rank < k`` for the
-    critical set."""
+    is ``rank == initial`` for the rank level and, when ``critical``,
+    ``rank < k`` for the critical set."""
     x0v, f0, broken = _conservation_premise(system, quantity, x0, conservation_tol)
     initial = int(rank_levels(quantity, x0v[None, :], rank_tol).ranks[0])
-    critical = kind == "critical"
     if broken is None and critical and initial >= quantity.k:
         broken = (
             f"start is not a critical point: rank {initial} equals the maximum rank k={quantity.k}"
         )
     if broken is not None:
-        return InvarianceReport(kind, HYPOTHESIS_ERROR, broken, initial_rank=initial)
+        return InvarianceReport(HYPOTHESIS_ERROR, broken, initial_rank=initial)
 
     def classify(traj):
         decisions = rank_levels(quantity, traj.states, rank_tol)
@@ -164,7 +165,7 @@ def _verify_rank(kind, system, quantity, x0, t_end, rank_tol, conservation_tol, 
             message = f"rank counts along flow: {counts}; initial rank {initial}"
         return ranks, inside, decisions.margins, int(np.argmin(decisions.margins)), message
 
-    return _certify(kind, system, x0v, t_end, integ, classify, quantity, f0, initial_rank=initial)
+    return _certify(system, x0v, t_end, integ, classify, quantity, f0, initial_rank=initial)
 
 
 def verify_rank_invariance(
@@ -180,10 +181,8 @@ def verify_rank_invariance(
 ) -> InvarianceReport:
     """Certify that the Jacobian rank of a conserved quantity is constant
     along the flow from ``x0``."""
-    return _verify_rank(
-        "rank-level", system, quantity, x0, t_end, rank_tol, conservation_tol,
-        (abs_tol, rel_tol, sample_count),
-    )
+    integ = (abs_tol, rel_tol, sample_count)
+    return _verify_rank(False, system, quantity, x0, t_end, rank_tol, conservation_tol, integ)
 
 
 def verify_critical_invariance(
@@ -198,10 +197,8 @@ def verify_critical_invariance(
     sample_count: int = DEFAULT_SAMPLE_COUNT,
 ) -> InvarianceReport:
     """Certify that criticality (rank below k) persists along the flow."""
-    return _verify_rank(
-        "critical", system, quantity, x0, t_end, rank_tol, conservation_tol,
-        (abs_tol, rel_tol, sample_count),
-    )
+    integ = (abs_tol, rel_tol, sample_count)
+    return _verify_rank(True, system, quantity, x0, t_end, rank_tol, conservation_tol, integ)
 
 
 def verify_vanishing_invariance(
@@ -220,12 +217,11 @@ def verify_vanishing_invariance(
     set persists along the flow from ``x0``."""
     x0v, f0, broken = _conservation_premise(system, quantity, x0, conservation_tol)
     if broken is not None:
-        return InvarianceReport(kind="vanishing", verdict=HYPOTHESIS_ERROR, message=broken)
+        return InvarianceReport(verdict=HYPOTHESIS_ERROR, message=broken)
     start = vanishing_memberships(quantity, x0v[None, :], order, abs_tol)
     threshold = float(start.thresholds[0])
     if not start.verdicts[0]:
         return InvarianceReport(
-            kind="vanishing",
             verdict=HYPOTHESIS_ERROR,
             message=(
                 f"start is not in the order-{order} vanishing set: largest partial "
@@ -242,9 +238,7 @@ def verify_vanishing_invariance(
         return residuals, inside, members.margins, int(np.argmax(residuals)), message
 
     integ = (integ_abs_tol, integ_rel_tol, sample_count)
-    return _certify(
-        "vanishing", system, x0v, t_end, integ, classify, quantity, f0, threshold=threshold
-    )
+    return _certify(system, x0v, t_end, integ, classify, quantity, f0, threshold=threshold)
 
 
 def _set_residuals(residual_fn, xs: np.ndarray) -> np.ndarray:
@@ -283,7 +277,6 @@ def verify_set_persistence(
     r0 = float(_set_residuals(residual_fn, x0v[None, :])[0])
     if r0 > tol:
         return InvarianceReport(
-            kind="explicit-set",
             verdict=HYPOTHESIS_ERROR,
             message=f"start violates the set residual: {r0:.3e} > tol {tol:.1e}",
             worst_value=r0,
@@ -300,4 +293,4 @@ def verify_set_persistence(
         return residuals, inside, margins, worst, message
 
     integ = (abs_tol, rel_tol, sample_count)
-    return _certify("explicit-set", system, x0v, t_end, integ, classify, quantity, threshold=tol)
+    return _certify(system, x0v, t_end, integ, classify, quantity, threshold=tol)

@@ -41,8 +41,6 @@ class SetMemberships:
     the rank-decision convention.
     """
 
-    set_kind: str
-    parameter: int
     verdicts: np.ndarray
     residuals: np.ndarray
     margins: np.ndarray
@@ -62,14 +60,8 @@ class RankDecisions:
 
     ranks: np.ndarray
     singular_values: np.ndarray
-    rel_tol: float
     thresholds: np.ndarray
     margins: np.ndarray
-
-
-def _check_rel_tol(rel_tol: float) -> None:
-    if not 0.0 < rel_tol < 1.0:
-        raise UsageError(f"rel_tol must lie in (0, 1), got {rel_tol}")
 
 
 def singular_values(matrices) -> np.ndarray:
@@ -110,9 +102,7 @@ def _decide(matrices: np.ndarray, rel_tol: float, zero_floor: np.ndarray) -> Ran
     zero = top < ZERO_SIGMA_GUARD
     ranks[zero] = 0
     margins[zero] = np.inf
-    return RankDecisions(
-        ranks=ranks, singular_values=sv, rel_tol=rel_tol, thresholds=thresholds, margins=margins
-    )
+    return RankDecisions(ranks=ranks, singular_values=sv, thresholds=thresholds, margins=margins)
 
 
 def rank_levels(
@@ -128,7 +118,8 @@ def rank_levels(
     a ~1e-16 singular value.  This aligns the rank-0 decision with the
     first-order vanishing test at matched tolerances.
     """
-    _check_rel_tol(rel_tol)
+    if not 0.0 < rel_tol < 1.0:
+        raise UsageError(f"rel_tol must lie in (0, 1), got {rel_tol}")
     xs = as_states(states, quantity.dim)
     J = jacobians(quantity, xs)
     return _decide(J, rel_tol, rel_tol * _state_scales(xs))
@@ -150,4 +141,4 @@ def vanishing_memberships(
     worst = np.abs(partials).max(axis=1)
     thresholds = abs_tol * _state_scales(xs)
     verdicts, margins = _margins(worst, thresholds)
-    return SetMemberships("vanishing", order, verdicts, worst - thresholds, margins, thresholds)
+    return SetMemberships(verdicts, worst - thresholds, margins, thresholds)

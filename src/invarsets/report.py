@@ -145,6 +145,7 @@ def _fields(section, defaults: dict[str, Any], where: str, check: str, other=())
 _KINDS = {int: "an integer", float: "a number", str: "a string"}
 _AT_LEAST = {"seed": 0, "samples": 1}  # integer settings no library call range-checks
 _AT_MOST = {"n": 256, "samples": 10_000, "sample_count": 10_001}  # sizes that keep arrays small
+_MAX_LAX_ENTRIES = 2**22  # samples * n**2 on the free-end lattice: one n-by-n Lax matrix per sample
 # settings with a domain of their own: the test and what it asks for
 _DOMAINS = {
     "rank_tol": (lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
@@ -297,19 +298,20 @@ def _run_coincidence(s: _Scenario) -> _Outcome:
         s.x0, s.t_end,
         deviation_tol=s.tol["deviation"], hypothesis_tol=s.tol["hypothesis"], batched=True, **s.integ,
     )
-    evidence = {
-        "agreement_residual": float(rep.e_residual),
-        "difference_drift": float(rep.difference_drift),
-        "max_deviation": float(rep.max_deviation),
-        "max_deviation_time": float(rep.max_deviation_time),
-        "message": rep.message,
-    }
     # the F-driven field J grad H is the Kepler field, so its flow is the model's
-    return rep.verdict, evidence, rep.trajectory_f
+    return _invariance_outcome(
+        rep, agreement_residual=rep.agreement_residual, difference_drift=rep.difference_drift,
+        max_deviation=rep.worst_value, max_deviation_time=rep.worst_time, message=rep.message,
+    )
 
 
 def _run_oracle_equality(s: _Scenario) -> _Outcome:
     n, seed, samples = s.params["n"], s.keys["seed"], s.keys["samples"]
+    if s.kind == "toda-nonperiodic" and samples * n * n > _MAX_LAX_ENTRIES:
+        raise UsageError(
+            f'"samples" * "model.n"^2 must be at most {_MAX_LAX_ENTRIES} on the free-end lattice, '
+            f"whose oracle stacks one n-by-n Lax matrix per sample; got {samples} * {n}^2"
+        )
     value_tol, gradient_tol = s.tol["value"], s.tol["gradient"]
     rng = np.random.default_rng(seed)
 

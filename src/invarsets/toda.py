@@ -41,7 +41,7 @@ use ``np.vecdot`` on operands of the same memory layout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Mapping
@@ -682,31 +682,16 @@ class ReducedDynamics:
 
 
 def reduced_dynamics(set_id: str) -> ReducedDynamics:
-    """Two-particle dynamics on M2_I123 (periodic) or M2_F123 (non-periodic).
-
-    The lift is the family's even-n sampler on the reduced coordinates,
-    whose names are the sampler's parameter names.
+    """Two-particle dynamics on M2_I123 (periodic) or M2_F123 (non-periodic):
+    the two-site lattice of the family's kind, whose state is the repeating
+    unit of the family's pattern.  The lift is the family's even-n sampler
+    on the reduced coordinates, whose names are the sampler's parameter names.
     """
-    if set_id == "M2_I123":
-
-        def red_field(z):
-            X1, X2, u1, u2 = z.T  # components first, for a point or a stack
-            return np.array([X1 * (u1 - u2), X2 * (u2 - u1), X2 - X1, X1 - X2]).T
-
-        # the state of n particles has dimension 2n - free_end
-        free_end, picks = 0, lambda n: [0, 1, n, n + 1]
-
-    elif set_id == "M2_F123":
-
-        def red_field(z):
-            X, u1, u2 = z.T  # components first, for a point or a stack
-            return np.array([X * (u1 - u2), -X, X]).T
-
-        free_end, picks = 1, lambda n: [0, n - 1, n]
-
-    else:
+    if set_id not in ("M2_I123", "M2_F123"):
         raise UsageError(f"no reduced dynamics for set '{set_id}' (supported: M2_I123, M2_F123)")
     lattice = EXPLICIT_SETS[set_id].lattice
+    # the state of n particles has dimension 2n - free_end
+    free_end = int(lattice != "periodic")
     [(names, build)] = _SAMPLERS[set_id][0]
 
     def restrict(x):
@@ -717,7 +702,7 @@ def reduced_dynamics(set_id: str) -> ReducedDynamics:
                 f"{set_id} restrict needs a {lattice} lattice state of dimension "
                 f"{'2n - 1' if free_end else '2n'} with n >= 2, got shape {x.shape}"
             )
-        return x[picks(n)]
+        return x[[*range(2 - free_end), n - free_end, n - free_end + 1]]  # two sites' springs, u1, u2
 
     def lift(z, n):
         _family(set_id, n)  # an integer n >= 2
@@ -728,5 +713,6 @@ def reduced_dynamics(set_id: str) -> ReducedDynamics:
             raise UsageError(f"{set_id} lift needs a reduced state of dimension {len(names)}, got {z.shape}")
         return _pattern(lattice, n, *build(n, *z))
 
-    system = SystemDefinition(len(names), red_field, f"toda-{lattice}-reduced", names, batched=True)
+    two_site = nonperiodic_field(2) if free_end else periodic_field(2)
+    system = replace(two_site, label=f"toda-{lattice}-reduced", component_names=names)
     return ReducedDynamics(system=system, lift=lift, restrict=restrict)

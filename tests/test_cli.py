@@ -410,6 +410,8 @@ DRIFT = "toda-periodic-drift.json"
 KEPLER = "kepler-circular-coincidence.json"
 GENERIC = "toda-periodic-rank-generic.json"
 CRITICAL = "toda-periodic-critical-pattern.json"
+VANISHING = "toda-periodic-vanishing-M0I3.json"
+FLASCHKA = "toda-nonperiodic-flaschka-oracle.json"
 
 
 @pytest.mark.parametrize(
@@ -461,6 +463,17 @@ CRITICAL = "toda-periodic-critical-pattern.json"
             DRIFT, {"initial_state": [True, 0.4, 0.7, 1.1, 0.3, -0.5, 0.2, 0.4]},
             [], '"initial_state" component 0 must be a number, got True',
         ),
+        # admitted by the bounds on n and samples, these would run for hours
+        # (n=256 at order 3) or ask for ~26 GB (n=256 free-end, 10,000 samples);
+        # the cases sit just past the bounds on partials and on samples * n^2
+        (
+            VANISHING, {"model": {"kind": "toda-periodic", "n": 16}, "order": 3},
+            [], "order 3 on dimension 32 needs 6544 partials per state",
+        ),
+        (
+            FLASCHKA, {"model": {"kind": "toda-nonperiodic", "n": 128}, "samples": 300},
+            [], '"samples" * "model.n"^2 must be at most 4194304 on the free-end lattice',
+        ),
     ],
     ids=[
         "model-n", "model-n-fraction", "tolerances", "integ", "sample-count", "tolerance-value", "t-end",
@@ -469,7 +482,8 @@ CRITICAL = "toda-periodic-critical-pattern.json"
         "tolerance-flag-nan", "model-n-inf", "set-id-list", "rank-tol-zero", "rank-tol-above-one",
         "rank-tol-nan", "rank-tol-flag-zero", "critical-rank-tol-one", "model-n-huge", "sample-count-huge",
         "samples-huge", "model-a-huge", "model-a-tiny", "circular-a-tiny", "tolerance-true", "t-end-true",
-        "model-a-true", "samples-true", "family-param-true", "initial-state-true",
+        "model-a-true", "samples-true", "family-param-true", "initial-state-true", "partials-huge",
+        "lax-entries-huge",
     ],
 )
 def test_malformed_config_types_are_config_errors(tmp_path, capsys, scenario, change, flags, named):

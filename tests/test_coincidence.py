@@ -108,8 +108,8 @@ def test_kepler_circular_coincidence_passes():
         deviation_tol=1e-6,
     )
     assert report.verdict == "pass"
-    assert report.max_deviation < 1e-6
-    assert report.e_residual < 1e-9
+    assert report.worst_value < 1e-6
+    assert report.agreement_residual < 1e-9
     assert report.difference_drift < 1e-8
 
 
@@ -119,7 +119,7 @@ def test_identical_quantities_coincide_exactly():
         _symplectic_base(), q, q, kepler.circular_sample(1.0, 0.7), 3.0, sample_count=51
     )
     assert report.verdict == "pass"
-    assert report.max_deviation == 0.0
+    assert report.worst_value == 0.0
 
 
 def test_off_circle_start_reports_hypothesis_error_with_deviation():
@@ -132,7 +132,7 @@ def test_off_circle_start_reports_hypothesis_error_with_deviation():
     )
     assert report.verdict == "hypothesis-error"
     assert "off the agreement set" in report.message
-    assert report.max_deviation > 1e-3  # diagnostic recorded even without a verdict
+    assert report.worst_value > 1e-3  # diagnostic recorded even without a verdict
 
 
 def _laplacian_coupled_base(c):
@@ -164,7 +164,7 @@ def test_second_order_driven_coincidence_on_circle():
         deviation_tol=1e-7,
     )
     assert report.verdict == "pass"
-    assert report.max_deviation < 1e-7
+    assert report.worst_value < 1e-7
 
 
 def test_second_order_driven_coincidence_off_circle_control():
@@ -178,7 +178,7 @@ def test_second_order_driven_coincidence_off_circle_control():
         hypothesis_tol=1e-5,
     )
     assert report.verdict == "hypothesis-error"
-    assert report.e_residual > 1.0  # second derivatives are O(1) off the circle
+    assert report.agreement_residual > 1.0  # second derivatives are O(1) off the circle
 
 
 def test_vector_valued_coincidence_smoke():
@@ -190,7 +190,7 @@ def test_vector_valued_coincidence_smoke():
         base, pair, pair, kepler.circular_sample(1.0, 0.2), 2.0, sample_count=51
     )
     assert report.verdict == "pass"
-    assert report.max_deviation == 0.0
+    assert report.worst_value == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +264,7 @@ def test_perturbed_pair_flows_coincide_on_circle_short_horizon():
         lambda g: g, [1.0, 0.0], 1.0, deviation_tol=1e-8, abs_tol=1e-12, rel_tol=1e-12
     )
     assert report.verdict == "pass"
-    assert report.max_deviation < 1e-8
+    assert report.worst_value < 1e-8
 
 
 def test_perturbed_pair_stable_orientation_full_period():
@@ -272,7 +272,7 @@ def test_perturbed_pair_stable_orientation_full_period():
     # coincidence is certifiable over a full period
     report = _perturbed_pair_coincidence(lambda g: -g, [1.0, 0.0], 2 * np.pi, deviation_tol=1e-8)
     assert report.verdict == "pass"
-    assert report.max_deviation < 1e-8
+    assert report.worst_value < 1e-8
 
 
 def test_perturbed_pair_off_circle_is_hypothesis_error():
@@ -594,7 +594,7 @@ def _loop_drift(base, f_quantity, g_quantity, order, states):
 
 def _assert_scan_matches_loop(base, f_quantity, g_quantity, x0, t_end, order=1, **kwargs):
     report = verify_coincidence(base, f_quantity, g_quantity, x0, t_end, order=order, **kwargs)
-    states = report.trajectory_f.states
+    states = report.trajectory.states
     assert report.difference_drift == _loop_drift(base, f_quantity, g_quantity, order, states)
     return report
 
@@ -669,7 +669,7 @@ def test_non_finite_driven_field_at_one_sample_is_a_numeric_error():
     F, G = kepler.hamiltonian(), kepler.linear_pair_hamiltonian(1.0)
     x0 = kepler.circular_sample(1.0, 0.3)
     clean = verify_coincidence(_symplectic_base(), F, G, x0, 2.0, sample_count=41)
-    bad = clean.trajectory_f.states[20].copy()
+    bad = clean.trajectory.states[20].copy()
     block = canonical_symplectic_matrix(2)
 
     def base(x, g):
