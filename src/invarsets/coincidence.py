@@ -5,11 +5,13 @@ map f but are driven by the derivative stacks of different quantities.
 When F - G is conserved by the first system and the stacks of F and G
 agree at a start point up to the driving order, the two flows from that
 point coincide for all time.  This module assembles such systems, measures
-stack agreement, and certifies coincidence by dual integration.
+stack agreement, and certifies coincidence by dual integration, through the
+driven fields or through closed forms checked against them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -165,6 +167,80 @@ def assemble_system(
     return GradientDrivenSystem(quantity=quantity, system=system)
 
 
+def _closed_form_system(closed: SystemDefinition, driven: SystemDefinition) -> SystemDefinition:
+    """``closed``'s field in place of ``driven``'s, which it must equal bit
+    for bit, under ``driven``'s label.
+
+    A state goes to ``driven`` instead wherever ``closed`` cannot give its
+    row: a non-finite state, a :class:`NumericError`, and a row that is
+    non-finite or holds a zero, whose sign is the one bit a closed form may
+    set otherwise (a driven J g sums J's zero products to +0 where the
+    Kepler forms negate to -0).  So ``driven`` returns its own row there or
+    raises its own error, and a flow that fails stops where the driven flow
+    stops, with the same message.
+    """
+    point, slow, dim = closed.field, driven.field, driven.dim
+
+    def field(x):
+        if x.shape == (dim,):
+            if math.isfinite(sum(x.tolist())):
+                try:
+                    row = np.asarray(point(x), dtype=float)
+                except NumericError:
+                    return slow(x)
+                values = row.ravel().tolist()
+                if math.isfinite(sum(values)) and 0.0 not in values:
+                    return row
+            return slow(x)
+        if x.ndim != 2 or x.shape[1] != dim or not _all_finite(x):
+            return slow(x)
+        try:
+            rows = closed.fields(x)
+        except NumericError:
+            return slow(x)
+        if _all_finite(rows) and rows.all():
+            return rows
+        handed = ~(np.isfinite(rows).all(axis=1) & rows.all(axis=1))
+        rows = np.array(rows)
+        rows[handed] = driven.fields(x[handed])
+        return rows
+
+    return SystemDefinition(dim=dim, field=field, label=driven.label, batched=True)
+
+
+def _closed_form_flow(name: str, closed: SystemDefinition, driven: SystemDefinition, x0):
+    """The system that integrates the ``name``-driven flow from ``x0``, and
+    why its closed form may not (None when it may).
+
+    Where the driven field fails at ``x0`` the flow keeps it, so the flow
+    fails at its first evaluation as it does without closed forms.
+    """
+    if closed.dim != driven.dim:
+        raise UsageError(f"closed form '{closed.label}' has dimension {closed.dim}, expected {driven.dim}")
+    try:
+        expected = driven.field(x0)
+    except NumericError:
+        return driven, None
+    flow = _closed_form_system(closed, driven)
+    row = flow.field(x0)
+    if row.shape == expected.shape and row.tobytes() == expected.tobytes():
+        return flow, None
+    return flow, f"the closed form of the {name}-driven flow differs from its driven field at the start"
+
+
+def _sample_mismatch(name: str, flow: SystemDefinition, driven_rows: np.ndarray, traj) -> str | None:
+    """Why ``flow`` differs in some bit from the driven field's ``driven_rows``
+    on the samples of ``traj`` (None when it does not anywhere)."""
+    differs = (flow.fields(traj.states).view(np.int64) != driven_rows.view(np.int64)).any(axis=1)
+    if not differs.any():
+        return None
+    i = int(np.argmax(differs))
+    return (
+        f"the closed form of the {name}-driven flow differs from its driven field "
+        f"at sample {i} (t={traj.times[i]:.6g})"
+    )
+
+
 def agreement_residual(
     f_quantity: ConservedQuantitySet,
     g_quantity: ConservedQuantitySet,
@@ -183,7 +259,8 @@ def agreement_residual(
         )
     xs = as_state(x, f_quantity.dim)[None, :]
     pairs = zip(_derivative_blocks(f_quantity, xs, order), _derivative_blocks(g_quantity, xs, order))
-    return float(np.max([np.abs(f - g).max() for f, g in pairs]))
+    with np.errstate(over="ignore"):  # a difference that overflows is an inf residual: off the set
+        return float(np.max([np.abs(f - g).max() for f, g in pairs]))
 
 
 def _difference_quantity(
@@ -222,6 +299,7 @@ def verify_coincidence(
     rel_tol: float = DEFAULT_REL_TOL,
     sample_count: int = DEFAULT_SAMPLE_COUNT,
     batched: bool = False,
+    closed_forms: tuple[SystemDefinition, SystemDefinition] | None = None,
 ) -> InvarianceReport:
     """Integrate both driven systems from ``x0`` and compare trajectories.
 
@@ -234,6 +312,19 @@ def verify_coincidence(
     the largest deviation of the G-driven flow from it (inf when an
     off-set start's flow fails), beside ``agreement_residual`` and
     ``difference_drift``.
+
+    ``closed_forms`` are two systems whose fields equal the F- and
+    G-driven fields bit for bit (for Kepler: the model's field and
+    :func:`kepler.linear_pair_field`); the flows are then integrated
+    through them, which is cheaper, and the report is the same in every
+    bit.  That premise is checked twice: each closed form must give its
+    driven field's row at ``x0`` before anything is integrated, and its
+    driven field's stacked rows on every sample of its own flow after
+    (for F the stack the F - G scan evaluates anyway).  A difference in
+    any bit is a hypothesis error naming the flow and the sample.  A state
+    where a closed form gives no row, or a non-finite one or one with a
+    zero (whose sign it may set differently), goes to the driven field,
+    so a failing flow stops where the driven flow stops.
     """
     x0v = as_state(x0, f_quantity.dim)
     e_res = agreement_residual(f_quantity, g_quantity, x0v, order)
@@ -241,9 +332,17 @@ def verify_coincidence(
 
     sys_f = assemble_system(base, f_quantity, order, label="driven-F", batched=batched)
     sys_g = assemble_system(base, g_quantity, order, label="driven-G", batched=batched)
+    flow_f, flow_g = sys_f.system, sys_g.system
+    if closed_forms is not None:
+        flow_f, start_f = _closed_form_flow("F", closed_forms[0], flow_f, x0v)
+        flow_g, start_g = _closed_form_flow("G", closed_forms[1], flow_g, x0v)
+        if start_f or start_g:
+            return InvarianceReport(
+                verdict=HYPOTHESIS_ERROR, message=start_f or start_g, agreement_residual=e_res
+            )
     try:
-        traj_f = flow_adaptive(sys_f.system, x0v, t_end, abs_tol, rel_tol, sample_count)
-        traj_g = flow_adaptive(sys_g.system, x0v, t_end, abs_tol, rel_tol, sample_count)
+        traj_f = flow_adaptive(flow_f, x0v, t_end, abs_tol, rel_tol, sample_count)
+        traj_g = flow_adaptive(flow_g, x0v, t_end, abs_tol, rel_tol, sample_count)
     except IntegrationError as exc:
         if not on_set:
             # the start violates the agreement hypothesis and one flow left
@@ -261,7 +360,8 @@ def verify_coincidence(
 
     # d/dt (F - G) along the first flow at every sample
     states = traj_f.states
-    rates = _conservation_rates(_difference_quantity(f_quantity, g_quantity), states, sys_f.fields(states))
+    fields_f = sys_f.fields(states)
+    rates = _conservation_rates(_difference_quantity(f_quantity, g_quantity), states, fields_f)
     scales = _state_scales(states)
     with np.errstate(over="ignore"):
         deviations = np.linalg.norm(traj_f.states - traj_g.states, axis=1)
@@ -272,12 +372,17 @@ def verify_coincidence(
     worst_idx = int(np.argmax(deviations))
     max_dev = float(deviations[worst_idx])
 
-    if not (on_set and conserved):
-        reasons = []
-        if not on_set:
-            reasons.append(f"start is off the agreement set (residual {e_res:.3e})")
-        if not conserved:
-            reasons.append(f"F-G is not conserved along the first flow (residual {drift:.3e})")
+    reasons = []
+    if closed_forms is not None:
+        reasons += filter(None, (
+            _sample_mismatch("F", flow_f, fields_f, traj_f),
+            _sample_mismatch("G", flow_g, sys_g.fields(traj_g.states), traj_g),
+        ))
+    if not on_set:
+        reasons.append(f"start is off the agreement set (residual {e_res:.3e})")
+    if not conserved:
+        reasons.append(f"F-G is not conserved along the first flow (residual {drift:.3e})")
+    if reasons:
         verdict, message = HYPOTHESIS_ERROR, "; ".join(reasons)
     elif max_dev <= deviation_tol:
         verdict, message = PASS, f"flows coincide: max deviation {max_dev:.3e}"

@@ -12,7 +12,7 @@ clamped to [0.2, 10], exponent -1/8, the blended 5th/3rd-order error norm
 weighted by ``abs_tol + max(|y|, |y_new|) * rel_tol``, the
 Hairer-Norsett-Wanner initial-step heuristic, and a failure once a step
 would fall below ten spacings of the floats at the current time or after
-100,000 step attempts (a stiff flow would otherwise run on).  Every
+100,000 step attempts (a fast oscillation would otherwise run on).  Every
 constant and every floating-point operation is the one scipy's ``DOP853``
 uses, so the two produce the same trajectories bit for bit.
 Default tolerances are 1e-10 so that downstream theorem checks comparing
@@ -314,7 +314,8 @@ def _dop853(system: SystemDefinition, y, t_eval, abs_tol, rel_tol):
                 if accepted + rejected == _MAX_ATTEMPTS:
                     raise IntegrationError(
                         f"adaptive integration of '{system.label}' stopped at t={last_sample():.6g}: "
-                        f"the step budget of {_MAX_ATTEMPTS} attempts is spent (a stiff flow?)",
+                        f"the step budget of {_MAX_ATTEMPTS} attempts is spent "
+                        "(steps too short for the horizon: a fast oscillation?)",
                         last_good_time=last_sample(),
                     )
                 t_new = min(t + h_abs, t_end)

@@ -296,9 +296,11 @@ def _run_coincidence(s: _Scenario) -> _Outcome:
         _symplectic_base,
         kepler_model.hamiltonian(), kepler_model.linear_pair_hamiltonian(s.params["a"]),
         s.x0, s.t_end,
-        deviation_tol=s.tol["deviation"], hypothesis_tol=s.tol["hypothesis"], batched=True, **s.integ,
+        deviation_tol=s.tol["deviation"], hypothesis_tol=s.tol["hypothesis"], batched=True,
+        closed_forms=(s.system, kepler_model.linear_pair_field(s.params["a"])), **s.integ,
     )
-    # the F-driven field J grad H is the Kepler field, so its flow is the model's
+    # the F-driven field J grad H is the Kepler field, checked bit for bit
+    # at the start and on every sample, so its flow is the model's
     return _invariance_outcome(
         rep, agreement_residual=rep.agreement_residual, difference_drift=rep.difference_drift,
         max_deviation=rep.worst_value, max_deviation_time=rep.worst_time, message=rep.message,

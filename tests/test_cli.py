@@ -386,7 +386,9 @@ def test_spent_step_budget_is_a_hypothesis_error_report(tmp_path, capsys, monkey
     assert report["verdict"] == "hypothesis-error"
     message = report["evidence"]["message"]
     assert message.startswith("the flow does not exist on [0, 1]: last sample time reached ")
-    assert message.endswith("the step budget of 2 attempts is spent (a stiff flow?)")
+    assert message.endswith(
+        "the step budget of 2 attempts is spent (steps too short for the horizon: a fast oscillation?)"
+    )
 
 
 def test_printed_report_and_report_file_hold_the_same_bytes(tmp_path, capsys, monkeypatch):

@@ -1,3 +1,8 @@
+import json
+import warnings
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +22,7 @@ from invarsets import (
     stack_quantities,
     verify_coincidence,
 )
-from invarsets import kepler, oscillator, report, toda
+from invarsets import integrate, kepler, oscillator, report, toda
 from invarsets.coincidence import _derivative_blocks, _difference_quantity
 from invarsets.differentiate import _flat_block, _partial_stack
 
@@ -86,6 +91,16 @@ def test_agreement_kepler_pair_on_and_off_circle():
     assert agreement_residual(H, G, np.array([0.0, 1.0, 1.0, 0.0]), 1) < 1e-9
     off = agreement_residual(H, G, np.array([0.0, 2.0, 1.0, 0.0]), 1)
     assert off == pytest.approx(1.0, abs=1e-6)
+
+
+def test_agreement_residual_that_overflows_is_inf_without_a_warning():
+    x0 = np.array([1.5e308, 1e308, 1.5e308, 1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert agreement_residual(kepler.hamiltonian(), kepler.linear_pair_hamiltonian(1.0), x0, 1) == np.inf
+        fast = _assert_fast_equals_slow(x0, 1.0, 2 * np.pi)
+    assert fast.verdict == "hypothesis-error"
+    assert fast.message.startswith("start is off the agreement set (residual inf)")
 
 
 def test_agreement_shape_mismatch():
@@ -198,10 +213,62 @@ def test_vector_valued_coincidence_smoke():
 # ---------------------------------------------------------------------------
 
 
-def test_poisson_system_reproduces_kepler_field():
-    system = _poisson_system(canonical_symplectic_matrix(2), kepler.hamiltonian())
-    out = evaluate_field(system, np.array([0.0, 1.0, 1.0, 0.0]))
+_COMPONENT = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-1e150, 1e150))
+_KEPLER_STATES = st.lists(st.lists(_COMPONENT, min_size=4, max_size=4), min_size=1, max_size=6)
+
+
+def _assert_closed_form_identity(closed, driven, xs):
+    """``closed`` equals ``driven`` on the stack ``xs`` and at each of its
+    states: equal as floats, so in every bit but a zero's sign, and in every
+    bit where the closed row holds no zero; where one raises, so does the
+    other."""
+    try:
+        expected = driven.fields(xs)
+    except NumericError:
+        with pytest.raises(NumericError):
+            closed.fields(xs)
+        expected = None
+    rows = None if expected is None else closed.fields(xs)
+    for i, x in enumerate(xs):
+        try:
+            row = driven.system.field(x)
+        except NumericError:
+            with pytest.raises(NumericError):
+                closed.field(x)
+            continue
+        point = closed.field(x)
+        for got in (point,) if expected is None else (point, rows[i], expected[i]):
+            assert np.array_equal(got, row)
+            if point.all():
+                assert got.tobytes() == row.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(xs=_KEPLER_STATES, a=st.sampled_from([0.9, 1.0, 1.5]))
+def test_poisson_system_reproduces_kepler_field(xs, a):
+    # J grad H is the Kepler field and J grad(-A/a^3) the linear pair's, on
+    # points and on stacks, through a point base and the report's batched
+    # one; they part only in a zero's sign (J g sums J's zero products to
+    # +0 where the closed forms negate to -0), which is why the closed-form
+    # flows of the coincidence check hand a row with a zero to the driven field
+    J = canonical_symplectic_matrix(2)
+    out = evaluate_field(_poisson_system(J, kepler.hamiltonian()), np.array([0.0, 1.0, 1.0, 0.0]))
     assert np.allclose(out, [1.0, 0.0, 0.0, -1.0], atol=0)
+    xs = np.array(xs)
+    for base, batched in ((lambda x, g: J @ g, False), (report._symplectic_base, True)):
+        for closed, quantity in (
+            (kepler.kepler_field(), kepler.hamiltonian()),
+            (kepler.linear_pair_field(a), kepler.linear_pair_hamiltonian(a)),
+        ):
+            _assert_closed_form_identity(closed, assemble_system(base, quantity, batched=batched), xs)
+
+
+def test_closed_forms_part_from_the_driven_fields_only_in_a_zero_sign():
+    x0 = kepler.circular_sample(1.0, 0.0)  # the shipped start [0, 1, 1, -0]
+    driven = assemble_system(report._symplectic_base, kepler.hamiltonian(), batched=True).system
+    closed = kepler.kepler_field().field(x0)
+    assert np.array_equal(closed, driven.field(x0))
+    assert closed.tobytes() != driven.field(x0).tobytes()
 
 
 def test_poisson_zero_structure_gives_equilibria():
@@ -689,3 +756,166 @@ def test_wrong_shape_driven_field_row_is_a_usage_error():
         evaluate_field(driven.system, xs[1])
     with pytest.raises(UsageError):
         driven.fields(xs[:, :3])
+
+
+# ---------------------------------------------------------------------------
+# closed-form flows: the Kepler field and its linear companion in place of
+# the driven fields give the same report in every bit, and a closed form
+# that differs from its driven field anywhere it is checked never passes
+# ---------------------------------------------------------------------------
+
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
+COINCIDENCE_SCENARIOS = sorted(p.name for p in SCENARIO_DIR.glob("*.json") if '"coincidence"' in p.read_text())
+
+
+def _kepler_coincidence(x0, a, t_end, closed_forms=None, **kwargs):
+    return verify_coincidence(
+        report._symplectic_base, kepler.hamiltonian(), kepler.linear_pair_hamiltonian(a), x0, t_end,
+        batched=True, closed_forms=closed_forms, **kwargs,
+    )
+
+
+def _kepler_closed_forms(a):
+    return kepler.kepler_field(), kepler.linear_pair_field(a)
+
+
+def _bits(value):
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def _assert_same_report(fast, slow):
+    assert (fast.verdict, fast.message) == (slow.verdict, slow.message)
+    for name in ("worst_value", "worst_time", "agreement_residual", "difference_drift"):
+        assert _bits(getattr(fast, name)) == _bits(getattr(slow, name)), name
+    assert (fast.trajectory is None) == (slow.trajectory is None)
+    if slow.trajectory is not None:
+        assert _bits(fast.trajectory.times) == _bits(slow.trajectory.times)
+        assert _bits(fast.trajectory.states) == _bits(slow.trajectory.states)
+        assert fast.trajectory.stats == slow.trajectory.stats
+
+
+def _assert_fast_equals_slow(x0, a, t_end, **kwargs):
+    slow = _kepler_coincidence(x0, a, t_end, **kwargs)
+    fast = _kepler_coincidence(x0, a, t_end, _kepler_closed_forms(a), **kwargs)
+    _assert_same_report(fast, slow)
+    return fast
+
+
+def test_shipped_scenarios_hold_every_coincidence_check():
+    assert COINCIDENCE_SCENARIOS == [
+        "kepler-circular-coincidence-a15.json", "kepler-circular-coincidence.json", "kepler-offset-control.json",
+    ]
+
+
+@pytest.mark.parametrize("name", COINCIDENCE_SCENARIOS)
+def test_closed_forms_give_the_driven_report_on_shipped_scenarios(name):
+    s = report._read(json.loads((SCENARIO_DIR / name).read_text()))
+    fast = _assert_fast_equals_slow(
+        s.x0, s.params["a"], s.t_end,
+        deviation_tol=s.tol["deviation"], hypothesis_tol=s.tol["hypothesis"], **s.integ,
+    )
+    assert fast.verdict == s.config["expected_verdict"]
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    a=st.floats(0.7, 1.4),
+    theta=st.floats(0.0, 2 * np.pi),
+    push=st.sampled_from([0.0, 0.0, 0.08, -0.15]),
+)
+def test_closed_forms_give_the_driven_report_on_seeded_starts(a, theta, push):
+    x0 = kepler.circular_sample(a, theta)
+    x0[2:] *= 1.0 + push  # push != 0 moves the start off the agreement set
+    fast = _assert_fast_equals_slow(x0, a, np.pi * a**3, sample_count=101)
+    assert fast.verdict == ("pass" if push == 0.0 else "hypothesis-error")
+
+
+@pytest.mark.parametrize(
+    "x0",
+    [
+        [0.3, 0.4, -0.3, -0.4],  # a plunge to the origin: the step size underflows
+        [1.0, 0.0, 0.0, 0.0],  # the same on an axis: every row holds a zero
+        [0.003, 0.004, 0.3, 0.4],  # the step size underflows at the start
+        [1.5e308, 0.0, 1.5e308, 0.0],  # the first stage overflows
+    ],
+)
+def test_closed_forms_fail_an_off_set_flow_where_the_driven_one_fails(x0):
+    fast = _assert_fast_equals_slow(np.array(x0), 1.0, 2 * np.pi)
+    assert fast.verdict == "hypothesis-error"
+    assert "integration additionally failed" in fast.message
+
+
+def test_closed_forms_fail_an_on_set_flow_with_the_driven_error(monkeypatch):
+    monkeypatch.setattr(integrate, "_MAX_ATTEMPTS", 5)
+    errors = []
+    for closed_forms in (None, _kepler_closed_forms(1.0)):
+        with pytest.raises(IntegrationError) as err:
+            _kepler_coincidence(kepler.circular_sample(1.0, 0.3), 1.0, 2 * np.pi, closed_forms)
+        errors.append((str(err.value), err.value.last_good_time))
+    assert errors[0] == errors[1]
+    assert "step budget of 5 attempts" in errors[0][0]
+
+
+def _failing(system, fault):
+    """``system`` whose field raises a NumericError or returns NaN rows everywhere."""
+
+    def field(x):
+        if fault == "raise":
+            raise NumericError("closed form has no row here")
+        return np.full(np.shape(x), np.nan)
+
+    return replace(system, field=field)
+
+
+@pytest.mark.parametrize("fault", ["raise", "nan"])
+def test_closed_forms_hand_every_failing_state_to_the_driven_field(fault):
+    a, x0 = 1.2, kepler.circular_sample(1.2, 0.5)
+    closed = tuple(_failing(system, fault) for system in _kepler_closed_forms(a))
+    slow = _kepler_coincidence(x0, a, 4.0, sample_count=61)
+    _assert_same_report(_kepler_coincidence(x0, a, 4.0, closed, sample_count=61), slow)
+    assert slow.verdict == "pass"
+
+
+def _one_ulp_off(system, component, where=lambda x: True):
+    """``system`` with one component of its row one ulp up at the states
+    where ``where`` holds, on points and row by row on stacks."""
+
+    def field(x):
+        rows = np.array(system.field(x), dtype=float)
+        picked = rows.reshape(-1, 4)
+        for row, state in zip(picked, np.reshape(x, (-1, 4))):
+            if where(state):
+                row[component] = np.nextafter(row[component], np.inf)
+        return rows
+
+    return replace(system, field=field)
+
+
+@pytest.mark.parametrize("flow,component", [("F", 2), ("G", 0), ("G", 3)])
+def test_closed_form_one_ulp_off_is_a_hypothesis_error_at_the_start(flow, component):
+    a, x0 = 1.0, kepler.circular_sample(1.0, 0.3)
+    closed = list(_kepler_closed_forms(a))
+    closed["FG".index(flow)] = _one_ulp_off(closed["FG".index(flow)], component)
+    rep = _kepler_coincidence(x0, a, 2 * np.pi, tuple(closed))
+    assert rep.verdict == "hypothesis-error"
+    assert rep.message == f"the closed form of the {flow}-driven flow differs from its driven field at the start"
+    assert rep.trajectory is None
+
+
+@pytest.mark.parametrize("flow", ["F", "G"])
+def test_closed_form_exact_at_the_start_only_is_a_hypothesis_error_at_a_sample(flow):
+    a, x0 = 1.0, kepler.circular_sample(1.0, 0.3)
+    closed = list(_kepler_closed_forms(a))
+    closed["FG".index(flow)] = _one_ulp_off(closed["FG".index(flow)], 1, lambda x: not np.array_equal(x, x0))
+    rep = _kepler_coincidence(x0, a, 2 * np.pi, tuple(closed))
+    assert rep.verdict == "hypothesis-error"
+    assert rep.message.startswith(
+        f"the closed form of the {flow}-driven flow differs from its driven field at sample 1 (t="
+    )
+    assert _kepler_coincidence(x0, a, 2 * np.pi).verdict == "pass"
+
+
+def test_closed_form_of_another_dimension_is_a_usage_error():
+    closed = (oscillator.harmonic_oscillator(), kepler.linear_pair_field(1.0))
+    with pytest.raises(UsageError, match="closed form 'harmonic-oscillator' has dimension 2, expected 4"):
+        _kepler_coincidence(kepler.circular_sample(1.0, 0.3), 1.0, 1.0, closed)
