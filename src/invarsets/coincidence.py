@@ -11,7 +11,6 @@ driven fields or through closed forms checked against them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -169,63 +168,30 @@ def assemble_system(
 
 def _closed_form_system(closed: SystemDefinition, driven: SystemDefinition) -> SystemDefinition:
     """``closed``'s field in place of ``driven``'s, which it must equal bit
-    for bit, under ``driven``'s label.
+    for bit, under ``driven``'s label, on a state or a stack alike.
 
-    A state goes to ``driven`` instead wherever ``closed`` cannot give its
-    row: a non-finite state, a :class:`NumericError`, and a row that is
-    non-finite or holds a zero, whose sign is the one bit a closed form may
-    set otherwise (a driven J g sums J's zero products to +0 where the
-    Kepler forms negate to -0).  So ``driven`` returns its own row there or
-    raises its own error, and a flow that fails stops where the driven flow
-    stops, with the same message.
-    """
-    point, slow, dim = closed.field, driven.field, driven.dim
-
-    def field(x):
-        if x.shape == (dim,):
-            if math.isfinite(sum(x.tolist())):
-                try:
-                    row = np.asarray(point(x), dtype=float)
-                except NumericError:
-                    return slow(x)
-                values = row.ravel().tolist()
-                if math.isfinite(sum(values)) and 0.0 not in values:
-                    return row
-            return slow(x)
-        if x.ndim != 2 or x.shape[1] != dim or not _all_finite(x):
-            return slow(x)
-        try:
-            rows = closed.fields(x)
-        except NumericError:
-            return slow(x)
-        if _all_finite(rows) and rows.all():
-            return rows
-        handed = ~(np.isfinite(rows).all(axis=1) & rows.all(axis=1))
-        rows = np.array(rows)
-        rows[handed] = driven.fields(x[handed])
-        return rows
-
-    return SystemDefinition(dim=dim, field=field, label=driven.label, batched=True)
-
-
-def _closed_form_flow(name: str, closed: SystemDefinition, driven: SystemDefinition, x0):
-    """The system that integrates the ``name``-driven flow from ``x0``, and
-    why its closed form may not (None when it may).
-
-    Where the driven field fails at ``x0`` the flow keeps it, so the flow
-    fails at its first evaluation as it does without closed forms.
+    Where ``closed`` raises a :class:`NumericError` or gives a non-finite
+    row, ``driven`` answers instead, with its own row or its own error, so
+    a flow that fails stops where the driven flow stops, with the same
+    message.  No state is tested: a closed form that reads every component
+    gives a non-finite row at a non-finite state.  The system is
+    ``batched`` as ``closed`` is, so a point-only closed form is called
+    once per state.
     """
     if closed.dim != driven.dim:
         raise UsageError(f"closed form '{closed.label}' has dimension {closed.dim}, expected {driven.dim}")
-    try:
-        expected = driven.field(x0)
-    except NumericError:
-        return driven, None
-    flow = _closed_form_system(closed, driven)
-    row = flow.field(x0)
-    if row.shape == expected.shape and row.tobytes() == expected.tobytes():
-        return flow, None
-    return flow, f"the closed form of the {name}-driven flow differs from its driven field at the start"
+    fast, slow = closed.field, driven.field
+
+    def field(x):
+        try:
+            rows = np.asarray(fast(x), dtype=float)
+        except NumericError:
+            return slow(x)
+        if _all_finite_vector(rows.ravel()) or rows.shape != x.shape:
+            return rows  # a wrong shape is the caller's UsageError
+        return np.where(np.isfinite(rows).all(axis=-1, keepdims=True), rows, slow(x))
+
+    return SystemDefinition(dim=driven.dim, field=field, label=driven.label, batched=closed.batched)
 
 
 def _sample_mismatch(name: str, flow: SystemDefinition, driven_rows: np.ndarray, traj) -> str | None:
@@ -317,14 +283,15 @@ def verify_coincidence(
     G-driven fields bit for bit (for Kepler: the model's field and
     :func:`kepler.linear_pair_field`); the flows are then integrated
     through them, which is cheaper, and the report is the same in every
-    bit.  That premise is checked twice: each closed form must give its
-    driven field's row at ``x0`` before anything is integrated, and its
-    driven field's stacked rows on every sample of its own flow after
-    (for F the stack the F - G scan evaluates anyway).  A difference in
-    any bit is a hypothesis error naming the flow and the sample.  A state
-    where a closed form gives no row, or a non-finite one or one with a
-    zero (whose sign it may set differently), goes to the driven field,
-    so a failing flow stops where the driven flow stops.
+    bit.  That premise is checked once, on the stack of each flow's
+    samples, whose sample 0 is ``x0``: each closed form must give its
+    driven field's stacked rows there in every bit (for F the stack the
+    F - G scan evaluates anyway).  A difference in any bit is a hypothesis
+    error naming the flow and the sample.  A state where a closed form
+    gives no row, or a non-finite one, goes to the driven field, so a
+    failing flow stops where the driven flow stops; a closed form must
+    give a non-finite row at a non-finite state, as one that reads every
+    component does.
     """
     x0v = as_state(x0, f_quantity.dim)
     e_res = agreement_residual(f_quantity, g_quantity, x0v, order)
@@ -334,12 +301,8 @@ def verify_coincidence(
     sys_g = assemble_system(base, g_quantity, order, label="driven-G", batched=batched)
     flow_f, flow_g = sys_f.system, sys_g.system
     if closed_forms is not None:
-        flow_f, start_f = _closed_form_flow("F", closed_forms[0], flow_f, x0v)
-        flow_g, start_g = _closed_form_flow("G", closed_forms[1], flow_g, x0v)
-        if start_f or start_g:
-            return InvarianceReport(
-                verdict=HYPOTHESIS_ERROR, message=start_f or start_g, agreement_residual=e_res
-            )
+        flow_f = _closed_form_system(closed_forms[0], flow_f)
+        flow_g = _closed_form_system(closed_forms[1], flow_g)
     try:
         traj_f = flow_adaptive(flow_f, x0v, t_end, abs_tol, rel_tol, sample_count)
         traj_g = flow_adaptive(flow_g, x0v, t_end, abs_tol, rel_tol, sample_count)

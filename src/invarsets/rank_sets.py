@@ -51,16 +51,13 @@ class SetMemberships:
 class RankDecisions:
     """Rank decisions for a stack of m matrices, one entry per matrix.
 
-    ``ranks``, ``thresholds`` and ``margins`` have shape (m,) and
-    ``singular_values`` has shape (m, min(rows, cols)), in descending
-    order per row.  A margin is the smallest ratio sigma/threshold over
-    kept singular values and threshold/sigma over dropped ones; below
-    :data:`BORDERLINE_MARGIN` the decision is not robust.
+    ``ranks`` and ``margins`` have shape (m,).  A margin is the smallest
+    ratio sigma/threshold over kept singular values and threshold/sigma
+    over dropped ones; below :data:`BORDERLINE_MARGIN` the decision is not
+    robust.
     """
 
     ranks: np.ndarray
-    singular_values: np.ndarray
-    thresholds: np.ndarray
     margins: np.ndarray
 
 
@@ -102,7 +99,7 @@ def _decide(matrices: np.ndarray, rel_tol: float, zero_floor: np.ndarray) -> Ran
     zero = top < ZERO_SIGMA_GUARD
     ranks[zero] = 0
     margins[zero] = np.inf
-    return RankDecisions(ranks=ranks, singular_values=sv, thresholds=thresholds, margins=margins)
+    return RankDecisions(ranks=ranks, margins=margins)
 
 
 def rank_levels(

@@ -18,7 +18,7 @@ from invarsets import (
 )
 from invarsets.core import _conservation_rates, as_states, evaluate_field
 from invarsets.differentiate import jacobians
-from invarsets.rank_sets import DEFAULT_RANK_TOL, _decide, rank_levels
+from invarsets.rank_sets import DEFAULT_RANK_TOL, _decide, rank_levels, singular_values
 from invarsets import kepler, oscillator, report, toda
 from invarsets.coincidence import assemble_system, canonical_symplectic_matrix
 
@@ -40,8 +40,15 @@ def _point_floor_rank(quantity, x, rel_tol):
 
 def assert_same_decision(decisions, i, single):
     """Row ``i`` of ``decisions`` is, bit for bit, the decision of a stack of one."""
-    for field in ("ranks", "singular_values", "thresholds", "margins"):
+    for field in ("ranks", "margins"):
         assert getattr(decisions, field)[i].tobytes() == getattr(single, field)[0].tobytes()
+
+
+def assert_same_singular_values(matrices, i, single):
+    """Row ``i`` of the stacked SVD of ``matrices`` is, bit for bit, the SVD
+    of the stack of one ``single``: with the rule max(rel_tol * sigma_1,
+    rel_tol * max(1, |x|)), equal thresholds follow."""
+    assert singular_values(matrices)[i].tobytes() == singular_values(single)[0].tobytes()
 
 
 def assert_rows_match_points(quantity, xs, rel_tol=DEFAULT_RANK_TOL):
@@ -60,6 +67,7 @@ def assert_rows_match_points(quantity, xs, rel_tol=DEFAULT_RANK_TOL):
             assert np.array_equal(J[i], quantity.analytic_gradient(point))
         assert_same_decision(decisions, i, rank_levels(quantity, point[None], rel_tol))
         assert_same_decision(decisions, i, _point_floor_rank(quantity, point, rel_tol))
+        assert_same_singular_values(J, i, jacobians(quantity, point[None]))
 
 
 @SETTINGS
@@ -216,15 +224,21 @@ STATES = np.array([[0.1, 0.2], [0.6, -0.7], [3.0, 4.0], [0.0, 0.0]])
     ids=["zero", "at-threshold", "floor", "generic"],
 )
 def test_rank_rule_edge_cases_match_numerical_rank(gradient, rank, batched):
-    decisions = rank_levels(_linear(gradient, batched), STATES, 1e-8)
+    quantity = _linear(gradient, batched)
+    decisions = rank_levels(quantity, STATES, 1e-8)
+    J = jacobians(quantity, STATES)
     for i, x in enumerate(STATES):
         floor = 1e-8 * max(1.0, float(np.linalg.norm(x)))
         assert_same_decision(decisions, i, _decide(gradient[None], 1e-8, np.array([floor])))
+        assert_same_singular_values(J, i, gradient[None])
     assert np.all(decisions.ranks == rank)
     if not gradient.any():
         assert np.all(decisions.margins == np.inf)
     if gradient[1, 1] == 1e-8:
-        assert decisions.thresholds[0] == 1e-8
+        # the rule max(rel_tol * sigma_1, rel_tol * max(1, |x|)) at |x| <= 1
+        sigma = singular_values(J)[0]
+        assert max(1e-8 * sigma[0], 1e-8 * max(1.0, float(np.linalg.norm(STATES[0])))) == 1e-8
+        assert sigma[1] == 1e-8
 
 
 def test_rank_levels_rejects_bad_tolerance_and_states():

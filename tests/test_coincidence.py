@@ -11,6 +11,7 @@ from invarsets import (
     ConservedQuantitySet,
     IntegrationError,
     NumericError,
+    SystemDefinition,
     UsageError,
     agreement_residual,
     assemble_system,
@@ -248,9 +249,8 @@ def _assert_closed_form_identity(closed, driven, xs):
 def test_poisson_system_reproduces_kepler_field(xs, a):
     # J grad H is the Kepler field and J grad(-A/a^3) the linear pair's, on
     # points and on stacks, through a point base and the report's batched
-    # one; they part only in a zero's sign (J g sums J's zero products to
-    # +0 where the closed forms negate to -0), which is why the closed-form
-    # flows of the coincidence check hand a row with a zero to the driven field
+    # one; a point base J @ g may part from them in a zero's sign (it sums
+    # J's zero products to +0 where the closed forms negate to -0)
     J = canonical_symplectic_matrix(2)
     out = evaluate_field(_poisson_system(J, kepler.hamiltonian()), np.array([0.0, 1.0, 1.0, 0.0]))
     assert np.allclose(out, [1.0, 0.0, 0.0, -1.0], atol=0)
@@ -263,12 +263,61 @@ def test_poisson_system_reproduces_kepler_field(xs, a):
             _assert_closed_form_identity(closed, assemble_system(base, quantity, batched=batched), xs)
 
 
-def test_closed_forms_part_from_the_driven_fields_only_in_a_zero_sign():
-    x0 = kepler.circular_sample(1.0, 0.0)  # the shipped start [0, 1, 1, -0]
-    driven = assemble_system(report._symplectic_base, kepler.hamiltonian(), batched=True).system
+_EDGE = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1.0, -1.0, 1e300, -1e300, 1.5e308, -1.5e308])
+_EDGE_STATES = st.lists(
+    st.lists(st.one_of(_EDGE, st.floats(allow_nan=False, allow_infinity=False)), min_size=4, max_size=4),
+    min_size=1,
+    max_size=6,
+)
+
+
+def _row_or_none(fn, z):
+    try:
+        return fn(z)
+    except NumericError:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(xs=_EDGE_STATES, a=st.sampled_from([0.0013, 0.9, 1.0, 1.5, 40.0]))
+def test_report_base_gives_the_closed_forms_bit_for_bit(xs, a):
+    # J grad H and J grad(-A/a^3) through the report's base are the Kepler
+    # field and the linear pair field in every bit, signed zeros and
+    # overflows to inf included, on a stack and on each of its states; both
+    # raise at the same states, and the driven field gives the same bits
+    # wherever they are finite and raises wherever they are not
+    xs = np.array(xs)
+    for closed, q in (
+        (kepler.kepler_field(), kepler.hamiltonian()),
+        (kepler.linear_pair_field(a), kepler.linear_pair_hamiltonian(a)),
+    ):
+        driven = assemble_system(report._symplectic_base, q, batched=True).system
+        j_grad = lambda z: report._symplectic_base(z, q.analytic_gradient(z)[..., 0, :])
+        for z in (xs, *xs):
+            expected = _row_or_none(closed.field, z)
+            got = _row_or_none(j_grad, z)
+            assert (got is None) == (expected is None)
+            if expected is None:
+                continue
+            assert got.tobytes() == expected.tobytes()
+            if np.isfinite(expected).all():
+                assert driven.field(z).tobytes() == expected.tobytes()
+            else:
+                with pytest.raises(NumericError):
+                    driven.field(z)
+
+
+def test_matrix_product_base_parts_from_the_closed_form_in_a_zero_sign():
+    # the control: g @ J.T sums J's zero products to +0 where the Kepler
+    # field negates to -0, at the shipped start [0, 1, 1, -0]
+    x0 = kepler.circular_sample(1.0, 0.0)
+    assert x0.tobytes() == np.array([0.0, 1.0, 1.0, -0.0]).tobytes()
+    g = kepler.hamiltonian().analytic_gradient(x0)[0]
     closed = kepler.kepler_field().field(x0)
-    assert np.array_equal(closed, driven.field(x0))
-    assert closed.tobytes() != driven.field(x0).tobytes()
+    product = g @ canonical_symplectic_matrix(2).T
+    assert np.array_equal(product, closed)
+    assert product.tobytes() != closed.tobytes()
+    assert report._symplectic_base(x0, g).tobytes() == closed.tobytes()
 
 
 def test_poisson_zero_structure_gives_equilibria():
@@ -598,15 +647,17 @@ _SIGNED = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(allow_nan
 @settings(max_examples=200, deadline=None)
 @given(gs=st.lists(st.lists(_SIGNED, min_size=4, max_size=4), min_size=1, max_size=6))
 def test_report_base_equals_j_times_gradient_bit_for_bit(gs):
-    # J has entries 0 and +-1: every product is exact, so g @ J.T and J @ g
-    # agree in every bit, signed zeros included, on a point and on a stack
+    # J has entries 0 and +-1, so J @ g has the value of the signed
+    # permutation (g_y, -g_x) the report base takes, on a point and on a
+    # stack; the base has its bits, each entry one signed entry of g, as the
+    # closed forms have, where J @ g sums J's zero products to +0
     J = canonical_symplectic_matrix(2)
     stack = np.array(gs)
-    expected = np.array([J @ g for g in stack])
-    assert (stack @ J.T).tobytes() == expected.tobytes()
+    expected = np.array([[g[2], g[3], -g[0], -g[1]] for g in stack])
+    assert np.array_equal(report._symplectic_base(None, stack), stack @ J.T)
     assert report._symplectic_base(None, stack).tobytes() == expected.tobytes()
     for g, row in zip(stack, expected):
-        assert (g @ J.T).tobytes() == row.tobytes()
+        assert np.array_equal(report._symplectic_base(None, g), J @ g)
         assert report._symplectic_base(None, g).tobytes() == row.tobytes()
 
 
@@ -614,14 +665,15 @@ def test_report_base_equals_j_times_gradient_bit_for_bit(gs):
 def test_point_field_at_a_state_whose_sum_overflows_returns_its_row(x):
     # every entry is finite; the state's sum overflows in both cases, and the
     # sums of the gradient (0, 0, p) and the row (p, 0, 0) in the first
+    # (-0, -0) through the report's base, which negates the gradient's +0
     x = np.array(x)
-    for driven in (
-        assemble_system(_symplectic_base(), kepler.hamiltonian()),
-        assemble_system(report._symplectic_base, kepler.hamiltonian(), batched=True),
-    ):
+    gradient = np.array([0.0, 0.0, x[2], x[3]])
+    for base, batched in ((_symplectic_base(), False), (report._symplectic_base, True)):
+        driven = assemble_system(base, kepler.hamiltonian(), batched=batched)
         row = driven.system.field(x)
         assert row.tobytes() == driven.fields(x[None])[0].tobytes()
-        assert row.tobytes() == np.array([x[2], x[3], 0.0, 0.0]).tobytes()
+        assert row.tobytes() == base(x, gradient).tobytes()
+    assert row.tobytes() == np.array([x[2], x[3], -0.0, -0.0]).tobytes()
 
 
 def test_point_field_takes_a_non_finite_state_as_a_numeric_error():
@@ -856,6 +908,18 @@ def test_closed_forms_fail_an_on_set_flow_with_the_driven_error(monkeypatch):
     assert "step budget of 5 attempts" in errors[0][0]
 
 
+def test_closed_forms_declared_for_one_state_are_called_once_per_state():
+    # a point-only closed form (a stack cannot be reshaped to one state)
+    a, x0 = 1.1, kepler.circular_sample(1.1, 0.4)
+    closed = tuple(
+        SystemDefinition(4, lambda x, _f=system.field: _f(x.reshape(4)), system.label)
+        for system in _kepler_closed_forms(a)
+    )
+    slow = _kepler_coincidence(x0, a, 4.0, sample_count=61)
+    _assert_same_report(_kepler_coincidence(x0, a, 4.0, closed, sample_count=61), slow)
+    assert slow.verdict == "pass"
+
+
 def _failing(system, fault):
     """``system`` whose field raises a NumericError or returns NaN rows everywhere."""
 
@@ -898,8 +962,8 @@ def test_closed_form_one_ulp_off_is_a_hypothesis_error_at_the_start(flow, compon
     closed["FG".index(flow)] = _one_ulp_off(closed["FG".index(flow)], component)
     rep = _kepler_coincidence(x0, a, 2 * np.pi, tuple(closed))
     assert rep.verdict == "hypothesis-error"
-    assert rep.message == f"the closed form of the {flow}-driven flow differs from its driven field at the start"
-    assert rep.trajectory is None
+    assert rep.message == f"the closed form of the {flow}-driven flow differs from its driven field at sample 0 (t=0)"
+    assert rep.trajectory is not None
 
 
 @pytest.mark.parametrize("flow", ["F", "G"])
@@ -913,6 +977,36 @@ def test_closed_form_exact_at_the_start_only_is_a_hypothesis_error_at_a_sample(f
         f"the closed form of the {flow}-driven flow differs from its driven field at sample 1 (t="
     )
     assert _kepler_coincidence(x0, a, 2 * np.pi).verdict == "pass"
+
+
+@pytest.mark.parametrize("flow", ["F", "G"])
+def test_closed_form_without_a_row_at_the_start_is_still_checked_on_the_other_samples(flow):
+    # the start's NaN row goes to the driven field, on a point and as row 0
+    # of the sample stack; only that row is handed, so the other samples
+    # still show the closed form one ulp off
+    a, x0 = 1.0, kepler.circular_sample(1.0, 0.3)
+    closed = list(_kepler_closed_forms(a))
+    off = _one_ulp_off(closed["FG".index(flow)], 1)
+
+    def field(x):
+        rows = off.field(x)
+        rows[np.all(x == x0, axis=-1)] = np.nan
+        return rows
+
+    closed["FG".index(flow)] = replace(off, field=field)
+    rep = _kepler_coincidence(x0, a, 2 * np.pi, tuple(closed))
+    assert rep.verdict == "hypothesis-error"
+    assert rep.message.startswith(
+        f"the closed form of the {flow}-driven flow differs from its driven field at sample 1 (t="
+    )
+
+
+def test_closed_form_row_of_another_shape_is_a_usage_error_not_a_hand_off():
+    # a non-finite row of the wrong shape is not handed to the driven field:
+    # the first stage's check names the shape
+    closed = (replace(kepler.kepler_field(), field=lambda x: np.full(3, np.nan)), kepler.linear_pair_field(1.0))
+    with pytest.raises(UsageError, match=r"field of 'driven-F' returned shape \(3,\), expected \(4,\)"):
+        _kepler_coincidence(kepler.circular_sample(1.0, 0.3), 1.0, 1.0, closed)
 
 
 def test_closed_form_of_another_dimension_is_a_usage_error():

@@ -13,7 +13,7 @@ from invarsets import (
     vanishing_memberships,
 )
 from invarsets import kepler, oscillator, toda
-from invarsets.rank_sets import BORDERLINE_MARGIN, DEFAULT_RANK_TOL, _decide, _margins
+from invarsets.rank_sets import BORDERLINE_MARGIN, DEFAULT_RANK_TOL, _decide, _margins, singular_values
 
 from conftest import random_states
 
@@ -146,8 +146,12 @@ def test_critical_residual_sign_convention():
     # critical points
     q = toda.periodic_invariants(4)
     pattern = [0.3, 0.7, 0.3, 0.7, 0.5, -0.2, 0.5, -0.2]
-    decisions = rank_levels(q, np.vstack([pattern, random_states(8, 1, 17)]))
-    below = decisions.singular_values[:, q.k - 1] < decisions.thresholds
+    xs = np.vstack([pattern, random_states(8, 1, 17)])
+    decisions = rank_levels(q, xs)
+    # the documented rule: max(rel_tol * sigma_1, rel_tol * max(1, |x|))
+    sv = singular_values(jacobians(q, xs))
+    thresholds = np.maximum(DEFAULT_RANK_TOL * sv[:, 0], DEFAULT_RANK_TOL * np.maximum(1.0, np.linalg.norm(xs, axis=1)))
+    below = sv[:, q.k - 1] < thresholds
     assert list(below) == [True, False]
     assert list(decisions.ranks < q.k) == [True, False]
 
@@ -159,7 +163,8 @@ def test_classification_is_a_partition():
     a = rank_levels(q, xs)
     b = rank_levels(q, xs)
     assert a.ranks.shape == (1,) and a.ranks[0] == b.ranks[0]
-    assert a.singular_values.tobytes() == b.singular_values.tobytes()
+    assert a.margins.tobytes() == b.margins.tobytes()
+    assert singular_values(jacobians(q, xs)).tobytes() == singular_values(jacobians(q, xs)).tobytes()
 
 
 def _vanishing_probes():
