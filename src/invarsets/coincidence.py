@@ -22,6 +22,7 @@ from .core import (
     _all_finite,
     _all_finite_vector,
     _conservation_rates,
+    _finite_field_rows,
     _state_scales,
     as_state,
     as_states,
@@ -77,14 +78,7 @@ def _checked_rows(label, dim, rows) -> np.ndarray:
                 f"field of '{label}' returned shape {r.shape} at state {row} "
                 f"of {len(rows)}, expected ({dim},)"
             )
-    out = np.array(rows)
-    if not _all_finite(out):
-        row, col = (int(i) for i in np.argwhere(~np.isfinite(out))[0])
-        raise NumericError(
-            f"field of '{label}' produced a non-finite derivative in component {col} "
-            f"at state {row} of {len(rows)}"
-        )
-    return out
+    return _finite_field_rows(label, np.array(rows))
 
 
 def assemble_system(
@@ -102,27 +96,24 @@ def assemble_system(
     and their ``(m, width)`` flat stacks to ``(m, dim)``, row for row bit
     for bit, so a stack makes one ``base`` call, not one per row.  The
     field is ``batched``: a stack makes one stacked derivative evaluation,
-    and its rows equal the point field's bit for bit.  At order 1 the
-    point field calls an analytic gradient and ``base`` once each; every
-    other rule is a batch of one.
-    The field takes a non-finite state as a :class:`NumericError` and a
-    wrong shape as a :class:`UsageError`.
+    and a single state is a stack of one, so ``base`` sees a declared
+    ``(1, dim)`` stack or an undeclared ``(dim,)`` row.  The field takes a
+    non-finite state as a :class:`NumericError` and a wrong shape as a
+    :class:`UsageError`.
     """
     if order < 1:
         raise UsageError(f"driving order must be >= 1, got {order}")
     label = label or f"driven[{'/'.join(quantity.labels)}]"
     dim = quantity.dim
 
-    # the stepper's trial stages overflow on far-out starts: a non-finite
-    # state is a numeric failure, not a bad argument
-    non_finite = f"field of '{label}' evaluated at a non-finite state"
-
-    def stacked(x):
+    def field(x):
         xv = np.asarray(x, dtype=float)
         if xv.shape[-1:] != (dim,):
             as_state(xv, dim)  # raises the shape's UsageError
         if not _all_finite(xv):
-            raise NumericError(non_finite)
+            # the stepper's trial stages overflow on far-out starts: a
+            # non-finite state is a numeric failure, not a bad argument
+            raise NumericError(f"field of '{label}' evaluated at a non-finite state")
         xs = xv.reshape(-1, dim)
         blocks = _derivative_blocks(quantity, xs, order)
         flat = blocks[0] if order == 1 else np.concatenate(blocks, axis=1)
@@ -135,32 +126,6 @@ def assemble_system(
         if out.ndim < 2 or len(out) != len(xs):
             raise UsageError(f"field of '{label}' returned shape {out.shape}, expected {xs.shape}")
         return _checked_rows(label, dim, out)  # raises as the rows one by one would
-
-    if order == 1 and quantity.analytic_gradient is not None and quantity.smoothness_order >= 1:
-        grad, shape = quantity.analytic_gradient, (quantity.k, dim)
-        name = "/".join(quantity.labels)
-
-        def field(x):
-            xv = np.asarray(x, dtype=float)
-            if xv.shape != (dim,):
-                return stacked(xv)
-            if not _all_finite_vector(xv):
-                raise NumericError(non_finite)
-            g = np.asarray(grad(xv), dtype=float)
-            if g.shape != shape:
-                raise UsageError(
-                    f"analytic gradient of '{name}' returned shape {g.shape}, expected {shape}"
-                )
-            flat = g.reshape(-1)
-            if not _all_finite_vector(flat):
-                raise NumericError(f"analytic gradient of '{name}' is non-finite at state 0 of 1")
-            row = np.asarray(base(xv, flat), dtype=float)
-            if row.shape == (dim,) and _all_finite_vector(row):
-                return row
-            return _checked_rows(label, dim, [row])[0]  # raises with the stack path's message
-
-    else:
-        field = stacked
 
     system = SystemDefinition(dim=quantity.dim, field=field, label=label, batched=True)
     return GradientDrivenSystem(quantity=quantity, system=system)

@@ -33,8 +33,22 @@ def _all_finite(a: Array) -> bool:
 def _all_finite_vector(v: Array) -> bool:
     """:func:`_all_finite` for a 1-D vector, first on Python floats: a finite
     sum means every entry is finite, and only a sum that is not (a
-    non-finite entry, or finite entries that overflow) asks numpy."""
+    non-finite entry, or finite entries that overflow) asks numpy.  The
+    closed-form hand-off of the coincidence check tests its rows with it,
+    on the integrator's calls at one state."""
     return math.isfinite(sum(v.tolist())) or _all_finite(v)
+
+
+def _finite_field_rows(label: str, rows: Array) -> Array:
+    """The ``(m, dim)`` field rows of the system ``label``, if every entry is
+    finite; else a :class:`NumericError` naming the first non-finite one."""
+    if not _all_finite(rows):
+        row, col = (int(i) for i in np.argwhere(~np.isfinite(rows))[0])
+        raise NumericError(
+            f"field of '{label}' produced a non-finite derivative in component {col} "
+            f"at state {row} of {len(rows)}"
+        )
+    return rows
 
 
 def as_state(x, dim: int | None = None) -> Array:
@@ -318,11 +332,5 @@ def conservation_rates(quantity: ConservedQuantitySet, system: SystemDefinition,
     if quantity.dim != system.dim:
         raise UsageError(f"quantity dimension {quantity.dim} != system dimension {system.dim}")
     xs = as_states(states, system.dim)
-    fields = system.fields(xs)
-    if not _all_finite(fields):
-        row, col = (int(i) for i in np.argwhere(~np.isfinite(fields))[0])
-        raise NumericError(
-            f"field of '{system.label}' produced a non-finite derivative in component {col} "
-            f"at state {row} of {len(xs)}"
-        )
+    fields = _finite_field_rows(system.label, system.fields(xs))
     return _conservation_rates(quantity, xs, fields)

@@ -469,6 +469,17 @@ def _quantity_of(config, check: _Check, name: str, kind: str, params) -> Conserv
 _STARTS = {"circular": {"a": 1.0, "theta": 0.0}, "random": {"seed": 0, "scale": 1.0}}
 
 
+def _finite_fields(section, defaults: dict[str, Any], where: str, check: str) -> dict[str, Any]:
+    """:func:`_fields` whose values must also be finite, as JSON's
+    ``Infinity`` and ``NaN`` are not: one that is not is a configuration
+    error naming its key."""
+    values = _fields(section, defaults, where, check)
+    for key, value in values.items():
+        if not math.isfinite(value):
+            raise UsageError(f'"{where}{key}" must be finite, got {value!r}')
+    return values
+
+
 def _initial_state(entry, params, dim: int, check: str) -> np.ndarray:
     if entry is None:
         raise UsageError('scenario needs an "initial_state" field')
@@ -487,15 +498,19 @@ def _initial_state(entry, params, dim: int, check: str) -> np.ndarray:
         if "n" not in params:
             raise UsageError("explicit set samples apply to the lattice models")
         p = _section(entry, "params")
-        family = _fields(p, dict.fromkeys(p, 0.0), "initial_state.params.", check)
+        family = _finite_fields(p, dict.fromkeys(p, 0.0), "initial_state.params.", check)
         return toda.explicit_set_sample(_value(entry, "set_id", "", "initial_state."), params["n"], family)
     if form == "circular" and "a" not in params:
         raise UsageError("circular samples apply to the kepler model")
     defaults = {key: params.get(key, default) for key, default in _STARTS[form].items()}
-    v = _fields(_section(entry, form), defaults, f"initial_state.{form}.", check)
+    v = _finite_fields(_section(entry, form), defaults, f"initial_state.{form}.", check)
     if form == "circular":
         return kepler_model.circular_sample(v["a"], v["theta"])
-    return v["scale"] * np.random.default_rng(v["seed"]).standard_normal(dim)
+    with np.errstate(over="ignore"):
+        state = v["scale"] * np.random.default_rng(v["seed"]).standard_normal(dim)
+    if not np.isfinite(state).all():
+        raise UsageError(f'"initial_state.random.scale" overflows the state, got {v["scale"]!r}')
+    return state
 
 
 def run_scenario(config: dict[str, Any]) -> RunReport:

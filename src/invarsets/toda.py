@@ -648,14 +648,24 @@ def explicit_set_sample(set_id: str, n: int, params: Mapping[str, float] | None 
 
     ``params`` supplies the family's free coordinates; constrained
     coordinates are solved.  The odd-n M1_F23 family is a union of two
-    branches selected by passing either ``u1`` or ``u2``.
+    branches selected by passing either ``u1`` or ``u2``.  Parameters
+    whose state is not finite (a constrained coordinate that overflows)
+    are a :class:`UsageError` naming the set and the parameters.
     """
     desc = _family(set_id, n)
     params = dict(params or {})
     alternatives = _SAMPLERS[set_id][n % 2]
     for names, build in alternatives:
         if set(names) == set(params):
-            return _pattern(desc.lattice, n, *build(n, *(params[k] for k in names)))
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    state = _pattern(desc.lattice, n, *build(n, *(params[k] for k in names)))
+            except OverflowError:  # a float's ** raises where a product gives inf
+                pass
+            else:
+                if np.isfinite(state).all():
+                    return state
+            raise UsageError(f"sample of {set_id} with parameters {params} is not a finite state")
     raise UsageError(
         f"sampler for {set_id} with {'odd' if n % 2 else 'even'} n expects parameters "
         f"{' or '.join(str(names) for names, _ in alternatives)}, got {tuple(sorted(params))}"

@@ -351,10 +351,10 @@ def _systems():
         (toda.reduced_dynamics("M2_F123").system, rng.standard_normal((5, 3))),
     ]
     driven = [
-        assemble_system(lambda x, g: block @ g, kepler.hamiltonian()),  # the analytic point path
+        assemble_system(lambda x, g: block @ g, kepler.hamiltonian()),  # an analytic gradient
         assemble_system(lambda x, g: block @ g, kepler.linear_pair_hamiltonian(1.3)),
         assemble_system(lambda x, s: s[:4] - s[4:], pair),
-        assemble_system(lambda x, s: block @ s[:4], kepler.hamiltonian(), 2),  # a batch of one
+        assemble_system(lambda x, s: block @ s[:4], kepler.hamiltonian(), 2),  # order 2
     ]
     # the coincidence check's bases, one base call per stack
     driven += [

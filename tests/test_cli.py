@@ -476,6 +476,32 @@ FLASCHKA = "toda-nonperiodic-flaschka-oracle.json"
             FLASCHKA, {"model": {"kind": "toda-nonperiodic", "n": 128}, "samples": 300},
             [], '"samples" * "model.n"^2 must be at most 4194304 on the free-end lattice',
         ),
+        # finite parameters whose sample overflows: an OverflowError traceback, and
+        # a -inf entry reported only as "state has a non-finite entry at component 1"
+        (
+            RANK, {"initial_state": {"set_id": "M1_I23", "params": {"X1": 1e300, "u1": 1e300, "u2": 0.2}}},
+            [], "sample of M1_I23 with parameters {'X1': 1e+300, 'u1': 1e+300, 'u2': 0.2} is not a finite state",
+        ),
+        (
+            RANK, {"initial_state": {"set_id": "M0_I3", "params": {"X1": 0.5, "u": 1e200}}},
+            [], "sample of M0_I3 with parameters {'X1': 0.5, 'u': 1e+200} is not a finite state",
+        ),
+        # JSON's Infinity: a traceback from np.sin under strict warnings, or a
+        # non-finite state reported without the key
+        (
+            KEPLER, {"initial_state": {"circular": {"a": 1.0, "theta": float("inf")}}},
+            [], '"initial_state.circular.theta" must be finite, got inf',
+        ),
+        (DRIFT, {"initial_state": {"random": {"scale": float("inf")}}}, [], '"initial_state.random.scale" must be finite, got inf'),
+        # a finite scale whose product overflows: a traceback under strict warnings
+        (
+            DRIFT, {"initial_state": {"random": {"seed": 2, "scale": 1e308}}},
+            [], '"initial_state.random.scale" overflows the state, got 1e+308',
+        ),
+        (
+            RANK, {"initial_state": {"set_id": "M2_I123", "params": {"X1": float("nan"), "X2": 0.7, "u1": 0.5, "u2": -0.2}}},
+            [], '"initial_state.params.X1" must be finite, got nan',
+        ),
     ],
     ids=[
         "model-n", "model-n-fraction", "tolerances", "integ", "sample-count", "tolerance-value", "t-end",
@@ -485,7 +511,8 @@ FLASCHKA = "toda-nonperiodic-flaschka-oracle.json"
         "rank-tol-nan", "rank-tol-flag-zero", "critical-rank-tol-one", "model-n-huge", "sample-count-huge",
         "samples-huge", "model-a-huge", "model-a-tiny", "circular-a-tiny", "tolerance-true", "t-end-true",
         "model-a-true", "samples-true", "family-param-true", "initial-state-true", "partials-huge",
-        "lax-entries-huge",
+        "lax-entries-huge", "family-sample-overflow", "family-sample-non-finite", "circular-theta-inf",
+        "random-scale-inf", "random-scale-overflow", "family-param-nan",
     ],
 )
 def test_malformed_config_types_are_config_errors(tmp_path, capsys, scenario, change, flags, named):

@@ -425,7 +425,7 @@ def test_assembled_system_label():
 
 
 # ---------------------------------------------------------------------------
-# stacked driven field and conservation scan: each equals the point path
+# stacked driven field and conservation scan: each equals its point rows
 # ---------------------------------------------------------------------------
 
 STACK_SETTINGS = settings(max_examples=15, deadline=None)
@@ -479,8 +479,7 @@ def _summed_symplectic_base(dof):
 @STACK_SETTINGS
 @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 9))
 def test_stacked_driven_field_rows_equal_point_field(seed, count):
-    # one case per derivative rule: the point field of an analytic gradient
-    # at order 1 skips the batch of one, every other rule is such a batch
+    # one case per derivative rule; a point call is a batch of one
     kepler_states = random_kepler_states(count, seed)
     plane_states = np.random.default_rng(seed).uniform(-2.0, 2.0, (count, 2))
     toda_states = random_toda_physical(3, count, seed)
@@ -588,14 +587,23 @@ def _counted(base, calls):
 
 
 def test_batched_base_is_called_once_per_stack_and_an_undeclared_one_per_row():
+    # a single state is a stack of one: a declared base sees it as one
     xs, q, block = random_kepler_states(5, 3), kepler.hamiltonian(), canonical_symplectic_matrix(2)
     for order, width in ((1, 4), (2, 4 + 16)):
         calls = []
-        rows = assemble_system(_counted(lambda x, s: s[..., :4] @ block.T, calls), q, order, batched=True).fields(xs)
+        declared = assemble_system(_counted(lambda x, s: s[..., :4] @ block.T, calls), q, order, batched=True)
+        rows = declared.fields(xs)
         assert calls == [((5, 4), (5, width))]
+        calls.clear()
+        assert declared.system.field(xs[0]).tobytes() == rows[0].tobytes()
+        assert calls == [((1, 4), (1, width))]
         calls = []
-        assert rows.tobytes() == assemble_system(_counted(lambda x, s: block @ s[:4], calls), q, order).fields(xs).tobytes()
+        undeclared = assemble_system(_counted(lambda x, s: block @ s[:4], calls), q, order)
+        assert rows.tobytes() == undeclared.fields(xs).tobytes()
         assert calls == [((4,), (width,))] * 5
+        calls.clear()
+        assert undeclared.system.field(xs[0]).tobytes() == rows[0].tobytes()
+        assert calls == [((4,), (width,))]
 
 
 def _faulty_batched_base(fault, where=lambda x: True):
@@ -677,7 +685,7 @@ def test_point_field_at_a_state_whose_sum_overflows_returns_its_row(x):
 
 
 def test_point_field_takes_a_non_finite_state_as_a_numeric_error():
-    # both derivative rules: an analytic gradient at order 1, and a batch of one
+    # an analytic gradient at order 1, and finite differences at order 2
     for driven, dim in (
         (assemble_system(_symplectic_base(), kepler.hamiltonian()), 4),
         (assemble_system(_laplacian_coupled_base(0.1), oscillator.unit_circle_power(3), 2), 2),

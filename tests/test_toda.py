@@ -312,6 +312,13 @@ def test_sampler_rejects_malformed_params():
         toda.explicit_set_sample("M2_F123", 0, {"X": 0.1, "u1": 0.2, "u2": 0.3})
     with pytest.raises(UsageError, match="n >= 2, got n=4.0"):
         toda.explicit_set_sample("M2_I123", 4.0, full)
+    # finite parameters whose sample overflows: a float's ** raises, a
+    # product gives inf, and numpy scalars warn
+    for params in ({"X1": 1e300, "u1": 1e300, "u2": 0.2}, {"X1": np.float64(1e300), "u1": np.float64(1e300), "u2": 0.2}):
+        with pytest.raises(UsageError, match="sample of M1_I23 with parameters .* is not a finite state"):
+            toda.explicit_set_sample("M1_I23", 4, params)
+    with pytest.raises(UsageError, match="sample of M0_I3 with parameters .* is not a finite state"):
+        toda.explicit_set_sample("M0_I3", 4, {"X1": 0.5, "u": 1e200})
     with pytest.raises(UsageError, match="n >= 2, got n=1"):
         toda.explicit_set_residual("M2_I123", 1, np.zeros(2))
     with pytest.raises(UsageError, match="n >= 2, got n=4.0"):
