@@ -47,7 +47,7 @@ for set_id, params in even_params.items():
         lambda s, _id=set_id: toda.explicit_set_residual(_id, n, s),
         x0,
         t_end=10.0,
-        tol=1e-7,
+        tolerances={"residual": 1e-7},
     )
     print(
         f"{set_id}: rank {rank} (nominal {nominal}); persistence "

@@ -38,8 +38,8 @@ for a in (1.0, 1.5):
         kepler.linear_pair_hamiltonian(a),
         x0,
         period,
-        deviation_tol=1e-6,
         batched=True,
+        tolerances={"deviation": 1e-6},
     )
     print(f"verdict: {report.verdict}")
     print(f"max deviation between the two flows: {report.worst_value:.3e}")

@@ -27,13 +27,13 @@ for order in (1, 2, 3):
 
 print()
 report = verify_vanishing_invariance(
-    system, quantity, x0, order=2, t_end=2 * np.pi, abs_tol=1e-4
+    system, quantity, x0, 2 * np.pi, order=2, tolerances={"vanishing": 1e-4}
 )
 print("order-2 membership along one full rotation:", report.verdict)
 print("worst residual along the flow:", f"{report.worst_value:+.3e}")
 
 report3 = verify_vanishing_invariance(
-    system, quantity, x0, order=3, t_end=2 * np.pi, abs_tol=1e-4
+    system, quantity, x0, 2 * np.pi, order=3, tolerances={"vanishing": 1e-4}
 )
 print("order-3 attempt:", report3.verdict, "-", report3.message)
 

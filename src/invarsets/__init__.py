@@ -25,6 +25,7 @@ from .differentiate import jacobians
 from .errors import IntegrationError, InvarsetsError, NumericError, UsageError
 from .integrate import (
     DriftReport,
+    IntegratorSettings,
     IntegratorStats,
     Trajectory,
     flow_adaptive,
@@ -62,6 +63,7 @@ __all__ = [
     "Trajectory",
     "DriftReport",
     "IntegratorStats",
+    "IntegratorSettings",
     "flow_adaptive",
     "monitor_drift",
     "RankDecisions",

@@ -12,7 +12,7 @@ driven fields or through closed forms checked against them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -24,21 +24,14 @@ from .core import (
     _conservation_rates,
     _finite_field_rows,
     _state_scales,
+    _tolerances,
     as_state,
     as_states,
 )
 from .differentiate import _flat_block, _partial_stack
 from .errors import IntegrationError, NumericError, UsageError
-from .integrate import (
-    DEFAULT_ABS_TOL,
-    DEFAULT_REL_TOL,
-    DEFAULT_SAMPLE_COUNT,
-    flow_adaptive,
-)
+from .integrate import IntegratorSettings, flow_adaptive
 from .invariance import FAIL, HYPOTHESIS_ERROR, PASS, InvarianceReport
-
-DEFAULT_HYPOTHESIS_TOL = 1e-8
-DEFAULT_DEVIATION_TOL = 1e-6
 
 
 def _derivative_blocks(
@@ -223,21 +216,21 @@ def verify_coincidence(
     g_quantity: ConservedQuantitySet,
     x0,
     t_end: float,
+    *,
     order: int = 1,
-    deviation_tol: float = DEFAULT_DEVIATION_TOL,
-    hypothesis_tol: float = DEFAULT_HYPOTHESIS_TOL,
-    abs_tol: float = DEFAULT_ABS_TOL,
-    rel_tol: float = DEFAULT_REL_TOL,
-    sample_count: int = DEFAULT_SAMPLE_COUNT,
     batched: bool = False,
     closed_forms: tuple[SystemDefinition, SystemDefinition] | None = None,
+    integ: IntegratorSettings = IntegratorSettings(),
+    tolerances: Mapping[str, float] | None = None,
 ) -> InvarianceReport:
     """Integrate both driven systems from ``x0`` and compare trajectories.
 
     Hypotheses checked first: the derivative stacks of F and G agree at
     ``x0`` up to ``order``, and F - G is conserved along the F-driven flow
-    (sampled).  When they fail the verdict is a hypothesis error and the
-    measured deviation is recorded as a diagnostic.  ``batched`` is
+    (sampled), each within the tolerance ``hypothesis`` relative to
+    ``max(1, |x|)``.  When they fail the verdict is a hypothesis error and
+    the measured deviation is recorded as a diagnostic; otherwise the flows
+    coincide when they are at most ``deviation`` apart.  ``batched`` is
     ``base``'s declaration, as in :func:`assemble_system`.  The report's
     ``trajectory`` is the F-driven flow, ``worst_value`` and ``worst_time``
     the largest deviation of the G-driven flow from it (inf when an
@@ -258,9 +251,10 @@ def verify_coincidence(
     give a non-finite row at a non-finite state, as one that reads every
     component does.
     """
+    tol = _tolerances(tolerances, ("deviation", "hypothesis"))
     x0v = as_state(x0, f_quantity.dim)
     e_res = agreement_residual(f_quantity, g_quantity, x0v, order)
-    on_set = e_res <= hypothesis_tol * float(_state_scales(x0v)) < np.inf
+    on_set = e_res <= tol["hypothesis"] * float(_state_scales(x0v)) < np.inf
 
     sys_f = assemble_system(base, f_quantity, order, label="driven-F", batched=batched)
     sys_g = assemble_system(base, g_quantity, order, label="driven-G", batched=batched)
@@ -269,8 +263,8 @@ def verify_coincidence(
         flow_f = _closed_form_system(closed_forms[0], flow_f)
         flow_g = _closed_form_system(closed_forms[1], flow_g)
     try:
-        traj_f = flow_adaptive(flow_f, x0v, t_end, abs_tol, rel_tol, sample_count)
-        traj_g = flow_adaptive(flow_g, x0v, t_end, abs_tol, rel_tol, sample_count)
+        traj_f = flow_adaptive(flow_f, x0v, t_end, integ=integ)
+        traj_g = flow_adaptive(flow_g, x0v, t_end, integ=integ)
     except IntegrationError as exc:
         if not on_set:
             # the start violates the agreement hypothesis and one flow left
@@ -295,7 +289,7 @@ def verify_coincidence(
         deviations = np.linalg.norm(traj_f.states - traj_g.states, axis=1)
     # as at the start, a state whose norm overflows fails the premise
     drift = float(np.max(np.abs(rates).max(axis=1) / scales)) if _all_finite(scales) else np.inf
-    conserved = drift <= hypothesis_tol
+    conserved = drift <= tol["hypothesis"]
 
     worst_idx = int(np.argmax(deviations))
     max_dev = float(deviations[worst_idx])
@@ -312,10 +306,10 @@ def verify_coincidence(
         reasons.append(f"F-G is not conserved along the first flow (residual {drift:.3e})")
     if reasons:
         verdict, message = HYPOTHESIS_ERROR, "; ".join(reasons)
-    elif max_dev <= deviation_tol:
+    elif max_dev <= tol["deviation"]:
         verdict, message = PASS, f"flows coincide: max deviation {max_dev:.3e}"
     else:
-        verdict, message = FAIL, f"flows deviate by {max_dev:.3e} > tol {deviation_tol:.1e}"
+        verdict, message = FAIL, f"flows deviate by {max_dev:.3e} > tol {tol['deviation']:.1e}"
 
     return InvarianceReport(
         verdict=verdict,

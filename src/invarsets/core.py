@@ -303,6 +303,44 @@ def stack_quantities(quantities: Sequence[ConservedQuantitySet]) -> ConservedQua
     )
 
 
+# Every tolerance a check reads, by its name under a scenario's "tolerances",
+# with its default: the one place these defaults are written.
+TOLERANCES = {
+    "conservation": 1e-8,  # |grad F_i . f| at the start, relative to max(1, |x|)
+    "rank": 1e-8,  # rank threshold relative to sigma_1; a scenario's top-level rank_tol
+    "vanishing": 1e-8,  # largest partial, relative to max(1, |x|)
+    "residual": 1e-7,  # explicit-set residual
+    "deviation": 1e-6,  # distance between the two coincidence flows
+    "hypothesis": 1e-8,  # agreement residual and F - G rate, relative to max(1, |x|)
+    "drift": 1e-8,  # largest |F_i(x(t)) - F_i(x0)| over the samples
+    "value": 1e-12,  # closed-form invariant against its oracle, and the Lax residual
+    "gradient": 1e-6,  # closed-form gradient against its finite differences
+}
+
+
+def _tolerance(name: str, value, key: str = "") -> float:
+    """``value`` if it obeys the rule of the tolerance ``name`` (positive and
+    finite, and below 1 for ``rank``); else a :class:`UsageError` naming
+    ``key``, by default ``tolerances.<name>``."""
+    key = key or f"tolerances.{name}"
+    if name == "rank" and not 0.0 < value < 1.0:
+        raise UsageError(f'"{key}" must lie in (0, 1), got {value!r}')
+    if not 0.0 < value < math.inf:
+        raise UsageError(f'"{key}" must be positive and finite, got {value!r}')
+    return value
+
+
+def _tolerances(given, names: tuple[str, ...]) -> dict[str, float]:
+    """The tolerances ``names`` of one check, each from the mapping ``given``
+    (None for none) or else from :data:`TOLERANCES`, and each checked; a
+    name in ``given`` that the check does not read is a :class:`UsageError`."""
+    given = given or {}
+    unknown = [key for key in given if key not in names]
+    if unknown:
+        raise UsageError(f'unknown tolerance "{unknown[0]}"; this check reads {", ".join(names)}')
+    return {name: _tolerance(name, given.get(name, TOLERANCES[name])) for name in names}
+
+
 def _state_scales(xs: Array) -> Array:
     """``max(1, |x|)`` per row of an ``(m, dim)`` stack, the scale of every
     state-relative tolerance (bit for bit ``np.linalg.norm`` of the row), and

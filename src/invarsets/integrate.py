@@ -15,8 +15,9 @@ would fall below ten spacings of the floats at the current time or after
 100,000 step attempts (a fast oscillation would otherwise run on).  Every
 constant and every floating-point operation is the one scipy's ``DOP853``
 uses, so the two produce the same trajectories bit for bit.
-Default tolerances are 1e-10 so that downstream theorem checks comparing
-residuals at ~1e-7 sit comfortably above the integration error.
+The default tolerances of :class:`IntegratorSettings` are 1e-10 so that
+downstream theorem checks comparing residuals at ~1e-7 sit comfortably
+above the integration error.
 
 Distinct integrations share no state and may run concurrently; a single
 integration is sequential, and trajectories are immutable once returned.
@@ -32,10 +33,6 @@ import numpy as np
 
 from .core import ConservedQuantitySet, SystemDefinition, _all_finite, as_state, evaluate_field
 from .errors import IntegrationError, NumericError, UsageError
-
-DEFAULT_ABS_TOL = 1e-10
-DEFAULT_REL_TOL = 1e-10
-DEFAULT_SAMPLE_COUNT = 401
 
 # Dormand-Prince 8(5,3), as in Hairer's DOP853: rows 1-11 of the stage
 # matrix A give the twelve stages of a step and row 12 is the 8th-order
@@ -180,38 +177,44 @@ def _check_horizon(name: str, value: float) -> None:
         raise UsageError(f"{name} must be a positive finite number, got {value}")
 
 
-def _check_tolerances(abs_tol: float, rel_tol: float) -> None:
-    for name, tol in (("abs_tol", abs_tol), ("rel_tol", rel_tol)):
-        if not 0.0 < tol <= 1e-2:
-            raise UsageError(f"{name} must lie in (0, 1e-2], got {tol}")
+@dataclass(frozen=True)
+class IntegratorSettings:
+    """How a flow is integrated: the error tolerances of every step, each in
+    (0, 1e-2], and the number of uniform samples, an integer >= 2.  The
+    defaults are the library's and a scenario's "integ" section's."""
+
+    abs_tol: float = 1e-10
+    rel_tol: float = 1e-10
+    sample_count: int = 401
+
+    def __post_init__(self):
+        for name in ("abs_tol", "rel_tol"):
+            tol = getattr(self, name)
+            if not 0.0 < tol <= 1e-2:
+                raise UsageError(f"{name} must lie in (0, 1e-2], got {tol}")
+        if not (self.sample_count >= 2 and float(self.sample_count).is_integer()):
+            raise UsageError(f"sample_count must be an integer >= 2, got {self.sample_count}")
 
 
 def flow_adaptive(
-    system: SystemDefinition,
-    x0,
-    t_end: float,
-    abs_tol: float = DEFAULT_ABS_TOL,
-    rel_tol: float = DEFAULT_REL_TOL,
-    sample_count: int = DEFAULT_SAMPLE_COUNT,
+    system: SystemDefinition, x0, t_end: float, *, integ: IntegratorSettings = IntegratorSettings()
 ) -> Trajectory:
-    """Integrate with the adaptive Dormand-Prince 8(5,3) pair.
+    """Integrate with the adaptive Dormand-Prince 8(5,3) pair, at the
+    tolerances of ``integ``.
 
-    States are reported at ``sample_count`` uniformly spaced times via the
-    integrator's dense interpolant.  Step-size underflow (stiffness or a
+    States are reported at ``integ.sample_count`` uniformly spaced times via
+    the integrator's dense interpolant.  Step-size underflow (stiffness or a
     field singularity), a spent step budget, a :class:`NumericError` from
     the field and a non-finite sample raise :class:`IntegrationError`
     carrying the last sample time reached; overflow and invalid-value
     warnings are silenced.
     """
     _check_horizon("t_end", t_end)
-    _check_tolerances(abs_tol, rel_tol)
-    if not (sample_count >= 2 and float(sample_count).is_integer()):
-        raise UsageError(f"sample_count must be an integer >= 2, got {sample_count}")
     x0v = as_state(x0, system.dim)
 
-    t_eval = np.linspace(0.0, float(t_end), int(sample_count))
+    t_eval = np.linspace(0.0, float(t_end), int(integ.sample_count))
     with np.errstate(over="ignore", invalid="ignore"):
-        states, accepted, rejected, dense = _dop853(system, x0v, t_eval, abs_tol, rel_tol)
+        states, accepted, rejected, dense = _dop853(system, x0v, t_eval, integ.abs_tol, integ.rel_tol)
     states[0] = x0v
     if not _all_finite(states):
         bad = int(np.flatnonzero(~np.isfinite(states).all(axis=1))[0])

@@ -23,37 +23,21 @@ invariant).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Mapping
 
 import numpy as np
 
-from .core import ConservedQuantitySet, SystemDefinition, _conservation_rates, _state_scales
+from .core import ConservedQuantitySet, SystemDefinition, _conservation_rates, _state_scales, _tolerances
 from .core import as_state, evaluate_field
 from .errors import UsageError
-from .integrate import (
-    DEFAULT_ABS_TOL,
-    DEFAULT_REL_TOL,
-    DEFAULT_SAMPLE_COUNT,
-    DriftReport,
-    Trajectory,
-    flow_adaptive,
-    monitor_drift,
-)
-from .rank_sets import (
-    BORDERLINE_MARGIN,
-    DEFAULT_RANK_TOL,
-    DEFAULT_VANISH_TOL,
-    _margins,
-    rank_levels,
-    vanishing_memberships,
-)
+from .integrate import DriftReport, IntegratorSettings, Trajectory, flow_adaptive, monitor_drift
+from .rank_sets import BORDERLINE_MARGIN, _margins, rank_levels, vanishing_memberships
 
 PASS = "pass"
 FAIL = "fail"
 BORDERLINE = "borderline"
 HYPOTHESIS_ERROR = "hypothesis-error"
 
-DEFAULT_CONSERVATION_TOL = 1e-8
 EQUILIBRIUM_TOL = 1e-12
 
 
@@ -107,14 +91,14 @@ def _certify(system, x0, t_end, integ, classify, quantity, f0=None, **fields) ->
     """Integrate from an accepted start, classify every sample and apply
     the verdict rule.
 
-    ``integ`` is (abs_tol, rel_tol, sample_count).  ``classify(traj)``
+    ``integ`` is the :class:`IntegratorSettings`.  ``classify(traj)``
     returns the per-sample values (rank or residual), the per-sample
     inside flags and margins, the index of the worst sample and the
     message.  ``quantity``, when given, has its drift monitored.  ``f0``
     is the field at ``x0`` when the premise evaluated it; a start where it
     is numerically zero is an equilibrium.
     """
-    traj = flow_adaptive(system, x0, t_end, *integ)
+    traj = flow_adaptive(system, x0, t_end, integ=integ)
     with np.errstate(over="ignore"):
         speed = float(np.linalg.norm(evaluate_field(system, x0) if f0 is None else f0))
     values, inside, margins, worst, message = classify(traj)
@@ -139,12 +123,13 @@ def _certify(system, x0, t_end, integ, classify, quantity, f0=None, **fields) ->
     )
 
 
-def _verify_rank(critical: bool, system, quantity, x0, t_end, rank_tol, conservation_tol, integ):
+def _verify_rank(critical: bool, system, quantity, x0, t_end, integ, tolerances):
     """Rank-level and critical checks: one rank classifier, whose predicate
     is ``rank == initial`` for the rank level and, when ``critical``,
     ``rank < k`` for the critical set."""
-    x0v, f0, broken = _conservation_premise(system, quantity, x0, conservation_tol)
-    initial = int(rank_levels(quantity, x0v[None, :], rank_tol).ranks[0])
+    tol = _tolerances(tolerances, ("rank", "conservation"))
+    x0v, f0, broken = _conservation_premise(system, quantity, x0, tol["conservation"])
+    initial = int(rank_levels(quantity, x0v[None, :], tol["rank"]).ranks[0])
     if broken is None and critical and initial >= quantity.k:
         broken = (
             f"start is not a critical point: rank {initial} equals the maximum rank k={quantity.k}"
@@ -153,7 +138,7 @@ def _verify_rank(critical: bool, system, quantity, x0, t_end, rank_tol, conserva
         return InvarianceReport(HYPOTHESIS_ERROR, broken, initial_rank=initial)
 
     def classify(traj):
-        decisions = rank_levels(quantity, traj.states, rank_tol)
+        decisions = rank_levels(quantity, traj.states, tol["rank"])
         ranks = decisions.ranks
         if critical:
             inside = ranks < quantity.k
@@ -173,16 +158,15 @@ def verify_rank_invariance(
     quantity: ConservedQuantitySet,
     x0,
     t_end: float,
-    rank_tol: float = DEFAULT_RANK_TOL,
-    conservation_tol: float = DEFAULT_CONSERVATION_TOL,
-    abs_tol: float = DEFAULT_ABS_TOL,
-    rel_tol: float = DEFAULT_REL_TOL,
-    sample_count: int = DEFAULT_SAMPLE_COUNT,
+    *,
+    integ: IntegratorSettings = IntegratorSettings(),
+    tolerances: Mapping[str, float] | None = None,
 ) -> InvarianceReport:
     """Certify that the Jacobian rank of a conserved quantity is constant
-    along the flow from ``x0``."""
-    integ = (abs_tol, rel_tol, sample_count)
-    return _verify_rank(False, system, quantity, x0, t_end, rank_tol, conservation_tol, integ)
+    along the flow from ``x0``.  ``tolerances`` may set ``rank`` (the
+    relative rank threshold, in (0, 1)) and ``conservation`` (the start's
+    largest ``|grad F_i . f|``, relative to ``max(1, |x|)``)."""
+    return _verify_rank(False, system, quantity, x0, t_end, integ, tolerances)
 
 
 def verify_critical_invariance(
@@ -190,35 +174,34 @@ def verify_critical_invariance(
     quantity: ConservedQuantitySet,
     x0,
     t_end: float,
-    rank_tol: float = DEFAULT_RANK_TOL,
-    conservation_tol: float = DEFAULT_CONSERVATION_TOL,
-    abs_tol: float = DEFAULT_ABS_TOL,
-    rel_tol: float = DEFAULT_REL_TOL,
-    sample_count: int = DEFAULT_SAMPLE_COUNT,
+    *,
+    integ: IntegratorSettings = IntegratorSettings(),
+    tolerances: Mapping[str, float] | None = None,
 ) -> InvarianceReport:
-    """Certify that criticality (rank below k) persists along the flow."""
-    integ = (abs_tol, rel_tol, sample_count)
-    return _verify_rank(True, system, quantity, x0, t_end, rank_tol, conservation_tol, integ)
+    """Certify that criticality (rank below k) persists along the flow;
+    ``tolerances`` as for :func:`verify_rank_invariance`."""
+    return _verify_rank(True, system, quantity, x0, t_end, integ, tolerances)
 
 
 def verify_vanishing_invariance(
     system: SystemDefinition,
     quantity: ConservedQuantitySet,
     x0,
-    order: int,
     t_end: float,
-    abs_tol: float = DEFAULT_VANISH_TOL,
-    conservation_tol: float = DEFAULT_CONSERVATION_TOL,
-    integ_abs_tol: float = DEFAULT_ABS_TOL,
-    integ_rel_tol: float = DEFAULT_REL_TOL,
-    sample_count: int = DEFAULT_SAMPLE_COUNT,
+    *,
+    order: int,
+    integ: IntegratorSettings = IntegratorSettings(),
+    tolerances: Mapping[str, float] | None = None,
 ) -> InvarianceReport:
     """Certify that membership in the order-``order`` derivative-vanishing
-    set persists along the flow from ``x0``."""
-    x0v, f0, broken = _conservation_premise(system, quantity, x0, conservation_tol)
+    set persists along the flow from ``x0``.  ``tolerances`` may set
+    ``vanishing`` (the largest partial, relative to ``max(1, |x|)``) and
+    ``conservation`` (as for :func:`verify_rank_invariance`)."""
+    tol = _tolerances(tolerances, ("vanishing", "conservation"))
+    x0v, f0, broken = _conservation_premise(system, quantity, x0, tol["conservation"])
     if broken is not None:
         return InvarianceReport(verdict=HYPOTHESIS_ERROR, message=broken)
-    start = vanishing_memberships(quantity, x0v[None, :], order, abs_tol)
+    start = vanishing_memberships(quantity, x0v[None, :], order, tol["vanishing"])
     threshold = float(start.thresholds[0])
     if not start.verdicts[0]:
         return InvarianceReport(
@@ -231,13 +214,12 @@ def verify_vanishing_invariance(
         )
 
     def classify(traj):
-        members = vanishing_memberships(quantity, traj.states, order, abs_tol)
+        members = vanishing_memberships(quantity, traj.states, order, tol["vanishing"])
         residuals, inside = members.residuals, members.verdicts
         held = f"{int(np.sum(inside))}/{len(inside)}"
         message = f"order-{order} vanishing membership held at {held} samples"
         return residuals, inside, members.margins, int(np.argmax(residuals)), message
 
-    integ = (integ_abs_tol, integ_rel_tol, sample_count)
     return _certify(system, x0v, t_end, integ, classify, quantity, f0, threshold=threshold)
 
 
@@ -256,14 +238,13 @@ def verify_set_persistence(
     residual_fn: Callable[[np.ndarray], np.ndarray],
     x0,
     t_end: float,
-    tol: float,
-    abs_tol: float = DEFAULT_ABS_TOL,
-    rel_tol: float = DEFAULT_REL_TOL,
-    sample_count: int = DEFAULT_SAMPLE_COUNT,
+    *,
     quantity: ConservedQuantitySet | None = None,
+    integ: IntegratorSettings = IntegratorSettings(),
+    tolerances: Mapping[str, float] | None = None,
 ) -> InvarianceReport:
-    """Certify that a nonnegative set-membership residual stays below
-    ``tol`` along the flow from ``x0``.
+    """Certify that a nonnegative set-membership residual stays below the
+    tolerance ``residual`` along the flow from ``x0``.
 
     ``residual_fn`` maps an ``(m, dim)`` stack to the ``(m,)`` distances
     from the set (zero means exact membership); any other result shape is
@@ -271,8 +252,7 @@ def verify_set_persistence(
     set and ``r / tol`` outside, as for :class:`SetMemberships`.  When
     ``quantity`` is supplied its drift is monitored as corroborating evidence.
     """
-    if tol <= 0:
-        raise UsageError(f"tol must be positive, got {tol}")
+    tol = _tolerances(tolerances, ("residual",))["residual"]
     x0v = as_state(x0, system.dim)
     r0 = float(_set_residuals(residual_fn, x0v[None, :])[0])
     if r0 > tol:
@@ -292,5 +272,4 @@ def verify_set_persistence(
         )
         return residuals, inside, margins, worst, message
 
-    integ = (abs_tol, rel_tol, sample_count)
     return _certify(system, x0v, t_end, integ, classify, quantity, threshold=tol)

@@ -21,12 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConservedQuantitySet, _state_scales, as_states
+from .core import TOLERANCES, ConservedQuantitySet, _state_scales, _tolerance, as_states
 from .differentiate import _partial_stack, jacobians
-from .errors import NumericError, UsageError
+from .errors import NumericError
 
-DEFAULT_RANK_TOL = 1e-8
-DEFAULT_VANISH_TOL = 1e-8
 ZERO_SIGMA_GUARD = 1e-300
 BORDERLINE_MARGIN = 10.0
 
@@ -103,7 +101,7 @@ def _decide(matrices: np.ndarray, rel_tol: float, zero_floor: np.ndarray) -> Ran
 
 
 def rank_levels(
-    quantity: ConservedQuantitySet, states, rel_tol: float = DEFAULT_RANK_TOL
+    quantity: ConservedQuantitySet, states, rel_tol: float = TOLERANCES["rank"]
 ) -> RankDecisions:
     """Numerical rank of the quantity's Jacobian at every state of an
     (m, dim) stack, from one stacked Jacobian and one stacked SVD.
@@ -113,26 +111,25 @@ def rank_levels(
     gradient entry is numerically zero (round-off of an exactly critical
     point) classify as rank 0 rather than picking up a spurious rank from
     a ~1e-16 singular value.  This aligns the rank-0 decision with the
-    first-order vanishing test at matched tolerances.
+    first-order vanishing test at matched tolerances.  ``rel_tol`` must lie
+    in (0, 1).
     """
-    if not 0.0 < rel_tol < 1.0:
-        raise UsageError(f"rel_tol must lie in (0, 1), got {rel_tol}")
+    _tolerance("rank", rel_tol, "rel_tol")
     xs = as_states(states, quantity.dim)
     J = jacobians(quantity, xs)
     return _decide(J, rel_tol, rel_tol * _state_scales(xs))
 
 
 def vanishing_memberships(
-    quantity: ConservedQuantitySet, states, order: int, abs_tol: float = DEFAULT_VANISH_TOL
+    quantity: ConservedQuantitySet, states, order: int, abs_tol: float = TOLERANCES["vanishing"]
 ) -> SetMemberships:
     """Do all partials of all components up to ``order`` vanish at each
     state of an (m, dim) stack?  One stacked partial builder for the stack.
 
     The verdict is true iff every partial is at most ``abs_tol * max(1, |x|)``
-    in magnitude.
+    in magnitude; ``abs_tol`` must be positive and finite.
     """
-    if abs_tol <= 0:
-        raise UsageError(f"abs_tol must be positive, got {abs_tol}")
+    _tolerance("vanishing", abs_tol, "abs_tol")
     xs = as_states(states, quantity.dim)
     partials = np.concatenate(list(_partial_stack(quantity, xs, order).values()), axis=1)
     worst = np.abs(partials).max(axis=1)

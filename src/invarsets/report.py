@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
@@ -23,24 +23,18 @@ import numpy as np
 
 from . import __version__
 from .core import (
+    TOLERANCES,
     ConservedQuantitySet,
     SystemDefinition,
+    _tolerance,
     as_state,
     format_float,
     stack_quantities,
 )
 from .differentiate import jacobians
 from .errors import IntegrationError, NumericError, UsageError
-from .integrate import (
-    DEFAULT_ABS_TOL,
-    DEFAULT_REL_TOL,
-    DEFAULT_SAMPLE_COUNT,
-    Trajectory,
-    flow_adaptive,
-    monitor_drift,
-)
+from .integrate import IntegratorSettings, Trajectory, flow_adaptive, monitor_drift
 from .invariance import (
-    DEFAULT_CONSERVATION_TOL,
     FAIL,
     HYPOTHESIS_ERROR,
     PASS,
@@ -49,12 +43,8 @@ from .invariance import (
     verify_set_persistence,
     verify_vanishing_invariance,
 )
-from .coincidence import (
-    DEFAULT_DEVIATION_TOL,
-    DEFAULT_HYPOTHESIS_TOL,
-    verify_coincidence,
-)
-from .rank_sets import DEFAULT_RANK_TOL, DEFAULT_VANISH_TOL, singular_values
+from .coincidence import verify_coincidence
+from .rank_sets import singular_values
 from . import kepler as kepler_model
 from . import toda
 
@@ -146,10 +136,7 @@ _AT_LEAST = {"seed": 0, "samples": 1}  # integer settings no library call range-
 _AT_MOST = {"n": 256, "samples": 10_000, "sample_count": 10_001}  # sizes that keep arrays small
 _MAX_LAX_ENTRIES = 2**22  # samples * n**2 on the free-end lattice: one n-by-n Lax matrix per sample
 # settings with a domain of their own: the test and what it asks for
-_DOMAINS = {
-    "rank_tol": (lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
-    "a": (kepler_model.valid_radius, "be positive, with a^3 and 1/a^3 finite and non-zero"),
-}
+_DOMAINS = {"a": (kepler_model.valid_radius, "be positive, with a^3 and 1/a^3 finite and non-zero")}
 
 
 def _value(section, key: str, default, where: str = ""):
@@ -232,10 +219,7 @@ def _invariance_outcome(rep, **evidence) -> _Outcome:
 def _run_rank(s: _Scenario) -> _Outcome:
     """The rank-invariance and critical-invariance checks."""
     verify = verify_critical_invariance if s.check == "critical-invariance" else verify_rank_invariance
-    rep = verify(
-        s.system, s.quantity, s.x0, s.t_end,
-        rank_tol=s.keys["rank_tol"], conservation_tol=s.tol["conservation"], **s.integ,
-    )
+    rep = verify(s.system, s.quantity, s.x0, s.t_end, integ=s.integ, tolerances=s.tol)
     ranks = [] if rep.sample_values is None else np.unique(rep.sample_values).tolist()
     return _invariance_outcome(
         rep, initial_rank=rep.initial_rank, ranks_seen=ranks, min_margin=float(rep.min_margin),
@@ -245,10 +229,7 @@ def _run_rank(s: _Scenario) -> _Outcome:
 
 def _run_vanishing(s: _Scenario) -> _Outcome:
     rep = verify_vanishing_invariance(
-        s.system, s.quantity, s.x0, s.keys["order"], s.t_end,
-        abs_tol=s.tol["vanishing"], conservation_tol=s.tol["conservation"],
-        integ_abs_tol=s.integ["abs_tol"], integ_rel_tol=s.integ["rel_tol"],
-        sample_count=s.integ["sample_count"],
+        s.system, s.quantity, s.x0, s.t_end, order=s.keys["order"], integ=s.integ, tolerances=s.tol,
     )
     return _invariance_outcome(
         rep, worst_residual=float(rep.worst_value), worst_time=float(rep.worst_time),
@@ -270,7 +251,7 @@ def _run_set_persistence(s: _Scenario) -> _Outcome:
         )
     rep = verify_set_persistence(
         s.system, lambda zs: toda.explicit_set_residual(set_id, n, zs), s.x0, s.t_end,
-        tol=s.tol["residual"], quantity=s.quantity, **s.integ,
+        quantity=s.quantity, integ=s.integ, tolerances=s.tol,
     )
     return _invariance_outcome(
         rep, set_id=set_id, max_residual=float(rep.worst_value), worst_time=float(rep.worst_time),
@@ -294,9 +275,8 @@ def _run_coincidence(s: _Scenario) -> _Outcome:
     rep = verify_coincidence(
         _symplectic_base,
         kepler_model.hamiltonian(), kepler_model.linear_pair_hamiltonian(s.params["a"]),
-        s.x0, s.t_end,
-        deviation_tol=s.tol["deviation"], hypothesis_tol=s.tol["hypothesis"], batched=True,
-        closed_forms=(s.system, kepler_model.linear_pair_field(s.params["a"])), **s.integ,
+        s.x0, s.t_end, batched=True, closed_forms=(s.system, kepler_model.linear_pair_field(s.params["a"])),
+        integ=s.integ, tolerances=s.tol,
     )
     # the F-driven field J grad H is the Kepler field, checked bit for bit
     # on every sample, so its flow is the model's
@@ -353,7 +333,7 @@ def _run_oracle_equality(s: _Scenario) -> _Outcome:
 
 
 def _run_drift(s: _Scenario) -> _Outcome:
-    traj = flow_adaptive(s.system, s.x0, s.t_end, **s.integ)
+    traj = flow_adaptive(s.system, s.x0, s.t_end, integ=s.integ)
     drift = monitor_drift(traj, s.quantity)
     tol = s.tol["drift"]
     evidence = {"worst_drift": drift.worst, "tol": tol, **_drift_evidence(drift)}
@@ -364,34 +344,32 @@ def _run_drift(s: _Scenario) -> _Outcome:
 class _Check:
     run: Callable[[_Scenario], _Outcome]
     keys: dict[str, Any]  # its own top-level keys with their defaults
-    tolerances: dict[str, float]  # its "tolerances" keys with their defaults
+    tolerances: tuple[str, ...]  # its "tolerances" keys, whose defaults are TOLERANCES
     integrates: bool = True  # reads quantity, initial_state, t_end and the "integ" keys
     horizon: Callable[[dict[str, Any]], float] = lambda params: 10.0  # default t_end
     models: tuple[str, ...] = ()  # the models it applies to; () for all
     quantity: str = ""  # the one quantity token it reads; "" for any
 
 
-_RANK = _Check(_run_rank, {"rank_tol": DEFAULT_RANK_TOL}, {"conservation": DEFAULT_CONSERVATION_TOL})
+_RANK = _Check(_run_rank, {"rank_tol": TOLERANCES["rank"]}, ("conservation",))
 _CHECKS = {
     "rank-invariance": _RANK,
     "critical-invariance": _RANK,
-    "n-invariance": _Check(
-        _run_vanishing, {"order": 1},
-        {"vanishing": DEFAULT_VANISH_TOL, "conservation": DEFAULT_CONSERVATION_TOL},
-    ),
-    "set-persistence": _Check(_run_set_persistence, {"set_id": ""}, {"residual": 1e-7}, models=_LATTICES),
+    "n-invariance": _Check(_run_vanishing, {"order": 1}, ("vanishing", "conservation")),
+    "set-persistence": _Check(_run_set_persistence, {"set_id": ""}, ("residual",), models=_LATTICES),
     "coincidence": _Check(
-        _run_coincidence, {}, {"deviation": DEFAULT_DEVIATION_TOL, "hypothesis": DEFAULT_HYPOTHESIS_TOL},
+        _run_coincidence, {}, ("deviation", "hypothesis"),
         # one period of the circular orbit of radius a^2; F is the Kepler
         # energy, whose driven field is the model's
         horizon=lambda params: 2.0 * np.pi * params["a"] ** 3, models=("kepler",), quantity="H",
     ),
     "oracle-equality": _Check(
-        _run_oracle_equality, {"seed": 0, "samples": 100}, {"value": 1e-12, "gradient": 1e-6},
+        _run_oracle_equality, {"seed": 0, "samples": 100}, ("value", "gradient"),
         integrates=False, models=_LATTICES,
     ),
-    "drift": _Check(_run_drift, {}, {"drift": 1e-8}),
+    "drift": _Check(_run_drift, {}, ("drift",)),
 }
+_INTEG = asdict(IntegratorSettings())  # the "integ" keys with their defaults
 
 
 @dataclass
@@ -404,8 +382,8 @@ class _Scenario:
     system: SystemDefinition
     params: dict[str, Any]  # the model keys
     keys: dict[str, Any]  # the check's own top-level keys
-    tol: dict[str, float]
-    integ: dict[str, Any]
+    tol: dict[str, float]  # the check's tolerances, by their names in TOLERANCES
+    integ: IntegratorSettings | None
     quantity: ConservedQuantitySet | None = None
     x0: np.ndarray | None = None
     t_end: float | None = None
@@ -422,12 +400,13 @@ def _read(config) -> _Scenario:
     flow = ("quantity", "initial_state", "t_end") if check.integrates else ()
     common = ("label", "check", "model", "claim", "expected_verdict", "tolerances", "integ")
     keys = _fields(config, check.keys, "", name, common + flow)
-    tol = _fields(_section(config, "tolerances"), check.tolerances, "tolerances.", name)
-    integ = dict(abs_tol=DEFAULT_ABS_TOL, rel_tol=DEFAULT_REL_TOL, sample_count=DEFAULT_SAMPLE_COUNT)
-    integ = _fields(_section(config, "integ"), integ if check.integrates else {}, "integ.", name)
-    for key, value in tol.items():
-        if not 0.0 < value < np.inf:
-            raise UsageError(f'"tolerances.{key}" must be positive and finite, got {value!r}')
+    # the tolerance "rank" is the top-level "rank_tol" of a scenario
+    tol = {"rank": _tolerance("rank", keys.pop("rank_tol"), "rank_tol")} if "rank_tol" in keys else {}
+    defaults = {key: TOLERANCES[key] for key in check.tolerances}
+    section = _fields(_section(config, "tolerances"), defaults, "tolerances.", name)
+    tol.update((key, _tolerance(key, value)) for key, value in section.items())
+    integ = _fields(_section(config, "integ"), _INTEG if check.integrates else {}, "integ.", name)
+    integ = IntegratorSettings(**integ) if check.integrates else None
     model = config.get("model")
     if not isinstance(model, dict) or "kind" not in model:
         raise UsageError('scenario needs a "model" object with a "kind" field')
@@ -549,7 +528,7 @@ def scenario_trajectory(config: dict[str, Any]) -> tuple[Trajectory, ConservedQu
     check's horizon (for exports)."""
     s = _read(config)
     require_trajectory(s.check)
-    return flow_adaptive(s.system, s.x0, s.t_end, **s.integ), s.quantity, s.system
+    return flow_adaptive(s.system, s.x0, s.t_end, integ=s.integ), s.quantity, s.system
 
 
 def require_trajectory(check: str) -> None:

@@ -10,6 +10,7 @@ import numpy as np
 
 from invarsets import (
     ConservedQuantitySet,
+    IntegratorSettings,
     canonical_symplectic_matrix,
     evaluate_field,
     flow_adaptive,
@@ -76,9 +77,8 @@ def test_criterion_1_kepler_coincidence():
             kepler.linear_pair_hamiltonian(a),
             x0,
             period,
-            deviation_tol=1e-6,
-            abs_tol=1e-10,
-            rel_tol=1e-10,
+            integ=IntegratorSettings(1e-10, 1e-10),
+            tolerances={"deviation": 1e-6},
         )
         closure = float(np.linalg.norm(report.trajectory.final_state - x0))
         ok = ok and report.verdict == "pass" and report.worst_value < 1e-6 and closure < 1e-6
@@ -89,8 +89,7 @@ def test_criterion_1_kepler_coincidence():
         kepler.linear_pair_hamiltonian(1.0),
         np.array([0.0, 2.0, 1.0, 0.0]),
         2 * np.pi,
-        abs_tol=1e-10,
-        rel_tol=1e-10,
+        integ=IntegratorSettings(1e-10, 1e-10),
     )
     ok = ok and control.verdict == "hypothesis-error" and control.worst_value > 1e-3
     details.append(f"control dev={control.worst_value:.2e}")
@@ -101,9 +100,9 @@ def test_criterion_2_rank_invariance():
     sys4 = toda.periodic_field(4)
     q = toda.periodic_invariants(4)
     pattern = np.array([0.3, 0.7, 0.3, 0.7, 0.5, -0.2, 0.5, -0.2])
-    rep_p = verify_rank_invariance(sys4, q, pattern, 10.0, sample_count=401)
+    rep_p = verify_rank_invariance(sys4, q, pattern, 10.0, integ=IntegratorSettings(sample_count=401))
     generic = np.array([0.9, 0.4, 0.7, 1.1, 0.3, -0.5, 0.2, 0.4])
-    rep_g = verify_rank_invariance(sys4, q, generic, 10.0, sample_count=401)
+    rep_g = verify_rank_invariance(sys4, q, generic, 10.0, integ=IntegratorSettings(sample_count=401))
     ok = (
         rep_p.verdict == "pass"
         and rep_p.initial_rank == 2
@@ -134,8 +133,8 @@ def test_criterion_3_explicit_set_persistence():
                 lambda zs, _id=set_id, _n=n: toda.explicit_set_residual(_id, _n, zs),
                 x0,
                 10.0,
-                tol=1e-7,
                 quantity=toda.explicit_set_quantity(set_id, n),
+                tolerances={"residual": 1e-7},
             )
             ok = ok and rep.verdict == "pass" and rep.worst_value < 1e-7
             worst = max(worst, rep.worst_value)
@@ -155,8 +154,8 @@ def test_criterion_4_reduced_dynamics_equivalence():
     for set_id, full_system, z0 in cases:
         red = toda.reduced_dynamics(set_id)
         x0 = red.lift(z0, 4)
-        full = flow_adaptive(full_system, x0, 10.0, 1e-10, 1e-10, 401)
-        reduced = flow_adaptive(red.system, z0, 10.0, 1e-10, 1e-10, 401)
+        full = flow_adaptive(full_system, x0, 10.0, integ=IntegratorSettings(1e-10, 1e-10, 401))
+        reduced = flow_adaptive(red.system, z0, 10.0, integ=IntegratorSettings(1e-10, 1e-10, 401))
         lifted = np.array([red.lift(z, 4) for z in reduced.states])
         gap = float(np.max(np.linalg.norm(full.states - lifted, axis=1)))
         ok = ok and gap < 1e-7
@@ -231,7 +230,7 @@ def test_criterion_8_vanishing_set_machinery():
     circle3 = oscillator.unit_circle_power(3)
     sys2 = oscillator.harmonic_oscillator()
     rep = verify_vanishing_invariance(
-        sys2, circle3, [1.0, 0.0], order=2, t_end=2 * np.pi, abs_tol=1e-4
+        sys2, circle3, [1.0, 0.0], t_end=2 * np.pi, order=2, tolerances={"vanishing": 1e-4},
     )
     ok = rep.verdict == "pass"
 

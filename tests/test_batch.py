@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from invarsets import (
     ConservedQuantitySet,
+    IntegratorSettings,
     NumericError,
     SystemDefinition,
     UsageError,
@@ -16,13 +17,15 @@ from invarsets import (
     monitor_drift,
     stack_quantities,
 )
-from invarsets.core import _conservation_rates, as_states, evaluate_field
+from invarsets.core import TOLERANCES, _conservation_rates, as_states, evaluate_field
 from invarsets.differentiate import jacobians
-from invarsets.rank_sets import DEFAULT_RANK_TOL, _decide, rank_levels, singular_values
+from invarsets.rank_sets import _decide, rank_levels, singular_values
 from invarsets import kepler, oscillator, report, toda
 from invarsets.coincidence import assemble_system, canonical_symplectic_matrix
 
 from conftest import random_kepler_states, random_toda_physical, zero_quantity
+
+RANK_TOL = TOLERANCES["rank"]
 
 FINITE = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
 SETTINGS = settings(max_examples=30, deadline=None)
@@ -51,7 +54,7 @@ def assert_same_singular_values(matrices, i, single):
     assert singular_values(matrices)[i].tobytes() == singular_values(single)[0].tobytes()
 
 
-def assert_rows_match_points(quantity, xs, rel_tol=DEFAULT_RANK_TOL):
+def assert_rows_match_points(quantity, xs, rel_tol=RANK_TOL):
     values = quantity.values_many(xs)
     J = jacobians(quantity, xs)
     decisions = rank_levels(quantity, xs, rel_tol)
@@ -268,7 +271,7 @@ def test_svd_non_convergence_is_a_numeric_error(monkeypatch):
     with pytest.raises(NumericError, match="converge"):
         rank_levels(q, np.ones((3, 6)))
     with pytest.raises(NumericError, match="converge"):
-        _decide(np.eye(2)[None], DEFAULT_RANK_TOL, np.array([0.0]))
+        _decide(np.eye(2)[None], RANK_TOL, np.array([0.0]))
 
 
 def _batched_gradient_quantity(gradient):
@@ -328,7 +331,7 @@ def test_periodic_field_equals_roll_formula(n, data):
 def test_monitor_drift_equals_per_sample_values():
     q = toda.periodic_invariants(4)
     x0 = toda.explicit_set_sample("M2_I123", 4, {"X1": 0.6, "X2": 0.9, "u1": 0.3, "u2": -0.2})
-    traj = flow_adaptive(toda.periodic_field(4), x0, 2.0, sample_count=41)
+    traj = flow_adaptive(toda.periodic_field(4), x0, 2.0, integ=IntegratorSettings(sample_count=41))
     drift = monitor_drift(traj, q)
     values = np.array([q.values_many(s[None])[0] for s in traj.states])
     expected = np.abs(values - values[0]).max(axis=0)

@@ -11,7 +11,8 @@ import pytest
 
 from invarsets.cli import main
 from invarsets.report import export_trajectory, load_scenario, run_scenario, scenario_trajectory
-from invarsets import ConservedQuantitySet, coincidence, flow_adaptive, integrate, invariance, jacobians, report, toda
+from invarsets import ConservedQuantitySet, IntegratorSettings, coincidence, flow_adaptive, integrate, invariance
+from invarsets import jacobians, report, toda
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 SHIPPED = sorted(SCENARIO_DIR.glob("*.json"))
@@ -152,7 +153,7 @@ def test_csv_export_shape_and_roundtrip(tmp_path, capsys):
     # the 17-significant-digit format reproduces the states bit-exactly
     system = toda.periodic_field(4)
     x0 = toda.explicit_set_sample("M2_I123", 4, config["initial_state"]["params"])
-    traj = flow_adaptive(system, x0, config["t_end"], 1e-10, 1e-10, 11)
+    traj = flow_adaptive(system, x0, config["t_end"], integ=IntegratorSettings(1e-10, 1e-10, 11))
     for line, t, state in zip(lines[1:], traj.times, traj.states):
         cells = [float(c) for c in line.split(",")]
         assert cells[0] == t
@@ -209,8 +210,10 @@ def test_coincidence_on_lattice_model_is_a_config_error(tmp_path, capsys):
 
 
 def test_export_trajectory_rejects_bad_names(tmp_path):
-    traj = flow_adaptive(toda.periodic_field(4), [0.9, 0.4, 0.7, 1.1, 0.3, -0.5, 0.2, 0.4], 1.0,
-                         sample_count=3)
+    traj = flow_adaptive(
+        toda.periodic_field(4), [0.9, 0.4, 0.7, 1.1, 0.3, -0.5, 0.2, 0.4], 1.0,
+        integ=IntegratorSettings(sample_count=3),
+    )
     with pytest.raises(Exception, match="component names"):
         export_trajectory(traj, toda.periodic_invariants(4), tmp_path / "x.csv", ("a", "b"))
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from invarsets import (
     ConservedQuantitySet,
     IntegrationError,
+    IntegratorSettings,
     NumericError,
     SystemDefinition,
     UsageError,
@@ -121,7 +122,7 @@ def test_kepler_circular_coincidence_passes():
         kepler.linear_pair_hamiltonian(1.0),
         kepler.circular_sample(1.0, 0.0),
         2 * np.pi,
-        deviation_tol=1e-6,
+        tolerances={"deviation": 1e-6},
     )
     assert report.verdict == "pass"
     assert report.worst_value < 1e-6
@@ -132,7 +133,8 @@ def test_kepler_circular_coincidence_passes():
 def test_identical_quantities_coincide_exactly():
     q = kepler.hamiltonian()
     report = verify_coincidence(
-        _symplectic_base(), q, q, kepler.circular_sample(1.0, 0.7), 3.0, sample_count=51
+        _symplectic_base(), q, q, kepler.circular_sample(1.0, 0.7), 3.0,
+        integ=IntegratorSettings(sample_count=51),
     )
     assert report.verdict == "pass"
     assert report.worst_value == 0.0
@@ -176,8 +178,7 @@ def test_second_order_driven_coincidence_on_circle():
         np.array([1.0, 0.0]),
         2 * np.pi,
         order=2,
-        hypothesis_tol=1e-5,
-        deviation_tol=1e-7,
+        tolerances={"hypothesis": 1e-5, "deviation": 1e-7},
     )
     assert report.verdict == "pass"
     assert report.worst_value < 1e-7
@@ -191,7 +192,7 @@ def test_second_order_driven_coincidence_off_circle_control():
         np.array([1.3, 0.0]),
         1.0,
         order=2,
-        hypothesis_tol=1e-5,
+        tolerances={"hypothesis": 1e-5},
     )
     assert report.verdict == "hypothesis-error"
     assert report.agreement_residual > 1.0  # second derivatives are O(1) off the circle
@@ -203,7 +204,7 @@ def test_vector_valued_coincidence_smoke():
     pair = stack_quantities([kepler.hamiltonian(), kepler.angular_momentum()])
     base = lambda x, s: canonical_symplectic_matrix(2) @ s[:4]  # driven by row 1
     report = verify_coincidence(
-        base, pair, pair, kepler.circular_sample(1.0, 0.2), 2.0, sample_count=51
+        base, pair, pair, kepler.circular_sample(1.0, 0.2), 2.0, integ=IntegratorSettings(sample_count=51),
     )
     assert report.verdict == "pass"
     assert report.worst_value == 0.0
@@ -377,7 +378,7 @@ def test_perturbed_pair_flows_coincide_on_circle_short_horizon():
     # perturbed flow (radial error grows like e^{8t}), so round-off limits
     # the certifiable horizon; t = 1 keeps the amplification ~3e3
     report = _perturbed_pair_coincidence(
-        lambda g: g, [1.0, 0.0], 1.0, deviation_tol=1e-8, abs_tol=1e-12, rel_tol=1e-12
+        lambda g: g, [1.0, 0.0], 1.0, integ=IntegratorSettings(1e-12, 1e-12), tolerances={"deviation": 1e-8}
     )
     assert report.verdict == "pass"
     assert report.worst_value < 1e-8
@@ -386,7 +387,9 @@ def test_perturbed_pair_flows_coincide_on_circle_short_horizon():
 def test_perturbed_pair_stable_orientation_full_period():
     # the inward-pushing orientation makes the circle attracting, so the
     # coincidence is certifiable over a full period
-    report = _perturbed_pair_coincidence(lambda g: -g, [1.0, 0.0], 2 * np.pi, deviation_tol=1e-8)
+    report = _perturbed_pair_coincidence(
+        lambda g: -g, [1.0, 0.0], 2 * np.pi, tolerances={"deviation": 1e-8}
+    )
     assert report.verdict == "pass"
     assert report.worst_value < 1e-8
 
@@ -741,7 +744,7 @@ def test_stacked_scan_drift_equals_point_loop_kepler(a, theta, push):
         kepler.linear_pair_hamiltonian(a),
         x0,
         np.pi * a**3,
-        sample_count=101,
+        integ=IntegratorSettings(sample_count=101),
     )
     assert report.verdict == ("pass" if push == 0.0 else "hypothesis-error")
 
@@ -755,8 +758,8 @@ def test_stacked_scan_drift_equals_point_loop_second_order(start):
         np.array(start),
         1.0,
         order=2,
-        hypothesis_tol=1e-5,
-        sample_count=41,
+        integ=IntegratorSettings(sample_count=41),
+        tolerances={"hypothesis": 1e-5},
     )
 
 
@@ -765,7 +768,8 @@ def test_stacked_scan_drift_equals_point_loop_perturbed_pair(start):
     # the inward-pushing perturbation keeps the off-circle start integrable
     system, G = oscillator.harmonic_oscillator(), oscillator.unit_circle_power(2)
     base = _perturbed_base(system, lambda g: -g)
-    _assert_scan_matches_loop(base, zero_quantity(2), G, np.array(start), 1.0, sample_count=41)
+    integ = IntegratorSettings(sample_count=41)
+    _assert_scan_matches_loop(base, zero_quantity(2), G, np.array(start), 1.0, integ=integ)
 
 
 def test_stacked_scan_on_batched_quantities_calls_them_on_stacks():
@@ -786,7 +790,7 @@ def test_stacked_scan_on_batched_quantities_calls_them_on_stacks():
     )
     block = canonical_symplectic_matrix(3)
     x0 = np.array([0.9, 0.7, 1.1, 0.3, -0.2, 0.1])
-    _assert_scan_matches_loop(lambda x, g: block @ g, F, G, x0, 0.5, sample_count=21)
+    _assert_scan_matches_loop(lambda x, g: block @ g, F, G, x0, 0.5, integ=IntegratorSettings(sample_count=21))
     assert 2 in calls  # the difference quantity was evaluated on the stack
 
 
@@ -795,7 +799,7 @@ def test_non_finite_driven_field_at_one_sample_is_a_numeric_error():
     # only the conservation scan meets the NaN
     F, G = kepler.hamiltonian(), kepler.linear_pair_hamiltonian(1.0)
     x0 = kepler.circular_sample(1.0, 0.3)
-    clean = verify_coincidence(_symplectic_base(), F, G, x0, 2.0, sample_count=41)
+    clean = verify_coincidence(_symplectic_base(), F, G, x0, 2.0, integ=IntegratorSettings(sample_count=41))
     bad = clean.trajectory.states[20].copy()
     block = canonical_symplectic_matrix(2)
 
@@ -804,7 +808,7 @@ def test_non_finite_driven_field_at_one_sample_is_a_numeric_error():
         return np.full(4, np.nan) if np.array_equal(x, bad) else out
 
     with pytest.raises(NumericError, match="state 20 of 41"):
-        verify_coincidence(base, F, G, x0, 2.0, sample_count=41)
+        verify_coincidence(base, F, G, x0, 2.0, integ=IntegratorSettings(sample_count=41))
 
 
 def test_wrong_shape_driven_field_row_is_a_usage_error():
@@ -870,10 +874,7 @@ def test_shipped_scenarios_hold_every_coincidence_check():
 @pytest.mark.parametrize("name", COINCIDENCE_SCENARIOS)
 def test_closed_forms_give_the_driven_report_on_shipped_scenarios(name):
     s = report._read(json.loads((SCENARIO_DIR / name).read_text()))
-    fast = _assert_fast_equals_slow(
-        s.x0, s.params["a"], s.t_end,
-        deviation_tol=s.tol["deviation"], hypothesis_tol=s.tol["hypothesis"], **s.integ,
-    )
+    fast = _assert_fast_equals_slow(s.x0, s.params["a"], s.t_end, integ=s.integ, tolerances=s.tol)
     assert fast.verdict == s.config["expected_verdict"]
 
 
@@ -886,7 +887,7 @@ def test_closed_forms_give_the_driven_report_on_shipped_scenarios(name):
 def test_closed_forms_give_the_driven_report_on_seeded_starts(a, theta, push):
     x0 = kepler.circular_sample(a, theta)
     x0[2:] *= 1.0 + push  # push != 0 moves the start off the agreement set
-    fast = _assert_fast_equals_slow(x0, a, np.pi * a**3, sample_count=101)
+    fast = _assert_fast_equals_slow(x0, a, np.pi * a**3, integ=IntegratorSettings(sample_count=101))
     assert fast.verdict == ("pass" if push == 0.0 else "hypothesis-error")
 
 
@@ -923,8 +924,9 @@ def test_closed_forms_declared_for_one_state_are_called_once_per_state():
         SystemDefinition(4, lambda x, _f=system.field: _f(x.reshape(4)), system.label)
         for system in _kepler_closed_forms(a)
     )
-    slow = _kepler_coincidence(x0, a, 4.0, sample_count=61)
-    _assert_same_report(_kepler_coincidence(x0, a, 4.0, closed, sample_count=61), slow)
+    integ = IntegratorSettings(sample_count=61)
+    slow = _kepler_coincidence(x0, a, 4.0, integ=integ)
+    _assert_same_report(_kepler_coincidence(x0, a, 4.0, closed, integ=integ), slow)
     assert slow.verdict == "pass"
 
 
@@ -943,8 +945,9 @@ def _failing(system, fault):
 def test_closed_forms_hand_every_failing_state_to_the_driven_field(fault):
     a, x0 = 1.2, kepler.circular_sample(1.2, 0.5)
     closed = tuple(_failing(system, fault) for system in _kepler_closed_forms(a))
-    slow = _kepler_coincidence(x0, a, 4.0, sample_count=61)
-    _assert_same_report(_kepler_coincidence(x0, a, 4.0, closed, sample_count=61), slow)
+    integ = IntegratorSettings(sample_count=61)
+    slow = _kepler_coincidence(x0, a, 4.0, integ=integ)
+    _assert_same_report(_kepler_coincidence(x0, a, 4.0, closed, integ=integ), slow)
     assert slow.verdict == "pass"
 
 

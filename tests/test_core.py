@@ -1,4 +1,7 @@
+import inspect
+import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +18,8 @@ from invarsets import (
     evaluate_field,
     stack_quantities,
 )
-from invarsets.core import _all_finite, _all_finite_vector, _state_scales, format_float
-from invarsets import kepler, oscillator, toda
+from invarsets.core import TOLERANCES, _all_finite, _all_finite_vector, _state_scales, _tolerances, format_float
+from invarsets import coincidence, invariance, kepler, oscillator, report, toda
 
 from conftest import random_kepler_states, random_states, zero_quantity
 
@@ -238,7 +241,7 @@ PUBLIC_NAMES = [
     "stack_quantities",
     "jacobians",
     "InvarsetsError", "UsageError", "NumericError", "IntegrationError",
-    "Trajectory", "DriftReport", "IntegratorStats", "flow_adaptive", "monitor_drift",
+    "Trajectory", "DriftReport", "IntegratorStats", "IntegratorSettings", "flow_adaptive", "monitor_drift",
     "RankDecisions", "SetMemberships", "rank_levels", "vanishing_memberships",
     "InvarianceReport", "verify_rank_invariance", "verify_vanishing_invariance",
     "verify_set_persistence", "verify_critical_invariance",
@@ -251,7 +254,76 @@ def test_public_surface_is_the_stacked_api():
     # growing the surface is a deliberate edit of this list
     import invarsets
 
-    assert len(PUBLIC_NAMES) == 31
+    assert len(PUBLIC_NAMES) == 32
     assert invarsets.__all__ == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(invarsets, name), name
+
+
+VERIFIERS = {
+    "rank-invariance": invariance.verify_rank_invariance,
+    "critical-invariance": invariance.verify_critical_invariance,
+    "n-invariance": invariance.verify_vanishing_invariance,
+    "set-persistence": invariance.verify_set_persistence,
+    "coincidence": coincidence.verify_coincidence,
+}
+OWN_KEYWORDS = {"order", "quantity", "batched", "closed_forms"}
+
+
+@pytest.mark.parametrize("fn", [*VERIFIERS.values(), invariance.flow_adaptive], ids=lambda fn: fn.__name__)
+def test_verifiers_and_the_integrator_share_one_signature(fn):
+    # subject, x0 and t_end by position; the check's own keys, then integ
+    # and tolerances, by keyword only; no setting under a second name
+    params = inspect.signature(fn).parameters.values()
+    positional = [p.name for p in params if p.kind is p.POSITIONAL_OR_KEYWORD]
+    keyword = [p.name for p in params if p.kind is p.KEYWORD_ONLY]
+    assert len(positional) + len(keyword) == len(params)
+    assert positional[-2:] == ["x0", "t_end"]
+    tail = ["integ"] if fn is invariance.flow_adaptive else ["integ", "tolerances"]
+    assert keyword[-len(tail):] == tail
+    assert set(keyword[: -len(tail)]) <= OWN_KEYWORDS
+    for p in params:
+        assert p.name not in ("abs_tol", "rel_tol", "sample_count") and not p.name.endswith("_tol"), p.name
+
+
+def _reads(verifier) -> list[str]:
+    """The tolerance names ``verifier`` reads, from its unknown-name error,
+    which comes before any argument is looked at."""
+    params = inspect.signature(verifier).parameters.values()
+    args = [None for p in params if p.kind is p.POSITIONAL_OR_KEYWORD]
+    required = {p.name: None for p in params if p.kind is p.KEYWORD_ONLY and p.default is p.empty}
+    with pytest.raises(UsageError, match='unknown tolerance "_"; this check reads ') as err:
+        verifier(*args, **required, tolerances={"_": 1.0})
+    return str(err.value).split("reads ")[1].split(", ")
+
+
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
+SCENARIOS = {
+    "rank-invariance": "toda-periodic-rank-pattern.json",
+    "critical-invariance": "toda-periodic-critical-pattern.json",
+    "n-invariance": "toda-periodic-vanishing-M0I3.json",
+    "set-persistence": "toda-periodic-persist-M1I13.json",
+    "coincidence": "kepler-circular-coincidence.json",
+}
+
+
+@pytest.mark.parametrize("check", list(VERIFIERS))
+def test_each_check_reads_its_verifiers_tolerances_and_defaults(check, monkeypatch):
+    names = _reads(VERIFIERS[check])
+    config = json.loads((SCENARIO_DIR / SCENARIOS[check]).read_text())
+    config.pop("tolerances", None)
+    config.pop("rank_tol", None)
+    s = report._read(config)
+    assert config["check"] == check
+    # the scenario's defaults are the verifier's: one table
+    assert s.tol == _tolerances(None, tuple(names)) == {name: TOLERANCES[name] for name in names}
+    seen = []
+
+    def spy(given, reads):
+        seen.append((given, reads))
+        return _tolerances(given, reads)
+
+    monkeypatch.setattr(invariance, "_tolerances", spy)
+    monkeypatch.setattr(coincidence, "_tolerances", spy)
+    report.run_scenario(config)
+    assert seen == [(s.tol, tuple(names))]

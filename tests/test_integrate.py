@@ -14,6 +14,7 @@ from scipy.integrate._ivp.rk import DOP853
 from invarsets import (
     ConservedQuantitySet,
     IntegrationError,
+    IntegratorSettings,
     NumericError,
     UsageError,
     flow_adaptive,
@@ -53,7 +54,9 @@ def test_harmonic_quarter_turn():
 
 
 def test_kepler_half_circle():
-    traj = flow_adaptive(kepler.kepler_field(), [0.0, 1.0, 1.0, 0.0], np.pi, 1e-10, 1e-10)
+    traj = flow_adaptive(
+        kepler.kepler_field(), [0.0, 1.0, 1.0, 0.0], np.pi, integ=IntegratorSettings(1e-10, 1e-10),
+    )
     assert np.allclose(traj.final_state, [0.0, -1.0, -1.0, 0.0], atol=1e-6)
 
 
@@ -65,7 +68,7 @@ def test_toda_equilibrium_stays_put():
 
 def test_trajectory_contract():
     x0 = [1.0, 0.0]
-    traj = flow_adaptive(oscillator.harmonic_oscillator(), x0, 1.0, sample_count=11)
+    traj = flow_adaptive(oscillator.harmonic_oscillator(), x0, 1.0, integ=IntegratorSettings(sample_count=11))
     assert len(traj) == 11
     assert traj.times[0] == 0.0 and traj.times[-1] == 1.0
     assert np.all(np.diff(traj.times) > 0)
@@ -82,7 +85,7 @@ def test_fixed_step_closed_orbit():
 def test_fixed_step_agrees_with_adaptive():
     x0 = random_toda_physical(4, 1, 41)[0]
     sys4 = toda.periodic_field(4)
-    a = flow_adaptive(sys4, x0, 5.0, 1e-10, 1e-10, sample_count=2)
+    a = flow_adaptive(sys4, x0, 5.0, integ=IntegratorSettings(1e-10, 1e-10, 2))
     b = flow_fixed(sys4, x0, 5.0, 1e-3)
     assert np.max(np.abs(a.final_state - b.final_state)) < 1e-6
 
@@ -109,13 +112,13 @@ def test_fixed_step_count_guard():
 def test_tolerance_validation():
     sys2 = oscillator.harmonic_oscillator()
     with pytest.raises(UsageError):
-        flow_adaptive(sys2, [1.0, 0.0], 1.0, abs_tol=0.0)
+        flow_adaptive(sys2, [1.0, 0.0], 1.0, integ=IntegratorSettings(abs_tol=0.0))
     with pytest.raises(UsageError):
-        flow_adaptive(sys2, [1.0, 0.0], 1.0, rel_tol=0.1)
+        flow_adaptive(sys2, [1.0, 0.0], 1.0, integ=IntegratorSettings(rel_tol=0.1))
     with pytest.raises(UsageError):
-        flow_adaptive(sys2, [1.0, 0.0], 1.0, sample_count=1)
+        flow_adaptive(sys2, [1.0, 0.0], 1.0, integ=IntegratorSettings(sample_count=1))
     with pytest.raises(UsageError, match="sample_count must be an integer >= 2, got 2.7"):
-        flow_adaptive(sys2, [1.0, 0.0], 1.0, sample_count=2.7)
+        flow_adaptive(sys2, [1.0, 0.0], 1.0, integ=IntegratorSettings(sample_count=2.7))
     with pytest.raises(UsageError):
         flow_adaptive(sys2, [1.0, 0.0], -1.0)
 
@@ -130,14 +133,15 @@ def test_kepler_collision_raises_integration_error():
 
 def test_a_flow_past_the_step_budget_is_an_integration_error(monkeypatch):
     system, x0, t_end = ECCENTRIC
-    stats = flow_adaptive(system, x0, t_end, 1e-6, 1e-6).stats
+    integ = IntegratorSettings(1e-6, 1e-6)
+    stats = flow_adaptive(system, x0, t_end, integ=integ).stats
     attempts = stats.steps_accepted + stats.steps_rejected
     monkeypatch.setattr(integrate, "_MAX_ATTEMPTS", attempts)
-    exact = flow_adaptive(system, x0, t_end, 1e-6, 1e-6)  # the budget is spent, not exceeded
+    exact = flow_adaptive(system, x0, t_end, integ=integ)  # the budget is spent, not exceeded
     assert exact.stats == stats
     monkeypatch.setattr(integrate, "_MAX_ATTEMPTS", attempts - 1)
     with pytest.raises(IntegrationError, match=f"step budget of {attempts - 1} attempts is spent") as err:
-        flow_adaptive(system, x0, t_end, 1e-6, 1e-6)
+        flow_adaptive(system, x0, t_end, integ=integ)
     assert 0.0 < err.value.last_good_time < t_end
 
 
@@ -152,9 +156,9 @@ def test_trajectory_determinism_bit_for_bit():
 
 @pytest.mark.parametrize("system,x0,t_end", FLOWS)
 def test_tolerance_monotonicity(system, x0, t_end):
-    reference = flow_adaptive(system, x0, t_end, 1e-12, 1e-12, sample_count=2)
-    loose = flow_adaptive(system, x0, t_end, 1e-5, 1e-5, sample_count=2)
-    tight = flow_adaptive(system, x0, t_end, 1e-7, 1e-7, sample_count=2)
+    reference = flow_adaptive(system, x0, t_end, integ=IntegratorSettings(1e-12, 1e-12, 2))
+    loose = flow_adaptive(system, x0, t_end, integ=IntegratorSettings(1e-5, 1e-5, 2))
+    tight = flow_adaptive(system, x0, t_end, integ=IntegratorSettings(1e-7, 1e-7, 2))
     err_loose = np.linalg.norm(loose.final_state - reference.final_state)
     err_tight = np.linalg.norm(tight.final_state - reference.final_state)
     assert err_tight < err_loose
@@ -213,7 +217,7 @@ def _scipy_steps(system, x0, t_end, tol):
 
 
 def _assert_equals_solve_ivp(system, x0, t_end, samples, tol):
-    traj = flow_adaptive(system, x0, t_end, tol, tol, sample_count=samples)
+    traj = flow_adaptive(system, x0, t_end, integ=IntegratorSettings(tol, tol, samples))
     ref = solve_ivp(
         lambda t, y: system.field(y), (0.0, t_end), np.array(x0, dtype=float),
         method="DOP853", rtol=tol, atol=tol, t_eval=np.linspace(0.0, t_end, samples),
@@ -261,7 +265,7 @@ def test_sample_on_the_step_end_that_fills_a_block_equals_solve_ivp(tol):
 
 def test_rejected_steps_are_counted_exactly():
     system, x0, t_end = ECCENTRIC
-    traj = flow_adaptive(system, x0, t_end, 1e-6, 1e-6, sample_count=51)
+    traj = flow_adaptive(system, x0, t_end, integ=IntegratorSettings(1e-6, 1e-6, 51))
     ends, rejected = _scipy_steps(system, x0, t_end, 1e-6)
     assert rejected > 0
     assert (traj.stats.steps_accepted, traj.stats.steps_rejected) == (len(ends), rejected)
@@ -272,13 +276,14 @@ def test_field_turning_nan_mid_flow_is_an_integration_error():
     # every step rejects until the step underflows (no hang)
     done = _run_python("""
         import numpy as np
-        from invarsets import IntegrationError, SystemDefinition, flow_adaptive
+        from invarsets import IntegrationError, IntegratorSettings, SystemDefinition, flow_adaptive
 
         def field(y):
             return np.array([1.0, -y[1]]) if y[0] < 1.0 else np.full(2, np.nan)
 
         try:
-            flow_adaptive(SystemDefinition(2, field, "clock"), [0.0, 1.0], 3.0, sample_count=31)
+            integ = IntegratorSettings(sample_count=31)
+            flow_adaptive(SystemDefinition(2, field, "clock"), [0.0, 1.0], 3.0, integ=integ)
         except IntegrationError as exc:
             print(exc.last_good_time)
             print(exc)
@@ -329,7 +334,9 @@ def test_numeric_error_from_the_field_keeps_the_last_sample_time():
         return np.array([1.0, -y[1]])
 
     with pytest.raises(IntegrationError, match="field evaluation failed") as err:
-        flow_adaptive(SystemDefinition(2, field, "clock"), [0.0, 1.0], 3.0, sample_count=31)
+        flow_adaptive(
+            SystemDefinition(2, field, "clock"), [0.0, 1.0], 3.0, integ=IntegratorSettings(sample_count=31),
+        )
     assert 0.0 < err.value.last_good_time <= 1.0
 
 
@@ -363,7 +370,10 @@ def test_numeric_error_in_a_held_extra_stage_is_the_earliest_failing_steps(batch
         calls.append(z.copy())
         return system.field(z)
 
-    flow_adaptive(SystemDefinition(8, recording, "recording", batched=True), x0, 15.0, sample_count=101)
+    flow_adaptive(
+        SystemDefinition(8, recording, "recording", batched=True), x0, 15.0,
+        integ=IntegratorSettings(sample_count=101),
+    )
     first_block = next(i for i, z in enumerate(calls) if z.ndim == 2)
     assert len(calls[first_block]) == integrate._BLOCK
     extra, later_extra, late_main = calls[first_block + 1][5], calls[first_block][9], calls[first_block - 1]
@@ -380,7 +390,10 @@ def test_numeric_error_in_a_held_extra_stage_is_the_earliest_failing_steps(batch
 
     expected = _scipy_last_sample_before_failure(planted, x0, 15.0, 101)
     with pytest.raises(IntegrationError) as err:
-        flow_adaptive(SystemDefinition(8, planted, "planted", batched=batched), x0, 15.0, sample_count=101)
+        flow_adaptive(
+            SystemDefinition(8, planted, "planted", batched=batched), x0, 15.0,
+            integ=IntegratorSettings(sample_count=101),
+        )
     assert str(err.value) == "field evaluation failed during integration: planted in an extra stage"
     assert 0.0 < err.value.last_good_time == expected
 
@@ -390,7 +403,7 @@ def test_batched_field_of_the_wrong_shape_on_a_stack_is_a_usage_error():
     # result has the shape of two rows
     liar = SystemDefinition(2, lambda z: np.array([z[1], -z[0]]), "liar", batched=True)
     with pytest.raises(UsageError, match=r"field of 'liar' returned shape \(2, 2\), expected \(32, 2\)"):
-        flow_adaptive(liar, [1.0, 0.0], 20.0, sample_count=101)
+        flow_adaptive(liar, [1.0, 0.0], 20.0, integ=IntegratorSettings(sample_count=101))
 
 
 def test_dense_output_memory_is_bounded_by_one_block_whatever_the_sample_count():
@@ -402,7 +415,7 @@ def test_dense_output_memory_is_bounded_by_one_block_whatever_the_sample_count()
     for samples in (1001, 10001):
         tracemalloc.start()
         try:
-            traj = flow_adaptive(system, x0, 1.0, sample_count=samples)
+            traj = flow_adaptive(system, x0, 1.0, integ=IntegratorSettings(sample_count=samples))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -428,7 +441,7 @@ def test_drift_of_constant_quantity_is_zero():
 
 def test_toda_drift_below_1e8_over_ten_units():
     x0 = random_toda_physical(4, 1, 47)[0]
-    traj = flow_adaptive(toda.periodic_field(4), x0, 10.0, 1e-10, 1e-10)
+    traj = flow_adaptive(toda.periodic_field(4), x0, 10.0, integ=IntegratorSettings(1e-10, 1e-10))
     report = monitor_drift(traj, toda.periodic_invariants(4))
     assert report.labels == ("I1", "I2", "I3")
     assert report.worst < 1e-8
@@ -439,7 +452,7 @@ def test_toda_drift_below_1e8_over_ten_units():
 
 def test_kepler_circular_drift():
     x0 = kepler.circular_sample(1.0, 0.0)
-    traj = flow_adaptive(kepler.kepler_field(), x0, 2 * np.pi, 1e-10, 1e-10)
+    traj = flow_adaptive(kepler.kepler_field(), x0, 2 * np.pi, integ=IntegratorSettings(1e-10, 1e-10))
     q = stack_quantities([kepler.hamiltonian(), kepler.angular_momentum(), kepler.combined_invariant(1.0)])
     report = monitor_drift(traj, q)
     assert report.worst < 1e-8

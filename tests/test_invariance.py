@@ -3,12 +3,18 @@ import pytest
 
 from invarsets import (
     ConservedQuantitySet,
+    IntegratorSettings,
+    UsageError,
+    flow_adaptive,
+    rank_levels,
+    vanishing_memberships,
+    verify_coincidence,
     verify_critical_invariance,
     verify_rank_invariance,
     verify_set_persistence,
     verify_vanishing_invariance,
 )
-from invarsets import kepler, oscillator, toda
+from invarsets import kepler, oscillator, report, toda
 
 from conftest import random_toda_physical
 
@@ -18,7 +24,7 @@ PATTERN_START = np.array([0.3, 0.7, 0.3, 0.7, 0.5, -0.2, 0.5, -0.2])
 def test_rank_invariance_on_pattern_family():
     report = verify_rank_invariance(
         toda.periodic_field(4), toda.periodic_invariants(4), PATTERN_START, 10.0,
-        sample_count=101,
+        integ=IntegratorSettings(sample_count=101),
     )
     assert report.verdict == "pass"
     assert report.initial_rank == 2
@@ -30,7 +36,8 @@ def test_rank_invariance_on_pattern_family():
 def test_rank_invariance_generic_start():
     x0 = random_toda_physical(4, 1, 3)[0]
     report = verify_rank_invariance(
-        toda.periodic_field(4), toda.periodic_invariants(4), x0, 10.0, sample_count=101
+        toda.periodic_field(4), toda.periodic_invariants(4), x0, 10.0,
+        integ=IntegratorSettings(sample_count=101),
     )
     assert report.verdict == "pass"
     assert report.initial_rank == 3
@@ -43,9 +50,7 @@ def test_rank_invariance_kepler_circular_rank_zero():
         kepler.combined_invariant(1.0),
         kepler.circular_sample(1.0, 0.0),
         2 * np.pi,
-        abs_tol=1e-12,
-        rel_tol=1e-12,
-        sample_count=101,
+        integ=IntegratorSettings(1e-12, 1e-12, 101),
     )
     assert report.verdict == "pass"
     assert report.initial_rank == 0
@@ -68,10 +73,10 @@ def test_vanishing_invariance_circle_order_two():
         oscillator.harmonic_oscillator(),
         oscillator.unit_circle_power(3),
         [1.0, 0.0],
-        order=2,
         t_end=2 * np.pi,
-        abs_tol=1e-4,
-        sample_count=101,
+        order=2,
+        integ=IntegratorSettings(sample_count=101),
+        tolerances={"vanishing": 1e-4},
     )
     assert report.verdict == "pass"
     assert report.worst_value <= 0.0  # residuals stay below threshold
@@ -82,9 +87,9 @@ def test_vanishing_invariance_order_three_hypothesis_error():
         oscillator.harmonic_oscillator(),
         oscillator.unit_circle_power(3),
         [1.0, 0.0],
-        order=3,
         t_end=2 * np.pi,
-        abs_tol=1e-4,
+        order=3,
+        tolerances={"vanishing": 1e-4},
     )
     assert report.verdict == "hypothesis-error"
     assert "not in the order-3" in report.message
@@ -100,8 +105,8 @@ def test_vanishing_invariance_constant_quantity_trivially_passes():
         analytic_partial=lambda z, alpha: np.zeros(1),
     )
     report = verify_vanishing_invariance(
-        oscillator.harmonic_oscillator(), const, [0.4, -0.2], order=4, t_end=3.0,
-        sample_count=51,
+        oscillator.harmonic_oscillator(), const, [0.4, -0.2], t_end=3.0, order=4,
+        integ=IntegratorSettings(sample_count=51),
     )
     assert report.verdict == "pass"
 
@@ -112,8 +117,8 @@ def test_set_persistence_even_pattern_families():
         lambda zs: toda.explicit_set_residual("M1_I13", 4, zs),
         toda.explicit_set_sample("M1_I13", 4, {"X1": 0.4, "X2": 0.9, "u": 0.6}),
         10.0,
-        tol=1e-7,
         quantity=toda.periodic_invariants(4, (1, 3)),
+        tolerances={"residual": 1e-7},
     )
     assert report.verdict == "pass"
     assert report.worst_value < 1e-7
@@ -126,14 +131,15 @@ def test_set_persistence_nonperiodic_pattern():
         lambda zs: toda.explicit_set_residual("M2_F123", 4, zs),
         np.array([0.5, 0.0, 0.5, 0.2, -0.1, 0.2, -0.1]),
         10.0,
-        tol=1e-7,
+        tolerances={"residual": 1e-7},
     )
     assert report.verdict == "pass"
 
 
 def test_set_persistence_trivial_residual():
     report = verify_set_persistence(
-        oscillator.harmonic_oscillator(), lambda zs: np.zeros(len(zs)), [1.0, 0.0], 5.0, tol=1e-9
+        oscillator.harmonic_oscillator(), lambda zs: np.zeros(len(zs)), [1.0, 0.0], 5.0,
+        tolerances={"residual": 1e-9},
     )
     assert report.verdict == "pass"
     assert report.min_margin == np.inf
@@ -145,7 +151,7 @@ def test_set_persistence_off_family_start_is_hypothesis_error():
         lambda zs: toda.explicit_set_residual("M2_I123", 4, zs),
         random_toda_physical(4, 1, 11)[0],
         5.0,
-        tol=1e-7,
+        tolerances={"residual": 1e-7},
     )
     assert report.verdict == "hypothesis-error"
 
@@ -154,10 +160,12 @@ def test_set_persistence_residual_shrinks_with_tolerance():
     x0 = toda.explicit_set_sample("M0_I3", 4, {"X1": 0.0, "u": 0.8})
     resid = lambda zs: toda.explicit_set_residual("M0_I3", 4, zs)
     loose = verify_set_persistence(
-        toda.periodic_field(4), resid, x0, 10.0, tol=1e-4, abs_tol=1e-6, rel_tol=1e-6
+        toda.periodic_field(4), resid, x0, 10.0, integ=IntegratorSettings(1e-6, 1e-6),
+        tolerances={"residual": 1e-4},
     )
     tight = verify_set_persistence(
-        toda.periodic_field(4), resid, x0, 10.0, tol=1e-4, abs_tol=1e-8, rel_tol=1e-8
+        toda.periodic_field(4), resid, x0, 10.0, integ=IntegratorSettings(1e-8, 1e-8),
+        tolerances={"residual": 1e-4},
     )
     assert loose.verdict == "pass" and tight.verdict == "pass"
     assert tight.worst_value <= loose.worst_value / 10.0
@@ -166,7 +174,7 @@ def test_set_persistence_residual_shrinks_with_tolerance():
 def test_critical_invariance_pattern_family():
     report = verify_critical_invariance(
         toda.periodic_field(4), toda.periodic_invariants(4), PATTERN_START, 10.0,
-        sample_count=101,
+        integ=IntegratorSettings(sample_count=101),
     )
     assert report.verdict == "pass"
     assert report.initial_rank == 2
@@ -192,9 +200,7 @@ def test_critical_invariance_kepler_energy_momentum_pair():
         pair,
         kepler.circular_sample(1.0, 0.0),
         2 * np.pi,
-        abs_tol=1e-12,
-        rel_tol=1e-12,
-        sample_count=101,
+        integ=IntegratorSettings(1e-12, 1e-12, 101),
     )
     assert report.verdict == "pass"
     assert report.initial_rank == 1  # gradients are parallel on the circle
@@ -214,7 +220,7 @@ def test_rank_change_along_flow_is_reported_as_fail():
     # the quarter turn; with a sample landing there the verifier must fail
     report = verify_rank_invariance(
         oscillator.harmonic_oscillator(), _half_square_probe(), [1.0, 0.0], np.pi,
-        sample_count=3,
+        integ=IntegratorSettings(sample_count=3),
     )
     assert report.verdict == "fail"
     assert list(report.sample_values) == [1, 0, 1]
@@ -229,7 +235,7 @@ def test_near_threshold_rank_is_reported_borderline():
         _half_square_probe(),
         [1.0, 0.0],
         np.pi / 2 - 5e-8,
-        sample_count=2,
+        integ=IntegratorSettings(sample_count=2),
     )
     assert report.verdict == "borderline"
     assert report.min_margin < 10
@@ -243,7 +249,7 @@ def test_nonconserved_probe_never_silently_passes():
     sys4 = toda.periodic_field(4)
     reports = [
         verify_rank_invariance(sys4, probe, PATTERN_START, 5.0),
-        verify_vanishing_invariance(sys4, probe, PATTERN_START, 1, 5.0),
+        verify_vanishing_invariance(sys4, probe, PATTERN_START, 5.0, order=1),
         verify_critical_invariance(sys4, probe, PATTERN_START, 5.0),
     ]
     for report in reports:
@@ -253,7 +259,8 @@ def test_nonconserved_probe_never_silently_passes():
 def test_equilibrium_is_flagged_and_trivially_invariant():
     x0 = toda.explicit_set_sample("M2_I123", 5, {"X": 0.6, "u": 0.3})
     report = verify_rank_invariance(
-        toda.periodic_field(5), toda.periodic_invariants(5), x0, 5.0, sample_count=51
+        toda.periodic_field(5), toda.periodic_invariants(5), x0, 5.0,
+        integ=IntegratorSettings(sample_count=51),
     )
     assert report.verdict == "pass"
     assert report.equilibrium is True
@@ -269,8 +276,8 @@ def _quarter_turn_probe():
 
 def test_vanishing_membership_lost_along_flow_is_fail():
     report = verify_vanishing_invariance(
-        oscillator.harmonic_oscillator(), _quarter_turn_probe(), [1.0, 0.0], 1, np.pi,
-        sample_count=3,
+        oscillator.harmonic_oscillator(), _quarter_turn_probe(), [1.0, 0.0], np.pi, order=1,
+        integ=IntegratorSettings(sample_count=3),
     )
     assert report.verdict == "fail"
     assert report.min_margin >= 10
@@ -279,7 +286,7 @@ def test_vanishing_membership_lost_along_flow_is_fail():
 def test_criticality_lost_along_flow_is_fail():
     report = verify_critical_invariance(
         oscillator.harmonic_oscillator(), _quarter_turn_probe(), [1.0, 0.0], np.pi,
-        sample_count=3,
+        integ=IntegratorSettings(sample_count=3),
     )
     assert report.verdict == "fail"
     assert report.initial_rank == 0
@@ -291,7 +298,7 @@ def test_set_left_decisively_along_flow_is_fail():
     # sample's margin is tol/r inside and r/tol outside, so this is a fail
     report = verify_set_persistence(
         oscillator.harmonic_oscillator(), lambda zs: np.abs(zs[:, 1]), [1.0, 0.0], np.pi,
-        tol=1e-6, sample_count=3,
+        integ=IntegratorSettings(sample_count=3), tolerances={"residual": 1e-6},
     )
     assert report.verdict == "fail"
     assert report.worst_value == pytest.approx(1.0)
@@ -303,7 +310,108 @@ def test_set_residual_near_tolerance_is_borderline(tol):
     # the quarter-turn residual 1 sits within a factor 10 of tol, on either side
     report = verify_set_persistence(
         oscillator.harmonic_oscillator(), lambda zs: np.abs(zs[:, 1]), [1.0, 0.0], np.pi,
-        tol=tol, sample_count=3,
+        integ=IntegratorSettings(sample_count=3), tolerances={"residual": tol},
     )
     assert report.verdict == "borderline"
     assert report.min_margin == pytest.approx(2.0)
+
+
+# One case per verifier: the call with its subject, x0 and t_end, and the
+# system of the flow it integrates (for coincidence, the F-driven flow,
+# whose closed form is the Kepler field).
+M1_I13_START = toda.explicit_set_sample("M1_I13", 4, {"X1": 0.4, "X2": 0.9, "u": 0.6})
+VERIFIER_CASES = {
+    "rank": (
+        lambda **kw: verify_rank_invariance(
+            toda.periodic_field(4), toda.periodic_invariants(4), PATTERN_START, 2.0, **kw
+        ),
+        toda.periodic_field(4), PATTERN_START, 2.0,
+    ),
+    "critical": (
+        lambda **kw: verify_critical_invariance(
+            toda.periodic_field(4), toda.periodic_invariants(4), PATTERN_START, 2.0, **kw
+        ),
+        toda.periodic_field(4), PATTERN_START, 2.0,
+    ),
+    "vanishing": (
+        lambda **kw: verify_vanishing_invariance(
+            oscillator.harmonic_oscillator(), oscillator.unit_circle_power(3), [1.0, 0.0], 2.0,
+            order=2, **{"tolerances": {"vanishing": 1e-4}, **kw},
+        ),
+        oscillator.harmonic_oscillator(), [1.0, 0.0], 2.0,
+    ),
+    "set": (
+        lambda **kw: verify_set_persistence(
+            toda.periodic_field(4), lambda zs: toda.explicit_set_residual("M1_I13", 4, zs), M1_I13_START, 2.0,
+            **kw,
+        ),
+        toda.periodic_field(4), M1_I13_START, 2.0,
+    ),
+    "coincidence": (
+        lambda **kw: verify_coincidence(
+            report._symplectic_base, kepler.hamiltonian(), kepler.linear_pair_hamiltonian(1.0),
+            kepler.circular_sample(1.0, 0.3), 2.0, batched=True, **kw,
+        ),
+        kepler.kepler_field(), kepler.circular_sample(1.0, 0.3), 2.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(VERIFIER_CASES))
+def test_integ_reaches_the_integrator_of_every_verifier(case):
+    verify, system, x0, t_end = VERIFIER_CASES[case]
+    integ = IntegratorSettings(abs_tol=1e-6, rel_tol=1e-6, sample_count=11)
+    traj = verify(integ=integ).trajectory
+    assert len(traj) == 11
+    expected = flow_adaptive(system, x0, t_end, integ=integ).stats.field_evaluations
+    assert traj.stats.field_evaluations == expected
+    assert expected != flow_adaptive(system, x0, t_end).stats.field_evaluations
+
+
+def test_an_integrator_tolerance_under_its_old_name_is_refused():
+    # abs_tol once set the vanishing threshold here, silently
+    with pytest.raises(TypeError, match="abs_tol"):
+        verify_vanishing_invariance(
+            oscillator.harmonic_oscillator(), oscillator.unit_circle_power(3), [1.0, 0.0], 2.0,
+            order=2, abs_tol=1e-12,
+        )
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        # these gave a hypothesis-error or a verdict from a threshold no scenario admits
+        (lambda: VERIFIER_CASES["vanishing"][0](tolerances={"vanishing": NAN}),
+         '"tolerances.vanishing" must be positive and finite, got nan'),
+        (lambda: VERIFIER_CASES["rank"][0](tolerances={"conservation": NAN}),
+         '"tolerances.conservation" must be positive and finite, got nan'),
+        (lambda: VERIFIER_CASES["coincidence"][0](tolerances={"deviation": INF}),
+         '"tolerances.deviation" must be positive and finite, got inf'),
+        (lambda: VERIFIER_CASES["coincidence"][0](tolerances={"hypothesis": -1e-8}),
+         '"tolerances.hypothesis" must be positive and finite, got -1e-08'),
+        (lambda: VERIFIER_CASES["set"][0](tolerances={"residual": 0.0}),
+         '"tolerances.residual" must be positive and finite, got 0.0'),
+        (lambda: VERIFIER_CASES["critical"][0](tolerances={"rank": 1.0}),
+         '"tolerances.rank" must lie in (0, 1), got 1.0'),
+        (lambda: VERIFIER_CASES["rank"][0](tolerances={"rank": NAN}),
+         '"tolerances.rank" must lie in (0, 1), got nan'),
+        (lambda: vanishing_memberships(oscillator.unit_circle_power(3), np.ones((2, 2)), 1, abs_tol=NAN),
+         '"abs_tol" must be positive and finite, got nan'),
+        (lambda: rank_levels(toda.periodic_invariants(4), PATTERN_START[None], rel_tol=NAN),
+         '"rel_tol" must lie in (0, 1), got nan'),
+        # a name the verifier does not read, as in a scenario
+        (lambda: VERIFIER_CASES["set"][0](tolerances={"deviation": 1e-6}),
+         'unknown tolerance "deviation"; this check reads residual'),
+    ],
+    ids=[
+        "vanishing-nan", "conservation-nan", "deviation-inf", "hypothesis-negative", "residual-zero",
+        "rank-one", "rank-nan", "memberships-nan", "rank-levels-nan", "unknown-name",
+    ],
+)
+def test_every_tolerance_is_checked_by_the_scenario_rule(call, message):
+    with pytest.raises(UsageError) as err:
+        call()
+    assert str(err.value) == message

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from invarsets import (
+    IntegratorSettings,
     NumericError,
     UsageError,
     agreement_residual,
@@ -138,7 +139,7 @@ def test_orbits_close_with_cubed_period():
     sysk = kepler.kepler_field()
     for a in (0.5, 1.0, 2.0):
         x0 = kepler.circular_sample(a, 0.3)
-        traj = flow_adaptive(sysk, x0, 2 * np.pi * a**3, 1e-10, 1e-10, sample_count=2)
+        traj = flow_adaptive(sysk, x0, 2 * np.pi * a**3, integ=IntegratorSettings(1e-10, 1e-10, 2))
         assert np.linalg.norm(traj.final_state - x0) < 1e-6
 
 

@@ -13,20 +13,23 @@ from invarsets import (
     vanishing_memberships,
 )
 from invarsets import kepler, oscillator, toda
-from invarsets.rank_sets import BORDERLINE_MARGIN, DEFAULT_RANK_TOL, _decide, _margins, singular_values
+from invarsets.core import TOLERANCES
+from invarsets.rank_sets import BORDERLINE_MARGIN, _decide, _margins, singular_values
 
 from conftest import random_states
 
+RANK_TOL = TOLERANCES["rank"]
+
 
 def test_zero_matrix_has_rank_zero():
-    decision = _decide(np.zeros((1, 2, 2)), DEFAULT_RANK_TOL, np.array([0.0]))
+    decision = _decide(np.zeros((1, 2, 2)), RANK_TOL, np.array([0.0]))
     assert decision.ranks[0] == 0
     assert decision.margins[0] == np.inf
 
 
 def test_constant_gradient_row_has_rank_one():
     J = jacobians(toda.henon_closed_form(4, 1), random_states(8, 1, 3))
-    assert _decide(J, DEFAULT_RANK_TOL, np.array([0.0])).ranks[0] == 1
+    assert _decide(J, RANK_TOL, np.array([0.0])).ranks[0] == 1
 
 
 def test_generic_stack_has_full_rank():
@@ -39,9 +42,9 @@ def test_generic_stack_has_full_rank():
 def test_rank_is_scale_robust():
     q = toda.periodic_invariants(4)
     J = jacobians(q, random_states(8, 1, 7))
-    base = _decide(J, DEFAULT_RANK_TOL, np.array([0.0])).ranks[0]
-    assert _decide(J * 1e6, DEFAULT_RANK_TOL, np.array([0.0])).ranks[0] == base
-    assert _decide(J * 1e-6, DEFAULT_RANK_TOL, np.array([0.0])).ranks[0] == base
+    base = _decide(J, RANK_TOL, np.array([0.0])).ranks[0]
+    assert _decide(J * 1e6, RANK_TOL, np.array([0.0])).ranks[0] == base
+    assert _decide(J * 1e-6, RANK_TOL, np.array([0.0])).ranks[0] == base
 
 
 def test_rank_margin_reflects_distance_to_threshold():
@@ -67,7 +70,7 @@ def test_dropped_subnormal_singular_value_raises_no_overflow_warning():
     # value, so the margin is the kept value's 1e10 / (1e-8 * 1e10)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        decision = _decide(np.diag([1e10, 1e-307])[None], DEFAULT_RANK_TOL, np.array([0.0]))
+        decision = _decide(np.diag([1e10, 1e-307])[None], RANK_TOL, np.array([0.0]))
     assert decision.ranks[0] == 1
     assert decision.margins[0] == pytest.approx(1e8, rel=1e-12)
 
@@ -150,7 +153,7 @@ def test_critical_residual_sign_convention():
     decisions = rank_levels(q, xs)
     # the documented rule: max(rel_tol * sigma_1, rel_tol * max(1, |x|))
     sv = singular_values(jacobians(q, xs))
-    thresholds = np.maximum(DEFAULT_RANK_TOL * sv[:, 0], DEFAULT_RANK_TOL * np.maximum(1.0, np.linalg.norm(xs, axis=1)))
+    thresholds = np.maximum(RANK_TOL * sv[:, 0], RANK_TOL * np.maximum(1.0, np.linalg.norm(xs, axis=1)))
     below = sv[:, q.k - 1] < thresholds
     assert list(below) == [True, False]
     assert list(decisions.ranks < q.k) == [True, False]

@@ -14,6 +14,7 @@ from hypothesis.extra.numpy import arrays
 
 from invarsets import (
     ConservedQuantitySet,
+    IntegratorSettings,
     UsageError,
     oscillator,
     toda,
@@ -321,7 +322,8 @@ def test_set_persistence_rejects_a_residual_of_the_wrong_shape(residual, shape):
     # residual that fits the start fails on the samples
     with pytest.raises(UsageError, match=r"set residual .* returned shape") as info:
         verify_set_persistence(
-            oscillator.harmonic_oscillator(), residual, [1.0, 0.0], 1.0, tol=1e-6, sample_count=5
+            oscillator.harmonic_oscillator(), residual, [1.0, 0.0], 1.0,
+            integ=IntegratorSettings(sample_count=5), tolerances={"residual": 1e-6},
         )
     assert residual.__name__ in str(info.value)
     assert f"returned shape {shape}" in str(info.value)
