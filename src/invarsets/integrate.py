@@ -14,7 +14,11 @@ Hairer-Norsett-Wanner initial-step heuristic, and a failure once a step
 would fall below ten spacings of the floats at the current time or after
 100,000 step attempts (a fast oscillation would otherwise run on).  Every
 constant and every floating-point operation is the one scipy's ``DOP853``
-uses, so the two produce the same trajectories bit for bit.
+uses, so the two produce the same trajectories bit for bit.  An attempt's
+scalar operands, the step size (one reused array) and the tolerances, enter
+the ufuncs as 0-d arrays: a Python float costs a call 0.2-0.4 us more under
+NumPy 2.  The error norm is taken on Python floats, cheaper than numpy scalars,
+with numpy's scalar results (inf on overflow, nan at 0/0).
 The default tolerances of :class:`IntegratorSettings` are 1e-10 so that
 downstream theorem checks comparing residuals at ~1e-7 sit comfortably
 above the integration error.
@@ -237,9 +241,19 @@ def _rms(x: np.ndarray) -> float:
     return math.sqrt(x.dot(x)) / x.size ** 0.5
 
 
-def _norm_squared(x: np.ndarray) -> np.float64:
-    """``np.linalg.norm(x) ** 2`` (the rounded root squared) as a numpy scalar."""
-    return np.float64(math.sqrt(x.dot(x))) ** 2
+def _error_norm(KT: np.ndarray, h: float, scale: np.ndarray) -> float:
+    """scipy's ``DOP853._estimate_error_norm`` of the stages ``KT.T``, on
+    Python floats with numpy's scalar results.  A squared norm is
+    ``np.linalg.norm(x) ** 2``, the rounded root squared: Python's ``**``
+    rounds as numpy's does (``s * s`` does not) and cannot overflow, as the
+    root of a finite double is at most sqrt(DBL_MAX), rounded down.  A zero
+    e5 with a 0.01 e3 that underflows is numpy's 0/0: nan, not an exception."""
+    err5, err3 = KT.dot(_E5) / scale, KT.dot(_E3) / scale
+    e5, e3 = math.sqrt(err5.dot(err5)) ** 2, math.sqrt(err3.dot(err3)) ** 2
+    if not (e5 or e3):
+        return 0.0
+    root = math.sqrt((e5 + 0.01 * e3) * scale.size)
+    return h * e5 / root if root else math.nan
 
 
 def _initial_step(field, y0, f0, t_end: float, atol: float, rtol: float) -> float:
@@ -281,12 +295,13 @@ def _dop853(system: SystemDefinition, y, t_eval, abs_tol, rel_tol):
     times = t_eval.tolist()
     t_end = times[-1]
     atol, rtol = abs_tol, max(rel_tol, _MIN_REL_TOL)
+    step, atol_0d, rtol_0d = np.empty(()), np.array(atol), np.array(rtol)
     n = y.size
     states = np.empty((t_eval.size, n))
     K = np.empty((13, n))  # the twelve stages and the new solution's
     # stage s sums the earlier stages with row s of A: the same matrix-vector
     # product on the same transposed views as scipy, so bit-identical sums
-    stages = [(s, K[:s].T, _A[s, :s]) for s in range(1, 12)]
+    stages = [(s, K[:s].T.dot, _A[s, :s]) for s in range(1, 12)]
     KB, KE = K[:12].T, K.T
     block = np.empty((_BLOCK, 16, n))  # the held steps' stages and three extra
     held = []  # (t, h, y, y_new, first sample, stop) per held step
@@ -323,15 +338,14 @@ def _dop853(system: SystemDefinition, y, t_eval, abs_tol, rel_tol):
                     )
                 t_new = min(t + h_abs, t_end)
                 h = h_abs = t_new - t
-                for s, KT, a in stages:
-                    K[s] = field(y + KT.dot(a) * h)
-                y_new = y + h * KB.dot(_B)
+                step[()] = h
+                for s, dot, a in stages:
+                    K[s] = field(y + dot(a) * step)
+                y_new = y + step * KB.dot(_B)
                 K[12] = field(y_new)
                 abs_y_new = np.abs(y_new)
-                scale = atol + np.maximum(abs_y, abs_y_new) * rtol
-                e5 = _norm_squared(KE.dot(_E5) / scale)
-                e3 = _norm_squared(KE.dot(_E3) / scale)
-                error_norm = h * e5 / math.sqrt((e5 + 0.01 * e3) * n) if e5 or e3 else 0.0
+                scale = atol_0d + np.maximum(abs_y, abs_y_new) * rtol_0d
+                error_norm = _error_norm(KE, h, scale)
                 if error_norm < 1:
                     break
                 h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)

@@ -406,7 +406,11 @@ def _read(config) -> _Scenario:
     section = _fields(_section(config, "tolerances"), defaults, "tolerances.", name)
     tol.update((key, _tolerance(key, value)) for key, value in section.items())
     integ = _fields(_section(config, "integ"), _INTEG if check.integrates else {}, "integ.", name)
-    integ = IntegratorSettings(**integ) if check.integrates else None
+    try:
+        integ = IntegratorSettings(**integ) if check.integrates else None
+    except UsageError as exc:  # "<key> must ...": name the key in its section
+        key, rest = str(exc).split(" ", 1)
+        raise UsageError(f'"integ.{key}" {rest}') from None
     model = config.get("model")
     if not isinstance(model, dict) or "kind" not in model:
         raise UsageError('scenario needs a "model" object with a "kind" field')

@@ -505,6 +505,10 @@ FLASCHKA = "toda-nonperiodic-flaschka-oracle.json"
             RANK, {"initial_state": {"set_id": "M2_I123", "params": {"X1": float("nan"), "X2": 0.7, "u1": 0.5, "u2": -0.2}}},
             [], '"initial_state.params.X1" must be finite, got nan',
         ),
+        # the integrator settings' own range checks, named in their section
+        (RANK, {}, ["--abs-tol", "0"], '"integ.abs_tol" must lie in (0, 1e-2], got 0.0'),
+        (RANK, {"integ": {"rel_tol": 0.1}}, [], '"integ.rel_tol" must lie in (0, 1e-2], got 0.1'),
+        (RANK, {}, ["--sample-count", "1"], '"integ.sample_count" must be an integer >= 2, got 1'),
     ],
     ids=[
         "model-n", "model-n-fraction", "tolerances", "integ", "sample-count", "tolerance-value", "t-end",
@@ -515,7 +519,8 @@ FLASCHKA = "toda-nonperiodic-flaschka-oracle.json"
         "samples-huge", "model-a-huge", "model-a-tiny", "circular-a-tiny", "tolerance-true", "t-end-true",
         "model-a-true", "samples-true", "family-param-true", "initial-state-true", "partials-huge",
         "lax-entries-huge", "family-sample-overflow", "family-sample-non-finite", "circular-theta-inf",
-        "random-scale-inf", "random-scale-overflow", "family-param-nan",
+        "random-scale-inf", "random-scale-overflow", "family-param-nan", "abs-tol-flag-zero",
+        "rel-tol-above-range", "sample-count-flag-one",
     ],
 )
 def test_malformed_config_types_are_config_errors(tmp_path, capsys, scenario, change, flags, named):

@@ -1,9 +1,11 @@
+import math
 import os
 import subprocess
 import sys
 import textwrap
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -173,6 +175,42 @@ def test_tableau_equals_scipy_dop853():
     assert np.array_equal(integrate._D, dop853_coefficients.D)
 
 
+def _stage_stack(row, value, n=3):
+    K = np.zeros((13, n))
+    K[row] = value
+    return K
+
+
+# (stages, h, error norm); stage 0 weighs |E3| about 15 times |E5|
+ERROR_NORM_CASES = {
+    "all-zero": (np.zeros((13, 3)), 0.1, 0.0),
+    # a root squared as numpy squares it: s * s is one ulp off in e5
+    "square-rounded-as-numpy": (_stage_stack(0, 1.00013, 1), 1.0, 0.007461337919615616),
+    # e5's square underflows to 0 and 0.01 e3 underflows from a subnormal: 0/0
+    "zero-e5-subnormal-e3": (_stage_stack(0, 2.4e-161), 0.1, math.nan),
+    # e5's dot is one ulp below the largest double, e3's overflows
+    "largest-e5-square": (_stage_stack(0, 1.0219330753724579e156, 1), 0.1, 0.0),
+    "e3-square-overflows": (_stage_stack(0, 5e155), 0.1, 0.0),
+    "both-squares-overflow": (_stage_stack(0, 1e160), 0.1, math.nan),
+    "h-e5-overflows": (_stage_stack(0, 1e150), 1e20, math.inf),
+    "inf-stage": (_stage_stack(0, math.inf), 0.1, math.nan),
+    "inf-in-unweighted-stage": (_stage_stack(3, math.inf), 0.1, math.nan),
+    "nan-stage": (_stage_stack(5, math.nan), 0.1, math.nan),
+}
+
+
+@pytest.mark.parametrize("K,h,expected", ERROR_NORM_CASES.values(), ids=ERROR_NORM_CASES.keys())
+def test_error_norm_equals_scipy_at_the_edges(K, h, expected):
+    scale = np.ones(K.shape[1])
+    with np.errstate(over="ignore", invalid="ignore"):  # as flow_adaptive runs it
+        ours = integrate._error_norm(K.T, h, scale)  # no exception escapes
+    coefficients = SimpleNamespace(E5=dop853_coefficients.E5, E3=dop853_coefficients.E3)
+    with np.errstate(all="ignore"):  # scipy warns of its own overflows
+        theirs = DOP853._estimate_error_norm(coefficients, K, h, scale)
+    # bit for bit, the sign of zero included, and nan for nan
+    assert float(ours).hex() == float(theirs).hex() == float(expected).hex()
+
+
 # |f0 / scale| overflows in the initial-step norm, so the first step is the
 # stepper's floor; scipy warns of its own overflows
 OVERFLOWING_NORM = pytest.param(
@@ -184,6 +222,9 @@ OVERFLOWING_NORM = pytest.param(
 )
 # a short horizon with many samples in every step of the dense output
 DENSE_SAMPLES = (kepler.kepler_field(), [0.0, 1.1, 0.9, 0.1], 0.5, 2001)
+# the most eccentric Kepler orbit of the long-flow benchmark, e = 0.7 from
+# periapsis over 8 periods: 29% of its attempts are rejected
+ECCENTRIC_LONG = (kepler.kepler_field(), [0.3, 0.0, 0.0, math.sqrt(1.7 / 0.3)], 16 * np.pi, 101)
 # about one sample per step, and held steps that fill several blocks
 TODA_LONG = [
     (toda.periodic_field(n), random_toda_physical(n, 1, 12)[0], 15.0, 101) for n in (16, 64)
@@ -233,12 +274,12 @@ def _assert_equals_solve_ivp(system, x0, t_end, samples, tol):
     "system,x0,t_end,samples",
     [
         *(case + (51,) for case in FLOWS), ECCENTRIC + (51,), OVERFLOWING_NORM, DENSE_SAMPLES,
-        *TODA_LONG, FREE_END_LONG, UNDECLARED, *DRIVEN,
+        *TODA_LONG, FREE_END_LONG, UNDECLARED, *DRIVEN, ECCENTRIC_LONG,
     ],
     ids=[
         *FLOW_IDS, "kepler-eccentric", "kepler-overflowing-norm", "kepler-dense-samples",
         "toda-16-long", "toda-64-long", "toda-nonperiodic-long", "undeclared-field",
-        "driven-H", "driven-linear-pair",
+        "driven-H", "driven-linear-pair", "kepler-eccentric-long",
     ],
 )
 def test_adaptive_flow_equals_solve_ivp_bit_for_bit(system, x0, t_end, samples, tol):
