@@ -31,12 +31,17 @@ guaranteed).  The mod-n index aliasing is centralized in per-n neighbour
 index arrays, built once by ``_ring``, so value, gradient, and field code
 cannot drift apart; gathering through them is bit-identical to np.roll.
 
-The closed forms of I_1..I_3 and F_1..F_3 act on the last axis: they take
-one state or an ``(m, dim)`` stack and return ``(..., 1)`` values and
+The closed forms of I_1..I_3 and F_1..F_3 take one state or an
+``(m, dim)`` stack and return C-contiguous ``(..., 1)`` values and
 ``(..., 1, dim)`` gradients, each row equal bit for bit to the
-single-state result (they are declared ``batched``).  Reductions keep
-their axis so that every power is an array power, and row dot products
-use ``np.vecdot`` on operands of the same memory layout.
+single-state result (they are declared ``batched``).  They work
+components first: the stack is transposed once into a contiguous
+``(dim, m)`` array, a point being a stack of one, and a sum over
+components adds whole rows left to right from +0.0, the same way for a
+point and for any stack.  A row of a stack is short (2n entries) and the
+sample axis long, so one add per component over the samples costs less
+than one reduction per sample; cubes are products and the mixed ``u X``
+terms sums of products, so no ``pow`` or BLAS dot runs per entry.
 """
 
 from __future__ import annotations
@@ -188,17 +193,35 @@ def henon_invariant_oracle(n: int, m: int) -> ConservedQuantitySet:
     )
 
 
-def _sum(v):
-    return v.sum(axis=-1, keepdims=True)
+def _components(z, springs):
+    """The spring rows X and particle rows u of a state or an ``(m, dim)``
+    stack, split from one contiguous ``(dim, m)`` array."""
+    zt = np.ascontiguousarray(z.reshape(-1, z.shape[-1]).T)
+    return zt[:springs], zt[springs:]
 
 
-def _row(parts):
-    """Concatenate gradient blocks along the last axis into (..., 1, dim)."""
-    return np.concatenate(parts, axis=-1)[..., None, :]
+def _total(rows):
+    """The sum of the rows of a ``(j, m)`` array, left to right from +0.0:
+    as numpy sums fewer than 8 entries, the same for a point and a stack."""
+    total = rows[0] + 0.0
+    for row in rows[1:]:
+        total += row
+    return total
+
+
+def _value(z, v):
+    return v.reshape(z.shape[:-1] + (1,))
+
+
+def _gradient(z, *blocks):
+    """C-contiguous ``(..., 1, dim)`` gradients from ``(j, m)`` blocks."""
+    out = np.empty(z.shape[:-1] + (1, z.shape[-1]))
+    np.concatenate(blocks, out=out.reshape(-1, z.shape[-1]).T)
+    return out
 
 
 def _i1_value(z, n):
-    return _sum(z[..., n:])
+    return _value(z, _total(_components(z, n)[1]))
 
 
 def _i1_gradient(z, n):
@@ -214,15 +237,14 @@ def _i1_partial(z, alpha, n):
 
 
 def _i2_value(z, n):
-    X, u = split_periodic(z, n)
-    U = _sum(u)
-    V = 0.5 * (U * U - _sum(u * u))
-    return V - _sum(X)
+    X, u = _components(z, n)
+    U = _total(u)
+    return _value(z, 0.5 * (U * U - _total(u * u)) - _total(X))
 
 
 def _i2_gradient(z, n):
-    X, u = split_periodic(z, n)
-    return _row([np.full_like(X, -1.0), _sum(u) - u])
+    X, u = _components(z, n)
+    return _gradient(z, np.full_like(X, -1.0), _total(u) - u)
 
 
 def _i2_partial(z, alpha, n):
@@ -238,28 +260,23 @@ def _i2_partial(z, alpha, n):
 
 
 def _i3_value(z, n):
-    X, u = split_periodic(z, n)
+    X, u = _components(z, n)
     _, prv = _ring(n)
-    U = _sum(u)
+    U, uu = _total(u), u * u
     # sum over i1<i2<i3 of u u u via power sums
-    p2, p3 = _sum(u * u), _sum(u**3)
-    triples = (U**3 - 3.0 * U * p2 + 2.0 * p3) / 6.0
-    # mixed terms u_i X_j over j != i, j != i-1 (mod n); np.take keeps the
-    # gathered rows unit-strided like u, so each row sums as the 1-D dot does
-    uX = np.vecdot(u, X)[..., None]
-    uXprev = np.vecdot(u, np.take(X, prv, axis=-1))[..., None]
-    return triples - (U * _sum(X) - uX - uXprev)
+    triples = (U * U * U - 3.0 * U * _total(uu) + 2.0 * _total(uu * u)) / 6.0
+    # mixed terms u_i X_j over j != i, j != i-1 (mod n)
+    return _value(z, triples - (U * _total(X) - _total(u * X) - _total(u * X[prv])))
 
 
 def _i3_gradient(z, n):
-    X, u = split_periodic(z, n)
+    X, u = _components(z, n)
     nxt, prv = _ring(n)
-    U = _sum(u)
-    V = 0.5 * (U * U - _sum(u * u))
-    Y = _sum(X)
-    gX = -(U - u - np.take(u, nxt, axis=-1))
-    gu = V - u * (U - u) - (Y - np.take(X, prv, axis=-1) - X)
-    return _row([gX, gu])
+    U = _total(u)
+    V = 0.5 * (U * U - _total(u * u))
+    gX = -(U - u - u[nxt])
+    gu = V - u * (U - u) - (_total(X) - X[prv] - X)
+    return _gradient(z, gX, gu)
 
 
 # degree -> (value, gradient, partial or None); each takes (z, n)
@@ -345,7 +362,7 @@ def trace_invariant_value(n: int, k: int, x):
 
 
 def _f1_value(z, n):
-    return _sum(z[..., n - 1 :])
+    return _value(z, _total(_components(z, n - 1)[1]))
 
 
 def _f1_gradient(z, n):
@@ -361,13 +378,13 @@ def _f1_partial(z, alpha, n):
 
 
 def _f2_value(z, n):
-    X, u = split_nonperiodic(z, n)
-    return _sum(X) + 0.5 * _sum(u * u)
+    X, u = _components(z, n - 1)
+    return _value(z, _total(X) + 0.5 * _total(u * u))
 
 
 def _f2_gradient(z, n):
-    X, u = split_nonperiodic(z, n)
-    return _row([np.ones_like(X), u])
+    X, u = _components(z, n - 1)
+    return _gradient(z, np.ones_like(X), u)
 
 
 def _f2_partial(z, alpha, n):
@@ -383,17 +400,15 @@ def _f2_partial(z, alpha, n):
 
 
 def _f3_value(z, n):
-    X, u = split_nonperiodic(z, n)
-    return _sum(X * (u[..., :-1] + u[..., 1:])) + _sum(u**3) / 3.0
+    X, u = _components(z, n - 1)
+    return _value(z, _total(X * (u[:-1] + u[1:])) + _total(u * u * u) / 3.0)
 
 
 def _f3_gradient(z, n):
-    X, u = split_nonperiodic(z, n)
-    end = np.zeros(z.shape[:-1] + (1,))
-    Xe = np.concatenate([end, X, end], axis=-1)  # X_0 .. X_n with zero ends
-    gX = u[..., :-1] + u[..., 1:]
-    gu = Xe[..., :-1] + Xe[..., 1:] + u * u
-    return _row([gX, gu])
+    X, u = _components(z, n - 1)
+    end = np.zeros((1, u.shape[1]))
+    Xe = np.concatenate([end, X, end])  # X_0 .. X_n with zero ends
+    return _gradient(z, u[:-1] + u[1:], Xe[:-1] + Xe[1:] + u * u)
 
 
 # index -> (value, gradient, partial or None); each takes (z, n)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,13 @@ from invarsets import (
     vanishing_memberships,
 )
 from invarsets import kepler, toda
-from invarsets.differentiate import _partial_stack
+from invarsets.differentiate import (
+    DEFAULT_STEP_SCALE,
+    FD_CHUNK_STATES,
+    _coordinate_steps,
+    _partial_stack,
+    _values,
+)
 
 from conftest import builtin_gradient_cases
 
@@ -139,3 +147,112 @@ def test_derivative_blocks_match_between_stacked_and_parts():
     for alpha in t:
         assert t[alpha][0, 0] == t1[alpha][0, 0]
         assert t[alpha][0, 1] == t2[alpha][0, 0]
+
+
+# -- stacked finite differences ------------------------------------------------
+
+
+def loop_jacobians(quantity, xs):
+    """Central differences one coordinate and side at a time: the loop the
+    stacked evaluation replaced."""
+    h = _coordinate_steps(xs, DEFAULT_STEP_SCALE)
+    J = np.empty((len(xs), quantity.k, quantity.dim))
+    for j in range(quantity.dim):
+        xp, xm = xs.copy(), xs.copy()
+        xp[:, j] += h[:, j]
+        xm[:, j] -= h[:, j]
+        col = (_values(quantity, xp) - _values(quantity, xm)) / (2.0 * h[:, j, None])
+        if not np.isfinite(col).all():
+            raise NumericError(f"quantity is non-finite near x along coordinate {j}")
+        J[:, :, j] = col
+    return J
+
+
+def _counted(quantity):
+    """``quantity`` with its value calls recorded by input shape."""
+    calls = []
+
+    def value(z):
+        calls.append(z.shape)
+        return quantity.value(z)
+
+    return ConservedQuantitySet(
+        quantity.dim, quantity.k, value, quantity.labels, batched=quantity.batched
+    ), calls
+
+
+FD_QUANTITIES = {
+    "batched enumeration": toda.henon_invariant_oracle(5, 3),
+    "batched closed forms": ConservedQuantitySet(
+        10, 3, toda.periodic_invariants(5).value, ("I1", "I2", "I3"), batched=True
+    ),
+    "undeclared trace": ConservedQuantitySet(9, 1, toda.flaschka_invariant(5, 4).value, ("F4",)),
+}
+
+
+@pytest.mark.parametrize("label", FD_QUANTITIES)
+@pytest.mark.parametrize("m", [1, 401])
+def test_stacked_differences_equal_the_coordinate_loop(label, m):
+    quantity, calls = _counted(FD_QUANTITIES[label])
+    xs = np.random.default_rng(m).standard_normal((m, quantity.dim))
+    J = jacobians(quantity, xs)
+    if quantity.batched:  # chunks of at most FD_CHUNK_STATES states, or one coordinate's pair
+        assert all(shape[0] <= max(2 * m, FD_CHUNK_STATES) for shape in calls)
+    else:  # one call per shifted state, each a point
+        assert calls == [(quantity.dim,)] * (2 * quantity.dim * m)
+    assert J.tobytes() == loop_jacobians(quantity, xs).tobytes()
+
+
+def test_a_batched_oracle_sized_stack_is_one_call():
+    quantity, calls = _counted(toda.henon_invariant_oracle(5, 2))
+    jacobians(quantity, np.random.default_rng(0).standard_normal((100, 10)))
+    assert calls == [(2 * 10 * 100, 10)]
+
+
+def _failing(dim, x0, inf_along=(), raise_along=()):
+    """A batched quantity that is +inf where a state exceeds ``x0`` along a
+    coordinate in ``inf_along`` and raises :class:`NumericError` on a stack
+    that holds a state shifted along one in ``raise_along``."""
+
+    def value(z):
+        if any(np.any(z[..., j] != x0[j]) for j in raise_along):
+            raise NumericError("the quantity refused a shifted state")
+        bad = np.zeros(z.shape[:-1], dtype=bool)
+        for j in inf_along:
+            bad |= z[..., j] > x0[j]
+        return np.where(bad, np.inf, z.sum(axis=-1))[..., None]
+
+    return ConservedQuantitySet(dim, 1, value, ("failing",), batched=True)
+
+
+@pytest.mark.parametrize(
+    "inf_along,raise_along,message",
+    [
+        ((4, 5), (), "non-finite near x along coordinate 4$"),
+        ((2,), (5,), "non-finite near x along coordinate 2$"),
+        ((4,), (1,), "refused a shifted state"),
+        ((), (3,), "refused a shifted state"),
+    ],
+)
+def test_the_first_failing_coordinate_of_a_chunk_raises(inf_along, raise_along, message):
+    x0 = np.linspace(0.5, 1.0, 6)
+    quantity = _failing(6, x0, inf_along, raise_along)
+    for differences in (jacobians, loop_jacobians):
+        with pytest.raises(NumericError, match=message):
+            differences(quantity, x0[None])
+
+
+def test_finite_differences_at_dim_512_hold_a_bounded_chunk():
+    quantity = ConservedQuantitySet(
+        512, 1, lambda z: z[..., :1] * z[..., 1:2], ("x0 x1",), batched=True
+    )
+    xs = np.random.default_rng(4).standard_normal((401, 512))
+    tracemalloc.start()
+    try:
+        J = jacobians(quantity, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(J[:, 0, 2:], np.zeros((401, 510)))
+    # every shifted copy at once would be 2 * 512 * 401 * 512 * 8 bytes, 1.7 GB
+    assert peak < 32 * 2**20
