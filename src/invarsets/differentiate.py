@@ -74,6 +74,9 @@ def _jacobian_stack(quantity: ConservedQuantitySet, xs: np.ndarray) -> np.ndarra
                 raise
             chunks[:0] = np.split(cols, len(cols))
             continue
+        except UsageError:  # a wrong shape, named as a call on the caller's stack returns it
+            _values(quantity, xs)
+            raise
         block = (v[:, 0] - v[:, 1]) / (2.0 * hc[:, 0, :, None])
         bad = np.flatnonzero(~np.isfinite(block).all(axis=(1, 2)))
         if bad.size:

@@ -13,12 +13,16 @@ weighted by ``abs_tol + max(|y|, |y_new|) * rel_tol``, the
 Hairer-Norsett-Wanner initial-step heuristic, and a failure once a step
 would fall below ten spacings of the floats at the current time or after
 100,000 step attempts (a fast oscillation would otherwise run on).  Every
-constant and every floating-point operation is the one scipy's ``DOP853``
-uses, so the two produce the same trajectories bit for bit.  An attempt's
-scalar operands, the step size (one reused array) and the tolerances, enter
-the ufuncs as 0-d arrays: a Python float costs a call 0.2-0.4 us more under
-NumPy 2.  The error norm is taken on Python floats, cheaper than numpy scalars,
-with numpy's scalar results (inf on overflow, nan at 0/0).
+constant is the one scipy's ``DOP853`` uses, and so is every floating-point
+operation but the stage sums, whose rounding the method leaves open: the
+input of stage s is one product of the state and the earlier stages with
+``(1, h a_s)``, and the new solution one with ``(1, h B)``, a single BLAS
+call each where scipy's ``y + (a_s . K) h`` takes three.  The dense output
+keeps scipy's form, three calls per block of held steps.  The tolerances
+enter the error scale as 0-d arrays: a Python float costs a ufunc call
+0.2-0.4 us more under NumPy 2.  The error norm is taken on Python floats,
+cheaper than numpy scalars, with numpy's scalar results (inf on overflow,
+nan at 0/0).
 The default tolerances of :class:`IntegratorSettings` are 1e-10 so that
 downstream theorem checks comparing residuals at ~1e-7 sit comfortably
 above the integration error.
@@ -295,14 +299,17 @@ def _dop853(system: SystemDefinition, y, t_eval, abs_tol, rel_tol):
     times = t_eval.tolist()
     t_end = times[-1]
     atol, rtol = abs_tol, max(rel_tol, _MIN_REL_TOL)
-    step, atol_0d, rtol_0d = np.empty(()), np.array(atol), np.array(rtol)
+    atol_0d, rtol_0d = np.array(atol), np.array(rtol)
     n = y.size
     states = np.empty((t_eval.size, n))
-    K = np.empty((13, n))  # the twelve stages and the new solution's
-    # stage s sums the earlier stages with row s of A: the same matrix-vector
-    # product on the same transposed views as scipy, so bit-identical sums
-    stages = [(s, K[:s].T.dot, _A[s, :s]) for s in range(1, 12)]
-    KB, KE = K[:12].T, K.T
+    W = np.empty((14, n))  # a copy of y (held steps keep y, so never a view), then K
+    K = W[1:]  # the twelve stages and the new solution's
+    # row s of C is (1, h * row s of A) and row 12 is (1, h * B), so stage s's
+    # input and the new solution are one product each: W's first rows times a row
+    C = np.ones((13, 14))
+    A, hA = _A[:13, :13], C[:, 1:]
+    stages = [(s + 1, W[: s + 1].T.dot, C[s, : s + 1]) for s in range(1, 12)]
+    WB, cB, KE = W[:13].T, C[12, :13], K.T
     block = np.empty((_BLOCK, 16, n))  # the held steps' stages and three extra
     held = []  # (t, h, y, y_new, first sample, stop) per held step
 
@@ -315,6 +322,7 @@ def _dop853(system: SystemDefinition, y, t_eval, abs_tol, rel_tol):
         return times[filled - 1] if filled else 0.0
 
     try:
+        W[0] = y
         K[0] = f0 = evaluate_field(system, y)
         h_abs = _initial_step(field, y, f0, t_end, atol, rtol)
         while t < t_end:
@@ -338,10 +346,10 @@ def _dop853(system: SystemDefinition, y, t_eval, abs_tol, rel_tol):
                     )
                 t_new = min(t + h_abs, t_end)
                 h = h_abs = t_new - t
-                step[()] = h
-                for s, dot, a in stages:
-                    K[s] = field(y + dot(a) * step)
-                y_new = y + step * KB.dot(_B)
+                np.multiply(A, h, out=hA)
+                for s, dot, c in stages:
+                    W[s] = field(dot(c))
+                y_new = WB.dot(cB)
                 K[12] = field(y_new)
                 abs_y_new = np.abs(y_new)
                 scale = atol_0d + np.maximum(abs_y, abs_y_new) * rtol_0d
@@ -372,7 +380,7 @@ def _dop853(system: SystemDefinition, y, t_eval, abs_tol, rel_tol):
                     full, held = held, []
                     _finish(system, block, full, t_eval, states)
             t, y, abs_y = t_new, y_new, abs_y_new
-            K[0] = K[12]
+            W[0], K[0] = y, K[12]
     except NumericError as exc:
         raise _field_failure(exc, last_sample()) from exc
     finally:  # a failure of a held step replaces a later one

@@ -242,6 +242,18 @@ def test_the_first_failing_coordinate_of_a_chunk_raises(inf_along, raise_along, 
             differences(quantity, x0[None])
 
 
+@pytest.mark.parametrize("batched", [True, False])
+def test_a_wrong_shape_is_named_on_the_callers_stack(batched):
+    # two columns for k = 1: the message gives the shape of a call on the
+    # 5-state stack, not on a chunk of 30 shifted states
+    wide = ConservedQuantitySet(3, 1, lambda z: z[..., :2], ("wide",), batched=batched)
+    xs = np.random.default_rng(2).standard_normal((5, 3))
+    expected = r"\(5, 2\), expected \(5, 1\)" if batched else r"\(2,\), expected \(1,\)"
+    for differences in (jacobians, loop_jacobians):
+        with pytest.raises(UsageError, match=f"quantity 'wide' returned shape {expected}$"):
+            differences(wide, xs)
+
+
 def test_finite_differences_at_dim_512_hold_a_bounded_chunk():
     quantity = ConservedQuantitySet(
         512, 1, lambda z: z[..., :1] * z[..., 1:2], ("x0 x1",), batched=True

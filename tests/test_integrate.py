@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
-from scipy.integrate._ivp import dop853_coefficients
+from scipy.integrate._ivp import dop853_coefficients, rk
 from scipy.integrate._ivp.rk import DOP853
 
 from invarsets import (
@@ -241,6 +241,29 @@ DRIVEN = [
 ]
 
 
+def _folded_rk_step(fun, t, y, f, h, A, B, C, K):
+    """scipy's ``rk_step`` with the stage sums of the library's stepper: the
+    input of stage s, and the new solution, is one product of the state and
+    the earlier stages with (1, h * a_s), not ``y + (a_s . K) * h``."""
+    W = np.empty((K.shape[0] + 1, y.size))  # the state and the stages
+    weights = np.ones((K.shape[0], K.shape[0] + 1))
+    np.multiply(np.vstack([A, B]), h, out=weights[:, 1:-1])
+    W[0], W[1] = y, f
+    for s in range(1, len(B)):
+        W[s + 1] = fun(t + C[s] * h, W[: s + 1].T.dot(weights[s, : s + 1]))
+    y_new = W[:-1].T.dot(weights[-1, :-1])
+    W[-1] = fun(t + h, y_new)
+    K[:] = W[1:]
+    return y_new, W[-1]
+
+
+@pytest.fixture
+def folded_scipy(monkeypatch):
+    """scipy's DOP853, its controller, error norm, initial step and dense
+    output unmodified, with the library's stage sums."""
+    monkeypatch.setattr(rk, "rk_step", _folded_rk_step)
+
+
 def _scipy_steps(system, x0, t_end, tol):
     """The step ends and the rejected attempts of scipy's DOP853, stepped one
     step at a time: a step that took r rejections cost 12 * (r + 1)
@@ -257,35 +280,73 @@ def _scipy_steps(system, x0, t_end, tol):
     return np.array(ends), rejected
 
 
-def _assert_equals_solve_ivp(system, x0, t_end, samples, tol):
-    traj = flow_adaptive(system, x0, t_end, integ=IntegratorSettings(tol, tol, samples))
-    ref = solve_ivp(
+def _solve_ivp(system, x0, t_end, samples, tol):
+    return solve_ivp(
         lambda t, y: system.field(y), (0.0, t_end), np.array(x0, dtype=float),
         method="DOP853", rtol=tol, atol=tol, t_eval=np.linspace(0.0, t_end, samples),
     )
+
+
+def _assert_equals_solve_ivp(system, x0, t_end, samples, tol):
+    traj = flow_adaptive(system, x0, t_end, integ=IntegratorSettings(tol, tol, samples))
+    ref = _solve_ivp(system, x0, t_end, samples, tol)
     assert ref.status == 0
     assert np.array_equal(traj.times, ref.t)
     assert np.array_equal(traj.states, ref.y.T)
     assert traj.stats.field_evaluations == ref.nfev
 
 
-@pytest.mark.parametrize("tol", [1e-10, 1e-6])
-@pytest.mark.parametrize(
+STEPPER_CASES = [
+    *(case + (51,) for case in FLOWS), ECCENTRIC + (51,), OVERFLOWING_NORM, DENSE_SAMPLES,
+    *TODA_LONG, FREE_END_LONG, UNDECLARED, *DRIVEN, ECCENTRIC_LONG,
+]
+STEPPER_TOLS = pytest.mark.parametrize("tol", [1e-10, 1e-6])
+STEPPER_FLOWS = pytest.mark.parametrize(
     "system,x0,t_end,samples",
-    [
-        *(case + (51,) for case in FLOWS), ECCENTRIC + (51,), OVERFLOWING_NORM, DENSE_SAMPLES,
-        *TODA_LONG, FREE_END_LONG, UNDECLARED, *DRIVEN, ECCENTRIC_LONG,
-    ],
+    STEPPER_CASES,
     ids=[
         *FLOW_IDS, "kepler-eccentric", "kepler-overflowing-norm", "kepler-dense-samples",
         "toda-16-long", "toda-64-long", "toda-nonperiodic-long", "undeclared-field",
         "driven-H", "driven-linear-pair", "kepler-eccentric-long",
     ],
 )
+
+
+@pytest.mark.usefixtures("folded_scipy")
+@STEPPER_TOLS
+@STEPPER_FLOWS
 def test_adaptive_flow_equals_solve_ivp_bit_for_bit(system, x0, t_end, samples, tol):
     _assert_equals_solve_ivp(system, x0, t_end, samples, tol)
 
 
+@STEPPER_TOLS
+@STEPPER_FLOWS
+def test_adaptive_flow_is_as_accurate_as_unmodified_solve_ivp(system, x0, t_end, samples, tol):
+    # the same attempts as scipy's own DOP853, and samples as close to its
+    # 1e-13 solution, relative to max(1, |y|), up to 1% and 1e-13
+    traj = flow_adaptive(system, x0, t_end, integ=IntegratorSettings(tol, tol, samples))
+    ref, accurate = (_solve_ivp(system, x0, t_end, samples, r) for r in (tol, 1e-13))
+    ends, rejected = _scipy_steps(system, x0, t_end, tol)
+    assert traj.stats.field_evaluations == ref.nfev
+    assert (traj.stats.steps_accepted, traj.stats.steps_rejected) == (len(ends), rejected)
+    exact = accurate.y.T
+    size = np.maximum(1.0, np.abs(exact).max(axis=1))
+    ours, theirs = (np.abs(states - exact).max(axis=1) / size for states in (traj.states, ref.y.T))
+    assert np.all(ours <= 1.01 * theirs + 1e-13)
+
+
+def test_stage_sums_differ_from_unmodified_solve_ivp():
+    # the folded reference is not scipy's own sums in disguise: some
+    # sample of some flow above moves in some bit
+    def moved(system, x0, t_end, samples, tol):
+        traj = flow_adaptive(system, x0, t_end, integ=IntegratorSettings(tol, tol, samples))
+        return not np.array_equal(traj.states, _solve_ivp(system, x0, t_end, samples, tol).y.T)
+
+    cases = [case for case in STEPPER_CASES if case is not OVERFLOWING_NORM]
+    assert any(moved(*case, tol) for tol in (1e-10, 1e-6) for case in cases)
+
+
+@pytest.mark.usefixtures("folded_scipy")
 @pytest.mark.parametrize("tol", [1e-10, 1e-6])
 def test_sample_on_the_step_end_that_fills_a_block_equals_solve_ivp(tol):
     # 2j + 1 samples over [0, 2 tau] with j a power of two put sample j
@@ -304,6 +365,7 @@ def test_sample_on_the_step_end_that_fills_a_block_equals_solve_ivp(tol):
     _assert_equals_solve_ivp(system, x0, 2 * tau, 2 * j + 1, tol)
 
 
+@pytest.mark.usefixtures("folded_scipy")
 def test_rejected_steps_are_counted_exactly():
     system, x0, t_end = ECCENTRIC
     traj = flow_adaptive(system, x0, t_end, integ=IntegratorSettings(1e-6, 1e-6, 51))
@@ -396,6 +458,7 @@ def _scipy_last_sample_before_failure(field, x0, t_end, samples):
     return float(t_eval[done - 1]) if done else 0.0
 
 
+@pytest.mark.usefixtures("folded_scipy")
 @pytest.mark.parametrize("main_fails", [True, False], ids=["main-stage-fails-later", "block-fills"])
 @pytest.mark.parametrize("batched", [True, False])
 def test_numeric_error_in_a_held_extra_stage_is_the_earliest_failing_steps(batched, main_fails):
