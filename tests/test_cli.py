@@ -315,23 +315,34 @@ def test_stage_overflow_under_strict_warnings_is_a_report_not_a_traceback(tmp_pa
     assert _strict_json(done.stdout)["verdict"] == "hypothesis-error"
 
 
+NO_AGREEMENT_TOLERANCE = "the agreement premise has no finite tolerance at the start: 1.0e-08 * |x| overflows"
+NO_SCAN_TOLERANCE = "F-G has no finite tolerance along the first flow: 1.0e-08 * |x| overflows"
+
+
 @pytest.mark.parametrize(
-    "start",
+    "a,start,t_end,message",
     [
-        [1e160, 0, 0, 1e-80],  # the norms that scale the premise tolerances overflow
-        [1.5e308, 0, 1.5e308, 0],  # the stepper's trial stages overflow
+        # the norms that scale the premise tolerances overflow
+        (1.0, [1e160, 0, 0, 1e-80], 1, NO_AGREEMENT_TOLERANCE + "; " + NO_SCAN_TOLERANCE),
+        (1.0, [1e200, 1e200, 1e-200, 0], 1, NO_AGREEMENT_TOLERANCE + "; " + NO_SCAN_TOLERANCE),
+        # on the agreement set (residual 1.6e-117), with |x| = 1e200
+        (1e100, {"circular": {"a": 1e100, "theta": 0.1}}, 1, NO_AGREEMENT_TOLERANCE + "; " + NO_SCAN_TOLERANCE),
+        # the stepper's trial stages overflow
+        (1.0, [1.5e308, 0, 1.5e308, 0], 1, NO_AGREEMENT_TOLERANCE + "; integration additionally failed: "),
+        # a finite scale at the start, but not along the flow
+        (1.0, [1e150, 0, 1e152, 0], 300, "start is off the agreement set (residual 1.000e+152); " + NO_SCAN_TOLERANCE),
     ],
-    ids=["norm-overflows", "stage-overflows"],
+    ids=["norm-overflows", "norm-overflows-2", "on-set-norm-overflows", "stage-overflows", "flow-norm-overflows"],
 )
-def test_far_out_coincidence_start_is_a_hypothesis_error(tmp_path, capsys, start):
+def test_far_out_coincidence_start_is_a_hypothesis_error(tmp_path, capsys, a, start, t_end, message):
     config = {
-        "model": {"kind": "kepler", "a": 1.0}, "check": "coincidence", "quantity": "H",
-        "initial_state": start, "t_end": 1,
+        "model": {"kind": "kepler", "a": a}, "check": "coincidence", "quantity": "H",
+        "initial_state": start, "t_end": t_end,
     }
     code = main(["run", _write(tmp_path, config)])
     report = _strict_json(capsys.readouterr().out)
     assert code == 1 and report["verdict"] == "hypothesis-error"
-    assert "start is off the agreement set" in report["evidence"]["message"]
+    assert report["evidence"]["message"].startswith(message)
 
 
 STRICT = ("-W", "error::RuntimeWarning")

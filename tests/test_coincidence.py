@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from invarsets import (
     ConservedQuantitySet,
@@ -25,7 +27,7 @@ from invarsets import (
     verify_coincidence,
 )
 from invarsets import integrate, kepler, oscillator, report, toda
-from invarsets.coincidence import _derivative_blocks, _difference_quantity
+from invarsets.coincidence import _closed_form_system, _derivative_blocks, _difference_quantity
 from invarsets.differentiate import _flat_block, _partial_stack
 
 from conftest import random_kepler_states, random_toda_physical, zero_quantity
@@ -101,8 +103,9 @@ def test_agreement_residual_that_overflows_is_inf_without_a_warning():
         warnings.simplefilter("error")
         assert agreement_residual(kepler.hamiltonian(), kepler.linear_pair_hamiltonian(1.0), x0, 1) == np.inf
         fast = _assert_fast_equals_slow(x0, 1.0, 2 * np.pi)
-    assert fast.verdict == "hypothesis-error"
-    assert fast.message.startswith("start is off the agreement set (residual inf)")
+    assert fast.verdict == "hypothesis-error" and fast.agreement_residual == np.inf
+    # |x0| overflows too, so no tolerance is finite there
+    assert fast.message.startswith("the agreement premise has no finite tolerance at the start: ")
 
 
 def test_agreement_shape_mismatch():
@@ -471,6 +474,26 @@ def test_order1_block_equals_partial_tensor_flatten(seed, count):
         for x, g in zip(xs, seen):
             expected = _flat_block(_partial_stack(q, x[None], 1), q.k, q.dim, 1)[0]
             assert np.array_equal(g, expected), label
+
+
+@pytest.mark.parametrize(
+    "dim,smoothness,message",
+    [
+        (4, 0, "order 1 exceeds the quantity's smoothness order 0"),
+        (5001, 8, "order 1 on dimension 5001 needs 5001 partials per state"),
+    ],
+)
+def test_order1_block_from_the_jacobian_keeps_the_order_checks(dim, smoothness, message):
+    def never(x):
+        raise AssertionError("evaluated before the order checks")
+
+    q = ConservedQuantitySet(
+        dim=dim, k=1, value=never, labels=("q",), analytic_gradient=never, smoothness_order=smoothness
+    )
+    with pytest.raises(UsageError, match=re.escape(message)):
+        assemble_system(lambda x, g: x, q).fields(np.zeros((1, dim)))
+    with pytest.raises(UsageError, match=re.escape(message)):
+        agreement_residual(q, q, np.zeros(dim), 1)
 
 
 def _summed_symplectic_base(dof):
@@ -931,17 +954,23 @@ def test_closed_forms_declared_for_one_state_are_called_once_per_state():
 
 
 def _failing(system, fault):
-    """``system`` whose field raises a NumericError or returns NaN rows everywhere."""
+    """``system`` whose field raises a NumericError or returns non-finite rows
+    everywhere: all NaN, one inf, or an inf and a -inf (whose sum is NaN)."""
 
     def field(x):
         if fault == "raise":
             raise NumericError("closed form has no row here")
-        return np.full(np.shape(x), np.nan)
+        rows = np.full(np.shape(x), np.nan if fault == "nan" else 0.5)
+        if fault != "nan":
+            rows[..., 0] = np.inf
+        if fault == "inf-and-minus-inf":
+            rows[..., 3] = -np.inf
+        return rows
 
     return replace(system, field=field)
 
 
-@pytest.mark.parametrize("fault", ["raise", "nan"])
+@pytest.mark.parametrize("fault", ["raise", "nan", "inf", "inf-and-minus-inf"])
 def test_closed_forms_hand_every_failing_state_to_the_driven_field(fault):
     a, x0 = 1.2, kepler.circular_sample(1.2, 0.5)
     closed = tuple(_failing(system, fault) for system in _kepler_closed_forms(a))
@@ -1018,6 +1047,78 @@ def test_closed_form_row_of_another_shape_is_a_usage_error_not_a_hand_off():
     closed = (replace(kepler.kepler_field(), field=lambda x: np.full(3, np.nan)), kepler.linear_pair_field(1.0))
     with pytest.raises(UsageError, match=r"field of 'driven-F' returned shape \(3,\), expected \(4,\)"):
         _kepler_coincidence(kepler.circular_sample(1.0, 0.3), 1.0, 1.0, closed)
+
+
+def test_closed_forms_that_return_lists_give_the_same_report():
+    a, x0 = 1.1, kepler.circular_sample(1.1, 0.2)
+    closed = tuple(
+        replace(system, field=lambda x, _f=system.field: _f(x).tolist()) for system in _kepler_closed_forms(a)
+    )
+    integ = IntegratorSettings(sample_count=61)
+    slow = _kepler_coincidence(x0, a, 4.0, integ=integ)
+    _assert_same_report(_kepler_coincidence(x0, a, 4.0, closed, integ=integ), slow)
+    assert slow.verdict == "pass"
+
+
+def _hand_off_field(closed_rows, driven="marker"):
+    """The field of ``_closed_form_system`` whose closed form returns
+    ``closed_rows`` (an array or a list) at any state, and whose driven
+    field gives rows of 7.0 or raises a NumericError."""
+
+    def slow(x):
+        if driven == "raise":
+            raise NumericError("the driven field fails here")
+        return np.full(np.shape(x), 7.0)
+
+    closed = SystemDefinition(4, lambda x: closed_rows, "closed", batched=True)
+    return _closed_form_system(closed, SystemDefinition(4, slow, "driven", batched=True)).field
+
+
+HAND_OFF_FLOATS = [np.inf, -np.inf, np.nan, 5e-324, -2.2e-308, 1e300, -1.7e308, 0.0, 1e308, -1e308]
+
+
+@given(
+    arrays(
+        float,
+        st.just((4,)) | st.tuples(st.integers(1, 5), st.just(4)),
+        elements=st.sampled_from(HAND_OFF_FLOATS) | st.floats(allow_nan=True, allow_infinity=True),
+    )
+)
+def test_hand_off_keeps_exactly_the_finite_rows_and_never_warns(rows):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _hand_off_field(rows)(np.ones(rows.shape))
+    assert got.tobytes() == np.where(np.isfinite(rows).all(axis=-1, keepdims=True), rows, 7.0).tobytes()
+
+
+@pytest.mark.parametrize("driven", ["marker", "raise"])
+@pytest.mark.parametrize("as_list", [False, True], ids=["array", "list"])
+@pytest.mark.parametrize(
+    "row,finite",
+    [
+        ([1e308, 1e308, 0.0, 0.0], True),  # finite entries whose Python-float sum overflows
+        ([1e308, 1e308, -1e308, 0.0], True),
+        ([-1.7e308, -1.7e308, 0.0, 0.0], True),
+        ([1.0, np.nan, 2.0, 0.0], False),
+        ([np.inf, 1.0, 0.0, 0.0], False),
+        ([0.0, 0.0, 0.0, -np.inf], False),
+        ([np.inf, -np.inf, 1.0, 0.0], False),  # the sum is NaN
+    ],
+)
+def test_hand_off_edge_rows(row, finite, as_list, driven):
+    # on a state and as row 0 of a stack: a finite row is the closed form's,
+    # whatever the driven field would do; any other is the driven field's row or error
+    other = [1.0, -2.0, 3.0, 0.5]
+    for closed_rows in (row, [row, other]):
+        field = _hand_off_field(closed_rows if as_list else np.array(closed_rows), driven)
+        x = np.ones(np.shape(closed_rows))
+        if not finite and driven == "raise":
+            with pytest.raises(NumericError, match="the driven field fails here"):
+                field(x)
+            continue
+        expected = np.array(closed_rows)
+        expected.reshape(-1, 4)[0] = row if finite else 7.0
+        assert field(x).tobytes() == expected.tobytes()
 
 
 def test_closed_form_of_another_dimension_is_a_usage_error():

@@ -18,7 +18,7 @@ from invarsets import (
     evaluate_field,
     stack_quantities,
 )
-from invarsets.core import TOLERANCES, _all_finite, _all_finite_vector, _state_scales, _tolerances, format_float
+from invarsets.core import TOLERANCES, _all_finite, _state_scales, _tolerances, format_float
 from invarsets import coincidence, invariance, kepler, oscillator, report, toda
 
 from conftest import random_kepler_states, random_states, zero_quantity
@@ -77,20 +77,6 @@ def test_all_finite_equals_isfinite_all_and_never_warns(a):
 @given(
     arrays(
         float,
-        array_shapes(min_dims=1, max_dims=1, min_side=0, max_side=8),
-        elements=st.sampled_from(EDGE_FLOATS + [1e308, -1e308]) | st.floats(allow_nan=True, allow_infinity=True),
-    )
-)
-def test_all_finite_vector_equals_isfinite_all_and_never_warns(v):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = _all_finite_vector(v)
-    assert got == np.isfinite(v).all()
-
-
-@given(
-    arrays(
-        float,
         st.tuples(st.integers(1, 6), st.integers(1, 64)),
         elements=st.floats(-1e3, 1e3) | st.sampled_from([0.0, 5e-324, 1e154, -1.4e154, 1e200, 1.7e308]),
     )
@@ -109,22 +95,6 @@ def test_state_scale_of_a_start_whose_norm_overflows_is_inf():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert _state_scales(np.array([[1e200, 0.0, 0.0, 1e-200], [3.0, 4.0, 0.0, 0.0]])).tolist() == [np.inf, 5.0]
-
-
-@pytest.mark.parametrize(
-    "v,finite",
-    [
-        ([1.0, np.nan, 2.0], False),
-        ([np.inf, 1.0], False),
-        ([-np.inf], False),
-        ([np.inf, -np.inf, 1.0], False),  # the sum is NaN
-        ([1e308, 1e308, -1e308], True),  # the sum overflows, the entries are finite
-        ([-1.7e308, -1.7e308], True),
-        ([], True),
-    ],
-)
-def test_all_finite_vector_edge_cases(v, finite):
-    assert _all_finite_vector(np.array(v, dtype=float)) == finite
 
 
 def test_non_finite_state_rejected():
