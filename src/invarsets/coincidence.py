@@ -12,7 +12,7 @@ driven fields or through closed forms checked against them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
 import numpy as np
@@ -30,7 +30,7 @@ from .core import (
 )
 from .differentiate import _check_order, _flat_block, _jacobian_stack, _partial_stack
 from .errors import IntegrationError, NumericError, UsageError
-from .integrate import IntegratorSettings, flow_adaptive
+from .integrate import IntegratorSettings, Trajectory, flow_adaptive
 from .invariance import FAIL, HYPOTHESIS_ERROR, PASS, InvarianceReport
 
 
@@ -142,7 +142,9 @@ def _closed_form_system(closed: SystemDefinition, driven: SystemDefinition) -> S
     1.41 us per Kepler point call, and 15 against 45 us on 401 samples
     (timeit, best of 9, shared 2-core x86-64 VM).  The system is
     ``batched`` as ``closed`` is, so a point-only closed form is called
-    once per state.
+    once per state.  :func:`_flow` integrates through it only a flow whose
+    stepper met a non-finite value or a failing field; the sample checks
+    always use it.
     """
     if closed.dim != driven.dim:
         raise UsageError(f"closed form '{closed.label}' has dimension {closed.dim}, expected {driven.dim}")
@@ -159,6 +161,27 @@ def _closed_form_system(closed: SystemDefinition, driven: SystemDefinition) -> S
         return np.where(np.isfinite(rows).all(axis=-1, keepdims=True), rows, slow(x))
 
     return SystemDefinition(dim=driven.dim, field=field, label=driven.label, batched=closed.batched)
+
+
+def _flow(closed: SystemDefinition | None, driven: SystemDefinition, x0, t_end, integ) -> Trajectory:
+    """The flow of ``driven`` from ``x0``: through its closed form ``closed``
+    when given, under ``driven``'s label and with no hand-off, and the flow
+    through :func:`_closed_form_system` in every bit.  The hand-off acts
+    only on a :class:`NumericError` or a non-finite row, and the stepper
+    fails on the one and counts the other: a flow with a count
+    (``nonfinite_attempts``), or failed in a field evaluation or at a
+    non-finite sample, is integrated again through it, and a step underflow
+    or a spent budget with no count is the hand-off flow's failure too."""
+    if closed is None:
+        return flow_adaptive(driven, x0, t_end, integ=integ)
+    try:
+        traj = flow_adaptive(replace(closed, label=driven.label), x0, t_end, integ=integ)
+        if not traj.stats.nonfinite_attempts:
+            return traj
+    except IntegrationError as exc:
+        if exc.nonfinite_attempts == 0:
+            raise
+    return flow_adaptive(_closed_form_system(closed, driven), x0, t_end, integ=integ)
 
 
 def _sample_mismatch(name: str, flow: SystemDefinition, driven_rows: np.ndarray, traj) -> str | None:
@@ -249,7 +272,10 @@ def verify_coincidence(
     ``closed_forms`` are two systems whose fields equal the F- and
     G-driven fields bit for bit (for Kepler: the model's field and
     :func:`kepler.linear_pair_field`); the flows are then integrated
-    through them, which is cheaper, and the report is the same in every
+    through them directly, which is cheaper, and again through the hand-off
+    below only where the stepper counts a non-finite value
+    (``IntegratorStats.nonfinite_attempts``) or the flow fails in a field
+    evaluation or at a non-finite sample; the report is the same in every
     bit.  That premise is checked once, on the stack of each flow's
     samples, whose sample 0 is ``x0``: each closed form must give its
     driven field's stacked rows there in every bit (for F the stack the
@@ -272,13 +298,13 @@ def verify_coincidence(
 
     sys_f = assemble_system(base, f_quantity, order, label="driven-F", batched=batched)
     sys_g = assemble_system(base, g_quantity, order, label="driven-G", batched=batched)
-    flow_f, flow_g = sys_f.system, sys_g.system
-    if closed_forms is not None:
-        flow_f = _closed_form_system(closed_forms[0], flow_f)
-        flow_g = _closed_form_system(closed_forms[1], flow_g)
+    closed_f, closed_g = closed_forms or (None, None)
+    if closed_forms is not None:  # the hand-off systems, which the samples are checked through
+        flow_f = _closed_form_system(closed_f, sys_f.system)
+        flow_g = _closed_form_system(closed_g, sys_g.system)
     try:
-        traj_f = flow_adaptive(flow_f, x0v, t_end, integ=integ)
-        traj_g = flow_adaptive(flow_g, x0v, t_end, integ=integ)
+        traj_f = _flow(closed_f, sys_f.system, x0v, t_end, integ)
+        traj_g = _flow(closed_g, sys_g.system, x0v, t_end, integ)
     except IntegrationError as exc:
         if not on_set:
             # the start violates the agreement hypothesis and one flow left

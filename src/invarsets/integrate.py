@@ -135,10 +135,16 @@ _MAX_ATTEMPTS = 100_000  # step attempts per flow, accepted or rejected (NMAX of
 
 @dataclass(frozen=True)
 class IntegratorStats:
+    """Counts of one flow.  ``nonfinite_attempts`` counts where a non-finite
+    value met the stepper without failing the flow: a rejected attempt whose
+    error estimate is not finite, an initial-step probe that is not finite,
+    and an interpolated sample 0 that is not (the start replaces it)."""
+
     method: str
     steps_accepted: int
     steps_rejected: int
     field_evaluations: int
+    nonfinite_attempts: int = 0
 
 
 @dataclass(frozen=True)
@@ -215,16 +221,19 @@ def flow_adaptive(
     field singularity), a spent step budget, a :class:`NumericError` from
     the field and a non-finite sample raise :class:`IntegrationError`
     carrying the last sample time reached; overflow and invalid-value
-    warnings are silenced.
+    warnings are silenced.  The error of an underflow or a spent budget
+    carries ``nonfinite_attempts`` (see :class:`IntegratorStats`), with the
+    non-finite samples it left among them.
     """
     _check_horizon("t_end", t_end)
     x0v = as_state(x0, system.dim)
 
     t_eval = np.linspace(0.0, float(t_end), int(integ.sample_count))
     with np.errstate(over="ignore", invalid="ignore"):
-        states, accepted, rejected, dense = _dop853(system, x0v, t_eval, integ.abs_tol, integ.rel_tol)
+        states, accepted, rejected, dense, nonfinite = _dop853(system, x0v, t_eval, integ.abs_tol, integ.rel_tol)
+    finite = _all_finite(states)  # sample 0 as interpolated
     states[0] = x0v
-    if not _all_finite(states):
+    if not (finite or _all_finite(states)):
         bad = int(np.flatnonzero(~np.isfinite(states).all(axis=1))[0])
         raise IntegrationError(
             "adaptive integration produced non-finite states", last_good_time=float(t_eval[bad - 1])
@@ -237,6 +246,7 @@ def flow_adaptive(
         # one evaluation at the start, one for the initial step, twelve per
         # attempt and three per dense output
         field_evaluations=2 + 12 * (accepted + rejected) + 3 * dense,
+        nonfinite_attempts=nonfinite + (not finite),
     )
     return Trajectory(times=t_eval, states=states, stats=stats)
 
@@ -260,11 +270,11 @@ def _error_norm(KT: np.ndarray, h: float, scale: np.ndarray) -> float:
     return h * e5 / root if root else math.nan
 
 
-def _initial_step(field, y0, f0, t_end: float, atol: float, rtol: float) -> float:
+def _initial_step(field, y0, f0, t_end: float, atol: float, rtol: float) -> tuple[float, bool]:
     """Hairer-Norsett-Wanner starting step (Solving ODEs I, II.4) for an
-    error estimator of order 7; one field evaluation.  In numpy scalars, as
-    in scipy: an overflowing norm gives step 0, which the stepper raises to
-    its floor."""
+    error estimator of order 7; one field evaluation, and whether it is
+    finite (``max(d1, d2)`` drops a NaN).  In numpy scalars, as in scipy: an
+    overflowing norm gives step 0, which the stepper raises to its floor."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         scale = atol + np.abs(y0) * rtol
         d0 = _rms(y0 / scale)
@@ -278,13 +288,14 @@ def _initial_step(field, y0, f0, t_end: float, atol: float, rtol: float) -> floa
             h1 = max(1e-6, h0 * 1e-3)
         else:
             h1 = (0.01 / max(d1, d2)) ** (1 / 8)
-        return float(min(100 * h0, h1, t_end))
+        return float(min(100 * h0, h1, t_end)), _all_finite(f1)
 
 
 def _dop853(system: SystemDefinition, y, t_eval, abs_tol, rel_tol):
     """Advance ``x' = field(x)`` from ``y`` at time 0 to ``t_eval[-1]`` and
-    return the states at ``t_eval``, the accepted and rejected step counts
-    and the number of steps that built a dense output.
+    return the states at ``t_eval``, the accepted and rejected step counts,
+    the number of steps that built a dense output and the non-finite count
+    of :class:`IntegratorStats`, sample 0 aside.
 
     Each step is one twelve-stage DOP853 attempt per trial step size, with
     the validated ``evaluate_field(y)`` as the first stage and the
@@ -294,6 +305,8 @@ def _dop853(system: SystemDefinition, y, t_eval, abs_tol, rel_tol):
     reads its samples off its interpolant with up to ``_BLOCK - 1`` other
     held steps.  Held steps are finished before any error leaves, so an
     earlier step's failure comes first, as in a step-by-step dense output.
+    A non-finite stage row spoils the attempt's error estimate, directly or
+    through later stages, or (the last and the extra stages) samples.
     """
     field = system.field
     times = t_eval.tolist()
@@ -315,8 +328,9 @@ def _dop853(system: SystemDefinition, y, t_eval, abs_tol, rel_tol):
 
     t = 0.0
     abs_y = np.abs(y)
-    accepted = rejected = dense = filled = 0
+    accepted = rejected = dense = filled = nonfinite = 0
     next_sample = times[0]
+    stopped = None  # the step failure under way
 
     def last_sample() -> float:
         return times[filled - 1] if filled else 0.0
@@ -324,26 +338,24 @@ def _dop853(system: SystemDefinition, y, t_eval, abs_tol, rel_tol):
     try:
         W[0] = y
         K[0] = f0 = evaluate_field(system, y)
-        h_abs = _initial_step(field, y, f0, t_end, atol, rtol)
+        h_abs, finite = _initial_step(field, y, f0, t_end, atol, rtol)
+        nonfinite += not finite
         while t < t_end:
             min_step = 10 * (math.nextafter(t, math.inf) - t)
             h_abs = max(h_abs, min_step)
             step_rejected = False
             while True:
-                if h_abs < min_step:
-                    raise IntegrationError(
-                        f"adaptive integration of '{system.label}' stopped at "
-                        f"t={last_sample():.6g}: Required step size is less than spacing "
-                        "between numbers.",
+                if h_abs < min_step or accepted + rejected == _MAX_ATTEMPTS:
+                    reason = (
+                        "Required step size is less than spacing between numbers." if h_abs < min_step
+                        else f"the step budget of {_MAX_ATTEMPTS} attempts is spent "
+                        "(steps too short for the horizon: a fast oscillation?)"
+                    )
+                    stopped = IntegrationError(
+                        f"adaptive integration of '{system.label}' stopped at t={last_sample():.6g}: {reason}",
                         last_good_time=last_sample(),
                     )
-                if accepted + rejected == _MAX_ATTEMPTS:
-                    raise IntegrationError(
-                        f"adaptive integration of '{system.label}' stopped at t={last_sample():.6g}: "
-                        f"the step budget of {_MAX_ATTEMPTS} attempts is spent "
-                        "(steps too short for the horizon: a fast oscillation?)",
-                        last_good_time=last_sample(),
-                    )
+                    raise stopped
                 t_new = min(t + h_abs, t_end)
                 h = h_abs = t_new - t
                 np.multiply(A, h, out=hA)
@@ -358,6 +370,7 @@ def _dop853(system: SystemDefinition, y, t_eval, abs_tol, rel_tol):
                     break
                 h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
                 rejected += 1
+                nonfinite += not error_norm < math.inf
                 step_rejected = True
 
             if error_norm == 0:
@@ -385,7 +398,9 @@ def _dop853(system: SystemDefinition, y, t_eval, abs_tol, rel_tol):
         raise _field_failure(exc, last_sample()) from exc
     finally:  # a failure of a held step replaces a later one
         _finish(system, block, held, t_eval, states)
-    return states, accepted, rejected, dense
+        if stopped is not None:
+            stopped.nonfinite_attempts = nonfinite + (not _all_finite(states[:filled]))
+    return states, accepted, rejected, dense, nonfinite
 
 
 def _field_failure(exc: NumericError, time: float) -> IntegrationError:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -147,10 +148,8 @@ def _value(section, key: str, default, where: str = ""):
     raw = section.get(key, default)
     kind = type(default)
     try:
-        if kind is str and not isinstance(raw, str):
-            raise TypeError  # str() would accept anything
-        if isinstance(raw, bool):
-            raise TypeError  # float(True) and int(True) would read a JSON true as 1
+        if isinstance(raw, bool) or (kind is str) != isinstance(raw, str):
+            raise TypeError  # str() would accept anything, float() a JSON true as 1 and "1e1" as 10
         if kind is int and isinstance(raw, float) and not raw.is_integer():
             raise ValueError  # int() would truncate 4.7 to 4
         value = kind(raw)
@@ -468,8 +467,10 @@ def _initial_state(entry, params, dim: int, check: str) -> np.ndarray:
         raise UsageError('scenario needs an "initial_state" field')
     if isinstance(entry, list):
         for i, v in enumerate(entry):
-            if isinstance(v, bool):  # as_state would read a JSON true as 1
+            if isinstance(v, bool) or not isinstance(v, (int, float)):  # as_state would read true as 1, "1" as 1
                 raise UsageError(f'"initial_state" component {i} must be a number, got {v!r}')
+            if not abs(v) <= sys.float_info.max:  # NaN, an infinity, or an integer that no float holds
+                raise UsageError(f'"initial_state" component {i} must be finite, got {v!r}')
         return as_state(entry, dim)
     if not isinstance(entry, dict):
         raise UsageError('"initial_state" must be a vector or an object')

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -8,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invarsets.cli import main
 from invarsets.report import export_trajectory, load_scenario, run_scenario, scenario_trajectory
@@ -228,13 +232,18 @@ def _run_cli(tmp_path, config, *python_flags):
     )
 
 
-@pytest.mark.parametrize("t_end", ["nan", "inf"])
+@pytest.mark.parametrize("t_end", [float("nan"), float("inf")])
 def test_non_finite_t_end_exits_2_instead_of_hanging(tmp_path, t_end):
+    # JSON's NaN and Infinity; the strings "nan" and "inf" are not numbers
     config = load_scenario(SCENARIO_DIR / "toda-periodic-rank-pattern.json")
     config["t_end"] = t_end
     done = _run_cli(tmp_path, config)
     assert done.returncode == 2
     assert f"t_end must be a positive finite number, got {t_end}" in done.stderr
+    config["t_end"] = str(t_end)
+    done = _run_cli(tmp_path, config)
+    assert done.returncode == 2
+    assert f"\"t_end\" must be a number, got '{t_end}'" in done.stderr
 
 
 def _kepler_drift(start):
@@ -520,6 +529,20 @@ FLASCHKA = "toda-nonperiodic-flaschka-oracle.json"
         (RANK, {}, ["--abs-tol", "0"], '"integ.abs_tol" must lie in (0, 1e-2], got 0.0'),
         (RANK, {"integ": {"rel_tol": 0.1}}, [], '"integ.rel_tol" must lie in (0, 1e-2], got 0.1'),
         (RANK, {}, ["--sample-count", "1"], '"integ.sample_count" must be an integer >= 2, got 1'),
+        # a raw ValueError or TypeError traceback, or (null) a message without the key
+        (DRIFT, {"initial_state": [[1, 2], 1, 2, 0, 0, 0, 0, 0]}, [], '"initial_state" component 0 must be a number, got [1, 2]'),
+        (DRIFT, {"initial_state": [0.1, {"a": 1}, 0, 0, 0, 0, 0, 0]}, [], "component 1 must be a number, got {'a': 1}"),
+        (DRIFT, {"initial_state": ["x", 0, 0, 0, 0, 0, 0, 0]}, [], '"initial_state" component 0 must be a number, got \'x\''),
+        (DRIFT, {"initial_state": [0, 0, None, 0, 0, 0, 0, 0]}, [], '"initial_state" component 2 must be a number, got None'),
+        (DRIFT, {"initial_state": [0, 10**400, 0, 0, 0, 0, 0, 0]}, [], '"initial_state" component 1 must be finite, got 1000'),
+        (DRIFT, {"initial_state": [0, 0, 0, float("-inf"), 0, 0, 0, 0]}, [], '"initial_state" component 3 must be finite, got -inf'),
+        # JSON strings were read as the numbers they spell, and echoed as strings
+        (DRIFT, {"initial_state": ["1", 0, 0, 0, 0, 0, 0, 0]}, [], '"initial_state" component 0 must be a number, got \'1\''),
+        (DRIFT, {"t_end": "1e1"}, [], '"t_end" must be a number, got \'1e1\''),
+        (RANK, {"integ": {"sample_count": "401"}}, [], '"integ.sample_count" must be an integer, got \'401\''),
+        (DRIFT, {"tolerances": {"drift": "1e-8"}}, [], '"tolerances.drift" must be a number, got \'1e-8\''),
+        (KEPLER, {"model": {"kind": "kepler", "a": "1"}}, [], '"model.a" must be a number, got \'1\''),
+        (ORACLE, {"samples": "5"}, [], '"samples" must be an integer, got \'5\''),
     ],
     ids=[
         "model-n", "model-n-fraction", "tolerances", "integ", "sample-count", "tolerance-value", "t-end",
@@ -531,7 +554,10 @@ FLASCHKA = "toda-nonperiodic-flaschka-oracle.json"
         "model-a-true", "samples-true", "family-param-true", "initial-state-true", "partials-huge",
         "lax-entries-huge", "family-sample-overflow", "family-sample-non-finite", "circular-theta-inf",
         "random-scale-inf", "random-scale-overflow", "family-param-nan", "abs-tol-flag-zero",
-        "rel-tol-above-range", "sample-count-flag-one",
+        "rel-tol-above-range", "sample-count-flag-one", "initial-state-list", "initial-state-object",
+        "initial-state-word", "initial-state-null", "initial-state-huge-int", "initial-state-minus-inf",
+        "initial-state-string", "t-end-string", "sample-count-string", "tolerance-string", "model-a-string",
+        "samples-string",
     ],
 )
 def test_malformed_config_types_are_config_errors(tmp_path, capsys, scenario, change, flags, named):
@@ -541,6 +567,49 @@ def test_malformed_config_types_are_config_errors(tmp_path, capsys, scenario, ch
     err = capsys.readouterr().err
     assert code == 2
     assert named in err
+
+
+def _numeric_paths(node, path=()):
+    """The paths of the numbers in a scenario, vector entries included."""
+    if isinstance(node, dict):
+        return [p for key, value in node.items() for p in _numeric_paths(value, path + (key,))]
+    if isinstance(node, list):
+        return [p for i, value in enumerate(node) for p in _numeric_paths(value, path + (i,))]
+    return [path] if isinstance(node, (int, float)) and not isinstance(node, bool) else []
+
+
+NUMERIC_KEYS = [(s.name, path) for s in SHIPPED for path in _numeric_paths(load_scenario(s))]
+# JSON values of every kind but a number: strings (those that spell numbers
+# too), lists, objects, null and booleans
+WRONG_KINDS = st.one_of(
+    st.sampled_from(["1", "1e1", "-0.5", "401", "nan", "Infinity", ""]),
+    st.text(max_size=6),
+    st.lists(st.integers(-3, 3) | st.floats(-1e3, 1e3), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+    st.none(),
+    st.booleans(),
+)
+
+
+@pytest.mark.parametrize(
+    "scenario,path", NUMERIC_KEYS, ids=[f"{name[:-5]}:{'.'.join(map(str, path))}" for name, path in NUMERIC_KEYS]
+)
+@settings(max_examples=6, deadline=None)
+@given(value=WRONG_KINDS)
+def test_wrong_kind_in_a_numeric_key_is_a_config_error(tmp_path_factory, scenario, path, value):
+    config = load_scenario(SCENARIO_DIR / scenario)
+    target = config
+    for part in path[:-1]:
+        target = target[part]
+    target[path[-1]] = value
+    file = tmp_path_factory.mktemp("fuzz") / "scenario.json"
+    file.write_text(json.dumps(config))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["run", str(file)])
+    assert code == 2, (out.getvalue(), err.getvalue())
+    assert err.getvalue().startswith("configuration error:")
+    assert "Traceback" not in err.getvalue()
 
 
 def test_malformed_tolerance_override_is_a_config_error(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import json
 import re
 import warnings
+import zlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from invarsets import (
     stack_quantities,
     verify_coincidence,
 )
-from invarsets import integrate, kepler, oscillator, report, toda
+from invarsets import coincidence, integrate, kepler, oscillator, report, toda
 from invarsets.coincidence import _closed_form_system, _derivative_blocks, _difference_quantity
 from invarsets.differentiate import _flat_block, _partial_stack
 
@@ -1125,3 +1126,153 @@ def test_closed_form_of_another_dimension_is_a_usage_error():
     closed = (oscillator.harmonic_oscillator(), kepler.linear_pair_field(1.0))
     with pytest.raises(UsageError, match="closed form 'harmonic-oscillator' has dimension 2, expected 4"):
         _kepler_coincidence(kepler.circular_sample(1.0, 0.3), 1.0, 1.0, closed)
+
+
+# ---------------------------------------------------------------------------
+# closed forms integrated with no hand-off, and again through it only where
+# the stepper met a non-finite value or a failing field: the reports equal
+# those of flows through the hand-off
+# ---------------------------------------------------------------------------
+
+
+def _through_the_hand_off(closed, driven, x0, t_end, integ):
+    """A ``coincidence._flow`` that integrates every flow through the hand-off."""
+    system = driven if closed is None else _closed_form_system(closed, driven)
+    return flow_adaptive(system, x0, t_end, integ=integ)
+
+
+def _outcome(*args, **kwargs):
+    try:
+        return _kepler_coincidence(*args, **kwargs)
+    except IntegrationError as exc:
+        return str(exc), exc.last_good_time
+
+
+def _counted_flows(monkeypatch):
+    """The trajectories or errors of every ``flow_adaptive`` call of the coincidence check."""
+    flows = []
+
+    def counted(*args, **kwargs):
+        try:
+            flows.append(flow_adaptive(*args, **kwargs))
+        except IntegrationError as exc:
+            flows.append(exc)
+            raise
+        return flows[-1]
+
+    monkeypatch.setattr(coincidence, "flow_adaptive", counted)
+    return flows
+
+
+def _assert_hand_off_outcome(monkeypatch, x0, a, t_end, closed_forms, **kwargs):
+    """The outcome through ``closed_forms``, asserted equal to the hand-off's."""
+    fast = _outcome(x0, a, t_end, closed_forms, **kwargs)
+    with monkeypatch.context() as patched:
+        patched.setattr(coincidence, "_flow", _through_the_hand_off)
+        slow = _outcome(x0, a, t_end, closed_forms, **kwargs)
+    if isinstance(slow, tuple):
+        assert fast == slow
+    else:
+        _assert_same_report(fast, slow)
+    return fast
+
+
+def _misbehaving(system, fault, period):
+    """``system`` whose field gives NaN rows, or raises, at the states whose
+    CRC-32 is a multiple of ``period`` (a fixed share of them), on points
+    and row by row on stacks."""
+
+    def field(x):
+        rows = np.array(system.field(x), dtype=float)
+        hit = [zlib.crc32(state.tobytes()) % period == 0 for state in np.reshape(x, (-1, 4))]
+        if fault == "raise" and any(hit):
+            raise NumericError("closed form has no row here")
+        rows.reshape(-1, 4)[hit] = np.nan
+        return rows
+
+    return replace(system, field=field)
+
+
+MISBEHAVING_STARTS = {
+    "on-set": kepler.circular_sample(1.2, 0.5),
+    "off-set": kepler.circular_sample(1.2, 0.5) * [1.0, 1.0, 1.08, 1.08],
+    "plunge": np.array([0.3, 0.4, -0.3, -0.4]),  # the step size underflows
+}
+
+
+@pytest.mark.parametrize("start", list(MISBEHAVING_STARTS))
+@pytest.mark.parametrize("period", [7, 60, 500, 3000])
+@pytest.mark.parametrize("fault", ["nan", "raise"])
+def test_misbehaving_closed_forms_give_the_hand_off_report(monkeypatch, fault, period, start):
+    # field failures, non-finite samples, underflow after NaN attempts, NaN
+    # in rejected attempts only, and clean flows; a budget of 5000 attempts
+    # keeps the NaN-laden flows short
+    monkeypatch.setattr(integrate, "_MAX_ATTEMPTS", 5000)
+    closed = tuple(_misbehaving(system, fault, period) for system in _kepler_closed_forms(1.2))
+    outcome = _assert_hand_off_outcome(
+        monkeypatch, MISBEHAVING_STARTS[start], 1.2, 4.0, closed, integ=IntegratorSettings(sample_count=61)
+    )
+    assert not isinstance(outcome, tuple)
+    assert outcome.verdict == ("pass" if start == "on-set" else "hypothesis-error")
+
+
+@pytest.mark.parametrize(
+    "fault,period,start,first_flow",
+    [
+        ("nan", 60, "on-set", "adaptive integration produced non-finite states"),
+        ("raise", 60, "off-set", "field evaluation failed during integration: closed form has no row here"),
+        ("nan", 7, "plunge", "adaptive integration of 'driven-F' stopped at t=0: Required step size"),
+        ("nan", 60, "off-set", None),  # completes, with NaN in rejected attempts only
+    ],
+)
+def test_misbehaving_closed_forms_reach_every_branch_of_the_fast_path(monkeypatch, fault, period, start, first_flow):
+    closed = tuple(_misbehaving(system, fault, period) for system in _kepler_closed_forms(1.2))
+    flows = _counted_flows(monkeypatch)
+    _outcome(MISBEHAVING_STARTS[start], 1.2, 4.0, closed, integ=IntegratorSettings(sample_count=61))
+    if first_flow is None:
+        assert 0 < flows[0].stats.nonfinite_attempts == flows[0].stats.steps_rejected
+    else:
+        assert str(flows[0]).startswith(first_flow)
+        assert flows[0].nonfinite_attempts != 0  # None, or a count
+    assert len(flows) >= 2  # integrated again through the hand-off
+
+
+def test_clean_closed_forms_integrate_each_flow_once(monkeypatch):
+    flows = _counted_flows(monkeypatch)
+    _assert_fast_equals_slow(kepler.circular_sample(1.1, 0.2), 1.1, 4.0, integ=IntegratorSettings(sample_count=61))
+    # the driven flows, then the closed forms' once each
+    assert [f.stats.nonfinite_attempts for f in flows] == [0, 0, 0, 0]
+
+
+def _at(x, state):
+    return (x == state).all(axis=-1, keepdims=True)
+
+
+def test_closed_form_nan_at_the_initial_step_probe_only_is_integrated_again(monkeypatch):
+    a, x0, integ = 1.1, kepler.circular_sample(1.1, 0.2), IntegratorSettings(sample_count=61)
+    probes = []
+    for system in _kepler_closed_forms(a):
+        calls = []
+
+        def recording(x, _f=system.field):
+            calls.append(np.array(x, copy=True))
+            return _f(x)
+
+        flow_adaptive(replace(system, field=recording), x0, 4.0, integ=integ)
+        probes.append(calls[1])
+    closed = tuple(
+        replace(system, field=lambda x, _f=system.field, _p=probe: np.where(_at(x, _p), np.nan, _f(x)))
+        for system, probe in zip(_kepler_closed_forms(a), probes)
+    )
+    flows = _counted_flows(monkeypatch)
+    _assert_hand_off_outcome(monkeypatch, x0, a, 4.0, closed, integ=integ)
+    counts = [f.stats.nonfinite_attempts for f in flows[:4]]
+    assert counts == [1, 0, 1, 0]  # each probe's NaN, then the hand-off's flow
+
+
+def test_horizon_that_spends_the_step_budget_is_integrated_once(monkeypatch):
+    monkeypatch.setattr(integrate, "_MAX_ATTEMPTS", 300)
+    flows = _counted_flows(monkeypatch)
+    outcome = _assert_hand_off_outcome(monkeypatch, kepler.circular_sample(1.0, 0.3), 1.0, 1e300, _kepler_closed_forms(1.0))
+    assert "step budget of 300 attempts is spent" in outcome[0]
+    assert len(flows) == 1 and flows[0].nonfinite_attempts == 0

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -294,6 +295,7 @@ def _assert_equals_solve_ivp(system, x0, t_end, samples, tol):
     assert np.array_equal(traj.times, ref.t)
     assert np.array_equal(traj.states, ref.y.T)
     assert traj.stats.field_evaluations == ref.nfev
+    assert traj.stats.nonfinite_attempts == 0  # a clean flow meets no non-finite value
 
 
 STEPPER_CASES = [
@@ -500,6 +502,104 @@ def test_numeric_error_in_a_held_extra_stage_is_the_earliest_failing_steps(batch
         )
     assert str(err.value) == "field evaluation failed during integration: planted in an extra stage"
     assert 0.0 < err.value.last_good_time == expected
+
+
+def _recorded_calls(system, x0, t_end, integ):
+    """The states ``system``'s field is called on in a flow, in order, and
+    the flow's trajectory or error."""
+    calls = []
+
+    def recording(z):
+        calls.append(np.array(z, copy=True))
+        return system.field(z)
+
+    try:
+        return calls, flow_adaptive(replace(system, field=recording), x0, t_end, integ=integ)
+    except IntegrationError as exc:
+        return calls, exc
+
+
+def _nan_at(system, states):
+    """``system`` whose field gives a NaN row at exactly the given states."""
+
+    def field(z):
+        rows = np.array(system.field(z), dtype=float)
+        for row, state in zip(rows.reshape(-1, system.dim), np.reshape(z, (-1, system.dim))):
+            if any(np.array_equal(state, s) for s in states):
+                row[:] = np.nan
+        return rows
+
+    return replace(system, field=field)
+
+
+def test_nan_from_the_initial_step_probe_only_is_counted():
+    # max(d1, d2) drops the probe's NaN, so only the explicit test sees it
+    system, integ = oscillator.harmonic_oscillator(), IntegratorSettings(sample_count=11)
+    calls, clean = _recorded_calls(system, [1.0, 0.3], 5.0, integ)
+    traj = flow_adaptive(_nan_at(system, [calls[1]]), [1.0, 0.3], 5.0, integ=integ)
+    assert clean.stats.nonfinite_attempts == 0
+    assert (traj.stats.nonfinite_attempts, traj.stats.steps_rejected) == (1, 0)
+    assert np.isfinite(traj.states).all()
+
+
+def test_nan_reached_only_by_overshooting_trial_stages_is_counted_per_rejected_attempt():
+    # NaN just outside the unit circle: trial steps that overshoot it are
+    # rejected for their non-finite error estimate, and the flow completes
+    osc = oscillator.harmonic_oscillator()
+
+    def field(z):
+        rows = np.array(osc.field(z), dtype=float)
+        rows.reshape(-1, 2)[(np.reshape(z, (-1, 2)) ** 2).sum(axis=1) > 1 + 1e-4] = np.nan
+        return rows
+
+    traj = flow_adaptive(replace(osc, field=field), [1.0, 0.0], 10.0)
+    assert 0 < traj.stats.nonfinite_attempts == traj.stats.steps_rejected
+    assert np.isfinite(traj.states).all()
+    assert flow_adaptive(osc, [1.0, 0.0], 10.0).stats.nonfinite_attempts == 0
+
+
+def test_nan_sample_zero_is_counted_though_the_start_replaces_it():
+    # three samples: the first step holds sample 0 alone, and a NaN at the
+    # state of its first extra stage spoils that sample only
+    system, integ = oscillator.harmonic_oscillator(), IntegratorSettings(sample_count=3)
+    calls, clean = _recorded_calls(system, [1.0, 0.3], 10.0, integ)
+    first_extra = next(z for z in calls if z.ndim == 2)[0]
+    traj = flow_adaptive(_nan_at(system, [first_extra]), [1.0, 0.3], 10.0, integ=integ)
+    assert traj.stats.nonfinite_attempts == 1
+    assert np.array_equal(traj.states, clean.states)
+
+
+def test_step_failure_counts_the_non_finite_samples_it_leaves():
+    # a plunge to the origin underflows the step size; a NaN at the first
+    # extra stage of the held steps finished on the way out spoils samples only
+    system, x0, integ = kepler.kepler_field(), [0.3, 0.4, -0.3, -0.4], IntegratorSettings(sample_count=61)
+    calls, clean = _recorded_calls(system, x0, 2 * np.pi, integ)
+    first_extra = next(z for z in calls if z.ndim == 2)[0]
+    with pytest.raises(IntegrationError) as err:
+        flow_adaptive(_nan_at(system, [first_extra]), x0, 2 * np.pi, integ=integ)
+    assert "Required step size" in str(clean) and clean.nonfinite_attempts == 0
+    assert (str(err.value), err.value.last_good_time) == (str(clean), clean.last_good_time)
+    assert err.value.nonfinite_attempts == 1
+
+
+def test_step_failures_carry_the_count_and_field_failures_none(monkeypatch):
+    system = oscillator.harmonic_oscillator()
+
+    def field(z):
+        rows = np.array(system.field(z), dtype=float)
+        rows.reshape(-1, 2)[np.reshape(z, (-1, 2))[:, 0] < 0.5] = np.nan
+        return rows
+
+    with pytest.raises(IntegrationError, match="Required step size") as err:
+        flow_adaptive(replace(system, field=field), [1.0, 0.0], 5.0)
+    assert err.value.nonfinite_attempts > 0
+    monkeypatch.setattr(integrate, "_MAX_ATTEMPTS", 3)
+    with pytest.raises(IntegrationError, match="step budget of 3") as err:
+        flow_adaptive(system, [1.0, 0.0], 5.0)
+    assert err.value.nonfinite_attempts == 0
+    with pytest.raises(IntegrationError, match="field evaluation failed") as err:
+        flow_adaptive(SystemDefinition(2, lambda z: np.full(2, np.nan), "nowhere"), [1.0, 0.0], 5.0)
+    assert err.value.nonfinite_attempts is None
 
 
 def test_batched_field_of_the_wrong_shape_on_a_stack_is_a_usage_error():
