@@ -12,12 +12,7 @@ table, then exports one trajectory as CSV.  The same thing from a shell:
 import tempfile
 from pathlib import Path
 
-from invarsets.report import (
-    export_trajectory,
-    load_scenario,
-    run_directory,
-    scenario_trajectory,
-)
+from invarsets.report import export_trajectory, load_scenario, run_directory, run_scenario
 
 scenario_dir = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -31,7 +26,7 @@ for report in reports:
 print()
 config = load_scenario(scenario_dir / "toda-periodic-rank-pattern.json")
 config.setdefault("integ", {})["sample_count"] = 21
-traj, quantity, system = scenario_trajectory(config)
+traj, quantity, system = run_scenario(config).flow  # the trajectory the check integrated
 out = Path(tempfile.gettempdir()) / "toda_pattern_trajectory.csv"
 export_trajectory(traj, quantity, out, system.component_names)
 print(f"exported {len(traj)} samples to {out}")

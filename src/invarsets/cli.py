@@ -2,7 +2,6 @@
 
     invarsets run <config.json> [--report PATH] [--csv PATH] [overrides]
     invarsets run-all <dir> [--report-dir PATH]
-    invarsets export <config.json> --csv PATH
 
 Exit codes: 0 = pass, 1 = fail / borderline / hypothesis-error,
 2 = configuration error.  ``run-all`` exits 0 only when every scenario's
@@ -25,7 +24,6 @@ from .report import (
     require_trajectory,
     run_directory,
     run_scenario,
-    scenario_trajectory,
 )
 
 EXIT_PASS = 0
@@ -100,7 +98,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_run_all(args: argparse.Namespace) -> int:
     rows = []
     for path, report in run_directory(args.directory):
-        expected = str(report.config.get("expected_verdict", PASS))
+        expected = report.config.get("expected_verdict", PASS)
         rows.append((path.name, report.check, report.verdict, expected, report.verdict == expected))
         if args.report_dir:
             out = Path(args.report_dir)
@@ -113,14 +111,6 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
         print(f"{name:<{name_w}}  {check:<{check_w}}  {verdict:<16}  {expected:<8}  {'yes' if ok else 'NO'}")
     print(f"{sum(1 for r in rows if r[4])}/{len(rows)} scenarios matched their expected verdict")
     return EXIT_PASS if all(r[4] for r in rows) else EXIT_FAIL
-
-
-def _cmd_export(args: argparse.Namespace) -> int:
-    config = _apply_overrides(load_scenario(args.config), args)
-    traj, quantity, system = scenario_trajectory(config)
-    export_trajectory(traj, quantity, args.csv, system.component_names)
-    print(f"wrote {len(traj)} samples to {args.csv}")
-    return EXIT_PASS
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -141,12 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_all.add_argument("directory", help="directory of scenario JSON files")
     p_all.add_argument("--report-dir", help="write one JSON report per scenario here")
     p_all.set_defaults(fn=_cmd_run_all)
-
-    p_export = sub.add_parser("export", help="export a scenario trajectory as CSV")
-    p_export.add_argument("config", help="path to a scenario JSON file")
-    p_export.add_argument("--csv", required=True, help="output CSV path")
-    _add_override_flags(p_export)
-    p_export.set_defaults(fn=_cmd_export)
 
     return parser
 

@@ -44,11 +44,11 @@ def _derivative_blocks(
     lexicographic (component, multi-index) order, the multi-index running
     over the full product {0..dim-1}^l (symmetric repeats included), as
     ``_flat_block`` lays them out; the flat stack ``base`` receives is the
-    blocks concatenated in order.  An order-1 stack that ``_partial_stack``
-    would take from the Jacobian is that Jacobian reshaped: 10-18 against
-    20-27 us for H on 1 to 401 states (timeit, best of 9, 2-core VM).
+    blocks concatenated in order.  An order-1 stack is the Jacobian
+    reshaped, without ``_partial_stack``'s per-coordinate entries: 10-18
+    against 20-27 us for H on 1 to 401 states (timeit, best of 9, 2-core VM).
     """
-    if order == 1 and (quantity.analytic_gradient is not None or quantity.analytic_partial is None):
+    if order == 1:
         _check_order(quantity, order)
         return [_jacobian_stack(quantity, xs).reshape(len(xs), -1)]
     entries = _partial_stack(quantity, xs, order)

@@ -4,7 +4,7 @@ States are plain 1-D numpy float arrays, and a trajectory's samples are an
 ``(m, dim)`` stack of them.  A :class:`SystemDefinition` wraps an autonomous
 right-hand side ``f`` of ``x' = f(x)`` together with its dimension, and a
 :class:`ConservedQuantitySet` bundles a vector of scalar first integrals
-with optional analytic derivative providers.  Quantities are evaluated on
+with an optional analytic gradient.  Quantities are evaluated on
 whole stacks; a single state is a stack of one.
 
 Everything here is immutable after construction and free of hidden state,
@@ -161,12 +161,10 @@ class ConservedQuantitySet:
 
     ``value(x)`` returns the k component values.  When present,
     ``analytic_gradient(x)`` returns the k-by-dim Jacobian and takes
-    precedence over finite differences in every consumer.
-    ``analytic_partial(x, alpha)`` returns the k values of the mixed
-    partial for a multi-index ``alpha`` given as a tuple of 0-based
-    coordinate indices (order = len(alpha)); it unlocks derivative orders
-    beyond the finite-difference depth cap.  ``smoothness_order`` bounds
-    the derivative order that may be queried meaningfully.
+    precedence over finite differences in every consumer; partials of
+    higher order always come from nested central differences, which
+    :mod:`invarsets.differentiate` caps at order 4.  ``smoothness_order``
+    bounds the derivative order that may be queried meaningfully.
 
     ``batched`` declares that ``value`` and ``analytic_gradient`` also
     accept a stack of states of shape ``(..., dim)`` and return
@@ -181,7 +179,6 @@ class ConservedQuantitySet:
     value: Callable[[Array], Array]
     labels: tuple[str, ...]
     analytic_gradient: Callable[[Array], Array] | None = None
-    analytic_partial: Callable[[Array, tuple[int, ...]], Array] | None = None
     smoothness_order: int = 8
     batched: bool = False
 
@@ -212,11 +209,10 @@ class ConservedQuantitySet:
         fn: Callable[[Array], float],
         label: str,
         gradient: Callable[[Array], Array] | None = None,
-        partial: Callable[[Array, tuple[int, ...]], Array] | None = None,
         smoothness_order: int = 8,
         batched: bool = False,
     ) -> "ConservedQuantitySet":
-        """Wrap a scalar function (and optional derivative providers) as k=1.
+        """Wrap a scalar function (and its optional gradient) as k=1.
 
         ``batched`` declares that ``fn`` and ``gradient`` map a stack
         ``(..., dim)`` to ``(...)`` and ``(..., dim)``."""
@@ -226,18 +222,12 @@ class ConservedQuantitySet:
         else:
             value = lambda x, _f=fn: np.array([float(_f(x))])
             grad = gradient and (lambda x, _g=gradient: np.asarray(_g(x), dtype=float).reshape(1, dim))
-        part = None
-        if partial is not None:
-            part = lambda x, alpha, _p=partial: np.atleast_1d(
-                np.asarray(_p(x, alpha), dtype=float)
-            )
         return ConservedQuantitySet(
             dim=dim,
             k=1,
             value=value,
             labels=(label,),
             analytic_gradient=grad,
-            analytic_partial=part,
             smoothness_order=smoothness_order,
             batched=batched,
         )
@@ -246,9 +236,9 @@ class ConservedQuantitySet:
 def stack_quantities(quantities: Sequence[ConservedQuantitySet]) -> ConservedQuantitySet:
     """Concatenate several quantities on the same space into one vector F.
 
-    Analytic providers survive the stacking only if every member supplies
-    them; otherwise consumers fall back to finite differences for the
-    whole stack.  The stack is ``batched`` only if every member is.
+    The analytic gradient survives the stacking only if every member
+    supplies one; otherwise consumers fall back to finite differences for
+    the whole stack.  The stack is ``batched`` only if every member is.
     """
     qs = list(quantities)
     if not qs:
@@ -274,21 +264,12 @@ def stack_quantities(quantities: Sequence[ConservedQuantitySet]) -> ConservedQua
                 [np.atleast_2d(np.asarray(q.analytic_gradient(x), float)) for q in _qs], axis=-2
             )
 
-    part = None
-    if all(q.analytic_partial is not None for q in qs):
-
-        def part(x, alpha, _qs=tuple(qs)):
-            return np.concatenate(
-                [np.atleast_1d(np.asarray(q.analytic_partial(x, alpha), float)) for q in _qs]
-            )
-
     return ConservedQuantitySet(
         dim=dim,
         k=k,
         value=value,
         labels=labels,
         analytic_gradient=grad,
-        analytic_partial=part,
         smoothness_order=min(q.smoothness_order for q in qs),
         batched=all(q.batched for q in qs),
     )

@@ -1,13 +1,14 @@
 """Gradients, Jacobians, and higher-order partial derivatives.
 
-Analytic providers attached to a quantity always win; otherwise central
-finite differences are used.  The default first-order step is
-``eps**(1/3) * max(1, |x_j|)`` per coordinate, which balances truncation
-against round-off for second-order schemes.  Higher orders use the
-analogous ``eps**(1/(order+2))`` scaling.  Nested differencing is capped
-at order 4: beyond that the noise exceeds any useful tolerance and an
-analytic provider is required.  A stack of more than ``MAX_PARTIALS``
-distinct partials per component is refused before any evaluation.
+A quantity's analytic gradient gives its first-order partials; without
+one, and at every higher order, central finite differences are used.
+The default first-order step is ``eps**(1/3) * max(1, |x_j|)`` per
+coordinate, which balances truncation against round-off for second-order
+schemes.  Higher orders use the analogous ``eps**(1/(order+2))`` scaling.
+Nested differencing is capped at order 4: beyond that the noise exceeds
+any useful tolerance, so a higher order is refused.  A stack of more than
+``MAX_PARTIALS`` distinct partials per component is refused before any
+evaluation.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ def _coordinate_steps(x: np.ndarray, scale: float) -> np.ndarray:
 def jacobians(quantity: ConservedQuantitySet, states) -> np.ndarray:
     """(m, k, n) Jacobians of a quantity on an (m, n) stack of states.
 
-    An analytic provider bypasses differencing.  A ``batched`` quantity is
+    An analytic gradient bypasses differencing.  A ``batched`` quantity is
     called once for the whole stack (per ``FD_CHUNK_STATES`` shifted states
     when differencing); any other once per state.
     """
@@ -112,11 +113,8 @@ def _check_order(quantity: ConservedQuantitySet, order: int) -> None:
             f"order {order} exceeds the quantity's smoothness order "
             f"{quantity.smoothness_order}"
         )
-    if quantity.analytic_partial is None and order > MAX_FD_ORDER:
-        raise UsageError(
-            f"order {order} exceeds the finite-difference cap {MAX_FD_ORDER}; "
-            "supply an analytic_partial provider"
-        )
+    if order > MAX_FD_ORDER:
+        raise UsageError(f"order {order} exceeds the finite-difference cap {MAX_FD_ORDER}")
     count = math.comb(quantity.dim + order, order) - 1
     if count > MAX_PARTIALS:
         raise UsageError(
@@ -131,33 +129,18 @@ def _partial_stack(
     """All partials of orders 1..``order`` of every component on a validated
     ``(m, dim)`` stack, one ``(m, k)`` array per sorted multi-index.
 
-    Order 1 is the stacked Jacobian unless ``analytic_partial`` is the only
-    provider, which is called once per row.  Nested central differences run
-    on the whole stack, their values through ``map_states`` (one call for a
-    ``batched`` quantity, one per row otherwise).
+    Order 1 is the stacked Jacobian.  Higher orders are nested central
+    differences on the whole stack, their values through ``map_states``
+    (one call for a ``batched`` quantity, one per row otherwise).
     """
     _check_order(quantity, order)
-    has_provider = quantity.analytic_partial is not None
-    entries: dict[tuple[int, ...], np.ndarray] = {}
-    for level in range(1, order + 1):
-        alphas = combinations_with_replacement(range(quantity.dim), level)
-        if level == 1 and (quantity.analytic_gradient is not None or not has_provider):
-            J = _jacobian_stack(quantity, xs)
-            entries.update(((j,), J[:, :, j]) for j in range(quantity.dim))
-        elif has_provider:
-            for alpha in alphas:
-                rows = [np.atleast_1d(np.asarray(quantity.analytic_partial(x, alpha), float)) for x in xs]
-                for val in rows:
-                    if val.shape != (quantity.k,):
-                        raise UsageError(
-                            f"analytic_partial returned shape {val.shape} for alpha={alpha}"
-                        )
-                entries[alpha] = np.array(rows)
-        else:
-            steps = _coordinate_steps(xs, EPS ** (1.0 / (level + 2)))
-            for alpha in alphas:
-                val = _nested_central(quantity, xs, alpha, steps)
-                if not _all_finite(val):
-                    raise NumericError(f"non-finite partial derivative for alpha={alpha}")
-                entries[alpha] = val
+    J = _jacobian_stack(quantity, xs)
+    entries = {(j,): J[:, :, j] for j in range(quantity.dim)}
+    for level in range(2, order + 1):
+        steps = _coordinate_steps(xs, EPS ** (1.0 / (level + 2)))
+        for alpha in combinations_with_replacement(range(quantity.dim), level):
+            val = _nested_central(quantity, xs, alpha, steps)
+            if not _all_finite(val):
+                raise NumericError(f"non-finite partial derivative for alpha={alpha}")
+            entries[alpha] = val
     return entries

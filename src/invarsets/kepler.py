@@ -116,17 +116,9 @@ def hamiltonian() -> ConservedQuantitySet:
 
 def angular_momentum() -> ConservedQuantitySet:
     """A = x1 y2 - x2 y1."""
-
-    def partial(z, alpha):
-        if len(alpha) == 1:
-            x1, x2, y1, y2 = z
-            return np.array([(y2, -y1, -x2, x1)[alpha[0]]])
-        # beyond order 1 only d2A/dx1dy2 = 1 and d2A/dx2dy1 = -1 are not zero
-        return np.array([{(0, 3): 1.0, (1, 2): -1.0}.get(tuple(sorted(alpha)), 0.0)])
-
     return ConservedQuantitySet.scalar(
         4, _componentwise(_momentum), "A", gradient=_componentwise(_momentum_gradient),
-        partial=partial, smoothness_order=64, batched=True,
+        smoothness_order=64, batched=True,
     )
 
 
@@ -153,7 +145,6 @@ def linear_pair_hamiltonian(a: float) -> ConservedQuantitySet:
     """-A/a^3: the quadratic generator whose canonical flow is
     :func:`linear_pair_field`.  Satisfies H - (-A/a^3) = K."""
     _radius(a)
-    A = angular_momentum()
     c = -1.0 / a**3
 
     @_componentwise
@@ -164,11 +155,8 @@ def linear_pair_hamiltonian(a: float) -> ConservedQuantitySet:
     def grad(x1, x2, y1, y2):
         return np.array([c * y2, c * -y1, c * -x2, c * x1])
 
-    def partial(z, alpha):
-        return c * A.analytic_partial(z, alpha)
-
     return ConservedQuantitySet.scalar(
-        4, value, f"-A/a^3(a={a:g})", gradient=grad, partial=partial, smoothness_order=64, batched=True
+        4, value, f"-A/a^3(a={a:g})", gradient=grad, smoothness_order=64, batched=True
     )
 
 

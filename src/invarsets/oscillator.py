@@ -23,21 +23,8 @@ def harmonic_oscillator() -> SystemDefinition:
 
 def squared_radius() -> ConservedQuantitySet:
     """F = x1^2 + x2^2, conserved by the rotation."""
-
-    def partial(z, alpha):
-        if len(alpha) == 1:
-            return np.array([2.0 * z[alpha[0]]])
-        if len(alpha) == 2:
-            return np.array([2.0 if alpha[0] == alpha[1] else 0.0])
-        return np.zeros(1)
-
     return ConservedQuantitySet.scalar(
-        2,
-        lambda z: z[0] * z[0] + z[1] * z[1],
-        "r^2",
-        gradient=lambda z: 2.0 * z,
-        partial=partial,
-        smoothness_order=64,
+        2, lambda z: z[0] * z[0] + z[1] * z[1], "r^2", gradient=lambda z: 2.0 * z, smoothness_order=64
     )
 
 

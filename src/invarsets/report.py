@@ -36,6 +36,7 @@ from .differentiate import jacobians
 from .errors import IntegrationError, NumericError, UsageError
 from .integrate import IntegratorSettings, Trajectory, flow_adaptive, monitor_drift
 from .invariance import (
+    BORDERLINE,
     FAIL,
     HYPOTHESIS_ERROR,
     PASS,
@@ -136,8 +137,12 @@ _KINDS = {int: "an integer", float: "a number", str: "a string"}
 _AT_LEAST = {"seed": 0, "samples": 1}  # integer settings no library call range-checks
 _AT_MOST = {"n": 256, "samples": 10_000, "sample_count": 10_001}  # sizes that keep arrays small
 _MAX_LAX_ENTRIES = 2**22  # samples * n**2 on the free-end lattice: one n-by-n Lax matrix per sample
+_VERDICTS = (PASS, FAIL, BORDERLINE, HYPOTHESIS_ERROR)
 # settings with a domain of their own: the test and what it asks for
-_DOMAINS = {"a": (kepler_model.valid_radius, "be positive, with a^3 and 1/a^3 finite and non-zero")}
+_DOMAINS = {
+    "a": (kepler_model.valid_radius, "be positive, with a^3 and 1/a^3 finite and non-zero"),
+    "expected_verdict": (_VERDICTS.__contains__, f"be one of {', '.join(_VERDICTS)}"),
+}
 
 
 def _value(section, key: str, default, where: str = ""):
@@ -399,6 +404,8 @@ def _read(config) -> _Scenario:
     flow = ("quantity", "initial_state", "t_end") if check.integrates else ()
     common = ("label", "check", "model", "claim", "expected_verdict", "tolerances", "integ")
     keys = _fields(config, check.keys, "", name, common + flow)
+    for key, default in (("label", ""), ("claim", ""), ("expected_verdict", PASS)):
+        _value(config, key, default)  # the kind, and for expected_verdict the domain
     # the tolerance "rank" is the top-level "rank_tol" of a scenario
     tol = {"rank": _tolerance("rank", keys.pop("rank_tol"), "rank_tol")} if "rank_tol" in keys else {}
     defaults = {key: TOLERANCES[key] for key in check.tolerances}
@@ -518,7 +525,7 @@ def run_scenario(config: dict[str, Any]) -> RunReport:
         message = f"a numeric failure stopped the check: {exc}"
         verdict, evidence, traj = HYPOTHESIS_ERROR, {"message": message}, None
     return RunReport(
-        label=str(config.get("label", "unnamed")),
+        label=config.get("label", "unnamed"),
         check=s.check,
         verdict=verdict,
         evidence=evidence,
@@ -526,14 +533,6 @@ def run_scenario(config: dict[str, Any]) -> RunReport:
         elapsed_seconds=time.perf_counter() - started,
         flow=None if traj is None else (traj, s.quantity, s.system),
     )
-
-
-def scenario_trajectory(config: dict[str, Any]) -> tuple[Trajectory, ConservedQuantitySet, SystemDefinition]:
-    """Integrate the scenario's model from its initial state over the
-    check's horizon (for exports)."""
-    s = _read(config)
-    require_trajectory(s.check)
-    return flow_adaptive(s.system, s.x0, s.t_end, integ=s.integ), s.quantity, s.system
 
 
 def require_trajectory(check: str) -> None:

@@ -230,12 +230,6 @@ def _i1_gradient(z, n):
     return g
 
 
-def _i1_partial(z, alpha, n):
-    if len(alpha) == 1:
-        return np.array([1.0 if alpha[0] >= n else 0.0])
-    return np.zeros(1)
-
-
 def _i2_value(z, n):
     X, u = _components(z, n)
     U = _total(u)
@@ -245,18 +239,6 @@ def _i2_value(z, n):
 def _i2_gradient(z, n):
     X, u = _components(z, n)
     return _gradient(z, np.full_like(X, -1.0), _total(u) - u)
-
-
-def _i2_partial(z, alpha, n):
-    if len(alpha) == 1:
-        j = alpha[0]
-        return np.array([z[n:].sum() - z[j] if j >= n else -1.0])
-    if len(alpha) == 2:
-        a, b = alpha
-        if a >= n and b >= n and a != b:
-            return np.array([1.0])
-        return np.zeros(1)
-    return np.zeros(1)
 
 
 def _i3_value(z, n):
@@ -279,23 +261,22 @@ def _i3_gradient(z, n):
     return _gradient(z, gX, gu)
 
 
-# degree -> (value, gradient, partial or None); each takes (z, n)
+# degree -> (value, gradient); each takes (z, n)
 _HENON_FORMS = {
-    1: (_i1_value, _i1_gradient, _i1_partial),
-    2: (_i2_value, _i2_gradient, _i2_partial),
-    3: (_i3_value, _i3_gradient, None),
+    1: (_i1_value, _i1_gradient),
+    2: (_i2_value, _i2_gradient),
+    3: (_i3_value, _i3_gradient),
 }
 
 
 def _closed_form(dim, n, label, forms) -> ConservedQuantitySet:
-    value, gradient, partial = forms
+    value, gradient = forms
     return ConservedQuantitySet(
         dim=dim,
         k=1,
         value=lambda z: value(z, n),
         labels=(label,),
         analytic_gradient=lambda z: gradient(z, n),
-        analytic_partial=None if partial is None else (lambda z, alpha: partial(z, alpha, n)),
         smoothness_order=64,
         batched=True,
     )
@@ -371,12 +352,6 @@ def _f1_gradient(z, n):
     return g
 
 
-def _f1_partial(z, alpha, n):
-    if len(alpha) == 1:
-        return np.array([1.0 if alpha[0] >= n - 1 else 0.0])
-    return np.zeros(1)
-
-
 def _f2_value(z, n):
     X, u = _components(z, n - 1)
     return _value(z, _total(X) + 0.5 * _total(u * u))
@@ -385,18 +360,6 @@ def _f2_value(z, n):
 def _f2_gradient(z, n):
     X, u = _components(z, n - 1)
     return _gradient(z, np.ones_like(X), u)
-
-
-def _f2_partial(z, alpha, n):
-    if len(alpha) == 1:
-        j = alpha[0]
-        return np.array([z[j] if j >= n - 1 else 1.0])
-    if len(alpha) == 2:
-        a, b = alpha
-        if a == b and a >= n - 1:
-            return np.array([1.0])
-        return np.zeros(1)
-    return np.zeros(1)
 
 
 def _f3_value(z, n):
@@ -411,11 +374,11 @@ def _f3_gradient(z, n):
     return _gradient(z, u[:-1] + u[1:], Xe[:-1] + Xe[1:] + u * u)
 
 
-# index -> (value, gradient, partial or None); each takes (z, n)
+# index -> (value, gradient); each takes (z, n)
 _FLASCHKA_FORMS = {
-    1: (_f1_value, _f1_gradient, _f1_partial),
-    2: (_f2_value, _f2_gradient, _f2_partial),
-    3: (_f3_value, _f3_gradient, None),
+    1: (_f1_value, _f1_gradient),
+    2: (_f2_value, _f2_gradient),
+    3: (_f3_value, _f3_gradient),
 }
 
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invarsets.cli import main
-from invarsets.report import export_trajectory, load_scenario, run_scenario, scenario_trajectory
+from invarsets.report import export_trajectory, load_scenario, run_scenario
 from invarsets import ConservedQuantitySet, IntegratorSettings, coincidence, flow_adaptive, integrate, invariance
 from invarsets import jacobians, report, toda
 
@@ -167,7 +167,7 @@ def test_csv_export_shape_and_roundtrip(tmp_path, capsys):
 def test_export_subcommand(tmp_path, capsys):
     csv_path = tmp_path / "out.csv"
     code = main(
-        ["export", str(SCENARIO_DIR / "toda-periodic-drift.json"), "--csv", str(csv_path),
+        ["run", str(SCENARIO_DIR / "toda-periodic-drift.json"), "--csv", str(csv_path),
          "--sample-count", "5"]
     )
     capsys.readouterr()
@@ -179,7 +179,7 @@ def test_export_subcommand(tmp_path, capsys):
 def test_export_kepler_header_names(tmp_path, capsys):
     csv_path = tmp_path / "kepler.csv"
     code = main(
-        ["export", str(SCENARIO_DIR / "kepler-circular-coincidence.json"),
+        ["run", str(SCENARIO_DIR / "kepler-circular-coincidence.json"),
          "--csv", str(csv_path), "--sample-count", "3"]
     )
     capsys.readouterr()
@@ -543,6 +543,16 @@ FLASCHKA = "toda-nonperiodic-flaschka-oracle.json"
         (DRIFT, {"tolerances": {"drift": "1e-8"}}, [], '"tolerances.drift" must be a number, got \'1e-8\''),
         (KEPLER, {"model": {"kind": "kepler", "a": "1"}}, [], '"model.a" must be a number, got \'1\''),
         (ORACLE, {"samples": "5"}, [], '"samples" must be an integer, got \'5\''),
+        # the descriptive keys were read with no kind: a list label ran, and
+        # run-all counted an expected_verdict of 5 as a mismatch
+        (DRIFT, {"label": [1]}, [], '"label" must be a string, got [1]'),
+        (DRIFT, {"label": None}, [], '"label" must be a string, got None'),
+        (DRIFT, {"claim": {"a": 1}}, [], '"claim" must be a string, got {\'a\': 1}'),
+        (DRIFT, {"expected_verdict": 5}, [], '"expected_verdict" must be a string, got 5'),
+        (
+            DRIFT, {"expected_verdict": "passed"},
+            [], '"expected_verdict" must be one of pass, fail, borderline, hypothesis-error, got \'passed\'',
+        ),
     ],
     ids=[
         "model-n", "model-n-fraction", "tolerances", "integ", "sample-count", "tolerance-value", "t-end",
@@ -557,7 +567,8 @@ FLASCHKA = "toda-nonperiodic-flaschka-oracle.json"
         "rel-tol-above-range", "sample-count-flag-one", "initial-state-list", "initial-state-object",
         "initial-state-word", "initial-state-null", "initial-state-huge-int", "initial-state-minus-inf",
         "initial-state-string", "t-end-string", "sample-count-string", "tolerance-string", "model-a-string",
-        "samples-string",
+        "samples-string", "label-list", "label-null", "claim-object", "expected-verdict-number",
+        "expected-verdict-word",
     ],
 )
 def test_malformed_config_types_are_config_errors(tmp_path, capsys, scenario, change, flags, named):
@@ -567,6 +578,50 @@ def test_malformed_config_types_are_config_errors(tmp_path, capsys, scenario, ch
     err = capsys.readouterr().err
     assert code == 2
     assert named in err
+
+
+def test_run_all_with_a_wrong_kind_expected_verdict_is_a_config_error(tmp_path, capsys):
+    # it ran, and the scenario was listed as a mismatch ("NO") with exit 1
+    config = load_scenario(SCENARIO_DIR / DRIFT)
+    config["expected_verdict"] = 5
+    _write(tmp_path, config)
+    assert main(["run-all", str(tmp_path)]) == 2
+    assert '"expected_verdict" must be a string, got 5' in capsys.readouterr().err
+
+
+# quantity token: (model and start over the vanishing scenario, largest
+# partial, threshold at the start)
+ORDER_CASES = {
+    "A": ({"model": {"kind": "kepler", "a": 1.0}, "initial_state": [0.1, 0.0, 0.0, 0.1]}, "1.000e+00", "1.000e-08"),
+    "I12": ({}, "1.000e+00", "1.838e-08"),
+    "F12": (
+        {"model": {"kind": "toda-nonperiodic", "n": 4}, "initial_state": {"random": {"seed": 1, "scale": 0.1}}},
+        "1.000e+00", "1.000e-08",
+    ),
+    "I3": ({}, "1.600e+00", "1.838e-08"),
+}
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
+@pytest.mark.parametrize("quantity", ORDER_CASES)
+def test_vanishing_orders_above_one_come_from_finite_differences(tmp_path, capsys, quantity, order):
+    # every order above 1 is nested central differences, so above the cap of
+    # 4 every quantity is a configuration error
+    change, largest, threshold = ORDER_CASES[quantity]
+    config = {**load_scenario(SCENARIO_DIR / VANISHING), **change, "quantity": quantity, "order": order}
+    code = main(["run", _write(tmp_path, config)])
+    captured = capsys.readouterr()
+    if order > 4:
+        assert code == 2
+        assert f"configuration error: order {order} exceeds the finite-difference cap 4" in captured.err
+        assert "analytic_partial" not in captured.err
+        return
+    assert code == 1
+    run = json.loads(captured.out)
+    assert run["verdict"] == "hypothesis-error"
+    assert run["evidence"]["message"] == (
+        f"start is not in the order-{order} vanishing set: largest partial {largest} exceeds threshold {threshold}"
+    )
 
 
 def _numeric_paths(node, path=()):
@@ -628,7 +683,7 @@ def test_csv_sigma_columns_are_the_per_sample_singular_values(tmp_path, capsys):
     csv_path = tmp_path / "traj.csv"
     assert main(["run", _write(tmp_path, config), "--csv", str(csv_path)]) == 0
     capsys.readouterr()
-    traj, quantity, _ = scenario_trajectory(config)
+    traj, quantity, _ = run_scenario(config).flow
     for line, state in zip(csv_path.read_text().splitlines()[1:], traj.states):
         cells = [float(c) for c in line.split(",")]
         sigma = np.linalg.svd(jacobians(quantity, state[None])[0], compute_uv=False)
@@ -684,7 +739,7 @@ def test_unknown_tolerance_override_is_a_config_error(capsys):
 def test_unknown_integ_key_in_export_is_a_config_error(tmp_path, capsys):
     config = load_scenario(SCENARIO_DIR / "toda-periodic-drift.json")
     config["integ"]["samples"] = 11
-    code = main(["export", _write(tmp_path, config), "--csv", str(tmp_path / "x.csv")])
+    code = main(["run", _write(tmp_path, config), "--csv", str(tmp_path / "x.csv")])
     assert code == 2
     assert 'unknown key "integ.samples"' in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
@@ -730,7 +785,10 @@ def test_run_csv_exports_the_checks_own_trajectory(
         assert "no CSV written" in capsys.readouterr().err
         assert not (tmp_path / "run.csv").exists()
         return
-    assert main(["export", path, "--sample-count", "21", "--csv", str(tmp_path / "export.csv")]) == 0
+    # the model's own flow from the start, over the check's horizon, exported alone
+    s = report._read({**config, "integ": {**config.get("integ", {}), "sample_count": 21}})
+    traj = flow_adaptive(s.system, s.x0, s.t_end, integ=s.integ)
+    export_trajectory(traj, s.quantity, tmp_path / "export.csv", s.system.component_names)
     capsys.readouterr()
     assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "export.csv").read_bytes()
 

@@ -443,14 +443,8 @@ def _order1_cases():
     H, A = kepler.hamiltonian(), kepler.angular_momentum()
     return [
         ("analytic-gradient", H),
-        ("gradient-and-partial", kepler.linear_pair_hamiltonian(1.2)),
+        ("analytic-gradient-linear-pair", kepler.linear_pair_hamiltonian(1.2)),
         ("fd-only", ConservedQuantitySet(dim=4, k=1, value=H.value, labels=("H-fd",))),
-        (
-            "partial-only",
-            ConservedQuantitySet(
-                dim=4, k=1, value=A.value, labels=("A-partial",), analytic_partial=A.analytic_partial
-            ),
-        ),
         ("stacked", stack_quantities([H, A, kepler.combined_invariant(1.1)])),
         (
             "stacked-fd",

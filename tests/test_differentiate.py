@@ -78,12 +78,10 @@ def test_partial_tensor_circle_cubed_flat_to_second_order():
 
 
 def test_partial_tensor_linear_quantity_analytic_and_fd():
-    q = toda.henon_closed_form(4, 1)  # carries an analytic partial provider
+    q = toda.henon_closed_form(4, 1)
     xs = np.random.default_rng(2).standard_normal((1, 8))
-    entries = _partial_stack(q, xs, 2)
-    for j in range(8):
-        for i in range(j, 8):
-            assert entries[(j, i)][0, 0] == 0.0
+    entries = _partial_stack(q, xs, 2)  # order 1 from the analytic gradient
+    assert [entries[(j,)][0, 0] for j in range(8)] == [0.0] * 4 + [1.0] * 4
     fd_only = ConservedQuantitySet(dim=8, k=1, value=q.value, labels=q.labels)
     entries_fd = _partial_stack(fd_only, xs, 2)
     assert max(abs(entries_fd[(j, j)][0, 0]) for j in range(8)) < 1e-6
@@ -107,9 +105,7 @@ def test_partial_count_bound_refuses_before_any_evaluation():
     def never(*args):
         raise AssertionError("a refused stack evaluated its quantity")
 
-    q = ConservedQuantitySet(
-        dim=32, k=1, value=never, labels=("never",), analytic_partial=never, smoothness_order=64
-    )
+    q = ConservedQuantitySet(dim=32, k=1, value=never, labels=("never",), smoothness_order=64)
     with pytest.raises(UsageError, match="order 3 on dimension 32 needs 6544 partials per state"):
         _partial_stack(q, np.zeros((1, 32)), 3)
     with pytest.raises(UsageError, match="needs 6544 partials"):

@@ -102,7 +102,6 @@ def test_vanishing_invariance_constant_quantity_trivially_passes():
         value=lambda z: np.array([2.5]),
         labels=("c",),
         analytic_gradient=lambda z: np.zeros((1, 2)),
-        analytic_partial=lambda z, alpha: np.zeros(1),
     )
     report = verify_vanishing_invariance(
         oscillator.harmonic_oscillator(), const, [0.4, -0.2], t_end=3.0, order=4,

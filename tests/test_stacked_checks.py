@@ -47,17 +47,14 @@ def _point_central(value_fn, x, alpha, steps):
 
 
 def _point_partials(quantity, x, order):
-    """The single-state partial tensor: a Jacobian, one analytic_partial
-    call per multi-index or nested central differences at x alone."""
+    """The single-state partial tensor: a Jacobian, or nested central
+    differences at x alone."""
     entries = {}
     for level in range(1, order + 1):
         alphas = combinations_with_replacement(range(quantity.dim), level)
         if level == 1 and quantity.analytic_gradient is not None:
             J = np.asarray(quantity.analytic_gradient(x), dtype=float).reshape(quantity.k, quantity.dim)
             entries.update(((j,), J[:, j].copy()) for j in range(quantity.dim))
-        elif quantity.analytic_partial is not None:
-            for alpha in alphas:
-                entries[alpha] = np.atleast_1d(np.asarray(quantity.analytic_partial(x, alpha), float))
         else:
             steps = (EPS ** (1.0 / (level + 2))) * np.maximum(1.0, np.abs(x))
             for alpha in alphas:
@@ -74,15 +71,6 @@ def _point_vanishing(quantity, x, order, abs_tol):
     return verdict, worst - threshold, float(margin), threshold
 
 
-def _cubic_partial(z, alpha):
-    """Partials of z0^3 + z0 z1, for a quantity with analytic_partial only."""
-    a = tuple(sorted(alpha))
-    table = {
-        (0,): 3.0 * z[0] ** 2 + z[1], (1,): z[0], (0, 0): 6.0 * z[0], (0, 1): 1.0,
-    }
-    return np.array([table.get(a, 0.0)])
-
-
 I3 = toda.henon_closed_form(4, 3)
 VANISHING_CASES = [
     # (label, quantity, states always in the stack): the extra rows sit on
@@ -90,13 +78,7 @@ VANISHING_CASES = [
     ("batched-gradient", I3, np.zeros((1, 8))),
     ("batched-fd", ConservedQuantitySet(8, 1, I3.value, I3.labels, batched=True), np.zeros((1, 8))),
     ("point-gradient", oscillator.unit_circle_power(3), np.array([[1.0, 0.0], [0.6, 0.8]])),
-    ("point-gradient-and-partial", oscillator.squared_radius(), np.zeros((1, 2))),
-    (
-        "point-partial-only",
-        ConservedQuantitySet(2, 1, lambda z: np.array([z[0] ** 3 + z[0] * z[1]]), ("c",),
-                             analytic_partial=_cubic_partial),
-        np.zeros((1, 2)),
-    ),
+    ("point-gradient-quadratic", oscillator.squared_radius(), np.zeros((1, 2))),
     (
         "point-fd",
         ConservedQuantitySet(2, 1, lambda z: np.array([(z[0] ** 2 + z[1] ** 2 - 1.0) ** 3]), ("fd",)),
