@@ -5,8 +5,8 @@ map f but are driven by the derivative stacks of different quantities.
 When F - G is conserved by the first system and the stacks of F and G
 agree at a start point up to the driving order, the two flows from that
 point coincide for all time.  This module assembles such systems, measures
-stack agreement, and certifies coincidence by dual integration, through the
-driven fields or through closed forms checked against them.
+stack agreement, and certifies coincidence on two flows: through the driven
+fields, or closed forms checked against them (exp(t L) x0 for a linear one).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .core import (
 )
 from .differentiate import _check_order, _flat_block, _jacobian_stack, _partial_stack
 from .errors import IntegrationError, NumericError, UsageError
-from .integrate import IntegratorSettings, Trajectory, flow_adaptive
+from .integrate import IntegratorSettings, Trajectory, _linear_flow, flow_adaptive
 from .invariance import FAIL, HYPOTHESIS_ERROR, PASS, InvarianceReport
 
 
@@ -164,16 +164,18 @@ def _closed_form_system(closed: SystemDefinition, driven: SystemDefinition) -> S
 
 
 def _flow(closed: SystemDefinition | None, driven: SystemDefinition, x0, t_end, integ) -> Trajectory:
-    """The flow of ``driven`` from ``x0``: through its closed form ``closed``
-    when given, under ``driven``'s label and with no hand-off, and the flow
-    through :func:`_closed_form_system` in every bit.  The hand-off acts
-    only on a :class:`NumericError` or a non-finite row, and the stepper
-    fails on the one and counts the other: a flow with a count
-    (``nonfinite_attempts``), or failed in a field evaluation or at a
-    non-finite sample, is integrated again through it, and a step underflow
-    or a spent budget with no count is the hand-off flow's failure too."""
+    """The flow of ``driven`` from ``x0``: exp(t L) x0 if its closed form
+    ``closed`` declares a ``matrix`` L, else through ``closed`` when given,
+    under ``driven``'s label with no hand-off, and the flow through
+    :func:`_closed_form_system` in every bit.  The hand-off acts only on a
+    :class:`NumericError` or a non-finite row, which the stepper fails on
+    and counts: a flow with a count (``nonfinite_attempts``), or failed in a
+    field evaluation or at a non-finite sample, is integrated again through
+    it; a step underflow or a spent budget with no count fails it too."""
     if closed is None:
         return flow_adaptive(driven, x0, t_end, integ=integ)
+    if closed.matrix is not None:
+        return _linear_flow(closed, x0, t_end, integ)
     try:
         traj = flow_adaptive(replace(closed, label=driven.label), x0, t_end, integ=integ)
         if not traj.stats.nonfinite_attempts:
@@ -184,17 +186,22 @@ def _flow(closed: SystemDefinition | None, driven: SystemDefinition, x0, t_end, 
     return flow_adaptive(_closed_form_system(closed, driven), x0, t_end, integ=integ)
 
 
-def _sample_mismatch(name: str, flow: SystemDefinition, driven_rows: np.ndarray, traj) -> str | None:
-    """Why ``flow`` differs in some bit from the driven field's ``driven_rows``
-    on the samples of ``traj`` (None when it does not anywhere)."""
-    differs = (flow.fields(traj.states).view(np.int64) != driven_rows.view(np.int64)).any(axis=1)
+def _sample_mismatch(name: str, closed: SystemDefinition, flow: SystemDefinition, driven_rows, traj) -> str | None:
+    """Why ``closed``, through its hand-off ``flow``, differs on the samples
+    ``xs`` of ``traj`` in some bit from the driven rows, or from its declared
+    ``matrix`` L by more than two dot roundings, 2 dim eps (|xs| @ |L|.T)."""
+    xs, rows = traj.states, flow.fields(traj.states)
+    differs = (rows.view(np.int64) != driven_rows.view(np.int64)).any(axis=1)
+    what = "its driven field"
+    if not differs.any() and (L := closed.matrix) is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = 2 * len(L) * np.finfo(float).eps * (np.abs(xs) @ np.abs(L).T)
+            differs = ~(np.abs(rows - xs @ L.T) <= bound).all(axis=1)
+        what = "its declared matrix"
     if not differs.any():
         return None
     i = int(np.argmax(differs))
-    return (
-        f"the closed form of the {name}-driven flow differs from its driven field "
-        f"at sample {i} (t={traj.times[i]:.6g})"
-    )
+    return f"the closed form of the {name}-driven flow differs from {what} at sample {i} (t={traj.times[i]:.6g})"
 
 
 def agreement_residual(
@@ -271,20 +278,20 @@ def verify_coincidence(
 
     ``closed_forms`` are two systems whose fields equal the F- and
     G-driven fields bit for bit (for Kepler: the model's field and
-    :func:`kepler.linear_pair_field`); the flows are then integrated
-    through them directly, which is cheaper, and again through the hand-off
-    below only where the stepper counts a non-finite value
-    (``IntegratorStats.nonfinite_attempts``) or the flow fails in a field
-    evaluation or at a non-finite sample; the report is the same in every
-    bit.  That premise is checked once, on the stack of each flow's
+    :func:`kepler.linear_pair_field`).  A flow whose closed form declares
+    its ``matrix`` L is exp(t L) x0, not integrated; the others are
+    integrated through their closed forms directly, and again through the
+    hand-off below only where the stepper counts a non-finite value
+    (``IntegratorStats.nonfinite_attempts``) or fails in a field evaluation
+    or at a non-finite sample, so for them the report is the same in every
+    bit.  The premises are checked once, on the stack of each flow's
     samples, whose sample 0 is ``x0``: each closed form must give its
-    driven field's stacked rows there in every bit (for F the stack the
-    F - G scan evaluates anyway).  A difference in any bit is a hypothesis
-    error naming the flow and the sample.  A state where a closed form
-    gives no row, or a non-finite one, goes to the driven field, so a
-    failing flow stops where the driven flow stops; a closed form must
-    give a non-finite row at a non-finite state, as one that reads every
-    component does.
+    driven field's rows there in every bit (for F the stack the F - G scan
+    evaluates anyway), and ``xs @ L.T`` to two dot-product roundings where
+    it declares L.  A difference is a hypothesis error naming the flow and
+    the sample.  A state where a closed form gives no row, or a non-finite
+    one, goes to the driven field, so a failing flow stops where the driven
+    flow stops; a closed form must give a non-finite row at a non-finite state.
     """
     tol = _tolerances(tolerances, ("deviation", "hypothesis"))
     x0v = as_state(x0, f_quantity.dim)
@@ -335,8 +342,8 @@ def verify_coincidence(
     reasons = []
     if closed_forms is not None:
         reasons += filter(None, (
-            _sample_mismatch("F", flow_f, fields_f, traj_f),
-            _sample_mismatch("G", flow_g, sys_g.fields(traj_g.states), traj_g),
+            _sample_mismatch("F", closed_f, flow_f, fields_f, traj_f),
+            _sample_mismatch("G", closed_g, flow_g, sys_g.fields(traj_g.states), traj_g),
         ))
     if not on_set:
         reasons.append(off_set)

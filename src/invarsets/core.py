@@ -14,7 +14,7 @@ so all operations can be called concurrently without synchronization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as _dataclass_field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -109,7 +109,9 @@ class SystemDefinition:
     ``component_names`` optionally names the state components for exports.
     ``batched`` declares, as for :class:`ConservedQuantitySet`, that
     ``field`` also maps a stack ``(..., dim)`` to ``(..., dim)``, each row
-    equal bit for bit to the single-state result.
+    equal bit for bit to the single-state result.  ``matrix``, a finite
+    ``(dim, dim)`` array, declares the model linear, ``field(x) = matrix @ x``:
+    the coincidence check then takes its flow as ``exp(t matrix) x0``.
     """
 
     dim: int
@@ -117,6 +119,7 @@ class SystemDefinition:
     label: str = ""
     component_names: tuple[str, ...] | None = None
     batched: bool = False
+    matrix: Array | None = _dataclass_field(default=None, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -126,6 +129,16 @@ class SystemDefinition:
                 f"component_names has {len(self.component_names)} entries "
                 f"for dimension {self.dim}"
             )
+        if self.matrix is not None:
+            try:
+                matrix = np.array(self.matrix)
+            except ValueError:  # a ragged nesting
+                matrix = np.empty(0)
+            if matrix.dtype.kind not in "iuf" or matrix.shape != (self.dim, self.dim) or not _all_finite(matrix):
+                raise UsageError(f"matrix of '{self.label}' must be a finite ({self.dim}, {self.dim}) array of numbers")
+            matrix = matrix.astype(float)
+            matrix.flags.writeable = False
+            object.__setattr__(self, "matrix", matrix)
 
     def fields(self, xs: Array) -> Array:
         """The field on an ``(m, dim)`` stack: one call if ``batched``,

@@ -174,13 +174,14 @@ def circular_sample(a: float, theta: float) -> np.ndarray:
 
 
 def linear_pair_field(a: float) -> SystemDefinition:
-    """The linear field (x2, -x1, y2, -y1)/a^3.
+    """The linear field (x2, -x1, y2, -y1)/a^3, declared as its ``matrix`` L.
 
     This is the canonical flow of -A/a^3; it matches the Kepler field at
     every point of the radius-a^2 circular family and nowhere else.
     """
     _radius(a)
     inv_a3 = 1.0 / a**3
+    L = inv_a3 * np.array([[0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, 0.0]])
 
     @_componentwise
     def stacked(x1, x2, y1, y2):
@@ -198,4 +199,5 @@ def linear_pair_field(a: float) -> SystemDefinition:
         label=f"kepler-linear-pair(a={a:g})",
         component_names=("x1", "x2", "y1", "y2"),
         batched=True,
+        matrix=L,
     )

@@ -762,18 +762,19 @@ def _count_flows(monkeypatch):
     "scenario,change,code,flows",
     [
         ("toda-periodic-rank-pattern.json", {}, 0, 1),
-        ("kepler-circular-coincidence.json", {}, 0, 2),
+        ("kepler-circular-coincidence.json", {}, 0, 1),
         # a start off the family stops at the premise: no flow, so no CSV
         ("toda-periodic-persist-M1I13.json", {"initial_state": [1.0] * 8, "set_id": "M1_I13"}, 1, 0),
         # without t_end both run to the check's own horizon, one period 2*pi*a^3
-        ("kepler-circular-coincidence-a15.json", {"t_end": None}, 0, 2),
+        ("kepler-circular-coincidence-a15.json", {"t_end": None}, 0, 1),
     ],
     ids=["rank", "coincidence", "premise-failed", "coincidence-default-horizon"],
 )
 def test_run_csv_exports_the_checks_own_trajectory(
     tmp_path, capsys, monkeypatch, scenario, change, code, flows
 ):
-    # the coincidence check integrates the F- and G-driven flows; --csv adds none
+    # the coincidence check integrates the F-driven flow and takes the linear
+    # G-driven one from the matrix exponential; --csv adds none
     config = load_scenario(SCENARIO_DIR / scenario)
     config.update(change)
     config = {key: value for key, value in config.items() if value is not None}

@@ -14,8 +14,10 @@ from invarsets import (
     ConservedQuantitySet,
     IntegrationError,
     IntegratorSettings,
+    IntegratorStats,
     NumericError,
     SystemDefinition,
+    Trajectory,
     UsageError,
     agreement_residual,
     assemble_system,
@@ -30,6 +32,7 @@ from invarsets import (
 from invarsets import coincidence, integrate, kepler, oscillator, report, toda
 from invarsets.coincidence import _closed_form_system, _derivative_blocks, _difference_quantity
 from invarsets.differentiate import _flat_block, _partial_stack
+from invarsets.integrate import _linear_flow
 
 from conftest import random_kepler_states, random_toda_physical, zero_quantity
 
@@ -842,8 +845,10 @@ def test_wrong_shape_driven_field_row_is_a_usage_error():
 
 # ---------------------------------------------------------------------------
 # closed-form flows: the Kepler field and its linear companion in place of
-# the driven fields give the same report in every bit, and a closed form
-# that differs from its driven field anywhere it is checked never passes
+# the driven fields give the same report in every bit, the linear one's flow
+# taken from the matrix exponential on both sides, and a closed form that
+# differs from its driven field or its declared matrix anywhere it is
+# checked never passes
 # ---------------------------------------------------------------------------
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
@@ -857,8 +862,28 @@ def _kepler_coincidence(x0, a, t_end, closed_forms=None, **kwargs):
     )
 
 
-def _kepler_closed_forms(a):
-    return kepler.kepler_field(), kepler.linear_pair_field(a)
+def _kepler_closed_forms(a, linear=True):
+    """The Kepler field and the linear pair field; ``linear=False`` drops the
+    pair's declared matrix, so its flow is integrated too."""
+    pair = kepler.linear_pair_field(a)
+    return kepler.kepler_field(), pair if linear else replace(pair, matrix=None)
+
+
+def _driven_report(x0, a, t_end, linear=True, **kwargs):
+    """The report with no closed forms: the driven flows, the G-driven one
+    taken from the linear pair's matrix exponential when ``linear``."""
+    if not linear:
+        return _kepler_coincidence(x0, a, t_end, **kwargs)
+    pair = kepler.linear_pair_field(a)
+
+    def flow(closed, driven, x0, t_end, integ):
+        if driven.label == "driven-G":
+            return _linear_flow(pair, x0, t_end, integ)
+        return coincidence.flow_adaptive(driven, x0, t_end, integ=integ)
+
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(coincidence, "_flow", flow)
+        return _kepler_coincidence(x0, a, t_end, **kwargs)
 
 
 def _bits(value):
@@ -876,9 +901,9 @@ def _assert_same_report(fast, slow):
         assert fast.trajectory.stats == slow.trajectory.stats
 
 
-def _assert_fast_equals_slow(x0, a, t_end, **kwargs):
-    slow = _kepler_coincidence(x0, a, t_end, **kwargs)
-    fast = _kepler_coincidence(x0, a, t_end, _kepler_closed_forms(a), **kwargs)
+def _assert_fast_equals_slow(x0, a, t_end, linear=True, **kwargs):
+    slow = _driven_report(x0, a, t_end, linear, **kwargs)
+    fast = _kepler_coincidence(x0, a, t_end, _kepler_closed_forms(a, linear), **kwargs)
     _assert_same_report(fast, slow)
     return fast
 
@@ -889,26 +914,32 @@ def test_shipped_scenarios_hold_every_coincidence_check():
     ]
 
 
+LINEAR = pytest.mark.parametrize("linear", [True, False], ids=["linear-g", "integrated-g"])
+
+
+@LINEAR
 @pytest.mark.parametrize("name", COINCIDENCE_SCENARIOS)
-def test_closed_forms_give_the_driven_report_on_shipped_scenarios(name):
+def test_closed_forms_give_the_driven_report_on_shipped_scenarios(name, linear):
     s = report._read(json.loads((SCENARIO_DIR / name).read_text()))
-    fast = _assert_fast_equals_slow(s.x0, s.params["a"], s.t_end, integ=s.integ, tolerances=s.tol)
+    fast = _assert_fast_equals_slow(s.x0, s.params["a"], s.t_end, linear, integ=s.integ, tolerances=s.tol)
     assert fast.verdict == s.config["expected_verdict"]
 
 
+@LINEAR
 @settings(max_examples=8, deadline=None)
 @given(
     a=st.floats(0.7, 1.4),
     theta=st.floats(0.0, 2 * np.pi),
     push=st.sampled_from([0.0, 0.0, 0.08, -0.15]),
 )
-def test_closed_forms_give_the_driven_report_on_seeded_starts(a, theta, push):
+def test_closed_forms_give_the_driven_report_on_seeded_starts(linear, a, theta, push):
     x0 = kepler.circular_sample(a, theta)
     x0[2:] *= 1.0 + push  # push != 0 moves the start off the agreement set
-    fast = _assert_fast_equals_slow(x0, a, np.pi * a**3, integ=IntegratorSettings(sample_count=101))
+    fast = _assert_fast_equals_slow(x0, a, np.pi * a**3, linear, integ=IntegratorSettings(sample_count=101))
     assert fast.verdict == ("pass" if push == 0.0 else "hypothesis-error")
 
 
+@LINEAR
 @pytest.mark.parametrize(
     "x0",
     [
@@ -918,8 +949,8 @@ def test_closed_forms_give_the_driven_report_on_seeded_starts(a, theta, push):
         [1.5e308, 0.0, 1.5e308, 0.0],  # the first stage overflows
     ],
 )
-def test_closed_forms_fail_an_off_set_flow_where_the_driven_one_fails(x0):
-    fast = _assert_fast_equals_slow(np.array(x0), 1.0, 2 * np.pi)
+def test_closed_forms_fail_an_off_set_flow_where_the_driven_one_fails(x0, linear):
+    fast = _assert_fast_equals_slow(np.array(x0), 1.0, 2 * np.pi, linear)
     assert fast.verdict == "hypothesis-error"
     assert "integration additionally failed" in fast.message
 
@@ -965,12 +996,13 @@ def _failing(system, fault):
     return replace(system, field=field)
 
 
+@LINEAR
 @pytest.mark.parametrize("fault", ["raise", "nan", "inf", "inf-and-minus-inf"])
-def test_closed_forms_hand_every_failing_state_to_the_driven_field(fault):
+def test_closed_forms_hand_every_failing_state_to_the_driven_field(fault, linear):
     a, x0 = 1.2, kepler.circular_sample(1.2, 0.5)
-    closed = tuple(_failing(system, fault) for system in _kepler_closed_forms(a))
+    closed = tuple(_failing(system, fault) for system in _kepler_closed_forms(a, linear))
     integ = IntegratorSettings(sample_count=61)
-    slow = _kepler_coincidence(x0, a, 4.0, integ=integ)
+    slow = _driven_report(x0, a, 4.0, linear, integ=integ)
     _assert_same_report(_kepler_coincidence(x0, a, 4.0, closed, integ=integ), slow)
     assert slow.verdict == "pass"
 
@@ -1036,6 +1068,51 @@ def test_closed_form_without_a_row_at_the_start_is_still_checked_on_the_other_sa
     )
 
 
+@pytest.mark.parametrize(
+    "change,theta,sample",
+    [
+        ("scaled", 0.3, 0),  # the whole matrix 1e-6 too large
+        ("transposed", 0.3, 0),  # the flow of A/a^3, the other sense of rotation
+        ("diagonal", 0.0, 1),  # an entry on x1, which is 0 at the start alone
+    ],
+)
+def test_closed_form_whose_declared_matrix_is_off_is_a_hypothesis_error_naming_the_g_flow(change, theta, sample):
+    # the closed form's field is the driven one in every bit; only its matrix is off
+    a, x0 = 1.0, kepler.circular_sample(1.0, theta)
+    kepler_field, pair = _kepler_closed_forms(a)
+    matrix = {"scaled": pair.matrix * (1 + 1e-6), "transposed": pair.matrix.T}.get(change)
+    if change == "diagonal":
+        matrix = pair.matrix.copy()
+        matrix[0, 0] = 1e-3
+    rep = _kepler_coincidence(x0, a, 2 * np.pi, (kepler_field, replace(pair, matrix=matrix)))
+    assert rep.verdict == "hypothesis-error"
+    assert rep.message.startswith(
+        f"the closed form of the G-driven flow differs from its declared matrix at sample {sample} (t="
+    )
+    assert _kepler_coincidence(x0, a, 2 * np.pi, (kepler_field, pair)).verdict == "pass"
+
+
+def test_matrix_premise_admits_the_roundings_of_another_summation_order():
+    # a dense matrix whose field sums each component backwards: within two
+    # dot-product roundings of xs @ L.T everywhere, while a matrix 1e-12 off is not
+    rng = np.random.default_rng(29)
+    L = rng.standard_normal((4, 4))
+
+    def field(x):
+        return sum(x[..., j, None] * L[:, j] for j in reversed(range(4)))
+
+    system = SystemDefinition(4, field, "dense", batched=True, matrix=L)
+    xs = rng.standard_normal((401, 4)) * 10.0 ** rng.integers(-3, 4, (401, 1))
+    traj = Trajectory(np.arange(401.0), xs, IntegratorStats("samples", 0, 0, 0))
+    rows = system.fields(xs)
+    assert not (rows == xs @ L.T).all()  # the orders round differently
+    assert coincidence._sample_mismatch("G", system, system, rows, traj) is None
+    off = replace(system, matrix=L * (1 + 1e-12))
+    assert coincidence._sample_mismatch("G", off, off, rows, traj).startswith(
+        "the closed form of the G-driven flow differs from its declared matrix at sample 0 (t=0)"
+    )
+
+
 def test_closed_form_row_of_another_shape_is_a_usage_error_not_a_hand_off():
     # a non-finite row of the wrong shape is not handed to the driven field:
     # the first stage's check names the shape
@@ -1044,13 +1121,15 @@ def test_closed_form_row_of_another_shape_is_a_usage_error_not_a_hand_off():
         _kepler_coincidence(kepler.circular_sample(1.0, 0.3), 1.0, 1.0, closed)
 
 
-def test_closed_forms_that_return_lists_give_the_same_report():
+@LINEAR
+def test_closed_forms_that_return_lists_give_the_same_report(linear):
     a, x0 = 1.1, kepler.circular_sample(1.1, 0.2)
     closed = tuple(
-        replace(system, field=lambda x, _f=system.field: _f(x).tolist()) for system in _kepler_closed_forms(a)
+        replace(system, field=lambda x, _f=system.field: _f(x).tolist())
+        for system in _kepler_closed_forms(a, linear)
     )
     integ = IntegratorSettings(sample_count=61)
-    slow = _kepler_coincidence(x0, a, 4.0, integ=integ)
+    slow = _driven_report(x0, a, 4.0, linear, integ=integ)
     _assert_same_report(_kepler_coincidence(x0, a, 4.0, closed, integ=integ), slow)
     assert slow.verdict == "pass"
 
@@ -1125,7 +1204,8 @@ def test_closed_form_of_another_dimension_is_a_usage_error():
 # ---------------------------------------------------------------------------
 # closed forms integrated with no hand-off, and again through it only where
 # the stepper met a non-finite value or a failing field: the reports equal
-# those of flows through the hand-off
+# those of flows through the hand-off.  The linear pair declares no matrix
+# here, so both flows are integrated.
 # ---------------------------------------------------------------------------
 
 
@@ -1202,7 +1282,7 @@ def test_misbehaving_closed_forms_give_the_hand_off_report(monkeypatch, fault, p
     # in rejected attempts only, and clean flows; a budget of 5000 attempts
     # keeps the NaN-laden flows short
     monkeypatch.setattr(integrate, "_MAX_ATTEMPTS", 5000)
-    closed = tuple(_misbehaving(system, fault, period) for system in _kepler_closed_forms(1.2))
+    closed = tuple(_misbehaving(system, fault, period) for system in _kepler_closed_forms(1.2, linear=False))
     outcome = _assert_hand_off_outcome(
         monkeypatch, MISBEHAVING_STARTS[start], 1.2, 4.0, closed, integ=IntegratorSettings(sample_count=61)
     )
@@ -1220,7 +1300,7 @@ def test_misbehaving_closed_forms_give_the_hand_off_report(monkeypatch, fault, p
     ],
 )
 def test_misbehaving_closed_forms_reach_every_branch_of_the_fast_path(monkeypatch, fault, period, start, first_flow):
-    closed = tuple(_misbehaving(system, fault, period) for system in _kepler_closed_forms(1.2))
+    closed = tuple(_misbehaving(system, fault, period) for system in _kepler_closed_forms(1.2, linear=False))
     flows = _counted_flows(monkeypatch)
     _outcome(MISBEHAVING_STARTS[start], 1.2, 4.0, closed, integ=IntegratorSettings(sample_count=61))
     if first_flow is None:
@@ -1231,11 +1311,15 @@ def test_misbehaving_closed_forms_reach_every_branch_of_the_fast_path(monkeypatc
     assert len(flows) >= 2  # integrated again through the hand-off
 
 
-def test_clean_closed_forms_integrate_each_flow_once(monkeypatch):
+@LINEAR
+def test_clean_closed_forms_integrate_each_flow_once(monkeypatch, linear):
     flows = _counted_flows(monkeypatch)
-    _assert_fast_equals_slow(kepler.circular_sample(1.1, 0.2), 1.1, 4.0, integ=IntegratorSettings(sample_count=61))
-    # the driven flows, then the closed forms' once each
-    assert [f.stats.nonfinite_attempts for f in flows] == [0, 0, 0, 0]
+    _assert_fast_equals_slow(
+        kepler.circular_sample(1.1, 0.2), 1.1, 4.0, linear, integ=IntegratorSettings(sample_count=61)
+    )
+    # the driven flows, then the closed forms' once each; a declared matrix
+    # integrates no G flow on either side
+    assert [f.stats.nonfinite_attempts for f in flows] == ([0, 0] if linear else [0, 0, 0, 0])
 
 
 def _at(x, state):
@@ -1245,7 +1329,7 @@ def _at(x, state):
 def test_closed_form_nan_at_the_initial_step_probe_only_is_integrated_again(monkeypatch):
     a, x0, integ = 1.1, kepler.circular_sample(1.1, 0.2), IntegratorSettings(sample_count=61)
     probes = []
-    for system in _kepler_closed_forms(a):
+    for system in _kepler_closed_forms(a, linear=False):
         calls = []
 
         def recording(x, _f=system.field):
@@ -1256,7 +1340,7 @@ def test_closed_form_nan_at_the_initial_step_probe_only_is_integrated_again(monk
         probes.append(calls[1])
     closed = tuple(
         replace(system, field=lambda x, _f=system.field, _p=probe: np.where(_at(x, _p), np.nan, _f(x)))
-        for system, probe in zip(_kepler_closed_forms(a), probes)
+        for system, probe in zip(_kepler_closed_forms(a, linear=False), probes)
     )
     flows = _counted_flows(monkeypatch)
     _assert_hand_off_outcome(monkeypatch, x0, a, 4.0, closed, integ=integ)
@@ -1267,6 +1351,8 @@ def test_closed_form_nan_at_the_initial_step_probe_only_is_integrated_again(monk
 def test_horizon_that_spends_the_step_budget_is_integrated_once(monkeypatch):
     monkeypatch.setattr(integrate, "_MAX_ATTEMPTS", 300)
     flows = _counted_flows(monkeypatch)
-    outcome = _assert_hand_off_outcome(monkeypatch, kepler.circular_sample(1.0, 0.3), 1.0, 1e300, _kepler_closed_forms(1.0))
+    outcome = _assert_hand_off_outcome(
+        monkeypatch, kepler.circular_sample(1.0, 0.3), 1.0, 1e300, _kepler_closed_forms(1.0, linear=False)
+    )
     assert "step budget of 300 attempts is spent" in outcome[0]
     assert len(flows) == 1 and flows[0].nonfinite_attempts == 0

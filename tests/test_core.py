@@ -97,6 +97,30 @@ def test_state_scale_of_a_start_whose_norm_overflows_is_inf():
         assert _state_scales(np.array([[1e200, 0.0, 0.0, 1e-200], [3.0, 4.0, 0.0, 0.0]])).tolist() == [np.inf, 5.0]
 
 
+@pytest.mark.parametrize(
+    "matrix",
+    [np.eye(3), [[1.0, np.nan], [0.0, 1.0]], [[np.inf, 0.0], [0.0, 1.0]], "ab", [[1.0, 2.0], [3.0]],
+     1j * np.eye(2), [[None, 1.0], [1.0, 1.0]], np.eye(2, dtype=bool), np.ones(4)],
+    ids=["wrong-shape", "nan", "inf", "string", "ragged", "complex", "object", "bool", "flat"],
+)
+def test_declared_matrix_must_be_a_finite_square_array_of_numbers(matrix):
+    with pytest.raises(UsageError, match=r"^matrix of 'lin' must be a finite \(2, 2\) array of numbers$"):
+        SystemDefinition(2, lambda x: x, "lin", matrix=matrix)
+
+
+def test_declared_matrix_is_kept_as_a_read_only_copy_and_takes_no_part_in_equality():
+    given = [[0, 1], [-1, 0]]
+    system = SystemDefinition(2, lambda x: x @ np.array(given, float).T, "rot", matrix=given)
+    assert system.matrix.dtype == float and system.matrix.tolist() == given
+    with pytest.raises(ValueError):
+        system.matrix[0, 0] = 5.0
+    other = SystemDefinition(2, system.field, "rot", matrix=np.zeros((2, 2)))
+    assert system == other and hash(system) == hash(other)
+    assert kepler.linear_pair_field(0.5).matrix.tolist() == [
+        [0, 8, 0, 0], [-8, 0, 0, 0], [0, 0, 0, 8], [0, 0, -8, 0]
+    ]
+
+
 def test_non_finite_state_rejected():
     with pytest.raises(UsageError, match="component 1"):
         as_state([0.0, np.nan])

@@ -680,3 +680,117 @@ def test_non_finite_or_non_positive_times_are_rejected(bad):
         flow_fixed(osc, [1.0, 0.0], bad, 0.1)
     with pytest.raises(UsageError, match=f"dt must be a positive finite number, got {bad}"):
         flow_fixed(osc, [1.0, 0.0], 1.0, bad)
+
+
+# ---------------------------------------------------------------------------
+# the flow of a declared linear system from the matrix exponential, checked
+# against scipy's expm, the rotation of the Kepler linear pair and the stepper
+# ---------------------------------------------------------------------------
+
+
+def _seeded_matrix(seed, norm):
+    """A seeded 4x4 Gaussian matrix scaled to the 1-norm ``norm``."""
+    A = np.random.default_rng(seed).standard_normal((4, 4))
+    return A * (norm / np.abs(A).sum(axis=0).max())
+
+
+EPS = np.finfo(float).eps
+EXPM_CASES = {
+    # 1-norms around and above theta_13 = 5.37 take the squaring branch, whose
+    # rounding grows with the norm (Higham 2005, section 3)
+    **{f"gaussian-norm-{norm:g}-seed-{seed}": (_seeded_matrix(seed, norm), 256 * EPS * max(1.0, norm))
+       for seed in (0, 1, 2) for norm in (0.01, 1.0, 5.3, 6.0, 40.0, 300.0)},
+    "skew-norm-40": ((lambda S: S - S.T)(_seeded_matrix(3, 20.0)), 256 * EPS * 40),
+    "nilpotent": (np.triu(_seeded_matrix(4, 6.0), 1), 1e-15),
+    "zero": (np.zeros((4, 4)), 0.0),
+    "non-normal": (np.diag([-1.0, -2.0, -3.0, -4.0]) + np.diag([1e3, 1e3, 1e3], 1), 1e-13),
+    "linear-pair-step": (2 * np.pi / 400 * kepler.linear_pair_field(1.3).matrix, 1e-15),
+}
+
+
+@pytest.mark.parametrize("name", list(EXPM_CASES))
+def test_expm_equals_scipy_expm(name):
+    from scipy.linalg import expm
+
+    A, rel = EXPM_CASES[name]
+    got, want = integrate._expm(A), expm(A)
+    assert np.abs(got - want).max() <= rel * np.abs(want).max()
+    if name == "zero":
+        assert got.tobytes() == np.eye(4).tobytes()  # the constant flow, exactly
+
+
+def _rotation(a, x0, times):
+    """The linear pair's flow in closed form: each of (x1, x2) and (y1, y2)
+    turned clockwise at the rate 1/a^3."""
+    c, s = np.cos(times / a**3)[:, None], np.sin(times / a**3)[:, None]
+    return np.hstack([x0[0] * c + x0[1] * s, x0[1] * c - x0[0] * s, x0[2] * c + x0[3] * s, x0[3] * c - x0[2] * s])
+
+
+@pytest.mark.parametrize("samples", [401, 10_001])
+@pytest.mark.parametrize("seed", range(4))
+def test_linear_flow_equals_the_rotation_and_the_stepper(seed, samples):
+    rng = np.random.default_rng(seed)
+    a, theta = rng.uniform(0.7, 1.4), rng.uniform(0.0, 2 * np.pi)
+    pair, x0 = kepler.linear_pair_field(a), kepler.circular_sample(a, theta)
+    x0[2:] *= 1.0 + [0.0, 0.0, 0.08, -0.15][seed]  # an off-set push moves the start off the circle
+    t_end, scale = 2 * np.pi * a**3 * rng.uniform(0.5, 1.5), np.linalg.norm(x0)
+    traj = integrate._linear_flow(pair, x0, t_end, IntegratorSettings(sample_count=samples))
+    assert traj.states[0].tobytes() == x0.tobytes()
+    assert traj.stats == integrate.IntegratorStats("matrix-exponential", 0, 0, 0)
+    stepped = flow_adaptive(pair, x0, t_end, integ=IntegratorSettings(1e-13, 1e-13, samples))
+    assert traj.times.tobytes() == stepped.times.tobytes()  # the stepper's grid
+    # one rounding of exp(dt L) per sample along the chain of products
+    assert np.abs(traj.states - _rotation(a, x0, traj.times)).max() <= 2 * samples * EPS * scale
+    assert np.abs(traj.states - stepped.states).max() <= 1e-11 * scale
+
+
+def test_linear_flow_on_two_samples_and_of_the_zero_matrix():
+    x0 = np.array([0.1, -2.0, 3e-300, 7.0])
+    pair = kepler.linear_pair_field(1.0)
+    traj = integrate._linear_flow(pair, x0, 0.5, IntegratorSettings(sample_count=2))
+    assert np.abs(traj.states - _rotation(1.0, x0, traj.times)).max() <= 4 * EPS * np.linalg.norm(x0)
+    still = integrate._linear_flow(replace(pair, matrix=np.zeros((4, 4))), x0, 9.0, IntegratorSettings())
+    assert still.states.tobytes() == np.tile(x0, (401, 1)).tobytes()
+
+
+def test_linear_flow_that_overflows_raises_the_steppers_error():
+    # |x| = 2.12e308: x1 = |x| cos(t - pi/4) is 1.76e308 at t = pi/16 and
+    # overflows at t = pi/8, so the error names pi/16 as the last good time
+    pair, integ = kepler.linear_pair_field(1.0), IntegratorSettings(sample_count=17)
+    with pytest.raises(IntegrationError, match="^adaptive integration produced non-finite states$") as err:
+        integrate._linear_flow(pair, [1.5e308, 1.5e308, 0.0, 0.0], np.pi, integ)
+    assert err.value.last_good_time == np.linspace(0.0, np.pi, 17)[1]
+    # a step matrix whose 1-norm overflows leaves sample 0 alone
+    huge = replace(pair, matrix=1e300 * np.ones((4, 4)))
+    with pytest.raises(IntegrationError) as err:
+        integrate._linear_flow(huge, [1.0, 0.0, 0.0, 0.0], 1e10, integ)
+    assert err.value.last_good_time == 0.0
+
+
+def test_linear_flow_runs_with_scipy_unimportable():
+    scenario = SRC.parent / "scenarios" / "kepler-circular-coincidence.json"
+    done = _run_python(f"""
+        import sys
+        sys.modules["scipy"] = None
+        from invarsets.cli import main
+        sys.exit(main(["run", {str(scenario)!r}]))
+    """)
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize(
+    "settings,message",
+    [
+        ({"sample_count": 10**400}, "sample_count must be an integer >= 2, got an integer of 1329 bits"),
+        ({"sample_count": "401"}, "sample_count must be an integer >= 2, got '401'"),
+        ({"sample_count": None}, "sample_count must be an integer >= 2, got None"),
+        ({"sample_count": 1e400}, "sample_count must be an integer >= 2, got inf"),
+        ({"abs_tol": "1e-10"}, r"abs_tol must lie in \(0, 1e-2\], got '1e-10'"),
+        ({"rel_tol": None}, r"rel_tol must lie in \(0, 1e-2\], got None"),
+        ({"rel_tol": [1e-10]}, r"rel_tol must lie in \(0, 1e-2\], got \[1e-10\]"),
+    ],
+    ids=["huge-count", "string-count", "no-count", "inf-count", "string-tol", "no-tol", "list-tol"],
+)
+def test_integrator_settings_of_the_wrong_kind_are_usage_errors(settings, message):
+    with pytest.raises(UsageError, match=f"^{message}$"):
+        IntegratorSettings(**settings)
