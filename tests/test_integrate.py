@@ -223,9 +223,17 @@ OVERFLOWING_NORM = pytest.param(
 )
 # a short horizon with many samples in every step of the dense output
 DENSE_SAMPLES = (kepler.kepler_field(), [0.0, 1.1, 0.9, 0.1], 0.5, 2001)
+
+
+def _periapsis_start(e):
+    """An orbit of semi-major axis 1 and eccentricity ``e``, from periapsis."""
+    return [1.0 - e, 0.0, 0.0, math.sqrt((1.0 + e) / (1.0 - e))]
+
+
 # the most eccentric Kepler orbit of the long-flow benchmark, e = 0.7 from
-# periapsis over 8 periods: 29% of its attempts are rejected
-ECCENTRIC_LONG = (kepler.kepler_field(), [0.3, 0.0, 0.0, math.sqrt(1.7 / 0.3)], 16 * np.pi, 101)
+# periapsis over 8 periods: scipy's DOP853 rejects 29% of its attempts, the
+# stepper with its predictive cap 5%
+ECCENTRIC_LONG = (kepler.kepler_field(), _periapsis_start(0.7), 16 * np.pi, 101)
 # about one sample per step, and held steps that fill several blocks
 TODA_LONG = [
     (toda.periodic_field(n), random_toda_physical(n, 1, 12)[0], 15.0, 101) for n in (16, 64)
@@ -265,11 +273,59 @@ def folded_scipy(monkeypatch):
     monkeypatch.setattr(rk, "rk_step", _folded_rk_step)
 
 
-def _scipy_steps(system, x0, t_end, tol):
-    """The step ends and the rejected attempts of scipy's DOP853, stepped one
-    step at a time: a step that took r rejections cost 12 * (r + 1)
-    evaluations."""
-    solver = DOP853(lambda t, y: system.field(y), 0.0, np.array(x0, dtype=float), t_end,
+class CappedDOP853(DOP853):
+    """scipy's DOP853 with the library's predictive step cap (Gustafsson,
+    ACM TOMS 20, 1994): scipy 1.17's ``RungeKutta._step_impl`` restated, plus,
+    on an accepted step that follows a rejection or a step where the cap
+    bound, the next step factor min(standard, g) with
+    g = 0.9 (h / h_prev) (max(1e-2, e_prev) / e^2)^(1/8) clamped to
+    [0.2, 10], none for e = 0 and none on the first accepted step."""
+
+    armed, h_prev, error_prev = False, None, None
+
+    def _step_impl(self):
+        t, y = self.t, self.y
+        rtol, atol = self.rtol, self.atol
+        min_step = 10 * np.abs(np.nextafter(t, self.direction * np.inf) - t)
+        h_abs = min(max(self.h_abs, min_step), self.max_step)
+        step_rejected = False
+        while True:
+            if h_abs < min_step:
+                return False, self.TOO_SMALL_STEP
+            t_new = t + h_abs * self.direction
+            if self.direction * (t_new - self.t_bound) > 0:
+                t_new = self.t_bound
+            h = t_new - t
+            h_abs = np.abs(h)
+            y_new, f_new = rk.rk_step(self.fun, t, y, self.f, h, self.A, self.B, self.C, self.K)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error_norm = self._estimate_error_norm(self.K, h, scale)
+            if error_norm < 1:
+                break
+            h_abs *= max(rk.MIN_FACTOR, rk.SAFETY * error_norm ** self.error_exponent)
+            step_rejected = True
+        factor = rk.MAX_FACTOR if error_norm == 0 else min(rk.MAX_FACTOR, rk.SAFETY * error_norm ** self.error_exponent)
+        if step_rejected:
+            factor = min(1, factor)
+        if (step_rejected or self.armed) and self.h_prev is not None and error_norm != 0:
+            e, e_prev = float(error_norm), max(1e-2, float(self.error_prev))
+            g = 0.9 * (float(h_abs) / self.h_prev) * (e_prev / (e * e)) ** (1 / 8) if e * e else math.inf
+            g = max(rk.MIN_FACTOR, min(rk.MAX_FACTOR, g))
+            self.armed = g < factor
+            factor = min(factor, g)
+        else:
+            self.armed = False
+        self.h_prev, self.error_prev = float(h_abs), error_norm
+        self.h_previous, self.y_old = h, y
+        self.t, self.y, self.h_abs, self.f = t_new, y_new, h_abs * factor, f_new
+        return True, None
+
+
+def _scipy_steps(system, x0, t_end, tol, method=CappedDOP853):
+    """The step ends and the rejected attempts of scipy's DOP853, or of
+    ``method``, stepped one step at a time: a step that took r rejections
+    cost 12 * (r + 1) evaluations."""
+    solver = method(lambda t, y: system.field(y), 0.0, np.array(x0, dtype=float), t_end,
                     rtol=tol, atol=tol)
     ends, rejected = [], 0
     while solver.status == "running":
@@ -281,10 +337,10 @@ def _scipy_steps(system, x0, t_end, tol):
     return np.array(ends), rejected
 
 
-def _solve_ivp(system, x0, t_end, samples, tol):
+def _solve_ivp(system, x0, t_end, samples, tol, method=CappedDOP853):
     return solve_ivp(
         lambda t, y: system.field(y), (0.0, t_end), np.array(x0, dtype=float),
-        method="DOP853", rtol=tol, atol=tol, t_eval=np.linspace(0.0, t_end, samples),
+        method=method, rtol=tol, atol=tol, t_eval=np.linspace(0.0, t_end, samples),
     )
 
 
@@ -303,15 +359,12 @@ STEPPER_CASES = [
     *TODA_LONG, FREE_END_LONG, UNDECLARED, *DRIVEN, ECCENTRIC_LONG,
 ]
 STEPPER_TOLS = pytest.mark.parametrize("tol", [1e-10, 1e-6])
-STEPPER_FLOWS = pytest.mark.parametrize(
-    "system,x0,t_end,samples",
-    STEPPER_CASES,
-    ids=[
-        *FLOW_IDS, "kepler-eccentric", "kepler-overflowing-norm", "kepler-dense-samples",
-        "toda-16-long", "toda-64-long", "toda-nonperiodic-long", "undeclared-field",
-        "driven-H", "driven-linear-pair", "kepler-eccentric-long",
-    ],
-)
+STEPPER_IDS = [
+    *FLOW_IDS, "kepler-eccentric", "kepler-overflowing-norm", "kepler-dense-samples",
+    "toda-16-long", "toda-64-long", "toda-nonperiodic-long", "undeclared-field",
+    "driven-H", "driven-linear-pair", "kepler-eccentric-long",
+]
+STEPPER_FLOWS = pytest.mark.parametrize("system,x0,t_end,samples", STEPPER_CASES, ids=STEPPER_IDS)
 
 
 @pytest.mark.usefixtures("folded_scipy")
@@ -324,17 +377,26 @@ def test_adaptive_flow_equals_solve_ivp_bit_for_bit(system, x0, t_end, samples, 
 @STEPPER_TOLS
 @STEPPER_FLOWS
 def test_adaptive_flow_is_as_accurate_as_unmodified_solve_ivp(system, x0, t_end, samples, tol):
-    # the same attempts as scipy's own DOP853, and samples as close to its
-    # 1e-13 solution, relative to max(1, |y|), up to 1% and 1e-13
+    # where scipy's own DOP853 rejects nothing: its attempts, and samples as
+    # close to its 1e-13 solution, relative to max(1, |y|), up to 1% and
+    # 1e-13; where it rejects: the capped reference's attempts, and a largest
+    # sample error at most twice scipy's, up to 1e-13 (1.77x at worst, on
+    # toda-16-long at 1e-6, where the cap takes 9 fewer evaluations)
     traj = flow_adaptive(system, x0, t_end, integ=IntegratorSettings(tol, tol, samples))
-    ref, accurate = (_solve_ivp(system, x0, t_end, samples, r) for r in (tol, 1e-13))
-    ends, rejected = _scipy_steps(system, x0, t_end, tol)
+    plain, accurate = (_solve_ivp(system, x0, t_end, samples, r, "DOP853") for r in (tol, 1e-13))
+    ends, rejected = _scipy_steps(system, x0, t_end, tol, DOP853)
+    ref = plain
+    if rejected:
+        ref, (ends, rejected) = _solve_ivp(system, x0, t_end, samples, tol), _scipy_steps(system, x0, t_end, tol)
     assert traj.stats.field_evaluations == ref.nfev
     assert (traj.stats.steps_accepted, traj.stats.steps_rejected) == (len(ends), rejected)
     exact = accurate.y.T
     size = np.maximum(1.0, np.abs(exact).max(axis=1))
-    ours, theirs = (np.abs(states - exact).max(axis=1) / size for states in (traj.states, ref.y.T))
-    assert np.all(ours <= 1.01 * theirs + 1e-13)
+    ours, theirs = (np.abs(states - exact).max(axis=1) / size for states in (traj.states, plain.y.T))
+    if ref is plain:
+        assert np.all(ours <= 1.01 * theirs + 1e-13)
+    else:
+        assert ours.max() <= 2 * theirs.max() + 1e-13
 
 
 def test_stage_sums_differ_from_unmodified_solve_ivp():
@@ -342,7 +404,7 @@ def test_stage_sums_differ_from_unmodified_solve_ivp():
     # sample of some flow above moves in some bit
     def moved(system, x0, t_end, samples, tol):
         traj = flow_adaptive(system, x0, t_end, integ=IntegratorSettings(tol, tol, samples))
-        return not np.array_equal(traj.states, _solve_ivp(system, x0, t_end, samples, tol).y.T)
+        return not np.array_equal(traj.states, _solve_ivp(system, x0, t_end, samples, tol, "DOP853").y.T)
 
     cases = [case for case in STEPPER_CASES if case is not OVERFLOWING_NORM]
     assert any(moved(*case, tol) for tol in (1e-10, 1e-6) for case in cases)
@@ -374,6 +436,57 @@ def test_rejected_steps_are_counted_exactly():
     ends, rejected = _scipy_steps(system, x0, t_end, 1e-6)
     assert rejected > 0
     assert (traj.stats.steps_accepted, traj.stats.steps_rejected) == (len(ends), rejected)
+
+
+@pytest.mark.usefixtures("folded_scipy")
+@STEPPER_TOLS
+@STEPPER_FLOWS
+def test_the_cap_moves_exactly_the_flows_that_reject(system, x0, t_end, samples, tol):
+    # a flow that scipy's DOP853 steps without a rejection is scipy's own,
+    # bit for bit, so a cap applied on every step fails here; each of these
+    # flows that rejects moves, so a cap applied on none fails here too
+    traj = flow_adaptive(system, x0, t_end, integ=IntegratorSettings(tol, tol, samples))
+    plain = _solve_ivp(system, x0, t_end, samples, tol, "DOP853")
+    rejected = _scipy_steps(system, x0, t_end, tol, DOP853)[1]
+    same = np.array_equal(traj.states, plain.y.T) and traj.stats.field_evaluations == plain.nfev
+    assert same == (rejected == 0)
+
+
+@pytest.mark.parametrize("e", [0.4, 0.55, 0.7])
+def test_eccentric_orbits_reject_few_attempts(e):
+    # 8 periods from periapsis at 1e-10: scipy's DOP853 rejects 22%, 29% and
+    # 29% of its attempts near periapsis, retrying the same step as the error
+    # grows; the cap rejects 5-7% and takes 0.86x, 0.77x and 0.77x its
+    # field evaluations
+    system, x0 = kepler.kepler_field(), _periapsis_start(e)
+    stats = flow_adaptive(system, x0, 16 * np.pi, integ=IntegratorSettings(1e-10, 1e-10, 101)).stats
+    assert stats.steps_rejected <= 0.1 * (stats.steps_accepted + stats.steps_rejected)
+    assert stats.field_evaluations <= 0.87 * _solve_ivp(system, x0, 16 * np.pi, 101, 1e-10, "DOP853").nfev
+
+
+# the stepper cases whose flows cost more field evaluations than unmodified
+# scipy's, (ours, scipy's): after a rejection the cap shortens a step that
+# scipy would take at full length, and these smooth flows would have kept it
+# (+4.6%, +3.8%, +2.9% and +7.3%); every other case costs the same or less
+DEARER = {
+    ("toda-nonperiodic", 1e-10): (338, 323),
+    ("toda-16-long", 1e-10): (1379, 1328),
+    ("toda-nonperiodic-long", 1e-10): (533, 518),
+    ("undeclared-field", 1e-10): (3185, 2969),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning:scipy", "ignore::RuntimeWarning:numpy")
+def test_the_cases_the_cap_makes_dearer():
+    dearer = {}
+    for case_id, case in zip(STEPPER_IDS, STEPPER_CASES):
+        system, x0, t_end, samples = getattr(case, "values", case)
+        for tol in (1e-10, 1e-6):
+            ours = flow_adaptive(system, x0, t_end, integ=IntegratorSettings(tol, tol, samples)).stats
+            theirs = _solve_ivp(system, x0, t_end, samples, tol, "DOP853").nfev
+            if ours.field_evaluations > theirs:
+                dearer[case_id, tol] = (ours.field_evaluations, theirs)
+    assert dearer == DEARER
 
 
 def test_field_turning_nan_mid_flow_is_an_integration_error():
@@ -447,8 +560,8 @@ def test_numeric_error_from_the_field_keeps_the_last_sample_time():
 
 def _scipy_last_sample_before_failure(field, x0, t_end, samples):
     """The last sample time a step-by-step dense output reaches before the
-    field raises, with scipy's DOP853 as the stepper."""
-    solver = DOP853(lambda t, y: field(y), 0.0, np.array(x0, dtype=float), t_end, rtol=1e-10, atol=1e-10)
+    field raises, with the capped DOP853 as the stepper."""
+    solver = CappedDOP853(lambda t, y: field(y), 0.0, np.array(x0, dtype=float), t_end, rtol=1e-10, atol=1e-10)
     t_eval, done = np.linspace(0.0, t_end, samples), 0
     with pytest.raises(NumericError):
         while solver.status == "running":
