@@ -110,8 +110,11 @@ class SystemDefinition:
     ``batched`` declares, as for :class:`ConservedQuantitySet`, that
     ``field`` also maps a stack ``(..., dim)`` to ``(..., dim)``, each row
     equal bit for bit to the single-state result.  ``matrix``, a finite
-    ``(dim, dim)`` array, declares the model linear, ``field(x) = matrix @ x``:
-    the coincidence check then takes its flow as ``exp(t matrix) x0``.
+    ``(dim, dim)`` array, declares the model linear, ``field(x) = matrix @ x``.
+    ``flow`` declares an exact flow: ``flow(x0, times)`` gives the ``(m, dim)``
+    states at a 1-D array of times of either sign, ``x0`` at time 0, or
+    ``None`` where it does not cover ``x0``.  The coincidence check takes
+    either flow where it covers the start, checked against the field.
     """
 
     dim: int
@@ -120,6 +123,7 @@ class SystemDefinition:
     component_names: tuple[str, ...] | None = None
     batched: bool = False
     matrix: Array | None = _dataclass_field(default=None, compare=False)
+    flow: Callable[[Array, Array], Array | None] | None = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -139,6 +143,8 @@ class SystemDefinition:
             matrix = matrix.astype(float)
             matrix.flags.writeable = False
             object.__setattr__(self, "matrix", matrix)
+        if self.flow is not None and not callable(self.flow):
+            raise UsageError(f"flow of '{self.label}' must be callable, got {type(self.flow).__name__}")
 
     def fields(self, xs: Array) -> Array:
         """The field on an ``(m, dim)`` stack: one call if ``batched``,

@@ -19,11 +19,8 @@ class IntegrationError(InvarsetsError):
     """Time integration could not be completed.
 
     ``last_good_time`` holds the last time the integrator reached before
-    giving up, when known; ``nonfinite_attempts`` the stepper's count of
-    non-finite values met, on a step-size underflow or a spent step budget.
+    giving up, when known.
     """
-
-    nonfinite_attempts: int | None = None
 
     def __init__(self, message: str, last_good_time: float | None = None):
         super().__init__(message)

@@ -36,7 +36,8 @@ scalar results (inf on overflow, nan at 0/0).
 The default tolerances of :class:`IntegratorSettings` are 1e-10 so that
 downstream theorem checks comparing residuals at ~1e-7 sit comfortably
 above the integration error.  A system that declares its ``matrix`` L
-has the flow exp(t L) x0 on the same grid (``_linear_flow``).
+has the flow exp(t L) x0 on the same grid, and one that declares a
+``flow`` map that map's states (``_declared_flow``).
 
 Distinct integrations share no state and may run concurrently; a single
 integration is sequential, and trajectories are immutable once returned.
@@ -148,16 +149,12 @@ _MAX_ATTEMPTS = 100_000  # step attempts per flow, accepted or rejected (NMAX of
 
 @dataclass(frozen=True)
 class IntegratorStats:
-    """Counts of one flow.  ``nonfinite_attempts`` counts where a non-finite
-    value met the stepper without failing the flow: a rejected attempt whose
-    error estimate is not finite, an initial-step probe that is not finite,
-    and an interpolated sample 0 that is not (the start replaces it)."""
+    """Counts of one flow."""
 
     method: str
     steps_accepted: int
     steps_rejected: int
     field_evaluations: int
-    nonfinite_attempts: int = 0
 
 
 @dataclass(frozen=True)
@@ -239,20 +236,16 @@ def flow_adaptive(
     field singularity), a spent step budget, a :class:`NumericError` from
     the field and a non-finite sample raise :class:`IntegrationError`
     carrying the last sample time reached; overflow and invalid-value
-    warnings are silenced.  The error of an underflow or a spent budget
-    carries ``nonfinite_attempts`` (see :class:`IntegratorStats`), with the
-    non-finite samples it left among them.
+    warnings are silenced.
     """
     _check_horizon("t_end", t_end)
     x0v = as_state(x0, system.dim)
 
     t_eval = np.linspace(0.0, float(t_end), int(integ.sample_count))
     with np.errstate(over="ignore", invalid="ignore"):
-        states, accepted, rejected, dense, nonfinite = _dop853(system, x0v, t_eval, integ.abs_tol, integ.rel_tol)
-    finite = _all_finite(states)  # sample 0 as interpolated
+        states, accepted, rejected, dense = _dop853(system, x0v, t_eval, integ.abs_tol, integ.rel_tol)
     states[0] = x0v
-    if not finite:
-        _check_samples(states, t_eval)
+    _check_samples(states, t_eval)
 
     stats = IntegratorStats(
         method="dormand-prince-8(5,3)",
@@ -261,7 +254,6 @@ def flow_adaptive(
         # one evaluation at the start, one for the initial step, twelve per
         # attempt and three per dense output
         field_evaluations=2 + 12 * (accepted + rejected) + 3 * dense,
-        nonfinite_attempts=nonfinite + (not finite),
     )
     return Trajectory(times=t_eval, states=states, stats=stats)
 
@@ -301,24 +293,35 @@ def _expm(A: np.ndarray) -> np.ndarray:
     return R
 
 
-def _linear_flow(system: SystemDefinition, x0, t_end: float, integ: IntegratorSettings) -> Trajectory:
-    """exp(t L) x0 for a system that declares its ``matrix`` L, on the grid of
-    :func:`flow_adaptive`: one exp(dt L), then samples k..2k-1 are the first k
-    times exp(k dt L), log2(samples) products.  Sample 0 is ``x0``, and a
-    non-finite sample raises the stepper's :class:`IntegrationError`."""
+def _declared_flow(system: SystemDefinition, x0, t_end: float, integ: IntegratorSettings) -> Trajectory | None:
+    """The flow a system declares, on the grid of :func:`flow_adaptive`:
+    exp(t L) x0 for its ``matrix`` L (one exp(dt L), then samples k..2k-1 are
+    the first k times exp(k dt L)), else its ``flow`` map's states, or None
+    where the map does not cover ``x0``.  Sample 0 is ``x0``.  A map's result
+    of another shape is a :class:`UsageError`; a non-finite sample is the
+    stepper's error."""
     _check_horizon("t_end", t_end)
     x0v = as_state(x0, system.dim)
     t_eval = np.linspace(0.0, float(t_end), int(integ.sample_count))
-    states = np.empty((t_eval.size, x0v.size))
-    states[0] = x0v
-    with np.errstate(over="ignore", invalid="ignore"):
-        P, k = _expm(t_eval[1] * system.matrix), 1
-        while k < len(states):
-            m = min(k, len(states) - k)
-            np.matmul(states[:m], P.T, out=states[k : k + m])
-            P, k = P @ P, 2 * k
+    if system.matrix is not None:
+        states, method = np.empty((t_eval.size, x0v.size)), "matrix-exponential"
+        states[0] = x0v
+        with np.errstate(over="ignore", invalid="ignore"):
+            P, k = _expm(t_eval[1] * system.matrix), 1
+            while k < len(states):
+                m = min(k, len(states) - k)
+                np.matmul(states[:m], P.T, out=states[k : k + m])
+                P, k = P @ P, 2 * k
+    else:
+        states, method = system.flow(x0v, t_eval), "declared-flow"
+        if states is None:
+            return None
+        states = np.array(states, dtype=float)
+        if states.shape != (t_eval.size, x0v.size):
+            raise UsageError(f"flow of '{system.label}' returned shape {states.shape}, expected {(t_eval.size, x0v.size)}")
+        states[0] = x0v  # a map off x0 then fails the premise at sample 0
     _check_samples(states, t_eval)
-    return Trajectory(times=t_eval, states=states, stats=IntegratorStats("matrix-exponential", 0, 0, 0))
+    return Trajectory(times=t_eval, states=states, stats=IntegratorStats(method, 0, 0, 0))
 
 
 def _rms(x: np.ndarray) -> float:
@@ -340,11 +343,11 @@ def _error_norm(KT: np.ndarray, h: float, scale: np.ndarray) -> float:
     return h * e5 / root if root else math.nan
 
 
-def _initial_step(field, y0, f0, t_end: float, atol: float, rtol: float) -> tuple[float, bool]:
+def _initial_step(field, y0, f0, t_end: float, atol: float, rtol: float) -> float:
     """Hairer-Norsett-Wanner starting step (Solving ODEs I, II.4) for an
-    error estimator of order 7; one field evaluation, and whether it is
-    finite (``max(d1, d2)`` drops a NaN).  In numpy scalars, as in scipy: an
-    overflowing norm gives step 0, which the stepper raises to its floor."""
+    error estimator of order 7; one field evaluation.  In numpy scalars, as
+    in scipy: an overflowing norm gives step 0, which the stepper raises to
+    its floor."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         scale = atol + np.abs(y0) * rtol
         d0 = _rms(y0 / scale)
@@ -358,14 +361,13 @@ def _initial_step(field, y0, f0, t_end: float, atol: float, rtol: float) -> tupl
             h1 = max(1e-6, h0 * 1e-3)
         else:
             h1 = (0.01 / max(d1, d2)) ** (1 / 8)
-        return float(min(100 * h0, h1, t_end)), _all_finite(f1)
+        return float(min(100 * h0, h1, t_end))
 
 
 def _dop853(system: SystemDefinition, y, t_eval, abs_tol, rel_tol):
     """Advance ``x' = field(x)`` from ``y`` at time 0 to ``t_eval[-1]`` and
-    return the states at ``t_eval``, the accepted and rejected step counts,
-    the number of steps that built a dense output and the non-finite count
-    of :class:`IntegratorStats`, sample 0 aside.
+    return the states at ``t_eval``, the accepted and rejected step counts
+    and the number of steps that built a dense output.
 
     Each step is one twelve-stage DOP853 attempt per trial step size, with
     the validated ``evaluate_field(y)`` as the first stage and the
@@ -401,10 +403,9 @@ def _dop853(system: SystemDefinition, y, t_eval, abs_tol, rel_tol):
 
     t = 0.0
     abs_y = np.abs(y)
-    accepted = rejected = dense = filled = nonfinite = 0
+    accepted = rejected = dense = filled = 0
     armed, h_prev, error_prev = False, 0.0, 0.0  # the predictive cap and the last accepted step
     next_sample = times[0]
-    stopped = None  # the step failure under way
 
     def last_sample() -> float:
         return times[filled - 1] if filled else 0.0
@@ -412,8 +413,7 @@ def _dop853(system: SystemDefinition, y, t_eval, abs_tol, rel_tol):
     try:
         W[0] = y
         K[0] = f0 = evaluate_field(system, y)
-        h_abs, finite = _initial_step(field, y, f0, t_end, atol, rtol)
-        nonfinite += not finite
+        h_abs = _initial_step(field, y, f0, t_end, atol, rtol)
         while t < t_end:
             min_step = 10 * (math.nextafter(t, math.inf) - t)
             h_abs = max(h_abs, min_step)
@@ -425,11 +425,10 @@ def _dop853(system: SystemDefinition, y, t_eval, abs_tol, rel_tol):
                         else f"the step budget of {_MAX_ATTEMPTS} attempts is spent "
                         "(steps too short for the horizon: a fast oscillation?)"
                     )
-                    stopped = IntegrationError(
+                    raise IntegrationError(
                         f"adaptive integration of '{system.label}' stopped at t={last_sample():.6g}: {reason}",
                         last_good_time=last_sample(),
                     )
-                    raise stopped
                 t_new = min(t + h_abs, t_end)
                 h = h_abs = t_new - t
                 np.multiply(A, h, out=hA)
@@ -444,7 +443,6 @@ def _dop853(system: SystemDefinition, y, t_eval, abs_tol, rel_tol):
                     break
                 h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
                 rejected += 1
-                nonfinite += not error_norm < math.inf
                 step_rejected = True
 
             if error_norm == 0:
@@ -482,9 +480,7 @@ def _dop853(system: SystemDefinition, y, t_eval, abs_tol, rel_tol):
         raise _field_failure(exc, last_sample()) from exc
     finally:  # a failure of a held step replaces a later one
         _finish(system, block, held, t_eval, states)
-        if stopped is not None:
-            stopped.nonfinite_attempts = nonfinite + (not _all_finite(states[:filled]))
-    return states, accepted, rejected, dense, nonfinite
+    return states, accepted, rejected, dense
 
 
 def _field_failure(exc: NumericError, time: float) -> IntegrationError:

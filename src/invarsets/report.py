@@ -282,8 +282,8 @@ def _run_coincidence(s: _Scenario) -> _Outcome:
         s.x0, s.t_end, batched=True, closed_forms=(s.system, kepler_model.linear_pair_field(s.params["a"])),
         integ=s.integ, tolerances=s.tol,
     )
-    # the F-driven field J grad H is the Kepler field, checked bit for bit
-    # on every sample, so its flow is the model's
+    # the F flow is the model's declared Kepler flow and the G flow exp(tL) x0
+    # where they cover the start, each checked against its driven field
     return _invariance_outcome(
         rep, agreement_residual=rep.agreement_residual, difference_drift=rep.difference_drift,
         max_deviation=rep.worst_value, max_deviation_time=rep.worst_time, message=rep.message,

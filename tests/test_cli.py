@@ -762,19 +762,20 @@ def _count_flows(monkeypatch):
     "scenario,change,code,flows",
     [
         ("toda-periodic-rank-pattern.json", {}, 0, 1),
-        ("kepler-circular-coincidence.json", {}, 0, 1),
+        ("kepler-circular-coincidence.json", {}, 0, 0),
         # a start off the family stops at the premise: no flow, so no CSV
         ("toda-periodic-persist-M1I13.json", {"initial_state": [1.0] * 8, "set_id": "M1_I13"}, 1, 0),
         # without t_end both run to the check's own horizon, one period 2*pi*a^3
-        ("kepler-circular-coincidence-a15.json", {"t_end": None}, 0, 1),
+        ("kepler-circular-coincidence-a15.json", {"t_end": None}, 0, 0),
     ],
     ids=["rank", "coincidence", "premise-failed", "coincidence-default-horizon"],
 )
 def test_run_csv_exports_the_checks_own_trajectory(
     tmp_path, capsys, monkeypatch, scenario, change, code, flows
 ):
-    # the coincidence check integrates the F-driven flow and takes the linear
-    # G-driven one from the matrix exponential; --csv adds none
+    # the coincidence check takes the F-driven flow from the Kepler field's
+    # declared flow and the linear G-driven one from the matrix exponential,
+    # integrating neither; --csv adds no flow
     config = load_scenario(SCENARIO_DIR / scenario)
     config.update(change)
     config = {key: value for key, value in config.items() if value is not None}
@@ -782,13 +783,14 @@ def test_run_csv_exports_the_checks_own_trajectory(
     calls = _count_flows(monkeypatch)
     assert main(["run", path, "--sample-count", "21", "--csv", str(tmp_path / "run.csv")]) == code
     assert len(calls) == flows
-    if not flows:
+    if code:
         assert "no CSV written" in capsys.readouterr().err
         assert not (tmp_path / "run.csv").exists()
         return
-    # the model's own flow from the start, over the check's horizon, exported alone
+    # the model's own flow from the start, over the check's horizon, exported
+    # alone: the declared Kepler flow, or the lattice integrated
     s = report._read({**config, "integ": {**config.get("integ", {}), "sample_count": 21}})
-    traj = flow_adaptive(s.system, s.x0, s.t_end, integ=s.integ)
+    traj = coincidence._flow(s.system, s.system, s.x0, s.t_end, s.integ)
     export_trajectory(traj, s.quantity, tmp_path / "export.csv", s.system.component_names)
     capsys.readouterr()
     assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "export.csv").read_bytes()

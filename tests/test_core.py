@@ -121,6 +121,12 @@ def test_declared_matrix_is_kept_as_a_read_only_copy_and_takes_no_part_in_equali
     ]
 
 
+@pytest.mark.parametrize("flow", ["exp", np.eye(2), 1.0])
+def test_declared_flow_must_be_callable(flow):
+    with pytest.raises(UsageError, match=r"^flow of 'rot' must be callable, got "):
+        SystemDefinition(2, lambda x: x, "rot", flow=flow)
+
+
 def test_non_finite_state_rejected():
     with pytest.raises(UsageError, match="component 1"):
         as_state([0.0, np.nan])

@@ -1,6 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from invarsets import (
     IntegratorSettings,
@@ -12,7 +14,7 @@ from invarsets import (
     rank_levels,
     stack_quantities,
 )
-from invarsets import kepler
+from invarsets import kepler, report, verify_coincidence
 
 from conftest import random_kepler_states
 
@@ -199,3 +201,90 @@ def test_closed_forms_are_declared_batched():
               kepler.linear_pair_hamiltonian(1.0),
               stack_quantities([kepler.hamiltonian(), kepler.angular_momentum(), kepler.combined_invariant(1.0)])):
         assert q.batched, q.labels
+
+
+# ---------------------------------------------------------------------------
+# the exact flow: Lagrange's f and g with Kepler's equation solved for dE
+# ---------------------------------------------------------------------------
+
+
+def _eccentric_start(e, phase=0.77):
+    """A point of the a = 1 orbit of eccentricity ``e``, a time ``phase``
+    past periapsis."""
+    at_periapsis = np.array([1.0 - e, 0.0, 0.0, np.sqrt((1.0 + e) / (1.0 - e))])
+    return kepler.kepler_field().flow(at_periapsis, np.array([0.0, phase]))[1]
+
+
+@pytest.mark.parametrize("e", [0.0, 0.4, 0.7, 0.9])
+def test_exact_flow_matches_the_stepper_over_eight_periods(e):
+    # the stepper at 1e-13 converges on the flow: the gap is its own error
+    system, x0 = kepler.kepler_field(), _eccentric_start(e)
+    t_end = 8 * 2 * np.pi
+    stepped = flow_adaptive(system, x0, t_end, integ=IntegratorSettings(1e-13, 1e-13, 401))
+    exact = system.flow(x0, stepped.times)
+    assert np.abs(exact - stepped.states).max() <= 1e-8
+    assert exact[0].tobytes() == x0.tobytes()
+    for quantity in (kepler.hamiltonian(), kepler.angular_momentum()):
+        values = quantity.value(exact)[:, 0]
+        assert np.abs(values - values[0]).max() <= 1e-12
+
+
+def test_exact_flow_is_periodic_and_runs_backwards():
+    system, x0 = kepler.kepler_field(), _eccentric_start(0.6)
+    period = 2 * np.pi  # a = 1 to round-off
+    states = system.flow(x0, np.array([0.0, 0.3, 5 * period + 0.3, -period + 0.3, period]))
+    assert states[0].tobytes() == x0.tobytes()
+    for state in states[2:4]:
+        assert np.allclose(state, states[1], rtol=0, atol=1e-12)
+    assert np.allclose(states[4], x0, rtol=0, atol=1e-12)
+    assert np.allclose(system.flow(states[1], np.array([-0.3]))[0], x0, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "x0",
+    [
+        [0.0, 2.0, 1.0, 0.0],  # H = 0: a parabola
+        [1.0, 0.0, 0.0, 2.0],  # H > 0: a hyperbola
+        [0.3, 0.4, -0.3, -0.4],  # A = 0: a plunge to the origin
+        [1.0, 0.0, 0.5, 0.0],  # A = 0 with H < 0
+    ],
+)
+def test_exact_flow_does_not_cover_open_or_radial_orbits(x0):
+    assert kepler.kepler_field().flow(np.array(x0), np.linspace(0.0, 1.0, 5)) is None
+
+
+_ANY_COMPONENT = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), st.floats(-10, 10),
+    st.sampled_from([0.0, -0.0, 1.0, 5e-324, 1e-300, 1e300]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x0=st.lists(_ANY_COMPONENT, min_size=4, max_size=4), times=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=5))
+def test_exact_flow_at_any_finite_start_gives_states_or_none_and_never_warns(x0, times):
+    # the origin, underflowing radii, overflowing energies and orbits whose
+    # period overflows are not covered
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        states = kepler.kepler_field().flow(np.array(x0), np.array(times))
+    assert states is None or states.shape == (len(times), 4)
+
+
+def test_exact_flow_that_newton_does_not_settle_gives_none(monkeypatch):
+    x0, times = _eccentric_start(0.9), np.linspace(0.0, 6.0, 11)
+    assert kepler.kepler_field().flow(x0, times) is not None
+    monkeypatch.setattr(kepler, "_NEWTON_STEPS", 1)
+    assert kepler.kepler_field().flow(x0, times) is None
+
+
+@pytest.mark.parametrize("x0", [[0.0, 2.0, 1.0, 0.0], [1.0, 0.0, 0.0, 2.0], [1.0, 0.0, 0.5, 0.0]])
+def test_coincidence_integrates_a_start_the_flow_does_not_cover_and_keeps_its_verdict(x0):
+    a = 1.0
+    args = (report._symplectic_base, kepler.hamiltonian(), kepler.linear_pair_hamiltonian(a), np.array(x0), 2.0)
+    declared = (kepler.kepler_field(), kepler.linear_pair_field(a))
+    slow = verify_coincidence(*args, batched=True)
+    fast = verify_coincidence(*args, batched=True, closed_forms=declared)
+    assert (fast.verdict, fast.message) == (slow.verdict, slow.message) and slow.verdict == "hypothesis-error"
+    if slow.trajectory is not None:  # else the F flow failed on both paths
+        assert fast.trajectory.stats.method == "dormand-prince-8(5,3)"
+        assert fast.trajectory.states.tobytes() == slow.trajectory.states.tobytes()

@@ -9,7 +9,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_readme_quickstart_prints_two_passes():
+def test_readme_quickstart_prints_three_passes():
     quickstart = re.search(r"## Library quickstart\s+```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
     assert quickstart is not None
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
@@ -20,4 +20,4 @@ def test_readme_quickstart_prints_two_passes():
     assert done.returncode == 0, done.stderr
     rank, *verdicts = done.stdout.splitlines()
     assert rank == "2"
-    assert [line.split()[0] for line in verdicts] == ["pass", "pass"]
+    assert [line.split()[0] for line in verdicts] == ["pass", "pass", "pass"]
