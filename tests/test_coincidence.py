@@ -902,6 +902,18 @@ def test_declared_flows_keep_the_driven_verdict_on_seeded_starts(a, theta, push)
     assert fast.trajectory.stats == IntegratorStats("declared-flow", 0, 0, 0)
 
 
+@pytest.mark.parametrize("push", [0.0, 0.08, -0.15])
+@pytest.mark.parametrize("theta", [0.0, 2.2, 4.4])
+@pytest.mark.parametrize("a", [0.75, 1.25])
+def test_declared_flows_keep_the_driven_verdict_on_a_grid_of_starts(a, theta, push):
+    # theta = 0 starts with two components exactly zero
+    x0 = kepler.circular_sample(a, theta)
+    x0[2:] *= 1.0 + push
+    fast = _assert_declared_keeps_the_driven_report(x0, a, 1.5 * np.pi * a**3, integ=IntegratorSettings(sample_count=101))
+    assert fast.verdict == ("pass" if push == 0.0 else "hypothesis-error")
+    assert fast.trajectory.stats.method == "declared-flow"
+
+
 @pytest.mark.parametrize(
     "x0",
     [
@@ -1035,12 +1047,9 @@ def test_matrix_premise_admits_the_roundings_of_another_summation_order():
     )
 
 
-@pytest.mark.parametrize("e", [0.0, 0.5, 0.9, 0.95, 0.99])
-def test_premise_of_the_kepler_flow_holds_on_eccentric_orbits(e):
-    # the difference step follows the shortest time scale on the samples, so
-    # the residual stays ten times below the default tolerance up to e = 0.99
+def _assert_kepler_premise_holds(e, sense):
     system = kepler.kepler_field()
-    x0 = np.array([1.0 - e, 0.0, 0.0, np.sqrt((1.0 + e) / (1.0 - e))])  # at periapsis, a = 1
+    x0 = np.array([1.0 - e, 0.0, 0.0, sense * np.sqrt((1.0 + e) / (1.0 - e))])  # at periapsis, a = 1
     x0 = system.flow(x0, np.array([0.0, 0.77]))[1]
     times = np.linspace(0.0, 16 * np.pi, 401)
     traj = Trajectory(times, system.flow(x0, times), IntegratorStats("declared-flow", 0, 0, 0))
@@ -1048,7 +1057,93 @@ def test_premise_of_the_kepler_flow_holds_on_eccentric_orbits(e):
     assert coincidence._premise_failure("F", system, None, traj, 1e-9, rows) is None
 
 
+@pytest.mark.parametrize("e", [0.0, 0.5, 0.9, 0.95, 0.99])
+def test_premise_of_the_kepler_flow_holds_on_eccentric_orbits(e):
+    # the difference step follows the shortest time scale on the samples, so
+    # the residual stays ten times below the default tolerance up to e = 0.99
+    _assert_kepler_premise_holds(e, 1.0)
+
+
+@pytest.mark.parametrize("e", [0.0, 0.5, 0.9, 0.95, 0.99])
+def test_premise_of_the_kepler_flow_holds_on_clockwise_orbits(e):
+    _assert_kepler_premise_holds(e, -1.0)
+
+
 def test_declared_flow_map_of_another_shape_is_a_usage_error():
     closed = (replace(kepler.kepler_field(), flow=lambda x0, t: np.zeros((len(t), 3))), kepler.linear_pair_field(1.0))
     with pytest.raises(UsageError, match=r"flow of 'kepler' returned shape \(401, 3\), expected \(401, 4\)"):
         _kepler_coincidence(kepler.circular_sample(1.0, 0.3), 1.0, 1.0, closed)
+
+
+def _misbehaving_map(kind, at=37):
+    """The Kepler flow map with sample ``at`` NaN or inf, or that raises, or
+    that covers no start."""
+    exact = kepler.kepler_field().flow
+
+    def flow(x0, times):
+        if kind == "raise":
+            raise NumericError("map has no state here")
+        if kind == "none":
+            return None
+        states = exact(x0, times)
+        states[at, 1] = float(kind)
+        return states
+
+    return replace(kepler.kepler_field(), flow=flow)
+
+
+@pytest.mark.parametrize("start", ["on-set", "off-set"])
+@pytest.mark.parametrize("kind", ["nan", "inf", "raise", "none"])
+def test_misbehaving_declared_map_is_not_handed_to_the_stepper(kind, start):
+    # a map that covers no start is integrated; one that does answers for
+    # its samples: a non-finite one is the stepper's error, which an off-set
+    # start reports as a hypothesis error, and a raise is the map's own
+    a, integ = 1.0, IntegratorSettings(sample_count=101)
+    x0 = kepler.circular_sample(a, 0.3)
+    if start == "off-set":
+        x0[2:] *= 1.08
+    closed = (_misbehaving_map(kind), kepler.linear_pair_field(a))
+    if kind == "raise":
+        with pytest.raises(NumericError, match="map has no state here"):
+            _kepler_coincidence(x0, a, 2 * np.pi, closed, integ=integ)
+    elif kind == "none":
+        slow = _kepler_coincidence(x0, a, 2 * np.pi, integ=integ)
+        fast = _kepler_coincidence(x0, a, 2 * np.pi, closed, integ=integ)
+        assert fast.verdict == slow.verdict and abs(fast.worst_value - slow.worst_value) <= 1e-8
+        assert fast.trajectory.stats.method == "dormand-prince-8(5,3)"  # the G flow is still exp(t L) x0
+        assert fast.trajectory.states.tobytes() == slow.trajectory.states.tobytes()
+    elif start == "on-set":
+        with pytest.raises(IntegrationError, match="non-finite states") as info:
+            _kepler_coincidence(x0, a, 2 * np.pi, closed, integ=integ)
+        assert info.value.last_good_time == np.linspace(0.0, 2 * np.pi, 101)[36]
+    else:
+        rep = _kepler_coincidence(x0, a, 2 * np.pi, closed, integ=integ)
+        assert rep.verdict == "hypothesis-error" and rep.worst_value == np.inf
+        assert "integration additionally failed: adaptive integration produced non-finite states" in rep.message
+
+
+def test_declared_map_that_does_not_cover_the_shifted_times_fails_the_premise():
+    # the premise's difference steps before sample 0: a map that covers no
+    # negative time has no velocity there
+    exact = kepler.kepler_field()
+    forward = replace(exact, flow=lambda x0, times: None if (np.asarray(times) < 0).any() else exact.flow(x0, times))
+    rep = _kepler_coincidence(kepler.circular_sample(1.0, 0.3), 1.0, 2 * np.pi, (forward, kepler.linear_pair_field(1.0)))
+    assert rep.verdict == "hypothesis-error"
+    assert rep.message == "the declared flow of the F-driven flow differs from its driven field at sample 0 (t=0, residual nan)"
+
+
+@pytest.mark.parametrize("error", [1e-6, -1e-6, 1e-7, -3e-8, 1e-10])
+def test_time_scale_error_of_a_declared_map_is_read_as_it_is(error):
+    # the difference quotient's own residual is far below the tolerance of
+    # 1e-8, so an error above it is read within 1% and one below passes
+    a, x0 = 1.0, kepler.circular_sample(1.0, 0.3)
+    rep = _kepler_coincidence(x0, a, 2 * np.pi, (_kepler_map(1 + error), kepler.linear_pair_field(a)))
+    if abs(error) < 1e-8:
+        assert rep.verdict == "pass", rep.message
+        return
+    match = re.fullmatch(
+        r"the declared flow of the F-driven flow differs from its driven field at sample 0 \(t=0, residual (\S+)\)",
+        rep.message,
+    )
+    assert rep.verdict == "hypothesis-error" and match
+    assert float(match[1]) == pytest.approx(abs(error), rel=1e-2)

@@ -208,11 +208,12 @@ def test_closed_forms_are_declared_batched():
 # ---------------------------------------------------------------------------
 
 
-def _eccentric_start(e, phase=0.77):
-    """A point of the a = 1 orbit of eccentricity ``e``, a time ``phase``
-    past periapsis."""
-    at_periapsis = np.array([1.0 - e, 0.0, 0.0, np.sqrt((1.0 + e) / (1.0 - e))])
-    return kepler.kepler_field().flow(at_periapsis, np.array([0.0, phase]))[1]
+def _eccentric_start(e, phase=0.77, a=1.0, sense=1.0):
+    """A point of the orbit of eccentricity ``e`` and semi-major axis ``a``,
+    a time ``phase`` a^(3/2) past periapsis, which lies on the x1 axis; the
+    orbit runs counter-clockwise for ``sense`` 1 and clockwise for -1."""
+    at_periapsis = np.array([a * (1.0 - e), 0.0, 0.0, sense * np.sqrt((1.0 + e) / ((1.0 - e) * a))])
+    return kepler.kepler_field().flow(at_periapsis, np.array([0.0, phase * a**1.5]))[1]
 
 
 @pytest.mark.parametrize("e", [0.0, 0.4, 0.7, 0.9])
@@ -238,6 +239,62 @@ def test_exact_flow_is_periodic_and_runs_backwards():
         assert np.allclose(state, states[1], rtol=0, atol=1e-12)
     assert np.allclose(states[4], x0, rtol=0, atol=1e-12)
     assert np.allclose(system.flow(states[1], np.array([-0.3]))[0], x0, rtol=0, atol=1e-12)
+
+
+def _eccentricity_vector(z):
+    """The Laplace-Runge-Lenz vector A (y2, -y1) - x/|x| of each state, pointing at periapsis."""
+    x1, x2, y1, y2 = z.T
+    momentum, r = x1 * y2 - x2 * y1, np.hypot(x1, x2)
+    return np.stack([momentum * y2 - x1 / r, -momentum * y1 - x2 / r], axis=1)
+
+
+@pytest.mark.parametrize("sense", [1.0, -1.0])
+@pytest.mark.parametrize("a", [0.5, 3.0])
+@pytest.mark.parametrize("e", [0.0, 0.3, 0.6, 0.9, 0.99])
+def test_exact_flow_keeps_energy_momentum_and_the_eccentricity_vector(e, a, sense):
+    # three periods back and five forward, on both senses of rotation
+    x0 = _eccentric_start(e, a=a, sense=sense)
+    period = 2 * np.pi * a**1.5
+    states = kepler.kepler_field().flow(x0, np.linspace(-3 * period, 5 * period, 401))
+    for quantity in (kepler.hamiltonian(), kepler.angular_momentum()):
+        values, start = quantity.value(states)[:, 0], quantity.value(x0)[0]
+        assert np.abs(values - start).max() <= 1e-12 * abs(start)
+    assert np.abs(_eccentricity_vector(states) - _eccentricity_vector(x0[None])).max() <= 1e-12
+    assert np.linalg.norm(_eccentricity_vector(x0[None])) == pytest.approx(e, abs=1e-12)
+
+
+@pytest.mark.parametrize("t,s", [(0.4, 2.5), (-1.3, 7.9), (30.0, -12.5)])
+@pytest.mark.parametrize("e", [0.0, 0.5, 0.9, 0.99])
+def test_exact_flow_composes(e, t, s):
+    # flowing t then s from where t ends is flowing t + s
+    flow, x0 = kepler.kepler_field().flow, _eccentric_start(e)
+    middle = flow(x0, np.array([t]))[0]
+    assert np.abs(flow(middle, np.array([s]))[0] - flow(x0, np.array([t + s]))[0]).max() <= 1e-12
+
+
+def _rotated(z, angle):
+    """Position and velocity of each state turned by ``angle``."""
+    c, s = np.cos(angle), np.sin(angle)
+    R = np.array([[c, -s], [s, c]])
+    return np.concatenate([z[..., :2] @ R.T, z[..., 2:] @ R.T], axis=-1)
+
+
+@pytest.mark.parametrize("angle", [0.5, 2.0, 3.5, 5.5])
+@pytest.mark.parametrize("e", [0.2, 0.8, 0.95])
+def test_exact_flow_commutes_with_rotations(e, angle):
+    flow, x0, times = kepler.kepler_field().flow, _eccentric_start(e), np.linspace(-7.0, 11.0, 51)
+    states = flow(x0, times)
+    assert np.abs(flow(_rotated(x0, angle), times) - _rotated(states, angle)).max() <= 1e-12 * np.abs(states).max()
+
+
+@pytest.mark.parametrize("e", [0.2, 0.8, 0.95])
+def test_exact_flow_commutes_with_time_reversal_and_reflection(e):
+    # reversing the velocity runs the orbit backwards; mirroring in the x1
+    # axis mirrors it
+    flow, x0, times = kepler.kepler_field().flow, _eccentric_start(e), np.linspace(-7.0, 11.0, 51)
+    states, bound = flow(x0, times), 1e-12 * np.abs(flow(x0, times)).max()
+    for signs, direction in (([1.0, 1.0, -1.0, -1.0], -1.0), ([1.0, -1.0, 1.0, -1.0], 1.0)):
+        assert np.abs(flow(x0 * signs, direction * times) * signs - states).max() <= bound
 
 
 @pytest.mark.parametrize(
