@@ -20,7 +20,6 @@ from .core import (
     ConservedQuantitySet,
     SystemDefinition,
     _all_finite,
-    _conservation_rates,
     _finite_field_rows,
     _state_scales,
     _tolerances,
@@ -30,7 +29,8 @@ from .core import (
 from .differentiate import _check_order, _flat_block, _jacobian_stack, _partial_stack
 from .errors import IntegrationError, NumericError, UsageError
 from .integrate import IntegratorSettings, Trajectory, _declared_flow, flow_adaptive
-from .invariance import FAIL, HYPOTHESIS_ERROR, PASS, InvarianceReport
+from .invariance import HYPOTHESIS_ERROR, InvarianceReport, _certify
+from .rank_sets import _margins
 
 
 def _derivative_blocks(
@@ -199,29 +199,6 @@ def agreement_residual(
         return float(np.max([np.abs(f - g).max() for f, g in pairs]))
 
 
-def _difference_quantity(
-    f_quantity: ConservedQuantitySet, g_quantity: ConservedQuantitySet
-) -> ConservedQuantitySet:
-    grad = None
-    if f_quantity.analytic_gradient is not None and g_quantity.analytic_gradient is not None:
-
-        def grad(x):
-            return np.asarray(f_quantity.analytic_gradient(x), float) - np.asarray(
-                g_quantity.analytic_gradient(x), float
-            )
-
-    return ConservedQuantitySet(
-        dim=f_quantity.dim,
-        k=f_quantity.k,
-        value=lambda x: np.atleast_1d(np.asarray(f_quantity.value(x), float))
-        - np.atleast_1d(np.asarray(g_quantity.value(x), float)),
-        labels=tuple(f"{a}-{b}" for a, b in zip(f_quantity.labels, g_quantity.labels)),
-        analytic_gradient=grad,
-        smoothness_order=min(f_quantity.smoothness_order, g_quantity.smoothness_order),
-        batched=f_quantity.batched and g_quantity.batched,
-    )
-
-
 def verify_coincidence(
     base: Callable[[np.ndarray, np.ndarray], np.ndarray],
     f_quantity: ConservedQuantitySet,
@@ -235,19 +212,20 @@ def verify_coincidence(
     integ: IntegratorSettings = IntegratorSettings(),
     tolerances: Mapping[str, float] | None = None,
 ) -> InvarianceReport:
-    """Integrate both driven systems from ``x0`` and compare trajectories.
+    """Certify that the F- and G-driven flows from ``x0`` coincide.
 
     Hypotheses checked first: the derivative stacks of F and G agree at
     ``x0`` up to ``order``, and F - G is conserved along the F-driven flow
-    (sampled), each within the tolerance ``hypothesis`` relative to
-    ``max(1, |x|)``.  When they fail the verdict is a hypothesis error and
-    the measured deviation is recorded as a diagnostic; otherwise the flows
-    coincide when they are at most ``deviation`` apart.  ``batched`` is
+    (its rate ``(J_F - J_G) . f`` on every sample), each within the
+    tolerance ``hypothesis`` relative to ``max(1, |x|)``.  The verdict is
+    the rule every verifier shares (:func:`invariance._certify`): a sample
+    is inside when the flows are at most ``deviation`` apart there, with
+    margin ``tol / d`` inside and ``d / tol`` outside.  ``batched`` is
     ``base``'s declaration, as in :func:`assemble_system`.  The report's
-    ``trajectory`` is the F-driven flow, ``worst_value`` and ``worst_time``
-    the largest deviation of the G-driven flow from it (inf when an
-    off-set start's flow fails), beside ``agreement_residual`` and
-    ``difference_drift``.
+    ``trajectory`` is the F-driven flow and ``sample_values`` the distances
+    of the G-driven flow from it, the largest ``worst_value`` at
+    ``worst_time``, kept when a premise fails (inf when an off-set start's
+    flow fails), beside ``agreement_residual`` and ``difference_drift``.
 
     ``closed_forms`` are two systems standing for the F- and G-driven fields
     (for Kepler: the model's field and :func:`kepler.linear_pair_field`),
@@ -287,20 +265,15 @@ def verify_coincidence(
             )
         raise
 
-    # d/dt (F - G) along the first flow at every sample
+    # d/dt (F - G) = (J_F - J_G) . f along the first flow at every sample
     states = traj_f.states
     fields_f = sys_f.fields(states)
-    rates = _conservation_rates(_difference_quantity(f_quantity, g_quantity), states, fields_f)
+    J = _jacobian_stack(f_quantity, states) - _jacobian_stack(g_quantity, states)
+    rates = (J * fields_f[:, None, :]).sum(axis=2)
     scales = _state_scales(states)
-    with np.errstate(over="ignore"):
-        deviations = np.linalg.norm(traj_f.states - traj_g.states, axis=1)
     # as at the start, a state whose norm overflows fails the premise
     finite_scales = _all_finite(scales)
     drift = float(np.max(np.abs(rates).max(axis=1) / scales)) if finite_scales else np.inf
-    conserved = drift <= tol["hypothesis"]
-
-    worst_idx = int(np.argmax(deviations))
-    max_dev = float(deviations[worst_idx])
 
     reasons = [reason for reason in (
         _premise_failure("F", closed_f, sys_f, traj_f, tol["hypothesis"], fields_f),
@@ -308,24 +281,25 @@ def verify_coincidence(
     ) if reason]
     if not on_set:
         reasons.append(off_set)
-    if not conserved:
+    if not drift <= tol["hypothesis"]:
         reasons.append(f"F-G is not conserved along the first flow (residual {drift:.3e})" if finite_scales
                        else "F-G has no finite tolerance along the first flow" + overflows)
-    if reasons:
-        verdict, message = HYPOTHESIS_ERROR, "; ".join(reasons)
-    elif max_dev <= tol["deviation"]:
-        verdict, message = PASS, f"flows coincide: max deviation {max_dev:.3e}"
-    else:
-        verdict, message = FAIL, f"flows deviate by {max_dev:.3e} > tol {tol['deviation']:.1e}"
 
-    return InvarianceReport(
-        verdict=verdict,
-        message=message,
-        trajectory=traj_f,
-        worst_time=float(traj_f.times[worst_idx]),
-        worst_value=max_dev,
-        agreement_residual=e_res,
-        difference_drift=drift,
+    def classify(traj):
+        with np.errstate(over="ignore"):
+            deviations = np.linalg.norm(traj.states - traj_g.states, axis=1)
+        inside, margins = _margins(deviations, tol["deviation"])
+        worst = int(np.argmax(deviations))
+        max_dev = deviations[worst]
+        if max_dev <= tol["deviation"]:
+            message = f"flows coincide: max deviation {max_dev:.3e}"
+        else:
+            message = f"flows deviate by {max_dev:.3e} > tol {tol['deviation']:.1e}"
+        return deviations, inside, margins, worst, message
+
+    return _certify(
+        sys_f.system, traj_f, classify, None, fields_f[0], "; ".join(reasons) or None,
+        agreement_residual=e_res, difference_drift=drift,
     )
 
 

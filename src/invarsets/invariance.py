@@ -3,21 +3,22 @@
 Each verifier first tests the hypotheses the underlying statement assumes
 (the quantity really is conserved at the start, the start really lies in
 the claimed set) and reports a hypothesis error instead of a verdict when
-they fail.  Verdicts:
+they fail.  Verdicts, the first that applies:
 
-    pass        every sample matches the initial classification, robustly
-    borderline  some sample sits within a factor 10 of a threshold
-    fail        classification changed with a robust margin
+    hypothesis-error  a premise failed
+    fail              some sample is outside its set with margin >= 10
+    borderline        some sample's margin is below 10
+    pass              every sample is inside its set, robustly
 
-Every verifier is its premise checks plus a classifier of the samples;
-one skeleton integrates from the accepted start, classifies and applies
-the verdict rule.  Invariance is checked at the trajectory samples, not
-continuously, and every check classifies all samples of the ``(m, dim)``
-stack in one stacked call: one stacked SVD for the rank and critical
-checks, one stacked partial builder for the vanishing check, and one call
-of the set residual on the stack for set persistence.  A start whose field
-norm is numerically zero is flagged as an equilibrium (trivially
-invariant).
+Every verifier, :func:`coincidence.verify_coincidence` included, is its
+premise checks plus a classifier of the samples; one skeleton classifies
+the flow from the accepted start and applies the verdict rule.  Invariance
+is checked at the trajectory samples, not continuously, and every check
+classifies all samples of the ``(m, dim)`` stack in one stacked call: one
+stacked SVD for the rank and critical checks, one stacked partial builder
+for the vanishing check, and one call of the set residual on the stack for
+set persistence.  A start whose field norm is numerically zero is flagged
+as an equilibrium (trivially invariant).
 """
 
 from __future__ import annotations
@@ -43,14 +44,15 @@ EQUILIBRIUM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class InvarianceReport:
-    """Evidence record for one check, whichever verifier made it.
+    """Evidence record for one check, whichever of the five verifiers made it.
 
-    For rank-style checks ``sample_values`` holds the per-sample rank; for
-    residual-style checks it holds the per-sample residual.  ``worst_time``
-    and ``worst_value`` locate the sample closest to (or beyond) failure,
-    and ``min_margin`` is the weakest decision margin encountered.  Beside
-    them sits the premises' evidence: ``initial_rank``, ``threshold``, and
-    for coincidence ``agreement_residual`` and ``difference_drift``.
+    ``sample_values`` holds the per-sample rank for the rank-style checks,
+    the per-sample residual for the residual-style ones, and the distance
+    between the two flows for coincidence.  ``worst_time`` and
+    ``worst_value`` locate the sample closest to (or beyond) failure, and
+    ``min_margin`` is the weakest decision margin encountered.  Beside them
+    sits the premises' evidence: ``initial_rank``, ``threshold``, and for
+    coincidence ``agreement_residual`` and ``difference_drift``.
     """
 
     verdict: str
@@ -87,28 +89,28 @@ def _conservation_premise(system: SystemDefinition, quantity: ConservedQuantityS
     )
 
 
-def _certify(system, x0, t_end, integ, classify, quantity, f0=None, **fields) -> InvarianceReport:
-    """Integrate from an accepted start, classify every sample and apply
-    the verdict rule.
+def _certify(system, traj, classify, quantity, f0=None, broken=None, **fields) -> InvarianceReport:
+    """Classify every sample of the flow ``traj`` from an accepted start (its
+    sample 0) and apply the verdict rule of the module docstring.
 
-    ``integ`` is the :class:`IntegratorSettings`.  ``classify(traj)``
-    returns the per-sample values (rank or residual), the per-sample
-    inside flags and margins, the index of the worst sample and the
-    message.  ``quantity``, when given, has its drift monitored.  ``f0``
-    is the field at ``x0`` when the premise evaluated it; a start where it
-    is numerically zero is an equilibrium.
+    ``classify(traj)`` returns the per-sample values, inside flags and
+    margins, the index of the worst sample and the message.  ``quantity``,
+    when given, has its drift monitored.  ``f0`` is the field at the start
+    when the caller evaluated it.  ``broken`` is why a premise read on the
+    flow failed: the verdict is then a hypothesis error with that message,
+    the worst-sample evidence kept.  A NaN margin is never robustly inside.
     """
-    traj = flow_adaptive(system, x0, t_end, integ=integ)
+    x0 = traj.states[0]
     with np.errstate(over="ignore"):
         speed = float(np.linalg.norm(evaluate_field(system, x0) if f0 is None else f0))
     values, inside, margins, worst, message = classify(traj)
-    min_margin = float(np.min(margins))
-    if np.all(inside) and min_margin >= BORDERLINE_MARGIN:
-        verdict = PASS
-    elif min_margin < BORDERLINE_MARGIN:
-        verdict = BORDERLINE
-    else:
+    min_margin = float(margins.min())
+    if broken is not None:
+        verdict, message = HYPOTHESIS_ERROR, broken
+    elif (~inside & ~(margins < BORDERLINE_MARGIN)).any():
         verdict = FAIL
+    else:
+        verdict = PASS if min_margin >= BORDERLINE_MARGIN else BORDERLINE
     return InvarianceReport(
         verdict=verdict,
         message=message,
@@ -150,7 +152,8 @@ def _verify_rank(critical: bool, system, quantity, x0, t_end, integ, tolerances)
             message = f"rank counts along flow: {counts}; initial rank {initial}"
         return ranks, inside, decisions.margins, int(np.argmin(decisions.margins)), message
 
-    return _certify(system, x0v, t_end, integ, classify, quantity, f0, initial_rank=initial)
+    traj = flow_adaptive(system, x0v, t_end, integ=integ)
+    return _certify(system, traj, classify, quantity, f0, initial_rank=initial)
 
 
 def verify_rank_invariance(
@@ -220,7 +223,8 @@ def verify_vanishing_invariance(
         message = f"order-{order} vanishing membership held at {held} samples"
         return residuals, inside, members.margins, int(np.argmax(residuals)), message
 
-    return _certify(system, x0v, t_end, integ, classify, quantity, f0, threshold=threshold)
+    traj = flow_adaptive(system, x0v, t_end, integ=integ)
+    return _certify(system, traj, classify, quantity, f0, threshold=threshold)
 
 
 def _set_residuals(residual_fn, xs: np.ndarray) -> np.ndarray:
@@ -272,4 +276,5 @@ def verify_set_persistence(
         )
         return residuals, inside, margins, worst, message
 
-    return _certify(system, x0v, t_end, integ, classify, quantity, threshold=tol)
+    traj = flow_adaptive(system, x0v, t_end, integ=integ)
+    return _certify(system, traj, classify, quantity, threshold=tol)

@@ -31,12 +31,13 @@ guaranteed).  The mod-n index aliasing is centralized in per-n neighbour
 index arrays, built once by ``_ring``, so value, gradient, and field code
 cannot drift apart; gathering through them is bit-identical to np.roll.
 
-The closed forms of I_1..I_3 and F_1..F_3 take one state or an
-``(m, dim)`` stack and return C-contiguous ``(..., 1)`` values and
-``(..., 1, dim)`` gradients, each row equal bit for bit to the
-single-state result (they are declared ``batched``).  They work
-components first: the stack is transposed once into a contiguous
-``(dim, m)`` array, a point being a stack of one, and a sum over
+The closed forms of I_1..I_3 and F_1..F_3 are functions of the
+components (X, u), and a stack of them is one quantity that takes one
+state or an ``(m, dim)`` stack and returns C-contiguous ``(..., k)``
+values and ``(..., k, dim)`` gradients, each row equal bit for bit to the
+single-state result (it is declared ``batched``).  They work components
+first: the stack is transposed once into a contiguous ``(dim, m)`` array,
+a point being a stack of one, and split once for all k forms; a sum over
 components adds whole rows left to right from +0.0, the same way for a
 point and for any stack.  A row of a stack is short (2n entries) and the
 sample axis long, so one add per component over the samples costs less
@@ -209,59 +210,43 @@ def _total(rows):
     return total
 
 
-def _value(z, v):
-    return v.reshape(z.shape[:-1] + (1,))
+def _i1_value(X, u):
+    return _total(u)
 
 
-def _gradient(z, *blocks):
-    """C-contiguous ``(..., 1, dim)`` gradients from ``(j, m)`` blocks."""
-    out = np.empty(z.shape[:-1] + (1, z.shape[-1]))
-    np.concatenate(blocks, out=out.reshape(-1, z.shape[-1]).T)
-    return out
+def _i1_gradient(X, u):
+    return np.zeros_like(X), np.ones_like(u)
 
 
-def _i1_value(z, n):
-    return _value(z, _total(_components(z, n)[1]))
-
-
-def _i1_gradient(z, n):
-    g = np.zeros(z.shape[:-1] + (1, 2 * n))
-    g[..., 0, n:] = 1.0
-    return g
-
-
-def _i2_value(z, n):
-    X, u = _components(z, n)
+def _i2_value(X, u):
     U = _total(u)
-    return _value(z, 0.5 * (U * U - _total(u * u)) - _total(X))
+    return 0.5 * (U * U - _total(u * u)) - _total(X)
 
 
-def _i2_gradient(z, n):
-    X, u = _components(z, n)
-    return _gradient(z, np.full_like(X, -1.0), _total(u) - u)
+def _i2_gradient(X, u):
+    return np.full_like(X, -1.0), _total(u) - u
 
 
-def _i3_value(z, n):
-    X, u = _components(z, n)
-    _, prv = _ring(n)
+def _i3_value(X, u):
+    _, prv = _ring(len(u))
     U, uu = _total(u), u * u
     # sum over i1<i2<i3 of u u u via power sums
     triples = (U * U * U - 3.0 * U * _total(uu) + 2.0 * _total(uu * u)) / 6.0
     # mixed terms u_i X_j over j != i, j != i-1 (mod n)
-    return _value(z, triples - (U * _total(X) - _total(u * X) - _total(u * X[prv])))
+    return triples - (U * _total(X) - _total(u * X) - _total(u * X[prv]))
 
 
-def _i3_gradient(z, n):
-    X, u = _components(z, n)
-    nxt, prv = _ring(n)
+def _i3_gradient(X, u):
+    nxt, prv = _ring(len(u))
     U = _total(u)
     V = 0.5 * (U * U - _total(u * u))
     gX = -(U - u - u[nxt])
     gu = V - u * (U - u) - (_total(X) - X[prv] - X)
-    return _gradient(z, gX, gu)
+    return gX, gu
 
 
-# degree -> (value, gradient); each takes (z, n)
+# degree -> (value, gradient) on the components (X, u); a gradient is its
+# X and u blocks
 _HENON_FORMS = {
     1: (_i1_value, _i1_gradient),
     2: (_i2_value, _i2_gradient),
@@ -269,30 +254,47 @@ _HENON_FORMS = {
 }
 
 
-def _closed_form(dim, n, label, forms) -> ConservedQuantitySet:
-    value, gradient = forms
+def _forms_quantity(dim: int, springs: int, labels, forms) -> ConservedQuantitySet:
+    """The closed forms ``forms`` as one batched quantity: a state or a stack
+    is split into its components once, and each form writes its row of the
+    values and of the C-contiguous ``(..., k, dim)`` gradients."""
+    k = len(forms)
+
+    def value(z):
+        X, u = _components(z, springs)
+        out = np.empty(z.shape[:-1] + (k,))
+        rows = out.reshape(-1, k).T
+        for i, (form, _) in enumerate(forms):
+            rows[i] = form(X, u)
+        return out
+
+    def gradient(z):
+        X, u = _components(z, springs)
+        out = np.empty(z.shape[:-1] + (k, dim))
+        rows = out.reshape(-1, k, dim)
+        for i, (_, form) in enumerate(forms):
+            np.concatenate(form(X, u), out=rows[:, i].T)
+        return out
+
     return ConservedQuantitySet(
-        dim=dim,
-        k=1,
-        value=lambda z: value(z, n),
-        labels=(label,),
-        analytic_gradient=lambda z: gradient(z, n),
-        smoothness_order=64,
-        batched=True,
+        dim=dim, k=k, value=value, labels=tuple(labels), analytic_gradient=gradient,
+        smoothness_order=64, batched=True,
     )
 
 
 def henon_closed_form(n: int, m: int) -> ConservedQuantitySet:
     """Closed-form periodic invariant with analytic gradient, m in {1, 2, 3}."""
-    _check_size(n, "periodic lattices")
-    if m not in _HENON_FORMS:
-        raise UsageError(f"closed forms cover m in {{1, 2, 3}}, got m={m}; use the enumeration")
-    return _closed_form(2 * n, n, f"I{m}", _HENON_FORMS[m])
+    return periodic_invariants(n, (m,))
 
 
 def periodic_invariants(n: int, degrees: tuple[int, ...] = (1, 2, 3)) -> ConservedQuantitySet:
-    """Stack of closed-form periodic invariants, e.g. (I1, I2, I3)."""
-    return stack_quantities([henon_closed_form(n, m) for m in degrees])
+    """Stack of closed-form periodic invariants, e.g. (I1, I2, I3), as one
+    batched quantity."""
+    _check_size(n, "periodic lattices")
+    for m in degrees:
+        if m not in _HENON_FORMS:
+            raise UsageError(f"closed forms cover m in {{1, 2, 3}}, got m={m}; use the enumeration")
+    return _forms_quantity(2 * n, n, [f"I{m}" for m in degrees], [_HENON_FORMS[m] for m in degrees])
 
 
 # ---------------------------------------------------------------------------
@@ -342,44 +344,36 @@ def trace_invariant_value(n: int, k: int, x):
     return _per_state(np.trace(np.linalg.matrix_power(L, k), axis1=-2, axis2=-1) / k)
 
 
-def _f1_value(z, n):
-    return _value(z, _total(_components(z, n - 1)[1]))
+def _f2_value(X, u):
+    return _total(X) + 0.5 * _total(u * u)
 
 
-def _f1_gradient(z, n):
-    g = np.zeros(z.shape[:-1] + (1, 2 * n - 1))
-    g[..., 0, n - 1 :] = 1.0
-    return g
+def _f2_gradient(X, u):
+    return np.ones_like(X), u
 
 
-def _f2_value(z, n):
-    X, u = _components(z, n - 1)
-    return _value(z, _total(X) + 0.5 * _total(u * u))
+def _f3_value(X, u):
+    return _total(X * (u[:-1] + u[1:])) + _total(u * u * u) / 3.0
 
 
-def _f2_gradient(z, n):
-    X, u = _components(z, n - 1)
-    return _gradient(z, np.ones_like(X), u)
-
-
-def _f3_value(z, n):
-    X, u = _components(z, n - 1)
-    return _value(z, _total(X * (u[:-1] + u[1:])) + _total(u * u * u) / 3.0)
-
-
-def _f3_gradient(z, n):
-    X, u = _components(z, n - 1)
+def _f3_gradient(X, u):
     end = np.zeros((1, u.shape[1]))
     Xe = np.concatenate([end, X, end])  # X_0 .. X_n with zero ends
-    return _gradient(z, u[:-1] + u[1:], Xe[:-1] + Xe[1:] + u * u)
+    return u[:-1] + u[1:], Xe[:-1] + Xe[1:] + u * u
 
 
-# index -> (value, gradient); each takes (z, n)
+# index -> (value, gradient) on the components (X, u); F1 is I1's form
 _FLASCHKA_FORMS = {
-    1: (_f1_value, _f1_gradient),
+    1: _HENON_FORMS[1],
     2: (_f2_value, _f2_gradient),
     3: (_f3_value, _f3_gradient),
 }
+
+
+def _check_index(n, k) -> None:
+    _check_size(n, "non-periodic lattices")
+    if not 1 <= k <= n:
+        raise UsageError(f"invariant index must satisfy 1 <= k <= n, got k={k}")
 
 
 def flaschka_invariant(n: int, k: int) -> ConservedQuantitySet:
@@ -389,11 +383,9 @@ def flaschka_invariant(n: int, k: int) -> ConservedQuantitySet:
     attached; for larger k the value falls back to tr(L^k)/k with
     finite-difference gradients.
     """
-    _check_size(n, "non-periodic lattices")
-    if not 1 <= k <= n:
-        raise UsageError(f"invariant index must satisfy 1 <= k <= n, got k={k}")
     if k in _FLASCHKA_FORMS:
-        return _closed_form(2 * n - 1, n, f"F{k}", _FLASCHKA_FORMS[k])
+        return nonperiodic_invariants(n, (k,))
+    _check_index(n, k)
     return ConservedQuantitySet(
         dim=2 * n - 1,
         k=1,
@@ -404,8 +396,13 @@ def flaschka_invariant(n: int, k: int) -> ConservedQuantitySet:
 
 
 def nonperiodic_invariants(n: int, degrees: tuple[int, ...] = (1, 2, 3)) -> ConservedQuantitySet:
-    """Stack of non-periodic invariants, e.g. (F1, F2, F3)."""
-    return stack_quantities([flaschka_invariant(n, k) for k in degrees])
+    """Stack of non-periodic invariants, e.g. (F1, F2, F3), as one batched
+    quantity when every k <= 3."""
+    if not all(k in _FLASCHKA_FORMS for k in degrees):
+        return stack_quantities([flaschka_invariant(n, k) for k in degrees])
+    for k in degrees:
+        _check_index(n, k)
+    return _forms_quantity(2 * n - 1, n - 1, [f"F{k}" for k in degrees], [_FLASCHKA_FORMS[k] for k in degrees])
 
 
 def lax_commutator_residual(n: int, x):

@@ -4,6 +4,7 @@ import pytest
 from invarsets import (
     ConservedQuantitySet,
     IntegratorSettings,
+    SystemDefinition,
     UsageError,
     flow_adaptive,
     rank_levels,
@@ -302,6 +303,46 @@ def test_set_left_decisively_along_flow_is_fail():
     assert report.verdict == "fail"
     assert report.worst_value == pytest.approx(1.0)
     assert report.min_margin >= 10
+
+
+def test_set_left_decisively_after_crossing_the_band_is_fail():
+    # |x2| = sin t climbs past tol = 0.05: the first sample outside sits in
+    # the band (margin 7.7), the later ones 14-20 times over tol; a sample
+    # outside with margin >= 10 is a fail, however close another came
+    report = verify_set_persistence(
+        oscillator.harmonic_oscillator(), lambda zs: np.abs(zs[:, 1]), [1.0, 0.0], np.pi / 2,
+        integ=IntegratorSettings(sample_count=5), tolerances={"residual": 0.05},
+    )
+    assert report.verdict == "fail"
+    assert report.min_margin == pytest.approx(np.sin(np.pi / 8) / 0.05)
+    assert report.min_margin < 10
+
+
+def _start_preserving_mutation(system, x0, eps):
+    """``system``'s field plus eps B (x - x0), B a Gaussian matrix (seed 0)
+    over sqrt(dim): the perturbation vanishes at the start, so every start
+    premise still holds."""
+    B = np.random.default_rng(0).standard_normal((system.dim, system.dim)) / np.sqrt(system.dim)
+    return SystemDefinition(
+        dim=system.dim, label=f"{system.label}+mutation",
+        field=lambda x: system.field(x) + eps * ((np.asarray(x, float) - x0) @ B.T),
+    )
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-3])
+def test_mutated_field_leaves_the_pattern_family_as_a_fail(eps):
+    # the shipped toda-periodic-persist-M1I13 check on a mutated field: the
+    # run crosses the borderline band on its way out of the family, and
+    # ends far outside it (4.2e4 times tol at eps = 1e-3)
+    x0 = M1_I13_START
+    report = verify_set_persistence(
+        _start_preserving_mutation(toda.periodic_field(4), x0, eps),
+        lambda zs: toda.explicit_set_residual("M1_I13", 4, zs), x0, 10.0,
+        integ=IntegratorSettings(abs_tol=1e-10, rel_tol=1e-10, sample_count=401),
+        tolerances={"residual": 1e-7},
+    )
+    assert report.verdict == "fail"
+    assert report.min_margin < 10 < report.worst_value / 1e-7
 
 
 @pytest.mark.parametrize("tol", [2.0, 0.5], ids=["inside", "outside"])
