@@ -4,11 +4,11 @@ conserved quantities of ODE flows.
 The library classifies states by the numerical rank of the Jacobian of a
 vector of first integrals (rank-level sets), by the vanishing of all
 higher partials up to a given order (derivative-vanishing sets), and by
-agreement of derivative stacks between two quantities (agreement sets);
-it then certifies along integrated trajectories that these
-classifications are flow-invariant and that gradient-driven flows started
-on an agreement set coincide.  Built-in models: the planar Kepler problem
-and periodic / non-periodic Toda lattices.
+agreement of gradients between two quantities (agreement sets); it then
+certifies along integrated trajectories that these classifications are
+flow-invariant and that gradient-driven flows started on an agreement set
+coincide.  Built-in models: the planar Kepler problem and periodic /
+non-periodic Toda lattices.
 """
 
 __version__ = "0.1.0"

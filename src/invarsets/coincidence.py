@@ -1,12 +1,12 @@
 """Flow coincidence for gradient-driven systems.
 
 Two systems x' = f(x, D F(x)) and x' = f(x, D G(x)) share the same base
-map f but are driven by the derivative stacks of different quantities.
-When F - G is conserved by the first system and the stacks of F and G
-agree at a start point up to the driving order, the two flows from that
-point coincide for all time.  This module assembles such systems, measures
-stack agreement, and certifies coincidence on two flows: the driven fields
-integrated, or exact flows the systems declare, checked against them.
+map f but are driven by the gradients of different quantities.  When
+F - G is conserved by the first system and the gradients of F and G agree
+at a start point, the two flows from that point coincide for all time.
+This module assembles such systems, measures gradient agreement, and
+certifies coincidence on two flows: the driven fields integrated, or exact
+flows the systems declare, checked against them.
 """
 
 from __future__ import annotations
@@ -26,37 +26,16 @@ from .core import (
     as_state,
     as_states,
 )
-from .differentiate import _check_order, _flat_block, _jacobian_stack, _partial_stack
+from .differentiate import _check_order, _jacobian_stack
 from .errors import IntegrationError, NumericError, UsageError
 from .integrate import IntegratorSettings, Trajectory, _declared_flow, flow_adaptive
 from .invariance import HYPOTHESIS_ERROR, InvarianceReport, _certify
 from .rank_sets import _margins
 
 
-def _derivative_blocks(
-    quantity: ConservedQuantitySet, xs: np.ndarray, order: int
-) -> list[np.ndarray]:
-    """Blocks of orders 1..``order`` on a validated ``(m, dim)`` stack,
-    block l of shape ``(m, k * dim**l)``, from one stacked partial builder.
-
-    A row of block l holds all order-l partials of the k components in
-    lexicographic (component, multi-index) order, the multi-index running
-    over the full product {0..dim-1}^l (symmetric repeats included), as
-    ``_flat_block`` lays them out; the flat stack ``base`` receives is the
-    blocks concatenated in order.  An order-1 stack is the Jacobian
-    reshaped, without ``_partial_stack``'s per-coordinate entries: 10-18
-    against 20-27 us for H on 1 to 401 states (timeit, best of 9, 2-core VM).
-    """
-    if order == 1:
-        _check_order(quantity, order)
-        return [_jacobian_stack(quantity, xs).reshape(len(xs), -1)]
-    entries = _partial_stack(quantity, xs, order)
-    return [_flat_block(entries, quantity.k, quantity.dim, l) for l in range(1, order + 1)]
-
-
 @dataclass(frozen=True)
 class GradientDrivenSystem:
-    """A system assembled as x' = base(x, stack-of-derivatives-of-quantity)."""
+    """A system assembled as x' = base(x, gradients-of-quantity)."""
 
     quantity: ConservedQuantitySet
     system: SystemDefinition
@@ -81,25 +60,24 @@ def _checked_rows(label, dim, rows) -> np.ndarray:
 def assemble_system(
     base: Callable[[np.ndarray, np.ndarray], np.ndarray],
     quantity: ConservedQuantitySet,
-    order: int = 1,
     label: str = "",
     batched: bool = False,
 ) -> GradientDrivenSystem:
-    """Close a base map over the derivative stack of a driving quantity.
+    """Close a base map over the gradients of a driving quantity.
 
-    ``base(x, stack)`` receives the flat stack (for a scalar quantity at
-    order 1 this is just the gradient).  ``batched`` declares, as for
-    :class:`SystemDefinition`, that ``base`` also maps ``(m, dim)`` states
-    and their ``(m, width)`` flat stacks to ``(m, dim)``, row for row bit
-    for bit, so a stack makes one ``base`` call, not one per row.  The
-    field is ``batched``: a stack makes one stacked derivative evaluation,
-    and a single state is a stack of one, so ``base`` sees a declared
-    ``(1, dim)`` stack or an undeclared ``(dim,)`` row.  The field takes a
-    non-finite state as a :class:`NumericError` and a wrong shape as a
-    :class:`UsageError`.
+    ``base(x, g)`` receives the quantity's Jacobian at ``x`` flat, its k
+    gradients one after another (for a scalar quantity just the gradient).
+    ``batched`` declares, as for :class:`SystemDefinition`, that ``base``
+    also maps ``(m, dim)`` states and their ``(m, k * dim)`` flat Jacobians
+    to ``(m, dim)``, row for row bit for bit, so a stack makes one ``base``
+    call, not one per row.  The field is ``batched``: a stack makes one
+    stacked Jacobian evaluation, and a single state is a stack of one, so
+    ``base`` sees a declared ``(1, dim)`` stack or an undeclared ``(dim,)``
+    row.  The field takes a non-finite state as a :class:`NumericError` and
+    a wrong shape as a :class:`UsageError`; a quantity on more than
+    ``MAX_PARTIALS`` coordinates is refused here.
     """
-    if order < 1:
-        raise UsageError(f"driving order must be >= 1, got {order}")
+    _check_order(quantity, 1)
     label = label or f"driven[{'/'.join(quantity.labels)}]"
     dim = quantity.dim
 
@@ -112,8 +90,7 @@ def assemble_system(
             # non-finite state is a numeric failure, not a bad argument
             raise NumericError(f"field of '{label}' evaluated at a non-finite state")
         xs = xv.reshape(-1, dim)
-        blocks = _derivative_blocks(quantity, xs, order)
-        flat = blocks[0] if order == 1 else np.concatenate(blocks, axis=1)
+        flat = _jacobian_stack(quantity, xs).reshape(len(xs), -1)
         if not batched:
             rows = [np.asarray(base(x, g), dtype=float) for x, g in zip(xs, flat)]
             return _checked_rows(label, dim, rows).reshape(xv.shape)
@@ -181,12 +158,11 @@ def agreement_residual(
     f_quantity: ConservedQuantitySet,
     g_quantity: ConservedQuantitySet,
     x,
-    order: int = 1,
 ) -> float:
-    """max |d^alpha F_i(x) - d^alpha G_i(x)| over all orders 1..order.
+    """max |d_j F_i(x) - d_j G_i(x)|, the largest entry of J_F - J_G at ``x``.
 
-    Zero (below tolerance) means ``x`` lies in the order-``order``
-    agreement set of the two quantities.
+    Zero (below tolerance) means ``x`` lies in the agreement set of the two
+    quantities.
     """
     if (f_quantity.dim, f_quantity.k) != (g_quantity.dim, g_quantity.k):
         raise UsageError(
@@ -194,9 +170,10 @@ def agreement_residual(
             f"({g_quantity.k}, {g_quantity.dim})"
         )
     xs = as_state(x, f_quantity.dim)[None, :]
-    pairs = zip(_derivative_blocks(f_quantity, xs, order), _derivative_blocks(g_quantity, xs, order))
+    _check_order(f_quantity, 1)
+    J_f, J_g = (_jacobian_stack(q, xs) for q in (f_quantity, g_quantity))
     with np.errstate(over="ignore"):  # a difference that overflows is an inf residual: off the set
-        return float(np.max([np.abs(f - g).max() for f, g in pairs]))
+        return float(np.abs(J_f - J_g).max())
 
 
 def verify_coincidence(
@@ -206,7 +183,6 @@ def verify_coincidence(
     x0,
     t_end: float,
     *,
-    order: int = 1,
     batched: bool = False,
     closed_forms: tuple[SystemDefinition, SystemDefinition] | None = None,
     integ: IntegratorSettings = IntegratorSettings(),
@@ -214,10 +190,10 @@ def verify_coincidence(
 ) -> InvarianceReport:
     """Certify that the F- and G-driven flows from ``x0`` coincide.
 
-    Hypotheses checked first: the derivative stacks of F and G agree at
-    ``x0`` up to ``order``, and F - G is conserved along the F-driven flow
-    (its rate ``(J_F - J_G) . f`` on every sample), each within the
-    tolerance ``hypothesis`` relative to ``max(1, |x|)``.  The verdict is
+    Hypotheses checked first: the gradients of F and G agree at ``x0``,
+    and F - G is conserved along the F-driven flow (its rate
+    ``(J_F - J_G) . f`` on every sample), each within the tolerance
+    ``hypothesis`` relative to ``max(1, |x|)``.  The verdict is
     the rule every verifier shares (:func:`invariance._certify`): a sample
     is inside when the flows are at most ``deviation`` apart there, with
     margin ``tol / d`` inside and ``d / tol`` outside.  ``batched`` is
@@ -239,7 +215,7 @@ def verify_coincidence(
     """
     tol = _tolerances(tolerances, ("deviation", "hypothesis"))
     x0v = as_state(x0, f_quantity.dim)
-    e_res = agreement_residual(f_quantity, g_quantity, x0v, order)
+    e_res = agreement_residual(f_quantity, g_quantity, x0v)
     bound = tol["hypothesis"] * float(_state_scales(x0v))
     on_set = e_res <= bound < np.inf
     overflows = f": {tol['hypothesis']:.1e} * |x| overflows"  # worded as the rank premise's
@@ -247,8 +223,8 @@ def verify_coincidence(
     if bound == np.inf:
         off_set = "the agreement premise has no finite tolerance at the start" + overflows
 
-    sys_f = assemble_system(base, f_quantity, order, label="driven-F", batched=batched)
-    sys_g = assemble_system(base, g_quantity, order, label="driven-G", batched=batched)
+    sys_f = assemble_system(base, f_quantity, label="driven-F", batched=batched)
+    sys_g = assemble_system(base, g_quantity, label="driven-G", batched=batched)
     closed_f, closed_g = closed_forms or (None, None)
     try:
         traj_f = _flow(closed_f, sys_f.system, x0v, t_end, integ)

@@ -159,7 +159,8 @@ def evaluate_field(system: SystemDefinition, x) -> Array:
     :class:`NumericError` if the field returns a non-finite component.
     """
     xv = as_state(x, system.dim)
-    out = np.asarray(system.field(xv), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge state's overflow is the non-finite check's
+        out = np.asarray(system.field(xv), dtype=float)
     if out.shape != (system.dim,):
         raise UsageError(
             f"field of '{system.label}' returned shape {out.shape}, "
@@ -182,8 +183,7 @@ class ConservedQuantitySet:
     ``analytic_gradient(x)`` returns the k-by-dim Jacobian and takes
     precedence over finite differences in every consumer; partials of
     higher order always come from nested central differences, which
-    :mod:`invarsets.differentiate` caps at order 4.  ``smoothness_order``
-    bounds the derivative order that may be queried meaningfully.
+    :mod:`invarsets.differentiate` caps at order 4.
 
     ``batched`` declares that ``value`` and ``analytic_gradient`` also
     accept a stack of states of shape ``(..., dim)`` and return
@@ -198,7 +198,6 @@ class ConservedQuantitySet:
     value: Callable[[Array], Array]
     labels: tuple[str, ...]
     analytic_gradient: Callable[[Array], Array] | None = None
-    smoothness_order: int = 8
     batched: bool = False
 
     def __post_init__(self):
@@ -228,7 +227,6 @@ class ConservedQuantitySet:
         fn: Callable[[Array], float],
         label: str,
         gradient: Callable[[Array], Array] | None = None,
-        smoothness_order: int = 8,
         batched: bool = False,
     ) -> "ConservedQuantitySet":
         """Wrap a scalar function (and its optional gradient) as k=1.
@@ -247,7 +245,6 @@ class ConservedQuantitySet:
             value=value,
             labels=(label,),
             analytic_gradient=grad,
-            smoothness_order=smoothness_order,
             batched=batched,
         )
 
@@ -289,7 +286,6 @@ def stack_quantities(quantities: Sequence[ConservedQuantitySet]) -> ConservedQua
         value=value,
         labels=labels,
         analytic_gradient=grad,
-        smoothness_order=min(q.smoothness_order for q in qs),
         batched=all(q.batched for q in qs),
     )
 

@@ -14,7 +14,7 @@ evaluation.
 from __future__ import annotations
 
 import math
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -86,14 +86,6 @@ def _jacobian_stack(quantity: ConservedQuantitySet, xs: np.ndarray) -> np.ndarra
     return J
 
 
-def _flat_block(entries, k: int, dim: int, order: int) -> np.ndarray:
-    """The order-``order`` block of partials with ``(..., k)`` entries as
-    ``(..., k * dim**order)``: lexicographic (component, alpha) order over
-    alpha in {0..dim-1}^order, symmetry filling the repeats."""
-    columns = product(range(k), product(range(dim), repeat=order))
-    return np.stack([entries[tuple(sorted(alpha))][..., i] for i, alpha in columns], axis=-1)
-
-
 def _nested_central(quantity, xs, alpha, steps):
     if not alpha:
         return _values(quantity, xs)
@@ -108,11 +100,6 @@ def _nested_central(quantity, xs, alpha, steps):
 def _check_order(quantity: ConservedQuantitySet, order: int) -> None:
     if order < 1:
         raise UsageError(f"derivative order must be >= 1, got {order}")
-    if order > quantity.smoothness_order:
-        raise UsageError(
-            f"order {order} exceeds the quantity's smoothness order "
-            f"{quantity.smoothness_order}"
-        )
     if order > MAX_FD_ORDER:
         raise UsageError(f"order {order} exceeds the finite-difference cap {MAX_FD_ORDER}")
     count = math.comb(quantity.dim + order, order) - 1

@@ -154,16 +154,14 @@ def _momentum_gradient(x1, x2, y1, y2):
 def hamiltonian() -> ConservedQuantitySet:
     """Total energy H = |y|^2/2 - 1/|x|."""
     return ConservedQuantitySet.scalar(
-        4, _componentwise(_energy), "H", gradient=_componentwise(_energy_gradient),
-        smoothness_order=64, batched=True,
+        4, _componentwise(_energy), "H", gradient=_componentwise(_energy_gradient), batched=True
     )
 
 
 def angular_momentum() -> ConservedQuantitySet:
     """A = x1 y2 - x2 y1."""
     return ConservedQuantitySet.scalar(
-        4, _componentwise(_momentum), "A", gradient=_componentwise(_momentum_gradient),
-        smoothness_order=64, batched=True,
+        4, _componentwise(_momentum), "A", gradient=_componentwise(_momentum_gradient), batched=True
     )
 
 
@@ -181,9 +179,7 @@ def combined_invariant(a: float) -> ConservedQuantitySet:
     def grad(*z):
         return _energy_gradient(*z) + inv_a3 * _momentum_gradient(*z)
 
-    return ConservedQuantitySet.scalar(
-        4, value, f"K(a={a:g})", gradient=grad, smoothness_order=64, batched=True
-    )
+    return ConservedQuantitySet.scalar(4, value, f"K(a={a:g})", gradient=grad, batched=True)
 
 
 def linear_pair_hamiltonian(a: float) -> ConservedQuantitySet:
@@ -200,9 +196,7 @@ def linear_pair_hamiltonian(a: float) -> ConservedQuantitySet:
     def grad(x1, x2, y1, y2):
         return np.array([c * y2, c * -y1, c * -x2, c * x1])
 
-    return ConservedQuantitySet.scalar(
-        4, value, f"-A/a^3(a={a:g})", gradient=grad, smoothness_order=64, batched=True
-    )
+    return ConservedQuantitySet.scalar(4, value, f"-A/a^3(a={a:g})", gradient=grad, batched=True)
 
 
 def circular_sample(a: float, theta: float) -> np.ndarray:

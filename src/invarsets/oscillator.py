@@ -24,7 +24,7 @@ def harmonic_oscillator() -> SystemDefinition:
 def squared_radius() -> ConservedQuantitySet:
     """F = x1^2 + x2^2, conserved by the rotation."""
     return ConservedQuantitySet.scalar(
-        2, lambda z: z[0] * z[0] + z[1] * z[1], "r^2", gradient=lambda z: 2.0 * z, smoothness_order=64
+        2, lambda z: z[0] * z[0] + z[1] * z[1], "r^2", gradient=lambda z: 2.0 * z
     )
 
 
@@ -46,6 +46,4 @@ def unit_circle_power(power: int = 3) -> ConservedQuantitySet:
         g = z[0] * z[0] + z[1] * z[1] - 1.0
         return 2.0 * _p * g ** (_p - 1) * z
 
-    return ConservedQuantitySet.scalar(
-        2, value, f"(r^2-1)^{power}", gradient=grad, smoothness_order=64
-    )
+    return ConservedQuantitySet.scalar(2, value, f"(r^2-1)^{power}", gradient=grad)

@@ -189,9 +189,7 @@ def henon_invariant_oracle(n: int, m: int) -> ConservedQuantitySet:
             total += term
         return np.asarray(total)[..., None]
 
-    return ConservedQuantitySet(
-        dim=2 * n, k=1, value=value, labels=(f"I{m}[enum]",), smoothness_order=64, batched=True
-    )
+    return ConservedQuantitySet(dim=2 * n, k=1, value=value, labels=(f"I{m}[enum]",), batched=True)
 
 
 def _components(z, springs):
@@ -260,6 +258,8 @@ def _forms_quantity(dim: int, springs: int, labels, forms) -> ConservedQuantityS
     values and of the C-contiguous ``(..., k, dim)`` gradients."""
     k = len(forms)
 
+    # a huge state overflows to inf or nan, which the consumers' finiteness checks name
+    @np.errstate(over="ignore", invalid="ignore")
     def value(z):
         X, u = _components(z, springs)
         out = np.empty(z.shape[:-1] + (k,))
@@ -268,6 +268,7 @@ def _forms_quantity(dim: int, springs: int, labels, forms) -> ConservedQuantityS
             rows[i] = form(X, u)
         return out
 
+    @np.errstate(over="ignore", invalid="ignore")
     def gradient(z):
         X, u = _components(z, springs)
         out = np.empty(z.shape[:-1] + (k, dim))
@@ -277,8 +278,7 @@ def _forms_quantity(dim: int, springs: int, labels, forms) -> ConservedQuantityS
         return out
 
     return ConservedQuantitySet(
-        dim=dim, k=k, value=value, labels=tuple(labels), analytic_gradient=gradient,
-        smoothness_order=64, batched=True,
+        dim=dim, k=k, value=value, labels=tuple(labels), analytic_gradient=gradient, batched=True
     )
 
 
@@ -391,7 +391,6 @@ def flaschka_invariant(n: int, k: int) -> ConservedQuantitySet:
         k=1,
         value=lambda z, _k=k: np.array([trace_invariant_value(n, _k, z)]),
         labels=(f"F{k}",),
-        smoothness_order=64,
     )
 
 
@@ -605,11 +604,12 @@ def explicit_set_residual(set_id: str, n: int, x):
     dim = 2 * n if periodic else 2 * n - 1
     if z.shape[-1:] != (dim,):
         raise UsageError(f"{'' if periodic else 'non-'}periodic state for n={n} has dimension {dim}")
-    if periodic:
-        terms = _periodic_terms(n, *split_periodic(z, n))
-    else:
-        terms = _nonperiodic_terms(n, *split_nonperiodic(z, n))
-    return _per_state(_largest(terms[set_id]))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing term is an inf residual
+        if periodic:
+            terms = _periodic_terms(n, *split_periodic(z, n))
+        else:
+            terms = _nonperiodic_terms(n, *split_nonperiodic(z, n))
+        return _per_state(_largest(terms[set_id]))
 
 
 def _pattern(lattice: str, n: int, X, u) -> np.ndarray:

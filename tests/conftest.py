@@ -64,7 +64,6 @@ def zero_quantity(dim: int) -> ConservedQuantitySet:
         value=lambda x: np.zeros(1),
         labels=("0",),
         analytic_gradient=lambda x: np.zeros((1, dim)),
-        smoothness_order=64,
     )
 
 

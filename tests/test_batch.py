@@ -357,7 +357,6 @@ def _systems():
         assemble_system(lambda x, g: block @ g, kepler.hamiltonian()),  # an analytic gradient
         assemble_system(lambda x, g: block @ g, kepler.linear_pair_hamiltonian(1.3)),
         assemble_system(lambda x, s: s[:4] - s[4:], pair),
-        assemble_system(lambda x, s: block @ s[:4], kepler.hamiltonian(), 2),  # order 2
     ]
     # the coincidence check's bases, one base call per stack
     driven += [

@@ -6,11 +6,13 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from invarsets.cli import main
@@ -665,6 +667,81 @@ def test_wrong_kind_in_a_numeric_key_is_a_config_error(tmp_path_factory, scenari
     assert code == 2, (out.getvalue(), err.getvalue())
     assert err.getvalue().startswith("configuration error:")
     assert "Traceback" not in err.getvalue()
+
+
+def _mutated(scenario, change):
+    """The shipped ``scenario`` with each path of ``change`` set to its value."""
+    config = load_scenario(SCENARIO_DIR / scenario)
+    for path, value in change.items():
+        target = config
+        for part in path[:-1]:
+            target = target[part]
+        target[path[-1]] = value
+    return config
+
+
+NON_FINITE_GRADIENT = "a numeric failure stopped the check: analytic gradient of 'I1/I2/I3' is non-finite at state 0 of 1"
+PERSIST = "toda-periodic-persist-M1I13.json"
+# huge finite starts: the Toda forms, the field at the start and the set residuals
+# overflowed with a RuntimeWarning, a traceback under -W error
+HUGE_STARTS = [
+    (GENERIC, {("initial_state", 4): -1e308}, NON_FINITE_GRADIENT),
+    (RANK, {("initial_state", "params", "u1"): -1e308}, NON_FINITE_GRADIENT),
+    (
+        PERSIST, {("initial_state", "params", "u"): 1e300},
+        "the flow does not exist on [0, 10]: last sample time reached 0; adaptive integration of "
+        "'toda-periodic(n=4)' stopped at t=0: Required step size is less than spacing between numbers.",
+    ),
+]
+
+
+@pytest.mark.parametrize("scenario,change,message", HUGE_STARTS, ids=["generic", "pattern", "persist"])
+def test_huge_finite_start_is_a_hypothesis_error_without_a_warning(scenario, change, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run = run_scenario(_mutated(scenario, change))
+    assert run.verdict == "hypothesis-error"
+    assert run.evidence["message"] == message
+
+
+# finite numbers at the edges of the float range, and just past the bounds on n
+EDGE_NUMBERS = [0, 1e-320, -1e-320, 1e200, -1e200, 1e308, -1e308, 1e30, 257, -1, 2.5]
+# the numbers of the start and of the model; t_end and integ.sample_count are left
+# out: a 1e308 horizon spends the 100,000-attempt step budget, seconds per run, and
+# horizons (with a bound on the time a run takes) wait for a budget projected from it
+START_AND_MODEL_LEAVES = {
+    s.name: [(key,) + path for key in ("initial_state", "model") for path in _numeric_paths(load_scenario(s).get(key))]
+    for s in SHIPPED
+}
+
+
+@st.composite
+def _edge_number_changes(draw):
+    scenario = draw(st.sampled_from(sorted(START_AND_MODEL_LEAVES)))
+    paths = draw(st.permutations(START_AND_MODEL_LEAVES[scenario]))[: draw(st.integers(1, 2))]
+    return scenario, {path: draw(st.sampled_from(EDGE_NUMBERS)) for path in paths}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@example(edits=HUGE_STARTS[0][:2])
+@example(edits=HUGE_STARTS[1][:2])
+@example(edits=HUGE_STARTS[2][:2])
+@given(edits=_edge_number_changes())
+def test_edge_numbers_in_the_start_or_model_end_in_a_report_or_a_config_error(tmp_path_factory, edits):
+    file = tmp_path_factory.mktemp("edge") / "scenario.json"
+    file.write_text(json.dumps(_mutated(*edits)))
+    out, err = io.StringIO(), io.StringIO()
+    # a 1e30 lattice start moves on a time scale near 1e-15, so it spends any step
+    # budget, 4-7 s at the default; the shipped flows take at most 66 attempts
+    with mock.patch.object(integrate, "_MAX_ATTEMPTS", 2_000), warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["run", str(file)])
+    assert code in (0, 1, 2), (code, err.getvalue())
+    if code == 2:
+        assert err.getvalue().startswith("configuration error:")
+    else:
+        _strict_json(out.getvalue())
 
 
 def test_malformed_tolerance_override_is_a_config_error(tmp_path, capsys):

@@ -28,8 +28,7 @@ from invarsets import (
     verify_coincidence,
 )
 from invarsets import coincidence, integrate, kepler, oscillator, report, toda
-from invarsets.coincidence import _derivative_blocks
-from invarsets.differentiate import _flat_block, _partial_stack
+from invarsets.differentiate import _partial_stack
 
 from conftest import random_kepler_states, random_toda_physical, zero_quantity
 
@@ -44,13 +43,15 @@ def _poisson_system(structure, quantity):
     return assemble_system(lambda x, g: structure @ g, quantity).system
 
 
-def _stack(quantity, x, order):
-    """The blocks of orders 1..order at one state, each a flat vector."""
-    return [b[0] for b in _derivative_blocks(quantity, np.array([x], dtype=float), order)]
+def _flat_gradients(quantity, xs):
+    """The order-1 entries of ``_partial_stack`` on an ``(m, dim)`` stack as
+    ``(m, k * dim)`` rows, the k gradients one after another."""
+    entries = _partial_stack(quantity, np.asarray(xs, dtype=float), 1)
+    return np.stack([entries[(j,)] for j in range(quantity.dim)], axis=-1).reshape(len(xs), -1)
 
 
 # ---------------------------------------------------------------------------
-# derivative stacks
+# flat gradients
 # ---------------------------------------------------------------------------
 
 
@@ -58,7 +59,7 @@ def test_stack_scalar_first_order_is_gradient():
     q = ConservedQuantitySet.scalar(
         2, lambda z: z[0] * z[1], "xy", gradient=lambda z: np.array([z[1], z[0]])
     )
-    assert np.array_equal(np.concatenate(_stack(q, [2.0, 3.0], 1)), [3.0, 2.0])
+    assert np.array_equal(_flat_gradients(q, [[2.0, 3.0]])[0], [3.0, 2.0])
 
 
 def test_stack_vector_first_order_lexicographic():
@@ -69,15 +70,7 @@ def test_stack_vector_first_order_lexicographic():
         labels=("a", "b"),
         analytic_gradient=lambda z: np.array([[1.0, 0.0], [0.0, 2.0 * z[1]]]),
     )
-    assert np.array_equal(np.concatenate(_stack(q, [0.0, 1.0], 1)), [1.0, 0.0, 0.0, 2.0])
-
-
-def test_stack_second_order_block():
-    q = ConservedQuantitySet.scalar(2, lambda z: z[0] * z[1], "xy")
-    blocks = _stack(q, [2.0, 3.0], 2)
-    assert np.allclose(blocks[0], [3.0, 2.0], atol=1e-9)
-    assert np.allclose(blocks[1], [0.0, 1.0, 1.0, 0.0], atol=1e-5)
-    assert np.concatenate(blocks).size == 2 + 4
+    assert np.array_equal(_flat_gradients(q, [[0.0, 1.0]])[0], [1.0, 0.0, 0.0, 2.0])
 
 
 # ---------------------------------------------------------------------------
@@ -87,14 +80,14 @@ def test_stack_second_order_block():
 
 def test_agreement_identical_quantities():
     q = kepler.hamiltonian()
-    assert agreement_residual(q, q, random_kepler_states(1, 1)[0], 1) == 0.0
+    assert agreement_residual(q, q, random_kepler_states(1, 1)[0]) == 0.0
 
 
 def test_agreement_kepler_pair_on_and_off_circle():
     H = kepler.hamiltonian()
     G = kepler.linear_pair_hamiltonian(1.0)
-    assert agreement_residual(H, G, np.array([0.0, 1.0, 1.0, 0.0]), 1) < 1e-9
-    off = agreement_residual(H, G, np.array([0.0, 2.0, 1.0, 0.0]), 1)
+    assert agreement_residual(H, G, np.array([0.0, 1.0, 1.0, 0.0])) < 1e-9
+    off = agreement_residual(H, G, np.array([0.0, 2.0, 1.0, 0.0]))
     assert off == pytest.approx(1.0, abs=1e-6)
 
 
@@ -102,7 +95,7 @@ def test_agreement_residual_that_overflows_is_inf_without_a_warning():
     x0 = np.array([1.5e308, 1e308, 1.5e308, 1e308])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert agreement_residual(kepler.hamiltonian(), kepler.linear_pair_hamiltonian(1.0), x0, 1) == np.inf
+        assert agreement_residual(kepler.hamiltonian(), kepler.linear_pair_hamiltonian(1.0), x0) == np.inf
         fast = _assert_declared_keeps_the_driven_report(x0, 1.0, 2 * np.pi)
     assert fast.verdict == "hypothesis-error" and fast.agreement_residual == np.inf
     # |x0| overflows too, so no tolerance is finite there
@@ -111,7 +104,7 @@ def test_agreement_residual_that_overflows_is_inf_without_a_warning():
 
 def test_agreement_shape_mismatch():
     with pytest.raises(UsageError):
-        agreement_residual(kepler.hamiltonian(), oscillator.squared_radius(), [0, 1, 1, 0], 1)
+        agreement_residual(kepler.hamiltonian(), oscillator.squared_radius(), [0, 1, 1, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -157,40 +150,6 @@ def test_off_circle_start_reports_hypothesis_error_with_deviation():
     assert report.worst_value > 1e-3  # diagnostic recorded even without a verdict
 
 
-def _laplacian_coupled_base(c):
-    # stack layout for k=1, n=2, order 2: [g1, g2, h11, h12, h21, h22];
-    # the perturbation -c (h11 + h22) x vanishes wherever the driver's
-    # second derivatives do and pushes radially with a definite sign
-    return lambda x, s: np.array([x[1], -x[0]]) - c * (s[2] + s[5]) * x
-
-
-def _batched_laplacian_base(c):
-    """:func:`_laplacian_coupled_base` on a point or a stack, the same
-    operations row by row."""
-    return lambda x, s: np.stack([x[..., 1], -x[..., 0]], axis=-1) - (c * (s[..., 2] + s[..., 5]))[..., None] * x
-
-
-def test_second_order_driven_coincidence_on_circle():
-    # flows driven by second-derivative stacks coincide from a start where
-    # all partials up to order 2 of the two drivers agree (here: circle
-    # points, where every partial of (r^2-1)^3 up to order 2 vanishes);
-    # the hypothesis tolerance sits above the ~1e-6 nested-differencing noise.
-    # The flows stay within tol, but 3.0e-8 is within a factor 10 of it
-    report = verify_coincidence(
-        _laplacian_coupled_base(0.1),
-        zero_quantity(2),
-        oscillator.unit_circle_power(3),
-        np.array([1.0, 0.0]),
-        2 * np.pi,
-        order=2,
-        tolerances={"hypothesis": 1e-5, "deviation": 1e-7},
-    )
-    assert report.verdict == "borderline"
-    assert report.message.startswith("flows coincide")
-    assert 1e-8 < report.worst_value < 1e-7
-    assert report.min_margin == pytest.approx(1e-7 / report.worst_value)
-
-
 @pytest.mark.parametrize(
     "integ_tol, verdict, message",
     [(1e-10, "pass", "flows coincide"), (1e-6, "borderline", "flows deviate by"), (1e-4, "fail", "flows deviate by")],
@@ -232,20 +191,6 @@ def test_coincidence_record_keeps_the_worst_sample_under_a_broken_premise():
     assert report.sample_values.shape == (41,) and report.sample_values[0] == 0.0
     assert report.worst_value == report.sample_values.max() > 1e-6
     assert report.min_margin < np.inf
-
-
-def test_second_order_driven_coincidence_off_circle_control():
-    report = verify_coincidence(
-        _laplacian_coupled_base(0.1),
-        zero_quantity(2),
-        oscillator.unit_circle_power(3),
-        np.array([1.3, 0.0]),
-        1.0,
-        order=2,
-        tolerances={"hypothesis": 1e-5},
-    )
-    assert report.verdict == "hypothesis-error"
-    assert report.agreement_residual > 1.0  # second derivatives are O(1) off the circle
 
 
 def test_vector_valued_coincidence_smoke():
@@ -468,8 +413,7 @@ def test_perturbed_pair_fields():
 
 
 def test_zero_quantity_stack_is_zero():
-    blocks = _stack(zero_quantity(3), [1.0, 2.0, 3.0], 2)
-    assert np.array_equal(np.concatenate(blocks), np.zeros(3 + 9))
+    assert np.array_equal(_flat_gradients(zero_quantity(3), [[1.0, 2.0, 3.0]])[0], np.zeros(3))
 
 
 def test_assembled_system_label():
@@ -513,28 +457,20 @@ def test_order1_block_equals_partial_tensor_flatten(seed, count):
         assemble_system(base, q).fields(xs)
         assert len(seen) == count, label
         for x, g in zip(xs, seen):
-            expected = _flat_block(_partial_stack(q, x[None], 1), q.k, q.dim, 1)[0]
+            expected = _flat_gradients(q, x[None])[0]
             assert np.array_equal(g, expected), label
 
 
-@pytest.mark.parametrize(
-    "dim,smoothness,message",
-    [
-        (4, 0, "order 1 exceeds the quantity's smoothness order 0"),
-        (5001, 8, "order 1 on dimension 5001 needs 5001 partials per state"),
-    ],
-)
-def test_order1_block_from_the_jacobian_keeps_the_order_checks(dim, smoothness, message):
+def test_order1_block_from_the_jacobian_keeps_the_order_checks():
     def never(x):
         raise AssertionError("evaluated before the order checks")
 
-    q = ConservedQuantitySet(
-        dim=dim, k=1, value=never, labels=("q",), analytic_gradient=never, smoothness_order=smoothness
-    )
+    dim, message = 5001, "order 1 on dimension 5001 needs 5001 partials per state"
+    q = ConservedQuantitySet(dim=dim, k=1, value=never, labels=("q",), analytic_gradient=never)
     with pytest.raises(UsageError, match=re.escape(message)):
         assemble_system(lambda x, g: x, q).fields(np.zeros((1, dim)))
     with pytest.raises(UsageError, match=re.escape(message)):
-        agreement_residual(q, q, np.zeros(dim), 1)
+        agreement_residual(q, q, np.zeros(dim))
 
 
 def _summed_symplectic_base(dof):
@@ -548,7 +484,6 @@ def _summed_symplectic_base(dof):
 def test_stacked_driven_field_rows_equal_point_field(seed, count):
     # one case per derivative rule; a point call is a batch of one
     kepler_states = random_kepler_states(count, seed)
-    plane_states = np.random.default_rng(seed).uniform(-2.0, 2.0, (count, 2))
     toda_states = random_toda_physical(3, count, seed)
     pair = stack_quantities([kepler.hamiltonian(), kepler.angular_momentum()])
     cases = [
@@ -556,17 +491,13 @@ def test_stacked_driven_field_rows_equal_point_field(seed, count):
         (assemble_system(_symplectic_base(), kepler.linear_pair_hamiltonian(0.9)), kepler_states),
         (assemble_system(lambda x, s: s[:4] - s[4:], pair), kepler_states),
         (assemble_system(_summed_symplectic_base(3), toda.periodic_invariants(3)), toda_states),
-        (assemble_system(_laplacian_coupled_base(0.1), oscillator.unit_circle_power(3), 2), plane_states),
     ]
     cases += [(assemble_system(_summed_symplectic_base(2), q), kepler_states) for _, q in _order1_cases()]
-    # declared bases: the coincidence check's, and one at order 2
+    # declared bases: the coincidence check's
     cases += [
         (assemble_system(report._symplectic_base, q, batched=True), kepler_states)
         for q in (kepler.hamiltonian(), kepler.linear_pair_hamiltonian(0.9))
     ]
-    cases.append(
-        (assemble_system(_batched_laplacian_base(0.1), oscillator.unit_circle_power(3), 2, batched=True), plane_states)
-    )
     assert cases[3][0].quantity.batched
     for driven, xs in cases:
         rows = driven.fields(xs)
@@ -589,7 +520,7 @@ def _faulty_gradient_quantity(fault, where=lambda x: True):
         return np.full_like(g, np.nan) if fault == "nan" else g[:, :3]
 
     return ConservedQuantitySet(
-        dim=4, k=1, value=H.value, labels=("H-faulty",), analytic_gradient=grad, smoothness_order=64
+        dim=4, k=1, value=H.value, labels=("H-faulty",), analytic_gradient=grad
     )
 
 
@@ -656,21 +587,20 @@ def _counted(base, calls):
 def test_batched_base_is_called_once_per_stack_and_an_undeclared_one_per_row():
     # a single state is a stack of one: a declared base sees it as one
     xs, q, block = random_kepler_states(5, 3), kepler.hamiltonian(), canonical_symplectic_matrix(2)
-    for order, width in ((1, 4), (2, 4 + 16)):
-        calls = []
-        declared = assemble_system(_counted(lambda x, s: s[..., :4] @ block.T, calls), q, order, batched=True)
-        rows = declared.fields(xs)
-        assert calls == [((5, 4), (5, width))]
-        calls.clear()
-        assert declared.system.field(xs[0]).tobytes() == rows[0].tobytes()
-        assert calls == [((1, 4), (1, width))]
-        calls = []
-        undeclared = assemble_system(_counted(lambda x, s: block @ s[:4], calls), q, order)
-        assert rows.tobytes() == undeclared.fields(xs).tobytes()
-        assert calls == [((4,), (width,))] * 5
-        calls.clear()
-        assert undeclared.system.field(xs[0]).tobytes() == rows[0].tobytes()
-        assert calls == [((4,), (width,))]
+    calls = []
+    declared = assemble_system(_counted(lambda x, s: s @ block.T, calls), q, batched=True)
+    rows = declared.fields(xs)
+    assert calls == [((5, 4), (5, 4))]
+    calls.clear()
+    assert declared.system.field(xs[0]).tobytes() == rows[0].tobytes()
+    assert calls == [((1, 4), (1, 4))]
+    calls = []
+    undeclared = assemble_system(_counted(lambda x, s: block @ s, calls), q)
+    assert rows.tobytes() == undeclared.fields(xs).tobytes()
+    assert calls == [((4,), (4,))] * 5
+    calls.clear()
+    assert undeclared.system.field(xs[0]).tobytes() == rows[0].tobytes()
+    assert calls == [((4,), (4,))]
 
 
 def _faulty_batched_base(fault, where=lambda x: True):
@@ -752,10 +682,11 @@ def test_point_field_at_a_state_whose_sum_overflows_returns_its_row(x):
 
 
 def test_point_field_takes_a_non_finite_state_as_a_numeric_error():
-    # an analytic gradient at order 1, and finite differences at order 2
+    # an analytic gradient, and finite differences
+    fd_only = ConservedQuantitySet(dim=4, k=1, value=kepler.hamiltonian().value, labels=("H-fd",))
     for driven, dim in (
         (assemble_system(_symplectic_base(), kepler.hamiltonian()), 4),
-        (assemble_system(_laplacian_coupled_base(0.1), oscillator.unit_circle_power(3), 2), 2),
+        (assemble_system(_symplectic_base(), fd_only), 4),
     ):
         x = np.ones(dim)
         x[0] = np.inf
@@ -787,12 +718,12 @@ def _difference_quantity(f_quantity, g_quantity):
     )
 
 
-def _loop_drift(base, f_quantity, g_quantity, order, states):
+def _loop_drift(base, f_quantity, g_quantity, states):
     """The per-sample conservation scan the stacked one replaced, on the
     difference quantity: for analytic gradients ``(J_F - J_G) . f`` is its
     rate bit for bit."""
     diff = _difference_quantity(f_quantity, g_quantity)
-    sys_f = assemble_system(base, f_quantity, order, label="driven-F").system
+    sys_f = assemble_system(base, f_quantity, label="driven-F").system
     drift = 0.0
     for s in states:
         res = float(np.max(np.abs(conservation_rates(diff, sys_f, s[None]))))
@@ -800,10 +731,10 @@ def _loop_drift(base, f_quantity, g_quantity, order, states):
     return drift
 
 
-def _assert_scan_matches_loop(base, f_quantity, g_quantity, x0, t_end, order=1, **kwargs):
-    report = verify_coincidence(base, f_quantity, g_quantity, x0, t_end, order=order, **kwargs)
+def _assert_scan_matches_loop(base, f_quantity, g_quantity, x0, t_end, **kwargs):
+    report = verify_coincidence(base, f_quantity, g_quantity, x0, t_end, **kwargs)
     states = report.trajectory.states
-    assert report.difference_drift == _loop_drift(base, f_quantity, g_quantity, order, states)
+    assert report.difference_drift == _loop_drift(base, f_quantity, g_quantity, states)
     return report
 
 
@@ -825,20 +756,6 @@ def test_stacked_scan_drift_equals_point_loop_kepler(a, theta, push):
         integ=IntegratorSettings(sample_count=101),
     )
     assert report.verdict == ("pass" if push == 0.0 else "hypothesis-error")
-
-
-@pytest.mark.parametrize("start", [[1.0, 0.0], [1.3, 0.0], [0.6, 0.8]])
-def test_stacked_scan_drift_equals_point_loop_second_order(start):
-    _assert_scan_matches_loop(
-        _laplacian_coupled_base(0.1),
-        zero_quantity(2),
-        oscillator.unit_circle_power(3),
-        np.array(start),
-        1.0,
-        order=2,
-        integ=IntegratorSettings(sample_count=41),
-        tolerances={"hypothesis": 1e-5},
-    )
 
 
 @pytest.mark.parametrize("start", [[1.0, 0.0], [1.5, 0.0]])

@@ -91,9 +91,6 @@ def test_partial_tensor_order_caps():
     q = ConservedQuantitySet.scalar(2, lambda z: z[0] ** 6, "x^6")
     with pytest.raises(UsageError, match="finite-difference cap"):
         _partial_stack(q, np.array([[1.0, 0.0]]), 5)
-    limited = ConservedQuantitySet.scalar(2, lambda z: z[0], "x", smoothness_order=2)
-    with pytest.raises(UsageError, match="smoothness"):
-        _partial_stack(limited, np.array([[1.0, 0.0]]), 3)
     with pytest.raises(UsageError):
         _partial_stack(q, np.array([[1.0, 0.0]]), 0)
 
@@ -105,7 +102,7 @@ def test_partial_count_bound_refuses_before_any_evaluation():
     def never(*args):
         raise AssertionError("a refused stack evaluated its quantity")
 
-    q = ConservedQuantitySet(dim=32, k=1, value=never, labels=("never",), smoothness_order=64)
+    q = ConservedQuantitySet(dim=32, k=1, value=never, labels=("never",))
     with pytest.raises(UsageError, match="order 3 on dimension 32 needs 6544 partials per state"):
         _partial_stack(q, np.zeros((1, 32)), 3)
     with pytest.raises(UsageError, match="needs 6544 partials"):

@@ -127,7 +127,7 @@ def test_circular_samples_and_rank():
             assert np.hypot(x[0], x[1]) == pytest.approx(a * a, rel=1e-14)
             assert np.hypot(x[2], x[3]) == pytest.approx(1.0 / a, rel=1e-14)
             assert abs(x[0] * x[2] + x[1] * x[3]) < 1e-14 * max(1.0, a * a / a)
-            assert agreement_residual(H, G, x, 1) < 1e-9
+            assert agreement_residual(H, G, x) < 1e-9
             assert rank_levels(q, x[None]).ranks[0] == 0
 
 
