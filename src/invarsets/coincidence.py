@@ -60,6 +60,7 @@ def _checked_rows(label, dim, rows) -> np.ndarray:
 def assemble_system(
     base: Callable[[np.ndarray, np.ndarray], np.ndarray],
     quantity: ConservedQuantitySet,
+    *,
     label: str = "",
     batched: bool = False,
 ) -> GradientDrivenSystem:
@@ -75,7 +76,9 @@ def assemble_system(
     ``base`` sees a declared ``(1, dim)`` stack or an undeclared ``(dim,)``
     row.  The field takes a non-finite state as a :class:`NumericError` and
     a wrong shape as a :class:`UsageError`; a quantity on more than
-    ``MAX_PARTIALS`` coordinates is refused here.
+    ``MAX_PARTIALS`` coordinates is refused here.  ``label`` and
+    ``batched`` are keyword-only, so a third positional argument (the
+    driving order of earlier releases) is a ``TypeError``.
     """
     _check_order(quantity, 1)
     label = label or f"driven[{'/'.join(quantity.labels)}]"

@@ -344,6 +344,7 @@ def _systems():
     block = canonical_symplectic_matrix(2)
     pair = stack_quantities([kepler.hamiltonian(), kepler.angular_momentum()])
     kepler_states = random_kepler_states(5, 8)
+    fd_only = ConservedQuantitySet(dim=4, k=1, value=kepler.hamiltonian().value, labels=("H-fd",))
     systems = [(toda.periodic_field(n), random_toda_physical(n, 5, n)) for n in (2, 3, 8)]
     systems += [(toda.nonperiodic_field(n), rng.standard_normal((5, 2 * n - 1))) for n in (2, 3, 6)]
     systems += [
@@ -357,6 +358,7 @@ def _systems():
         assemble_system(lambda x, g: block @ g, kepler.hamiltonian()),  # an analytic gradient
         assemble_system(lambda x, g: block @ g, kepler.linear_pair_hamiltonian(1.3)),
         assemble_system(lambda x, s: s[:4] - s[4:], pair),
+        assemble_system(lambda x, g: block @ g, fd_only, label="driven[H-fd]"),  # finite differences
     ]
     # the coincidence check's bases, one base call per stack
     driven += [

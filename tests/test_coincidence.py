@@ -193,6 +193,42 @@ def test_coincidence_record_keeps_the_worst_sample_under_a_broken_premise():
     assert report.min_margin < np.inf
 
 
+def _radially_coupled_base(c):
+    # the rotation minus c (x . g) x: for g the gradient of (r^2-1)^3 the
+    # push is -6c (r^2-1)^2 r^2 x, inward off the circle and zero to second
+    # order on it, so the driven flows part only off the circle
+    return lambda x, g: np.array([x[1], -x[0]]) - c * float(x @ g) * x
+
+
+def test_cubic_power_driven_coincidence_on_circle():
+    report = verify_coincidence(
+        _radially_coupled_base(0.1),
+        zero_quantity(2),
+        oscillator.unit_circle_power(3),
+        np.array([1.0, 0.0]),
+        2 * np.pi,
+        tolerances={"deviation": 1e-8},
+    )
+    assert report.verdict == "pass"
+    assert report.message.startswith("flows coincide")
+    assert report.agreement_residual == 0.0
+    assert report.worst_value < 1e-8
+
+
+def test_cubic_power_driven_coincidence_off_circle_control():
+    report = verify_coincidence(
+        _radially_coupled_base(0.1),
+        zero_quantity(2),
+        oscillator.unit_circle_power(3),
+        np.array([1.3, 0.0]),
+        1.0,
+    )
+    assert report.verdict == "hypothesis-error"
+    assert report.message.startswith("start is off the agreement set")
+    # |grad (r^2-1)^3| = 6 (r^2-1)^2 r at r = 1.3
+    assert report.agreement_residual == pytest.approx(6 * 0.69**2 * 1.3, rel=1e-12)
+
+
 def test_vector_valued_coincidence_smoke():
     from invarsets import stack_quantities
 
@@ -459,6 +495,14 @@ def test_order1_block_equals_partial_tensor_flatten(seed, count):
         for x, g in zip(xs, seen):
             expected = _flat_gradients(q, x[None])[0]
             assert np.array_equal(g, expected), label
+
+
+def test_assemble_system_takes_label_and_batched_by_keyword_only():
+    # a driving order passed where it once went is refused, not taken as a label
+    with pytest.raises(TypeError):
+        assemble_system(_symplectic_base(), kepler.hamiltonian(), 2)
+    with pytest.raises(TypeError):
+        assemble_system(_symplectic_base(), kepler.hamiltonian(), order=1)
 
 
 def test_order1_block_from_the_jacobian_keeps_the_order_checks():
@@ -765,6 +809,18 @@ def test_stacked_scan_drift_equals_point_loop_perturbed_pair(start):
     base = _perturbed_base(system, lambda g: -g)
     integ = IntegratorSettings(sample_count=41)
     _assert_scan_matches_loop(base, zero_quantity(2), G, np.array(start), 1.0, integ=integ)
+
+
+@pytest.mark.parametrize("start", [[1.0, 0.0], [1.3, 0.0], [0.6, 0.8]])
+def test_stacked_scan_drift_equals_point_loop_cubic_power(start):
+    _assert_scan_matches_loop(
+        _radially_coupled_base(0.1),
+        zero_quantity(2),
+        oscillator.unit_circle_power(3),
+        np.array(start),
+        1.0,
+        integ=IntegratorSettings(sample_count=41),
+    )
 
 
 def test_stacked_scan_on_batched_quantities_calls_them_on_stacks():

@@ -71,6 +71,17 @@ def test_partial_tensor_polynomial_mixed_entry():
     assert entries[(0, 0)][0, 0] == pytest.approx(2.0, abs=1e-5)
 
 
+def test_partial_tensor_second_order_block():
+    # the vanishing check's order-2 stack: the gradient from the analytic
+    # rule, the upper-triangle second partials from nested differences
+    q = ConservedQuantitySet.scalar(2, lambda z: z[0] * z[1], "xy", gradient=lambda z: np.array([z[1], z[0]]))
+    entries = _partial_stack(q, np.array([[2.0, 3.0]]), 2)
+    assert sorted(entries) == [(0,), (0, 0), (0, 1), (1,), (1, 1)]
+    assert [entries[(j,)][0, 0] for j in range(2)] == [3.0, 2.0]
+    second = [entries[idx][0, 0] for idx in ((0, 0), (0, 1), (1, 1))]
+    assert np.allclose(second, [0.0, 1.0, 0.0], atol=1e-5)
+
+
 def test_partial_tensor_circle_cubed_flat_to_second_order():
     q = ConservedQuantitySet.scalar(2, lambda z: (z[0] ** 2 + z[1] ** 2 - 1.0) ** 3, "g^3")
     entries = _partial_stack(q, np.array([[1.0, 0.0]]), 2)
