@@ -1,7 +1,9 @@
 """Command-line front door.
 
-    invarsets run <config.json> [--report PATH] [--csv PATH] [overrides]
+    invarsets run <config.json> [--report PATH] [--csv PATH]
     invarsets run-all <dir> [--report-dir PATH]
+
+Every setting lives in the scenario file, which the report echoes as "config".
 
 Exit codes: 0 = pass, 1 = fail / borderline / hypothesis-error,
 2 = configuration error.  ``run-all`` exits 0 only when every scenario's
@@ -31,56 +33,8 @@ EXIT_FAIL = 1
 EXIT_CONFIG = 2
 
 
-# Each override flag: the scenario section it writes ("" for the top level),
-# its key and its type.  --tolerance KEY=VALUE writes "tolerances".
-_OVERRIDES = {
-    "--t-end": ("", "t_end", float),
-    "--rank-tol": ("", "rank_tol", float),
-    "--abs-tol": ("integ", "abs_tol", float),
-    "--rel-tol": ("integ", "rel_tol", float),
-    "--sample-count": ("integ", "sample_count", int),
-    "--seed": ("", "seed", int),
-}
-
-
-def _set(config: dict, section: str, key: str, value) -> None:
-    target = config.setdefault(section, {}) if section else config
-    if not isinstance(target, dict):
-        raise UsageError(f'"{section}" must be an object, got {type(target).__name__}')
-    target[key] = value
-
-
-def _apply_overrides(config: dict, args: argparse.Namespace) -> dict:
-    for section, key, _ in _OVERRIDES.values():
-        if getattr(args, key) is not None:
-            _set(config, section, key, getattr(args, key))
-    for item in args.tolerance or []:
-        key, _, value = item.partition("=")
-        if not _:
-            raise UsageError(f"--tolerance expects KEY=VALUE, got '{item}'")
-        try:
-            number = float(value)
-        except ValueError:
-            raise UsageError(f"--tolerance {key} must be a number, got '{value}'") from None
-        _set(config, "tolerances", key, number)
-    return config
-
-
-def _add_override_flags(parser: argparse.ArgumentParser) -> None:
-    for flag, (section, key, kind) in _OVERRIDES.items():
-        name = f"{section}.{key}" if section else key
-        parser.add_argument(flag, type=kind, dest=key, help=f"override {name}")
-    parser.add_argument(
-        "--tolerance",
-        action="append",
-        metavar="KEY=VALUE",
-        help="override a named tolerance (repeatable), e.g. --tolerance deviation=1e-7",
-    )
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = _apply_overrides(load_scenario(args.config), args)
-    report = run_scenario(config)
+    report = run_scenario(load_scenario(args.config))
     if args.csv:  # a check that integrates none is a configuration error, before any output
         require_trajectory(report.check)
     text = report.to_json()
@@ -124,7 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("config", help="path to a scenario JSON file")
     p_run.add_argument("--report", help="also write the JSON report to this path")
     p_run.add_argument("--csv", help="also export the scenario trajectory as CSV")
-    _add_override_flags(p_run)
     p_run.set_defaults(fn=_cmd_run)
 
     p_all = sub.add_parser("run-all", help="run every scenario in a directory")

@@ -11,8 +11,9 @@ Its step controller is the standard one: safety factor 0.9, step changes
 clamped to [0.2, 10], exponent -1/8, the blended 5th/3rd-order error norm
 weighted by ``abs_tol + max(|y|, |y_new|) * rel_tol``, the
 Hairer-Norsett-Wanner initial-step heuristic, and a failure once a step
-would fall below ten spacings of the floats at the current time or after
-100,000 step attempts (a fast oscillation would otherwise run on).  After
+would fall below ten spacings of the floats at the current time, after
+100,000 step attempts, or at a thousandth attempt whose pace projects ten
+times that budget to the horizon (a fast oscillation would run on).  After
 a rejection it adds Gustafsson's predictive cap (ACM TOMS 20, 1994;
 Hairer and Wanner, *Solving ODEs II*, IV.8, RADAU5's ``PRED``): on the
 accepted step that follows, and on each accepted step after one where the
@@ -145,6 +146,8 @@ _MIN_REL_TOL = 100 * np.finfo(float).eps  # smaller rel_tol is raised to this
 _BLOCK = 32  # held steps finished together: bounds the stacked buffers
 _ROWS = 16 * _BLOCK  # samples interpolated per pass: a gather no larger than the stage stack
 _MAX_ATTEMPTS = 100_000  # step attempts per flow, accepted or rejected (NMAX of Hairer's DOP853)
+_CHECKPOINT = 1_000  # attempts between projections of the budget
+_PROJECTION = 10  # a pace that projects more than this times _MAX_ATTEMPTS ends the flow
 
 
 @dataclass(frozen=True)
@@ -404,6 +407,7 @@ def _dop853(system: SystemDefinition, y, t_eval, abs_tol, rel_tol):
     t = 0.0
     abs_y = np.abs(y)
     accepted = rejected = dense = filled = 0
+    checkpoint = min(_CHECKPOINT, _MAX_ATTEMPTS)  # the attempt count of the next budget check
     armed, h_prev, error_prev = False, 0.0, 0.0  # the predictive cap and the last accepted step
     next_sample = times[0]
 
@@ -419,16 +423,22 @@ def _dop853(system: SystemDefinition, y, t_eval, abs_tol, rel_tol):
             h_abs = max(h_abs, min_step)
             step_rejected = False
             while True:
-                if h_abs < min_step or accepted + rejected == _MAX_ATTEMPTS:
-                    reason = (
-                        "Required step size is less than spacing between numbers." if h_abs < min_step
-                        else f"the step budget of {_MAX_ATTEMPTS} attempts is spent "
-                        "(steps too short for the horizon: a fast oscillation?)"
-                    )
-                    raise IntegrationError(
-                        f"adaptive integration of '{system.label}' stopped at t={last_sample():.6g}: {reason}",
-                        last_good_time=last_sample(),
-                    )
+                if h_abs < min_step or accepted + rejected == checkpoint:
+                    if h_abs < min_step:
+                        reason = "Required step size is less than spacing between numbers."
+                    elif checkpoint == _MAX_ATTEMPTS:
+                        reason = (f"the step budget of {_MAX_ATTEMPTS} attempts is spent "
+                                  "(steps too short for the horizon: a fast oscillation?)")
+                    elif checkpoint * t_end > _PROJECTION * _MAX_ATTEMPTS * t:  # attempts * t_end / t
+                        reason = (f"{checkpoint} attempts reached t={t:.6g}, a pace that projects over "
+                                  f"{_PROJECTION} times the step budget of {_MAX_ATTEMPTS} attempts")
+                    else:
+                        checkpoint, reason = min(checkpoint + _CHECKPOINT, _MAX_ATTEMPTS), ""
+                    if reason:
+                        raise IntegrationError(
+                            f"adaptive integration of '{system.label}' stopped at t={last_sample():.6g}: {reason}",
+                            last_good_time=last_sample(),
+                        )
                 t_new = min(t + h_abs, t_end)
                 h = h_abs = t_new - t
                 np.multiply(A, h, out=hA)

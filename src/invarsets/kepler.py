@@ -35,17 +35,14 @@ def _radius(a: float) -> None:
 
 
 def _componentwise(formula):
-    """``formula`` on the components (x1, x2, y1, y2) of one state, as
-    Python floats, whose arithmetic is the cheapest, or of a stack
-    ``(..., 4)``, transposed and with overflow as silent as a float's.  A
-    vector result is built with ``np.array`` on the components.  The Kepler
-    field, which the stepper calls, takes a stack through it but a state in
-    its own frame, the same operations two frames fewer: 0.79 against 0.97
-    us per point call (timeit, best of 9, shared 2-core x86-64 VM)."""
+    """``formula`` on the components (x1, x2, y1, y2) of a state or a stack
+    ``(..., 4)``, transposed, with overflow silent.  A vector result is built
+    with ``np.array`` on the components.  The Kepler field, which the
+    stepper calls at one state, takes a stack through it but a state in its
+    own frame on Python floats: 0.79 against 0.97 us per point call
+    (timeit, best of 9, shared 2-core x86-64 VM)."""
 
     def fn(z):
-        if z.ndim == 1:
-            return formula(*z.tolist())
         with np.errstate(over="ignore", invalid="ignore"):
             return formula(*z.T).T
 
@@ -53,12 +50,10 @@ def _componentwise(formula):
 
 
 def _cubed_radius(x1, x2, what: str):
-    """|x|^3 = r2 * sqrt(r2) of floats or arrays; zero (at the origin, or
-    underflowing) is singular."""
+    """|x|^3 = r2 * sqrt(r2); zero (at the origin, or underflowing) is singular."""
     r2 = x1 * x1 + x2 * x2
-    point = type(r2) is float
-    r3 = r2 * (math.sqrt(r2) if point else np.sqrt(r2))
-    if r3 == 0.0 if point else not r3.all():
+    r3 = r2 * np.sqrt(r2)
+    if not r3.all():
         raise NumericError(f"{what} is singular at the origin (|x|^3 is zero or underflows)")
     return r3
 
@@ -119,7 +114,7 @@ def kepler_field() -> SystemDefinition:
             return stacked(z)
         x1, x2, y1, y2 = z.tolist()
         r2 = x1 * x1 + x2 * x2
-        r3 = r2 * math.sqrt(r2)  # as _cubed_radius on floats
+        r3 = r2 * math.sqrt(r2)  # as _cubed_radius, on floats
         if r3 == 0.0:
             raise NumericError("Kepler field is singular at the origin (|x|^3 is zero or underflows)")
         return np.array([y1, y2, -x1 / r3, -x2 / r3])
@@ -131,9 +126,8 @@ def kepler_field() -> SystemDefinition:
 
 
 def _energy(x1, x2, y1, y2):
-    r2 = x1 * x1 + x2 * x2
-    r = math.sqrt(r2) if type(r2) is float else np.sqrt(r2)
-    if not np.all(r):
+    r = np.sqrt(x1 * x1 + x2 * x2)
+    if not r.all():
         raise NumericError("energy is singular at the origin")
     return 0.5 * (y1 * y1 + y2 * y2) - 1.0 / r
 
@@ -189,12 +183,12 @@ def linear_pair_hamiltonian(a: float) -> ConservedQuantitySet:
     c = -1.0 / a**3
 
     @_componentwise
-    def value(x1, x2, y1, y2):
-        return c * (x1 * y2 - x2 * y1)
+    def value(*z):
+        return c * _momentum(*z)
 
     @_componentwise
-    def grad(x1, x2, y1, y2):
-        return np.array([c * y2, c * -y1, c * -x2, c * x1])
+    def grad(*z):
+        return c * _momentum_gradient(*z)
 
     return ConservedQuantitySet.scalar(4, value, f"-A/a^3(a={a:g})", gradient=grad, batched=True)
 
@@ -219,12 +213,11 @@ def linear_pair_field(a: float) -> SystemDefinition:
     every point of the radius-a^2 circular family and nowhere else.
     """
     _radius(a)
-    inv_a3 = 1.0 / a**3
-    L = inv_a3 * np.array([[0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, 0.0]])
+    L = np.array([[0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, 0.0]]) / a**3
 
-    @_componentwise
-    def field(x1, x2, y1, y2):
-        return np.array([x2 * inv_a3, -x1 * inv_a3, y2 * inv_a3, -y1 * inv_a3])
+    def field(z):
+        with np.errstate(over="ignore"):  # as silent as the other forms
+            return z @ L.T
 
     return SystemDefinition(
         dim=4,

@@ -45,7 +45,7 @@ from .invariance import (
     verify_set_persistence,
     verify_vanishing_invariance,
 )
-from .coincidence import verify_coincidence
+from .coincidence import canonical_symplectic_matrix, verify_coincidence
 from .rank_sets import singular_values
 from . import kepler as kepler_model
 from . import toda
@@ -263,21 +263,10 @@ def _run_set_persistence(s: _Scenario) -> _Outcome:
     )
 
 
-_SWAP, _SIGNS = np.array([2, 3, 0, 1]), np.array([1.0, 1.0, -1.0, -1.0])
-
-
-def _symplectic_base(x, g):
-    """J g for a Kepler gradient or a stack of them, J = [[0, I], [-I, 0]],
-    as the signed permutation ``(g_y, -g_x)``: every entry is one entry of g
-    times +-1, which is exact, so J grad H and J grad(-A/a^3) are the bits
-    of the Kepler field and the linear pair field, signed zeros included.
-    ``take`` and a product cost less than slicing and concatenating."""
-    return g.take(_SWAP, axis=-1) * _SIGNS
-
-
 def _run_coincidence(s: _Scenario) -> _Outcome:
+    J = canonical_symplectic_matrix(2)
     rep = verify_coincidence(
-        _symplectic_base,
+        lambda x, g: g @ J.T,
         kepler_model.hamiltonian(), kepler_model.linear_pair_hamiltonian(s.params["a"]),
         s.x0, s.t_end, batched=True, closed_forms=(s.system, kepler_model.linear_pair_field(s.params["a"])),
         integ=s.integ, tolerances=s.tol,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from invarsets import ConservedQuantitySet, IntegrationError, SystemDefinition, UsageError
+from invarsets import ConservedQuantitySet, IntegrationError, SystemDefinition, UsageError, canonical_symplectic_matrix
 from invarsets import kepler, oscillator, toda
 from invarsets.core import _all_finite, as_state, evaluate_field
 from invarsets.integrate import IntegratorStats, Trajectory, _check_horizon
@@ -65,6 +65,15 @@ def zero_quantity(dim: int) -> ConservedQuantitySet:
         labels=("0",),
         analytic_gradient=lambda x: np.zeros((1, dim)),
     )
+
+
+_J = canonical_symplectic_matrix(2)
+
+
+def batched_symplectic_base(x, g):
+    """J g for one Kepler gradient or a stack of them, the base the
+    coincidence check passes declared ``batched``."""
+    return g @ _J.T
 
 
 def random_states(dim, count, seed, scale=1.0):

@@ -20,7 +20,7 @@ from invarsets import (
 from invarsets.core import TOLERANCES, _conservation_rates, as_states, evaluate_field
 from invarsets.differentiate import jacobians
 from invarsets.rank_sets import _decide, rank_levels, singular_values
-from invarsets import kepler, oscillator, report, toda
+from invarsets import kepler, oscillator, toda
 from invarsets.coincidence import assemble_system, canonical_symplectic_matrix
 
 from conftest import random_kepler_states, random_toda_physical, zero_quantity
@@ -360,9 +360,9 @@ def _systems():
         assemble_system(lambda x, s: s[:4] - s[4:], pair),
         assemble_system(lambda x, g: block @ g, fd_only, label="driven[H-fd]"),  # finite differences
     ]
-    # the coincidence check's bases, one base call per stack
+    # the coincidence check's base, one base call per stack
     driven += [
-        assemble_system(report._symplectic_base, q, label=f"batched-base[{q.labels[0]}]", batched=True)
+        assemble_system(lambda x, g: g @ block.T, q, label=f"batched-base[{q.labels[0]}]", batched=True)
         for q in (kepler.hamiltonian(), kepler.linear_pair_hamiltonian(1.5))
     ]
     return systems + [(d.system, kepler_states) for d in driven]

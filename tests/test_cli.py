@@ -6,9 +6,9 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -132,10 +132,11 @@ def test_report_written_and_deterministic(tmp_path, capsys):
     assert r1["evidence"]["ranks_seen"] == [2]
 
 
-def test_tolerance_override_changes_outcome(tmp_path, capsys):
+def test_tight_tolerance_changes_outcome(tmp_path, capsys):
     # an absurdly tight deviation tolerance flips the coincidence verdict
-    path = SCENARIO_DIR / "kepler-circular-coincidence.json"
-    code = main(["run", str(path), "--tolerance", "deviation=1e-16"])
+    config = load_scenario(SCENARIO_DIR / "kepler-circular-coincidence.json")
+    config["tolerances"]["deviation"] = 1e-16
+    code = main(["run", _write(tmp_path, config)])
     capsys.readouterr()
     assert code == 1
 
@@ -168,10 +169,9 @@ def test_csv_export_shape_and_roundtrip(tmp_path, capsys):
 
 def test_export_subcommand(tmp_path, capsys):
     csv_path = tmp_path / "out.csv"
-    code = main(
-        ["run", str(SCENARIO_DIR / "toda-periodic-drift.json"), "--csv", str(csv_path),
-         "--sample-count", "5"]
-    )
+    config = load_scenario(SCENARIO_DIR / "toda-periodic-drift.json")
+    config["integ"]["sample_count"] = 5
+    code = main(["run", _write(tmp_path, config), "--csv", str(csv_path)])
     capsys.readouterr()
     assert code == 0
     assert csv_path.exists()
@@ -180,10 +180,9 @@ def test_export_subcommand(tmp_path, capsys):
 
 def test_export_kepler_header_names(tmp_path, capsys):
     csv_path = tmp_path / "kepler.csv"
-    code = main(
-        ["run", str(SCENARIO_DIR / "kepler-circular-coincidence.json"),
-         "--csv", str(csv_path), "--sample-count", "3"]
-    )
+    config = load_scenario(SCENARIO_DIR / "kepler-circular-coincidence.json")
+    config["integ"]["sample_count"] = 3
+    code = main(["run", _write(tmp_path, config), "--csv", str(csv_path)])
     capsys.readouterr()
     assert code == 0
     header = csv_path.read_text().splitlines()[0].split(",")
@@ -442,141 +441,137 @@ FLASCHKA = "toda-nonperiodic-flaschka-oracle.json"
 
 
 @pytest.mark.parametrize(
-    "scenario,change,flags,named",
+    "scenario,change,named",
     [
-        (RANK, {"model": {"kind": "toda-periodic", "n": "abc"}}, [], '"model.n" must be an integer'),
-        (RANK, {"model": {"kind": "toda-periodic", "n": 4.7}}, [], '"model.n" must be an integer, got 4.7'),
-        (RANK, {"tolerances": "x"}, [], '"tolerances" must be an object'),
-        (RANK, {"integ": "x"}, [], '"integ" must be an object'),
-        (RANK, {"integ": {"sample_count": "many"}}, [], '"integ.sample_count" must be an integer'),
-        (RANK, {"tolerances": {"conservation": "tight"}}, [], '"tolerances.conservation" must be a number'),
-        (RANK, {"t_end": [1.0]}, [], '"t_end" must be a number'),
-        (RANK, {"rank_tol": None}, [], '"rank_tol" must be a number'),
-        (RANK, {"check": ["drift"]}, [], "unknown check '['drift']'; valid checks: rank-invariance"),
-        (RANK, {"model": {"kind": {}}}, [], "unknown model '{}'; valid models: kepler"),
+        (RANK, {"model": {"kind": "toda-periodic", "n": "abc"}}, '"model.n" must be an integer'),
+        (RANK, {"model": {"kind": "toda-periodic", "n": 4.7}}, '"model.n" must be an integer, got 4.7'),
+        (RANK, {"tolerances": "x"}, '"tolerances" must be an object'),
+        (RANK, {"integ": "x"}, '"integ" must be an object'),
+        (RANK, {"integ": {"sample_count": "many"}}, '"integ.sample_count" must be an integer'),
+        (RANK, {"tolerances": {"conservation": "tight"}}, '"tolerances.conservation" must be a number'),
+        (RANK, {"t_end": [1.0]}, '"t_end" must be a number'),
+        (RANK, {"rank_tol": None}, '"rank_tol" must be a number'),
+        (RANK, {"check": ["drift"]}, "unknown check '['drift']'; valid checks: rank-invariance"),
+        (RANK, {"model": {"kind": {}}}, "unknown model '{}'; valid models: kepler"),
         # these passed with no sample checked, failed, or raised a traceback
-        (ORACLE, {"samples": 0}, [], '"samples" must be at least 1, got 0'),
-        (ORACLE, {"samples": -5}, [], '"samples" must be at least 1, got -5'),
-        (ORACLE, {"seed": -1}, [], '"seed" must be at least 0, got -1'),
-        (DRIFT, {"tolerances": {"drift": -1}}, [], '"tolerances.drift" must be positive and finite, got -1.0'),
-        (KEPLER, {"tolerances": {"deviation": float("nan")}}, [], '"tolerances.deviation" must be positive and finite, got nan'),
-        (DRIFT, {}, ["--tolerance", "drift=-1"], '"tolerances.drift" must be positive and finite, got -1.0'),
-        (KEPLER, {}, ["--tolerance", "deviation=nan"], '"tolerances.deviation" must be positive and finite, got nan'),
-        (RANK, {"model": {"kind": "toda-periodic", "n": float("inf")}}, [], '"model.n" must be an integer, got inf'),
-        (RANK, {"initial_state": {"set_id": ["M2_I123"]}}, [], '"initial_state.set_id" must be a string'),
+        (ORACLE, {"samples": 0}, '"samples" must be at least 1, got 0'),
+        (ORACLE, {"samples": -5}, '"samples" must be at least 1, got -5'),
+        (ORACLE, {"seed": -1}, '"seed" must be at least 0, got -1'),
+        (DRIFT, {"tolerances": {"drift": -1}}, '"tolerances.drift" must be positive and finite, got -1.0'),
+        (KEPLER, {"tolerances": {"deviation": float("nan")}}, '"tolerances.deviation" must be positive and finite, got nan'),
+        (RANK, {"model": {"kind": "toda-periodic", "n": float("inf")}}, '"model.n" must be an integer, got inf'),
+        (RANK, {"initial_state": {"set_id": ["M2_I123"]}}, '"initial_state.set_id" must be a string'),
         # these were reported as the library's rel_tol, which reads as integ.rel_tol
-        (GENERIC, {"rank_tol": 0}, [], '"rank_tol" must lie in (0, 1), got 0.0'),
-        (GENERIC, {"rank_tol": 1.5}, [], '"rank_tol" must lie in (0, 1), got 1.5'),
-        (GENERIC, {"rank_tol": float("nan")}, [], '"rank_tol" must lie in (0, 1), got nan'),
-        (GENERIC, {}, ["--rank-tol", "0"], '"rank_tol" must lie in (0, 1), got 0.0'),
-        (CRITICAL, {"rank_tol": 1.0}, [], '"rank_tol" must lie in (0, 1), got 1.0'),
+        (GENERIC, {"rank_tol": 0}, '"rank_tol" must lie in (0, 1), got 0.0'),
+        (GENERIC, {"rank_tol": 1.5}, '"rank_tol" must lie in (0, 1), got 1.5'),
+        (GENERIC, {"rank_tol": float("nan")}, '"rank_tol" must lie in (0, 1), got nan'),
+        (CRITICAL, {"rank_tol": 1.0}, '"rank_tol" must lie in (0, 1), got 1.0'),
         # these ended in a traceback
-        (RANK, {"model": {"kind": "toda-periodic", "n": 10**30}}, [], '"model.n" must be at most 256'),
-        (RANK, {"integ": {"sample_count": 1e30}}, [], '"integ.sample_count" must be at most 10001'),
-        (ORACLE, {"samples": 10**12}, [], '"samples" must be at most 10000'),
-        (KEPLER, {"model": {"kind": "kepler", "a": 1e200}}, [], '"model.a" must be positive, with a^3'),
-        (KEPLER, {"model": {"kind": "kepler", "a": 1e-200}}, [], '"model.a" must be positive, with a^3'),
-        (KEPLER, {"initial_state": {"circular": {"a": 1e-200}}}, [], '"initial_state.circular.a" must be'),
+        (RANK, {"model": {"kind": "toda-periodic", "n": 10**30}}, '"model.n" must be at most 256'),
+        (RANK, {"integ": {"sample_count": 1e30}}, '"integ.sample_count" must be at most 10001'),
+        (ORACLE, {"samples": 10**12}, '"samples" must be at most 10000'),
+        (KEPLER, {"model": {"kind": "kepler", "a": 1e200}}, '"model.a" must be positive, with a^3'),
+        (KEPLER, {"model": {"kind": "kepler", "a": 1e-200}}, '"model.a" must be positive, with a^3'),
+        (KEPLER, {"initial_state": {"circular": {"a": 1e-200}}}, '"initial_state.circular.a" must be'),
         # a JSON true passed as 1: the drift gate loosened 10^8-fold, t_end 1, a = 1, one sample
-        (DRIFT, {"tolerances": {"drift": True}}, [], '"tolerances.drift" must be a number, got True'),
-        (DRIFT, {"t_end": True}, [], '"t_end" must be a number, got True'),
-        (KEPLER, {"model": {"kind": "kepler", "a": True}}, [], '"model.a" must be a number, got True'),
-        (ORACLE, {"samples": True}, [], '"samples" must be an integer, got True'),
+        (DRIFT, {"tolerances": {"drift": True}}, '"tolerances.drift" must be a number, got True'),
+        (DRIFT, {"t_end": True}, '"t_end" must be a number, got True'),
+        (KEPLER, {"model": {"kind": "kepler", "a": True}}, '"model.a" must be a number, got True'),
+        (ORACLE, {"samples": True}, '"samples" must be an integer, got True'),
         (
             RANK, {"initial_state": {"set_id": "M2_I123", "params": {"X1": True, "X2": 0.7, "u1": 0.5, "u2": -0.2}}},
-            [], '"initial_state.params.X1" must be a number, got True',
+            '"initial_state.params.X1" must be a number, got True',
         ),
         (
             DRIFT, {"initial_state": [True, 0.4, 0.7, 1.1, 0.3, -0.5, 0.2, 0.4]},
-            [], '"initial_state" component 0 must be a number, got True',
+            '"initial_state" component 0 must be a number, got True',
         ),
         # admitted by the bounds on n and samples, these would run for hours
         # (n=256 at order 3) or ask for ~26 GB (n=256 free-end, 10,000 samples);
         # the cases sit just past the bounds on partials and on samples * n^2
         (
             VANISHING, {"model": {"kind": "toda-periodic", "n": 16}, "order": 3},
-            [], "order 3 on dimension 32 needs 6544 partials per state",
+            "order 3 on dimension 32 needs 6544 partials per state",
         ),
         (
             FLASCHKA, {"model": {"kind": "toda-nonperiodic", "n": 128}, "samples": 300},
-            [], '"samples" * "model.n"^2 must be at most 4194304 on the free-end lattice',
+            '"samples" * "model.n"^2 must be at most 4194304 on the free-end lattice',
         ),
         # finite parameters whose sample overflows: an OverflowError traceback, and
         # a -inf entry reported only as "state has a non-finite entry at component 1"
         (
             RANK, {"initial_state": {"set_id": "M1_I23", "params": {"X1": 1e300, "u1": 1e300, "u2": 0.2}}},
-            [], "sample of M1_I23 with parameters {'X1': 1e+300, 'u1': 1e+300, 'u2': 0.2} is not a finite state",
+            "sample of M1_I23 with parameters {'X1': 1e+300, 'u1': 1e+300, 'u2': 0.2} is not a finite state",
         ),
         (
             RANK, {"initial_state": {"set_id": "M0_I3", "params": {"X1": 0.5, "u": 1e200}}},
-            [], "sample of M0_I3 with parameters {'X1': 0.5, 'u': 1e+200} is not a finite state",
+            "sample of M0_I3 with parameters {'X1': 0.5, 'u': 1e+200} is not a finite state",
         ),
         # JSON's Infinity: a traceback from np.sin under strict warnings, or a
         # non-finite state reported without the key
         (
             KEPLER, {"initial_state": {"circular": {"a": 1.0, "theta": float("inf")}}},
-            [], '"initial_state.circular.theta" must be finite, got inf',
+            '"initial_state.circular.theta" must be finite, got inf',
         ),
-        (DRIFT, {"initial_state": {"random": {"scale": float("inf")}}}, [], '"initial_state.random.scale" must be finite, got inf'),
+        (DRIFT, {"initial_state": {"random": {"scale": float("inf")}}}, '"initial_state.random.scale" must be finite, got inf'),
         # a finite scale whose product overflows: a traceback under strict warnings
         (
             DRIFT, {"initial_state": {"random": {"seed": 2, "scale": 1e308}}},
-            [], '"initial_state.random.scale" overflows the state, got 1e+308',
+            '"initial_state.random.scale" overflows the state, got 1e+308',
         ),
         (
             RANK, {"initial_state": {"set_id": "M2_I123", "params": {"X1": float("nan"), "X2": 0.7, "u1": 0.5, "u2": -0.2}}},
-            [], '"initial_state.params.X1" must be finite, got nan',
+            '"initial_state.params.X1" must be finite, got nan',
         ),
         # the integrator settings' own range checks, named in their section
-        (RANK, {}, ["--abs-tol", "0"], '"integ.abs_tol" must lie in (0, 1e-2], got 0.0'),
-        (RANK, {"integ": {"rel_tol": 0.1}}, [], '"integ.rel_tol" must lie in (0, 1e-2], got 0.1'),
-        (RANK, {}, ["--sample-count", "1"], '"integ.sample_count" must be an integer >= 2, got 1'),
+        (RANK, {"integ": {"abs_tol": 0}}, '"integ.abs_tol" must lie in (0, 1e-2], got 0.0'),
+        (RANK, {"integ": {"rel_tol": 0.1}}, '"integ.rel_tol" must lie in (0, 1e-2], got 0.1'),
+        (RANK, {"integ": {"sample_count": 1}}, '"integ.sample_count" must be an integer >= 2, got 1'),
         # a raw ValueError or TypeError traceback, or (null) a message without the key
-        (DRIFT, {"initial_state": [[1, 2], 1, 2, 0, 0, 0, 0, 0]}, [], '"initial_state" component 0 must be a number, got [1, 2]'),
-        (DRIFT, {"initial_state": [0.1, {"a": 1}, 0, 0, 0, 0, 0, 0]}, [], "component 1 must be a number, got {'a': 1}"),
-        (DRIFT, {"initial_state": ["x", 0, 0, 0, 0, 0, 0, 0]}, [], '"initial_state" component 0 must be a number, got \'x\''),
-        (DRIFT, {"initial_state": [0, 0, None, 0, 0, 0, 0, 0]}, [], '"initial_state" component 2 must be a number, got None'),
-        (DRIFT, {"initial_state": [0, 10**400, 0, 0, 0, 0, 0, 0]}, [], '"initial_state" component 1 must be finite, got 1000'),
-        (DRIFT, {"initial_state": [0, 0, 0, float("-inf"), 0, 0, 0, 0]}, [], '"initial_state" component 3 must be finite, got -inf'),
+        (DRIFT, {"initial_state": [[1, 2], 1, 2, 0, 0, 0, 0, 0]}, '"initial_state" component 0 must be a number, got [1, 2]'),
+        (DRIFT, {"initial_state": [0.1, {"a": 1}, 0, 0, 0, 0, 0, 0]}, "component 1 must be a number, got {'a': 1}"),
+        (DRIFT, {"initial_state": ["x", 0, 0, 0, 0, 0, 0, 0]}, '"initial_state" component 0 must be a number, got \'x\''),
+        (DRIFT, {"initial_state": [0, 0, None, 0, 0, 0, 0, 0]}, '"initial_state" component 2 must be a number, got None'),
+        (DRIFT, {"initial_state": [0, 10**400, 0, 0, 0, 0, 0, 0]}, '"initial_state" component 1 must be finite, got 1000'),
+        (DRIFT, {"initial_state": [0, 0, 0, float("-inf"), 0, 0, 0, 0]}, '"initial_state" component 3 must be finite, got -inf'),
         # JSON strings were read as the numbers they spell, and echoed as strings
-        (DRIFT, {"initial_state": ["1", 0, 0, 0, 0, 0, 0, 0]}, [], '"initial_state" component 0 must be a number, got \'1\''),
-        (DRIFT, {"t_end": "1e1"}, [], '"t_end" must be a number, got \'1e1\''),
-        (RANK, {"integ": {"sample_count": "401"}}, [], '"integ.sample_count" must be an integer, got \'401\''),
-        (DRIFT, {"tolerances": {"drift": "1e-8"}}, [], '"tolerances.drift" must be a number, got \'1e-8\''),
-        (KEPLER, {"model": {"kind": "kepler", "a": "1"}}, [], '"model.a" must be a number, got \'1\''),
-        (ORACLE, {"samples": "5"}, [], '"samples" must be an integer, got \'5\''),
+        (DRIFT, {"initial_state": ["1", 0, 0, 0, 0, 0, 0, 0]}, '"initial_state" component 0 must be a number, got \'1\''),
+        (DRIFT, {"t_end": "1e1"}, '"t_end" must be a number, got \'1e1\''),
+        (RANK, {"integ": {"sample_count": "401"}}, '"integ.sample_count" must be an integer, got \'401\''),
+        (DRIFT, {"tolerances": {"drift": "1e-8"}}, '"tolerances.drift" must be a number, got \'1e-8\''),
+        (KEPLER, {"model": {"kind": "kepler", "a": "1"}}, '"model.a" must be a number, got \'1\''),
+        (ORACLE, {"samples": "5"}, '"samples" must be an integer, got \'5\''),
         # the descriptive keys were read with no kind: a list label ran, and
         # run-all counted an expected_verdict of 5 as a mismatch
-        (DRIFT, {"label": [1]}, [], '"label" must be a string, got [1]'),
-        (DRIFT, {"label": None}, [], '"label" must be a string, got None'),
-        (DRIFT, {"claim": {"a": 1}}, [], '"claim" must be a string, got {\'a\': 1}'),
-        (DRIFT, {"expected_verdict": 5}, [], '"expected_verdict" must be a string, got 5'),
+        (DRIFT, {"label": [1]}, '"label" must be a string, got [1]'),
+        (DRIFT, {"label": None}, '"label" must be a string, got None'),
+        (DRIFT, {"claim": {"a": 1}}, '"claim" must be a string, got {\'a\': 1}'),
+        (DRIFT, {"expected_verdict": 5}, '"expected_verdict" must be a string, got 5'),
         (
             DRIFT, {"expected_verdict": "passed"},
-            [], '"expected_verdict" must be one of pass, fail, borderline, hypothesis-error, got \'passed\'',
+            '"expected_verdict" must be one of pass, fail, borderline, hypothesis-error, got \'passed\'',
         ),
     ],
     ids=[
         "model-n", "model-n-fraction", "tolerances", "integ", "sample-count", "tolerance-value", "t-end",
         "rank-tol", "check-list", "model-kind-object", "samples-zero", "samples-negative",
-        "seed-negative", "tolerance-negative", "tolerance-nan", "tolerance-flag-negative",
-        "tolerance-flag-nan", "model-n-inf", "set-id-list", "rank-tol-zero", "rank-tol-above-one",
-        "rank-tol-nan", "rank-tol-flag-zero", "critical-rank-tol-one", "model-n-huge", "sample-count-huge",
+        "seed-negative", "tolerance-negative", "tolerance-nan", "model-n-inf", "set-id-list", "rank-tol-zero", "rank-tol-above-one",
+        "rank-tol-nan", "critical-rank-tol-one", "model-n-huge", "sample-count-huge",
         "samples-huge", "model-a-huge", "model-a-tiny", "circular-a-tiny", "tolerance-true", "t-end-true",
         "model-a-true", "samples-true", "family-param-true", "initial-state-true", "partials-huge",
         "lax-entries-huge", "family-sample-overflow", "family-sample-non-finite", "circular-theta-inf",
-        "random-scale-inf", "random-scale-overflow", "family-param-nan", "abs-tol-flag-zero",
-        "rel-tol-above-range", "sample-count-flag-one", "initial-state-list", "initial-state-object",
+        "random-scale-inf", "random-scale-overflow", "family-param-nan", "abs-tol-zero",
+        "rel-tol-above-range", "sample-count-one", "initial-state-list", "initial-state-object",
         "initial-state-word", "initial-state-null", "initial-state-huge-int", "initial-state-minus-inf",
         "initial-state-string", "t-end-string", "sample-count-string", "tolerance-string", "model-a-string",
         "samples-string", "label-list", "label-null", "claim-object", "expected-verdict-number",
         "expected-verdict-word",
     ],
 )
-def test_malformed_config_types_are_config_errors(tmp_path, capsys, scenario, change, flags, named):
+def test_malformed_config_types_are_config_errors(tmp_path, capsys, scenario, change, named):
     config = load_scenario(SCENARIO_DIR / scenario)
     config.update(change)
-    code = main(["run", _write(tmp_path, config)] + flags)
+    code = main(["run", _write(tmp_path, config)])
     err = capsys.readouterr().err
     assert code == 2
     assert named in err
@@ -704,54 +699,117 @@ def test_huge_finite_start_is_a_hypothesis_error_without_a_warning(scenario, cha
     assert run.evidence["message"] == message
 
 
+# Every fuzzed scenario ends in a report or a configuration error within this
+# bound, seven times the slowest edge horizon (0.34 s, t_end 1e3, on a shared
+# 2-core x86-64 VM); a flow that spent the whole step budget took 3.5-7 s there,
+# and the projected budget ends such a flow in 0.04 s
+FUZZ_WALL_SECONDS = 2.5
+
+
+def _assert_report_or_config_error(tmp_path_factory, config):
+    """``invarsets run`` on ``config`` with RuntimeWarnings as errors: no
+    exception escapes, the exit code is 0, 1 or 2, the report is strict JSON
+    on 0 and 1 and a configuration error is printed on 2, within
+    ``FUZZ_WALL_SECONDS``."""
+    file = tmp_path_factory.mktemp("fuzz") / "scenario.json"
+    file.write_text(json.dumps(config))
+    out, err = io.StringIO(), io.StringIO()
+    started = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["run", str(file)])
+    elapsed = time.perf_counter() - started
+    assert code in (0, 1, 2), (code, err.getvalue())
+    if code == 2:
+        assert err.getvalue().startswith("configuration error:")
+    else:
+        _strict_json(out.getvalue())
+    assert elapsed < FUZZ_WALL_SECONDS, (elapsed, out.getvalue(), err.getvalue())
+
+
 # finite numbers at the edges of the float range, and just past the bounds on n
 EDGE_NUMBERS = [0, 1e-320, -1e-320, 1e200, -1e200, 1e308, -1e308, 1e30, 257, -1, 2.5]
-# the numbers of the start and of the model; t_end and integ.sample_count are left
-# out: a 1e308 horizon spends the 100,000-attempt step budget, seconds per run, and
-# horizons (with a bound on the time a run takes) wait for a budget projected from it
-START_AND_MODEL_LEAVES = {
-    s.name: [(key,) + path for key in ("initial_state", "model") for path in _numeric_paths(load_scenario(s).get(key))]
+# the horizon of a check that integrates, with edges of its own
+HORIZON_EDGES = {("t_end",): [1e-300, 1e-3, 1e3, 1e308], ("integ", "sample_count"): [2, 3, 10_001]}
+# the leaves the edge fuzz sets, each with the values it draws: the numbers of
+# the start and of the model, and the horizon where the scenario integrates
+EDGE_LEAVES = {
+    s.name: [
+        ((key,) + path, EDGE_NUMBERS) for key in ("initial_state", "model")
+        for path in _numeric_paths(load_scenario(s).get(key))
+    ] + (list(HORIZON_EDGES.items()) if "initial_state" in load_scenario(s) else [])
     for s in SHIPPED
 }
 
 
 @st.composite
 def _edge_number_changes(draw):
-    scenario = draw(st.sampled_from(sorted(START_AND_MODEL_LEAVES)))
-    paths = draw(st.permutations(START_AND_MODEL_LEAVES[scenario]))[: draw(st.integers(1, 2))]
-    return scenario, {path: draw(st.sampled_from(EDGE_NUMBERS)) for path in paths}
+    scenario = draw(st.sampled_from(sorted(EDGE_LEAVES)))
+    leaves = draw(st.permutations(EDGE_LEAVES[scenario]))[: draw(st.integers(1, 2))]
+    return scenario, {path: draw(st.sampled_from(values)) for path, values in leaves}
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @example(edits=HUGE_STARTS[0][:2])
 @example(edits=HUGE_STARTS[1][:2])
 @example(edits=HUGE_STARTS[2][:2])
+@example(edits=(DRIFT, {("initial_state", 0): 1e30}))  # spent the whole step budget
+@example(edits=(DRIFT, {("t_end",): 1e308}))  # the same
 @given(edits=_edge_number_changes())
-def test_edge_numbers_in_the_start_or_model_end_in_a_report_or_a_config_error(tmp_path_factory, edits):
-    file = tmp_path_factory.mktemp("edge") / "scenario.json"
-    file.write_text(json.dumps(_mutated(*edits)))
-    out, err = io.StringIO(), io.StringIO()
-    # a 1e30 lattice start moves on a time scale near 1e-15, so it spends any step
-    # budget, 4-7 s at the default; the shipped flows take at most 66 attempts
-    with mock.patch.object(integrate, "_MAX_ATTEMPTS", 2_000), warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["run", str(file)])
-    assert code in (0, 1, 2), (code, err.getvalue())
-    if code == 2:
-        assert err.getvalue().startswith("configuration error:")
-    else:
-        _strict_json(out.getvalue())
+def test_edge_numbers_in_a_scenario_end_in_a_report_or_a_config_error(tmp_path_factory, edits):
+    _assert_report_or_config_error(tmp_path_factory, _mutated(*edits))
 
 
-def test_malformed_tolerance_override_is_a_config_error(tmp_path, capsys):
-    path = SCENARIO_DIR / "kepler-circular-coincidence.json"
-    assert main(["run", str(path), "--tolerance", "deviation=abc"]) == 2
-    assert "deviation" in capsys.readouterr().err
-    config = load_scenario(path)
-    config["tolerances"] = "x"
-    assert main(["run", _write(tmp_path, config), "--tolerance", "deviation=1e-6"]) == 2
-    assert '"tolerances" must be an object' in capsys.readouterr().err
+def _object_paths(node, path=()):
+    """The paths of ``node`` and of every object nested in it that is an object."""
+    if not isinstance(node, dict):
+        return []
+    return [path] + [p for key, value in node.items() for p in _object_paths(value, path + (key,))]
+
+
+def _leaf_paths(node, path=()):
+    """The paths of the values in a scenario that are neither objects nor lists."""
+    if isinstance(node, dict):
+        return [p for key, value in node.items() for p in _leaf_paths(value, path + (key,))]
+    if isinstance(node, list):
+        return [p for i, value in enumerate(node) for p in _leaf_paths(value, path + (i,))]
+    return [path]
+
+
+UNKNOWN_KEYS = ["t_ned", "extra", "Sample_count"]  # a key no section of any check has
+
+
+@st.composite
+def _structure_changes(draw):
+    """A shipped scenario with one top-level key dropped, one unknown key added
+    to a section (top level, model, integ, tolerances or an initial_state
+    object, made if missing) or one leaf wrapped in a list or an object."""
+    config = load_scenario(SCENARIO_DIR / draw(st.sampled_from([s.name for s in SHIPPED])))
+    change = draw(st.sampled_from(["drop", "add", "wrap"]))
+    if change == "drop":
+        del config[draw(st.sampled_from(sorted(config)))]
+        return config
+    if change == "add":
+        sections = [(), ("model",), ("integ",), ("tolerances",)]
+        sections += [("initial_state",) + p for p in _object_paths(config.get("initial_state"))]
+        target = config
+        for part in draw(st.sampled_from(sections)):
+            target = target.setdefault(part, {})
+        target[draw(st.sampled_from(UNKNOWN_KEYS))] = draw(st.sampled_from([1, 1e-30, "x", None, [], {}]))
+        return config
+    path = draw(st.sampled_from(_leaf_paths(config)))
+    target = config
+    for part in path[:-1]:
+        target = target[part]
+    target[path[-1]] = draw(st.sampled_from([[target[path[-1]]], {"value": target[path[-1]]}]))
+    return config
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(config=_structure_changes())
+def test_dropped_added_or_nested_keys_end_in_a_report_or_a_config_error(tmp_path_factory, config):
+    _assert_report_or_config_error(tmp_path_factory, config)
 
 
 def test_csv_sigma_columns_are_the_per_sample_singular_values(tmp_path, capsys):
@@ -803,16 +861,6 @@ def test_unknown_config_key_is_a_config_error(tmp_path, capsys, scenario, sectio
     assert f"valid {section} keys: {valid}" in err
 
 
-def test_unknown_tolerance_override_is_a_config_error(capsys):
-    path = SCENARIO_DIR / "toda-periodic-drift.json"
-    assert main(["run", str(path), "--tolerance", "drfit=1e-30"]) == 2
-    err = capsys.readouterr().err
-    assert 'unknown key "tolerances.drfit" for the drift check' in err
-    assert "valid tolerances keys: drift" in err
-    assert main(["run", str(path), "--tolerance", "drift=1e-30"]) == 1  # the real key still bites
-    capsys.readouterr()
-
-
 def test_unknown_integ_key_in_export_is_a_config_error(tmp_path, capsys):
     config = load_scenario(SCENARIO_DIR / "toda-periodic-drift.json")
     config["integ"]["samples"] = 11
@@ -856,9 +904,10 @@ def test_run_csv_exports_the_checks_own_trajectory(
     config = load_scenario(SCENARIO_DIR / scenario)
     config.update(change)
     config = {key: value for key, value in config.items() if value is not None}
+    config["integ"]["sample_count"] = 21
     path = _write(tmp_path, config)
     calls = _count_flows(monkeypatch)
-    assert main(["run", path, "--sample-count", "21", "--csv", str(tmp_path / "run.csv")]) == code
+    assert main(["run", path, "--csv", str(tmp_path / "run.csv")]) == code
     assert len(calls) == flows
     if code:
         assert "no CSV written" in capsys.readouterr().err
@@ -866,7 +915,7 @@ def test_run_csv_exports_the_checks_own_trajectory(
         return
     # the model's own flow from the start, over the check's horizon, exported
     # alone: the declared Kepler flow, or the lattice integrated
-    s = report._read({**config, "integ": {**config.get("integ", {}), "sample_count": 21}})
+    s = report._read(config)
     traj = coincidence._flow(s.system, s.system, s.x0, s.t_end, s.integ)
     export_trajectory(traj, s.quantity, tmp_path / "export.csv", s.system.component_names)
     capsys.readouterr()
@@ -884,21 +933,21 @@ def test_run_csv_on_oracle_check_exits_2_before_any_report(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "scenario,change,flags,key",
+    "scenario,change,key",
     [
-        ("toda-periodic-drift.json", {"t_ned": 1.0}, [], "t_ned"),
-        ("toda-periodic-drift.json", {}, ["--rank-tol", "5"], "rank_tol"),
-        ("toda-periodic-rank-pattern.json", {}, ["--seed", "3"], "seed"),
-        ("toda-periodic-henon-oracle.json", {}, ["--t-end", "2"], "t_end"),
-        ("kepler-circular-coincidence.json", {"order": 2}, [], "order"),
+        ("toda-periodic-drift.json", {"t_ned": 1.0}, "t_ned"),
+        ("toda-periodic-drift.json", {"rank_tol": 5}, "rank_tol"),
+        ("toda-periodic-rank-pattern.json", {"seed": 3}, "seed"),
+        ("toda-periodic-henon-oracle.json", {"t_end": 2}, "t_end"),
+        ("kepler-circular-coincidence.json", {"order": 2}, "order"),
     ],
     ids=["misspelt-t-end", "rank-tol-on-drift", "seed-on-rank", "t-end-on-oracle", "order-on-coincidence"],
 )
-def test_unknown_top_level_key_is_a_config_error(tmp_path, capsys, scenario, change, flags, key):
+def test_unknown_top_level_key_is_a_config_error(tmp_path, capsys, scenario, change, key):
     # a key the check does not read used to be ignored: "t_ned" ran with t_end 10
     config = load_scenario(SCENARIO_DIR / scenario)
     config.update(change)
-    assert main(["run", _write(tmp_path, config)] + flags) == 2
+    assert main(["run", _write(tmp_path, config)]) == 2
     err = capsys.readouterr().err
     assert f'unknown key "{key}" for the {config["check"]} check' in err
     assert "valid top-level keys: label, check, model" in err
@@ -970,15 +1019,25 @@ def test_stacked_oracle_evidence_equals_the_per_sample_loop(scenario, n, seed, s
     assert found == _oracle_loop(config["model"]["kind"], n, seed, samples)
 
 
+# the override flags of earlier releases, each with a value it took
+REMOVED_FLAGS = [
+    ("--t-end", "2"), ("--rank-tol", "1e-6"), ("--abs-tol", "1e-8"), ("--rel-tol", "1e-8"),
+    ("--sample-count", "21"), ("--seed", "3"), ("--tolerance", "deviation=1e-7"),
+]
+
+
 def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
-    # the parser is built once per process: an override, a rejected flag
-    # and a plain run in a row leave nothing behind for the next call
+    # the parser is built once per process: a run with both files, refused
+    # flags and a plain run in a row leave nothing behind for the next call.
+    # Every setting lives in the scenario file, so an override flag of an
+    # earlier release is refused as any unknown flag is
     path = str(SCENARIO_DIR / "kepler-circular-coincidence.json")
-    reports = [tmp_path / "override.json", tmp_path / "plain.json", tmp_path / "fresh.json"]
-    assert main(["run", path, "--report", str(reports[0]), "--tolerance", "deviation=1e-7"]) == 0
-    with pytest.raises(SystemExit) as bad:
-        main(["run", path, "--no-such-flag"])
-    assert bad.value.code == 2
+    reports = [tmp_path / "both.json", tmp_path / "plain.json", tmp_path / "fresh.json"]
+    assert main(["run", path, "--report", str(reports[0]), "--csv", str(tmp_path / "run.csv")]) == 0
+    for flag in [("--no-such-flag",), *REMOVED_FLAGS]:
+        with pytest.raises(SystemExit) as bad:
+            main(["run", path, *flag])
+        assert bad.value.code == 2
     assert main(["run", path, "--report", str(reports[1])]) == 0
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
@@ -987,8 +1046,8 @@ def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    override, plain, fresh = (p.read_text() for p in reports)
-    assert json.loads(override)["config"]["tolerances"]["deviation"] == 1e-7
+    both, plain, fresh = (p.read_text() for p in reports)
+    assert (tmp_path / "run.csv").read_text().startswith("t,x1,x2,y1,y2,H,sigma1\n")
     assert json.loads(plain)["config"]["tolerances"] == {"deviation": 1e-6, "hypothesis": 1e-8}
     elapsed = re.compile(r'"elapsed_seconds": [^,}\s]+')
-    assert elapsed.sub("", plain) == elapsed.sub("", fresh)
+    assert elapsed.sub("", both) == elapsed.sub("", plain) == elapsed.sub("", fresh)

@@ -148,6 +148,44 @@ def test_a_flow_past_the_step_budget_is_an_integration_error(monkeypatch):
     assert 0.0 < err.value.last_good_time < t_end
 
 
+@pytest.mark.parametrize(
+    "x0,t_end",
+    [
+        ([1e12, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0], 10.0),  # accuracy-limited near t = 2e-4
+        ([0.5, 0.8, 0.3, 0.9, 0.2, -0.4, 0.1, 0.3], 1e308),  # a horizon no budget reaches
+    ],
+    ids=["huge-start", "huge-horizon"],
+)
+def test_a_pace_that_projects_past_the_step_budget_ends_the_flow_at_a_checkpoint(x0, t_end):
+    # each flow spent the whole budget of 100,000 attempts (3.5-7 s); at the
+    # first checkpoint its pace projects more than ten times the budget
+    calls = []
+    lattice = toda.periodic_field(4)
+    system = replace(lattice, field=lambda z: calls.append(1) or lattice.field(z))
+    message = r"stopped at t=0: 1000 attempts reached t=\S+, a pace that projects over 10 times the step budget of 100000"
+    with pytest.raises(IntegrationError, match=message) as err:
+        flow_adaptive(system, x0, t_end)
+    assert err.value.last_good_time == 0.0
+    # twelve stages per attempt, two calls to start, three for the held step's dense output
+    assert len(calls) == 12 * 1000 + 2 + 3
+
+
+def test_budget_checkpoints_leave_a_flow_on_pace_unchanged(monkeypatch):
+    # a checkpoint every 7 attempts projects a pace far inside the budget, so
+    # the flow is stepped as with none, and the exact budget still binds
+    system, x0, t_end = ECCENTRIC
+    plain = flow_adaptive(system, x0, t_end)
+    attempts = plain.stats.steps_accepted + plain.stats.steps_rejected
+    monkeypatch.setattr(integrate, "_CHECKPOINT", 7)
+    checked = flow_adaptive(system, x0, t_end)
+    assert checked.stats == plain.stats and checked.states.tobytes() == plain.states.tobytes()
+    monkeypatch.setattr(integrate, "_MAX_ATTEMPTS", attempts)
+    assert flow_adaptive(system, x0, t_end).stats == plain.stats
+    monkeypatch.setattr(integrate, "_MAX_ATTEMPTS", attempts - 1)
+    with pytest.raises(IntegrationError, match=f"step budget of {attempts - 1} attempts is spent"):
+        flow_adaptive(system, x0, t_end)
+
+
 def test_trajectory_determinism_bit_for_bit():
     x0 = random_toda_physical(4, 1, 43)[0]
     sys4 = toda.periodic_field(4)

@@ -15,9 +15,9 @@ from invarsets import (
     verify_set_persistence,
     verify_vanishing_invariance,
 )
-from invarsets import kepler, oscillator, report, toda
+from invarsets import kepler, oscillator, toda
 
-from conftest import random_toda_physical
+from conftest import batched_symplectic_base, random_toda_physical
 
 PATTERN_START = np.array([0.3, 0.7, 0.3, 0.7, 0.5, -0.2, 0.5, -0.2])
 
@@ -389,7 +389,7 @@ VERIFIER_CASES = {
     ),
     "coincidence": (
         lambda **kw: verify_coincidence(
-            report._symplectic_base, kepler.hamiltonian(), kepler.linear_pair_hamiltonian(1.0),
+            batched_symplectic_base, kepler.hamiltonian(), kepler.linear_pair_hamiltonian(1.0),
             kepler.circular_sample(1.0, 0.3), 2.0, batched=True, **kw,
         ),
         kepler.kepler_field(), kepler.circular_sample(1.0, 0.3), 2.0,
