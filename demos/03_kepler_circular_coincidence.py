@@ -24,8 +24,8 @@ from invarsets import kepler
 # Both driven flows are integrated here.  With the model's systems passed as
 # `closed_forms`, as `invarsets run` passes them, neither is: the Kepler
 # field declares its exact flow (Kepler's equation, on elliptic orbits) and
-# kepler.linear_pair_field(a) its matrix L, whose flow is exp(tL) x0, and
-# the check ties each flow's velocity to its driven field on every sample.
+# kepler.linear_pair_field(a) its rotation, clockwise at the rate 1/a^3,
+# and the check ties each flow's velocity to its driven field on every sample.
 J = canonical_symplectic_matrix(2)
 base = lambda x, g: g @ J.T
 

@@ -57,6 +57,21 @@ def _checked_rows(label, dim, rows) -> np.ndarray:
     return _finite_field_rows(label, np.array(rows))
 
 
+def _driven_rows(base, label: str, batched: bool, xs: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """``base``'s rows on the ``(m, dim)`` stack ``xs`` and its flat
+    Jacobians ``flat``: one call if ``batched``, else one per row, checked as
+    :func:`evaluate_field` does."""
+    if not batched:
+        rows = [np.asarray(base(x, g), dtype=float) for x, g in zip(xs, flat)]
+        return _checked_rows(label, xs.shape[1], rows)
+    out = np.asarray(base(xs, flat), dtype=float)
+    if out.shape == xs.shape and _all_finite(out):
+        return out
+    if out.ndim < 2 or len(out) != len(xs):
+        raise UsageError(f"field of '{label}' returned shape {out.shape}, expected {xs.shape}")
+    return _checked_rows(label, xs.shape[1], out)  # raises as the rows one by one would
+
+
 def assemble_system(
     base: Callable[[np.ndarray, np.ndarray], np.ndarray],
     quantity: ConservedQuantitySet,
@@ -94,25 +109,16 @@ def assemble_system(
             raise NumericError(f"field of '{label}' evaluated at a non-finite state")
         xs = xv.reshape(-1, dim)
         flat = _jacobian_stack(quantity, xs).reshape(len(xs), -1)
-        if not batched:
-            rows = [np.asarray(base(x, g), dtype=float) for x, g in zip(xs, flat)]
-            return _checked_rows(label, dim, rows).reshape(xv.shape)
-        out = np.asarray(base(xs, flat), dtype=float)
-        if out.shape == xs.shape and _all_finite(out):
-            return out.reshape(xv.shape)
-        if out.ndim < 2 or len(out) != len(xs):
-            raise UsageError(f"field of '{label}' returned shape {out.shape}, expected {xs.shape}")
-        return _checked_rows(label, dim, out)  # raises as the rows one by one would
+        return _driven_rows(base, label, batched, xs, flat).reshape(xv.shape)
 
     system = SystemDefinition(dim=quantity.dim, field=field, label=label, batched=True)
     return GradientDrivenSystem(quantity=quantity, system=system)
 
 
 def _flow(closed: SystemDefinition | None, driven: SystemDefinition, x0, t_end, integ) -> Trajectory:
-    """The flow of ``driven`` from ``x0``: exp(t L) x0 if ``closed`` declares
-    its ``matrix`` L, else ``closed``'s declared ``flow`` where that covers
-    ``x0``, else ``driven`` integrated."""
-    if closed is not None and (closed.matrix is not None or closed.flow is not None):
+    """The flow of ``driven`` from ``x0``: ``closed``'s declared ``flow``
+    where that covers ``x0``, else ``driven`` integrated."""
+    if closed is not None and closed.flow is not None:
         traj = _declared_flow(closed, x0, t_end, integ)
         if traj is not None:
             return traj
@@ -122,39 +128,43 @@ def _flow(closed: SystemDefinition | None, driven: SystemDefinition, x0, t_end, 
 _DELTA = 1e-3  # the premise's time step, in units of the flow's local time scale
 
 
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each row of an ``(m, n)`` stack, finite wherever the row's entries are: a
+    row whose squares overflow is first scaled by the power of two of its largest entry, which is exact."""
+    norms = np.linalg.norm(a, axis=1)
+    big = np.flatnonzero(np.isinf(norms))
+    if big.size:
+        _, e = np.frexp(np.abs(a[big]).max(axis=1))
+        norms[big] = np.ldexp(np.linalg.norm(np.ldexp(a[big], -e[:, None]), axis=1), e)
+    return norms
+
+
 def _premise_failure(name, closed, driven: GradientDrivenSystem, traj: Trajectory, tol: float, rows=None) -> str | None:
     """Why the flow ``traj`` declared by ``closed`` leaves the ``driven``
     field's rows (``rows`` when given) at some sample, or None, as for an
-    integrated flow.  The velocity of a matrix L is ``xs @ L.T``, within two
-    dot roundings, 2 dim eps (|xs| @ |L|.T); that of a map is its
-    fourth-order centred time difference, one call on the four shifted
-    grids, within ``tol`` relative to max(1, |row|).  Its step at sample i is
-    ``_DELTA`` |x_i| / |row_i| (or ``_DELTA``), the local time r^(3/2) on a
-    Kepler orbit: one periapsis step for all samples read the flow's own
-    rounding at apoapsis over 1e-8 at e = 0.99."""
-    xs, times, method = traj.states, traj.times, traj.stats.method
-    if method not in ("matrix-exponential", "declared-flow"):
+    integrated flow: its velocity, the fourth-order centred time difference
+    from one call on the four shifted grids, must be within ``tol`` relative
+    to max(1, |row|).  The step at sample i is ``_DELTA`` |x_i| / |row_i| (or
+    ``_DELTA``): r^(3/2) on a Kepler orbit, where one periapsis step read the
+    rounding at apoapsis over 1e-8 at e = 0.99, and a^3 on the rotation."""
+    xs, times = traj.states, traj.times
+    if traj.stats.method != "declared-flow":
         return None
     rows = driven.fields(xs) if rows is None else rows
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if method == "matrix-exponential":
-            L, what, residual = closed.matrix, "declared matrix", None
-            bound = 2 * len(L) * np.finfo(float).eps * (np.abs(xs) @ np.abs(L).T)
-            off = ~(np.abs(rows - xs @ L.T) <= bound).all(axis=1)
-        else:
-            what, norms = "declared flow", np.linalg.norm(rows, axis=1)
-            scale = np.linalg.norm(xs, axis=1) / norms
-            delta = _DELTA * np.where((0 < scale) & (scale < np.inf), scale, 1.0)
-            shifted = closed.flow(xs[0], (times + delta * np.array([[2.0], [1.0], [-1.0], [-2.0]])).ravel())
-            p2, p1, m1, m2 = (np.nan,) * 4 if shifted is None else np.reshape(shifted, (4, *xs.shape))
-            velocity = (8 * (p1 - m1) - (p2 - m2)) / (12 * delta[:, None])
-            residual = np.linalg.norm(velocity - rows, axis=1) / np.maximum(1.0, norms)
-            off = ~(residual <= tol)
+        norms = _row_norms(rows)
+        scale = _row_norms(xs) / norms
+        delta = _DELTA * np.where((0 < scale) & (scale < np.inf), scale, 1.0)
+        shifted = closed.flow(xs[0], (times + delta * np.array([[2.0], [1.0], [-1.0], [-2.0]])).ravel())
+        p2, p1, m1, m2 = (np.nan,) * 4 if shifted is None else np.reshape(shifted, (4, *xs.shape))
+        velocity = (8 * (p1 - m1) - (p2 - m2)) / (12 * delta[:, None])
+        residual = _row_norms(velocity - rows) / np.maximum(1.0, norms)
+    off = ~(residual <= tol)
     if not off.any():
         return None
     i = int(np.argmax(off))
-    at = f"t={times[i]:.6g}" + ("" if residual is None else f", residual {residual[i]:.3e}")
-    return f"the {what} of the {name}-driven flow differs from its driven field at sample {i} ({at})"
+    return (f"the declared flow of the {name}-driven flow differs from its driven field at sample {i} "
+            f"(t={times[i]:.6g}, residual {residual[i]:.3e})")
 
 
 def agreement_residual(
@@ -208,13 +218,12 @@ def verify_coincidence(
 
     ``closed_forms`` are two systems standing for the F- and G-driven fields
     (for Kepler: the model's field and :func:`kepler.linear_pair_field`),
-    whose fields are not called.  A flow whose system declares its ``matrix``
-    L is exp(t L) x0, one whose system declares a ``flow`` covering ``x0`` is
-    that map's states, and any other is the driven system integrated.  A
-    declared flow's velocity must equal the driven field's rows on every
-    sample, by value (:func:`_premise_failure`; for F the stack the F - G
-    scan evaluates anyway), or the verdict is a hypothesis error naming the
-    flow and the sample.
+    whose fields are not called.  A flow whose system declares a ``flow``
+    covering ``x0`` is that map's states, and any other is the driven system
+    integrated.  A declared flow's velocity must equal the driven field's
+    rows on every sample, by value (:func:`_premise_failure`; for F the stack
+    the F - G scan evaluates anyway), or the verdict is a hypothesis error
+    naming the flow and the sample.
     """
     tol = _tolerances(tolerances, ("deviation", "hypothesis"))
     x0v = as_state(x0, f_quantity.dim)
@@ -244,10 +253,11 @@ def verify_coincidence(
             )
         raise
 
-    # d/dt (F - G) = (J_F - J_G) . f along the first flow at every sample
+    # d/dt (F - G) = (J_F - J_G) . f along the first flow at every sample, J_F feeding the driven rows too
     states = traj_f.states
-    fields_f = sys_f.fields(states)
-    J = _jacobian_stack(f_quantity, states) - _jacobian_stack(g_quantity, states)
+    J_f = _jacobian_stack(f_quantity, states)
+    fields_f = _driven_rows(base, sys_f.system.label, batched, states, J_f.reshape(len(states), -1))
+    J = J_f - _jacobian_stack(g_quantity, states)
     rates = (J * fields_f[:, None, :]).sum(axis=2)
     scales = _state_scales(states)
     # as at the start, a state whose norm overflows fails the premise

@@ -14,7 +14,7 @@ so all operations can be called concurrently without synchronization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as _dataclass_field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -109,12 +109,11 @@ class SystemDefinition:
     ``component_names`` optionally names the state components for exports.
     ``batched`` declares, as for :class:`ConservedQuantitySet`, that
     ``field`` also maps a stack ``(..., dim)`` to ``(..., dim)``, each row
-    equal bit for bit to the single-state result.  ``matrix``, a finite
-    ``(dim, dim)`` array, declares the model linear, ``field(x) = matrix @ x``.
-    ``flow`` declares an exact flow: ``flow(x0, times)`` gives the ``(m, dim)``
-    states at a 1-D array of times of either sign, ``x0`` at time 0, or
-    ``None`` where it does not cover ``x0``.  The coincidence check takes
-    either flow where it covers the start, checked against the field.
+    equal bit for bit to the single-state result.  ``flow`` declares an
+    exact flow: ``flow(x0, times)`` gives the ``(m, dim)`` states at a 1-D
+    array of times of either sign, ``x0`` at time 0, or ``None`` where it
+    does not cover ``x0``.  The coincidence check takes that flow where it
+    covers the start, checked against the field.
     """
 
     dim: int
@@ -122,7 +121,6 @@ class SystemDefinition:
     label: str = ""
     component_names: tuple[str, ...] | None = None
     batched: bool = False
-    matrix: Array | None = _dataclass_field(default=None, compare=False)
     flow: Callable[[Array, Array], Array | None] | None = None
 
     def __post_init__(self):
@@ -133,16 +131,6 @@ class SystemDefinition:
                 f"component_names has {len(self.component_names)} entries "
                 f"for dimension {self.dim}"
             )
-        if self.matrix is not None:
-            try:
-                matrix = np.array(self.matrix)
-            except ValueError:  # a ragged nesting
-                matrix = np.empty(0)
-            if matrix.dtype.kind not in "iuf" or matrix.shape != (self.dim, self.dim) or not _all_finite(matrix):
-                raise UsageError(f"matrix of '{self.label}' must be a finite ({self.dim}, {self.dim}) array of numbers")
-            matrix = matrix.astype(float)
-            matrix.flags.writeable = False
-            object.__setattr__(self, "matrix", matrix)
         if self.flow is not None and not callable(self.flow):
             raise UsageError(f"flow of '{self.label}' must be callable, got {type(self.flow).__name__}")
 

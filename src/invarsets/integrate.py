@@ -36,9 +36,8 @@ norm is taken on Python floats, cheaper than numpy scalars, with numpy's
 scalar results (inf on overflow, nan at 0/0).
 The default tolerances of :class:`IntegratorSettings` are 1e-10 so that
 downstream theorem checks comparing residuals at ~1e-7 sit comfortably
-above the integration error.  A system that declares its ``matrix`` L
-has the flow exp(t L) x0 on the same grid, and one that declares a
-``flow`` map that map's states (``_declared_flow``).
+above the integration error.  A system that declares a ``flow`` map has
+that map's states on the same grid (``_declared_flow``).
 
 Distinct integrations share no state and may run concurrently; a single
 integration is sequential, and trajectories are immutable once returned.
@@ -268,63 +267,23 @@ def _check_samples(states: np.ndarray, t_eval: np.ndarray) -> None:
         raise IntegrationError("adaptive integration produced non-finite states", last_good_time=float(t_eval[bad - 1]))
 
 
-# Higham's [13/13] Pade coefficients b_0..b_13 (SIAM J. Matrix Anal. Appl. 26, 2005), as weights of the powers
-# (I, A^2, A^4, A^6) in the two parts of U and of V, and theta_13, the largest 1-norm the approximant takes unscaled
-_B13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0, 129060195264000.0,
-        10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0, 0.0)
-_PADE13 = np.array(_B13)[[[14, 9, 11, 13], [1, 3, 5, 7], [14, 8, 10, 12], [0, 2, 4, 6]]]
-_THETA13 = 5.371920351148152
-
-
-def _expm(A: np.ndarray) -> np.ndarray:
-    """exp(A): the [13/13] Pade approximant of A halved s times to a 1-norm of at most theta_13, one solve,
-    then s squarings (Higham, "The scaling and squaring method for the matrix exponential revisited")."""
-    norm = float(np.abs(A).sum(axis=0).max())
-    if not 0 < norm < math.inf:  # exp(0) is I exactly, where the solve would round
-        return np.eye(len(A)) if norm == 0 else np.full_like(A, np.nan)
-    s = max(0, math.ceil(math.log2(norm / _THETA13)))
-    A = A / 2.0**s
-    A2 = A @ A
-    A4 = A2 @ A2
-    powers = np.stack([np.eye(len(A)), A2, A4, A4 @ A2])
-    U1, U2, V1, V2 = (_PADE13 @ powers.reshape(4, -1)).reshape(powers.shape)  # one product for the four sums
-    U = A @ (powers[3] @ U1 + U2)
-    V = powers[3] @ V1 + V2
-    R = np.linalg.solve(V - U, V + U)
-    for _ in range(s):
-        R = R @ R
-    return R
-
-
 def _declared_flow(system: SystemDefinition, x0, t_end: float, integ: IntegratorSettings) -> Trajectory | None:
-    """The flow a system declares, on the grid of :func:`flow_adaptive`:
-    exp(t L) x0 for its ``matrix`` L (one exp(dt L), then samples k..2k-1 are
-    the first k times exp(k dt L)), else its ``flow`` map's states, or None
-    where the map does not cover ``x0``.  Sample 0 is ``x0``.  A map's result
-    of another shape is a :class:`UsageError`; a non-finite sample is the
-    stepper's error."""
+    """The ``flow`` a system declares, on the grid of :func:`flow_adaptive`, or
+    None where the map does not cover ``x0``.  Sample 0 is ``x0``.  A map's
+    result of another shape is a :class:`UsageError`; a non-finite sample is
+    the stepper's error."""
     _check_horizon("t_end", t_end)
     x0v = as_state(x0, system.dim)
     t_eval = np.linspace(0.0, float(t_end), int(integ.sample_count))
-    if system.matrix is not None:
-        states, method = np.empty((t_eval.size, x0v.size)), "matrix-exponential"
-        states[0] = x0v
-        with np.errstate(over="ignore", invalid="ignore"):
-            P, k = _expm(t_eval[1] * system.matrix), 1
-            while k < len(states):
-                m = min(k, len(states) - k)
-                np.matmul(states[:m], P.T, out=states[k : k + m])
-                P, k = P @ P, 2 * k
-    else:
-        states, method = system.flow(x0v, t_eval), "declared-flow"
-        if states is None:
-            return None
-        states = np.array(states, dtype=float)
-        if states.shape != (t_eval.size, x0v.size):
-            raise UsageError(f"flow of '{system.label}' returned shape {states.shape}, expected {(t_eval.size, x0v.size)}")
-        states[0] = x0v  # a map off x0 then fails the premise at sample 0
+    states = system.flow(x0v, t_eval)
+    if states is None:
+        return None
+    states = np.array(states, dtype=float)
+    if states.shape != (t_eval.size, x0v.size):
+        raise UsageError(f"flow of '{system.label}' returned shape {states.shape}, expected {(t_eval.size, x0v.size)}")
+    states[0] = x0v  # a map off x0 then fails the premise at sample 0
     _check_samples(states, t_eval)
-    return Trajectory(times=t_eval, states=states, stats=IntegratorStats(method, 0, 0, 0))
+    return Trajectory(times=t_eval, states=states, stats=IntegratorStats("declared-flow", 0, 0, 0))
 
 
 def _rms(x: np.ndarray) -> float:

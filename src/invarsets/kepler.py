@@ -6,7 +6,7 @@ momentum A, and for any a > 0 the combination K = H + A/a^3 whose gradient
 vanishes exactly on the clockwise circular orbits of radius a^2.  On that
 family the Kepler field agrees with the linear field generated canonically
 by -A/a^3, which is the companion system used in flow-coincidence checks.
-Both fields declare exact flows: Kepler's equation on ellipses, and a matrix.
+Both fields declare exact flows: Kepler's equation on ellipses, and a rotation.
 """
 
 from __future__ import annotations
@@ -207,23 +207,26 @@ def circular_sample(a: float, theta: float) -> np.ndarray:
 
 
 def linear_pair_field(a: float) -> SystemDefinition:
-    """The linear field (x2, -x1, y2, -y1)/a^3, declared as its ``matrix`` L.
+    """The linear field (x2, -x1, y2, -y1)/a^3, the canonical flow of -A/a^3.
 
-    This is the canonical flow of -A/a^3; it matches the Kepler field at
-    every point of the radius-a^2 circular family and nowhere else.
+    It matches the Kepler field at every point of the radius-a^2 circular
+    family and nowhere else.  Its ``flow`` turns (x1, x2) and (y1, y2) each
+    clockwise at the rate 1/a^3, from every start.
     """
     _radius(a)
-    L = np.array([[0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, 0.0]]) / a**3
+    rate = 1.0 / a**3
 
-    def field(z):
-        with np.errstate(over="ignore"):  # as silent as the other forms
-            return z @ L.T
+    @_componentwise
+    def field(x1, x2, y1, y2):
+        return np.array([x2, -x1, y2, -y1]) * rate
+
+    def flow(x0, times):  # (cos, sin) of the angle times (x0, x0 turned a quarter clockwise)
+        x1, x2, y1, y2 = x0
+        with np.errstate(over="ignore", invalid="ignore"):  # a far-out start's overflow is the caller's check
+            angle = times * rate
+            return np.stack([np.cos(angle), np.sin(angle)], axis=1) @ np.array([x0, [x2, -x1, y2, -y1]])
 
     return SystemDefinition(
-        dim=4,
-        field=field,
-        label=f"kepler-linear-pair(a={a:g})",
-        component_names=("x1", "x2", "y1", "y2"),
-        batched=True,
-        matrix=L,
+        dim=4, field=field, label=f"kepler-linear-pair(a={a:g})", component_names=("x1", "x2", "y1", "y2"),
+        batched=True, flow=flow,
     )

@@ -497,8 +497,9 @@ def run_scenario(config: dict[str, Any]) -> RunReport:
     """Execute one scenario and return its report.
 
     Configuration problems raise :class:`UsageError`; numerical verdicts
-    (including hypothesis errors) are reported, not raised.  A failed
-    integration is a hypothesis error: the flow does not exist on [0, t_end].
+    (including hypothesis errors) are reported, not raised.  An integration
+    stopped before ``t_end`` (a flow that ceases to exist, or a spent step
+    budget) is a hypothesis error naming the last sample time and the cause.
     So is any other numeric failure, such as a singular gradient at the
     start, where the check's premises cannot be evaluated.
     """
@@ -508,7 +509,7 @@ def run_scenario(config: dict[str, Any]) -> RunReport:
         verdict, evidence, traj = _CHECKS[s.check].run(s)
     except IntegrationError as exc:
         t = exc.last_good_time
-        message = f"the flow does not exist on [0, {s.t_end:.6g}]: last sample time reached {t:.6g}; {exc}"
+        message = f"integration stopped before t_end={s.t_end:.6g}: last sample time reached {t:.6g}; {exc}"
         verdict, evidence, traj = HYPOTHESIS_ERROR, {"message": message, "last_sample_time": t}, None
     except NumericError as exc:
         message = f"a numeric failure stopped the check: {exc}"

@@ -281,7 +281,7 @@ def test_failed_integration_is_a_hypothesis_error_report(tmp_path, capsys):
     assert report["verdict"] == "hypothesis-error"
     assert report["evidence"]["last_sample_time"] == 0.0
     message = report["evidence"]["message"]
-    assert message.startswith("the flow does not exist on [0, 1]: last sample time reached 0; ")
+    assert message.startswith("integration stopped before t_end=1: last sample time reached 0; ")
     assert "field evaluation failed during integration: Kepler field is singular" in message
 
 
@@ -409,10 +409,21 @@ def test_spent_step_budget_is_a_hypothesis_error_report(tmp_path, capsys, monkey
     report = _strict_json(capsys.readouterr().out)
     assert report["verdict"] == "hypothesis-error"
     message = report["evidence"]["message"]
-    assert message.startswith("the flow does not exist on [0, 1]: last sample time reached ")
+    assert message.startswith("integration stopped before t_end=1: last sample time reached ")
     assert message.endswith(
         "the step budget of 2 attempts is spent (steps too short for the horizon: a fast oscillation?)"
     )
+
+
+def test_bounded_flow_past_its_step_budget_is_not_worded_as_a_flow_that_does_not_exist(tmp_path, capsys):
+    # the periodic lattice's flow exists for all time; at t_end 1e308 the
+    # budget's projection stops the stepper, and the message says that
+    config = {**json.loads((SCENARIO_DIR / "toda-periodic-drift.json").read_text()), "t_end": 1e308}
+    assert main(["run", _write(tmp_path, config)]) == 1
+    message = _strict_json(capsys.readouterr().out)["evidence"]["message"]
+    assert message.startswith("integration stopped before t_end=1e+308: last sample time reached 0; ")
+    assert message.endswith("a pace that projects over 10 times the step budget of 100000 attempts")
+    assert "does not exist" not in message
 
 
 def test_printed_report_and_report_file_hold_the_same_bytes(tmp_path, capsys, monkeypatch):
@@ -684,7 +695,7 @@ HUGE_STARTS = [
     (RANK, {("initial_state", "params", "u1"): -1e308}, NON_FINITE_GRADIENT),
     (
         PERSIST, {("initial_state", "params", "u"): 1e300},
-        "the flow does not exist on [0, 10]: last sample time reached 0; adaptive integration of "
+        "integration stopped before t_end=10: last sample time reached 0; adaptive integration of "
         "'toda-periodic(n=4)' stopped at t=0: Required step size is less than spacing between numbers.",
     ),
 ]

@@ -14,7 +14,6 @@ from invarsets import (
     IntegratorSettings,
     IntegratorStats,
     NumericError,
-    SystemDefinition,
     Trajectory,
     UsageError,
     agreement_residual,
@@ -881,7 +880,7 @@ def _kepler_coincidence(x0, a, t_end, closed_forms=None, base=batched_symplectic
 
 
 def _declared(a):
-    """The Kepler field, declaring its flow, and the linear pair field, declaring its matrix."""
+    """The Kepler field and the linear pair field, each declaring its flow."""
     return kepler.kepler_field(), kepler.linear_pair_field(a)
 
 
@@ -1026,47 +1025,61 @@ def test_declared_map_from_another_start_is_a_hypothesis_error_at_sample_0():
     assert rep.message.startswith("the declared flow of the F-driven flow differs from its driven field at sample 0 (t=0")
 
 
+def _matrix_flow(L):
+    """The flow exp(t L) x0 of the linear field x' = L x, from scipy."""
+    from scipy.linalg import expm
+
+    return lambda x0, times: np.array([expm(t * L) @ x0 for t in times])
+
+
 @pytest.mark.parametrize(
     "change,theta,sample",
     [
-        ("scaled", 0.3, 0),  # the whole matrix 1e-6 too large
-        ("transposed", 0.3, 0),  # the flow of A/a^3, the other sense of rotation
+        ("scaled", 0.3, 0),  # the rate 1e-6 too large
+        ("reversed", 0.3, 0),  # the flow of A/a^3, the other sense of rotation
         ("diagonal", 0.0, 1),  # an entry on x1, which is 0 at the start alone
     ],
 )
-def test_declared_matrix_off_its_driven_field_is_a_hypothesis_error_naming_the_g_flow(change, theta, sample):
+def test_declared_linear_flow_off_its_driven_field_is_a_hypothesis_error_naming_the_g_flow(change, theta, sample):
     a, x0 = 1.0, kepler.circular_sample(1.0, theta)
     kepler_field, pair = _declared(a)
-    matrix = {"scaled": pair.matrix * (1 + 1e-6), "transposed": pair.matrix.T}.get(change)
-    if change == "diagonal":
-        matrix = pair.matrix.copy()
-        matrix[0, 0] = 1e-3
-    rep = _kepler_coincidence(x0, a, 2 * np.pi, (kepler_field, replace(pair, matrix=matrix)))
+    L = np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]]) / a**3  # the pair's field (x2, -x1, y2, -y1) / a^3
+    wrong = {"scaled": L * (1 + 1e-6), "reversed": L.T, "diagonal": L + np.diag([1e-3, 0.0, 0.0, 0.0])}[change]
+    rep = _kepler_coincidence(x0, a, 2 * np.pi, (kepler_field, replace(pair, flow=_matrix_flow(wrong))))
     assert rep.verdict == "hypothesis-error"
     assert rep.message.startswith(
-        f"the declared matrix of the G-driven flow differs from its driven field at sample {sample} (t="
+        f"the declared flow of the G-driven flow differs from its driven field at sample {sample} (t="
     )
 
 
-def test_matrix_premise_admits_the_roundings_of_another_summation_order():
-    # driven rows that sum each component backwards: within two dot-product
-    # roundings of xs @ L.T everywhere, while a matrix 1e-12 off is not
-    rng = np.random.default_rng(29)
-    L = rng.standard_normal((4, 4))
+@pytest.mark.parametrize("a", [1e-30, 1e-3, 1.0, 1e3, 1e30])
+def test_rotation_premise_residual_is_at_most_1e_11_at_every_radius(a):
+    pair, on_set = kepler.linear_pair_field(a), kepler.circular_sample(a, 0.3)
+    driven = assemble_system(batched_symplectic_base, kepler.linear_pair_hamiltonian(a), batched=True)
+    for x0 in (on_set, on_set * [1.0, 1.0, 1.1, 1.1]):  # the rotation covers off-set starts too
+        for samples in (401, 10_001):
+            traj = integrate._declared_flow(pair, x0, 2 * np.pi * a**3, IntegratorSettings(sample_count=samples))
+            assert coincidence._premise_failure("G", pair, driven, traj, 1e-11) is None
 
-    def field(x):
-        return sum(x[..., j, None] * L[:, j] for j in reversed(range(4)))
 
-    system = SystemDefinition(4, field, "dense", batched=True, matrix=L)
-    xs = rng.standard_normal((401, 4)) * 10.0 ** rng.integers(-3, 4, (401, 1))
-    traj = Trajectory(np.arange(401.0), xs, IntegratorStats("matrix-exponential", 0, 0, 0))
-    rows = system.fields(xs)
-    assert not (rows == xs @ L.T).all()  # the orders round differently
-    assert coincidence._premise_failure("G", system, None, traj, 1e-8, rows) is None
-    off = replace(system, matrix=L * (1 + 1e-12))
-    assert coincidence._premise_failure("G", off, None, traj, 1e-8, rows).startswith(
-        "the declared matrix of the G-driven flow differs from its driven field at sample 0 (t=0)"
+def test_row_norms_are_the_plain_norms_bit_for_bit_and_finite_where_those_overflow():
+    rng = np.random.default_rng(35)
+    rows = rng.standard_normal((2000, 4)) * 10.0 ** rng.integers(-150, 150, (2000, 1))
+    assert coincidence._row_norms(rows).tobytes() == np.linalg.norm(rows, axis=1).tobytes()
+    with np.errstate(over="ignore"):
+        far = coincidence._row_norms(np.array([[1e200, 1e200, 1e-200, 0.0], [0.0] * 4, [np.inf, 1.0, 0.0, 0.0]]))
+    assert far.tolist() == [np.hypot(1e200, 1e200), 0.0, np.inf]
+
+
+def test_each_jacobian_stack_of_the_f_samples_is_evaluated_once():
+    shapes, H = [], kepler.hamiltonian()
+    counted = replace(H, analytic_gradient=lambda x: shapes.append(x.shape) or H.analytic_gradient(x))
+    rep = verify_coincidence(
+        batched_symplectic_base, counted, kepler.linear_pair_hamiltonian(1.0), kepler.circular_sample(1.0, 0.3),
+        2 * np.pi, batched=True, closed_forms=_declared(1.0),
     )
+    assert rep.verdict == "pass"
+    assert shapes == [(1, 4), (401, 4)]  # the start's agreement, then the driven rows and J_F - J_G
 
 
 def _assert_kepler_premise_holds(e, sense):
