@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import warnings
 from dataclasses import replace
@@ -1036,15 +1037,16 @@ def _matrix_flow(L):
     "change,theta,sample",
     [
         ("scaled", 0.3, 0),  # the rate 1e-6 too large
-        ("reversed", 0.3, 0),  # the flow of A/a^3, the other sense of rotation
+        ("transposed", 0.3, 0),  # the flow of A/a^3, the other sense of rotation
         ("diagonal", 0.0, 1),  # an entry on x1, which is 0 at the start alone
     ],
 )
-def test_declared_linear_flow_off_its_driven_field_is_a_hypothesis_error_naming_the_g_flow(change, theta, sample):
+def test_declared_matrix_off_its_driven_field_is_a_hypothesis_error_naming_the_g_flow(change, theta, sample):
+    # the declared G flow is exp(t M) x0 for a matrix M off the pair's field
     a, x0 = 1.0, kepler.circular_sample(1.0, theta)
     kepler_field, pair = _declared(a)
     L = np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]]) / a**3  # the pair's field (x2, -x1, y2, -y1) / a^3
-    wrong = {"scaled": L * (1 + 1e-6), "reversed": L.T, "diagonal": L + np.diag([1e-3, 0.0, 0.0, 0.0])}[change]
+    wrong = {"scaled": L * (1 + 1e-6), "transposed": L.T, "diagonal": L + np.diag([1e-3, 0.0, 0.0, 0.0])}[change]
     rep = _kepler_coincidence(x0, a, 2 * np.pi, (kepler_field, replace(pair, flow=_matrix_flow(wrong))))
     assert rep.verdict == "hypothesis-error"
     assert rep.message.startswith(
@@ -1069,6 +1071,37 @@ def test_row_norms_are_the_plain_norms_bit_for_bit_and_finite_where_those_overfl
     with np.errstate(over="ignore"):
         far = coincidence._row_norms(np.array([[1e200, 1e200, 1e-200, 0.0], [0.0] * 4, [np.inf, 1.0, 0.0, 0.0]]))
     assert far.tolist() == [np.hypot(1e200, 1e200), 0.0, np.inf]
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        [1e200, 1e200, 1e-200, 0.0],
+        [-1e308, 1e308, 0.0, 0.0],
+        [1.7e308, 0.0, 0.0, 0.0],
+        [1e160, -1e160, 1e160, 1e160],
+        [1e300, 1e300, 1e300, 1e300],
+        [2.5e-300, -1e307, 3e306, 1e308],
+        [1e308, 1e308, 1e308, 1e308],
+        [np.inf, 1.0, 0.0, 0.0],
+        [np.nan, 1e300, 1e300, 0.0],
+    ],
+    ids=["pair", "opposite-signs", "one-entry", "four-equal-squares-overflow", "four-equal", "spread", "norm-overflows",
+         "inf", "nan"],
+)
+def test_row_norm_whose_squares_overflow_is_the_true_norm(row):
+    # math.hypot scales before squaring, so it overflows only where the norm does
+    with np.errstate(over="ignore"):
+        got = coincidence._row_norms(np.array([row, [3.0, 4.0, 0.0, 0.0]]))
+    try:
+        want = math.hypot(*row)
+    except OverflowError:
+        want = np.inf
+    if np.isfinite(want):
+        assert abs(got[0] - want) <= 2 * np.finfo(float).eps * want
+    else:  # inf, or nan for a nan entry
+        assert str(got[0]) == str(want)
+    assert got[1] == 5.0  # a row that does not overflow is untouched
 
 
 def test_each_jacobian_stack_of_the_f_samples_is_evaluated_once():

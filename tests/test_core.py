@@ -107,6 +107,11 @@ def test_a_system_declares_its_exact_flow_one_way():
     assert np.abs(quarter_turn - [[0.0, -1.0, 1.0, 0.0]]).max() <= 1e-15
 
 
+def test_a_matrix_is_no_longer_a_way_to_declare_a_flow():
+    with pytest.raises(TypeError, match="'matrix'"):
+        SystemDefinition(2, lambda x: x, "lin", matrix=np.eye(2))
+
+
 @pytest.mark.parametrize("flow", ["exp", np.eye(2), 1.0])
 def test_declared_flow_must_be_callable(flow):
     with pytest.raises(UsageError, match=r"^flow of 'rot' must be callable, got "):

@@ -810,7 +810,7 @@ def test_non_finite_or_non_positive_times_are_rejected(bad):
 
 # ---------------------------------------------------------------------------
 # the declared flow of the Kepler linear pair, a rotation, checked against
-# the rotation written out here and against the stepper
+# scipy's exp(tL) x0, the rotation written out here and the stepper
 # ---------------------------------------------------------------------------
 
 
@@ -822,6 +822,21 @@ def _rotation(a, x0, times):
     turned clockwise at the rate 1/a^3."""
     c, s = np.cos(times / a**3)[:, None], np.sin(times / a**3)[:, None]
     return np.hstack([x0[0] * c + x0[1] * s, x0[1] * c - x0[0] * s, x0[2] * c + x0[3] * s, x0[3] * c - x0[2] * s])
+
+
+@pytest.mark.parametrize("turns", [1 / 400, 0.37, 5.3])
+@pytest.mark.parametrize("a", [1e-30, 1e-3, 0.5, 1.0, 1.3, 1e3, 1e30])
+def test_declared_rotation_equals_scipy_expm_of_the_pair_matrix(a, turns):
+    from scipy.linalg import expm
+
+    pair = kepler.linear_pair_field(a)
+    L = pair.fields(np.eye(4)).T  # x' = L x, column j the field at e_j
+    times = np.linspace(0.0, turns * 2 * np.pi * a**3, 17)
+    for x0 in (kepler.circular_sample(a, 0.3), np.array([0.3, -1.2, 2.0, 0.7]) * a**2):
+        want = np.array([expm(t * L) @ x0 for t in times])
+        # the rounding of expm's squarings grows with |t L| (Higham 2005, section 3)
+        bound = 256 * EPS * max(1.0, 2 * np.pi * turns) * np.linalg.norm(x0)
+        assert np.abs(pair.flow(x0, times) - want).max() <= bound
 
 
 @pytest.mark.parametrize("samples", [401, 10_001])
@@ -842,13 +857,13 @@ def test_linear_flow_equals_the_rotation_and_the_stepper(seed, samples):
     assert np.abs(traj.states - stepped.states).max() <= 1e-11 * scale
 
 
-def test_linear_flow_on_two_samples_and_a_constant_map():
+def test_linear_flow_on_two_samples_and_of_the_zero_matrix():
     x0 = np.array([0.1, -2.0, 3e-300, 7.0])
     pair = kepler.linear_pair_field(1.0)
     traj = integrate._declared_flow(pair, x0, 0.5, IntegratorSettings(sample_count=2))
     assert traj.states[0].tobytes() == x0.tobytes()
     assert np.abs(traj.states - _rotation(1.0, x0, traj.times)).max() <= 4 * EPS * np.linalg.norm(x0)
-    constant = replace(pair, flow=lambda x, times: np.tile(x, (len(times), 1)))
+    constant = replace(pair, flow=lambda x, times: np.tile(x, (len(times), 1)))  # exp(t 0) x0
     still = integrate._declared_flow(constant, x0, 9.0, IntegratorSettings())
     assert still.states.tobytes() == np.tile(x0, (401, 1)).tobytes()
 
