@@ -21,11 +21,11 @@ from invarsets import kepler
 
 # J is built once; g @ J.T is J g for one gradient or a stack of them, so
 # the base is declared batched and a stack of samples makes one base call.
-# Both driven flows are integrated here.  With the model's systems passed as
-# `closed_forms`, as `invarsets run` passes them, neither is: the Kepler
-# field declares its exact flow (Kepler's equation, on elliptic orbits) and
-# kepler.linear_pair_field(a) its rotation, clockwise at the rate 1/a^3,
-# and the check ties each flow's velocity to its driven field on every sample.
+# Both driven flows are integrated here.  With exact flow maps passed as
+# `flows`, as `invarsets run` passes them, neither is: kepler.kepler_flow
+# solves Kepler's equation on elliptic orbits and kepler.linear_pair_flow(a)
+# is the rotation, clockwise at the rate 1/a^3, and the check ties each
+# flow's velocity to its driven field on every sample.
 J = canonical_symplectic_matrix(2)
 base = lambda x, g: g @ J.T
 
@@ -52,7 +52,7 @@ for a in (1.0, 1.5):
     print(f"orbit closure after one period: {closure:.3e}")
     closed = verify_coincidence(
         base, kepler.hamiltonian(), kepler.linear_pair_hamiltonian(a), x0, period, batched=True,
-        closed_forms=(kepler.kepler_field(), kepler.linear_pair_field(a)),
+        flows=(kepler.kepler_flow, kepler.linear_pair_flow(a)),
     )
     print(f"with both flows exact: {closed.verdict}, max deviation {closed.worst_value:.3e}")
     print()

@@ -6,12 +6,12 @@ F - G is conserved by the first system and the gradients of F and G agree
 at a start point, the two flows from that point coincide for all time.
 This module assembles such systems, measures gradient agreement, and
 certifies coincidence on two flows: the driven fields integrated, or exact
-flows the systems declare, checked against them.
+flow maps the caller gives for them, each checked against its driven field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
 import numpy as np
@@ -24,11 +24,10 @@ from .core import (
     _state_scales,
     _tolerances,
     as_state,
-    as_states,
 )
 from .differentiate import _check_order, _jacobian_stack
 from .errors import IntegrationError, NumericError, UsageError
-from .integrate import IntegratorSettings, Trajectory, _declared_flow, flow_adaptive
+from .integrate import IntegratorSettings, _flow
 from .invariance import HYPOTHESIS_ERROR, InvarianceReport, _certify
 from .rank_sets import _margins
 
@@ -39,11 +38,6 @@ class GradientDrivenSystem:
 
     quantity: ConservedQuantitySet
     system: SystemDefinition
-
-    def fields(self, states) -> np.ndarray:
-        """The driven field on a validated ``(m, dim)`` stack of states,
-        through ``system``'s field (see :func:`assemble_system`)."""
-        return self.system.fields(as_states(states, self.quantity.dim))
 
 
 def _checked_rows(label, dim, rows) -> np.ndarray:
@@ -115,58 +109,6 @@ def assemble_system(
     return GradientDrivenSystem(quantity=quantity, system=system)
 
 
-def _flow(closed: SystemDefinition | None, driven: SystemDefinition, x0, t_end, integ) -> Trajectory:
-    """The flow of ``driven`` from ``x0``: ``closed``'s declared ``flow``
-    where that covers ``x0``, else ``driven`` integrated."""
-    if closed is not None and closed.flow is not None:
-        traj = _declared_flow(closed, x0, t_end, integ)
-        if traj is not None:
-            return traj
-    return flow_adaptive(driven, x0, t_end, integ=integ)
-
-
-_DELTA = 1e-3  # the premise's time step, in units of the flow's local time scale
-
-
-def _row_norms(a: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm`` of each row of an ``(m, n)`` stack, finite wherever the row's entries are: a
-    row whose squares overflow is first scaled by the power of two of its largest entry, which is exact."""
-    norms = np.linalg.norm(a, axis=1)
-    big = np.flatnonzero(np.isinf(norms))
-    if big.size:
-        _, e = np.frexp(np.abs(a[big]).max(axis=1))
-        norms[big] = np.ldexp(np.linalg.norm(np.ldexp(a[big], -e[:, None]), axis=1), e)
-    return norms
-
-
-def _premise_failure(name, closed, driven: GradientDrivenSystem, traj: Trajectory, tol: float, rows=None) -> str | None:
-    """Why the flow ``traj`` declared by ``closed`` leaves the ``driven``
-    field's rows (``rows`` when given) at some sample, or None, as for an
-    integrated flow: its velocity, the fourth-order centred time difference
-    from one call on the four shifted grids, must be within ``tol`` relative
-    to max(1, |row|).  The step at sample i is ``_DELTA`` |x_i| / |row_i| (or
-    ``_DELTA``): r^(3/2) on a Kepler orbit, where one periapsis step read the
-    rounding at apoapsis over 1e-8 at e = 0.99, and a^3 on the rotation."""
-    xs, times = traj.states, traj.times
-    if traj.stats.method != "declared-flow":
-        return None
-    rows = driven.fields(xs) if rows is None else rows
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        norms = _row_norms(rows)
-        scale = _row_norms(xs) / norms
-        delta = _DELTA * np.where((0 < scale) & (scale < np.inf), scale, 1.0)
-        shifted = closed.flow(xs[0], (times + delta * np.array([[2.0], [1.0], [-1.0], [-2.0]])).ravel())
-        p2, p1, m1, m2 = (np.nan,) * 4 if shifted is None else np.reshape(shifted, (4, *xs.shape))
-        velocity = (8 * (p1 - m1) - (p2 - m2)) / (12 * delta[:, None])
-        residual = _row_norms(velocity - rows) / np.maximum(1.0, norms)
-    off = ~(residual <= tol)
-    if not off.any():
-        return None
-    i = int(np.argmax(off))
-    return (f"the declared flow of the {name}-driven flow differs from its driven field at sample {i} "
-            f"(t={times[i]:.6g}, residual {residual[i]:.3e})")
-
-
 def agreement_residual(
     f_quantity: ConservedQuantitySet,
     g_quantity: ConservedQuantitySet,
@@ -197,7 +139,7 @@ def verify_coincidence(
     t_end: float,
     *,
     batched: bool = False,
-    closed_forms: tuple[SystemDefinition, SystemDefinition] | None = None,
+    flows: tuple[Callable | None, Callable | None] = (None, None),
     integ: IntegratorSettings = IntegratorSettings(),
     tolerances: Mapping[str, float] | None = None,
 ) -> InvarianceReport:
@@ -216,14 +158,14 @@ def verify_coincidence(
     ``worst_time``, kept when a premise fails (inf when an off-set start's
     flow fails), beside ``agreement_residual`` and ``difference_drift``.
 
-    ``closed_forms`` are two systems standing for the F- and G-driven fields
-    (for Kepler: the model's field and :func:`kepler.linear_pair_field`),
-    whose fields are not called.  A flow whose system declares a ``flow``
-    covering ``x0`` is that map's states, and any other is the driven system
-    integrated.  A declared flow's velocity must equal the driven field's
-    rows on every sample, by value (:func:`_premise_failure`; for F the stack
-    the F - G scan evaluates anyway), or the verdict is a hypothesis error
-    naming the flow and the sample.
+    ``flows`` are exact flow maps for the F- and G-driven fields, each a
+    ``SystemDefinition.flow`` or None (for Kepler: :func:`kepler.kepler_flow`
+    and :func:`kepler.linear_pair_flow`).  Each is declared on its driven
+    system, and a flow is that map's states where it covers ``x0``, else the
+    driven system integrated (:func:`integrate._flow`).  A map's velocity
+    must equal the driven field's rows on every sample, by value (for F the
+    stack the F - G scan evaluates anyway), or the verdict is a hypothesis
+    error naming the flow and the sample.
     """
     tol = _tolerances(tolerances, ("deviation", "hypothesis"))
     x0v = as_state(x0, f_quantity.dim)
@@ -235,12 +177,21 @@ def verify_coincidence(
     if bound == np.inf:
         off_set = "the agreement premise has no finite tolerance at the start" + overflows
 
-    sys_f = assemble_system(base, f_quantity, label="driven-F", batched=batched)
-    sys_g = assemble_system(base, g_quantity, label="driven-G", batched=batched)
-    closed_f, closed_g = closed_forms or (None, None)
+    flow_f, flow_g = flows
+    sys_f = replace(assemble_system(base, f_quantity, label="driven-F", batched=batched).system, flow=flow_f)
+    sys_g = replace(assemble_system(base, g_quantity, label="driven-G", batched=batched).system, flow=flow_g)
+    scanned = []  # J_F and the F-driven rows on the F flow's samples, for its premise and the scan
+
+    def rows_f(states):
+        J_f = _jacobian_stack(f_quantity, states)
+        scanned[:] = J_f, _driven_rows(base, sys_f.label, batched, states, J_f.reshape(len(states), -1))
+        return scanned[1]
+
     try:
-        traj_f = _flow(closed_f, sys_f.system, x0v, t_end, integ)
-        traj_g = _flow(closed_g, sys_g.system, x0v, t_end, integ)
+        traj_f, broken_f = _flow(
+            sys_f, x0v, t_end, integ, tol["hypothesis"], rows_f, ("the F-driven flow", "driven field"))
+        traj_g, broken_g = _flow(
+            sys_g, x0v, t_end, integ, tol["hypothesis"], names=("the G-driven flow", "driven field"))
     except IntegrationError as exc:
         if not on_set:
             # the start violates the agreement hypothesis and one flow left
@@ -255,8 +206,9 @@ def verify_coincidence(
 
     # d/dt (F - G) = (J_F - J_G) . f along the first flow at every sample, J_F feeding the driven rows too
     states = traj_f.states
-    J_f = _jacobian_stack(f_quantity, states)
-    fields_f = _driven_rows(base, sys_f.system.label, batched, states, J_f.reshape(len(states), -1))
+    if not scanned:  # an integrated F flow has no premise that read them
+        rows_f(states)
+    J_f, fields_f = scanned
     J = J_f - _jacobian_stack(g_quantity, states)
     rates = (J * fields_f[:, None, :]).sum(axis=2)
     scales = _state_scales(states)
@@ -264,10 +216,7 @@ def verify_coincidence(
     finite_scales = _all_finite(scales)
     drift = float(np.max(np.abs(rates).max(axis=1) / scales)) if finite_scales else np.inf
 
-    reasons = [reason for reason in (
-        _premise_failure("F", closed_f, sys_f, traj_f, tol["hypothesis"], fields_f),
-        _premise_failure("G", closed_g, sys_g, traj_g, tol["hypothesis"]),
-    ) if reason]
+    reasons = [reason for reason in (broken_f, broken_g) if reason]
     if not on_set:
         reasons.append(off_set)
     if not drift <= tol["hypothesis"]:
@@ -287,7 +236,7 @@ def verify_coincidence(
         return deviations, inside, margins, worst, message
 
     return _certify(
-        sys_f.system, traj_f, classify, None, fields_f[0], "; ".join(reasons) or None,
+        sys_f, traj_f, classify, None, fields_f[0], "; ".join(reasons) or None,
         agreement_residual=e_res, difference_drift=drift,
     )
 

@@ -112,8 +112,9 @@ class SystemDefinition:
     equal bit for bit to the single-state result.  ``flow`` declares an
     exact flow: ``flow(x0, times)`` gives the ``(m, dim)`` states at a 1-D
     array of times of either sign, ``x0`` at time 0, or ``None`` where it
-    does not cover ``x0``.  The coincidence check takes that flow where it
-    covers the start, checked against the field.
+    does not cover ``x0``.  Every check takes that flow where it covers the
+    start, its velocity checked against the field on every sample, and
+    integrates the field elsewhere.
     """
 
     dim: int

@@ -12,7 +12,11 @@ they fail.  Verdicts, the first that applies:
 
 Every verifier, :func:`coincidence.verify_coincidence` included, is its
 premise checks plus a classifier of the samples; one skeleton classifies
-the flow from the accepted start and applies the verdict rule.  Invariance
+the flow from the accepted start and applies the verdict rule.  The flow
+is the system's declared ``flow`` where that covers the start, its velocity
+checked against the field on every sample at the default ``hypothesis``
+tolerance (a mismatch is a hypothesis error), else the field integrated
+(``integrate._flow``).  Invariance
 is checked at the trajectory samples, not continuously, and every check
 classifies all samples of the ``(m, dim)`` stack in one stacked call: one
 stacked SVD for the rank and critical checks, one stacked partial builder
@@ -28,10 +32,10 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .core import ConservedQuantitySet, SystemDefinition, _conservation_rates, _state_scales, _tolerances
+from .core import TOLERANCES, ConservedQuantitySet, SystemDefinition, _conservation_rates, _state_scales, _tolerances
 from .core import as_state, evaluate_field
 from .errors import UsageError
-from .integrate import DriftReport, IntegratorSettings, Trajectory, flow_adaptive, monitor_drift
+from .integrate import DriftReport, IntegratorSettings, Trajectory, _flow, monitor_drift
 from .rank_sets import BORDERLINE_MARGIN, _margins, rank_levels, vanishing_memberships
 
 PASS = "pass"
@@ -152,8 +156,8 @@ def _verify_rank(critical: bool, system, quantity, x0, t_end, integ, tolerances)
             message = f"rank counts along flow: {counts}; initial rank {initial}"
         return ranks, inside, decisions.margins, int(np.argmin(decisions.margins)), message
 
-    traj = flow_adaptive(system, x0v, t_end, integ=integ)
-    return _certify(system, traj, classify, quantity, f0, initial_rank=initial)
+    traj, broken = _flow(system, x0v, t_end, integ, TOLERANCES["hypothesis"])
+    return _certify(system, traj, classify, quantity, f0, broken, initial_rank=initial)
 
 
 def verify_rank_invariance(
@@ -223,8 +227,8 @@ def verify_vanishing_invariance(
         message = f"order-{order} vanishing membership held at {held} samples"
         return residuals, inside, members.margins, int(np.argmax(residuals)), message
 
-    traj = flow_adaptive(system, x0v, t_end, integ=integ)
-    return _certify(system, traj, classify, quantity, f0, threshold=threshold)
+    traj, broken = _flow(system, x0v, t_end, integ, TOLERANCES["hypothesis"])
+    return _certify(system, traj, classify, quantity, f0, broken, threshold=threshold)
 
 
 def _set_residuals(residual_fn, xs: np.ndarray) -> np.ndarray:
@@ -276,5 +280,5 @@ def verify_set_persistence(
         )
         return residuals, inside, margins, worst, message
 
-    traj = flow_adaptive(system, x0v, t_end, integ=integ)
-    return _certify(system, traj, classify, quantity, threshold=tol)
+    traj, broken = _flow(system, x0v, t_end, integ, TOLERANCES["hypothesis"])
+    return _certify(system, traj, classify, quantity, broken=broken, threshold=tol)

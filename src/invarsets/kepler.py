@@ -6,7 +6,9 @@ momentum A, and for any a > 0 the combination K = H + A/a^3 whose gradient
 vanishes exactly on the clockwise circular orbits of radius a^2.  On that
 family the Kepler field agrees with the linear field generated canonically
 by -A/a^3, which is the companion system used in flow-coincidence checks.
-Both fields declare exact flows: Kepler's equation on ellipses, and a rotation.
+Both flows are exact here: :func:`kepler_flow`, Kepler's equation on
+ellipses, and :func:`linear_pair_flow`, a rotation; a check takes them as
+the ``flow`` of a system.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ def _cubed_radius(x1, x2, what: str):
 _NEWTON_STEPS = 30  # Danby's starter converges in at most 11 up to e = 1 - 1e-6
 
 
-def _kepler_flow(x0: np.ndarray, times: np.ndarray) -> np.ndarray | None:
+def kepler_flow(x0: np.ndarray, times: np.ndarray) -> np.ndarray | None:
     """The Kepler flow from ``x0`` at ``times`` on an ellipse (H < 0, A != 0),
     else None: Lagrange's f and g, with Kepler's equation solved for the
     change dE of eccentric anomaly (Battin, *An Introduction to the
@@ -102,7 +104,8 @@ def _kepler_flow(x0: np.ndarray, times: np.ndarray) -> np.ndarray | None:
 
 
 def kepler_field() -> SystemDefinition:
-    """(x1', x2', y1', y2') = (y1, y2, -x1/|x|^3, -x2/|x|^3); ``flow`` is :func:`_kepler_flow`."""
+    """(x1', x2', y1', y2') = (y1, y2, -x1/|x|^3, -x2/|x|^3), stepped by every
+    check; its exact flow is :func:`kepler_flow`."""
 
     @_componentwise
     def stacked(x1, x2, y1, y2):
@@ -120,8 +123,7 @@ def kepler_field() -> SystemDefinition:
         return np.array([y1, y2, -x1 / r3, -x2 / r3])
 
     return SystemDefinition(
-        dim=4, field=field, label="kepler", component_names=("x1", "x2", "y1", "y2"), batched=True,
-        flow=_kepler_flow,
+        dim=4, field=field, label="kepler", component_names=("x1", "x2", "y1", "y2"), batched=True
     )
 
 
@@ -178,7 +180,7 @@ def combined_invariant(a: float) -> ConservedQuantitySet:
 
 def linear_pair_hamiltonian(a: float) -> ConservedQuantitySet:
     """-A/a^3: the quadratic generator whose canonical flow is
-    :func:`linear_pair_field`.  Satisfies H - (-A/a^3) = K."""
+    :func:`linear_pair_flow`.  Satisfies H - (-A/a^3) = K."""
     _radius(a)
     c = -1.0 / a**3
 
@@ -206,19 +208,13 @@ def circular_sample(a: float, theta: float) -> np.ndarray:
     return np.array([a * a * s, a * a * c, c / a, -s / a])
 
 
-def linear_pair_field(a: float) -> SystemDefinition:
-    """The linear field (x2, -x1, y2, -y1)/a^3, the canonical flow of -A/a^3.
-
-    It matches the Kepler field at every point of the radius-a^2 circular
-    family and nowhere else.  Its ``flow`` turns (x1, x2) and (y1, y2) each
-    clockwise at the rate 1/a^3, from every start.
-    """
+def linear_pair_flow(a: float):
+    """The canonical flow of -A/a^3, of the linear field (x2, -x1, y2, -y1)/a^3,
+    which matches the Kepler field at every point of the radius-a^2 circular
+    family and nowhere else: a ``SystemDefinition.flow`` that turns (x1, x2)
+    and (y1, y2) each clockwise at the rate 1/a^3, from every start."""
     _radius(a)
     rate = 1.0 / a**3
-
-    @_componentwise
-    def field(x1, x2, y1, y2):
-        return np.array([x2, -x1, y2, -y1]) * rate
 
     def flow(x0, times):  # (cos, sin) of the angle times (x0, x0 turned a quarter clockwise)
         x1, x2, y1, y2 = x0
@@ -226,7 +222,4 @@ def linear_pair_field(a: float) -> SystemDefinition:
             angle = times * rate
             return np.stack([np.cos(angle), np.sin(angle)], axis=1) @ np.array([x0, [x2, -x1, y2, -y1]])
 
-    return SystemDefinition(
-        dim=4, field=field, label=f"kepler-linear-pair(a={a:g})", component_names=("x1", "x2", "y1", "y2"),
-        batched=True, flow=flow,
-    )
+    return flow

@@ -34,7 +34,7 @@ from .core import (
 )
 from .differentiate import jacobians
 from .errors import IntegrationError, NumericError, UsageError
-from .integrate import IntegratorSettings, Trajectory, flow_adaptive, monitor_drift
+from .integrate import IntegratorSettings, Trajectory, _flow, monitor_drift
 from .invariance import (
     BORDERLINE,
     FAIL,
@@ -268,11 +268,11 @@ def _run_coincidence(s: _Scenario) -> _Outcome:
     rep = verify_coincidence(
         lambda x, g: g @ J.T,
         kepler_model.hamiltonian(), kepler_model.linear_pair_hamiltonian(s.params["a"]),
-        s.x0, s.t_end, batched=True, closed_forms=(s.system, kepler_model.linear_pair_field(s.params["a"])),
+        s.x0, s.t_end, batched=True, flows=(kepler_model.kepler_flow, kepler_model.linear_pair_flow(s.params["a"])),
         integ=s.integ, tolerances=s.tol,
     )
-    # the F flow is the model's declared Kepler flow and the G flow exp(tL) x0
-    # where they cover the start, each checked against its driven field
+    # the F flow is Kepler's equation and the G flow the pair's rotation where
+    # they cover the start, each checked against its driven field
     return _invariance_outcome(
         rep, agreement_residual=rep.agreement_residual, difference_drift=rep.difference_drift,
         max_deviation=rep.worst_value, max_deviation_time=rep.worst_time, message=rep.message,
@@ -326,10 +326,12 @@ def _run_oracle_equality(s: _Scenario) -> _Outcome:
 
 
 def _run_drift(s: _Scenario) -> _Outcome:
-    traj = flow_adaptive(s.system, s.x0, s.t_end, integ=s.integ)
+    traj, broken = _flow(s.system, s.x0, s.t_end, s.integ, TOLERANCES["hypothesis"])
     drift = monitor_drift(traj, s.quantity)
     tol = s.tol["drift"]
     evidence = {"worst_drift": drift.worst, "tol": tol, **_drift_evidence(drift)}
+    if broken:
+        return HYPOTHESIS_ERROR, {"message": broken, **evidence}, traj
     return (PASS if drift.worst <= tol else FAIL), evidence, traj
 
 

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from invarsets import ConservedQuantitySet, IntegrationError, SystemDefinition, UsageError, canonical_symplectic_matrix
+from invarsets import ConservedQuantitySet, IntegrationError, SystemDefinition, UsageError, assemble_system
+from invarsets import canonical_symplectic_matrix
 from invarsets import kepler, oscillator, toda
 from invarsets.core import _all_finite, as_state, evaluate_field
 from invarsets.integrate import IntegratorStats, Trajectory, _check_horizon
@@ -74,6 +77,13 @@ def batched_symplectic_base(x, g):
     """J g for one Kepler gradient or a stack of them, the base the
     coincidence check passes declared ``batched``."""
     return g @ _J.T
+
+
+def g_driven_system(a: float, flow=True) -> SystemDefinition:
+    """The G-driven system of the Kepler coincidence check, x' = J grad(-A/a^3),
+    declaring the linear pair's rotation as its flow unless ``flow`` is false."""
+    system = assemble_system(batched_symplectic_base, kepler.linear_pair_hamiltonian(a), batched=True).system
+    return replace(system, flow=kepler.linear_pair_flow(a) if flow else None)
 
 
 def random_states(dim, count, seed, scale=1.0):

@@ -349,7 +349,6 @@ def _systems():
     systems += [(toda.nonperiodic_field(n), rng.standard_normal((5, 2 * n - 1))) for n in (2, 3, 6)]
     systems += [
         (kepler.kepler_field(), kepler_states),
-        (kepler.linear_pair_field(0.9), kepler_states),
         (oscillator.harmonic_oscillator(), rng.standard_normal((5, 2))),
         (toda.reduced_dynamics("M2_I123").system, rng.standard_normal((5, 4))),
         (toda.reduced_dynamics("M2_F123").system, rng.standard_normal((5, 3))),
@@ -363,7 +362,7 @@ def _systems():
     # the coincidence check's base, one base call per stack
     driven += [
         assemble_system(lambda x, g: g @ block.T, q, label=f"batched-base[{q.labels[0]}]", batched=True)
-        for q in (kepler.hamiltonian(), kepler.linear_pair_hamiltonian(1.5))
+        for q in (kepler.hamiltonian(), kepler.linear_pair_hamiltonian(1.5), kepler.linear_pair_hamiltonian(0.9))
     ]
     return systems + [(d.system, kepler_states) for d in driven]
 

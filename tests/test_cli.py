@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +18,9 @@ from hypothesis import strategies as st
 
 from invarsets.cli import main
 from invarsets.report import export_trajectory, load_scenario, run_scenario
-from invarsets import ConservedQuantitySet, IntegratorSettings, coincidence, flow_adaptive, integrate, invariance
-from invarsets import jacobians, report, toda
+from invarsets import ConservedQuantitySet, IntegratorSettings, flow_adaptive, integrate
+from invarsets import jacobians, kepler, report, toda
+from invarsets.core import TOLERANCES
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 SHIPPED = sorted(SCENARIO_DIR.glob("*.json"))
@@ -882,15 +884,15 @@ def test_unknown_integ_key_in_export_is_a_config_error(tmp_path, capsys):
 
 
 def _count_flows(monkeypatch):
+    """The flows the checks integrate, each through the one flow provider."""
     calls = []
-    for module in (invariance, coincidence, report):
-        original = module.flow_adaptive
+    original = integrate.flow_adaptive
 
-        def counted(*args, _flow=original, **kwargs):
-            calls.append(1)
-            return _flow(*args, **kwargs)
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
 
-        monkeypatch.setattr(module, "flow_adaptive", counted)
+    monkeypatch.setattr(integrate, "flow_adaptive", counted)
     return calls
 
 
@@ -909,9 +911,9 @@ def _count_flows(monkeypatch):
 def test_run_csv_exports_the_checks_own_trajectory(
     tmp_path, capsys, monkeypatch, scenario, change, code, flows
 ):
-    # the coincidence check takes the F-driven flow from the Kepler field's
-    # declared flow and the linear G-driven one from the matrix exponential,
-    # integrating neither; --csv adds no flow
+    # the coincidence check takes the F-driven flow from Kepler's equation
+    # and the linear G-driven one from the pair's rotation, integrating
+    # neither; --csv adds no flow
     config = load_scenario(SCENARIO_DIR / scenario)
     config.update(change)
     config = {key: value for key, value in config.items() if value is not None}
@@ -925,9 +927,11 @@ def test_run_csv_exports_the_checks_own_trajectory(
         assert not (tmp_path / "run.csv").exists()
         return
     # the model's own flow from the start, over the check's horizon, exported
-    # alone: the declared Kepler flow, or the lattice integrated
+    # alone: the Kepler flow declared, or the lattice integrated
     s = report._read(config)
-    traj = coincidence._flow(s.system, s.system, s.x0, s.t_end, s.integ)
+    system = replace(s.system, flow=kepler.kepler_flow) if s.kind == "kepler" else s.system
+    traj, broken = integrate._flow(system, s.x0, s.t_end, s.integ, TOLERANCES["hypothesis"])
+    assert broken is None
     export_trajectory(traj, s.quantity, tmp_path / "export.csv", s.system.component_names)
     capsys.readouterr()
     assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "export.csv").read_bytes()

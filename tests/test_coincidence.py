@@ -15,7 +15,7 @@ from invarsets import (
     IntegratorSettings,
     IntegratorStats,
     NumericError,
-    Trajectory,
+    SystemDefinition,
     UsageError,
     agreement_residual,
     assemble_system,
@@ -27,10 +27,10 @@ from invarsets import (
     stack_quantities,
     verify_coincidence,
 )
-from invarsets import coincidence, integrate, kepler, oscillator, report, toda
+from invarsets import integrate, kepler, oscillator, report, toda
 from invarsets.differentiate import _partial_stack
 
-from conftest import batched_symplectic_base, random_kepler_states, random_toda_physical, zero_quantity
+from conftest import batched_symplectic_base, g_driven_system, random_kepler_states, random_toda_physical, zero_quantity
 
 
 def _symplectic_base():
@@ -250,13 +250,26 @@ _COMPONENT = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-1e150
 _KEPLER_STATES = st.lists(st.lists(_COMPONENT, min_size=4, max_size=4), min_size=1, max_size=6)
 
 
+def _linear_pair_closed_form(a):
+    """The linear field (x2, -x1, y2, -y1)/a^3 written out, the closed form
+    of the G-driven field J grad(-A/a^3)."""
+    rate = 1.0 / a**3
+
+    def field(z):
+        x1, x2, y1, y2 = np.moveaxis(z, -1, 0)
+        with np.errstate(over="ignore"):
+            return np.stack([x2, -x1, y2, -y1], axis=-1) * rate
+
+    return SystemDefinition(4, field, "linear-pair", batched=True)
+
+
 def _assert_closed_form_identity(closed, driven, xs):
     """``closed`` equals ``driven`` on the stack ``xs`` and at each of its
     states: equal as floats, so in every bit but a zero's sign, and in every
     bit where the closed row holds no zero; where one raises, so does the
     other."""
     try:
-        expected = driven.fields(xs)
+        expected = driven.system.fields(xs)
     except NumericError:
         with pytest.raises(NumericError):
             closed.fields(xs)
@@ -290,7 +303,7 @@ def test_poisson_system_reproduces_kepler_field(xs, a):
     for base, batched in ((lambda x, g: J @ g, False), (batched_symplectic_base, True)):
         for closed, quantity in (
             (kepler.kepler_field(), kepler.hamiltonian()),
-            (kepler.linear_pair_field(a), kepler.linear_pair_hamiltonian(a)),
+            (_linear_pair_closed_form(a), kepler.linear_pair_hamiltonian(a)),
         ):
             _assert_closed_form_identity(closed, assemble_system(base, quantity, batched=batched), xs)
 
@@ -322,7 +335,7 @@ def test_report_base_gives_the_closed_forms_by_value(xs, a):
     xs = np.array(xs)
     for closed, q in (
         (kepler.kepler_field(), kepler.hamiltonian()),
-        (kepler.linear_pair_field(a), kepler.linear_pair_hamiltonian(a)),
+        (_linear_pair_closed_form(a), kepler.linear_pair_hamiltonian(a)),
     ):
         driven = assemble_system(batched_symplectic_base, q, batched=True).system
         j_grad = lambda z: batched_symplectic_base(z, q.analytic_gradient(z)[..., 0, :])
@@ -481,7 +494,7 @@ def test_order1_block_equals_partial_tensor_flatten(seed, count):
             _seen.append(g.copy())
             return np.zeros(4)
 
-        assemble_system(base, q).fields(xs)
+        assemble_system(base, q).system.fields(xs)
         assert len(seen) == count, label
         for x, g in zip(xs, seen):
             expected = _flat_gradients(q, x[None])[0]
@@ -503,7 +516,7 @@ def test_order1_block_from_the_jacobian_keeps_the_order_checks():
     dim, message = 5001, "order 1 on dimension 5001 needs 5001 partials per state"
     q = ConservedQuantitySet(dim=dim, k=1, value=never, labels=("q",), analytic_gradient=never)
     with pytest.raises(UsageError, match=re.escape(message)):
-        assemble_system(lambda x, g: x, q).fields(np.zeros((1, dim)))
+        assemble_system(lambda x, g: x, q).system.fields(np.zeros((1, dim)))
     with pytest.raises(UsageError, match=re.escape(message)):
         agreement_residual(q, q, np.zeros(dim))
 
@@ -535,12 +548,12 @@ def test_stacked_driven_field_rows_equal_point_field(seed, count):
     ]
     assert cases[3][0].quantity.batched
     for driven, xs in cases:
-        rows = driven.fields(xs)
+        rows = driven.system.fields(xs)
         assert rows.shape == xs.shape
         for x, row in zip(xs, rows):
             point = driven.system.field(np.array(x))
             assert point.tobytes() == row.tobytes()
-            assert point.tobytes() == driven.fields(x[None])[0].tobytes()
+            assert point.tobytes() == driven.system.fields(x[None])[0].tobytes()
 
 
 def _faulty_gradient_quantity(fault, where=lambda x: True):
@@ -593,7 +606,7 @@ def test_point_field_errors_equal_the_stacked_ones(part, fault, error, message):
     with pytest.raises(error, match=message) as point:
         driven.system.field(x)
     with pytest.raises(error) as stacked:
-        driven.fields(x[None])
+        driven.system.fields(x[None])
     assert str(point.value) == str(stacked.value)
 
 
@@ -624,14 +637,14 @@ def test_batched_base_is_called_once_per_stack_and_an_undeclared_one_per_row():
     xs, q, block = random_kepler_states(5, 3), kepler.hamiltonian(), canonical_symplectic_matrix(2)
     calls = []
     declared = assemble_system(_counted(lambda x, s: s @ block.T, calls), q, batched=True)
-    rows = declared.fields(xs)
+    rows = declared.system.fields(xs)
     assert calls == [((5, 4), (5, 4))]
     calls.clear()
     assert declared.system.field(xs[0]).tobytes() == rows[0].tobytes()
     assert calls == [((1, 4), (1, 4))]
     calls = []
     undeclared = assemble_system(_counted(lambda x, s: block @ s, calls), q)
-    assert rows.tobytes() == undeclared.fields(xs).tobytes()
+    assert rows.tobytes() == undeclared.system.fields(xs).tobytes()
     assert calls == [((4,), (4,))] * 5
     calls.clear()
     assert undeclared.system.field(xs[0]).tobytes() == rows[0].tobytes()
@@ -666,9 +679,9 @@ def test_batched_base_errors_equal_the_per_row_ones(part, fault, error, message)
         per_row = assemble_system(_faulty_base(fault, where), kepler.hamiltonian())
         batched = assemble_system(_faulty_batched_base(fault, where), kepler.hamiltonian(), batched=True)
     with pytest.raises(error) as one_by_one:
-        per_row.fields(xs)
+        per_row.system.fields(xs)
     with pytest.raises(error) as stacked:
-        batched.fields(xs)
+        batched.system.fields(xs)
     assert str(stacked.value) == str(one_by_one.value)
     if part == "base":
         assert f"at state {0 if fault == 'shape' else 2} of 5" in str(stacked.value)
@@ -678,7 +691,7 @@ def test_batched_base_with_a_result_not_stacked_is_a_usage_error():
     xs = random_kepler_states(5, 4)
     driven = assemble_system(lambda x, g: g[0], kepler.hamiltonian(), batched=True)
     with pytest.raises(UsageError, match=r"field of 'driven\[H\]' returned shape \(4,\), expected \(5, 4\)"):
-        driven.fields(xs)
+        driven.system.fields(xs)
 
 
 _SIGNED = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(allow_nan=False, allow_infinity=False))
@@ -709,7 +722,7 @@ def test_point_field_at_a_state_whose_sum_overflows_returns_its_row(x):
     for base, batched in ((_symplectic_base(), False), (batched_symplectic_base, True)):
         driven = assemble_system(base, kepler.hamiltonian(), batched=batched)
         row = driven.system.field(x)
-        assert row.tobytes() == driven.fields(x[None])[0].tobytes()
+        assert row.tobytes() == driven.system.fields(x[None])[0].tobytes()
         assert row.tobytes() == base(x, gradient).tobytes()
     assert row.tobytes() == np.array([x[2], x[3], 0.0, 0.0]).tobytes()
 
@@ -855,16 +868,16 @@ def test_wrong_shape_driven_field_row_is_a_usage_error():
     driven = assemble_system(lambda x, g: g[:3] if x[0] > 0 else g, kepler.hamiltonian())
     xs = np.array([[-1.0, 0.5, 0.0, 1.0], [1.0, 0.5, 0.0, 1.0]])
     with pytest.raises(UsageError, match=r"returned shape \(3,\) at state 1 of 2"):
-        driven.fields(xs)
+        driven.system.fields(xs)
     with pytest.raises(UsageError, match="shape"):
         evaluate_field(driven.system, xs[1])
     with pytest.raises(UsageError):
-        driven.fields(xs[:, :3])
+        driven.system.fields(xs[:, :3])
 
 
 # ---------------------------------------------------------------------------
-# declared flows: the Kepler flow and its linear companion's exp(t L) in
-# place of the integrated driven fields keep the driven path's verdict, with
+# declared flows: Kepler's equation and the linear pair's rotation in place
+# of the integrated driven fields keep the driven path's verdict, with
 # the deviation within 1e-8 of it, and a declared flow whose velocity leaves
 # its driven field anywhere on its samples never passes
 # ---------------------------------------------------------------------------
@@ -873,16 +886,16 @@ SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 COINCIDENCE_SCENARIOS = sorted(p.name for p in SCENARIO_DIR.glob("*.json") if '"coincidence"' in p.read_text())
 
 
-def _kepler_coincidence(x0, a, t_end, closed_forms=None, base=batched_symplectic_base, **kwargs):
+def _kepler_coincidence(x0, a, t_end, flows=(None, None), base=batched_symplectic_base, **kwargs):
     return verify_coincidence(
         base, kepler.hamiltonian(), kepler.linear_pair_hamiltonian(a), x0, t_end,
-        batched=True, closed_forms=closed_forms, **kwargs,
+        batched=True, flows=flows, **kwargs,
     )
 
 
 def _declared(a):
-    """The Kepler field and the linear pair field, each declaring its flow."""
-    return kepler.kepler_field(), kepler.linear_pair_field(a)
+    """Kepler's equation and the linear pair's rotation, the report's flows."""
+    return kepler.kepler_flow, kepler.linear_pair_flow(a)
 
 
 def _assert_declared_keeps_the_driven_report(x0, a, t_end, **kwargs):
@@ -946,7 +959,7 @@ def test_declared_flows_keep_the_driven_verdict_on_a_grid_of_starts(a, theta, pu
 )
 def test_off_set_start_whose_flow_fails_is_still_a_hypothesis_error(x0):
     # the Kepler flow covers none of these starts, so the F flow is integrated and fails
-    assert kepler.kepler_field().flow(np.array(x0), np.zeros(1)) is None
+    assert kepler.kepler_flow(np.array(x0), np.zeros(1)) is None
     fast = _assert_declared_keeps_the_driven_report(np.array(x0), 1.0, 2 * np.pi)
     assert fast.verdict == "hypothesis-error"
     assert "integration additionally failed" in fast.message
@@ -956,7 +969,7 @@ def test_declared_flows_certify_with_no_field_evaluation_in_a_flow(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("integrated")
 
-    monkeypatch.setattr(coincidence, "flow_adaptive", never)
+    monkeypatch.setattr(integrate, "flow_adaptive", never)
     a = 1.3
     rep = _kepler_coincidence(kepler.circular_sample(a, 2.0), a, 2 * np.pi * a**3, _declared(a))
     assert rep.verdict == "pass"
@@ -982,33 +995,32 @@ def test_matrix_product_base_passes_on_the_circle_with_declared_flows():
 def _kepler_map(time_scale=1.0, off_at=None):
     """The Kepler flow map, at times scaled by ``time_scale``, and one state
     moved by 1e-3 at the time ``off_at``."""
-    exact = kepler.kepler_field().flow
 
     def flow(x0, times):
-        states = exact(x0, np.asarray(times) * time_scale)
+        states = kepler.kepler_flow(x0, np.asarray(times) * time_scale)
         states[np.asarray(times) == off_at, 0] += 1e-3
         return states
 
-    return replace(kepler.kepler_field(), flow=flow)
+    return flow
 
 
 def test_declared_map_with_a_wrong_time_scale_is_a_hypothesis_error_naming_the_f_flow():
     a, x0 = 1.0, kepler.circular_sample(1.0, 0.3)
-    rep = _kepler_coincidence(x0, a, 2 * np.pi, (_kepler_map(1 + 1e-6), kepler.linear_pair_field(a)))
+    rep = _kepler_coincidence(x0, a, 2 * np.pi, (_kepler_map(1 + 1e-6), kepler.linear_pair_flow(a)))
     assert rep.verdict == "hypothesis-error"
     match = re.fullmatch(
         r"the declared flow of the F-driven flow differs from its driven field at sample 0 \(t=0, residual (\S+)\)",
         rep.message,
     )
     assert match and float(match[1]) == pytest.approx(1e-6, rel=1e-3)  # the time scale's error, read as it is
-    assert _kepler_coincidence(x0, a, 2 * np.pi, (_kepler_map(), kepler.linear_pair_field(a))).verdict == "pass"
+    assert _kepler_coincidence(x0, a, 2 * np.pi, (_kepler_map(), kepler.linear_pair_flow(a))).verdict == "pass"
 
 
 def test_declared_map_off_the_field_at_one_sample_is_a_hypothesis_error_naming_it():
     a, x0 = 1.0, kepler.circular_sample(1.0, 0.3)
     t_end, integ = 2 * np.pi, IntegratorSettings(sample_count=101)
     times = np.linspace(0.0, t_end, 101)
-    rep = _kepler_coincidence(x0, a, t_end, (_kepler_map(off_at=times[37]), kepler.linear_pair_field(a)), integ=integ)
+    rep = _kepler_coincidence(x0, a, t_end, (_kepler_map(off_at=times[37]), kepler.linear_pair_flow(a)), integ=integ)
     assert rep.verdict == "hypothesis-error"
     assert rep.message.startswith(
         f"the declared flow of the F-driven flow differs from its driven field at sample 37 (t={times[37]:.6g}, residual"
@@ -1019,9 +1031,8 @@ def test_declared_map_from_another_start_is_a_hypothesis_error_at_sample_0():
     # sample 0 is the start whatever the map says, so the velocity there is
     # the other orbit's, not the start's
     a, x0 = 1.0, kepler.circular_sample(1.0, 0.3)
-    exact = kepler.kepler_field()
-    elsewhere = replace(exact, flow=lambda _, times: exact.flow(kepler.circular_sample(1.0, 0.3001), times))
-    rep = _kepler_coincidence(x0, a, 2 * np.pi, (elsewhere, kepler.linear_pair_field(a)))
+    elsewhere = lambda _, times: kepler.kepler_flow(kepler.circular_sample(1.0, 0.3001), times)  # noqa: E731
+    rep = _kepler_coincidence(x0, a, 2 * np.pi, (elsewhere, kepler.linear_pair_flow(a)))
     assert rep.verdict == "hypothesis-error"
     assert rep.message.startswith("the declared flow of the F-driven flow differs from its driven field at sample 0 (t=0")
 
@@ -1044,10 +1055,9 @@ def _matrix_flow(L):
 def test_declared_matrix_off_its_driven_field_is_a_hypothesis_error_naming_the_g_flow(change, theta, sample):
     # the declared G flow is exp(t M) x0 for a matrix M off the pair's field
     a, x0 = 1.0, kepler.circular_sample(1.0, theta)
-    kepler_field, pair = _declared(a)
     L = np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]]) / a**3  # the pair's field (x2, -x1, y2, -y1) / a^3
     wrong = {"scaled": L * (1 + 1e-6), "transposed": L.T, "diagonal": L + np.diag([1e-3, 0.0, 0.0, 0.0])}[change]
-    rep = _kepler_coincidence(x0, a, 2 * np.pi, (kepler_field, replace(pair, flow=_matrix_flow(wrong))))
+    rep = _kepler_coincidence(x0, a, 2 * np.pi, (kepler.kepler_flow, _matrix_flow(wrong)))
     assert rep.verdict == "hypothesis-error"
     assert rep.message.startswith(
         f"the declared flow of the G-driven flow differs from its driven field at sample {sample} (t="
@@ -1056,20 +1066,19 @@ def test_declared_matrix_off_its_driven_field_is_a_hypothesis_error_naming_the_g
 
 @pytest.mark.parametrize("a", [1e-30, 1e-3, 1.0, 1e3, 1e30])
 def test_rotation_premise_residual_is_at_most_1e_11_at_every_radius(a):
-    pair, on_set = kepler.linear_pair_field(a), kepler.circular_sample(a, 0.3)
-    driven = assemble_system(batched_symplectic_base, kepler.linear_pair_hamiltonian(a), batched=True)
+    pair, on_set = g_driven_system(a), kepler.circular_sample(a, 0.3)
     for x0 in (on_set, on_set * [1.0, 1.0, 1.1, 1.1]):  # the rotation covers off-set starts too
         for samples in (401, 10_001):
-            traj = integrate._declared_flow(pair, x0, 2 * np.pi * a**3, IntegratorSettings(sample_count=samples))
-            assert coincidence._premise_failure("G", pair, driven, traj, 1e-11) is None
+            traj, broken = integrate._flow(pair, x0, 2 * np.pi * a**3, IntegratorSettings(sample_count=samples), 1e-11)
+            assert traj.stats.method == "declared-flow" and broken is None
 
 
 def test_row_norms_are_the_plain_norms_bit_for_bit_and_finite_where_those_overflow():
     rng = np.random.default_rng(35)
     rows = rng.standard_normal((2000, 4)) * 10.0 ** rng.integers(-150, 150, (2000, 1))
-    assert coincidence._row_norms(rows).tobytes() == np.linalg.norm(rows, axis=1).tobytes()
+    assert integrate._row_norms(rows).tobytes() == np.linalg.norm(rows, axis=1).tobytes()
     with np.errstate(over="ignore"):
-        far = coincidence._row_norms(np.array([[1e200, 1e200, 1e-200, 0.0], [0.0] * 4, [np.inf, 1.0, 0.0, 0.0]]))
+        far = integrate._row_norms(np.array([[1e200, 1e200, 1e-200, 0.0], [0.0] * 4, [np.inf, 1.0, 0.0, 0.0]]))
     assert far.tolist() == [np.hypot(1e200, 1e200), 0.0, np.inf]
 
 
@@ -1092,7 +1101,7 @@ def test_row_norms_are_the_plain_norms_bit_for_bit_and_finite_where_those_overfl
 def test_row_norm_whose_squares_overflow_is_the_true_norm(row):
     # math.hypot scales before squaring, so it overflows only where the norm does
     with np.errstate(over="ignore"):
-        got = coincidence._row_norms(np.array([row, [3.0, 4.0, 0.0, 0.0]]))
+        got = integrate._row_norms(np.array([row, [3.0, 4.0, 0.0, 0.0]]))
     try:
         want = math.hypot(*row)
     except OverflowError:
@@ -1109,20 +1118,18 @@ def test_each_jacobian_stack_of_the_f_samples_is_evaluated_once():
     counted = replace(H, analytic_gradient=lambda x: shapes.append(x.shape) or H.analytic_gradient(x))
     rep = verify_coincidence(
         batched_symplectic_base, counted, kepler.linear_pair_hamiltonian(1.0), kepler.circular_sample(1.0, 0.3),
-        2 * np.pi, batched=True, closed_forms=_declared(1.0),
+        2 * np.pi, batched=True, flows=_declared(1.0),
     )
     assert rep.verdict == "pass"
     assert shapes == [(1, 4), (401, 4)]  # the start's agreement, then the driven rows and J_F - J_G
 
 
 def _assert_kepler_premise_holds(e, sense):
-    system = kepler.kepler_field()
+    system = replace(kepler.kepler_field(), flow=kepler.kepler_flow)
     x0 = np.array([1.0 - e, 0.0, 0.0, sense * np.sqrt((1.0 + e) / (1.0 - e))])  # at periapsis, a = 1
-    x0 = system.flow(x0, np.array([0.0, 0.77]))[1]
-    times = np.linspace(0.0, 16 * np.pi, 401)
-    traj = Trajectory(times, system.flow(x0, times), IntegratorStats("declared-flow", 0, 0, 0))
-    rows = system.fields(traj.states)
-    assert coincidence._premise_failure("F", system, None, traj, 1e-9, rows) is None
+    x0 = kepler.kepler_flow(x0, np.array([0.0, 0.77]))[1]
+    traj, broken = integrate._flow(system, x0, 16 * np.pi, IntegratorSettings(), 1e-9)
+    assert traj.stats.method == "declared-flow" and broken is None
 
 
 @pytest.mark.parametrize("e", [0.0, 0.5, 0.9, 0.95, 0.99])
@@ -1146,33 +1153,32 @@ def test_premise_of_the_kepler_flow_holds_from_periapsis(e, a, periods):
     # apoapsis by so small a step that e = 0.99 read 1.1e-8 to 1.6e-8; each
     # sample's own step reads at most 4.6e-9
     x0 = np.array([a * (1.0 - e), 0.0, 0.0, np.sqrt((1.0 + e) / ((1.0 - e) * a))])
-    system = kepler.kepler_field()
-    traj = integrate._declared_flow(system, x0, periods * 2 * np.pi * a**1.5, IntegratorSettings())
-    driven = assemble_system(batched_symplectic_base, kepler.hamiltonian(), batched=True)
-    assert coincidence._premise_failure("F", system, driven, traj, 1e-8) is None
+    driven = assemble_system(batched_symplectic_base, kepler.hamiltonian(), batched=True).system
+    system = replace(driven, flow=kepler.kepler_flow)
+    traj, broken = integrate._flow(system, x0, periods * 2 * np.pi * a**1.5, IntegratorSettings(), 1e-8)
+    assert traj.stats.method == "declared-flow" and broken is None
 
 
 def test_declared_flow_map_of_another_shape_is_a_usage_error():
-    closed = (replace(kepler.kepler_field(), flow=lambda x0, t: np.zeros((len(t), 3))), kepler.linear_pair_field(1.0))
-    with pytest.raises(UsageError, match=r"flow of 'kepler' returned shape \(401, 3\), expected \(401, 4\)"):
-        _kepler_coincidence(kepler.circular_sample(1.0, 0.3), 1.0, 1.0, closed)
+    flows = (lambda x0, t: np.zeros((len(t), 3)), kepler.linear_pair_flow(1.0))
+    with pytest.raises(UsageError, match=r"flow of 'driven-F' returned shape \(401, 3\), expected \(401, 4\)"):
+        _kepler_coincidence(kepler.circular_sample(1.0, 0.3), 1.0, 1.0, flows)
 
 
 def _misbehaving_map(kind, at=37):
     """The Kepler flow map with sample ``at`` NaN or inf, or that raises, or
     that covers no start."""
-    exact = kepler.kepler_field().flow
 
     def flow(x0, times):
         if kind == "raise":
             raise NumericError("map has no state here")
         if kind == "none":
             return None
-        states = exact(x0, times)
+        states = kepler.kepler_flow(x0, times)
         states[at, 1] = float(kind)
         return states
 
-    return replace(kepler.kepler_field(), flow=flow)
+    return flow
 
 
 @pytest.mark.parametrize("start", ["on-set", "off-set"])
@@ -1185,32 +1191,31 @@ def test_misbehaving_declared_map_is_not_handed_to_the_stepper(kind, start):
     x0 = kepler.circular_sample(a, 0.3)
     if start == "off-set":
         x0[2:] *= 1.08
-    closed = (_misbehaving_map(kind), kepler.linear_pair_field(a))
+    flows = (_misbehaving_map(kind), kepler.linear_pair_flow(a))
     if kind == "raise":
         with pytest.raises(NumericError, match="map has no state here"):
-            _kepler_coincidence(x0, a, 2 * np.pi, closed, integ=integ)
+            _kepler_coincidence(x0, a, 2 * np.pi, flows, integ=integ)
     elif kind == "none":
         slow = _kepler_coincidence(x0, a, 2 * np.pi, integ=integ)
-        fast = _kepler_coincidence(x0, a, 2 * np.pi, closed, integ=integ)
+        fast = _kepler_coincidence(x0, a, 2 * np.pi, flows, integ=integ)
         assert fast.verdict == slow.verdict and abs(fast.worst_value - slow.worst_value) <= 1e-8
-        assert fast.trajectory.stats.method == "dormand-prince-8(5,3)"  # the G flow is still exp(t L) x0
+        assert fast.trajectory.stats.method == "dormand-prince-8(5,3)"  # the G flow is still the rotation
         assert fast.trajectory.states.tobytes() == slow.trajectory.states.tobytes()
     elif start == "on-set":
         with pytest.raises(IntegrationError, match="non-finite states") as info:
-            _kepler_coincidence(x0, a, 2 * np.pi, closed, integ=integ)
+            _kepler_coincidence(x0, a, 2 * np.pi, flows, integ=integ)
         assert info.value.last_good_time == np.linspace(0.0, 2 * np.pi, 101)[36]
     else:
-        rep = _kepler_coincidence(x0, a, 2 * np.pi, closed, integ=integ)
+        rep = _kepler_coincidence(x0, a, 2 * np.pi, flows, integ=integ)
         assert rep.verdict == "hypothesis-error" and rep.worst_value == np.inf
-        assert "integration additionally failed: adaptive integration produced non-finite states" in rep.message
+        assert "integration additionally failed: declared flow of 'driven-F' produced non-finite states" in rep.message
 
 
 def test_declared_map_that_does_not_cover_the_shifted_times_fails_the_premise():
     # the premise's difference steps before sample 0: a map that covers no
     # negative time has no velocity there
-    exact = kepler.kepler_field()
-    forward = replace(exact, flow=lambda x0, times: None if (np.asarray(times) < 0).any() else exact.flow(x0, times))
-    rep = _kepler_coincidence(kepler.circular_sample(1.0, 0.3), 1.0, 2 * np.pi, (forward, kepler.linear_pair_field(1.0)))
+    forward = lambda x0, times: None if (np.asarray(times) < 0).any() else kepler.kepler_flow(x0, times)  # noqa: E731
+    rep = _kepler_coincidence(kepler.circular_sample(1.0, 0.3), 1.0, 2 * np.pi, (forward, kepler.linear_pair_flow(1.0)))
     assert rep.verdict == "hypothesis-error"
     assert rep.message == "the declared flow of the F-driven flow differs from its driven field at sample 0 (t=0, residual nan)"
 
@@ -1220,7 +1225,7 @@ def test_time_scale_error_of_a_declared_map_is_read_as_it_is(error):
     # the difference quotient's own residual is far below the tolerance of
     # 1e-8, so an error above it is read within 1% and one below passes
     a, x0 = 1.0, kepler.circular_sample(1.0, 0.3)
-    rep = _kepler_coincidence(x0, a, 2 * np.pi, (_kepler_map(1 + error), kepler.linear_pair_field(a)))
+    rep = _kepler_coincidence(x0, a, 2 * np.pi, (_kepler_map(1 + error), kepler.linear_pair_flow(a)))
     if abs(error) < 1e-8:
         assert rep.verdict == "pass", rep.message
         return
@@ -1230,3 +1235,15 @@ def test_time_scale_error_of_a_declared_map_is_read_as_it_is(error):
     )
     assert rep.verdict == "hypothesis-error" and match
     assert float(match[1]) == pytest.approx(abs(error), rel=1e-2)
+
+
+@pytest.mark.parametrize("periods", [1e4, 3e4, 1e5, 1e6])
+def test_circle_passes_over_a_million_periods(periods):
+    # the premise's difference step is a power of two, so the shifted times
+    # t +- delta and t +- 2 delta are exact here (none crosses a power of
+    # two); a step of 1e-3 itself rounded them by up to ulp(t) / 2, which
+    # read 1.6e-8 from 3e4 periods on
+    rep = _kepler_coincidence(kepler.circular_sample(1.0, 0.3), 1.0, periods * 2 * np.pi, _declared(1.0))
+    assert rep.verdict == "pass", rep.message
+    assert rep.trajectory.stats.method == "declared-flow"
+    assert rep.worst_value <= 1e-9

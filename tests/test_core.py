@@ -20,9 +20,9 @@ from invarsets import (
     stack_quantities,
 )
 from invarsets.core import TOLERANCES, _all_finite, _state_scales, _tolerances, format_float
-from invarsets import coincidence, invariance, kepler, oscillator, report, toda
+from invarsets import coincidence, integrate, invariance, kepler, oscillator, report, toda
 
-from conftest import random_kepler_states, random_states, zero_quantity
+from conftest import g_driven_system, random_kepler_states, random_states, zero_quantity
 
 
 def test_harmonic_field_value():
@@ -101,7 +101,7 @@ def test_state_scale_of_a_start_whose_norm_overflows_is_inf():
 def test_a_system_declares_its_exact_flow_one_way():
     names = [f.name for f in dataclasses.fields(SystemDefinition)]
     assert names == ["dim", "field", "label", "component_names", "batched", "flow"]
-    pair = kepler.linear_pair_field(0.5)
+    pair = g_driven_system(0.5)
     assert pair.fields(np.eye(4)).tolist() == [[0, -8, 0, 0], [8, 0, 0, 0], [0, 0, 0, -8], [0, 0, 8, 0]]
     quarter_turn = pair.flow(np.array([1.0, 0.0, 0.0, 1.0]), np.array([np.pi / 16]))  # clockwise at rate 8
     assert np.abs(quarter_turn - [[0.0, -1.0, 1.0, 0.0]]).max() <= 1e-15
@@ -258,10 +258,10 @@ VERIFIERS = {
     "set-persistence": invariance.verify_set_persistence,
     "coincidence": coincidence.verify_coincidence,
 }
-OWN_KEYWORDS = {"order", "quantity", "batched", "closed_forms"}
+OWN_KEYWORDS = {"order", "quantity", "batched", "flows"}
 
 
-@pytest.mark.parametrize("fn", [*VERIFIERS.values(), invariance.flow_adaptive], ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("fn", [*VERIFIERS.values(), integrate.flow_adaptive], ids=lambda fn: fn.__name__)
 def test_verifiers_and_the_integrator_share_one_signature(fn):
     # subject, x0 and t_end by position; the check's own keys, then integ
     # and tolerances, by keyword only; no setting under a second name
@@ -270,7 +270,7 @@ def test_verifiers_and_the_integrator_share_one_signature(fn):
     keyword = [p.name for p in params if p.kind is p.KEYWORD_ONLY]
     assert len(positional) + len(keyword) == len(params)
     assert positional[-2:] == ["x0", "t_end"]
-    tail = ["integ"] if fn is invariance.flow_adaptive else ["integ", "tolerances"]
+    tail = ["integ"] if fn is integrate.flow_adaptive else ["integ", "tolerances"]
     assert keyword[-len(tail):] == tail
     assert set(keyword[: -len(tail)]) <= OWN_KEYWORDS
     for p in params:

@@ -27,7 +27,7 @@ from invarsets import (
 from invarsets import SystemDefinition, integrate, kepler, oscillator, toda
 from invarsets.coincidence import assemble_system, canonical_symplectic_matrix
 
-from conftest import flow_fixed, random_toda_physical
+from conftest import flow_fixed, g_driven_system, random_toda_physical
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -829,7 +829,7 @@ def _rotation(a, x0, times):
 def test_declared_rotation_equals_scipy_expm_of_the_pair_matrix(a, turns):
     from scipy.linalg import expm
 
-    pair = kepler.linear_pair_field(a)
+    pair = g_driven_system(a)
     L = pair.fields(np.eye(4)).T  # x' = L x, column j the field at e_j
     times = np.linspace(0.0, turns * 2 * np.pi * a**3, 17)
     for x0 in (kepler.circular_sample(a, 0.3), np.array([0.3, -1.2, 2.0, 0.7]) * a**2):
@@ -844,10 +844,11 @@ def test_declared_rotation_equals_scipy_expm_of_the_pair_matrix(a, turns):
 def test_linear_flow_equals_the_rotation_and_the_stepper(seed, samples):
     rng = np.random.default_rng(seed)
     a, theta = rng.uniform(0.7, 1.4), rng.uniform(0.0, 2 * np.pi)
-    pair, x0 = kepler.linear_pair_field(a), kepler.circular_sample(a, theta)
+    pair, x0 = g_driven_system(a), kepler.circular_sample(a, theta)
     x0[2:] *= 1.0 + [0.0, 0.0, 0.08, -0.15][seed]  # an off-set push moves the start off the circle
     t_end, scale = 2 * np.pi * a**3 * rng.uniform(0.5, 1.5), np.linalg.norm(x0)
-    traj = integrate._declared_flow(pair, x0, t_end, IntegratorSettings(sample_count=samples))
+    traj, broken = integrate._flow(pair, x0, t_end, IntegratorSettings(sample_count=samples), 1e-11)
+    assert broken is None
     assert traj.states[0].tobytes() == x0.tobytes()
     assert traj.stats == integrate.IntegratorStats("declared-flow", 0, 0, 0)
     stepped = flow_adaptive(pair, x0, t_end, integ=IntegratorSettings(1e-13, 1e-13, samples))
@@ -859,21 +860,23 @@ def test_linear_flow_equals_the_rotation_and_the_stepper(seed, samples):
 
 def test_linear_flow_on_two_samples_and_of_the_zero_matrix():
     x0 = np.array([0.1, -2.0, 3e-300, 7.0])
-    pair = kepler.linear_pair_field(1.0)
-    traj = integrate._declared_flow(pair, x0, 0.5, IntegratorSettings(sample_count=2))
+    pair = g_driven_system(1.0)
+    traj, _ = integrate._flow(pair, x0, 0.5, IntegratorSettings(sample_count=2), 1e-8)
     assert traj.states[0].tobytes() == x0.tobytes()
     assert np.abs(traj.states - _rotation(1.0, x0, traj.times)).max() <= 4 * EPS * np.linalg.norm(x0)
     constant = replace(pair, flow=lambda x, times: np.tile(x, (len(times), 1)))  # exp(t 0) x0
-    still = integrate._declared_flow(constant, x0, 9.0, IntegratorSettings())
+    still, broken = integrate._flow(constant, x0, 9.0, IntegratorSettings(), 1e-8)
     assert still.states.tobytes() == np.tile(x0, (401, 1)).tobytes()
+    assert broken.startswith("the declared flow of 'driven[-A/a^3(a=1)]' differs from its field at sample 0 (t=0, ")
 
 
 def test_linear_flow_that_overflows_raises_the_steppers_error():
     # |x| = 2.12e308: x1 = |x| cos(t - pi/4) is 1.76e308 at t = pi/16 and
     # overflows at t = pi/8, so the error names pi/16 as the last good time
-    pair, integ = kepler.linear_pair_field(1.0), IntegratorSettings(sample_count=17)
-    with pytest.raises(IntegrationError, match="^adaptive integration produced non-finite states$") as err:
-        integrate._declared_flow(pair, [1.5e308, 1.5e308, 0.0, 0.0], np.pi, integ)
+    pair, integ = g_driven_system(1.0), IntegratorSettings(sample_count=17)
+    message = r"^declared flow of 'driven\[-A/a\^3\(a=1\)\]' produced non-finite states$"
+    with pytest.raises(IntegrationError, match=message) as err:
+        integrate._flow(pair, [1.5e308, 1.5e308, 0.0, 0.0], np.pi, integ, 1e-8)
     assert err.value.last_good_time == np.linspace(0.0, np.pi, 17)[1]
 
 

@@ -1,13 +1,18 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from invarsets import (
     ConservedQuantitySet,
     IntegratorSettings,
+    IntegratorStats,
     SystemDefinition,
     UsageError,
     flow_adaptive,
     rank_levels,
+    stack_quantities,
     vanishing_memberships,
     verify_coincidence,
     verify_critical_invariance,
@@ -15,7 +20,7 @@ from invarsets import (
     verify_set_persistence,
     verify_vanishing_invariance,
 )
-from invarsets import kepler, oscillator, toda
+from invarsets import kepler, oscillator, report, toda
 
 from conftest import batched_symplectic_base, random_toda_physical
 
@@ -455,3 +460,70 @@ def test_every_tolerance_is_checked_by_the_scenario_rule(call, message):
     with pytest.raises(UsageError) as err:
         call()
     assert str(err.value) == message
+
+
+# ---------------------------------------------------------------------------
+# a flow the system declares: every verifier takes it, checked against the
+# field at the default hypothesis tolerance, and a wrong map never passes
+# ---------------------------------------------------------------------------
+
+
+def _declared_kepler(map_=kepler.kepler_flow):
+    return replace(kepler.kepler_field(), flow=map_)
+
+
+def _kepler_verdicts(system):
+    """Each verifier on the circle of radius 1 from phase 0.3, over one period."""
+    x0, t_end, K = kepler.circular_sample(1.0, 0.3), 2 * np.pi, kepler.combined_invariant(1.0)
+    HA = stack_quantities([kepler.hamiltonian(), kepler.angular_momentum()])
+    radius = lambda zs: np.abs(np.hypot(zs[:, 0], zs[:, 1]) - 1.0)  # noqa: E731
+    return {
+        "rank": verify_rank_invariance(system, K, x0, t_end),
+        "critical": verify_critical_invariance(system, HA, x0, t_end),
+        "vanishing": verify_vanishing_invariance(system, K, x0, t_end, order=1),
+        "set": verify_set_persistence(system, radius, x0, t_end, quantity=K),
+    }
+
+
+def test_every_verifier_takes_the_flow_a_system_declares():
+    calls, system = [], _declared_kepler()
+    counted = replace(system, field=lambda z: calls.append(z.shape) or system.field(z))
+    stepped = _kepler_verdicts(kepler.kepler_field())
+    for name, rep in _kepler_verdicts(counted).items():
+        assert rep.verdict == stepped[name].verdict == "pass", (name, rep.message)
+        assert rep.trajectory.stats == IntegratorStats("declared-flow", 0, 0, 0), name
+        assert stepped[name].trajectory.stats.method == "dormand-prince-8(5,3)", name
+        assert np.abs(rep.trajectory.states - stepped[name].trajectory.states).max() <= 1e-8, name
+    # the field is not stepped: per verifier, it is read at the start and by
+    # the flow's premise on the stack (set persistence reads the start last)
+    assert calls == [(4,), (401, 4)] * 3 + [(401, 4), (4,)]
+
+
+def test_declared_map_off_its_field_is_a_hypothesis_error_naming_it():
+    wrong = _declared_kepler(lambda x0, times: kepler.kepler_flow(x0, times * (1 + 1e-6)))
+    for name, rep in _kepler_verdicts(wrong).items():
+        match = re.fullmatch(
+            r"the declared flow of 'kepler' differs from its field at sample 0 \(t=0, residual (\S+)\)", rep.message
+        )
+        assert rep.verdict == "hypothesis-error" and match, (name, rep.message)
+        assert float(match[1]) == pytest.approx(1e-6, rel=1e-3)
+        assert rep.trajectory.stats.method == "declared-flow"  # the samples are still classified as evidence
+
+
+@pytest.mark.parametrize("scale,verdict", [(1.0, "pass"), (1 + 1e-6, "hypothesis-error")])
+def test_drift_check_takes_a_declared_flow(monkeypatch, scale, verdict):
+    # the drift check of a model whose field declares its flow reads that
+    # flow, and a map off the field is a hypothesis error, not a drift
+    field = kepler.kepler_field
+    monkeypatch.setattr(kepler, "kepler_field", lambda: replace(
+        field(), flow=lambda x0, times: kepler.kepler_flow(x0, times * scale)))
+    config = {
+        "model": {"kind": "kepler"}, "check": "drift", "quantity": "HA",
+        "initial_state": {"circular": {"theta": 0.3}}, "t_end": 2 * np.pi,
+    }
+    rep = report.run_scenario(config)
+    assert rep.verdict == verdict
+    assert rep.flow[0].stats.method == "declared-flow"
+    assert rep.evidence["worst_drift"] <= 1e-12
+    if verdict != "pass":
+        assert rep.evidence["message"].startswith("the declared flow of 'kepler' differs from its field at sample 0")

@@ -14,7 +14,7 @@ from invarsets import (
     rank_levels,
     stack_quantities,
 )
-from invarsets import kepler, verify_coincidence
+from invarsets import assemble_system, kepler, verify_coincidence
 
 from conftest import batched_symplectic_base, random_kepler_states
 
@@ -71,8 +71,8 @@ def _numpy_scalar_forms(a):
             kepler.linear_pair_hamiltonian(a).analytic_gradient,
             lambda z: (None, c * np.array([z[3], -z[2], -z[1], z[0]])),
         ),
-        "pair-field": (
-            kepler.linear_pair_field(a).field,
+        "pair-field": (  # the G-driven field of the coincidence check, J grad(-A/a^3)
+            _g_driven_system(a).field,
             lambda z: (None, np.array([z[1] * inv_a3, -z[0] * inv_a3, z[3] * inv_a3, -z[2] * inv_a3])),
         ),
     }
@@ -148,8 +148,13 @@ def test_orbits_close_with_cubed_period():
         assert np.linalg.norm(traj.final_state - x0) < 1e-6
 
 
-def test_linear_pair_field_matches_kepler_on_circle_only():
-    lin = kepler.linear_pair_field(1.0)
+def _g_driven_system(a):
+    """The G-driven system of the coincidence check, x' = J grad(-A/a^3)."""
+    return assemble_system(batched_symplectic_base, kepler.linear_pair_hamiltonian(a), batched=True).system
+
+
+def test_g_driven_field_matches_kepler_on_circle_only():
+    lin = _g_driven_system(1.0)
     sysk = kepler.kepler_field()
     on = np.array([0.0, 1.0, 1.0, 0.0])
     assert np.allclose(evaluate_field(lin, on), evaluate_field(sysk, on), atol=0)
@@ -158,8 +163,8 @@ def test_linear_pair_field_matches_kepler_on_circle_only():
     assert np.allclose(evaluate_field(sysk, off), [1, 0, 0, -0.25], atol=0)
 
 
-def test_linear_pair_field_is_linear():
-    lin = kepler.linear_pair_field(1.3)
+def test_g_driven_field_is_linear():
+    lin = _g_driven_system(1.3)
     z = random_kepler_states(1, 3)[0]
     w = random_kepler_states(1, 5)[0]
     f = lambda s: evaluate_field(lin, s)
@@ -173,7 +178,7 @@ def test_parameter_guards():
     with pytest.raises(UsageError):
         kepler.circular_sample(-1.0, 0.0)
     with pytest.raises(UsageError):
-        kepler.linear_pair_field(0.0)
+        kepler.linear_pair_flow(0.0)
 
 
 @given(
@@ -216,16 +221,16 @@ def _eccentric_start(e, phase=0.77, a=1.0, sense=1.0):
     a time ``phase`` a^(3/2) past periapsis, which lies on the x1 axis; the
     orbit runs counter-clockwise for ``sense`` 1 and clockwise for -1."""
     at_periapsis = np.array([a * (1.0 - e), 0.0, 0.0, sense * np.sqrt((1.0 + e) / ((1.0 - e) * a))])
-    return kepler.kepler_field().flow(at_periapsis, np.array([0.0, phase * a**1.5]))[1]
+    return kepler.kepler_flow(at_periapsis, np.array([0.0, phase * a**1.5]))[1]
 
 
 @pytest.mark.parametrize("e", [0.0, 0.4, 0.7, 0.9])
 def test_exact_flow_matches_the_stepper_over_eight_periods(e):
     # the stepper at 1e-13 converges on the flow: the gap is its own error
-    system, x0 = kepler.kepler_field(), _eccentric_start(e)
+    x0 = _eccentric_start(e)
     t_end = 8 * 2 * np.pi
-    stepped = flow_adaptive(system, x0, t_end, integ=IntegratorSettings(1e-13, 1e-13, 401))
-    exact = system.flow(x0, stepped.times)
+    stepped = flow_adaptive(kepler.kepler_field(), x0, t_end, integ=IntegratorSettings(1e-13, 1e-13, 401))
+    exact = kepler.kepler_flow(x0, stepped.times)
     assert np.abs(exact - stepped.states).max() <= 1e-8
     assert exact[0].tobytes() == x0.tobytes()
     for quantity in (kepler.hamiltonian(), kepler.angular_momentum()):
@@ -234,14 +239,14 @@ def test_exact_flow_matches_the_stepper_over_eight_periods(e):
 
 
 def test_exact_flow_is_periodic_and_runs_backwards():
-    system, x0 = kepler.kepler_field(), _eccentric_start(0.6)
+    x0 = _eccentric_start(0.6)
     period = 2 * np.pi  # a = 1 to round-off
-    states = system.flow(x0, np.array([0.0, 0.3, 5 * period + 0.3, -period + 0.3, period]))
+    states = kepler.kepler_flow(x0, np.array([0.0, 0.3, 5 * period + 0.3, -period + 0.3, period]))
     assert states[0].tobytes() == x0.tobytes()
     for state in states[2:4]:
         assert np.allclose(state, states[1], rtol=0, atol=1e-12)
     assert np.allclose(states[4], x0, rtol=0, atol=1e-12)
-    assert np.allclose(system.flow(states[1], np.array([-0.3]))[0], x0, rtol=0, atol=1e-12)
+    assert np.allclose(kepler.kepler_flow(states[1], np.array([-0.3]))[0], x0, rtol=0, atol=1e-12)
 
 
 def _eccentricity_vector(z):
@@ -258,7 +263,7 @@ def test_exact_flow_keeps_energy_momentum_and_the_eccentricity_vector(e, a, sens
     # three periods back and five forward, on both senses of rotation
     x0 = _eccentric_start(e, a=a, sense=sense)
     period = 2 * np.pi * a**1.5
-    states = kepler.kepler_field().flow(x0, np.linspace(-3 * period, 5 * period, 401))
+    states = kepler.kepler_flow(x0, np.linspace(-3 * period, 5 * period, 401))
     for quantity in (kepler.hamiltonian(), kepler.angular_momentum()):
         values, start = quantity.value(states)[:, 0], quantity.value(x0)[0]
         assert np.abs(values - start).max() <= 1e-12 * abs(start)
@@ -270,7 +275,7 @@ def test_exact_flow_keeps_energy_momentum_and_the_eccentricity_vector(e, a, sens
 @pytest.mark.parametrize("e", [0.0, 0.5, 0.9, 0.99])
 def test_exact_flow_composes(e, t, s):
     # flowing t then s from where t ends is flowing t + s
-    flow, x0 = kepler.kepler_field().flow, _eccentric_start(e)
+    flow, x0 = kepler.kepler_flow, _eccentric_start(e)
     middle = flow(x0, np.array([t]))[0]
     assert np.abs(flow(middle, np.array([s]))[0] - flow(x0, np.array([t + s]))[0]).max() <= 1e-12
 
@@ -285,7 +290,7 @@ def _rotated(z, angle):
 @pytest.mark.parametrize("angle", [0.5, 2.0, 3.5, 5.5])
 @pytest.mark.parametrize("e", [0.2, 0.8, 0.95])
 def test_exact_flow_commutes_with_rotations(e, angle):
-    flow, x0, times = kepler.kepler_field().flow, _eccentric_start(e), np.linspace(-7.0, 11.0, 51)
+    flow, x0, times = kepler.kepler_flow, _eccentric_start(e), np.linspace(-7.0, 11.0, 51)
     states = flow(x0, times)
     assert np.abs(flow(_rotated(x0, angle), times) - _rotated(states, angle)).max() <= 1e-12 * np.abs(states).max()
 
@@ -294,7 +299,7 @@ def test_exact_flow_commutes_with_rotations(e, angle):
 def test_exact_flow_commutes_with_time_reversal_and_reflection(e):
     # reversing the velocity runs the orbit backwards; mirroring in the x1
     # axis mirrors it
-    flow, x0, times = kepler.kepler_field().flow, _eccentric_start(e), np.linspace(-7.0, 11.0, 51)
+    flow, x0, times = kepler.kepler_flow, _eccentric_start(e), np.linspace(-7.0, 11.0, 51)
     states, bound = flow(x0, times), 1e-12 * np.abs(flow(x0, times)).max()
     for signs, direction in (([1.0, 1.0, -1.0, -1.0], -1.0), ([1.0, -1.0, 1.0, -1.0], 1.0)):
         assert np.abs(flow(x0 * signs, direction * times) * signs - states).max() <= bound
@@ -310,7 +315,7 @@ def test_exact_flow_commutes_with_time_reversal_and_reflection(e):
     ],
 )
 def test_exact_flow_does_not_cover_open_or_radial_orbits(x0):
-    assert kepler.kepler_field().flow(np.array(x0), np.linspace(0.0, 1.0, 5)) is None
+    assert kepler.kepler_flow(np.array(x0), np.linspace(0.0, 1.0, 5)) is None
 
 
 _ANY_COMPONENT = st.one_of(
@@ -326,24 +331,23 @@ def test_exact_flow_at_any_finite_start_gives_states_or_none_and_never_warns(x0,
     # period overflows are not covered
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        states = kepler.kepler_field().flow(np.array(x0), np.array(times))
+        states = kepler.kepler_flow(np.array(x0), np.array(times))
     assert states is None or states.shape == (len(times), 4)
 
 
 def test_exact_flow_that_newton_does_not_settle_gives_none(monkeypatch):
     x0, times = _eccentric_start(0.9), np.linspace(0.0, 6.0, 11)
-    assert kepler.kepler_field().flow(x0, times) is not None
+    assert kepler.kepler_flow(x0, times) is not None
     monkeypatch.setattr(kepler, "_NEWTON_STEPS", 1)
-    assert kepler.kepler_field().flow(x0, times) is None
+    assert kepler.kepler_flow(x0, times) is None
 
 
 @pytest.mark.parametrize("x0", [[0.0, 2.0, 1.0, 0.0], [1.0, 0.0, 0.0, 2.0], [1.0, 0.0, 0.5, 0.0]])
 def test_coincidence_integrates_a_start_the_flow_does_not_cover_and_keeps_its_verdict(x0):
     a = 1.0
     args = (batched_symplectic_base, kepler.hamiltonian(), kepler.linear_pair_hamiltonian(a), np.array(x0), 2.0)
-    declared = (kepler.kepler_field(), kepler.linear_pair_field(a))
     slow = verify_coincidence(*args, batched=True)
-    fast = verify_coincidence(*args, batched=True, closed_forms=declared)
+    fast = verify_coincidence(*args, batched=True, flows=(kepler.kepler_flow, kepler.linear_pair_flow(a)))
     assert (fast.verdict, fast.message) == (slow.verdict, slow.message) and slow.verdict == "hypothesis-error"
     if slow.trajectory is not None:  # else the F flow failed on both paths
         assert fast.trajectory.stats.method == "dormand-prince-8(5,3)"
