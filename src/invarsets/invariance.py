@@ -263,10 +263,10 @@ def verify_set_persistence(
     tol = _tolerances(tolerances, ("residual",))["residual"]
     x0v = as_state(x0, system.dim)
     r0 = float(_set_residuals(residual_fn, x0v[None, :])[0])
-    if r0 > tol:
+    if not r0 <= tol:  # a nan residual is no membership either
         return InvarianceReport(
             verdict=HYPOTHESIS_ERROR,
-            message=f"start violates the set residual: {r0:.3e} > tol {tol:.1e}",
+            message=f"start violates the set residual: {r0:.3e} is not within tol {tol:.1e}",
             worst_value=r0,
             threshold=tol,
         )

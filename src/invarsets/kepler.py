@@ -147,18 +147,20 @@ def _momentum_gradient(x1, x2, y1, y2):
     return np.array([y2, -y1, -x2, x1])
 
 
+def _quantity(label: str, value, gradient) -> ConservedQuantitySet:
+    """The batched scalar quantity with ``value`` and ``gradient`` formulas on
+    the components."""
+    return ConservedQuantitySet.scalar(4, _componentwise(value), label, gradient=_componentwise(gradient), batched=True)
+
+
 def hamiltonian() -> ConservedQuantitySet:
     """Total energy H = |y|^2/2 - 1/|x|."""
-    return ConservedQuantitySet.scalar(
-        4, _componentwise(_energy), "H", gradient=_componentwise(_energy_gradient), batched=True
-    )
+    return _quantity("H", _energy, _energy_gradient)
 
 
 def angular_momentum() -> ConservedQuantitySet:
     """A = x1 y2 - x2 y1."""
-    return ConservedQuantitySet.scalar(
-        4, _componentwise(_momentum), "A", gradient=_componentwise(_momentum_gradient), batched=True
-    )
+    return _quantity("A", _momentum, _momentum_gradient)
 
 
 def combined_invariant(a: float) -> ConservedQuantitySet:
@@ -166,16 +168,11 @@ def combined_invariant(a: float) -> ConservedQuantitySet:
     clockwise circular orbits."""
     _radius(a)
     inv_a3 = 1.0 / a**3
-
-    @_componentwise
-    def value(*z):
-        return _energy(*z) + inv_a3 * _momentum(*z)
-
-    @_componentwise
-    def grad(*z):
-        return _energy_gradient(*z) + inv_a3 * _momentum_gradient(*z)
-
-    return ConservedQuantitySet.scalar(4, value, f"K(a={a:g})", gradient=grad, batched=True)
+    return _quantity(
+        f"K(a={a:g})",
+        lambda *z: _energy(*z) + inv_a3 * _momentum(*z),
+        lambda *z: _energy_gradient(*z) + inv_a3 * _momentum_gradient(*z),
+    )
 
 
 def linear_pair_hamiltonian(a: float) -> ConservedQuantitySet:
@@ -183,16 +180,7 @@ def linear_pair_hamiltonian(a: float) -> ConservedQuantitySet:
     :func:`linear_pair_flow`.  Satisfies H - (-A/a^3) = K."""
     _radius(a)
     c = -1.0 / a**3
-
-    @_componentwise
-    def value(*z):
-        return c * _momentum(*z)
-
-    @_componentwise
-    def grad(*z):
-        return c * _momentum_gradient(*z)
-
-    return ConservedQuantitySet.scalar(4, value, f"-A/a^3(a={a:g})", gradient=grad, batched=True)
+    return _quantity(f"-A/a^3(a={a:g})", lambda *z: c * _momentum(*z), lambda *z: c * _momentum_gradient(*z))
 
 
 def circular_sample(a: float, theta: float) -> np.ndarray:

@@ -298,11 +298,11 @@ def _run_oracle_equality(s: _Scenario) -> _Outcome:
         for m in (1, 2, 3):
             enum = toda.henon_invariant_oracle(n, m)
             values = lambda zs, _e=enum: _e.values_many(zs)[:, 0]
-            references.append((toda.henon_closed_form(n, m), values, enum))
+            references.append((toda.periodic_invariants(n, (m,)), values, enum))
     else:
         dim, lax = 2 * n - 1, toda.lax_commutator_residual
         for k in (1, 2, 3):
-            q = toda.flaschka_invariant(n, k)
+            q = toda.nonperiodic_invariants(n, (k,))
             values = lambda zs, _k=k: toda.trace_invariant_value(n, _k, zs)
             references.append((q, values, ConservedQuantitySet(dim, 1, q.value, q.labels, batched=True)))
 

@@ -12,11 +12,13 @@ Equations of motion in both cases:
 The periodic lattice carries the polynomial first integrals I_m built by
 summing products u_{i_1}...u_{i_k} (-X_{j_1})...(-X_{j_l}) over index
 families in which i_1..i_k, j_1, j_1+1, ..., j_l, j_l+1 are pairwise
-different modulo n and k + 2l = m; closed forms and analytic gradients are
-supplied for m <= 3 and a brute-force enumeration covers the rest up to
-n = 8.  The non-periodic lattice carries the trace invariants
-F_k = tr(L^k)/k of its tridiagonal Lax matrix, with closed forms and
-gradients for k <= 3.
+different modulo n and k + 2l = m.  The non-periodic lattice carries the
+trace invariants F_k = tr(L^k)/k of its tridiagonal Lax matrix.  Each
+lattice builds its quantities one way, :func:`periodic_invariants` and
+:func:`nonperiodic_invariants`: closed forms with analytic gradients for
+degrees 1 to 3 (and at most n).  Above them the values have oracle routes
+only, the enumeration :func:`henon_invariant_oracle` (up to n = 8) and
+the trace :func:`trace_invariant_value`.
 
 On top of the invariants, this module ships the explicit invariant
 families (rank-level sets of the invariant stacks): residual functions
@@ -54,7 +56,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .core import ConservedQuantitySet, SystemDefinition, stack_quantities
+from .core import ConservedQuantitySet, SystemDefinition
 from .errors import UsageError
 
 MAX_ENUMERATION_N = 8
@@ -282,18 +284,15 @@ def _forms_quantity(dim: int, springs: int, labels, forms) -> ConservedQuantityS
     )
 
 
-def henon_closed_form(n: int, m: int) -> ConservedQuantitySet:
-    """Closed-form periodic invariant with analytic gradient, m in {1, 2, 3}."""
-    return periodic_invariants(n, (m,))
-
-
 def periodic_invariants(n: int, degrees: tuple[int, ...] = (1, 2, 3)) -> ConservedQuantitySet:
     """Stack of closed-form periodic invariants, e.g. (I1, I2, I3), as one
     batched quantity."""
     _check_size(n, "periodic lattices")
     for m in degrees:
+        if not 1 <= m <= n:
+            raise UsageError(f"invariant degree must satisfy 1 <= m <= n, got m={m}")
         if m not in _HENON_FORMS:
-            raise UsageError(f"closed forms cover m in {{1, 2, 3}}, got m={m}; use the enumeration")
+            raise UsageError(f"closed forms cover m in {{1, 2, 3}}, got m={m}; use the enumeration henon_invariant_oracle")
     return _forms_quantity(2 * n, n, [f"I{m}" for m in degrees], [_HENON_FORMS[m] for m in degrees])
 
 
@@ -370,37 +369,15 @@ _FLASCHKA_FORMS = {
 }
 
 
-def _check_index(n, k) -> None:
-    _check_size(n, "non-periodic lattices")
-    if not 1 <= k <= n:
-        raise UsageError(f"invariant index must satisfy 1 <= k <= n, got k={k}")
-
-
-def flaschka_invariant(n: int, k: int) -> ConservedQuantitySet:
-    """Non-periodic invariant F_k.
-
-    For k <= 3 the value is the closed form and the analytic gradient is
-    attached; for larger k the value falls back to tr(L^k)/k with
-    finite-difference gradients.
-    """
-    if k in _FLASCHKA_FORMS:
-        return nonperiodic_invariants(n, (k,))
-    _check_index(n, k)
-    return ConservedQuantitySet(
-        dim=2 * n - 1,
-        k=1,
-        value=lambda z, _k=k: np.array([trace_invariant_value(n, _k, z)]),
-        labels=(f"F{k}",),
-    )
-
-
 def nonperiodic_invariants(n: int, degrees: tuple[int, ...] = (1, 2, 3)) -> ConservedQuantitySet:
-    """Stack of non-periodic invariants, e.g. (F1, F2, F3), as one batched
-    quantity when every k <= 3."""
-    if not all(k in _FLASCHKA_FORMS for k in degrees):
-        return stack_quantities([flaschka_invariant(n, k) for k in degrees])
+    """Stack of closed-form non-periodic invariants, e.g. (F1, F2, F3), as
+    one batched quantity."""
+    _check_size(n, "non-periodic lattices")
     for k in degrees:
-        _check_index(n, k)
+        if not 1 <= k <= n:
+            raise UsageError(f"invariant index must satisfy 1 <= k <= n, got k={k}")
+        if k not in _FLASCHKA_FORMS:
+            raise UsageError(f"closed forms cover k in {{1, 2, 3}}, got k={k}; use the trace trace_invariant_value")
     return _forms_quantity(2 * n - 1, n - 1, [f"F{k}" for k in degrees], [_FLASCHKA_FORMS[k] for k in degrees])
 
 

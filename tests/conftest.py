@@ -70,6 +70,15 @@ def zero_quantity(dim: int) -> ConservedQuantitySet:
     )
 
 
+def trace_quantity(n: int, k: int) -> ConservedQuantitySet:
+    """The free-end invariant F_k = tr(L^k)/k through the trace oracle: an
+    undeclared point callable with finite-difference gradients, which also
+    reaches degrees above the closed forms."""
+    return ConservedQuantitySet(
+        2 * n - 1, 1, lambda z: np.array([toda.trace_invariant_value(n, k, z)]), (f"F{k}",)
+    )
+
+
 _J = canonical_symplectic_matrix(2)
 
 
@@ -123,14 +132,14 @@ def builtin_gradient_cases():
             cases.append(
                 (
                     f"periodic-I{m}-n{n}",
-                    toda.henon_closed_form(n, m),
+                    toda.periodic_invariants(n, (m,)),
                     lambda count, seed, _n=n: random_states(2 * _n, count, seed),
                 )
             )
             cases.append(
                 (
                     f"nonperiodic-F{m}-n{n}",
-                    toda.flaschka_invariant(n, m),
+                    toda.nonperiodic_invariants(n, (m,)),
                     lambda count, seed, _n=n: random_states(2 * _n - 1, count, seed),
                 )
             )

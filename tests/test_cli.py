@@ -612,6 +612,25 @@ ORDER_CASES = {
 }
 
 
+@pytest.mark.parametrize(
+    "kind, quantity, start, message",
+    [
+        ("toda-periodic", "I3", [0.9, 0.4, 0.3, -0.5], "invariant degree must satisfy 1 <= m <= n, got m=3"),
+        ("toda-periodic", "I123", [0.9, 0.4, 0.3, -0.5], "invariant degree must satisfy 1 <= m <= n, got m=3"),
+        ("toda-nonperiodic", "F3", [0.9, 0.3, -0.5], "invariant index must satisfy 1 <= k <= n, got k=3"),
+    ],
+)
+def test_degrees_above_the_lattice_size_are_configuration_errors(tmp_path, capsys, kind, quantity, start, message):
+    # on two sites I3 vanishes identically and F3 is a function of F1 and F2,
+    # so a rank check on either would certify nothing
+    config = {
+        **load_scenario(SCENARIO_DIR / "toda-periodic-rank-generic.json"),
+        "model": {"kind": kind, "n": 2}, "quantity": quantity, "initial_state": start,
+    }
+    assert main(["run", _write(tmp_path, config)]) == 2
+    assert f"configuration error: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("order", [2, 3, 4, 5])
 @pytest.mark.parametrize("quantity", ORDER_CASES)
 def test_vanishing_orders_above_one_come_from_finite_differences(tmp_path, capsys, quantity, order):
@@ -995,11 +1014,11 @@ def _oracle_loop(kind, n, seed, samples):
         dim, lax = 2 * n, None
         for m in (1, 2, 3):
             enum = toda.henon_invariant_oracle(n, m)
-            refs.append((toda.henon_closed_form(n, m), lambda z, _e=enum: _e.values_many(z[None])[0, 0], enum))
+            refs.append((toda.periodic_invariants(n, (m,)), lambda z, _e=enum: _e.values_many(z[None])[0, 0], enum))
     else:
         dim, lax = 2 * n - 1, toda.lax_commutator_residual
         for k in (1, 2, 3):
-            q = toda.flaschka_invariant(n, k)
+            q = toda.nonperiodic_invariants(n, (k,))
             fd = ConservedQuantitySet(dim, 1, q.value, q.labels)
             refs.append((q, lambda z, _k=k: toda.trace_invariant_value(n, _k, z), fd))
     worst_value = worst_gradient = worst_lax = 0.0

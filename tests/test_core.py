@@ -148,7 +148,7 @@ def test_conservation_residual_nonconserved_probe():
 
 def test_conservation_residual_i2_periodic_random():
     sys4 = toda.periodic_field(4)
-    q = toda.henon_closed_form(4, 2)
+    q = toda.periodic_invariants(4, (2,))
     xs = random_states(8, 10, 3)
     res = conservation_rates(q, sys4, xs)
     assert np.all(np.abs(res[:, 0]) < 1e-10 * np.maximum(1, np.linalg.norm(xs, axis=1)))
@@ -183,7 +183,7 @@ def test_kepler_invariants_conserved_at_random_states():
 def test_conservation_rates_check_dimension_and_field():
     sys2 = oscillator.harmonic_oscillator()
     with pytest.raises(UsageError, match="quantity dimension 8 != system dimension 2"):
-        conservation_rates(toda.henon_closed_form(4, 1), sys2, [[0.3, -0.8]])
+        conservation_rates(toda.periodic_invariants(4, (1,)), sys2, [[0.3, -0.8]])
     with pytest.raises(UsageError, match="shape"):
         conservation_rates(oscillator.squared_radius(), sys2, [0.3, -0.8])  # a point, not a stack
     blows = SystemDefinition(2, lambda x: np.array([x[1], np.inf if x[0] > 1 else -x[0]]), "blows")
@@ -196,14 +196,14 @@ def test_stack_roundtrip():
     assert q.k == 3 and q.labels == ("I1", "I2", "I3")
     xs = random_states(8, 1, 5)
     for i in range(3):
-        assert toda.henon_closed_form(4, i + 1).values_many(xs)[0, 0] == q.values_many(xs)[0, i]
+        assert toda.periodic_invariants(4, (i + 1,)).values_many(xs)[0, 0] == q.values_many(xs)[0, i]
 
 
 def test_stack_dimension_checks():
     with pytest.raises(UsageError):
         stack_quantities([])
     with pytest.raises(UsageError):
-        stack_quantities([oscillator.squared_radius(), toda.henon_closed_form(3, 1)])
+        stack_quantities([oscillator.squared_radius(), toda.periodic_invariants(3, (1,))])
 
 
 def test_zero_quantity_is_flat():

@@ -20,7 +20,7 @@ from invarsets.differentiate import (
     _values,
 )
 
-from conftest import builtin_gradient_cases
+from conftest import builtin_gradient_cases, trace_quantity
 
 
 def test_gradient_of_squared_norm():
@@ -30,7 +30,7 @@ def test_gradient_of_squared_norm():
 
 
 def test_gradient_of_i1_via_finite_differences():
-    q = toda.henon_closed_form(4, 1)
+    q = toda.periodic_invariants(4, (1,))
     fd_only = ConservedQuantitySet(dim=8, k=1, value=q.value, labels=q.labels)
     g = jacobians(fd_only, np.random.default_rng(0).standard_normal(8)[None])[0]
     assert np.allclose(g, [[0, 0, 0, 0, 1, 1, 1, 1]], atol=1e-9)
@@ -89,7 +89,7 @@ def test_partial_tensor_circle_cubed_flat_to_second_order():
 
 
 def test_partial_tensor_linear_quantity_analytic_and_fd():
-    q = toda.henon_closed_form(4, 1)
+    q = toda.periodic_invariants(4, (1,))
     xs = np.random.default_rng(2).standard_normal((1, 8))
     entries = _partial_stack(q, xs, 2)  # order 1 from the analytic gradient
     assert [entries[(j,)][0, 0] for j in range(8)] == [0.0] * 4 + [1.0] * 4
@@ -141,8 +141,8 @@ def test_analytic_gradients_match_finite_differences(label, quantity, sampler):
 
 
 def test_derivative_blocks_match_between_stacked_and_parts():
-    q1 = toda.henon_closed_form(3, 1)
-    q2 = toda.henon_closed_form(3, 2)
+    q1 = toda.periodic_invariants(3, (1,))
+    q2 = toda.periodic_invariants(3, (2,))
     stacked = stack_quantities([q1, q2])
     xs = np.random.default_rng(5).standard_normal((1, 6))
     t = _partial_stack(stacked, xs, 2)
@@ -190,7 +190,7 @@ FD_QUANTITIES = {
     "batched closed forms": ConservedQuantitySet(
         10, 3, toda.periodic_invariants(5).value, ("I1", "I2", "I3"), batched=True
     ),
-    "undeclared trace": ConservedQuantitySet(9, 1, toda.flaschka_invariant(5, 4).value, ("F4",)),
+    "undeclared trace": trace_quantity(5, 4),
 }
 
 

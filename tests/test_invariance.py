@@ -161,6 +161,16 @@ def test_set_persistence_off_family_start_is_hypothesis_error():
     assert report.verdict == "hypothesis-error"
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_set_persistence_non_finite_start_residual_is_hypothesis_error(bad):
+    # nan compares false both ways, so only "not r0 <= tol" refuses it
+    report = verify_set_persistence(
+        toda.periodic_field(4), lambda zs: np.full(len(zs), bad), PATTERN_START, 1.0,
+    )
+    assert report.verdict == "hypothesis-error"
+    assert report.message.startswith("start violates the set residual")
+
+
 def test_set_persistence_residual_shrinks_with_tolerance():
     x0 = toda.explicit_set_sample("M0_I3", 4, {"X1": 0.0, "u": 0.8})
     resid = lambda zs: toda.explicit_set_residual("M0_I3", 4, zs)

@@ -28,7 +28,7 @@ def test_zero_matrix_has_rank_zero():
 
 
 def test_constant_gradient_row_has_rank_one():
-    J = jacobians(toda.henon_closed_form(4, 1), random_states(8, 1, 3))
+    J = jacobians(toda.periodic_invariants(4, (1,)), random_states(8, 1, 3))
     assert _decide(J, RANK_TOL, np.array([0.0])).ranks[0] == 1
 
 
@@ -90,7 +90,7 @@ def test_rank_tolerance_validation():
 
 def test_classification_examples_from_explicit_sets():
     # scalar I3 at the odd-n zero state: every gradient entry vanishes
-    assert rank_levels(toda.henon_closed_form(3, 3), np.zeros((1, 6))).ranks[0] == 0
+    assert rank_levels(toda.periodic_invariants(3, (3,)), np.zeros((1, 6))).ranks[0] == 0
     # the alternating two-parameter family drops the stack rank to 2
     pattern = np.array([[0.3, 0.7, 0.3, 0.7, 0.5, -0.2, 0.5, -0.2]])
     decision = rank_levels(toda.periodic_invariants(4), pattern)
@@ -120,7 +120,7 @@ def test_vanishing_membership_cubic():
 
 
 def test_vanishing_membership_linear_never():
-    q = toda.henon_closed_form(4, 1)
+    q = toda.periodic_invariants(4, (1,))
     members = vanishing_memberships(q, random_states(8, 5, 11), 1)
     assert not np.any(members.verdicts)
     assert np.all(members.residuals > 0)
@@ -140,7 +140,7 @@ def test_critical_set_membership():
     ranks = rank_levels(q, np.vstack([pattern, random_states(8, 1, 13)])).ranks
     assert list(ranks < q.k) == [True, False]
     # a constant full-rank row is never critical
-    row = toda.henon_closed_form(4, 1)
+    row = toda.periodic_invariants(4, (1,))
     assert rank_levels(row, random_states(8, 1, 15)).ranks[0] == row.k
 
 
@@ -178,7 +178,7 @@ def _vanishing_probes():
     probes = [
         (circle3, np.vstack([on_circle, random_states(2, 30, 23)])),
         (oscillator.squared_radius(), np.vstack([np.zeros((1, 2)), random_states(2, 30, 29)])),
-        (toda.henon_closed_form(4, 3), np.vstack([np.zeros((1, 8)), random_states(8, 40, 31)])),
+        (toda.periodic_invariants(4, (3,)), np.vstack([np.zeros((1, 8)), random_states(8, 40, 31)])),
     ]
     return probes
 

@@ -1,5 +1,7 @@
-"""The README's library quickstart runs as shown and prints what it says."""
+"""The README's library quickstart runs as shown and prints what it says,
+and every library call that the README and the demos name exists."""
 
+import importlib
 import os
 import re
 import subprocess
@@ -21,3 +23,18 @@ def test_readme_quickstart_prints_three_passes():
     rank, *verdicts = done.stdout.splitlines()
     assert rank == "2"
     assert [line.split()[0] for line in verdicts] == ["pass", "pass", "pass"]
+
+
+MODULES = ("toda", "kepler", "oscillator", "core", "integrate", "invariance", "coincidence", "rank_sets",
+           "differentiate", "report")
+CALL = re.compile(rf"(?<![\w.])({'|'.join(MODULES)}|invarsets)\.(\w+)\(")
+
+
+def test_every_library_call_in_the_docs_resolves():
+    # a function removed from the library cannot stay named in the docs
+    docs = [ROOT / "README.md", *sorted((ROOT / "demos").glob("*.py"))]
+    calls = {(path.name, *match.groups()) for path in docs for match in CALL.finditer(path.read_text())}
+    assert len({call[1:] for call in calls}) >= 20
+    modules = {name: importlib.import_module("invarsets" if name == "invarsets" else f"invarsets.{name}")
+               for name in (*MODULES, "invarsets")}
+    assert [call for call in sorted(calls) if not hasattr(modules[call[1]], call[2])] == []

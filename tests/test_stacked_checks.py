@@ -71,7 +71,7 @@ def _point_vanishing(quantity, x, order, abs_tol):
     return verdict, worst - threshold, float(margin), threshold
 
 
-I3 = toda.henon_closed_form(4, 3)
+I3 = toda.periodic_invariants(4, (3,))
 VANISHING_CASES = [
     # (label, quantity, states always in the stack): the extra rows sit on
     # the vanishing sets, so inside and outside verdicts both occur

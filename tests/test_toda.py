@@ -6,7 +6,7 @@ import pytest
 from invarsets import UsageError, conservation_rates, evaluate_field, jacobians, rank_levels
 from invarsets import toda
 
-from conftest import random_states
+from conftest import random_states, trace_quantity
 
 
 # ---------------------------------------------------------------------------
@@ -62,13 +62,16 @@ def test_enumeration_guards():
     with pytest.raises(UsageError):
         toda.henon_invariant_oracle(4, 5)
     with pytest.raises(UsageError):
-        toda.henon_closed_form(4, 4)
+        toda.periodic_invariants(4, (4,))
+    # I3 vanishes identically on two sites, so its closed form is refused there too
+    with pytest.raises(UsageError, match=re.escape("1 <= m <= n, got m=3")):
+        toda.periodic_invariants(2, (1, 2, 3))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_closed_forms_equal_enumeration(n, m):
-    closed = toda.henon_closed_form(n, m)
+    closed = toda.periodic_invariants(n, (m,))
     enum = toda.henon_invariant_oracle(n, m)
     xs = random_states(2 * n, 100, 100 * n + m)
     for a, b in zip(closed.values_many(xs)[:, 0], enum.values_many(xs)[:, 0]):
@@ -87,11 +90,11 @@ def test_high_degree_enumerated_invariants_are_conserved():
 
 def test_i2_closed_form_value():
     z = np.array([[1.0, 1.0, 1.0, 1.0, 2.0, 3.0]])
-    assert toda.henon_closed_form(3, 2).values_many(z)[0, 0] == pytest.approx(8.0)
+    assert toda.periodic_invariants(3, (2,)).values_many(z)[0, 0] == pytest.approx(8.0)
 
 
 def test_gradient_i2_at_uniform_state():
-    g = jacobians(toda.henon_closed_form(3, 2), np.ones((1, 6)))[0]
+    g = jacobians(toda.periodic_invariants(3, (2,)), np.ones((1, 6)))[0]
     assert np.array_equal(g, [[-1, -1, -1, 2, 2, 2]])
 
 
@@ -102,7 +105,7 @@ def test_gradient_i2_at_uniform_state():
 
 def test_flaschka_closed_form_equals_trace():
     z = np.array([1.0, 2.0, 1.0, 2.0, 3.0])
-    q2 = toda.flaschka_invariant(3, 2)
+    q2 = toda.nonperiodic_invariants(3, (2,))
     assert q2.values_many(z[None])[0, 0] == pytest.approx(10.0)
     assert toda.trace_invariant_value(3, 2, z) == pytest.approx(10.0)
 
@@ -110,7 +113,7 @@ def test_flaschka_closed_form_equals_trace():
 @pytest.mark.parametrize("n", [3, 4, 5])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_trace_equality_at_random_states(n, k):
-    q = toda.flaschka_invariant(n, k)
+    q = toda.nonperiodic_invariants(n, (k,))
     xs = random_states(2 * n - 1, 100, 200 * n + k)
     for a, x in zip(q.values_many(xs)[:, 0], xs):
         b = toda.trace_invariant_value(n, k, x)
@@ -118,7 +121,7 @@ def test_trace_equality_at_random_states(n, k):
 
 
 def test_flaschka_above_closed_forms_uses_trace():
-    q4 = toda.flaschka_invariant(4, 4)
+    q4 = trace_quantity(4, 4)
     zs = random_states(7, 1, 61)
     assert q4.values_many(zs)[0, 0] == pytest.approx(toda.trace_invariant_value(4, 4, zs[0]))
     sys4 = toda.nonperiodic_field(4)
@@ -127,9 +130,18 @@ def test_flaschka_above_closed_forms_uses_trace():
 
 def test_flaschka_guards():
     with pytest.raises(UsageError):
-        toda.flaschka_invariant(4, 0)
+        toda.nonperiodic_invariants(4, (0,))
     with pytest.raises(UsageError):
-        toda.flaschka_invariant(4, 5)
+        toda.nonperiodic_invariants(4, (5,))
+
+
+def test_degrees_above_the_closed_forms_name_the_oracle_routes():
+    with pytest.raises(UsageError, match="henon_invariant_oracle"):
+        toda.periodic_invariants(4, (4,))
+    with pytest.raises(UsageError, match="trace_invariant_value"):
+        toda.nonperiodic_invariants(4, (4,))
+    # each lattice builds its invariants one way
+    assert not hasattr(toda, "henon_closed_form") and not hasattr(toda, "flaschka_invariant")
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

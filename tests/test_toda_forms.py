@@ -114,8 +114,8 @@ REFERENCES = {
 
 def _form(lattice, n, degree):
     if lattice == "periodic":
-        return toda.henon_closed_form(n, degree)
-    return toda.flaschka_invariant(n, degree)
+        return toda.periodic_invariants(n, (degree,))
+    return toda.nonperiodic_invariants(n, (degree,))
 
 
 def _dim(lattice, n):
