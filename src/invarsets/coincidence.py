@@ -17,6 +17,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .core import (
+    PREMISE_TOL,
     ConservedQuantitySet,
     SystemDefinition,
     _all_finite,
@@ -147,32 +148,33 @@ def verify_coincidence(
 
     Hypotheses checked first: the gradients of F and G agree at ``x0``,
     and F - G is conserved along the F-driven flow (its rate
-    ``(J_F - J_G) . f`` on every sample), each within the tolerance
-    ``hypothesis`` relative to ``max(1, |x|)``.  The verdict is
-    the rule every verifier shares (:func:`invariance._certify`): a sample
-    is inside when the flows are at most ``deviation`` apart there, with
-    margin ``tol / d`` inside and ``d / tol`` outside.  ``batched`` is
-    ``base``'s declaration, as in :func:`assemble_system`.  The report's
-    ``trajectory`` is the F-driven flow and ``sample_values`` the distances
-    of the G-driven flow from it, the largest ``worst_value`` at
-    ``worst_time``, kept when a premise fails (inf when an off-set start's
-    flow fails), beside ``agreement_residual`` and ``difference_drift``.
+    ``(J_F - J_G) . f`` on every sample), each within ``core.PREMISE_TOL``
+    relative to ``max(1, |x|)``.  The verdict is the rule every verifier
+    shares (:func:`invariance._certify`): a sample is inside when the flows
+    are at most ``deviation`` apart there (the one tolerance ``tolerances``
+    may set), with margin ``tol / d`` inside and ``d / tol`` outside.
+    ``batched`` is ``base``'s declaration, as in :func:`assemble_system`.
+    The report's ``trajectory`` is the F-driven flow and ``sample_values``
+    the distances of the G-driven flow from it, the largest ``worst_value``
+    at ``worst_time``, kept when a premise fails (inf when an off-set
+    start's flow fails), beside ``agreement_residual`` and
+    ``difference_drift``.
 
     ``flows`` are exact flow maps for the F- and G-driven fields, each a
     ``SystemDefinition.flow`` or None (for Kepler: :func:`kepler.kepler_flow`
     and :func:`kepler.linear_pair_flow`).  Each is declared on its driven
     system, and a flow is that map's states where it covers ``x0``, else the
     driven system integrated (:func:`integrate._flow`).  A map's velocity
-    must equal the driven field's rows on every sample, by value (for F the
-    stack the F - G scan evaluates anyway), or the verdict is a hypothesis
-    error naming the flow and the sample.
+    must equal the driven field's rows on every sample, by value and within
+    the same tolerance (for F the stack the F - G scan evaluates anyway), or
+    the verdict is a hypothesis error naming the flow and the sample.
     """
-    tol = _tolerances(tolerances, ("deviation", "hypothesis"))
+    deviation = _tolerances(tolerances, ("deviation",))["deviation"]
     x0v = as_state(x0, f_quantity.dim)
     e_res = agreement_residual(f_quantity, g_quantity, x0v)
-    bound = tol["hypothesis"] * float(_state_scales(x0v))
+    bound = PREMISE_TOL * float(_state_scales(x0v))
     on_set = e_res <= bound < np.inf
-    overflows = f": {tol['hypothesis']:.1e} * |x| overflows"  # worded as the rank premise's
+    overflows = f": {PREMISE_TOL:.1e} * |x| overflows"  # worded as the rank premise's
     off_set = f"start is off the agreement set (residual {e_res:.3e})"
     if bound == np.inf:
         off_set = "the agreement premise has no finite tolerance at the start" + overflows
@@ -189,9 +191,9 @@ def verify_coincidence(
 
     try:
         traj_f, broken_f = _flow(
-            sys_f, x0v, t_end, integ, tol["hypothesis"], rows_f, ("the F-driven flow", "driven field"))
+            sys_f, x0v, t_end, integ, PREMISE_TOL, rows_f, ("the F-driven flow", "driven field"))
         traj_g, broken_g = _flow(
-            sys_g, x0v, t_end, integ, tol["hypothesis"], names=("the G-driven flow", "driven field"))
+            sys_g, x0v, t_end, integ, PREMISE_TOL, names=("the G-driven flow", "driven field"))
     except IntegrationError as exc:
         if not on_set:
             # the start violates the agreement hypothesis and one flow left
@@ -219,20 +221,20 @@ def verify_coincidence(
     reasons = [reason for reason in (broken_f, broken_g) if reason]
     if not on_set:
         reasons.append(off_set)
-    if not drift <= tol["hypothesis"]:
+    if not drift <= PREMISE_TOL:
         reasons.append(f"F-G is not conserved along the first flow (residual {drift:.3e})" if finite_scales
                        else "F-G has no finite tolerance along the first flow" + overflows)
 
     def classify(traj):
         with np.errstate(over="ignore"):
             deviations = np.linalg.norm(traj.states - traj_g.states, axis=1)
-        inside, margins = _margins(deviations, tol["deviation"])
+        inside, margins = _margins(deviations, deviation)
         worst = int(np.argmax(deviations))
         max_dev = deviations[worst]
-        if max_dev <= tol["deviation"]:
+        if max_dev <= deviation:
             message = f"flows coincide: max deviation {max_dev:.3e}"
         else:
-            message = f"flows deviate by {max_dev:.3e} > tol {tol['deviation']:.1e}"
+            message = f"flows deviate by {max_dev:.3e} > tol {deviation:.1e}"
         return deviations, inside, margins, worst, message
 
     return _certify(

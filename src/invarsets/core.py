@@ -279,15 +279,17 @@ def stack_quantities(quantities: Sequence[ConservedQuantitySet]) -> ConservedQua
     )
 
 
+# The one fixed tolerance of every premise, relative to max(1, |x|): the start's
+# |grad F_i . f|, the coincidence agreement and F - G rate, a declared flow's velocity.
+PREMISE_TOL = 1e-8
+
 # Every tolerance a check reads, by its name under a scenario's "tolerances",
 # with its default: the one place these defaults are written.
 TOLERANCES = {
-    "conservation": 1e-8,  # |grad F_i . f| at the start, relative to max(1, |x|)
-    "rank": 1e-8,  # rank threshold relative to sigma_1; a scenario's top-level rank_tol
+    "rank": 1e-8,  # rank threshold relative to sigma_1
     "vanishing": 1e-8,  # largest partial, relative to max(1, |x|)
     "residual": 1e-7,  # explicit-set residual
     "deviation": 1e-6,  # distance between the two coincidence flows
-    "hypothesis": 1e-8,  # agreement residual and F - G rate, relative to max(1, |x|)
     "drift": 1e-8,  # largest |F_i(x(t)) - F_i(x0)| over the samples
     "value": 1e-12,  # closed-form invariant against its oracle, and the Lax residual
     "gradient": 1e-6,  # closed-form gradient against its finite differences

@@ -19,9 +19,9 @@ class IntegrationError(InvarsetsError):
     """Time integration could not be completed.
 
     ``last_good_time`` holds the last time the integrator reached before
-    giving up, when known.
+    giving up.
     """
 
-    def __init__(self, message: str, last_good_time: float | None = None):
+    def __init__(self, message: str, last_good_time: float):
         super().__init__(message)
         self.last_good_time = last_good_time

@@ -292,8 +292,9 @@ def _flow(system: SystemDefinition, x0, t_end: float, integ: IntegratorSettings,
     non-finite sample an :class:`IntegrationError` naming the declared flow.
     Its premise is that its velocity, the fourth-order centred time
     difference from one call on the four shifted grids, is within ``tol``
-    of the field's rows relative to max(1, |row|) on every sample; the rows
-    are ``fields(states)``, by default ``system.fields``.  The step at
+    (every check passes ``core.PREMISE_TOL``) of the field's rows relative
+    to max(1, |row|) on every sample; the rows are ``fields(states)``, by
+    default ``system.fields``.  The step at
     sample i is ``_DELTA`` |x_i| / |row_i| (or ``_DELTA``), rounded down to a
     power of two so that the shifted times round only where they cross one:
     r^(3/2) on a Kepler orbit, where one periapsis step read the rounding at

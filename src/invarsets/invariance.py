@@ -14,9 +14,9 @@ Every verifier, :func:`coincidence.verify_coincidence` included, is its
 premise checks plus a classifier of the samples; one skeleton classifies
 the flow from the accepted start and applies the verdict rule.  The flow
 is the system's declared ``flow`` where that covers the start, its velocity
-checked against the field on every sample at the default ``hypothesis``
-tolerance (a mismatch is a hypothesis error), else the field integrated
-(``integrate._flow``).  Invariance
+checked against the field on every sample at the premise tolerance
+``core.PREMISE_TOL`` (a mismatch is a hypothesis error), else the field
+integrated (``integrate._flow``).  Invariance
 is checked at the trajectory samples, not continuously, and every check
 classifies all samples of the ``(m, dim)`` stack in one stacked call: one
 stacked SVD for the rank and critical checks, one stacked partial builder
@@ -32,7 +32,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .core import TOLERANCES, ConservedQuantitySet, SystemDefinition, _conservation_rates, _state_scales, _tolerances
+from .core import PREMISE_TOL, ConservedQuantitySet, SystemDefinition, _conservation_rates, _state_scales, _tolerances
 from .core import as_state, evaluate_field
 from .errors import UsageError
 from .integrate import DriftReport, IntegratorSettings, Trajectory, _flow, monitor_drift
@@ -74,22 +74,22 @@ class InvarianceReport:
     difference_drift: float = float("nan")
 
 
-def _conservation_premise(system: SystemDefinition, quantity: ConservedQuantitySet, x0, tol: float):
+def _conservation_premise(system: SystemDefinition, quantity: ConservedQuantitySet, x0):
     """The validated start, the field there, and why ``quantity`` is not
-    conserved there (None when it is)."""
+    conserved there within :data:`core.PREMISE_TOL` (None when it is)."""
     x0v = as_state(x0, system.dim)
     if quantity.dim != system.dim:
         raise UsageError(f"quantity dimension {quantity.dim} != system dimension {system.dim}")
     f0 = evaluate_field(system, x0v)
-    name, bound = "/".join(quantity.labels), tol * float(_state_scales(x0v))
+    name, bound = "/".join(quantity.labels), PREMISE_TOL * float(_state_scales(x0v))
     if bound == np.inf:
-        return x0v, f0, f"quantity '{name}' has no finite tolerance at the start: {tol:.1e} * |x| overflows"
+        return x0v, f0, f"quantity '{name}' has no finite tolerance at the start: {PREMISE_TOL:.1e} * |x| overflows"
     residual = float(np.max(np.abs(_conservation_rates(quantity, x0v[None, :], f0[None, :]))))
     if residual <= bound:
         return x0v, f0, None
     return x0v, f0, (
         f"quantity '{name}' is not conserved at the start: "
-        f"max |grad F_i . f| = {residual:.3e} exceeds {tol:.1e} * scale"
+        f"max |grad F_i . f| = {residual:.3e} exceeds {PREMISE_TOL:.1e} * scale"
     )
 
 
@@ -133,8 +133,8 @@ def _verify_rank(critical: bool, system, quantity, x0, t_end, integ, tolerances)
     """Rank-level and critical checks: one rank classifier, whose predicate
     is ``rank == initial`` for the rank level and, when ``critical``,
     ``rank < k`` for the critical set."""
-    tol = _tolerances(tolerances, ("rank", "conservation"))
-    x0v, f0, broken = _conservation_premise(system, quantity, x0, tol["conservation"])
+    tol = _tolerances(tolerances, ("rank",))
+    x0v, f0, broken = _conservation_premise(system, quantity, x0)
     initial = int(rank_levels(quantity, x0v[None, :], tol["rank"]).ranks[0])
     if broken is None and critical and initial >= quantity.k:
         broken = (
@@ -156,7 +156,7 @@ def _verify_rank(critical: bool, system, quantity, x0, t_end, integ, tolerances)
             message = f"rank counts along flow: {counts}; initial rank {initial}"
         return ranks, inside, decisions.margins, int(np.argmin(decisions.margins)), message
 
-    traj, broken = _flow(system, x0v, t_end, integ, TOLERANCES["hypothesis"])
+    traj, broken = _flow(system, x0v, t_end, integ, PREMISE_TOL)
     return _certify(system, traj, classify, quantity, f0, broken, initial_rank=initial)
 
 
@@ -171,8 +171,8 @@ def verify_rank_invariance(
 ) -> InvarianceReport:
     """Certify that the Jacobian rank of a conserved quantity is constant
     along the flow from ``x0``.  ``tolerances`` may set ``rank`` (the
-    relative rank threshold, in (0, 1)) and ``conservation`` (the start's
-    largest ``|grad F_i . f|``, relative to ``max(1, |x|)``)."""
+    relative rank threshold, in (0, 1)); the start's ``|grad F_i . f|`` is
+    held to ``core.PREMISE_TOL`` relative to ``max(1, |x|)``."""
     return _verify_rank(False, system, quantity, x0, t_end, integ, tolerances)
 
 
@@ -202,10 +202,10 @@ def verify_vanishing_invariance(
 ) -> InvarianceReport:
     """Certify that membership in the order-``order`` derivative-vanishing
     set persists along the flow from ``x0``.  ``tolerances`` may set
-    ``vanishing`` (the largest partial, relative to ``max(1, |x|)``) and
-    ``conservation`` (as for :func:`verify_rank_invariance`)."""
-    tol = _tolerances(tolerances, ("vanishing", "conservation"))
-    x0v, f0, broken = _conservation_premise(system, quantity, x0, tol["conservation"])
+    ``vanishing`` (the largest partial, relative to ``max(1, |x|)``); the
+    conservation premise is that of :func:`verify_rank_invariance`."""
+    tol = _tolerances(tolerances, ("vanishing",))
+    x0v, f0, broken = _conservation_premise(system, quantity, x0)
     if broken is not None:
         return InvarianceReport(verdict=HYPOTHESIS_ERROR, message=broken)
     start = vanishing_memberships(quantity, x0v[None, :], order, tol["vanishing"])
@@ -227,7 +227,7 @@ def verify_vanishing_invariance(
         message = f"order-{order} vanishing membership held at {held} samples"
         return residuals, inside, members.margins, int(np.argmax(residuals)), message
 
-    traj, broken = _flow(system, x0v, t_end, integ, TOLERANCES["hypothesis"])
+    traj, broken = _flow(system, x0v, t_end, integ, PREMISE_TOL)
     return _certify(system, traj, classify, quantity, f0, broken, threshold=threshold)
 
 
@@ -262,6 +262,8 @@ def verify_set_persistence(
     """
     tol = _tolerances(tolerances, ("residual",))["residual"]
     x0v = as_state(x0, system.dim)
+    if quantity is not None and quantity.dim != system.dim:
+        raise UsageError(f"quantity dimension {quantity.dim} != system dimension {system.dim}")
     r0 = float(_set_residuals(residual_fn, x0v[None, :])[0])
     if not r0 <= tol:  # a nan residual is no membership either
         return InvarianceReport(
@@ -280,5 +282,5 @@ def verify_set_persistence(
         )
         return residuals, inside, margins, worst, message
 
-    traj, broken = _flow(system, x0v, t_end, integ, TOLERANCES["hypothesis"])
+    traj, broken = _flow(system, x0v, t_end, integ, PREMISE_TOL)
     return _certify(system, traj, classify, quantity, broken=broken, threshold=tol)

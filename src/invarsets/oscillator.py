@@ -21,13 +21,6 @@ def harmonic_oscillator() -> SystemDefinition:
     )
 
 
-def squared_radius() -> ConservedQuantitySet:
-    """F = x1^2 + x2^2, conserved by the rotation."""
-    return ConservedQuantitySet.scalar(
-        2, lambda z: z[0] * z[0] + z[1] * z[1], "r^2", gradient=lambda z: 2.0 * z
-    )
-
-
 def unit_circle_power(power: int = 3) -> ConservedQuantitySet:
     """F = (x1^2 + x2^2 - 1)^power, conserved by the rotation.
 

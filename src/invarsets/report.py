@@ -24,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from .core import (
+    PREMISE_TOL,
     TOLERANCES,
     ConservedQuantitySet,
     SystemDefinition,
@@ -326,7 +327,7 @@ def _run_oracle_equality(s: _Scenario) -> _Outcome:
 
 
 def _run_drift(s: _Scenario) -> _Outcome:
-    traj, broken = _flow(s.system, s.x0, s.t_end, s.integ, TOLERANCES["hypothesis"])
+    traj, broken = _flow(s.system, s.x0, s.t_end, s.integ, PREMISE_TOL)
     drift = monitor_drift(traj, s.quantity)
     tol = s.tol["drift"]
     evidence = {"worst_drift": drift.worst, "tol": tol, **_drift_evidence(drift)}
@@ -346,14 +347,14 @@ class _Check:
     quantity: str = ""  # the one quantity token it reads; "" for any
 
 
-_RANK = _Check(_run_rank, {"rank_tol": TOLERANCES["rank"]}, ("conservation",))
+_RANK = _Check(_run_rank, {}, ("rank",))
 _CHECKS = {
     "rank-invariance": _RANK,
     "critical-invariance": _RANK,
-    "n-invariance": _Check(_run_vanishing, {"order": 1}, ("vanishing", "conservation")),
+    "n-invariance": _Check(_run_vanishing, {"order": 1}, ("vanishing",)),
     "set-persistence": _Check(_run_set_persistence, {"set_id": ""}, ("residual",), models=_LATTICES),
     "coincidence": _Check(
-        _run_coincidence, {}, ("deviation", "hypothesis"),
+        _run_coincidence, {}, ("deviation",),
         # one period of the circular orbit of radius a^2; F is the Kepler
         # energy, whose driven field is the model's
         horizon=lambda params: 2.0 * np.pi * params["a"] ** 3, models=("kepler",), quantity="H",
@@ -397,11 +398,9 @@ def _read(config) -> _Scenario:
     keys = _fields(config, check.keys, "", name, common + flow)
     for key, default in (("label", ""), ("claim", ""), ("expected_verdict", PASS)):
         _value(config, key, default)  # the kind, and for expected_verdict the domain
-    # the tolerance "rank" is the top-level "rank_tol" of a scenario
-    tol = {"rank": _tolerance("rank", keys.pop("rank_tol"), "rank_tol")} if "rank_tol" in keys else {}
     defaults = {key: TOLERANCES[key] for key in check.tolerances}
     section = _fields(_section(config, "tolerances"), defaults, "tolerances.", name)
-    tol.update((key, _tolerance(key, value)) for key, value in section.items())
+    tol = {key: _tolerance(key, value) for key, value in section.items()}
     integ = _fields(_section(config, "integ"), _INTEG if check.integrates else {}, "integ.", name)
     try:
         integ = IntegratorSettings(**integ) if check.integrates else None

@@ -59,6 +59,13 @@ def flow_fixed(system: SystemDefinition, x0, t_end: float, dt: float) -> Traject
     return Trajectory(times=times, states=states, stats=stats)
 
 
+def squared_radius() -> ConservedQuantitySet:
+    """F = x1^2 + x2^2, conserved by the rotation of the harmonic oscillator."""
+    return ConservedQuantitySet.scalar(
+        2, lambda z: z[0] * z[0] + z[1] * z[1], "r^2", gradient=lambda z: 2.0 * z
+    )
+
+
 def zero_quantity(dim: int) -> ConservedQuantitySet:
     """The identically zero scalar quantity (conserved by any flow)."""
     return ConservedQuantitySet(
@@ -149,7 +156,7 @@ def builtin_gradient_cases():
         ("kepler-K", kepler.combined_invariant(1.0), lambda c, s: random_kepler_states(c, s))
     )
     cases.append(
-        ("oscillator-r2", oscillator.squared_radius(), lambda c, s: random_states(2, c, s))
+        ("oscillator-r2", squared_radius(), lambda c, s: random_states(2, c, s))
     )
     cases.append(
         (

@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 from invarsets.cli import main
 from invarsets.report import export_trajectory, load_scenario, run_scenario
 from invarsets import ConservedQuantitySet, IntegratorSettings, flow_adaptive, integrate
-from invarsets import jacobians, kepler, report, toda
-from invarsets.core import TOLERANCES
+from invarsets import invariance, jacobians, kepler, rank_levels, report, toda
+from invarsets.core import PREMISE_TOL
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 SHIPPED = sorted(SCENARIO_DIR.glob("*.json"))
@@ -461,9 +461,9 @@ FLASCHKA = "toda-nonperiodic-flaschka-oracle.json"
         (RANK, {"tolerances": "x"}, '"tolerances" must be an object'),
         (RANK, {"integ": "x"}, '"integ" must be an object'),
         (RANK, {"integ": {"sample_count": "many"}}, '"integ.sample_count" must be an integer'),
-        (RANK, {"tolerances": {"conservation": "tight"}}, '"tolerances.conservation" must be a number'),
+        (RANK, {"tolerances": {"rank": "tight"}}, '"tolerances.rank" must be a number'),
         (RANK, {"t_end": [1.0]}, '"t_end" must be a number'),
-        (RANK, {"rank_tol": None}, '"rank_tol" must be a number'),
+        (RANK, {"tolerances": {"rank": None}}, '"tolerances.rank" must be a number'),
         (RANK, {"check": ["drift"]}, "unknown check '['drift']'; valid checks: rank-invariance"),
         (RANK, {"model": {"kind": {}}}, "unknown model '{}'; valid models: kepler"),
         # these passed with no sample checked, failed, or raised a traceback
@@ -475,10 +475,10 @@ FLASCHKA = "toda-nonperiodic-flaschka-oracle.json"
         (RANK, {"model": {"kind": "toda-periodic", "n": float("inf")}}, '"model.n" must be an integer, got inf'),
         (RANK, {"initial_state": {"set_id": ["M2_I123"]}}, '"initial_state.set_id" must be a string'),
         # these were reported as the library's rel_tol, which reads as integ.rel_tol
-        (GENERIC, {"rank_tol": 0}, '"rank_tol" must lie in (0, 1), got 0.0'),
-        (GENERIC, {"rank_tol": 1.5}, '"rank_tol" must lie in (0, 1), got 1.5'),
-        (GENERIC, {"rank_tol": float("nan")}, '"rank_tol" must lie in (0, 1), got nan'),
-        (CRITICAL, {"rank_tol": 1.0}, '"rank_tol" must lie in (0, 1), got 1.0'),
+        (GENERIC, {"tolerances": {"rank": 0}}, '"tolerances.rank" must lie in (0, 1), got 0.0'),
+        (GENERIC, {"tolerances": {"rank": 1.5}}, '"tolerances.rank" must lie in (0, 1), got 1.5'),
+        (GENERIC, {"tolerances": {"rank": float("nan")}}, '"tolerances.rank" must lie in (0, 1), got nan'),
+        (CRITICAL, {"tolerances": {"rank": 1.0}}, '"tolerances.rank" must lie in (0, 1), got 1.0'),
         # these ended in a traceback
         (RANK, {"model": {"kind": "toda-periodic", "n": 10**30}}, '"model.n" must be at most 256'),
         (RANK, {"integ": {"sample_count": 1e30}}, '"integ.sample_count" must be at most 10001'),
@@ -862,8 +862,8 @@ def test_csv_sigma_columns_are_the_per_sample_singular_values(tmp_path, capsys):
     "scenario,section,key,valid",
     [
         ("toda-periodic-drift.json", "tolerances", "drfit", "drift"),
-        ("kepler-circular-coincidence.json", "tolerances", "devation", "deviation, hypothesis"),
-        ("toda-periodic-vanishing-M0I3.json", "tolerances", "residual", "vanishing, conservation"),
+        ("kepler-circular-coincidence.json", "tolerances", "devation", "deviation"),
+        ("toda-periodic-vanishing-M0I3.json", "tolerances", "residual", "vanishing"),
         ("toda-periodic-henon-oracle.json", "tolerances", "drift", "value, gradient"),
         ("toda-periodic-rank-generic.json", "integ", "abs_tl", "abs_tol, rel_tol, sample_count"),
         ("toda-periodic-henon-oracle.json", "integ", "abs_tol", "none"),
@@ -872,10 +872,16 @@ def test_csv_sigma_columns_are_the_per_sample_singular_values(tmp_path, capsys):
         ("toda-periodic-drift.json", "initial_state.random", "sed", "seed, scale"),
         # a second start form used to lose silently to the first
         ("toda-periodic-rank-pattern.json", "initial_state", "circular", "set_id, params"),
+        # the premise tolerances of earlier releases: every premise is held to PREMISE_TOL
+        ("toda-periodic-rank-pattern.json", "tolerances", "conservation", "rank"),
+        ("toda-periodic-critical-pattern.json", "tolerances", "conservation", "rank"),
+        ("toda-periodic-vanishing-M0I3.json", "tolerances", "conservation", "vanishing"),
+        ("kepler-circular-coincidence.json", "tolerances", "hypothesis", "deviation"),
     ],
     ids=[
         "drift", "coincidence", "n-invariance", "oracle", "integ", "oracle-integ", "model",
-        "circular", "random", "two-start-forms",
+        "circular", "random", "two-start-forms", "conservation-on-rank", "conservation-on-critical",
+        "conservation-on-n-invariance", "hypothesis-on-coincidence",
     ],
 )
 def test_unknown_config_key_is_a_config_error(tmp_path, capsys, scenario, section, key, valid):
@@ -949,7 +955,7 @@ def test_run_csv_exports_the_checks_own_trajectory(
     # alone: the Kepler flow declared, or the lattice integrated
     s = report._read(config)
     system = replace(s.system, flow=kepler.kepler_flow) if s.kind == "kepler" else s.system
-    traj, broken = integrate._flow(system, s.x0, s.t_end, s.integ, TOLERANCES["hypothesis"])
+    traj, broken = integrate._flow(system, s.x0, s.t_end, s.integ, PREMISE_TOL)
     assert broken is None
     export_trajectory(traj, s.quantity, tmp_path / "export.csv", s.system.component_names)
     capsys.readouterr()
@@ -974,8 +980,14 @@ def test_run_csv_on_oracle_check_exits_2_before_any_report(tmp_path, capsys):
         ("toda-periodic-rank-pattern.json", {"seed": 3}, "seed"),
         ("toda-periodic-henon-oracle.json", {"t_end": 2}, "t_end"),
         ("kepler-circular-coincidence.json", {"order": 2}, "order"),
+        # the rank threshold is "tolerances.rank" only; its top-level spelling is gone
+        ("toda-periodic-rank-generic.json", {"rank_tol": 1e-8}, "rank_tol"),
+        ("toda-periodic-critical-pattern.json", {"rank_tol": 1e-8}, "rank_tol"),
     ],
-    ids=["misspelt-t-end", "rank-tol-on-drift", "seed-on-rank", "t-end-on-oracle", "order-on-coincidence"],
+    ids=[
+        "misspelt-t-end", "rank-tol-on-drift", "seed-on-rank", "t-end-on-oracle", "order-on-coincidence",
+        "rank-tol-on-rank", "rank-tol-on-critical",
+    ],
 )
 def test_unknown_top_level_key_is_a_config_error(tmp_path, capsys, scenario, change, key):
     # a key the check does not read used to be ignored: "t_ned" ran with t_end 10
@@ -985,6 +997,22 @@ def test_unknown_top_level_key_is_a_config_error(tmp_path, capsys, scenario, cha
     err = capsys.readouterr().err
     assert f'unknown key "{key}" for the {config["check"]} check' in err
     assert "valid top-level keys: label, check, model" in err
+
+
+@pytest.mark.parametrize("scenario", [GENERIC, CRITICAL], ids=["rank", "critical"])
+def test_tolerances_rank_sets_the_rank_threshold(monkeypatch, scenario):
+    # the library's name, read by the start's rank and every sample's
+    config = load_scenario(SCENARIO_DIR / scenario)
+    config["tolerances"] = {"rank": 1e-6}
+    thresholds = []
+
+    def spy(quantity, states, rel_tol):
+        thresholds.append(rel_tol)
+        return rank_levels(quantity, states, rel_tol)
+
+    monkeypatch.setattr(invariance, "rank_levels", spy)
+    assert run_scenario(config).verdict == config["expected_verdict"]
+    assert thresholds == [1e-6, 1e-6]
 
 
 @pytest.mark.parametrize("quantity", ["A", None], ids=["other", "missing"])
@@ -1082,6 +1110,6 @@ def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
     assert done.returncode == 0, done.stderr
     both, plain, fresh = (p.read_text() for p in reports)
     assert (tmp_path / "run.csv").read_text().startswith("t,x1,x2,y1,y2,H,sigma1\n")
-    assert json.loads(plain)["config"]["tolerances"] == {"deviation": 1e-6, "hypothesis": 1e-8}
+    assert json.loads(plain)["config"]["tolerances"] == {"deviation": 1e-6}
     elapsed = re.compile(r'"elapsed_seconds": [^,}\s]+')
     assert elapsed.sub("", both) == elapsed.sub("", plain) == elapsed.sub("", fresh)

@@ -30,7 +30,8 @@ from invarsets import (
 from invarsets import integrate, kepler, oscillator, report, toda
 from invarsets.differentiate import _partial_stack
 
-from conftest import batched_symplectic_base, g_driven_system, random_kepler_states, random_toda_physical, zero_quantity
+from conftest import batched_symplectic_base, g_driven_system, random_kepler_states, random_toda_physical, squared_radius
+from conftest import zero_quantity
 
 
 def _symplectic_base():
@@ -104,7 +105,7 @@ def test_agreement_residual_that_overflows_is_inf_without_a_warning():
 
 def test_agreement_shape_mismatch():
     with pytest.raises(UsageError):
-        agreement_residual(kepler.hamiltonian(), oscillator.squared_radius(), [0, 1, 1, 0])
+        agreement_residual(kepler.hamiltonian(), squared_radius(), [0, 1, 1, 0])
 
 
 # ---------------------------------------------------------------------------

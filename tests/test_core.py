@@ -22,7 +22,7 @@ from invarsets import (
 from invarsets.core import TOLERANCES, _all_finite, _state_scales, _tolerances, format_float
 from invarsets import coincidence, integrate, invariance, kepler, oscillator, report, toda
 
-from conftest import g_driven_system, random_kepler_states, random_states, zero_quantity
+from conftest import g_driven_system, random_kepler_states, random_states, squared_radius, zero_quantity
 
 
 def test_harmonic_field_value():
@@ -133,7 +133,7 @@ def test_field_purity_bit_for_bit():
 
 def test_conservation_residual_rotational_symmetry_exact():
     sys2 = oscillator.harmonic_oscillator()
-    res = conservation_rates(oscillator.squared_radius(), sys2, [[0.3, -0.8]])
+    res = conservation_rates(squared_radius(), sys2, [[0.3, -0.8]])
     assert res[0, 0] == 0.0
 
 
@@ -185,10 +185,10 @@ def test_conservation_rates_check_dimension_and_field():
     with pytest.raises(UsageError, match="quantity dimension 8 != system dimension 2"):
         conservation_rates(toda.periodic_invariants(4, (1,)), sys2, [[0.3, -0.8]])
     with pytest.raises(UsageError, match="shape"):
-        conservation_rates(oscillator.squared_radius(), sys2, [0.3, -0.8])  # a point, not a stack
+        conservation_rates(squared_radius(), sys2, [0.3, -0.8])  # a point, not a stack
     blows = SystemDefinition(2, lambda x: np.array([x[1], np.inf if x[0] > 1 else -x[0]]), "blows")
     with pytest.raises(NumericError, match="field of 'blows' .* component 1 at state 1 of 2"):
-        conservation_rates(oscillator.squared_radius(), blows, [[0.5, 0.0], [2.0, 0.0]])
+        conservation_rates(squared_radius(), blows, [[0.5, 0.0], [2.0, 0.0]])
 
 
 def test_stack_roundtrip():
@@ -203,7 +203,7 @@ def test_stack_dimension_checks():
     with pytest.raises(UsageError):
         stack_quantities([])
     with pytest.raises(UsageError):
-        stack_quantities([oscillator.squared_radius(), toda.periodic_invariants(3, (1,))])
+        stack_quantities([squared_radius(), toda.periodic_invariants(3, (1,))])
 
 
 def test_zero_quantity_is_flat():
@@ -303,7 +303,6 @@ def test_each_check_reads_its_verifiers_tolerances_and_defaults(check, monkeypat
     names = _reads(VERIFIERS[check])
     config = json.loads((SCENARIO_DIR / SCENARIOS[check]).read_text())
     config.pop("tolerances", None)
-    config.pop("rank_tol", None)
     s = report._read(config)
     assert config["check"] == check
     # the scenario's defaults are the verifier's: one table

@@ -171,6 +171,21 @@ def test_set_persistence_non_finite_start_residual_is_hypothesis_error(bad):
     assert report.message.startswith("start violates the set residual")
 
 
+def test_set_persistence_refuses_a_drift_quantity_of_another_dimension_before_integrating():
+    # the flow was integrated in full before monitor_drift refused the mismatch
+    calls = []
+    lattice = toda.periodic_field(4)
+    counted = replace(lattice, field=lambda x: calls.append(1) or lattice.field(x))
+    x0 = toda.explicit_set_sample("M1_I13", 4, {"X1": 0.4, "X2": 0.9, "u": 0.6})
+    with pytest.raises(UsageError) as err:
+        verify_set_persistence(
+            counted, lambda zs: toda.explicit_set_residual("M1_I13", 4, zs), x0, 10.0,
+            quantity=toda.periodic_invariants(5),
+        )
+    assert str(err.value) == "quantity dimension 10 != system dimension 8"
+    assert calls == []
+
+
 def test_set_persistence_residual_shrinks_with_tolerance():
     x0 = toda.explicit_set_sample("M0_I3", 4, {"X1": 0.0, "u": 0.8})
     resid = lambda zs: toda.explicit_set_residual("M0_I3", 4, zs)
@@ -441,12 +456,8 @@ NAN, INF = float("nan"), float("inf")
         # these gave a hypothesis-error or a verdict from a threshold no scenario admits
         (lambda: VERIFIER_CASES["vanishing"][0](tolerances={"vanishing": NAN}),
          '"tolerances.vanishing" must be positive and finite, got nan'),
-        (lambda: VERIFIER_CASES["rank"][0](tolerances={"conservation": NAN}),
-         '"tolerances.conservation" must be positive and finite, got nan'),
         (lambda: VERIFIER_CASES["coincidence"][0](tolerances={"deviation": INF}),
          '"tolerances.deviation" must be positive and finite, got inf'),
-        (lambda: VERIFIER_CASES["coincidence"][0](tolerances={"hypothesis": -1e-8}),
-         '"tolerances.hypothesis" must be positive and finite, got -1e-08'),
         (lambda: VERIFIER_CASES["set"][0](tolerances={"residual": 0.0}),
          '"tolerances.residual" must be positive and finite, got 0.0'),
         (lambda: VERIFIER_CASES["critical"][0](tolerances={"rank": 1.0}),
@@ -460,10 +471,20 @@ NAN, INF = float("nan"), float("inf")
         # a name the verifier does not read, as in a scenario
         (lambda: VERIFIER_CASES["set"][0](tolerances={"deviation": 1e-6}),
          'unknown tolerance "deviation"; this check reads residual'),
+        # the premise tolerances of earlier releases: every premise is held to PREMISE_TOL
+        (lambda: VERIFIER_CASES["rank"][0](tolerances={"conservation": 1e-8}),
+         'unknown tolerance "conservation"; this check reads rank'),
+        (lambda: VERIFIER_CASES["critical"][0](tolerances={"conservation": 1e-8}),
+         'unknown tolerance "conservation"; this check reads rank'),
+        (lambda: VERIFIER_CASES["vanishing"][0](tolerances={"conservation": 1e-8}),
+         'unknown tolerance "conservation"; this check reads vanishing'),
+        (lambda: VERIFIER_CASES["coincidence"][0](tolerances={"hypothesis": 1e-8}),
+         'unknown tolerance "hypothesis"; this check reads deviation'),
     ],
     ids=[
-        "vanishing-nan", "conservation-nan", "deviation-inf", "hypothesis-negative", "residual-zero",
+        "vanishing-nan", "deviation-inf", "residual-zero",
         "rank-one", "rank-nan", "memberships-nan", "rank-levels-nan", "unknown-name",
+        "conservation-on-rank", "conservation-on-critical", "conservation-on-vanishing", "hypothesis-on-coincidence",
     ],
 )
 def test_every_tolerance_is_checked_by_the_scenario_rule(call, message):
@@ -474,7 +495,7 @@ def test_every_tolerance_is_checked_by_the_scenario_rule(call, message):
 
 # ---------------------------------------------------------------------------
 # a flow the system declares: every verifier takes it, checked against the
-# field at the default hypothesis tolerance, and a wrong map never passes
+# field at the premise tolerance PREMISE_TOL, and a wrong map never passes
 # ---------------------------------------------------------------------------
 
 

@@ -16,7 +16,7 @@ from invarsets import kepler, oscillator, toda
 from invarsets.core import TOLERANCES
 from invarsets.rank_sets import BORDERLINE_MARGIN, _decide, _margins, singular_values
 
-from conftest import random_states
+from conftest import random_states, squared_radius
 
 RANK_TOL = TOLERANCES["rank"]
 
@@ -106,7 +106,7 @@ def test_rank_level_kepler_circular_is_zero():
 
 
 def test_vanishing_membership_squared_norm():
-    q = oscillator.squared_radius()
+    q = squared_radius()
     origin = np.zeros((1, 2))
     assert vanishing_memberships(q, origin, 1).verdicts[0]
     assert not vanishing_memberships(q, origin, 2).verdicts[0]  # second derivative is 2*I
@@ -127,7 +127,7 @@ def test_vanishing_membership_linear_never():
 
 
 def test_vanishing_residual_sign_convention():
-    q = oscillator.squared_radius()
+    q = squared_radius()
     members = vanishing_memberships(q, np.array([[0.0, 0.0], [1.0, 0.0]]), 1)
     assert members.residuals[0] < 0 and members.verdicts[0]
     assert members.residuals[1] > 0 and not members.verdicts[1]
@@ -177,7 +177,7 @@ def _vanishing_probes():
     on_circle = np.array([[np.cos(t), np.sin(t)] for t in thetas])
     probes = [
         (circle3, np.vstack([on_circle, random_states(2, 30, 23)])),
-        (oscillator.squared_radius(), np.vstack([np.zeros((1, 2)), random_states(2, 30, 29)])),
+        (squared_radius(), np.vstack([np.zeros((1, 2)), random_states(2, 30, 29)])),
         (toda.periodic_invariants(4, (3,)), np.vstack([np.zeros((1, 8)), random_states(8, 40, 31)])),
     ]
     return probes

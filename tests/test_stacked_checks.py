@@ -23,6 +23,8 @@ from invarsets import (
 )
 from invarsets.differentiate import EPS, _partial_stack
 
+from conftest import squared_radius
+
 FINITE = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
 SETTINGS = settings(max_examples=15, deadline=None)
 
@@ -78,7 +80,7 @@ VANISHING_CASES = [
     ("batched-gradient", I3, np.zeros((1, 8))),
     ("batched-fd", ConservedQuantitySet(8, 1, I3.value, I3.labels, batched=True), np.zeros((1, 8))),
     ("point-gradient", oscillator.unit_circle_power(3), np.array([[1.0, 0.0], [0.6, 0.8]])),
-    ("point-gradient-quadratic", oscillator.squared_radius(), np.zeros((1, 2))),
+    ("point-gradient-quadratic", squared_radius(), np.zeros((1, 2))),
     (
         "point-fd",
         ConservedQuantitySet(2, 1, lambda z: np.array([(z[0] ** 2 + z[1] ** 2 - 1.0) ** 3]), ("fd",)),
