@@ -35,7 +35,7 @@ print(
     enum.values_many(x[None])[0, 0],
 )
 
-traj = flow_adaptive(system, x, t_end=10.0, integ=IntegratorSettings(abs_tol=1e-10, rel_tol=1e-10))
+traj = flow_adaptive(system, x, t_end=10.0, integ=IntegratorSettings(tol=1e-10))
 drift = monitor_drift(traj, quantity)
 for label, d, t in zip(drift.labels, drift.max_drift, drift.time_of_max):
     print(f"drift of {label}: {d:.3e} (worst at t = {t:.2f})")

@@ -20,7 +20,7 @@ x0 = np.array([1.0, 0.0])
 for order in (1, 2, 3):
     # a single state is a stack of one; the residual is the largest
     # |partial| up to this order minus the membership threshold
-    member = vanishing_memberships(quantity, x0[None], order, abs_tol=1e-4)
+    member = vanishing_memberships(quantity, x0[None], order, tol=1e-4)
     largest = member.residuals[0] + member.thresholds[0]
     print(f"order-{order} vanishing membership at (1, 0): {member.verdicts[0]} "
           f"(largest |partial| {largest:.2e}, residual {member.residuals[0]:+.2e})")
@@ -44,8 +44,8 @@ thetas = np.linspace(0, 2 * np.pi, 5)
 probes = np.vstack([np.column_stack([np.cos(thetas), np.sin(thetas)]), rng.standard_normal((5, 2))])
 # order-2 entries come from nested differencing, so their membership
 # threshold has to sit above the ~1e-6 differencing noise
-v1 = vanishing_memberships(quantity, probes, 1, abs_tol=1e-4).verdicts
-v2 = vanishing_memberships(quantity, probes, 2, abs_tol=1e-4).verdicts
+v1 = vanishing_memberships(quantity, probes, 1, tol=1e-4).verdicts
+v2 = vanishing_memberships(quantity, probes, 2, tol=1e-4).verdicts
 r0 = rank_levels(quantity, probes).ranks == 0
 assert np.all(v1[v2])                  # order-2 membership implies order-1
 assert np.array_equal(r0, v1)          # rank 0 iff first-order vanishing

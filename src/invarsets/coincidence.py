@@ -22,6 +22,7 @@ from .core import (
     SystemDefinition,
     _all_finite,
     _finite_field_rows,
+    _rates,
     _state_scales,
     _tolerances,
     as_state,
@@ -212,7 +213,7 @@ def verify_coincidence(
         rows_f(states)
     J_f, fields_f = scanned
     J = J_f - _jacobian_stack(g_quantity, states)
-    rates = (J * fields_f[:, None, :]).sum(axis=2)
+    rates = _rates(J, fields_f)
     scales = _state_scales(states)
     # as at the start, a state whose norm overflows fails the premise
     finite_scales = _all_finite(scales)

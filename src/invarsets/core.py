@@ -327,13 +327,20 @@ def _state_scales(xs: Array) -> Array:
         return np.maximum(1.0, np.sqrt(np.vecdot(xs, xs)))
 
 
+def _rates(J: Array, fields: Array) -> Array:
+    """The ``(m, k)`` rates ``J_i . f`` of an ``(m, k, dim)`` Jacobian stack along
+    its ``(m, dim)`` field rows, silently inf or nan where a product overflows."""
+    # elementwise product + pairwise sum (no FMA) so symmetric terms cancel exactly
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (J * fields[:, None, :]).sum(axis=2)
+
+
 def _conservation_rates(quantity: ConservedQuantitySet, xs: Array, fields: Array) -> Array:
     """The ``(m, k)`` rates ``grad F_i(x) . f(x)`` on an ``(m, dim)`` stack
     whose validated field rows are ``fields``."""
     from .differentiate import jacobians
 
-    # elementwise product + pairwise sum (no FMA) so symmetric terms cancel exactly
-    return (jacobians(quantity, xs) * fields[:, None, :]).sum(axis=2)
+    return _rates(jacobians(quantity, xs), fields)
 
 
 def conservation_rates(quantity: ConservedQuantitySet, system: SystemDefinition, states) -> Array:

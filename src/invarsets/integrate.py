@@ -9,7 +9,7 @@ block's stack (one per row for a field not declared ``batched``), and
 their interpolants are evaluated in one pass.
 Its step controller is the standard one: safety factor 0.9, step changes
 clamped to [0.2, 10], exponent -1/8, the blended 5th/3rd-order error norm
-weighted by ``abs_tol + max(|y|, |y_new|) * rel_tol``, the
+weighted by ``tol + max(|y|, |y_new|) * tol``, the
 Hairer-Norsett-Wanner initial-step heuristic, and a failure once a step
 would fall below ten spacings of the floats at the current time, after
 100,000 step attempts, or at a thousandth attempt whose pace projects ten
@@ -30,11 +30,11 @@ leaves open: the input of stage s is one product of the state and the
 earlier stages with ``(1, h a_s)``, and the new solution one with
 ``(1, h B)``, a single BLAS call each where scipy's ``y + (a_s . K) h``
 takes three.  The dense output keeps scipy's form, three calls per block
-of held steps.  The tolerances enter the error scale as 0-d arrays: a
+of held steps.  The tolerance enters the error scale as a 0-d array: a
 Python float costs a ufunc call 0.2-0.4 us more under NumPy 2.  The error
 norm is taken on Python floats, cheaper than numpy scalars, with numpy's
 scalar results (inf on overflow, nan at 0/0).
-The default tolerances of :class:`IntegratorSettings` are 1e-10 so that
+The default tolerance of :class:`IntegratorSettings` is 1e-10 so that
 downstream theorem checks comparing residuals at ~1e-7 sit comfortably
 above the integration error.  A system that declares a ``flow`` map has
 that map's states on the same grid instead, checked against its field
@@ -142,7 +142,7 @@ _MAX_FACTOR = 10  # largest increase of the step after an accepted one
 _ERROR_EXPONENT = -1 / 8  # -1 / (error estimator order + 1)
 _PRED_EXPONENT = 1 / 8  # of the predictive cap's error ratio
 _PRED_ERROR_FLOOR = 1e-2  # the previous accepted step's error, at least this, in the cap
-_MIN_REL_TOL = 100 * np.finfo(float).eps  # smaller rel_tol is raised to this
+_MIN_TOL = 2.22e-14  # 100 machine epsilons, rounded down to the digits its refusal prints
 _BLOCK = 32  # held steps finished together: bounds the stacked buffers
 _ROWS = 16 * _BLOCK  # samples interpolated per pass: a gather no larger than the stage stack
 _MAX_ATTEMPTS = 100_000  # step attempts per flow, accepted or rejected (NMAX of Hairer's DOP853)
@@ -206,21 +206,19 @@ def _check_horizon(name: str, value: float) -> None:
 
 @dataclass(frozen=True)
 class IntegratorSettings:
-    """How a flow is integrated: the error tolerances of every step, each in
-    (0, 1e-2], and the number of uniform samples, an integer >= 2.  The
-    defaults are the library's and a scenario's "integ" section's."""
+    """How a flow is integrated: the tolerance ``tol`` of every step, in [2.22e-14, 1e-2] (refused
+    outside, never raised), which scales each error component by ``tol + max(|y|, |y_new|) * tol``,
+    and the number of uniform samples, an integer >= 2; also a scenario's "integ" defaults."""
 
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
+    tol: float = 1e-10
     sample_count: int = 401
 
     def __post_init__(self):
-        for name, rule in (("abs_tol", "lie in (0, 1e-2]"), ("rel_tol", "lie in (0, 1e-2]"),
-                           ("sample_count", "be an integer >= 2")):
+        for name, rule in (("tol", f"lie in [{_MIN_TOL}, 1e-2]"), ("sample_count", "be an integer >= 2")):
             value = getattr(self, name)
             # a string or None is no setting, nor a number beyond the doubles
             if isinstance(value, (int, float, np.number)) and -1e308 < value < 1e308 and (
-                    value >= 2 and float(value).is_integer() if name == "sample_count" else 0.0 < value <= 1e-2):
+                    value >= 2 and float(value).is_integer() if name == "sample_count" else _MIN_TOL <= value <= 1e-2):
                 continue
             huge = isinstance(value, int) and value.bit_length() > 64  # possibly too long to print
             got = (f"an integer of {value.bit_length()} bits" if huge
@@ -231,8 +229,7 @@ class IntegratorSettings:
 def flow_adaptive(
     system: SystemDefinition, x0, t_end: float, *, integ: IntegratorSettings = IntegratorSettings()
 ) -> Trajectory:
-    """Integrate with the adaptive Dormand-Prince 8(5,3) pair, at the
-    tolerances of ``integ``.
+    """Integrate with the adaptive Dormand-Prince 8(5,3) pair at the tolerance of ``integ``.
 
     States are reported at ``integ.sample_count`` uniformly spaced times via
     the integrator's dense interpolant.  Step-size underflow (stiffness or a
@@ -246,7 +243,7 @@ def flow_adaptive(
 
     t_eval = np.linspace(0.0, float(t_end), int(integ.sample_count))
     with np.errstate(over="ignore", invalid="ignore"):
-        states, accepted, rejected, dense = _dop853(system, x0v, t_eval, integ.abs_tol, integ.rel_tol)
+        states, accepted, rejected, dense = _dop853(system, x0v, t_eval, integ.tol)
     states[0] = x0v
     _check_samples(states, t_eval)
 
@@ -352,13 +349,13 @@ def _error_norm(KT: np.ndarray, h: float, scale: np.ndarray) -> float:
     return h * e5 / root if root else math.nan
 
 
-def _initial_step(field, y0, f0, t_end: float, atol: float, rtol: float) -> float:
+def _initial_step(field, y0, f0, t_end: float, tol: float) -> float:
     """Hairer-Norsett-Wanner starting step (Solving ODEs I, II.4) for an
     error estimator of order 7; one field evaluation.  In numpy scalars, as
     in scipy: an overflowing norm gives step 0, which the stepper raises to
     its floor."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        scale = atol + np.abs(y0) * rtol
+        scale = tol + np.abs(y0) * tol
         d0 = _rms(y0 / scale)
         d1 = np.float64(_rms(f0 / scale))
         h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
@@ -373,7 +370,7 @@ def _initial_step(field, y0, f0, t_end: float, atol: float, rtol: float) -> floa
         return float(min(100 * h0, h1, t_end))
 
 
-def _dop853(system: SystemDefinition, y, t_eval, abs_tol, rel_tol):
+def _dop853(system: SystemDefinition, y, t_eval, tol):
     """Advance ``x' = field(x)`` from ``y`` at time 0 to ``t_eval[-1]`` and
     return the states at ``t_eval``, the accepted and rejected step counts
     and the number of steps that built a dense output.
@@ -395,8 +392,7 @@ def _dop853(system: SystemDefinition, y, t_eval, abs_tol, rel_tol):
     field = system.field
     times = t_eval.tolist()
     t_end = times[-1]
-    atol, rtol = abs_tol, max(rel_tol, _MIN_REL_TOL)
-    atol_0d, rtol_0d = np.array(atol), np.array(rtol)
+    tol_0d = np.array(tol)
     n = y.size
     states = np.empty((t_eval.size, n))
     W = np.empty((14, n))  # a copy of y (held steps keep y, so never a view), then K
@@ -423,7 +419,7 @@ def _dop853(system: SystemDefinition, y, t_eval, abs_tol, rel_tol):
     try:
         W[0] = y
         K[0] = f0 = evaluate_field(system, y)
-        h_abs = _initial_step(field, y, f0, t_end, atol, rtol)
+        h_abs = _initial_step(field, y, f0, t_end, tol)
         while t < t_end:
             min_step = 10 * (math.nextafter(t, math.inf) - t)
             h_abs = max(h_abs, min_step)
@@ -453,7 +449,7 @@ def _dop853(system: SystemDefinition, y, t_eval, abs_tol, rel_tol):
                 y_new = WB.dot(cB)
                 K[12] = field(y_new)
                 abs_y_new = np.abs(y_new)
-                scale = atol_0d + np.maximum(abs_y, abs_y_new) * rtol_0d
+                scale = tol_0d + np.maximum(abs_y, abs_y_new) * tol_0d
                 error_norm = _error_norm(KE, h, scale)
                 if error_norm < 1:
                     break

@@ -90,6 +90,7 @@ def _conservation_premise(system: SystemDefinition, quantity: ConservedQuantityS
     return x0v, f0, (
         f"quantity '{name}' is not conserved at the start: "
         f"max |grad F_i . f| = {residual:.3e} exceeds {PREMISE_TOL:.1e} * scale"
+        if np.isfinite(residual) else f"quantity '{name}' has no finite conservation rate at the start"
     )
 
 

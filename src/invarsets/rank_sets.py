@@ -78,10 +78,10 @@ def _margins(values: np.ndarray, thresholds) -> tuple[np.ndarray, np.ndarray]:
         return inside, np.where(inside, below, values / thresholds)
 
 
-def _decide(matrices: np.ndarray, rel_tol: float, zero_floor: np.ndarray) -> RankDecisions:
+def _decide(matrices: np.ndarray, tol: float, zero_floor: np.ndarray) -> RankDecisions:
     """The rank rule, applied to every matrix of an (m, r, c) stack.
 
-    The threshold is ``max(rel_tol * sigma_1, zero_floor)``; the rank
+    The threshold is ``max(tol * sigma_1, zero_floor)``; the rank
     counts the singular values strictly above it, so a value exactly at
     the threshold is dropped.  A matrix whose largest singular value is
     below an absolute 1e-300 guard (effectively the all-zero matrix) has
@@ -90,7 +90,7 @@ def _decide(matrices: np.ndarray, rel_tol: float, zero_floor: np.ndarray) -> Ran
     """
     sv = singular_values(matrices)
     top = sv[:, 0] if sv.shape[1] else np.zeros(len(sv))
-    thresholds = np.maximum(rel_tol * top, zero_floor)
+    thresholds = np.maximum(tol * top, zero_floor)
     dropped, ratios = _margins(sv, thresholds[:, None])
     margins = ratios.min(axis=1, initial=np.inf)
     ranks = (~dropped).sum(axis=1)
@@ -100,39 +100,34 @@ def _decide(matrices: np.ndarray, rel_tol: float, zero_floor: np.ndarray) -> Ran
     return RankDecisions(ranks=ranks, margins=margins)
 
 
-def rank_levels(
-    quantity: ConservedQuantitySet, states, rel_tol: float = TOLERANCES["rank"]
-) -> RankDecisions:
+def rank_levels(quantity: ConservedQuantitySet, states, tol: float = TOLERANCES["rank"]) -> RankDecisions:
     """Numerical rank of the quantity's Jacobian at every state of an
     (m, dim) stack, from one stacked Jacobian and one stacked SVD.
 
-    On top of the relative threshold, an absolute floor
-    ``rel_tol * max(1, |x|)`` is applied so that states where every
-    gradient entry is numerically zero (round-off of an exactly critical
-    point) classify as rank 0 rather than picking up a spurious rank from
-    a ~1e-16 singular value.  This aligns the rank-0 decision with the
-    first-order vanishing test at matched tolerances.  ``rel_tol`` must lie
-    in (0, 1).
+    On top of the relative threshold, an absolute floor ``tol * max(1, |x|)``
+    is applied so that states where every gradient entry is numerically zero
+    (round-off of an exactly critical point) classify as rank 0 rather than
+    picking up a spurious rank from a ~1e-16 singular value.  This aligns the
+    rank-0 decision with the first-order vanishing test at matched
+    tolerances.  ``tol`` must lie in (0, 1).
     """
-    _tolerance("rank", rel_tol, "rel_tol")
+    _tolerance("rank", tol, "tol")
     xs = as_states(states, quantity.dim)
-    J = jacobians(quantity, xs)
-    return _decide(J, rel_tol, rel_tol * _state_scales(xs))
+    return _decide(jacobians(quantity, xs), tol, tol * _state_scales(xs))
 
 
-def vanishing_memberships(
-    quantity: ConservedQuantitySet, states, order: int, abs_tol: float = TOLERANCES["vanishing"]
-) -> SetMemberships:
+def vanishing_memberships(quantity: ConservedQuantitySet, states, order: int,
+                          tol: float = TOLERANCES["vanishing"]) -> SetMemberships:
     """Do all partials of all components up to ``order`` vanish at each
     state of an (m, dim) stack?  One stacked partial builder for the stack.
 
-    The verdict is true iff every partial is at most ``abs_tol * max(1, |x|)``
-    in magnitude; ``abs_tol`` must be positive and finite.
+    The verdict is true iff every partial is at most ``tol * max(1, |x|)``
+    in magnitude; ``tol`` must be positive and finite.
     """
-    _tolerance("vanishing", abs_tol, "abs_tol")
+    _tolerance("vanishing", tol, "tol")
     xs = as_states(states, quantity.dim)
     partials = np.concatenate(list(_partial_stack(quantity, xs, order).values()), axis=1)
     worst = np.abs(partials).max(axis=1)
-    thresholds = abs_tol * _state_scales(xs)
+    thresholds = tol * _state_scales(xs)
     verdicts, margins = _margins(worst, thresholds)
     return SetMemberships(verdicts, worst - thresholds, margins, thresholds)

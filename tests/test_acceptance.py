@@ -77,7 +77,7 @@ def test_criterion_1_kepler_coincidence():
             kepler.linear_pair_hamiltonian(a),
             x0,
             period,
-            integ=IntegratorSettings(1e-10, 1e-10),
+            integ=IntegratorSettings(tol=1e-10),
             tolerances={"deviation": 1e-6},
         )
         closure = float(np.linalg.norm(report.trajectory.final_state - x0))
@@ -89,7 +89,7 @@ def test_criterion_1_kepler_coincidence():
         kepler.linear_pair_hamiltonian(1.0),
         np.array([0.0, 2.0, 1.0, 0.0]),
         2 * np.pi,
-        integ=IntegratorSettings(1e-10, 1e-10),
+        integ=IntegratorSettings(tol=1e-10),
     )
     ok = ok and control.verdict == "hypothesis-error" and control.worst_value > 1e-3
     details.append(f"control dev={control.worst_value:.2e}")
@@ -154,8 +154,8 @@ def test_criterion_4_reduced_dynamics_equivalence():
     for set_id, full_system, z0 in cases:
         red = toda.reduced_dynamics(set_id)
         x0 = red.lift(z0, 4)
-        full = flow_adaptive(full_system, x0, 10.0, integ=IntegratorSettings(1e-10, 1e-10, 401))
-        reduced = flow_adaptive(red.system, z0, 10.0, integ=IntegratorSettings(1e-10, 1e-10, 401))
+        full = flow_adaptive(full_system, x0, 10.0, integ=IntegratorSettings(tol=1e-10, sample_count=401))
+        reduced = flow_adaptive(red.system, z0, 10.0, integ=IntegratorSettings(tol=1e-10, sample_count=401))
         lifted = np.array([red.lift(z, 4) for z in reduced.states])
         gap = float(np.max(np.linalg.norm(full.states - lifted, axis=1)))
         ok = ok and gap < 1e-7
@@ -242,7 +242,7 @@ def test_criterion_8_vanishing_set_machinery():
     inside2 = vanishing_memberships(circle3, probes, 2).verdicts
     ok = ok and bool(np.all(vanishing_memberships(circle3, probes, 1).verdicts[inside2]))
     rank0 = rank_levels(circle3, probes, 1e-8).ranks == 0
-    vanish1 = vanishing_memberships(circle3, probes, 1, abs_tol=1e-8).verdicts
+    vanish1 = vanishing_memberships(circle3, probes, 1, tol=1e-8).verdicts
     ok = ok and bool(np.array_equal(rank0, vanish1))
     _report(8, "vanishing-order machinery on the circle probe", ok)
 

@@ -35,10 +35,10 @@ def _stack(dim):
     return arrays(np.float64, st.tuples(st.integers(1, 12), st.just(dim)), elements=FINITE)
 
 
-def _point_floor_rank(quantity, x, rel_tol):
+def _point_floor_rank(quantity, x, tol):
     """The single-state rank rule written out with np.linalg.norm."""
-    floor = rel_tol * max(1.0, float(np.linalg.norm(x)))
-    return _decide(jacobians(quantity, x[None]), rel_tol, np.array([floor]))
+    floor = tol * max(1.0, float(np.linalg.norm(x)))
+    return _decide(jacobians(quantity, x[None]), tol, np.array([floor]))
 
 
 def assert_same_decision(decisions, i, single):
@@ -49,15 +49,15 @@ def assert_same_decision(decisions, i, single):
 
 def assert_same_singular_values(matrices, i, single):
     """Row ``i`` of the stacked SVD of ``matrices`` is, bit for bit, the SVD
-    of the stack of one ``single``: with the rule max(rel_tol * sigma_1,
-    rel_tol * max(1, |x|)), equal thresholds follow."""
+    of the stack of one ``single``: with the rule max(tol * sigma_1,
+    tol * max(1, |x|)), equal thresholds follow."""
     assert singular_values(matrices)[i].tobytes() == singular_values(single)[0].tobytes()
 
 
-def assert_rows_match_points(quantity, xs, rel_tol=RANK_TOL):
+def assert_rows_match_points(quantity, xs, tol=RANK_TOL):
     values = quantity.values_many(xs)
     J = jacobians(quantity, xs)
-    decisions = rank_levels(quantity, xs, rel_tol)
+    decisions = rank_levels(quantity, xs, tol)
     assert values.shape == (len(xs), quantity.k)
     assert J.shape == (len(xs), quantity.k, quantity.dim)
     assert decisions.ranks.shape == (len(xs),)
@@ -68,8 +68,8 @@ def assert_rows_match_points(quantity, xs, rel_tol=RANK_TOL):
         assert np.array_equal(J[i], jacobians(quantity, point[None])[0])
         if quantity.analytic_gradient is not None:
             assert np.array_equal(J[i], quantity.analytic_gradient(point))
-        assert_same_decision(decisions, i, rank_levels(quantity, point[None], rel_tol))
-        assert_same_decision(decisions, i, _point_floor_rank(quantity, point, rel_tol))
+        assert_same_decision(decisions, i, rank_levels(quantity, point[None], tol))
+        assert_same_decision(decisions, i, _point_floor_rank(quantity, point, tol))
         assert_same_singular_values(J, i, jacobians(quantity, point[None]))
 
 
@@ -223,7 +223,7 @@ STATES = np.array([[0.1, 0.2], [0.6, -0.7], [3.0, 4.0], [0.0, 0.0]])
     [
         (np.zeros((2, 2)), 0),  # zero guard: rank 0, margin inf
         (np.diag([1.0, 1e-8]), 1),  # sigma_2 exactly at the threshold for |x| <= 1: dropped
-        (np.diag([1e-12, 1e-13]), 0),  # floor-dominated: rel_tol * max(1, |x|) decides
+        (np.diag([1e-12, 1e-13]), 0),  # floor-dominated: tol * max(1, |x|) decides
         (np.diag([2.0, 0.5]), 2),
     ],
     ids=["zero", "at-threshold", "floor", "generic"],
@@ -240,7 +240,7 @@ def test_rank_rule_edge_cases_match_numerical_rank(gradient, rank, batched):
     if not gradient.any():
         assert np.all(decisions.margins == np.inf)
     if gradient[1, 1] == 1e-8:
-        # the rule max(rel_tol * sigma_1, rel_tol * max(1, |x|)) at |x| <= 1
+        # the rule max(tol * sigma_1, tol * max(1, |x|)) at |x| <= 1
         sigma = singular_values(J)[0]
         assert max(1e-8 * sigma[0], 1e-8 * max(1.0, float(np.linalg.norm(STATES[0])))) == 1e-8
         assert sigma[1] == 1e-8
@@ -250,7 +250,7 @@ def test_rank_levels_rejects_bad_tolerance_and_states():
     q = toda.periodic_invariants(3)
     xs = np.random.default_rng(1).standard_normal((4, 6))
     for tol in (0.0, 1.0, -1e-8):
-        with pytest.raises(UsageError, match="rel_tol"):
+        with pytest.raises(UsageError, match='"tol" must lie in'):
             rank_levels(q, xs, tol)
     bad = xs.copy()
     bad[2, 4] = np.nan

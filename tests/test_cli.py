@@ -162,7 +162,7 @@ def test_csv_export_shape_and_roundtrip(tmp_path, capsys):
     # the 17-significant-digit format reproduces the states bit-exactly
     system = toda.periodic_field(4)
     x0 = toda.explicit_set_sample("M2_I123", 4, config["initial_state"]["params"])
-    traj = flow_adaptive(system, x0, config["t_end"], integ=IntegratorSettings(1e-10, 1e-10, 11))
+    traj = flow_adaptive(system, x0, config["t_end"], integ=IntegratorSettings(tol=1e-10, sample_count=11))
     for line, t, state in zip(lines[1:], traj.times, traj.states):
         cells = [float(c) for c in line.split(",")]
         assert cells[0] == t
@@ -474,7 +474,7 @@ FLASCHKA = "toda-nonperiodic-flaschka-oracle.json"
         (KEPLER, {"tolerances": {"deviation": float("nan")}}, '"tolerances.deviation" must be positive and finite, got nan'),
         (RANK, {"model": {"kind": "toda-periodic", "n": float("inf")}}, '"model.n" must be an integer, got inf'),
         (RANK, {"initial_state": {"set_id": ["M2_I123"]}}, '"initial_state.set_id" must be a string'),
-        # these were reported as the library's rel_tol, which reads as integ.rel_tol
+        # these were reported as the library's rel_tol (now tol), which read as integ.rel_tol
         (GENERIC, {"tolerances": {"rank": 0}}, '"tolerances.rank" must lie in (0, 1), got 0.0'),
         (GENERIC, {"tolerances": {"rank": 1.5}}, '"tolerances.rank" must lie in (0, 1), got 1.5'),
         (GENERIC, {"tolerances": {"rank": float("nan")}}, '"tolerances.rank" must lie in (0, 1), got nan'),
@@ -537,8 +537,10 @@ FLASCHKA = "toda-nonperiodic-flaschka-oracle.json"
             '"initial_state.params.X1" must be finite, got nan',
         ),
         # the integrator settings' own range checks, named in their section
-        (RANK, {"integ": {"abs_tol": 0}}, '"integ.abs_tol" must lie in (0, 1e-2], got 0.0'),
-        (RANK, {"integ": {"rel_tol": 0.1}}, '"integ.rel_tol" must lie in (0, 1e-2], got 0.1'),
+        (RANK, {"integ": {"tol": 0}}, '"integ.tol" must lie in [2.22e-14, 1e-2], got 0.0'),
+        (RANK, {"integ": {"tol": 0.1}}, '"integ.tol" must lie in [2.22e-14, 1e-2], got 0.1'),
+        # below 100 machine epsilons the stepper raised the tolerance silently
+        (RANK, {"integ": {"tol": 1e-14}}, '"integ.tol" must lie in [2.22e-14, 1e-2], got 1e-14'),
         (RANK, {"integ": {"sample_count": 1}}, '"integ.sample_count" must be an integer >= 2, got 1'),
         # a raw ValueError or TypeError traceback, or (null) a message without the key
         (DRIFT, {"initial_state": [[1, 2], 1, 2, 0, 0, 0, 0, 0]}, '"initial_state" component 0 must be a number, got [1, 2]'),
@@ -573,8 +575,8 @@ FLASCHKA = "toda-nonperiodic-flaschka-oracle.json"
         "samples-huge", "model-a-huge", "model-a-tiny", "circular-a-tiny", "tolerance-true", "t-end-true",
         "model-a-true", "samples-true", "family-param-true", "initial-state-true", "partials-huge",
         "lax-entries-huge", "family-sample-overflow", "family-sample-non-finite", "circular-theta-inf",
-        "random-scale-inf", "random-scale-overflow", "family-param-nan", "abs-tol-zero",
-        "rel-tol-above-range", "sample-count-one", "initial-state-list", "initial-state-object",
+        "random-scale-inf", "random-scale-overflow", "family-param-nan", "tol-zero",
+        "tol-above-range", "tol-below-floor", "sample-count-one", "initial-state-list", "initial-state-object",
         "initial-state-word", "initial-state-null", "initial-state-huge-int", "initial-state-minus-inf",
         "initial-state-string", "t-end-string", "sample-count-string", "tolerance-string", "model-a-string",
         "samples-string", "label-list", "label-null", "claim-object", "expected-verdict-number",
@@ -719,10 +721,18 @@ HUGE_STARTS = [
         "integration stopped before t_end=10: last sample time reached 0; adaptive integration of "
         "'toda-periodic(n=4)' stopped at t=0: Required step size is less than spacing between numbers.",
     ),
+    # finite starts whose conservation rates overflow: grad F_i . f at the start, the F - G scan
+    (
+        GENERIC, {("initial_state",): {"random": {"seed": 1, "scale": 1e150}}},
+        "quantity 'I1/I2/I3' has no finite conservation rate at the start",
+    ),
+    (KEPLER, {("initial_state",): [1e100, 1e100, 1e160, 1e160]}, f"{NO_AGREEMENT_TOLERANCE}; {NO_SCAN_TOLERANCE}"),
 ]
 
 
-@pytest.mark.parametrize("scenario,change,message", HUGE_STARTS, ids=["generic", "pattern", "persist"])
+@pytest.mark.parametrize(
+    "scenario,change,message", HUGE_STARTS, ids=["generic", "pattern", "persist", "random-rates", "coincidence-rates"]
+)
 def test_huge_finite_start_is_a_hypothesis_error_without_a_warning(scenario, change, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -786,6 +796,8 @@ def _edge_number_changes(draw):
 @example(edits=HUGE_STARTS[0][:2])
 @example(edits=HUGE_STARTS[1][:2])
 @example(edits=HUGE_STARTS[2][:2])
+@example(edits=HUGE_STARTS[3][:2])
+@example(edits=HUGE_STARTS[4][:2])
 @example(edits=(DRIFT, {("initial_state", 0): 1e30}))  # spent the whole step budget
 @example(edits=(DRIFT, {("t_end",): 1e308}))  # the same
 @given(edits=_edge_number_changes())
@@ -865,8 +877,8 @@ def test_csv_sigma_columns_are_the_per_sample_singular_values(tmp_path, capsys):
         ("kepler-circular-coincidence.json", "tolerances", "devation", "deviation"),
         ("toda-periodic-vanishing-M0I3.json", "tolerances", "residual", "vanishing"),
         ("toda-periodic-henon-oracle.json", "tolerances", "drift", "value, gradient"),
-        ("toda-periodic-rank-generic.json", "integ", "abs_tl", "abs_tol, rel_tol, sample_count"),
-        ("toda-periodic-henon-oracle.json", "integ", "abs_tol", "none"),
+        ("toda-periodic-rank-generic.json", "integ", "tl", "tol, sample_count"),
+        ("toda-periodic-henon-oracle.json", "integ", "tol", "none"),
         ("toda-periodic-rank-pattern.json", "model", "N", "kind, n"),
         ("kepler-circular-coincidence.json", "initial_state.circular", "radius", "a, theta"),
         ("toda-periodic-drift.json", "initial_state.random", "sed", "seed, scale"),
@@ -897,6 +909,21 @@ def test_unknown_config_key_is_a_config_error(tmp_path, capsys, scenario, sectio
     err = capsys.readouterr().err
     assert f'unknown key "{section}.{key}"' in err
     assert f"valid {section} keys: {valid}" in err
+
+
+INTEGRATING = [s for s in SHIPPED if "integ" in load_scenario(s)]
+
+
+@pytest.mark.parametrize("key", ["abs_tol", "rel_tol"])
+@pytest.mark.parametrize("scenario", INTEGRATING, ids=[s.stem for s in INTEGRATING])
+def test_the_integ_tolerances_of_earlier_releases_are_config_errors(tmp_path, capsys, scenario, key):
+    # one integration tolerance: each shipped scenario with the old spelling beside it, at its own value
+    config = load_scenario(scenario)
+    config["integ"][key] = config["integ"]["tol"]
+    assert main(["run", _write(tmp_path, config)]) == 2
+    err = capsys.readouterr().err
+    assert f'unknown key "integ.{key}"' in err
+    assert "valid integ keys: tol, sample_count" in err
 
 
 def test_unknown_integ_key_in_export_is_a_config_error(tmp_path, capsys):
@@ -1006,9 +1033,9 @@ def test_tolerances_rank_sets_the_rank_threshold(monkeypatch, scenario):
     config["tolerances"] = {"rank": 1e-6}
     thresholds = []
 
-    def spy(quantity, states, rel_tol):
-        thresholds.append(rel_tol)
-        return rank_levels(quantity, states, rel_tol)
+    def spy(quantity, states, tol):
+        thresholds.append(tol)
+        return rank_levels(quantity, states, tol)
 
     monkeypatch.setattr(invariance, "rank_levels", spy)
     assert run_scenario(config).verdict == config["expected_verdict"]

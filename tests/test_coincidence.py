@@ -163,7 +163,7 @@ def test_driven_coincidence_follows_the_one_verdict_rule(integ_tol, verdict, mes
     rec = verify_coincidence(
         batched_symplectic_base, kepler.hamiltonian(), kepler.linear_pair_hamiltonian(1.0),
         kepler.circular_sample(1.0, 0.0), 2 * np.pi, batched=True,
-        integ=IntegratorSettings(abs_tol=integ_tol, rel_tol=integ_tol),
+        integ=IntegratorSettings(tol=integ_tol),
     )
     assert rec.verdict == verdict
     assert rec.message.startswith(message)
@@ -414,7 +414,7 @@ def test_perturbed_pair_flows_coincide_on_circle_short_horizon():
     # perturbed flow (radial error grows like e^{8t}), so round-off limits
     # the certifiable horizon; t = 1 keeps the amplification ~3e3
     report = _perturbed_pair_coincidence(
-        lambda g: g, [1.0, 0.0], 1.0, integ=IntegratorSettings(1e-12, 1e-12), tolerances={"deviation": 1e-8}
+        lambda g: g, [1.0, 0.0], 1.0, integ=IntegratorSettings(tol=1e-12), tolerances={"deviation": 1e-8}
     )
     assert report.verdict == "pass"
     assert report.worst_value < 1e-8

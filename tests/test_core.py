@@ -274,7 +274,7 @@ def test_verifiers_and_the_integrator_share_one_signature(fn):
     assert keyword[-len(tail):] == tail
     assert set(keyword[: -len(tail)]) <= OWN_KEYWORDS
     for p in params:
-        assert p.name not in ("abs_tol", "rel_tol", "sample_count") and not p.name.endswith("_tol"), p.name
+        assert p.name not in ("tol", "abs_tol", "rel_tol", "sample_count") and not p.name.endswith("_tol"), p.name
 
 
 def _reads(verifier) -> list[str]:

@@ -58,7 +58,7 @@ def test_harmonic_quarter_turn():
 
 def test_kepler_half_circle():
     traj = flow_adaptive(
-        kepler.kepler_field(), [0.0, 1.0, 1.0, 0.0], np.pi, integ=IntegratorSettings(1e-10, 1e-10),
+        kepler.kepler_field(), [0.0, 1.0, 1.0, 0.0], np.pi, integ=IntegratorSettings(tol=1e-10),
     )
     assert np.allclose(traj.final_state, [0.0, -1.0, -1.0, 0.0], atol=1e-6)
 
@@ -88,7 +88,7 @@ def test_fixed_step_closed_orbit():
 def test_fixed_step_agrees_with_adaptive():
     x0 = random_toda_physical(4, 1, 41)[0]
     sys4 = toda.periodic_field(4)
-    a = flow_adaptive(sys4, x0, 5.0, integ=IntegratorSettings(1e-10, 1e-10, 2))
+    a = flow_adaptive(sys4, x0, 5.0, integ=IntegratorSettings(tol=1e-10, sample_count=2))
     b = flow_fixed(sys4, x0, 5.0, 1e-3)
     assert np.max(np.abs(a.final_state - b.final_state)) < 1e-6
 
@@ -115,9 +115,9 @@ def test_fixed_step_count_guard():
 def test_tolerance_validation():
     sys2 = oscillator.harmonic_oscillator()
     with pytest.raises(UsageError):
-        flow_adaptive(sys2, [1.0, 0.0], 1.0, integ=IntegratorSettings(abs_tol=0.0))
+        flow_adaptive(sys2, [1.0, 0.0], 1.0, integ=IntegratorSettings(tol=0.0))
     with pytest.raises(UsageError):
-        flow_adaptive(sys2, [1.0, 0.0], 1.0, integ=IntegratorSettings(rel_tol=0.1))
+        flow_adaptive(sys2, [1.0, 0.0], 1.0, integ=IntegratorSettings(tol=0.1))
     with pytest.raises(UsageError):
         flow_adaptive(sys2, [1.0, 0.0], 1.0, integ=IntegratorSettings(sample_count=1))
     with pytest.raises(UsageError, match="sample_count must be an integer >= 2, got 2.7"):
@@ -136,7 +136,7 @@ def test_kepler_collision_raises_integration_error():
 
 def test_a_flow_past_the_step_budget_is_an_integration_error(monkeypatch):
     system, x0, t_end = ECCENTRIC
-    integ = IntegratorSettings(1e-6, 1e-6)
+    integ = IntegratorSettings(tol=1e-6)
     stats = flow_adaptive(system, x0, t_end, integ=integ).stats
     attempts = stats.steps_accepted + stats.steps_rejected
     monkeypatch.setattr(integrate, "_MAX_ATTEMPTS", attempts)
@@ -197,9 +197,9 @@ def test_trajectory_determinism_bit_for_bit():
 
 @pytest.mark.parametrize("system,x0,t_end", FLOWS)
 def test_tolerance_monotonicity(system, x0, t_end):
-    reference = flow_adaptive(system, x0, t_end, integ=IntegratorSettings(1e-12, 1e-12, 2))
-    loose = flow_adaptive(system, x0, t_end, integ=IntegratorSettings(1e-5, 1e-5, 2))
-    tight = flow_adaptive(system, x0, t_end, integ=IntegratorSettings(1e-7, 1e-7, 2))
+    reference = flow_adaptive(system, x0, t_end, integ=IntegratorSettings(tol=1e-12, sample_count=2))
+    loose = flow_adaptive(system, x0, t_end, integ=IntegratorSettings(tol=1e-5, sample_count=2))
+    tight = flow_adaptive(system, x0, t_end, integ=IntegratorSettings(tol=1e-7, sample_count=2))
     err_loose = np.linalg.norm(loose.final_state - reference.final_state)
     err_tight = np.linalg.norm(tight.final_state - reference.final_state)
     assert err_tight < err_loose
@@ -383,7 +383,7 @@ def _solve_ivp(system, x0, t_end, samples, tol, method=CappedDOP853):
 
 
 def _assert_equals_solve_ivp(system, x0, t_end, samples, tol):
-    traj = flow_adaptive(system, x0, t_end, integ=IntegratorSettings(tol, tol, samples))
+    traj = flow_adaptive(system, x0, t_end, integ=IntegratorSettings(tol=tol, sample_count=samples))
     ref = _solve_ivp(system, x0, t_end, samples, tol)
     assert ref.status == 0
     assert np.array_equal(traj.times, ref.t)
@@ -419,7 +419,7 @@ def test_adaptive_flow_is_as_accurate_as_unmodified_solve_ivp(system, x0, t_end,
     # 1e-13; where it rejects: the capped reference's attempts, and a largest
     # sample error at most twice scipy's, up to 1e-13 (1.77x at worst, on
     # toda-16-long at 1e-6, where the cap takes 9 fewer evaluations)
-    traj = flow_adaptive(system, x0, t_end, integ=IntegratorSettings(tol, tol, samples))
+    traj = flow_adaptive(system, x0, t_end, integ=IntegratorSettings(tol=tol, sample_count=samples))
     plain, accurate = (_solve_ivp(system, x0, t_end, samples, r, "DOP853") for r in (tol, 1e-13))
     ends, rejected = _scipy_steps(system, x0, t_end, tol, DOP853)
     ref = plain
@@ -440,7 +440,7 @@ def test_stage_sums_differ_from_unmodified_solve_ivp():
     # the folded reference is not scipy's own sums in disguise: some
     # sample of some flow above moves in some bit
     def moved(system, x0, t_end, samples, tol):
-        traj = flow_adaptive(system, x0, t_end, integ=IntegratorSettings(tol, tol, samples))
+        traj = flow_adaptive(system, x0, t_end, integ=IntegratorSettings(tol=tol, sample_count=samples))
         return not np.array_equal(traj.states, _solve_ivp(system, x0, t_end, samples, tol, "DOP853").y.T)
 
     cases = [case for case in STEPPER_CASES if case is not OVERFLOWING_NORM]
@@ -469,7 +469,7 @@ def test_sample_on_the_step_end_that_fills_a_block_equals_solve_ivp(tol):
 @pytest.mark.usefixtures("folded_scipy")
 def test_rejected_steps_are_counted_exactly():
     system, x0, t_end = ECCENTRIC
-    traj = flow_adaptive(system, x0, t_end, integ=IntegratorSettings(1e-6, 1e-6, 51))
+    traj = flow_adaptive(system, x0, t_end, integ=IntegratorSettings(tol=1e-6, sample_count=51))
     ends, rejected = _scipy_steps(system, x0, t_end, 1e-6)
     assert rejected > 0
     assert (traj.stats.steps_accepted, traj.stats.steps_rejected) == (len(ends), rejected)
@@ -482,7 +482,7 @@ def test_the_cap_moves_exactly_the_flows_that_reject(system, x0, t_end, samples,
     # a flow that scipy's DOP853 steps without a rejection is scipy's own,
     # bit for bit, so a cap applied on every step fails here; each of these
     # flows that rejects moves, so a cap applied on none fails here too
-    traj = flow_adaptive(system, x0, t_end, integ=IntegratorSettings(tol, tol, samples))
+    traj = flow_adaptive(system, x0, t_end, integ=IntegratorSettings(tol=tol, sample_count=samples))
     plain = _solve_ivp(system, x0, t_end, samples, tol, "DOP853")
     rejected = _scipy_steps(system, x0, t_end, tol, DOP853)[1]
     same = np.array_equal(traj.states, plain.y.T) and traj.stats.field_evaluations == plain.nfev
@@ -496,7 +496,7 @@ def test_eccentric_orbits_reject_few_attempts(e):
     # grows; the cap rejects 5-7% and takes 0.86x, 0.77x and 0.77x its
     # field evaluations
     system, x0 = kepler.kepler_field(), _periapsis_start(e)
-    stats = flow_adaptive(system, x0, 16 * np.pi, integ=IntegratorSettings(1e-10, 1e-10, 101)).stats
+    stats = flow_adaptive(system, x0, 16 * np.pi, integ=IntegratorSettings(tol=1e-10, sample_count=101)).stats
     assert stats.steps_rejected <= 0.1 * (stats.steps_accepted + stats.steps_rejected)
     assert stats.field_evaluations <= 0.87 * _solve_ivp(system, x0, 16 * np.pi, 101, 1e-10, "DOP853").nfev
 
@@ -519,7 +519,7 @@ def test_the_cases_the_cap_makes_dearer():
     for case_id, case in zip(STEPPER_IDS, STEPPER_CASES):
         system, x0, t_end, samples = getattr(case, "values", case)
         for tol in (1e-10, 1e-6):
-            ours = flow_adaptive(system, x0, t_end, integ=IntegratorSettings(tol, tol, samples)).stats
+            ours = flow_adaptive(system, x0, t_end, integ=IntegratorSettings(tol=tol, sample_count=samples)).stats
             theirs = _solve_ivp(system, x0, t_end, samples, tol, "DOP853").nfev
             if ours.field_evaluations > theirs:
                 dearer[case_id, tol] = (ours.field_evaluations, theirs)
@@ -771,7 +771,7 @@ def test_drift_of_constant_quantity_is_zero():
 
 def test_toda_drift_below_1e8_over_ten_units():
     x0 = random_toda_physical(4, 1, 47)[0]
-    traj = flow_adaptive(toda.periodic_field(4), x0, 10.0, integ=IntegratorSettings(1e-10, 1e-10))
+    traj = flow_adaptive(toda.periodic_field(4), x0, 10.0, integ=IntegratorSettings(tol=1e-10))
     report = monitor_drift(traj, toda.periodic_invariants(4))
     assert report.labels == ("I1", "I2", "I3")
     assert report.worst < 1e-8
@@ -782,7 +782,7 @@ def test_toda_drift_below_1e8_over_ten_units():
 
 def test_kepler_circular_drift():
     x0 = kepler.circular_sample(1.0, 0.0)
-    traj = flow_adaptive(kepler.kepler_field(), x0, 2 * np.pi, integ=IntegratorSettings(1e-10, 1e-10))
+    traj = flow_adaptive(kepler.kepler_field(), x0, 2 * np.pi, integ=IntegratorSettings(tol=1e-10))
     q = stack_quantities([kepler.hamiltonian(), kepler.angular_momentum(), kepler.combined_invariant(1.0)])
     report = monitor_drift(traj, q)
     assert report.worst < 1e-8
@@ -851,7 +851,7 @@ def test_linear_flow_equals_the_rotation_and_the_stepper(seed, samples):
     assert broken is None
     assert traj.states[0].tobytes() == x0.tobytes()
     assert traj.stats == integrate.IntegratorStats("declared-flow", 0, 0, 0)
-    stepped = flow_adaptive(pair, x0, t_end, integ=IntegratorSettings(1e-13, 1e-13, samples))
+    stepped = flow_adaptive(pair, x0, t_end, integ=IntegratorSettings(tol=1e-13, sample_count=samples))
     assert traj.times.tobytes() == stepped.times.tobytes()  # the stepper's grid
     # the angle t / a^3 rounded once more: a few roundings per sample
     assert np.abs(traj.states - _rotation(a, x0, traj.times)).max() <= 16 * EPS * scale
@@ -898,12 +898,44 @@ def test_linear_flow_runs_with_scipy_unimportable():
         ({"sample_count": "401"}, "sample_count must be an integer >= 2, got '401'"),
         ({"sample_count": None}, "sample_count must be an integer >= 2, got None"),
         ({"sample_count": 1e400}, "sample_count must be an integer >= 2, got inf"),
-        ({"abs_tol": "1e-10"}, r"abs_tol must lie in \(0, 1e-2\], got '1e-10'"),
-        ({"rel_tol": None}, r"rel_tol must lie in \(0, 1e-2\], got None"),
-        ({"rel_tol": [1e-10]}, r"rel_tol must lie in \(0, 1e-2\], got \[1e-10\]"),
+        ({"tol": "1e-10"}, r"tol must lie in \[2.22e-14, 1e-2\], got '1e-10'"),
+        ({"tol": None}, r"tol must lie in \[2.22e-14, 1e-2\], got None"),
+        ({"tol": [1e-10]}, r"tol must lie in \[2.22e-14, 1e-2\], got \[1e-10\]"),
     ],
     ids=["huge-count", "string-count", "no-count", "inf-count", "string-tol", "no-tol", "list-tol"],
 )
 def test_integrator_settings_of_the_wrong_kind_are_usage_errors(settings, message):
     with pytest.raises(UsageError, match=f"^{message}$"):
         IntegratorSettings(**settings)
+
+
+@pytest.mark.parametrize("tol", [1e-14, 2.2199e-14, 0.010000000000000002, -1e-10, 0.0, math.nan, math.inf])
+def test_a_tolerance_outside_its_range_is_refused(tol):
+    # below 100 machine epsilons the stepper once raised the tolerance silently
+    with pytest.raises(UsageError, match=r"^tol must lie in \[2.22e-14, 1e-2\], got "):
+        IntegratorSettings(tol=tol)
+
+
+def test_the_printed_bounds_are_accepted_and_held_as_given(monkeypatch):
+    # a flow at rest at y = (1, 1): every error component is weighed by tol + 1 * tol, exactly 2 tol
+    scales, error_norm = [], integrate._error_norm
+    monkeypatch.setattr(integrate, "_error_norm", lambda KT, h, scale: scales.append(scale) or error_norm(KT, h, scale))
+    rest = SystemDefinition(2, lambda x: 0.0 * x, "rest")
+    for tol in (2.22e-14, 1e-2):
+        scales.clear()
+        flow_adaptive(rest, [1.0, 1.0], 1.0, integ=IntegratorSettings(tol=tol))
+        assert scales and all(np.array_equal(scale, [2 * tol, 2 * tol]) for scale in scales)
+
+
+@pytest.mark.parametrize(
+    "args,kwargs", [((), {"abs_tol": 1e-10}), ((), {"rel_tol": 1e-10}), ((1e-10, 1e-10, 401), {})],
+    ids=["abs_tol", "rel_tol", "three-positional"],
+)
+def test_the_tolerances_of_earlier_releases_are_type_errors(args, kwargs):
+    with pytest.raises(TypeError):
+        IntegratorSettings(*args, **kwargs)
+
+
+def test_an_old_two_tolerance_call_fails_on_its_sample_count():
+    with pytest.raises(UsageError, match=r"^sample_count must be an integer >= 2, got 1e-10$"):
+        IntegratorSettings(1e-10, 1e-10)

@@ -56,7 +56,7 @@ def test_rank_invariance_kepler_circular_rank_zero():
         kepler.combined_invariant(1.0),
         kepler.circular_sample(1.0, 0.0),
         2 * np.pi,
-        integ=IntegratorSettings(1e-12, 1e-12, 101),
+        integ=IntegratorSettings(tol=1e-12, sample_count=101),
     )
     assert report.verdict == "pass"
     assert report.initial_rank == 0
@@ -190,11 +190,11 @@ def test_set_persistence_residual_shrinks_with_tolerance():
     x0 = toda.explicit_set_sample("M0_I3", 4, {"X1": 0.0, "u": 0.8})
     resid = lambda zs: toda.explicit_set_residual("M0_I3", 4, zs)
     loose = verify_set_persistence(
-        toda.periodic_field(4), resid, x0, 10.0, integ=IntegratorSettings(1e-6, 1e-6),
+        toda.periodic_field(4), resid, x0, 10.0, integ=IntegratorSettings(tol=1e-6),
         tolerances={"residual": 1e-4},
     )
     tight = verify_set_persistence(
-        toda.periodic_field(4), resid, x0, 10.0, integ=IntegratorSettings(1e-8, 1e-8),
+        toda.periodic_field(4), resid, x0, 10.0, integ=IntegratorSettings(tol=1e-8),
         tolerances={"residual": 1e-4},
     )
     assert loose.verdict == "pass" and tight.verdict == "pass"
@@ -230,7 +230,7 @@ def test_critical_invariance_kepler_energy_momentum_pair():
         pair,
         kepler.circular_sample(1.0, 0.0),
         2 * np.pi,
-        integ=IntegratorSettings(1e-12, 1e-12, 101),
+        integ=IntegratorSettings(tol=1e-12, sample_count=101),
     )
     assert report.verdict == "pass"
     assert report.initial_rank == 1  # gradients are parallel on the circle
@@ -368,7 +368,7 @@ def test_mutated_field_leaves_the_pattern_family_as_a_fail(eps):
     report = verify_set_persistence(
         _start_preserving_mutation(toda.periodic_field(4), x0, eps),
         lambda zs: toda.explicit_set_residual("M1_I13", 4, zs), x0, 10.0,
-        integ=IntegratorSettings(abs_tol=1e-10, rel_tol=1e-10, sample_count=401),
+        integ=IntegratorSettings(tol=1e-10, sample_count=401),
         tolerances={"residual": 1e-7},
     )
     assert report.verdict == "fail"
@@ -430,7 +430,7 @@ VERIFIER_CASES = {
 @pytest.mark.parametrize("case", list(VERIFIER_CASES))
 def test_integ_reaches_the_integrator_of_every_verifier(case):
     verify, system, x0, t_end = VERIFIER_CASES[case]
-    integ = IntegratorSettings(abs_tol=1e-6, rel_tol=1e-6, sample_count=11)
+    integ = IntegratorSettings(tol=1e-6, sample_count=11)
     traj = verify(integ=integ).trajectory
     assert len(traj) == 11
     expected = flow_adaptive(system, x0, t_end, integ=integ).stats.field_evaluations
@@ -464,10 +464,10 @@ NAN, INF = float("nan"), float("inf")
          '"tolerances.rank" must lie in (0, 1), got 1.0'),
         (lambda: VERIFIER_CASES["rank"][0](tolerances={"rank": NAN}),
          '"tolerances.rank" must lie in (0, 1), got nan'),
-        (lambda: vanishing_memberships(oscillator.unit_circle_power(3), np.ones((2, 2)), 1, abs_tol=NAN),
-         '"abs_tol" must be positive and finite, got nan'),
-        (lambda: rank_levels(toda.periodic_invariants(4), PATTERN_START[None], rel_tol=NAN),
-         '"rel_tol" must lie in (0, 1), got nan'),
+        (lambda: vanishing_memberships(oscillator.unit_circle_power(3), np.ones((2, 2)), 1, tol=NAN),
+         '"tol" must be positive and finite, got nan'),
+        (lambda: rank_levels(toda.periodic_invariants(4), PATTERN_START[None], tol=NAN),
+         '"tol" must lie in (0, 1), got nan'),
         # a name the verifier does not read, as in a scenario
         (lambda: VERIFIER_CASES["set"][0](tolerances={"deviation": 1e-6}),
          'unknown tolerance "deviation"; this check reads residual'),

@@ -144,7 +144,7 @@ def test_orbits_close_with_cubed_period():
     sysk = kepler.kepler_field()
     for a in (0.5, 1.0, 2.0):
         x0 = kepler.circular_sample(a, 0.3)
-        traj = flow_adaptive(sysk, x0, 2 * np.pi * a**3, integ=IntegratorSettings(1e-10, 1e-10, 2))
+        traj = flow_adaptive(sysk, x0, 2 * np.pi * a**3, integ=IntegratorSettings(tol=1e-10, sample_count=2))
         assert np.linalg.norm(traj.final_state - x0) < 1e-6
 
 
@@ -229,7 +229,7 @@ def test_exact_flow_matches_the_stepper_over_eight_periods(e):
     # the stepper at 1e-13 converges on the flow: the gap is its own error
     x0 = _eccentric_start(e)
     t_end = 8 * 2 * np.pi
-    stepped = flow_adaptive(kepler.kepler_field(), x0, t_end, integ=IntegratorSettings(1e-13, 1e-13, 401))
+    stepped = flow_adaptive(kepler.kepler_field(), x0, t_end, integ=IntegratorSettings(tol=1e-13, sample_count=401))
     exact = kepler.kepler_flow(x0, stepped.times)
     assert np.abs(exact - stepped.states).max() <= 1e-8
     assert exact[0].tobytes() == x0.tobytes()

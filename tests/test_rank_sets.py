@@ -79,9 +79,9 @@ def test_rank_tolerance_validation():
     q = toda.periodic_invariants(4)
     states = random_states(8, 1, 7)
     with pytest.raises(UsageError):
-        rank_levels(q, states, rel_tol=0.0)
+        rank_levels(q, states, tol=0.0)
     with pytest.raises(UsageError):
-        rank_levels(q, states, rel_tol=1.0)
+        rank_levels(q, states, tol=1.0)
     with pytest.raises(UsageError):
         rank_levels(q, states[0])  # a single state is a stack of one, not a vector
     with pytest.raises(UsageError):
@@ -151,7 +151,7 @@ def test_critical_residual_sign_convention():
     pattern = [0.3, 0.7, 0.3, 0.7, 0.5, -0.2, 0.5, -0.2]
     xs = np.vstack([pattern, random_states(8, 1, 17)])
     decisions = rank_levels(q, xs)
-    # the documented rule: max(rel_tol * sigma_1, rel_tol * max(1, |x|))
+    # the documented rule: max(tol * sigma_1, tol * max(1, |x|))
     sv = singular_values(jacobians(q, xs))
     thresholds = np.maximum(RANK_TOL * sv[:, 0], RANK_TOL * np.maximum(1.0, np.linalg.norm(xs, axis=1)))
     below = sv[:, q.k - 1] < thresholds
@@ -192,11 +192,11 @@ def test_vanishing_nesting_property():
 
 
 def test_rank_zero_iff_first_order_vanishing():
-    # matched tolerances: rank floor tau * max(1, |x|) vs abs_tol = tau
+    # matched tolerances: rank floor tau * max(1, |x|) vs vanishing tol = tau
     tau = 1e-8
     for quantity, states in _vanishing_probes():
         rank0 = rank_levels(quantity, states, tau).ranks == 0
-        vanish1 = vanishing_memberships(quantity, states, 1, abs_tol=tau).verdicts
+        vanish1 = vanishing_memberships(quantity, states, 1, tol=tau).verdicts
         assert np.array_equal(rank0, vanish1)
 
 

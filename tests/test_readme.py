@@ -1,14 +1,16 @@
 """The README's library quickstart runs as shown and prints what it says,
 every library call that the README and the demos name exists, and each
-check's settings table is the scenario schema's."""
+check's settings table and the "integ" keys are the scenario schema's."""
 
 import importlib
 import os
 import re
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
+from invarsets import IntegratorSettings
 from invarsets.core import TOLERANCES
 from invarsets.report import _CHECKS
 
@@ -58,3 +60,12 @@ def test_readme_settings_tables_match_the_scenario_schema():
         tolerances = {f"tolerances.{tol}": TOLERANCES[tol] for tol in check.tolerances}
         assert sorted(rows) == sorted([*check.keys, *(["t_end"] if check.integrates else []), *tolerances]), name
         assert {key: float(rows[key].split(",")[0]) for key in tolerances} == tolerances, name
+
+
+def test_readme_integ_keys_are_the_integrator_settings():
+    # the sentence that lists the "integ" keys names each field of IntegratorSettings with its default
+    sentence = re.search(r"the\s+`integ`\s+keys\s+(.*?\))\.\s", (ROOT / "README.md").read_text(), re.S)
+    assert sentence is not None
+    keys = re.findall(r"`(\w+)`\s+\(([^,)]+)", sentence.group(1))
+    assert {key: float(default) for key, default in keys} == asdict(IntegratorSettings())
+    assert len(keys) == len(asdict(IntegratorSettings()))

@@ -64,10 +64,10 @@ def _point_partials(quantity, x, order):
     return entries
 
 
-def _point_vanishing(quantity, x, order, abs_tol):
+def _point_vanishing(quantity, x, order, tol):
     """(verdict, residual, margin, threshold) as the per-sample check formed them."""
     worst = max(float(np.max(np.abs(v))) for v in _point_partials(quantity, x, order).values())
-    threshold = abs_tol * max(1.0, float(np.linalg.norm(x)))
+    threshold = tol * max(1.0, float(np.linalg.norm(x)))
     verdict = worst <= threshold
     margin = (threshold / worst if worst > 0.0 else np.inf) if verdict else worst / threshold
     return verdict, worst - threshold, float(margin), threshold
