@@ -23,7 +23,7 @@ from invarsets import kepler
 # the base is declared batched and a stack of samples makes one base call.
 # Both driven flows are integrated here.  With exact flow maps passed as
 # `flows`, as `invarsets run` passes them, neither is: kepler.kepler_flow
-# solves Kepler's equation on elliptic orbits and kepler.linear_pair_flow(a)
+# solves Kepler's equation on every orbit with A != 0 and kepler.linear_pair_flow(a)
 # is the rotation, clockwise at the rate 1/a^3, and the check ties each
 # flow's velocity to its driven field on every sample.
 J = canonical_symplectic_matrix(2)

@@ -7,8 +7,9 @@ vanishes exactly on the clockwise circular orbits of radius a^2.  On that
 family the Kepler field agrees with the linear field generated canonically
 by -A/a^3, which is the companion system used in flow-coincidence checks.
 Both flows are exact here: :func:`kepler_flow`, Kepler's equation on
-ellipses, and :func:`linear_pair_flow`, a rotation; a check takes them as
-the ``flow`` of a system.
+every orbit with A != 0 (in universal variables where H >= 0 or nearly),
+which :func:`kepler_field` declares, and :func:`linear_pair_flow`, a
+rotation; a check takes them as the ``flow`` of a system.
 """
 
 from __future__ import annotations
@@ -39,10 +40,7 @@ def _radius(a: float) -> None:
 def _componentwise(formula):
     """``formula`` on the components (x1, x2, y1, y2) of a state or a stack
     ``(..., 4)``, transposed, with overflow silent.  A vector result is built
-    with ``np.array`` on the components.  The Kepler field, which the
-    stepper calls at one state, takes a stack through it but a state in its
-    own frame on Python floats: 0.79 against 0.97 us per point call
-    (timeit, best of 9, shared 2-core x86-64 VM)."""
+    with ``np.array`` on the components."""
 
     def fn(z):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -61,21 +59,27 @@ def _cubed_radius(x1, x2, what: str):
 
 
 _NEWTON_STEPS = 30  # Danby's starter converges in at most 11 up to e = 1 - 1e-6
+_UNIVERSAL_BELOW = 0.1  # alpha r0 = 2 - r0 |v|^2 below which dE - e sin dE loses digits (measured)
+_UNIVERSAL_STEPS = 100  # steps on the universal anomaly; 3-5 settle most starts, 33 the worst of 4,000 random
 
 
 def kepler_flow(x0: np.ndarray, times: np.ndarray) -> np.ndarray | None:
-    """The Kepler flow from ``x0`` at ``times`` on an ellipse (H < 0, A != 0),
-    else None: Lagrange's f and g, with Kepler's equation solved for the
-    change dE of eccentric anomaly (Battin, *An Introduction to the
-    Mathematics and Methods of Astrodynamics*, 4; Danby, *Fundamentals of
-    Celestial Mechanics*, 6) by one vectorised Newton iteration from Danby's
-    starter over the times reduced modulo the period; None too if a residual
-    stays above a few ulps.  A time that reduces to 0 gives ``x0`` exactly."""
+    """The Kepler flow from ``x0`` at ``times`` wherever A != 0, else None:
+    Lagrange's f and g (Battin, *An Introduction to the Mathematics and
+    Methods of Astrodynamics*, 4; Danby, *Fundamentals of Celestial
+    Mechanics*, 6).  On an ellipse with alpha r0 >= 0.1 (alpha = -2H) they
+    come from the change dE of eccentric anomaly, by one vectorised Newton
+    iteration on Kepler's equation from Danby's starter over the times reduced
+    modulo the period; elsewhere from :func:`_universal`.  None too if a
+    residual stays above a few ulps.  A time that reduces to 0 gives ``x0``
+    exactly."""
     x1, x2, y1, y2 = x0.tolist()
-    r0 = math.sqrt(x1 * x1 + x2 * x2)
+    r0, momentum = math.sqrt(x1 * x1 + x2 * x2), x1 * y2 - x2 * y1
     energy = 0.5 * (y1 * y1 + y2 * y2) - 1.0 / r0 if r0 else math.inf
-    if not (energy < 0 and x1 * y2 - x2 * y1 != 0):
+    if not (energy < math.inf and momentum):
         return None
+    if not -2.0 * energy * r0 >= _UNIVERSAL_BELOW:
+        return _universal(x0, times, r0, x1 * y1 + x2 * y2, np.float64(-2.0 * energy), momentum)
     a = -0.5 / energy  # semi-major axis
     root_a = math.sqrt(a)
     period = 2.0 * math.pi * (a * root_a)
@@ -103,27 +107,75 @@ def kepler_flow(x0: np.ndarray, times: np.ndarray) -> np.ndarray | None:
     return states
 
 
+def _stumpff(z, alpha):
+    """Stumpff's C(z) = 2 (sin(s/2) / s)^2 and S(z) = (s - sin s) / s^3, s = sqrt(z), on z of the sign
+    of ``alpha`` (sinh and -z for z < 0); C(0) = 1/2, and S from its Taylor series where |z| < 1."""
+    if not alpha:  # a parabola: z = 0
+        return 0.5, 1.0 / 6.0
+    s, trig, series = np.sqrt(np.abs(z)), np.sin if alpha > 0 else np.sinh, 0.0
+    for k in range(8, -1, -1):  # the sum of (-z)^k / (2k + 3)!
+        series = series * -z + 1.0 / math.factorial(2 * k + 3)
+    c = np.where(s > 0, 2.0 * (trig(0.5 * s) / s) ** 2, 0.5)
+    return c, np.where(np.abs(z) < 1, series, (s - trig(s)) / (s * z))
+
+
+def _universal(x0, times, r0, sigma, alpha, momentum):
+    """:func:`kepler_flow` in the universal anomaly chi, from |x0| = r0, x0 . v0 = sigma and alpha = 2/r0 - |v0|^2:
+    t = sigma chi^2 C + (1 - alpha r0) chi^3 S + r0 chi, z = alpha chi^2, rises at the rate r >= q, the
+    periapsis distance A^2 / (1 + e), so chi lies between 0 and t/q, and on an ellipse, the times reduced
+    to within half a period of 0, within 2 pi / sqrt(alpha).  Laguerre's step (Conway, Celest. Mech. 39,
+    1986) is taken where it stays in that bracket and is at most half the step before last, else the
+    bracket is bisected.  None where chi settles neither to a few ulps of the equation's terms nor of
+    itself, or a state is not finite."""
+    eps = np.finfo(float).eps
+    with np.errstate(all="ignore"):
+        tau, beta, chi_max, period = times, 1.0 - alpha * r0, np.inf, 2.0 * np.pi / (alpha * np.sqrt(alpha))
+        if 0 < period < np.inf:
+            tau, chi_max = times - period * np.round(times / period), 2.0 * np.pi / np.sqrt(alpha)
+        q = momentum * momentum / (1.0 + np.sqrt(max(0.0, 1.0 - alpha * momentum * momentum)))
+        lo, hi, size = np.clip(tau / q, -chi_max, 0.0), np.clip(tau / q, 0.0, chi_max), np.abs(tau)
+        guess = np.minimum(size / r0, np.cbrt(6.0 * size / beta))  # the radial and the cubic term alone
+        if alpha < 0:  # and the hyperbola's exponential
+            guess = np.minimum(guess, np.log1p(2.0 * (-alpha) ** 1.5 * size / beta) / np.sqrt(-alpha))
+        chi = np.clip(np.copysign(guess, tau), lo, hi)
+        before = last = hi - lo
+        for _ in range(_UNIVERSAL_STEPS):
+            chi2 = chi * chi
+            z = alpha * chi2
+            c, s = _stumpff(z, alpha)
+            u, w = chi * (1.0 - z * s), 1.0 - z * c
+            terms = (sigma * chi2 * c, beta * chi2 * chi * s, r0 * chi)
+            residual, r = sum(terms) - tau, chi2 * c + sigma * u + r0 * w  # and r = dt/dchi
+            settled = np.abs(residual) / (sum(map(np.abs, terms)) + size) <= 8 * eps  # nan where they overflow
+            if (settled | (hi - lo <= 2 * eps * np.abs(chi))).all():
+                break
+            residual = np.where(np.isfinite(residual), residual, chi)  # an overflow lies beyond the root
+            lo, hi = np.where(residual < 0, chi, lo), np.where(residual > 0, chi, hi)
+            newton = residual / r  # and Laguerre's step of order 5, with d2t/dchi2 = (1 - alpha r0) u + sigma w
+            step = -5.0 * newton / (1.0 + np.sqrt(np.abs(16.0 - 20.0 * newton * (beta * u + sigma * w) / r)))
+            take = (lo <= chi + step) & (chi + step <= hi) & (np.abs(step) <= 0.5 * np.abs(before)) & (step != 0)
+            new = np.where(settled, chi, np.where(take, chi + step, 0.5 * (lo + hi)))  # a settled chi stays
+            before, last, chi = last, new - chi, new
+        else:
+            return None
+        f, g, df, dg = 1.0 - chi2 * c / r0, terms[0] + r0 * u, -u / (r * r0), 1.0 - chi2 * c / r
+        states = (np.stack([f, g, df, dg], axis=1).reshape(-1, 2, 2) @ x0.reshape(2, 2)).reshape(-1, 4)
+    states[tau == 0] = x0
+    return states if np.isfinite(states).all() else None
+
+
 def kepler_field() -> SystemDefinition:
-    """(x1', x2', y1', y2') = (y1, y2, -x1/|x|^3, -x2/|x|^3), stepped by every
-    check; its exact flow is :func:`kepler_flow`."""
+    """(x1', x2', y1', y2') = (y1, y2, -x1/|x|^3, -x2/|x|^3), declaring its
+    exact flow :func:`kepler_flow`: a check steps it only from a radial
+    start (A = 0) or where the flow returns None."""
 
     @_componentwise
-    def stacked(x1, x2, y1, y2):
+    def field(x1, x2, y1, y2):
         r3 = _cubed_radius(x1, x2, "Kepler field")
         return np.array([y1, y2, -x1 / r3, -x2 / r3])
 
-    def field(z):
-        if z.ndim != 1:
-            return stacked(z)
-        x1, x2, y1, y2 = z.tolist()
-        r2 = x1 * x1 + x2 * x2
-        r3 = r2 * math.sqrt(r2)  # as _cubed_radius, on floats
-        if r3 == 0.0:
-            raise NumericError("Kepler field is singular at the origin (|x|^3 is zero or underflows)")
-        return np.array([y1, y2, -x1 / r3, -x2 / r3])
-
     return SystemDefinition(
-        dim=4, field=field, label="kepler", component_names=("x1", "x2", "y1", "y2"), batched=True
+        dim=4, field=field, label="kepler", component_names=("x1", "x2", "y1", "y2"), batched=True, flow=kepler_flow
     )
 
 

@@ -269,7 +269,7 @@ def _run_coincidence(s: _Scenario) -> _Outcome:
     rep = verify_coincidence(
         lambda x, g: g @ J.T,
         kepler_model.hamiltonian(), kepler_model.linear_pair_hamiltonian(s.params["a"]),
-        s.x0, s.t_end, batched=True, flows=(kepler_model.kepler_flow, kepler_model.linear_pair_flow(s.params["a"])),
+        s.x0, s.t_end, batched=True, flows=(s.system.flow, kepler_model.linear_pair_flow(s.params["a"])),
         integ=s.integ, tolerances=s.tol,
     )
     # the F flow is Kepler's equation and the G flow the pair's rotation where

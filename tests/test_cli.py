@@ -8,7 +8,6 @@ import subprocess
 import sys
 import time
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +18,7 @@ from hypothesis import strategies as st
 from invarsets.cli import main
 from invarsets.report import export_trajectory, load_scenario, run_scenario
 from invarsets import ConservedQuantitySet, IntegratorSettings, flow_adaptive, integrate
-from invarsets import invariance, jacobians, kepler, rank_levels, report, toda
+from invarsets import invariance, jacobians, rank_levels, report, toda
 from invarsets.core import PREMISE_TOL
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
@@ -264,10 +263,14 @@ def test_overflowing_initial_step_norm_ends_without_a_traceback(tmp_path):
     assert _strict_json(done.stdout)["verdict"] == "pass"
 
 
+# |x|^3 underflows at a radial start (A = 0), which the exact flow leaves to the stepper
+RADIAL_TINY = [1e-110, 0, 1, 0]
+
+
 def test_underflowing_kepler_radius_is_a_numeric_error_without_a_traceback(tmp_path):
     # |x|^3 underflows to zero: the field is singular there, not divided by
     # zero, and the failed integration is reported as a broken premise
-    done = _run_cli(tmp_path, _kepler_drift([1e-110, 0, 0, 1]), "-W", "error::RuntimeWarning")
+    done = _run_cli(tmp_path, _kepler_drift(RADIAL_TINY), "-W", "error::RuntimeWarning")
     assert done.returncode == 1
     assert "Traceback" not in done.stderr
     report = _strict_json(done.stdout)
@@ -276,7 +279,7 @@ def test_underflowing_kepler_radius_is_a_numeric_error_without_a_traceback(tmp_p
 
 
 def test_failed_integration_is_a_hypothesis_error_report(tmp_path, capsys):
-    code = main(["run", _write(tmp_path, _kepler_drift([1e-110, 0, 0, 1]))])
+    code = main(["run", _write(tmp_path, _kepler_drift(RADIAL_TINY))])
     out, err = capsys.readouterr()
     report = _strict_json(out)
     assert code == 1 and err == ""
@@ -290,7 +293,7 @@ def test_failed_integration_is_a_hypothesis_error_report(tmp_path, capsys):
 def test_failed_integration_with_csv_prints_the_report_and_writes_no_csv(tmp_path, capsys, monkeypatch):
     csv_path, report_path = tmp_path / "x.csv", tmp_path / "r.json"
     calls = _count_flows(monkeypatch)
-    argv = ["run", _write(tmp_path, _kepler_drift([1e-110, 0, 0, 1])), "--csv", str(csv_path),
+    argv = ["run", _write(tmp_path, _kepler_drift(RADIAL_TINY)), "--csv", str(csv_path),
             "--report", str(report_path)]
     assert main(argv) == 1
     out, err = capsys.readouterr()
@@ -303,7 +306,7 @@ def test_failed_integration_with_csv_prints_the_report_and_writes_no_csv(tmp_pat
 
 
 def test_failed_integration_does_not_abort_run_all(tmp_path, capsys):
-    (tmp_path / "a-singular.json").write_text(json.dumps(_kepler_drift([1e-110, 0, 0, 1])))
+    (tmp_path / "a-singular.json").write_text(json.dumps(_kepler_drift(RADIAL_TINY)))
     shutil.copy(SCENARIO_DIR / "toda-periodic-drift.json", tmp_path / "b-drift.json")
     assert main(["run-all", str(tmp_path), "--report-dir", str(tmp_path / "out")]) == 1
     lines = capsys.readouterr().out.splitlines()
@@ -407,7 +410,8 @@ def test_numeric_failure_with_csv_prints_the_report_and_writes_no_csv(tmp_path, 
 
 def test_spent_step_budget_is_a_hypothesis_error_report(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(integrate, "_MAX_ATTEMPTS", 2)
-    assert main(["run", _write(tmp_path, _kepler_drift([0.0, 1.1, 0.9, 0.1]))]) == 1
+    # a radial start (A = 0), which the exact flow leaves to the stepper
+    assert main(["run", _write(tmp_path, _kepler_drift([0.0, 1.1, 0.0, 0.9]))]) == 1
     report = _strict_json(capsys.readouterr().out)
     assert report["verdict"] == "hypothesis-error"
     message = report["evidence"]["message"]
@@ -979,10 +983,9 @@ def test_run_csv_exports_the_checks_own_trajectory(
         assert not (tmp_path / "run.csv").exists()
         return
     # the model's own flow from the start, over the check's horizon, exported
-    # alone: the Kepler flow declared, or the lattice integrated
+    # alone: the Kepler flow its field declares, or the lattice integrated
     s = report._read(config)
-    system = replace(s.system, flow=kepler.kepler_flow) if s.kind == "kepler" else s.system
-    traj, broken = integrate._flow(system, s.x0, s.t_end, s.integ, PREMISE_TOL)
+    traj, broken = integrate._flow(s.system, s.x0, s.t_end, s.integ, PREMISE_TOL)
     assert broken is None
     export_trajectory(traj, s.quantity, tmp_path / "export.csv", s.system.component_names)
     capsys.readouterr()

@@ -919,9 +919,8 @@ def test_declared_flows_keep_the_driven_verdict_on_shipped_scenarios(name):
     s = report._read(json.loads((SCENARIO_DIR / name).read_text()))
     fast = _assert_declared_keeps_the_driven_report(s.x0, s.params["a"], s.t_end, integ=s.integ, tolerances=s.tol)
     assert fast.verdict == s.config["expected_verdict"]
-    # the control starts at H = 0, which the Kepler flow does not cover: it is integrated
-    expected = "dormand-prince-8(5,3)" if name == "kepler-offset-control.json" else "declared-flow"
-    assert fast.trajectory.stats.method == expected
+    # the control starts at H = 0, which the Kepler flow covers in universal variables
+    assert fast.trajectory.stats.method == "declared-flow"
 
 
 @settings(max_examples=10, deadline=None)

@@ -519,7 +519,7 @@ def _kepler_verdicts(system):
 def test_every_verifier_takes_the_flow_a_system_declares():
     calls, system = [], _declared_kepler()
     counted = replace(system, field=lambda z: calls.append(z.shape) or system.field(z))
-    stepped = _kepler_verdicts(kepler.kepler_field())
+    stepped = _kepler_verdicts(replace(kepler.kepler_field(), flow=None))
     for name, rep in _kepler_verdicts(counted).items():
         assert rep.verdict == stepped[name].verdict == "pass", (name, rep.message)
         assert rep.trajectory.stats == IntegratorStats("declared-flow", 0, 0, 0), name

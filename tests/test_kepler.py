@@ -1,4 +1,6 @@
+import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +17,13 @@ from invarsets import (
     stack_quantities,
 )
 from invarsets import assemble_system, kepler, verify_coincidence
+from invarsets.core import PREMISE_TOL
+from invarsets.integrate import _flow
+from invarsets.report import run_scenario
 
 from conftest import batched_symplectic_base, random_kepler_states
+
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def test_field_values():
@@ -305,16 +312,100 @@ def test_exact_flow_commutes_with_time_reversal_and_reflection(e):
         assert np.abs(flow(x0 * signs, direction * times) * signs - states).max() <= bound
 
 
+# ---------------------------------------------------------------------------
+# universal variables: H >= 0 and the near-parabolic ellipses
+# ---------------------------------------------------------------------------
+
+
+def _stepped(x0, times):
+    """The stepper at 1e-13 from ``x0`` at ``times``, all of one sign: a
+    negative time runs the reversed velocity forwards."""
+    signs = np.array([1.0, 1.0, -1.0, -1.0]) if times[-1] < 0 else np.ones(4)
+    integ = IntegratorSettings(tol=1e-13, sample_count=times.size)
+    return flow_adaptive(kepler.kepler_field(), x0 * signs, abs(times[-1]), integ=integ).states * signs
+
+
+def _relative_gap(states, reference):
+    norms = np.linalg.norm(reference, axis=1)
+    return float(np.max(np.linalg.norm(states - reference, axis=1) / np.maximum(1.0, norms)))
+
+
+@pytest.mark.parametrize("t_end", [10.0, -10.0])
+@pytest.mark.parametrize("x0", [[0.0, 2.0, 1.0, 0.0], [1.0, 0.0, 0.0, 1.5], [1.0, 0.0, 0.0, -1.5]])
+def test_universal_flow_matches_the_stepper_on_parabolic_and_hyperbolic_orbits(x0, t_end):
+    x0, times = np.array(x0), np.linspace(0.0, t_end, 401)
+    states = kepler.kepler_flow(x0, times)
+    assert states[0].tobytes() == x0.tobytes()
+    assert _relative_gap(states, _stepped(x0, times)) <= 1e-9
+
+
+@pytest.mark.parametrize("t_end", [2 * np.pi, 100.0])
+@pytest.mark.parametrize("energy", [-1e-3, -1e-6, -1e-9, -1e-12, 0.0, 1e-9, 1e-6, 1e-3])
+def test_flow_near_the_parabola_matches_the_stepper_and_holds_its_premise(energy, t_end):
+    # Kepler's equation in the eccentric anomaly cancels here (dE - e sin dE
+    # with e near 1): from H = -1e-5 on it failed its own premise
+    x0 = np.array([0.0, 2.0, np.sqrt(1.0 + 2.0 * energy), 0.0])
+    traj, broken = _flow(kepler.kepler_field(), x0, t_end, IntegratorSettings(), PREMISE_TOL)
+    assert broken is None and traj.stats.method == "declared-flow"
+    assert _relative_gap(traj.states, _stepped(x0, traj.times)) <= 1e-9
+
+
+@pytest.mark.parametrize("periods", [1, 8])
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+def test_flow_from_periapsis_at_e_0999_holds_its_premise(a, periods):
+    # a 50-digit evaluation of Kepler's equation holds this premise to 9e-11;
+    # times reduced to [0, P) put the premise's negative shifts of sample 0
+    # just below a period, where the rounding of the period read 1.3e-8 to 4.9e-8
+    e = 0.999
+    x0 = np.array([a * (1.0 - e), 0.0, 0.0, np.sqrt((1.0 + e) / ((1.0 - e) * a))])
+    traj, broken = _flow(kepler.kepler_field(), x0, periods * 2 * np.pi * a**1.5, IntegratorSettings(), PREMISE_TOL)
+    assert broken is None, broken
+
+
+@pytest.mark.parametrize(
+    "x0,t_end",
+    [
+        # a sample settled at pass 7 was bisected away again and took 49 passes
+        ([1.5478632382608988, -1.2429469964643443, -0.8691466271351539, 1.1114650718386816], 22.574939470156334),
+        # near-radial and fast: where both huge terms overflowed, inf against inf
+        # read as settled and left a sample at chi = -6.6, whose states overflow
+        ([-0.0281565079, 47.1156484, 0.0139846331, 107.648499], -1.8008653243586843),
+        ([109.591019, 0.104406076, 107.135171, -0.0860030206], -535.7560405832606),
+    ],
+)
+def test_universal_flow_settles_within_30_steps_on_hard_hyperbolas(monkeypatch, x0, t_end):
+    monkeypatch.setattr(kepler, "_UNIVERSAL_STEPS", 30)
+    x0, times = np.array(x0), np.linspace(0.0, t_end, 101)
+    states = kepler.kepler_flow(x0, times)
+    assert states is not None
+    assert _relative_gap(states, _stepped(x0, times)) <= 1e-7
+
+
+def test_universal_newton_that_does_not_settle_gives_none(monkeypatch):
+    x0, times = np.array([0.0, 2.0, 1.0, 0.0]), np.linspace(0.0, 6.0, 11)
+    assert kepler.kepler_flow(x0, times) is not None
+    monkeypatch.setattr(kepler, "_UNIVERSAL_STEPS", 1)
+    assert kepler.kepler_flow(x0, times) is None
+
+
+KEPLER_SCENARIOS = sorted(p.name for p in SCENARIO_DIR.glob("kepler-*.json"))
+
+
+@pytest.mark.parametrize("name", KEPLER_SCENARIOS)
+def test_every_kepler_scenario_takes_the_exact_flow(name):
+    rep = run_scenario(json.loads((SCENARIO_DIR / name).read_text()))
+    assert rep.verdict == rep.config["expected_verdict"]
+    assert rep.flow[0].stats.method == "declared-flow"
+
+
 @pytest.mark.parametrize(
     "x0",
     [
-        [0.0, 2.0, 1.0, 0.0],  # H = 0: a parabola
-        [1.0, 0.0, 0.0, 2.0],  # H > 0: a hyperbola
         [0.3, 0.4, -0.3, -0.4],  # A = 0: a plunge to the origin
         [1.0, 0.0, 0.5, 0.0],  # A = 0 with H < 0
     ],
 )
-def test_exact_flow_does_not_cover_open_or_radial_orbits(x0):
+def test_exact_flow_does_not_cover_radial_orbits(x0):
     assert kepler.kepler_flow(np.array(x0), np.linspace(0.0, 1.0, 5)) is None
 
 
@@ -342,7 +433,7 @@ def test_exact_flow_that_newton_does_not_settle_gives_none(monkeypatch):
     assert kepler.kepler_flow(x0, times) is None
 
 
-@pytest.mark.parametrize("x0", [[0.0, 2.0, 1.0, 0.0], [1.0, 0.0, 0.0, 2.0], [1.0, 0.0, 0.5, 0.0]])
+@pytest.mark.parametrize("x0", [[0.3, 0.4, -0.3, -0.4], [1.0, 0.0, 0.5, 0.0]])  # A = 0: radial orbits
 def test_coincidence_integrates_a_start_the_flow_does_not_cover_and_keeps_its_verdict(x0):
     a = 1.0
     args = (batched_symplectic_base, kepler.hamiltonian(), kepler.linear_pair_hamiltonian(a), np.array(x0), 2.0)
